@@ -237,11 +237,12 @@ sim::Task<CqOutcome> CheapQuorum::follower_body(Bytes input, bool decide_allowed
   const sim::Time deadline = exec_->now() + config_.timeout;
 
   // Both waits below are event-driven: a pass over the registers, then a
-  // suspension on the memories' write-version signals (bounded by the panic
-  // deadline) — a write by the leader, a copier or a panicker wakes us, and
-  // an idle wait costs no events at all. The watch snapshots before each
-  // pass, so writes landing mid-pass rescan immediately.
-  mem::WriteWatch watch(memories_);
+  // suspension on this instance's write scope (bounded by the panic
+  // deadline) — a write by the leader, a copier or a panicker wakes us,
+  // writes outside the scope never do, and an idle wait costs no events at
+  // all. The watch snapshots before each pass, so writes landing mid-pass
+  // rescan immediately.
+  mem::WriteWatch watch(memories_, regions_.scope);
 
   // Wait for the leader's value (Algorithm 4 lines 10–12).
   Bytes leader_blob;
@@ -262,7 +263,7 @@ sim::Task<CqOutcome> CheapQuorum::follower_body(Bytes input, bool decide_allowed
     if (co_await anyone_panicked() || exec_->now() >= deadline) {
       co_return co_await panic_mode(std::move(input));
     }
-    co_await watch.wait_change(*exec_, deadline, config_.poll);
+    co_await watch.wait_change(*exec_, deadline);
   }
 
   // Sign and replicate our copy (line 14–15).
@@ -339,7 +340,7 @@ sim::Task<CqOutcome> CheapQuorum::follower_body(Bytes input, bool decide_allowed
     if (co_await anyone_panicked() || exec_->now() >= deadline) {
       co_return co_await panic_mode(std::move(input));
     }
-    co_await watch.wait_change(*exec_, deadline, config_.poll);
+    co_await watch.wait_change(*exec_, deadline);
   }
 }
 

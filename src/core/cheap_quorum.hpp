@@ -8,7 +8,8 @@
 // safe (Lemma 4.8).
 //
 // Memory layout (regions created identically on every memory by
-// make_cq_regions):
+// make_cq_regions, all in one write scope — the one the follower loops
+// watch):
 //   Region[ℓ]  prefix "cq/leader/"  — RW {p1}; legalChange permits exactly
 //              one change: revoking all write access (panic, Alg. 5 line 3).
 //   Region[p]  prefix "cq/p/<p>/"   — SWMR(p), static; holds Value[p],
@@ -47,16 +48,20 @@ namespace mnm::core {
 struct CheapQuorumRegions {
   RegionId leader = 0;
   std::map<ProcessId, RegionId> per_process;
+  mem::ScopeId scope = mem::kDefaultScope;  // write scope of all of the above
 };
 
 /// Create Cheap Quorum's regions on one memory (identical order on every
-/// memory keeps region ids aligned). Works for mem::Memory / VerbsMemory.
-/// Multi-slot engines namespace the prefix per slot ("s<slot>/cq").
+/// memory keeps region ids aligned), all in write scope `scope`. Works for
+/// mem::Memory / VerbsMemory. Multi-slot engines namespace the prefix per
+/// slot ("s<slot>/cq") and give each slot a fresh scope.
 template <typename MemoryT>
 CheapQuorumRegions make_cq_regions(MemoryT& memory, std::size_t n,
                                    ProcessId leader = kLeaderP1,
-                                   const std::string& prefix = "cq") {
+                                   const std::string& prefix = "cq",
+                                   mem::ScopeId scope = mem::kDefaultScope) {
   CheapQuorumRegions out;
+  out.scope = scope;
   const auto all = all_processes(n);
   // legalChange: only total write revocation is permitted (§4.2).
   const auto revoke_only = [](ProcessId, RegionId, const mem::Permission&,
@@ -64,11 +69,13 @@ CheapQuorumRegions make_cq_regions(MemoryT& memory, std::size_t n,
     return proposed.write.empty() && proposed.read_write.empty();
   };
   out.leader = memory.create_region({prefix + "/leader/"},
-                                    mem::Permission::swmr(leader, all), revoke_only);
+                                    mem::Permission::swmr(leader, all),
+                                    revoke_only, {}, scope);
   for (ProcessId p : all) {
     out.per_process[p] =
         memory.create_region({prefix + "/p/" + std::to_string(p) + "/"},
-                             mem::Permission::swmr(p, all));
+                             mem::Permission::swmr(p, all),
+                             mem::static_permissions(), {}, scope);
   }
   return out;
 }
@@ -110,7 +117,6 @@ struct CheapQuorumConfig {
   /// bound on the communication, processing and computation delays in the
   /// common case" (§4.2 footnote 3).
   sim::Time timeout = 120;
-  sim::Time poll = 2;
 };
 
 struct CqOutcome {

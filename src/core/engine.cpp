@@ -74,8 +74,8 @@ void FastRobustEngine::open_slot(Slot slot) {
   FastRobustConfig c = config_;
   c.cheap.prefix = slot_ns(slot, cq_ns_);
   SlotStack stack;
-  stack.neb_slots = std::make_unique<NebSlots>(*exec_, memories_, r.neb,
-                                               slot_ns(slot, neb_ns_));
+  stack.neb_slots = std::make_unique<NebSlots>(
+      *exec_, memories_, r.neb, slot_ns(slot, neb_ns_), r.neb_scope);
   stack.process = std::make_unique<FastRobustProcess>(
       *exec_, memories_, r.cq, *stack.neb_slots, *keystore_, signer_, *omega_,
       c);

@@ -328,7 +328,8 @@ class AlignedEngine : public HubEngine<AlignedPaxos> {
 class CheapQuorumEngine : public ConsensusEngine {
  public:
   /// `regions->get(s)` must create make_cq_regions(m, n, leader,
-  /// slot_ns(s, ns)) on every backing memory.
+  /// slot_ns(s, ns), m.new_scope()) on every backing memory — a fresh write
+  /// scope per slot, so a slot's follower loops wake on its own writes only.
   CheapQuorumEngine(sim::Executor& exec,
                     std::vector<mem::MemoryIface*> memories,
                     std::shared_ptr<SlotRegions<CheapQuorumRegions>> regions,
@@ -353,17 +354,33 @@ class CheapQuorumEngine : public ConsensusEngine {
   std::map<Slot, std::unique_ptr<CheapQuorum>> slots_;
 };
 
-/// Per-slot regions of a Fast & Robust slot: Cheap Quorum's plus NEB's.
+/// Per-slot regions of a Fast & Robust slot: Cheap Quorum's plus NEB's,
+/// each set in a write scope of its own.
 struct FastRobustSlotRegions {
   CheapQuorumRegions cq;
   std::map<ProcessId, RegionId> neb;
+  mem::ScopeId neb_scope = mem::kDefaultScope;
 };
+
+/// Create slot `s`'s Fast & Robust regions on one memory: Cheap Quorum's in
+/// one fresh write scope, then NEB's in another. Call it on every backing
+/// memory in the same order, so region and scope ids agree across them.
+template <typename MemoryT>
+FastRobustSlotRegions make_fast_robust_slot_regions(
+    MemoryT& memory, std::size_t n, Slot s, const std::string& cq_ns = "cq",
+    const std::string& neb_ns = "neb") {
+  FastRobustSlotRegions out;
+  out.cq = make_cq_regions(memory, n, kLeaderP1, slot_ns(s, cq_ns),
+                           memory.new_scope());
+  out.neb_scope = memory.new_scope();
+  out.neb = make_neb_regions(memory, n, slot_ns(s, neb_ns), out.neb_scope);
+  return out;
+}
 
 class FastRobustEngine : public ConsensusEngine {
  public:
-  /// `regions->get(s)` must create make_cq_regions(m, n, leader,
-  /// slot_ns(s, cq_ns)) then make_neb_regions(m, n, slot_ns(s, neb_ns)) on
-  /// every backing memory, in that order.
+  /// `regions->get(s)` must create make_fast_robust_slot_regions(m, n, s,
+  /// cq_ns, neb_ns) on every backing memory.
   FastRobustEngine(sim::Executor& exec,
                    std::vector<mem::MemoryIface*> memories,
                    std::shared_ptr<SlotRegions<FastRobustSlotRegions>> regions,

@@ -12,11 +12,12 @@ namespace mnm::core {
 
 NebSlots::NebSlots(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
                    std::map<ProcessId, RegionId> owner_regions,
-                   std::string prefix)
+                   std::string prefix, mem::ScopeId scope)
     : exec_(&exec),
       memories_(std::move(memories)),
       owner_regions_(std::move(owner_regions)),
-      prefix_(std::move(prefix)) {}
+      prefix_(std::move(prefix)),
+      scope_(scope) {}
 
 swmr::ReplicatedRegister& NebSlots::slot(ProcessId owner, std::uint64_t k,
                                          ProcessId broadcaster) {
@@ -161,12 +162,12 @@ sim::Task<bool> NonEquivBroadcast::try_deliver(ProcessId q) {
 
 sim::Task<void> NonEquivBroadcast::scan_loop() {
   // Event-driven scanning: instead of re-reading every broadcaster's head
-  // slot each poll tick, suspend on the memories' write-version signals and
-  // rescan only when some register actually changed. The watch snapshots
+  // slot each poll tick, suspend on the write signal of the slots' own scope
+  // and rescan only when one of these registers actually changed — writes
+  // anywhere else on the memories never wake this loop. The watch snapshots
   // *before* a pass, so a write landing mid-scan re-arms the select
-  // immediately — no lost wakeups. Backends without a signal (none in-tree)
-  // degrade to the config_.poll timeout.
-  mem::WriteWatch watch(slots_->memories());
+  // immediately — no lost wakeups.
+  mem::WriteWatch watch(slots_->memories(), slots_->scope());
   while (true) {
     watch.snapshot();
     bool progress = false;
@@ -175,7 +176,7 @@ sim::Task<void> NonEquivBroadcast::scan_loop() {
       while (co_await try_deliver(q)) progress = true;
     }
     if (progress) continue;  // re-snapshot and look again before sleeping
-    co_await watch.wait_change(*exec_, sim::kTimeInfinity, config_.poll);
+    co_await watch.wait_change(*exec_, sim::kTimeInfinity);
   }
 }
 

@@ -21,7 +21,8 @@
 // Registers live in the replicated SWMR layer (src/swmr), so the primitive
 // tolerates fM < m/2 memory crashes exactly as §4.1 prescribes. Slot
 // register names: "neb/<owner>/<k>/<broadcaster>"; each owner's slots form
-// one SWMR region per memory, created by make_neb_regions().
+// one SWMR region per memory, created by make_neb_regions(). All n regions
+// share one write scope, the one the delivery scan watches.
 
 #pragma once
 
@@ -43,16 +44,19 @@
 namespace mnm::core {
 
 /// Create the n SWMR regions ("neb/<p>/" owned by p) on one memory, in
-/// process-id order so region ids agree across memories. Returns the map
-/// owner → region id. Works for both mem::Memory and verbs::VerbsMemory.
+/// process-id order so region ids agree across memories, all in write scope
+/// `scope`. Returns the map owner → region id. Works for both mem::Memory
+/// and verbs::VerbsMemory.
 template <typename MemoryT>
-std::map<ProcessId, RegionId> make_neb_regions(MemoryT& memory, std::size_t n,
-                                               const std::string& prefix = "neb") {
+std::map<ProcessId, RegionId> make_neb_regions(
+    MemoryT& memory, std::size_t n, const std::string& prefix = "neb",
+    mem::ScopeId scope = mem::kDefaultScope) {
   std::map<ProcessId, RegionId> out;
   const auto all = all_processes(n);
   for (ProcessId p : all) {
     out[p] = memory.create_region({prefix + "/" + std::to_string(p) + "/"},
-                                  mem::Permission::swmr(p, all));
+                                  mem::Permission::swmr(p, all),
+                                  mem::static_permissions(), {}, scope);
   }
   return out;
 }
@@ -63,17 +67,20 @@ std::map<ProcessId, RegionId> make_neb_regions(MemoryT& memory, std::size_t n,
 /// register name is only built when a slot is first created.
 class NebSlots {
  public:
+  /// `scope` is the write scope make_neb_regions put `owner_regions` in.
   NebSlots(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
            std::map<ProcessId, RegionId> owner_regions,
-           std::string prefix = "neb");
+           std::string prefix = "neb",
+           mem::ScopeId scope = mem::kDefaultScope);
 
   /// slot[owner, k, broadcaster].
   swmr::ReplicatedRegister& slot(ProcessId owner, std::uint64_t k,
                                  ProcessId broadcaster);
 
-  /// The backing memories, for composing scan wakeups with their
-  /// write-version signals (NonEquivBroadcast's event-driven delivery loop).
+  /// The backing memories and the slots' write scope, for the delivery
+  /// loop's wakeups (NonEquivBroadcast::scan_loop).
   const std::vector<mem::MemoryIface*>& memories() const { return memories_; }
+  mem::ScopeId scope() const { return scope_; }
 
  private:
   static std::uint64_t slot_key(ProcessId owner, std::uint64_t k,
@@ -87,6 +94,7 @@ class NebSlots {
   std::vector<mem::MemoryIface*> memories_;
   std::map<ProcessId, RegionId> owner_regions_;
   std::string prefix_;
+  mem::ScopeId scope_;
   util::FlatMap<std::uint64_t, std::unique_ptr<swmr::ReplicatedRegister>> cache_;
 };
 
@@ -136,9 +144,6 @@ std::optional<NebSlotContent> decode_neb_slot(const Bytes& raw);
 
 struct NebConfig {
   std::size_t n = 3;
-  /// Fallback scan period, used only when a memory backend offers no
-  /// write-version signal; the delivery loop is otherwise event-driven.
-  sim::Time poll = 1;
 };
 
 class NonEquivBroadcast {

@@ -821,9 +821,7 @@ RunReport run_smr(World& w, const ClusterConfig& config) {
           [wp = &w, n](Slot s) {
             core::FastRobustSlotRegions out;
             wp->for_each_backing([&](auto& m) {
-              out.cq = core::make_cq_regions(m, n, kLeaderP1,
-                                             core::slot_ns(s, "cq"));
-              out.neb = core::make_neb_regions(m, n, core::slot_ns(s, "neb"));
+              out = core::make_fast_robust_slot_regions(m, n, s);
             });
             return out;
           });
@@ -1154,10 +1152,8 @@ void build_kv_group(World& w, const ClusterConfig& config, std::uint8_t tag,
           [wp = &w, n, cq_prefix, neb_prefix](Slot s) {
             core::FastRobustSlotRegions out;
             wp->for_each_backing([&](auto& m) {
-              out.cq = core::make_cq_regions(m, n, kLeaderP1,
-                                             core::slot_ns(s, cq_prefix));
-              out.neb = core::make_neb_regions(
-                  m, n, core::slot_ns(s, neb_prefix));
+              out = core::make_fast_robust_slot_regions(m, n, s, cq_prefix,
+                                                        neb_prefix);
             });
             return out;
           });

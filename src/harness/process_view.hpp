@@ -54,10 +54,12 @@ class ProcessView final : public mem::MemoryIface {
     co_return co_await inner_->read_many(caller, region, std::move(regs));
   }
 
-  sim::VersionSignal* write_version() override {
+  sim::VersionSignal& write_signal(mem::ScopeId scope) override {
     // Forwarded even when dead: a dead process's scan loop may wake, but it
-    // hangs at its next memory operation, exactly like any other step.
-    return inner_->write_version();
+    // hangs at its next memory operation, exactly like any other step. The
+    // inner memory bumps at its own effect point, so the view never delays
+    // a wakeup to completion.
+    return inner_->write_signal(scope);
   }
 
   sim::Task<mem::Status> change_permission(ProcessId caller, RegionId region,

@@ -5,7 +5,7 @@
 namespace mnm::mem {
 
 Memory::Memory(sim::Executor& exec, MemoryId id, sim::Time op_delay)
-    : exec_(&exec), id_(id), op_delay_(op_delay), write_version_(exec) {}
+    : exec_(&exec), id_(id), op_delay_(op_delay), scopes_(exec) {}
 
 bool Memory::Region::contains(const std::string& reg) const {
   for (const auto& p : prefixes) {
@@ -19,12 +19,16 @@ bool Memory::Region::contains(const std::string& reg) const {
 
 RegionId Memory::create_region(std::vector<std::string> prefixes,
                                Permission perm, LegalChangeFn legal,
-                               std::vector<std::string> exact) {
+                               std::vector<std::string> exact,
+                               ScopeId scope) {
   if (!perm.disjoint()) {
     throw std::invalid_argument("Memory::create_region: R/W/RW must be disjoint");
   }
+  if (!scopes_.contains(scope)) {
+    throw std::invalid_argument("Memory::create_region: unknown scope");
+  }
   regions_.push_back(Region{std::move(prefixes), std::move(exact),
-                            std::move(perm), std::move(legal)});
+                            std::move(perm), std::move(legal), scope});
   return static_cast<RegionId>(regions_.size());
 }
 
@@ -61,7 +65,7 @@ sim::Task<Status> Memory::write(ProcessId caller, RegionId region,
     ++writes_;
     registers_[op->reg] = std::move(op->value);
     op->outcome = Status::kAck;
-    write_version_.bump();
+    scopes_.at(r->scope).bump();
   });
   exec_->schedule_after(op_delay_, [this, done, op]() mutable {
     if (crashed_ || !op->outcome.has_value()) return;  // response never leaves
@@ -195,7 +199,11 @@ std::optional<Bytes> Memory::peek(const std::string& reg) const {
 
 void Memory::poke(const std::string& reg, Bytes value) {
   registers_[reg] = std::move(value);
-  write_version_.bump();  // injected state counts as a write for watchers
+  std::vector<ScopeId> holders;
+  for (const Region& r : regions_) {
+    if (r.contains(reg)) holders.push_back(r.scope);
+  }
+  scopes_.bump_each(std::move(holders));
 }
 
 const Permission& Memory::region_permission(RegionId region) const {

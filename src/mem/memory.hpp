@@ -18,10 +18,20 @@
 // callers hang (§3: "operations ... hang without returning a response").
 // A crash between the effect point and the response leaves the write applied
 // but unacknowledged, exactly the ambiguity real systems face.
+//
+// Write signals: every region belongs to one *scope*, and each scope has a
+// sim::VersionSignal bumped at the effect point of every applied write into
+// one of its regions. Register pollers (mem::WriteWatch) wait on the scope of
+// the registers they read, so a write elsewhere on the memory wakes nobody.
+// Scope 0 always exists and is the default; new_scope() allocates the next
+// id, so creating scopes in the same order on every memory aligns their ids
+// exactly as region ids align.
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -38,6 +48,37 @@
 namespace mnm::mem {
 
 enum class Status : std::uint8_t { kAck, kNak };
+
+/// Write-signal scope of a region (see the header comment).
+using ScopeId = std::uint32_t;
+inline constexpr ScopeId kDefaultScope = 0;
+
+/// One memory's per-scope write signals. Scope 0 exists from the start;
+/// signals never move, so watchers may hold references to them.
+class ScopeSignals {
+ public:
+  explicit ScopeSignals(sim::Executor& exec) : exec_(&exec) {
+    signals_.emplace_back(exec);
+  }
+
+  ScopeId add() {
+    signals_.emplace_back(*exec_);
+    return static_cast<ScopeId>(signals_.size() - 1);
+  }
+  bool contains(ScopeId scope) const { return scope < signals_.size(); }
+  sim::VersionSignal& at(ScopeId scope) { return signals_.at(scope); }
+
+  /// Bump every scope listed, once each however often it repeats.
+  void bump_each(std::vector<ScopeId> scopes) {
+    std::sort(scopes.begin(), scopes.end());
+    scopes.erase(std::unique(scopes.begin(), scopes.end()), scopes.end());
+    for (ScopeId s : scopes) signals_[s].bump();
+  }
+
+ private:
+  sim::Executor* exec_;
+  std::deque<sim::VersionSignal> signals_;  // indexed by ScopeId
+};
 
 struct ReadResult {
   Status status = Status::kNak;
@@ -70,11 +111,12 @@ class MemoryIface {
   virtual sim::Task<Status> change_permission(ProcessId caller, RegionId region,
                                               Permission proposed) = 0;
 
-  /// Bumped at the effect point of every applied write (never for naks).
-  /// Pollers turned waiters (NEB's delivery scan) select on this instead of
-  /// sleeping; nullptr means the backend offers no notification and callers
-  /// must keep a timeout fallback.
-  virtual sim::VersionSignal* write_version() { return nullptr; }
+  /// The write signal of `scope`: bumped at the effect point of every
+  /// applied write into a region of that scope — never for naks, never at
+  /// completion. Pollers turned waiters (NEB's delivery scan, Cheap Quorum's
+  /// follower loops) select on it instead of sleeping. Throws
+  /// std::out_of_range for a scope this memory never created.
+  virtual sim::VersionSignal& write_signal(ScopeId scope) = 0;
 };
 
 class Memory : public MemoryIface {
@@ -84,13 +126,17 @@ class Memory : public MemoryIface {
 
   MemoryId id() const override { return id_; }
 
-  /// Define a region. Registers belong to it if their name starts with any
-  /// of `prefixes` (an empty prefix list with `exact` names is also
-  /// supported). Regions may overlap (§3) though the shipped algorithms
-  /// keep them disjoint.
+  /// Allocate the next write-signal scope id.
+  ScopeId new_scope() { return scopes_.add(); }
+
+  /// Define a region in write scope `scope`. Registers belong to it if their
+  /// name starts with any of `prefixes` (an empty prefix list with `exact`
+  /// names is also supported). Regions may overlap (§3) though the shipped
+  /// algorithms keep them disjoint.
   RegionId create_region(std::vector<std::string> prefixes, Permission perm,
                          LegalChangeFn legal = static_permissions(),
-                         std::vector<std::string> exact = {});
+                         std::vector<std::string> exact = {},
+                         ScopeId scope = kDefaultScope);
 
   sim::Task<Status> write(ProcessId caller, RegionId region,
                           std::string reg, Bytes value) override;
@@ -102,7 +148,9 @@ class Memory : public MemoryIface {
   sim::Task<Status> change_permission(ProcessId caller, RegionId region,
                                       Permission proposed) override;
 
-  sim::VersionSignal* write_version() override { return &write_version_; }
+  sim::VersionSignal& write_signal(ScopeId scope) override {
+    return scopes_.at(scope);
+  }
 
   /// Crash the memory: all in-flight and future operations hang forever.
   void crash() { crashed_ = true; }
@@ -111,6 +159,8 @@ class Memory : public MemoryIface {
   // --- Introspection for tests and the harness (no delay, no permission
   // checks; not part of the model's operation surface). ---
   std::optional<Bytes> peek(const std::string& reg) const;
+  /// Injected state counts as a write: bumps the scope of every region that
+  /// holds `reg`.
   void poke(const std::string& reg, Bytes value);
   const Permission& region_permission(RegionId region) const;
   bool region_contains(RegionId region, const std::string& reg) const;
@@ -129,6 +179,7 @@ class Memory : public MemoryIface {
     std::vector<std::string> exact;
     Permission perm;
     LegalChangeFn legal;
+    ScopeId scope;
 
     bool contains(const std::string& reg) const;
   };
@@ -141,7 +192,7 @@ class Memory : public MemoryIface {
   bool crashed_ = false;
   std::vector<Region> regions_;  // region id r lives at index r - 1
   std::map<std::string, Bytes> registers_;
-  sim::VersionSignal write_version_;
+  ScopeSignals scopes_;
 
   std::uint64_t reads_ = 0;
   std::uint64_t read_batches_ = 0;

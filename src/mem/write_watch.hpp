@@ -1,20 +1,27 @@
-// Write-change watch over a set of memories.
+// Write-change watch over one scope of a set of memories.
 //
 // Pollers that re-read registers "until something shows up" (NEB's delivery
 // scan, Cheap Quorum's follower loops) turn into waiters with this helper:
-// snapshot() the memories' write-version signals, do one read pass, and if
-// nothing useful surfaced, arm() a sim::Select — it resumes as soon as any
+// snapshot() the memories' write signals, do one read pass, and if nothing
+// useful surfaced, wait_change() on a sim::Select — it resumes as soon as any
 // memory applies a write past the snapshot. Because the snapshot is taken
 // *before* the read pass, a write that lands mid-pass re-arms the select
 // immediately: no lost wakeups, no poll ticks.
 //
-// Backends without a write-version signal (none in-tree) make complete()
-// false; callers must then keep a timeout fallback on the select.
+// Scope rule: a waiter watches only the scope of the registers it reads
+// (mem::ScopeId — each region belongs to one). A slot's pollers therefore
+// wake on that slot's writes alone; writes in other slots, however many,
+// cost them nothing. A write outside the watched scope that the pass could
+// still observe would be a lost wakeup, so every region a poller reads must
+// sit in the scope it watches.
+//
+// One Select source per memory: a watch over more memories than
+// sim::Select::kMaxSources is refused at construction.
 
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "src/mem/memory.hpp"
@@ -27,22 +34,13 @@ namespace mnm::mem {
 
 class WriteWatch {
  public:
-  explicit WriteWatch(const std::vector<MemoryIface*>& memories) {
-    signals_.reserve(memories.size());
-    for (MemoryIface* m : memories) {
-      if (sim::VersionSignal* s = m->write_version()) {
-        if (signals_.size() == sim::Select::kMaxSources) {
-          // More memories than select slots: watch the first kMaxSources and
-          // report incomplete so callers keep their timeout fallback —
-          // graceful degradation to polling instead of a failed arm().
-          complete_ = false;
-          break;
-        }
-        signals_.push_back(s);
-      } else {
-        complete_ = false;
-      }
+  WriteWatch(const std::vector<MemoryIface*>& memories, ScopeId scope) {
+    if (memories.empty() || memories.size() > sim::Select::kMaxSources) {
+      throw std::length_error(
+          "mem::WriteWatch: needs 1..Select::kMaxSources memories");
     }
+    signals_.reserve(memories.size());
+    for (MemoryIface* m : memories) signals_.push_back(&m->write_signal(scope));
     seen_.assign(signals_.size(), 0);
   }
 
@@ -53,38 +51,20 @@ class WriteWatch {
     }
   }
 
-  /// Register every memory as a select source, ready once its version moves
-  /// past the last snapshot.
-  void arm(sim::Select& sel) const {
+  /// Suspend until any memory's version moves past the last snapshot, or
+  /// `deadline` passes (sim::kTimeInfinity: a pure change wait).
+  sim::Task<void> wait_change(sim::Executor& exec, sim::Time deadline) {
+    sim::Select sel(exec);
     for (std::size_t i = 0; i < signals_.size(); ++i) {
       sel.on(*signals_[i], seen_[i]);
     }
-  }
-
-  /// True when every memory reports writes — a select armed from this watch
-  /// needs no timeout fallback to stay live.
-  bool complete() const { return complete_ && !signals_.empty(); }
-
-  /// The whole wait in one call: suspend until a write lands past the last
-  /// snapshot, or `deadline` passes. An incomplete watch always re-checks by
-  /// `poll` (bounded by the deadline) so unsignalled backends stay live;
-  /// pass sim::kTimeInfinity as the deadline for a pure change wait.
-  sim::Task<void> wait_change(sim::Executor& exec, sim::Time deadline,
-                              sim::Time poll) {
-    sim::Select sel(exec);
-    arm(sel);
-    if (!complete()) {
-      sel.until(std::min(deadline, exec.now() + poll));
-    } else if (deadline != sim::kTimeInfinity) {
-      sel.until(deadline);
-    }
+    if (deadline != sim::kTimeInfinity) sel.until(deadline);
     (void)co_await sel;
   }
 
  private:
   std::vector<sim::VersionSignal*> signals_;
   std::vector<std::uint64_t> seen_;
-  bool complete_ = true;
 };
 
 }  // namespace mnm::mem

@@ -10,7 +10,7 @@ RdmaDevice::RdmaDevice(sim::Executor& exec, MemoryId id, std::uint64_t rkey_seed
       id_(id),
       op_delay_(op_delay),
       rkey_rng_(rkey_seed),
-      write_version_(exec) {}
+      scopes_(exec) {}
 
 bool RdmaDevice::Mr::covers(const std::string& reg) const {
   for (const auto& p : prefixes) {
@@ -29,13 +29,18 @@ PdId RdmaDevice::alloc_pd() {
 }
 
 RKey RdmaDevice::register_mr(PdId pd, std::vector<std::string> prefixes,
-                             Access access, std::vector<std::string> exact) {
+                             Access access, std::vector<std::string> exact,
+                             mem::ScopeId scope) {
   if (!pds_.contains(pd)) throw std::invalid_argument("register_mr: unknown PD");
+  if (!scopes_.contains(scope)) {
+    throw std::invalid_argument("register_mr: unknown scope");
+  }
   RKey rkey;
   do {
     rkey = rkey_rng_.next();
   } while (rkey == 0 || mrs_.contains(rkey));
-  mrs_.emplace(rkey, Mr{pd, std::move(prefixes), std::move(exact), access});
+  mrs_.emplace(rkey,
+               Mr{pd, std::move(prefixes), std::move(exact), access, scope});
   return rkey;
 }
 
@@ -48,16 +53,18 @@ QpId RdmaDevice::create_qp(PdId pd, ProcessId owner) {
   return qp;
 }
 
-bool RdmaDevice::allowed(QpId qp, ProcessId caller, RKey rkey,
-                         const std::string& reg, bool is_write) const {
+const RdmaDevice::Mr* RdmaDevice::allowed(QpId qp, ProcessId caller,
+                                          RKey rkey, const std::string& reg,
+                                          bool is_write) const {
   const auto qit = qps_.find(qp);
-  if (qit == qps_.end() || qit->second.owner != caller) return false;
+  if (qit == qps_.end() || qit->second.owner != caller) return nullptr;
   const auto mit = mrs_.find(rkey);
-  if (mit == mrs_.end()) return false;  // deregistered ⇒ stale rkey
+  if (mit == mrs_.end()) return nullptr;  // deregistered ⇒ stale rkey
   const Mr& mr = mit->second;
-  if (mr.pd != qit->second.pd) return false;  // PD mismatch
-  if (!mr.covers(reg)) return false;
-  return is_write ? mr.access.remote_write : mr.access.remote_read;
+  if (mr.pd != qit->second.pd) return nullptr;  // PD mismatch
+  if (!mr.covers(reg)) return nullptr;
+  const bool ok = is_write ? mr.access.remote_write : mr.access.remote_read;
+  return ok ? &mr : nullptr;
 }
 
 sim::Task<mem::Status> RdmaDevice::post_write(QpId qp, ProcessId caller,
@@ -77,7 +84,9 @@ sim::Task<mem::Status> RdmaDevice::post_write(QpId qp, ProcessId caller,
 
   exec_->schedule_after(op_delay_ / 2, [this, op] {
     if (crashed_) return;
-    if (!allowed(op->qp, op->caller, op->rkey, op->reg, /*is_write=*/true)) {
+    const Mr* mr = allowed(op->qp, op->caller, op->rkey, op->reg,
+                           /*is_write=*/true);
+    if (mr == nullptr) {
       ++naks_;
       op->outcome = mem::Status::kNak;
       return;
@@ -85,7 +94,7 @@ sim::Task<mem::Status> RdmaDevice::post_write(QpId qp, ProcessId caller,
     ++writes_;
     registers_[op->reg] = std::move(op->value);
     op->outcome = mem::Status::kAck;
-    write_version_.bump();
+    scopes_.at(mr->scope).bump();
   });
   exec_->schedule_after(op_delay_, [this, done, op]() mutable {
     if (crashed_ || !op->outcome.has_value()) return;
@@ -175,7 +184,11 @@ std::optional<Bytes> RdmaDevice::peek(const std::string& reg) const {
 
 void RdmaDevice::poke(const std::string& reg, Bytes value) {
   registers_[reg] = std::move(value);
-  write_version_.bump();
+  std::vector<mem::ScopeId> holders;
+  for (const auto& [rkey, mr] : mrs_) {
+    if (mr.covers(reg)) holders.push_back(mr.scope);
+  }
+  scopes_.bump_each(std::move(holders));
 }
 
 // ---------------------------------------------------------------------------
@@ -202,21 +215,22 @@ void VerbsMemory::install_registrations(RegionState& rs) {
     const bool w = rs.perm.can_write(p);
     if (!r && !w) continue;
     rs.rkeys.emplace(p, device_->register_mr(pds_.at(p), rs.prefixes,
-                                             Access{r, w}, rs.exact));
+                                             Access{r, w}, rs.exact, rs.scope));
   }
 }
 
 RegionId VerbsMemory::create_region(std::vector<std::string> prefixes,
                                     mem::Permission perm,
                                     mem::LegalChangeFn legal,
-                                    std::vector<std::string> exact) {
+                                    std::vector<std::string> exact,
+                                    mem::ScopeId scope) {
   if (!perm.disjoint()) {
     throw std::invalid_argument("VerbsMemory::create_region: non-disjoint");
   }
   const RegionId rid = next_region_++;
   auto [it, ok] = regions_.emplace(
       rid, RegionState{std::move(prefixes), std::move(exact), std::move(perm),
-                       std::move(legal), {}});
+                       std::move(legal), scope, {}});
   (void)ok;
   install_registrations(it->second);
   return rid;

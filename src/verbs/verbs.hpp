@@ -59,11 +59,15 @@ class RdmaDevice {
   // charges delays only to network round trips). ---
   PdId alloc_pd();
 
-  /// Register registers matching `prefixes`/`exact` into `pd` with `access`.
-  /// Returns the new rkey. Registrations may overlap (§7: "the capability of
-  /// registering overlapping memory regions").
+  /// Allocate the next write-signal scope id (see mem::ScopeSignals).
+  mem::ScopeId new_scope() { return scopes_.add(); }
+
+  /// Register registers matching `prefixes`/`exact` into `pd` with `access`,
+  /// in write scope `scope`. Returns the new rkey. Registrations may overlap
+  /// (§7: "the capability of registering overlapping memory regions").
   RKey register_mr(PdId pd, std::vector<std::string> prefixes, Access access,
-                   std::vector<std::string> exact = {});
+                   std::vector<std::string> exact = {},
+                   mem::ScopeId scope = mem::kDefaultScope);
 
   /// Invalidate an rkey. Idempotent; returns false if unknown.
   bool deregister_mr(RKey rkey);
@@ -82,13 +86,16 @@ class RdmaDevice {
   sim::Task<std::vector<mem::ReadResult>> post_read_many(
       QpId qp, ProcessId caller, RKey rkey, std::vector<std::string> regs);
 
-  /// Bumped at the NIC-side effect point of every applied write.
-  sim::VersionSignal& write_version() { return write_version_; }
+  /// Bumped at the NIC-side effect point of every applied write through an
+  /// MR of `scope`.
+  sim::VersionSignal& write_signal(mem::ScopeId scope) {
+    return scopes_.at(scope);
+  }
 
   void crash() { crashed_ = true; }
   bool crashed() const { return crashed_; }
 
-  // Introspection for tests.
+  // Introspection for tests. poke bumps the scope of every MR covering `reg`.
   std::optional<Bytes> peek(const std::string& reg) const;
   void poke(const std::string& reg, Bytes value);
   bool rkey_valid(RKey rkey) const { return mrs_.contains(rkey); }
@@ -104,6 +111,7 @@ class RdmaDevice {
     std::vector<std::string> prefixes;
     std::vector<std::string> exact;
     Access access;
+    mem::ScopeId scope;
     bool covers(const std::string& reg) const;
   };
   struct Qp {
@@ -111,9 +119,10 @@ class RdmaDevice {
     ProcessId owner;
   };
 
-  /// NIC-side check executed at request arrival.
-  bool allowed(QpId qp, ProcessId caller, RKey rkey, const std::string& reg,
-               bool is_write) const;
+  /// NIC-side check executed at request arrival: the MR the access goes
+  /// through, or nullptr when it is refused.
+  const Mr* allowed(QpId qp, ProcessId caller, RKey rkey,
+                    const std::string& reg, bool is_write) const;
 
   sim::Executor* exec_;
   MemoryId id_;
@@ -127,7 +136,7 @@ class RdmaDevice {
   std::map<QpId, Qp> qps_;
   std::map<RKey, Mr> mrs_;
   std::map<std::string, Bytes> registers_;
-  sim::VersionSignal write_version_;
+  mem::ScopeSignals scopes_;
 
   std::uint64_t writes_ = 0;
   std::uint64_t reads_ = 0;
@@ -147,11 +156,14 @@ class VerbsMemory : public mem::MemoryIface {
   MemoryId id() const override { return device_->id(); }
   RdmaDevice& device() { return *device_; }
 
-  /// Mirrors mem::Memory::create_region.
+  /// Mirror mem::Memory::new_scope / create_region; a region's scope rides
+  /// on every MR registered for it.
+  mem::ScopeId new_scope() { return device_->new_scope(); }
   RegionId create_region(std::vector<std::string> prefixes,
                          mem::Permission perm,
                          mem::LegalChangeFn legal = mem::static_permissions(),
-                         std::vector<std::string> exact = {});
+                         std::vector<std::string> exact = {},
+                         mem::ScopeId scope = mem::kDefaultScope);
 
   sim::Task<mem::Status> write(ProcessId caller, RegionId region,
                                std::string reg, Bytes value) override;
@@ -161,8 +173,8 @@ class VerbsMemory : public mem::MemoryIface {
       ProcessId caller, RegionId region,
       std::vector<std::string> regs) override;
 
-  sim::VersionSignal* write_version() override {
-    return &device_->write_version();
+  sim::VersionSignal& write_signal(mem::ScopeId scope) override {
+    return device_->write_signal(scope);
   }
 
   /// Control-plane permission change: the host kernel evaluates legalChange
@@ -179,6 +191,7 @@ class VerbsMemory : public mem::MemoryIface {
     std::vector<std::string> exact;
     mem::Permission perm;
     mem::LegalChangeFn legal;
+    mem::ScopeId scope;
     std::map<ProcessId, RKey> rkeys;  // per-process registration
   };
 

@@ -512,6 +512,20 @@ TEST(Determinism, KvFastRobustShardSameSeedSameRun) {
   c.kv.shards = 1;
   c.kv.clients = 2;
   c.kv.ops_per_client = 3;
+  // Absolute pins, not only run-to-run: which wakeups the register pollers
+  // get is a cost decision and must not move the fault-free schedule —
+  // every decision time, count and hash below.
+  const RunReport a = run_cluster(c);
+  ASSERT_EQ(a.processes.size(), 3u);
+  EXPECT_EQ(a.processes[0].decided_at, 246u);
+  EXPECT_EQ(a.processes[1].decided_at, 260u);
+  EXPECT_EQ(a.processes[2].decided_at, 260u);
+  EXPECT_EQ(a.mem_writes, 825u);
+  EXPECT_EQ(a.signatures, 395u);
+  EXPECT_EQ(a.verifications, 1705u);
+  EXPECT_EQ(a.tsend_deliveries, 180u);
+  EXPECT_EQ(a.kv_op_p50, 82u);
+  EXPECT_EQ(a.kv_store_hash, 14976846832548248068ull);
   expect_deterministic(c);
 }
 

@@ -119,7 +119,8 @@ struct EngineWorld {
             std::make_shared<SlotRegions<CheapQuorumRegions>>([this](Slot s) {
               CheapQuorumRegions out;
               for (auto& mp : memories) {
-                out = make_cq_regions(*mp, this->n, kLeaderP1, slot_ns(s, "cq"));
+                out = make_cq_regions(*mp, this->n, kLeaderP1, slot_ns(s, "cq"),
+                                      mp->new_scope());
               }
               return out;
             });
@@ -137,8 +138,7 @@ struct EngineWorld {
             [this](Slot s) {
               FastRobustSlotRegions out;
               for (auto& mp : memories) {
-                out.cq = make_cq_regions(*mp, this->n, kLeaderP1, slot_ns(s, "cq"));
-                out.neb = make_neb_regions(*mp, this->n, slot_ns(s, "neb"));
+                out = make_fast_robust_slot_regions(*mp, this->n, s);
               }
               return out;
             });

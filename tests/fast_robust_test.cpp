@@ -171,6 +171,47 @@ TEST(FastRobustEngine, BackupTakeoverUnderByzantineLeaderAndSlowSchedule) {
   EXPECT_LT(r.decoded_per_delivery, 6.0) << r.summary();
 }
 
+TEST(FastRobustEngine, OpCostDoesNotGrowWithHistory) {
+  // A slot's register pollers wake on their own slot's write scope only, so
+  // an op costs the same however many slots came before it. Pollers woken by
+  // every memory write would rescan every open slot per write: ~3x the
+  // events and reads per op on the 4x longer run.
+  const auto run = [](std::size_t ops_per_client) {
+    harness::ClusterConfig c;
+    c.algo = harness::Algorithm::kFastRobust;
+    c.n = 3;
+    c.m = 3;
+    c.seed = 1;
+    c.gst = 0;
+    c.horizon = 400000;
+    c.kv.enabled = true;
+    c.kv.shards = 1;
+    c.kv.clients = 8;
+    c.kv.ops_per_client = ops_per_client;
+    c.kv.mix = kv::Mix::kA;
+    c.kv.dist = kv::KeyDist::kUniform;
+    c.kv.keys = 256;
+    c.kv.batch = 8;
+    c.kv.sign_commands = true;
+    return harness::run_cluster(c);
+  };
+  const harness::RunReport short_run = run(16);
+  const harness::RunReport long_run = run(64);
+  ASSERT_TRUE(short_run.all_ok()) << short_run.summary();
+  ASSERT_TRUE(long_run.all_ok()) << long_run.summary();
+  ASSERT_EQ(short_run.kv_ops, 128u);
+  ASSERT_EQ(long_run.kv_ops, 512u);
+  const auto per_op = [](std::uint64_t total, const harness::RunReport& r) {
+    return static_cast<double>(total) / static_cast<double>(r.kv_ops);
+  };
+  EXPECT_LE(per_op(long_run.events, long_run),
+            1.15 * per_op(short_run.events, short_run))
+      << short_run.summary() << "\n" << long_run.summary();
+  EXPECT_LE(per_op(long_run.mem_reads, long_run),
+            1.15 * per_op(short_run.mem_reads, short_run))
+      << short_run.summary() << "\n" << long_run.summary();
+}
+
 TEST(PreferentialPaxos, PriorityDecisionLemma47) {
   // Give one process a T-class input (unanimity proof): with n=3, f=1, the
   // decision must be within the top f+1 = 2 priorities — and since only one

@@ -1,6 +1,6 @@
 // Batched scatter-gather reads (MemoryIface::read_many) on both backends:
 // one round trip, one batch counter tick, per-slot results and naks, crash
-// semantics, and write-version signals for poll-free watchers.
+// semantics — plus the scoped write signals poll-free watchers wait on.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,9 @@
 
 #include "src/harness/process_view.hpp"
 #include "src/mem/memory.hpp"
+#include "src/mem/write_watch.hpp"
 #include "src/sim/executor.hpp"
+#include "src/sim/select.hpp"
 #include "src/sim/task.hpp"
 #include "src/verbs/verbs.hpp"
 
@@ -199,23 +201,204 @@ TEST(ReadMany, ProcessViewHangsBatchAfterCrash) {
   EXPECT_FALSE(completed);
 }
 
-TEST(WriteVersion, BumpsOnAppliedWritesOnly) {
+// --- Scoped write signals: a write wakes only the watchers of its own
+// region's scope, at the write's effect point. ---
+
+/// Two regions, one per scope: "a/" in the default scope, "b/" in a fresh
+/// one. p1 is the only writer of both.
+template <typename M>
+struct TwoScopes {
+  explicit TwoScopes(M& m) : m(&m) {
+    const auto all = all_processes(2);
+    scope_b = m.new_scope();
+    region_a = m.create_region({"a/"}, Permission::exclusive_writer(1, all));
+    region_b = m.create_region({"b/"}, Permission::exclusive_writer(1, all),
+                               static_permissions(), {}, scope_b);
+  }
+  std::uint64_t version(ScopeId s) const { return m->write_signal(s).version(); }
+
+  M* m;
+  ScopeId scope_b = 0;
+  RegionId region_a = 0, region_b = 0;
+};
+
+Task<void> write_via(MemoryIface* m, ProcessId p, RegionId r, std::string reg) {
+  (void)co_await m->write(p, r, std::move(reg), to_bytes("v"));
+}
+
+/// Wake time of the first bump of `scope` past its current version.
+Task<void> first_bump_at(Executor* e, MemoryIface* m, ScopeId scope,
+                         sim::Time* at) {
+  sim::Select sel(*e);
+  sel.on(m->write_signal(scope), m->write_signal(scope).version());
+  (void)co_await sel;
+  *at = e->now();
+}
+
+template <typename M>
+void expect_write_bumps_only_its_scope(Executor& exec, M& m) {
+  TwoScopes<M> t(m);
+  ASSERT_NE(t.scope_b, kDefaultScope);
+  exec.spawn(write_via(&m, 1, t.region_b, "b/x"));
+  exec.run();
+  EXPECT_EQ(t.version(t.scope_b), 1u);
+  EXPECT_EQ(t.version(kDefaultScope), 0u);  // the other scope never moved
+  exec.spawn(write_via(&m, 1, t.region_a, "a/x"));
+  exec.run();
+  EXPECT_EQ(t.version(kDefaultScope), 1u);
+  EXPECT_EQ(t.version(t.scope_b), 1u);
+}
+
+template <typename M>
+void expect_nak_bumps_nothing(Executor& exec, M& m) {
+  TwoScopes<M> t(m);
+  exec.spawn(write_via(&m, 2, t.region_b, "b/x"));  // p2 may not write
+  exec.spawn(write_via(&m, 1, t.region_b, "a/x"));  // outside the region
+  exec.run();
+  EXPECT_EQ(t.version(kDefaultScope), 0u);
+  EXPECT_EQ(t.version(t.scope_b), 0u);
+}
+
+template <typename M>
+void expect_bump_at_effect_point(Executor& exec, M& m) {
+  TwoScopes<M> t(m);
+  sim::Time woke = sim::kTimeInfinity;
+  exec.spawn(first_bump_at(&exec, &m, t.scope_b, &woke));
+  const sim::Time start = exec.now();
+  exec.spawn(write_via(&m, 1, t.region_b, "b/x"));
+  exec.run();
+  // The effect point is the request's arrival, half a round trip in —
+  // never the completion a full round trip in.
+  EXPECT_EQ(woke - start, sim::kMemoryOpDelay / 2);
+}
+
+verbs::VerbsMemory make_verbs(Executor& exec) {
+  return verbs::VerbsMemory(
+      exec, std::make_unique<verbs::RdmaDevice>(exec, 1, 0x5c09e),
+      all_processes(2));
+}
+
+TEST(ScopedWriteSignal, MemoryWriteBumpsOnlyItsRegionsScope) {
   Executor exec;
   Memory m(exec, 1);
-  const auto all = all_processes(2);
-  const RegionId r = m.create_region({"slot/"}, Permission::exclusive_writer(1, all));
-  ASSERT_NE(m.write_version(), nullptr);
-  const std::uint64_t v0 = m.write_version()->version();
+  expect_write_bumps_only_its_scope(exec, m);
+}
 
-  exec.spawn(write_reg(&m, 1, r, "slot/a", to_bytes("A")));  // applied
-  exec.spawn(write_reg(&m, 2, r, "slot/a", to_bytes("B")));  // nak'd (no perm)
-  exec.run();
-  EXPECT_EQ(m.write_version()->version(), v0 + 1);  // only the ack bumped
+TEST(ScopedWriteSignal, VerbsWriteBumpsOnlyItsRegionsScope) {
+  Executor exec;
+  verbs::VerbsMemory vm = make_verbs(exec);
+  expect_write_bumps_only_its_scope(exec, vm);
+}
 
-  // ProcessView forwards the inner memory's signal.
+TEST(ScopedWriteSignal, MemoryNakBumpsNothing) {
+  Executor exec;
+  Memory m(exec, 1);
+  expect_nak_bumps_nothing(exec, m);
+}
+
+TEST(ScopedWriteSignal, VerbsNakBumpsNothing) {
+  Executor exec;
+  verbs::VerbsMemory vm = make_verbs(exec);
+  expect_nak_bumps_nothing(exec, vm);
+}
+
+TEST(ScopedWriteSignal, MemoryBumpsAtTheEffectPoint) {
+  Executor exec;
+  Memory m(exec, 1);
+  expect_bump_at_effect_point(exec, m);
+}
+
+TEST(ScopedWriteSignal, VerbsBumpsAtTheNicEffectPoint) {
+  Executor exec;
+  verbs::VerbsMemory vm = make_verbs(exec);
+  expect_bump_at_effect_point(exec, vm);
+}
+
+TEST(ScopedWriteSignal, PokeBumpsTheScopeOfTheRegionHoldingTheRegister) {
+  Executor exec;
+  Memory m(exec, 1);
+  TwoScopes<Memory> t(m);
+  m.poke("b/x", to_bytes("P"));
+  EXPECT_EQ(t.version(t.scope_b), 1u);
+  EXPECT_EQ(t.version(kDefaultScope), 0u);
+  m.poke("nowhere/x", to_bytes("P"));  // in no region: nobody to wake
+  EXPECT_EQ(t.version(t.scope_b), 1u);
+  EXPECT_EQ(t.version(kDefaultScope), 0u);
+
+  // The device counterpart: one bump per scope, even though the region
+  // carries one MR per registered process.
+  verbs::VerbsMemory vm = make_verbs(exec);
+  TwoScopes<verbs::VerbsMemory> tv(vm);
+  vm.device().poke("b/x", to_bytes("P"));
+  EXPECT_EQ(tv.version(tv.scope_b), 1u);
+  EXPECT_EQ(tv.version(kDefaultScope), 0u);
+}
+
+TEST(ScopedWriteSignal, ProcessViewForwardsEveryScope) {
+  Executor exec;
+  Memory m(exec, 1);
+  TwoScopes<Memory> t(m);
   auto alive = std::make_shared<bool>(true);
   harness::ProcessView view(exec, m, alive);
-  EXPECT_EQ(view.write_version(), m.write_version());
+  EXPECT_EQ(&view.write_signal(t.scope_b), &m.write_signal(t.scope_b));
+  EXPECT_EQ(&view.write_signal(kDefaultScope), &m.write_signal(kDefaultScope));
+
+  // A write through the view bumps at the inner memory's effect point.
+  sim::Time woke = sim::kTimeInfinity;
+  exec.spawn(first_bump_at(&exec, &view, t.scope_b, &woke));
+  exec.spawn(write_via(&view, 1, t.region_b, "b/x"));
+  exec.run();
+  EXPECT_EQ(woke, sim::kMemoryOpDelay / 2);
+  EXPECT_EQ(t.version(kDefaultScope), 0u);
+}
+
+TEST(ScopedWriteSignal, UnknownScopesAreRefused) {
+  Executor exec;
+  Memory m(exec, 1);
+  EXPECT_THROW(m.write_signal(1), std::out_of_range);
+  EXPECT_THROW(m.create_region({"x/"}, Permission::open(all_processes(1)),
+                               static_permissions(), {}, 1),
+               std::invalid_argument);
+  verbs::VerbsMemory vm = make_verbs(exec);
+  EXPECT_THROW(vm.write_signal(1), std::out_of_range);
+  EXPECT_THROW(vm.create_region({"x/"}, Permission::open(all_processes(1)),
+                                static_permissions(), {}, 1),
+               std::invalid_argument);
+}
+
+TEST(WriteWatch, WakesOnItsOwnScopeOnly) {
+  Executor exec;
+  Memory m(exec, 1);
+  TwoScopes<Memory> t(m);
+  std::vector<MemoryIface*> mems{&m};
+  WriteWatch watch(mems, t.scope_b);
+  watch.snapshot();
+  sim::Time woke = sim::kTimeInfinity;
+  exec.spawn([](Executor* e, WriteWatch* w, sim::Time* at) -> Task<void> {
+    co_await w->wait_change(*e, sim::kTimeInfinity);
+    *at = e->now();
+  }(&exec, &watch, &woke));
+  exec.spawn(write_via(&m, 1, t.region_a, "a/x"));  // other scope: no wake
+  exec.run();
+  EXPECT_EQ(woke, sim::kTimeInfinity);
+  const sim::Time start = exec.now();
+  exec.spawn(write_via(&m, 1, t.region_b, "b/x"));
+  exec.run();
+  EXPECT_EQ(woke - start, sim::kMemoryOpDelay / 2);
+}
+
+TEST(WriteWatch, MoreMemoriesThanSelectSourcesIsAConstructionError) {
+  Executor exec;
+  std::vector<std::unique_ptr<Memory>> owned;
+  std::vector<MemoryIface*> mems;
+  for (std::size_t i = 0; i <= sim::Select::kMaxSources; ++i) {
+    owned.push_back(std::make_unique<Memory>(exec, static_cast<MemoryId>(i + 1)));
+    mems.push_back(owned.back().get());
+  }
+  EXPECT_THROW(WriteWatch(mems, kDefaultScope), std::length_error);
+  mems.pop_back();  // exactly kMaxSources fits
+  EXPECT_NO_THROW(WriteWatch(mems, kDefaultScope));
+  EXPECT_THROW(WriteWatch({}, kDefaultScope), std::length_error);
 }
 
 }  // namespace

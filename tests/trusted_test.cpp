@@ -39,7 +39,7 @@ struct TrustedFixture {
       signers.push_back(keystore.register_process(p));
       slots.push_back(std::make_unique<NebSlots>(exec, iface, regions));
       nebs.push_back(std::make_unique<NonEquivBroadcast>(
-          exec, *slots.back(), keystore, signers.back(), NebConfig{n, 1}));
+          exec, *slots.back(), keystore, signers.back(), NebConfig{n}));
       transports.push_back(std::make_unique<TrustedTransport>(
           exec, *nebs.back(), keystore, signers.back(),
           TrustedConfig{n, checkpoint_interval}, validator));
