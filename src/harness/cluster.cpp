@@ -1465,7 +1465,7 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
   std::vector<sim::Time> commit_latencies;
   std::vector<sim::Time> queue_waits;
   std::uint64_t tuner_best_obs = 0;  // the busiest tuner = a leader's
-  std::uint64_t combined_hash = 0xCBF29CE484222325ULL;
+  std::uint64_t combined_hash = util::kFnvBasis;
   std::uint64_t effective_total = 0;
   for (std::size_t g = 0; g < groups; ++g) {
     const kv::StateMachine* reference = nullptr;
@@ -1556,11 +1556,7 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
       report.slots_applied += ref_stats.slots_applied;
       report.commands_applied += ref_stats.commands_applied;
       report.noop_slots += ref_stats.noop_slots;
-      const std::uint64_t h = reference->store_hash();
-      for (int i = 0; i < 8; ++i) {
-        combined_hash ^= static_cast<std::uint8_t>(h >> (i * 8));
-        combined_hash *= 0x100000001B3ULL;
-      }
+      combined_hash = util::fnv1a_u64(combined_hash, reference->store_hash());
     }
   }
   // Config group rollup + agreement: every correct replica must hold the
@@ -1580,11 +1576,7 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
       if (tm.malformed() != 0) report.validity = false;
     }
     if (cfg_ref != nullptr) {
-      const std::uint64_t h = cfg_ref->state_hash();
-      for (int i = 0; i < 8; ++i) {
-        combined_hash ^= static_cast<std::uint8_t>(h >> (i * 8));
-        combined_hash *= 0x100000001B3ULL;
-      }
+      combined_hash = util::fnv1a_u64(combined_hash, cfg_ref->state_hash());
     }
     report.reconfig_epoch = w.table_view->epoch();
     report.reconfig_migrations = w.migrator->migrations();

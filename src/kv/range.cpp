@@ -2,34 +2,11 @@
 
 #include <algorithm>
 
-#include "src/util/serde.hpp"
-
 namespace mnm::kv {
 
 namespace {
 
-inline std::uint64_t fnv1a(std::uint64_t h, util::ByteView bytes) {
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-inline std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= static_cast<std::uint8_t>(v >> (i * 8));
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-// Tail section tags (see RangeSnapshot): strictly ascending on the wire,
-// each section present only when non-empty.
-constexpr std::uint8_t kTailLocks = 1;
-constexpr std::uint8_t kTailPrepareMarks = 2;
-
-/// The only statuses a TxnPrepare can produce — what a PrepareMark carries.
+/// The only statuses a TxnPrepare can produce — what a prepare mark carries.
 bool prepare_status_valid(std::uint8_t status) {
   const auto st = static_cast<Status>(status);
   return st == Status::kOk || st == Status::kTxnConflict ||
@@ -48,6 +25,42 @@ bool valid_spec(const RangeSpec& spec) {
     if (i > 0 && spec.buckets[i] <= spec.buckets[i - 1]) return false;
   }
   return true;
+}
+
+SessionRecord get_session(util::Reader& r) {
+  SessionRecord s;
+  s.client = r.u64();
+  s.last_seq = r.u64();
+  const std::uint8_t status = r.u8();
+  s.reply.value = r.bytes();
+  s.prepare_seq = r.u64();
+  const std::uint8_t prepare_status = r.u8();
+  // Only committed outcomes are cacheable (status_persistable); a mark holds
+  // a prepare outcome, and no mark holds the default.
+  if (!status_persistable(status) || !prepare_status_valid(prepare_status) ||
+      (s.prepare_seq == 0 &&
+       prepare_status != static_cast<std::uint8_t>(Status::kOk))) {
+    throw util::SerdeError("session record: bad status");
+  }
+  s.reply.status = static_cast<Status>(status);
+  s.prepare_status = static_cast<Status>(prepare_status);
+  return s;
+}
+
+LockRecord get_lock(util::Reader& r) {
+  LockRecord l;
+  l.key = r.bytes();
+  l.txn = r.u64();
+  l.owner = r.u64();
+  l.write = r.u8();
+  l.value = r.bytes();
+  l.has_expected = r.boolean();
+  l.expected = r.bytes();
+  // Canonical form: no guard ⇒ no guard bytes.
+  if (l.write < 1 || l.write > 2 || (!l.has_expected && !l.expected.empty())) {
+    throw util::SerdeError("lock record: non-canonical");
+  }
+  return l;
 }
 
 }  // namespace
@@ -79,198 +92,91 @@ std::optional<RangeSpec> decode_range_spec(util::ByteView raw) {
   }
 }
 
-std::uint64_t range_snapshot_digest(const RangeSnapshot& snap) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  h = fnv1a_u64(h, snap.spec.epoch);
-  h = fnv1a_u64(h, snap.spec.table_buckets);
-  for (const std::uint32_t b : snap.spec.buckets) h = fnv1a_u64(h, b);
-  h = fnv1a_u64(h, snap.pairs.size());
-  for (const auto& [k, v] : snap.pairs) {
-    h = fnv1a(h, k);
-    h = fnv1a(h, v);
-  }
-  h = fnv1a_u64(h, snap.sessions.size());
-  for (const SessionRecord& s : snap.sessions) {
-    h = fnv1a_u64(h, s.client);
-    h = fnv1a_u64(h, s.last_seq);
-    h = fnv1a_u64(h, static_cast<std::uint64_t>(s.reply.status));
-    h = fnv1a(h, s.reply.value);
-  }
-  // Each tail section folds under its tag and only when present, so a
-  // transaction-free digest (and therefore its drain bytes) is unchanged
-  // byte-for-byte, and section layouts cannot alias each other.
-  if (!snap.locks.empty()) {
-    h = fnv1a_u64(h, kTailLocks);
-    h = fnv1a_u64(h, snap.locks.size());
-    for (const LockRecord& l : snap.locks) {
-      h = fnv1a(h, l.key);
-      h = fnv1a_u64(h, l.txn);
-      h = fnv1a_u64(h, l.owner);
-      h = fnv1a_u64(h, l.write);
-      h = fnv1a(h, l.value);
-      h = fnv1a_u64(h, l.has_expected);
-      h = fnv1a(h, l.expected);
-    }
-  }
-  if (!snap.prepare_marks.empty()) {
-    h = fnv1a_u64(h, kTailPrepareMarks);
-    h = fnv1a_u64(h, snap.prepare_marks.size());
-    for (const PrepareMark& m : snap.prepare_marks) {
-      h = fnv1a_u64(h, m.client);
-      h = fnv1a_u64(h, m.seq);
-      h = fnv1a_u64(h, m.status);
-    }
-  }
-  return h;
+void put_session(util::Writer& w, const SessionRecord& s) {
+  w.u64(s.client).u64(s.last_seq).u8(static_cast<std::uint8_t>(s.reply.status));
+  w.bytes(s.reply.value).u64(s.prepare_seq);
+  w.u8(static_cast<std::uint8_t>(s.prepare_status));
 }
 
-Bytes encode_range_snapshot(const RangeSnapshot& snap) {
-  const Bytes spec = encode_range_spec(snap.spec);
-  std::size_t payload = 4 + spec.size() + 4 + 4;
-  for (const auto& [k, v] : snap.pairs) payload += 8 + k.size() + v.size();
-  for (const SessionRecord& s : snap.sessions) {
-    payload += 8 + 8 + 1 + 4 + s.reply.value.size();
-  }
-  for (const LockRecord& l : snap.locks) {
-    payload +=
-        4 + l.key.size() + 8 + 8 + 1 + 4 + l.value.size() + 1 + 4 +
-        l.expected.size();
-  }
-  if (!snap.locks.empty()) payload += 1 + 4;
-  if (!snap.prepare_marks.empty()) {
-    payload += 1 + 4 + 17 * snap.prepare_marks.size();
-  }
-  util::Writer w(payload + 8);
-  w.bytes(spec);
-  w.u32(static_cast<std::uint32_t>(snap.pairs.size()));
-  for (const auto& [k, v] : snap.pairs) w.bytes(k).bytes(v);
-  w.u32(static_cast<std::uint32_t>(snap.sessions.size()));
-  for (const SessionRecord& s : snap.sessions) {
-    w.u64(s.client)
-        .u64(s.last_seq)
-        .u8(static_cast<std::uint8_t>(s.reply.status))
-        .bytes(s.reply.value);
-  }
-  // Tagged tail sections, ascending, each only when non-empty: a
-  // transaction-free drain carries no tail and stays byte-identical to the
-  // pre-transaction wire; the decoder discriminates presence by the bytes
-  // remaining before the digest and dispatches on the tag.
-  if (!snap.locks.empty()) {
-    w.u8(kTailLocks);
-    w.u32(static_cast<std::uint32_t>(snap.locks.size()));
-    for (const LockRecord& l : snap.locks) {
-      w.bytes(l.key).u64(l.txn).u64(l.owner).u8(l.write).bytes(l.value);
-      w.u8(l.has_expected).bytes(l.expected);
-    }
-  }
-  if (!snap.prepare_marks.empty()) {
-    w.u8(kTailPrepareMarks);
-    w.u32(static_cast<std::uint32_t>(snap.prepare_marks.size()));
-    for (const PrepareMark& m : snap.prepare_marks) {
-      w.u64(m.client).u64(m.seq).u8(m.status);
-    }
-  }
-  w.u64(range_snapshot_digest(snap));
-  return std::move(w).take();
+void put_lock(util::Writer& w, const LockRecord& l) {
+  w.bytes(l.key).u64(l.txn).u64(l.owner).u8(l.write).bytes(l.value);
+  w.boolean(l.has_expected).bytes(l.expected);
 }
 
-std::optional<RangeSnapshot> decode_range_snapshot(util::ByteView raw) {
-  RangeSnapshot snap;
-  std::uint64_t claimed = 0;
+std::optional<Sections> split_sections(util::ByteView raw,
+                                       std::initializer_list<Section> allowed) {
+  const std::optional<util::ByteView> body = util::checked_body(raw);
+  if (!body.has_value()) return std::nullopt;
+  Sections out{};
   try {
-    util::Reader r(raw);
-    const Bytes spec_bytes = r.bytes();
-    const std::optional<RangeSpec> spec = decode_range_spec(spec_bytes);
-    if (!spec.has_value()) return std::nullopt;
-    snap.spec = *spec;
-    const std::uint32_t npairs = r.u32();
-    // Every pair costs at least its two 4-byte length prefixes.
-    snap.pairs.reserve(std::min<std::size_t>(npairs, r.remaining() / 8));
-    for (std::uint32_t i = 0; i < npairs; ++i) {
-      Bytes k = r.bytes();
-      Bytes v = r.bytes();
-      // Store (map) order is canonical: out-of-order or duplicate keys mean
-      // the bytes were not produced by an honest export.
-      if (i > 0 && k <= snap.pairs.back().first) return std::nullopt;
-      snap.pairs.emplace_back(std::move(k), std::move(v));
-    }
-    const std::uint32_t nsessions = r.u32();
-    snap.sessions.reserve(
-        std::min<std::size_t>(nsessions, r.remaining() / 21));
-    for (std::uint32_t i = 0; i < nsessions; ++i) {
-      SessionRecord s;
-      s.client = r.u64();
-      s.last_seq = r.u64();
-      const std::uint8_t status = r.u8();
-      // Only committed outcomes are cacheable — see status_persistable.
-      if (!status_persistable(status)) return std::nullopt;
-      s.reply.status = static_cast<Status>(status);
-      s.reply.value = r.bytes();
-      if (i > 0 && s.client <= snap.sessions.back().client) {
-        return std::nullopt;
-      }
-      snap.sessions.push_back(std::move(s));
-    }
-    // Tagged tail sections, present iff more than the 8-byte digest
-    // remains. The encoder writes a section only when non-empty and tags
-    // ascend, so presence is length-discriminated — no trial parse — and
-    // transaction-free wires are byte-identical to the pre-tail layout.
-    std::uint8_t last_tag = 0;
-    while (r.remaining() > 8) {
+    util::Reader r(*body);
+    std::uint8_t last = 0;
+    while (!r.at_end()) {
       const std::uint8_t tag = r.u8();
-      if (tag <= last_tag) return std::nullopt;  // unordered or repeated
-      last_tag = tag;
-      if (tag == kTailLocks) {
-        const std::uint32_t nlocks = r.u32();
-        if (nlocks == 0) return std::nullopt;  // empty section non-canonical
-        // Each lock costs at least its three length prefixes + fixed fields.
-        snap.locks.reserve(std::min<std::size_t>(nlocks, r.remaining() / 30));
-        for (std::uint32_t i = 0; i < nlocks; ++i) {
-          LockRecord l;
-          l.key = r.bytes();
-          l.txn = r.u64();
-          l.owner = r.u64();
-          l.write = r.u8();
-          if (l.write < 1 || l.write > 2) return std::nullopt;
-          l.value = r.bytes();
-          l.has_expected = r.u8();
-          if (l.has_expected > 1) return std::nullopt;
-          l.expected = r.bytes();
-          // Canonical form: no guard ⇒ no guard bytes.
-          if (l.has_expected == 0 && !l.expected.empty()) return std::nullopt;
-          if (i > 0 && l.key <= snap.locks.back().key) return std::nullopt;
-          snap.locks.push_back(std::move(l));
-        }
-      } else if (tag == kTailPrepareMarks) {
-        const std::uint32_t nmarks = r.u32();
-        if (nmarks == 0) return std::nullopt;  // empty section non-canonical
-        snap.prepare_marks.reserve(
-            std::min<std::size_t>(nmarks, r.remaining() / 17));
-        for (std::uint32_t i = 0; i < nmarks; ++i) {
-          PrepareMark m;
-          m.client = r.u64();
-          m.seq = r.u64();
-          m.status = r.u8();
-          if (m.seq == 0 || !prepare_status_valid(m.status)) {
-            return std::nullopt;
-          }
-          if (i > 0 && m.client <= snap.prepare_marks.back().client) {
-            return std::nullopt;
-          }
-          snap.prepare_marks.push_back(m);
-        }
-      } else {
-        return std::nullopt;  // unknown tail section
+      if (tag <= last || std::find(allowed.begin(), allowed.end(), tag) ==
+                             allowed.end()) {
+        return std::nullopt;  // repeated, descending or unknown
       }
+      last = tag;
+      out[tag] = r.bytes_view();  // throws when len overruns the blob
+      if (out[tag].empty()) return std::nullopt;  // empty ⇒ never written
     }
-    claimed = r.u64();
-    r.expect_end();
   } catch (const util::SerdeError&) {
     return std::nullopt;
   }
-  // Recompute the digest over the decoded state: a corrupted or forged
-  // drain fails closed here, before any import.
-  if (range_snapshot_digest(snap) != claimed) return std::nullopt;
+  return out;
+}
+
+bool get_records(const Sections& s, RangeSnapshot& out) {
+  try {
+    for (util::Reader r(s[kPairsSection]); !r.at_end();) {
+      Bytes k = r.bytes();
+      if (!out.pairs.empty() && k <= out.pairs.back().first) return false;
+      Bytes v = r.bytes();
+      out.pairs.emplace_back(std::move(k), std::move(v));
+    }
+    for (util::Reader r(s[kSessionsSection]); !r.at_end();) {
+      SessionRecord rec = get_session(r);
+      if (!out.sessions.empty() && rec.client <= out.sessions.back().client) {
+        return false;
+      }
+      out.sessions.push_back(std::move(rec));
+    }
+    for (util::Reader r(s[kLocksSection]); !r.at_end();) {
+      LockRecord rec = get_lock(r);
+      if (!out.locks.empty() && rec.key <= out.locks.back().key) return false;
+      out.locks.push_back(std::move(rec));
+    }
+  } catch (const util::SerdeError&) {
+    return false;
+  }
+  return true;
+}
+
+Bytes encode_range_snapshot(const RangeSnapshot& snap) {
+  util::Writer w(256);
+  put_section(w, kPairsSection, [&] {
+    for (const auto& [k, v] : snap.pairs) w.bytes(k).bytes(v);
+  });
+  put_section(w, kSessionsSection, [&] {
+    for (const SessionRecord& s : snap.sessions) put_session(w, s);
+  });
+  put_section(w, kLocksSection, [&] {
+    for (const LockRecord& l : snap.locks) put_lock(w, l);
+  });
+  put_section(w, kRangeSection, [&] { w.raw(encode_range_spec(snap.spec)); });
+  return std::move(w.checksum()).take();
+}
+
+std::optional<RangeSnapshot> decode_range_snapshot(util::ByteView raw) {
+  const std::optional<Sections> s =
+      split_sections(raw, {kPairsSection, kSessionsSection, kLocksSection,
+                           kRangeSection});
+  RangeSnapshot snap;
+  if (!s.has_value() || !get_records(*s, snap)) return std::nullopt;
+  std::optional<RangeSpec> spec = decode_range_spec((*s)[kRangeSection]);
+  if (!spec.has_value()) return std::nullopt;
+  snap.spec = *std::move(spec);
   return snap;
 }
 

@@ -6,18 +6,6 @@
 
 namespace mnm::kv {
 
-namespace {
-
-inline std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= static_cast<std::uint8_t>(v >> (i * 8));
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
 ShardTable ShardTable::initial(std::size_t shards) {
   ShardTable t;
   const std::size_t n = std::clamp<std::size_t>(shards, 1, kMaxTableGroups);
@@ -39,11 +27,10 @@ bool valid_shard_table(const ShardTable& t) {
 }
 
 std::uint64_t shard_table_hash(const ShardTable& t) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  h = fnv1a_u64(h, t.epoch);
-  h = fnv1a_u64(h, t.groups);
-  h = fnv1a_u64(h, t.buckets.size());
-  for (const std::uint32_t b : t.buckets) h = fnv1a_u64(h, b);
+  std::uint64_t h = util::fnv1a_u64(util::kFnvBasis, t.epoch);
+  h = util::fnv1a_u64(h, t.groups);
+  h = util::fnv1a_u64(h, t.buckets.size());
+  for (const std::uint32_t b : t.buckets) h = util::fnv1a_u64(h, b);
   return h;
 }
 

@@ -46,12 +46,7 @@ class ShardMap {
   std::size_t shards() const { return shards_; }
 
   static std::uint64_t key_hash(util::ByteView key) {
-    std::uint64_t h = 0xCBF29CE484222325ULL;
-    for (const std::uint8_t b : key) {
-      h ^= b;
-      h *= 0x100000001B3ULL;
-    }
-    return h;
+    return util::fnv1a(util::kFnvBasis, key);
   }
 
   std::size_t shard_of(util::ByteView key) const {

@@ -1,5 +1,6 @@
 #include "src/kv/state_machine.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/txn/record.hpp"
@@ -9,53 +10,65 @@ namespace mnm::kv {
 
 namespace {
 
-inline std::uint64_t fnv1a(std::uint64_t h, util::ByteView bytes) {
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
+/// Counter sections are fixed runs of u64s, written iff one is non-zero.
+void put_counters(util::Writer& w, Section tag,
+                  std::initializer_list<std::uint64_t> counters) {
+  put_section(w, tag, [&] {
+    if (std::all_of(counters.begin(), counters.end(),
+                    [](std::uint64_t c) { return c == 0; })) {
+      return;
+    }
+    for (const std::uint64_t c : counters) w.u64(c);
+  });
 }
 
-inline std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= static_cast<std::uint8_t>(v >> (i * 8));
-    h *= 0x100000001B3ULL;
-  }
-  return h;
+/// Inverse of put_counters: an absent section reads as all zero; a present
+/// one must hold exactly the counters, not all zero.
+bool get_counters(util::ByteView body,
+                  std::initializer_list<std::uint64_t*> counters) {
+  if (body.empty()) return true;
+  if (body.size() != 8 * counters.size()) return false;
+  util::Reader r(body);
+  bool any = false;
+  for (std::uint64_t* c : counters) any |= (*c = r.u64()) != 0;
+  return any;
 }
 
 }  // namespace
 
 void StateMachine::configure_partition(std::uint32_t group,
                                        const ShardTable& initial) {
-  partitioned_ = true;
-  group_ = group;
-  cfg_epoch_ = initial.epoch;
-  owned_.assign(initial.buckets.size(), 0);
+  st_.group = group;
+  st_.cfg_epoch = initial.epoch;
+  st_.owned.assign(initial.buckets.size(), 0);
   for (std::size_t i = 0; i < initial.buckets.size(); ++i) {
-    if (initial.buckets[i] == group) owned_[i] = 1;
+    if (initial.buckets[i] == group) st_.owned[i] = 1;
   }
 }
 
 std::size_t StateMachine::owned_buckets() const {
-  std::size_t n = 0;
-  for (const std::uint8_t o : owned_) n += o;
-  return n;
+  return static_cast<std::size_t>(
+      std::count(st_.owned.begin(), st_.owned.end(), 1));
 }
 
 bool StateMachine::resize_owned(std::uint32_t table_buckets) {
-  if (owned_.empty()) return false;
-  if (table_buckets < owned_.size()) return false;
-  std::size_t b = owned_.size();
+  std::vector<std::uint8_t>& owned = st_.owned;
+  if (owned.empty() || table_buckets < owned.size()) return false;
+  std::size_t b = owned.size();
   while (b < table_buckets) b *= 2;  // routing-preserving doubling only
   if (b != table_buckets) return false;
-  while (owned_.size() < table_buckets) {
-    const std::size_t half = owned_.size();
-    owned_.resize(2 * half);
-    for (std::size_t i = 0; i < half; ++i) owned_[half + i] = owned_[i];
+  while (owned.size() < table_buckets) {
+    const std::size_t half = owned.size();
+    owned.resize(2 * half);
+    std::copy_n(owned.begin(), half, owned.begin() + half);
   }
   return true;
+}
+
+SessionRecord& StateMachine::session(ClientId c) {
+  SessionRecord& s = st_.sessions[c];
+  s.client = c;
+  return s;
 }
 
 bool StateMachine::verify_signed(const SignedCommand& sc) const {
@@ -87,7 +100,7 @@ bool StateMachine::verify_signed(const SignedCommand& sc) const {
 void StateMachine::apply(Slot, util::ByteView command) {
   const std::optional<SignedCommand> sc = decode_signed_command(command);
   if (!sc.has_value()) {
-    ++malformed_;  // no-op, deterministically, on every correct replica
+    ++st_.malformed;  // no-op, deterministically, on every correct replica
     return;
   }
   if (keystore_ != nullptr && !verify_signed(*sc)) {
@@ -96,13 +109,13 @@ void StateMachine::apply(Slot, util::ByteView command) {
     // advance last_seq, or the victim's own retries would deduplicate
     // against the attacker's write. Deterministic no-op, mirroring the
     // malformed rule: never a throw out of apply.
-    ++forged_;
+    ++st_.forged;
     return;
   }
   const Command* c = &sc->cmd;
-  Session& session = sessions_[c->client];
-  if (c->seq <= session.last_seq) {
-    ++duplicates_;
+  SessionRecord& s = session(c->client);
+  if (c->seq <= s.last_seq) {
+    ++st_.duplicates;
     // Only the newest request's reply is cached. Re-deliver it for a
     // duplicate of exactly that seq — in the closed-loop session model that
     // is the only seq a client can still be waiting on. One more seq stays
@@ -115,34 +128,30 @@ void StateMachine::apply(Slot, util::ByteView command) {
     // Any *other* stale duplicate (seq < last_seq) must not observe someone
     // else's answer, so it gets an explicit kStaleDup marker instead.
     if (sink_) {
-      if (c->seq == session.last_seq) {
-        sink_(c->client, c->seq, session.last_reply);
-      } else if (session.last_prepare_seq != 0 &&
-                 c->seq == session.last_prepare_seq) {
-        Reply mark;
-        mark.status = session.last_prepare_status;
-        sink_(c->client, c->seq, mark);
+      Reply marker;
+      if (c->seq == s.last_seq) {
+        marker = s.reply;
+      } else if (s.prepare_seq != 0 && c->seq == s.prepare_seq) {
+        marker.status = s.prepare_status;
       } else {
-        Reply stale;
-        stale.status = Status::kStaleDup;
-        sink_(c->client, c->seq, stale);
+        marker.status = Status::kStaleDup;
       }
+      sink_(c->client, c->seq, marker);
     }
     return;
   }
   if (is_admin(c->op)) {
-    const Reply reply = apply_admin(*c);
-    session.last_seq = c->seq;
-    session.last_reply = reply;
-    ++admin_applied_;
-    if (sink_) sink_(c->client, c->seq, reply);
+    s.reply = apply_admin(*c);
+    s.last_seq = c->seq;
+    ++st_.admin_applied;
+    if (sink_) sink_(c->client, c->seq, s.reply);
     return;
   }
-  if (partitioned_ && !owns_bucket(ShardMap::key_hash(c->key) % owned_.size())) {
+  if (partitioned() && !owns_bucket(key_bucket(c->key))) {
     // Sealed or not-yet-installed bucket: bounce. The session is NOT
     // touched — the client re-routes and the same seq must apply fresh,
     // exactly once, at the owner.
-    ++bounces_;
+    ++st_.bounces;
     if (sink_) {
       Reply bounce;
       bounce.status = Status::kWrongEpoch;
@@ -150,22 +159,20 @@ void StateMachine::apply(Slot, util::ByteView command) {
     }
     return;
   }
-  // Txn records are client ops: they count in ops_applied_ and advance the
+  // Txn records are client ops: they count in ops_applied and advance the
   // session exactly like GET/PUT — that session advance is what makes a
   // coordinator's recovery replay re-deliver the original outcomes.
-  const Reply reply = is_txn(c->op) ? apply_txn(*c) : apply_op(*c);
-  session.last_seq = c->seq;
-  session.last_reply = reply;
+  s.reply = is_txn(c->op) ? apply_txn(*c) : apply_op(*c);
+  s.last_seq = c->seq;
   if (c->op == Op::kTxnPrepare) {
-    // Record the prepare mark (replicated state; see class comment). Every
-    // prepare outcome is a committed, persistable status — kOk,
-    // kTxnConflict or kTxnAborted — so caching it here is as safe as the
-    // last_reply cache it extends.
-    session.last_prepare_seq = c->seq;
-    session.last_prepare_status = reply.status;
+    // Record the prepare mark. Every prepare outcome is a committed,
+    // persistable status — kOk, kTxnConflict or kTxnAborted — so caching it
+    // here is as safe as the reply cache it extends.
+    s.prepare_seq = c->seq;
+    s.prepare_status = s.reply.status;
   }
-  ++ops_applied_;
-  if (sink_) sink_(c->client, c->seq, reply);
+  ++st_.ops_applied;
+  if (sink_) sink_(c->client, c->seq, s.reply);
 }
 
 Reply StateMachine::apply_op(const Command& c) {
@@ -174,16 +181,16 @@ Reply StateMachine::apply_op(const Command& c) {
   // same deterministic no-wait rule as a refused prepare. Reads are not
   // blocked: GET returns the committed value (buffered txn writes are
   // invisible until commit).
-  if (!locks_.empty() && c.op != Op::kGet &&
-      locks_.find(c.key) != locks_.end()) {
-    ++txn_conflicts_;
+  if (c.op != Op::kGet && st_.locks.count(c.key) != 0) {
+    ++st_.txn_conflicts;
     r.status = Status::kTxnConflict;
     return r;
   }
+  std::map<Bytes, Bytes>& store = st_.store;
   switch (c.op) {
     case Op::kGet: {
-      const auto it = store_.find(c.key);
-      if (it == store_.end()) {
+      const auto it = store.find(c.key);
+      if (it == store.end()) {
         r.status = Status::kNotFound;
       } else {
         r.value = it->second;
@@ -191,16 +198,16 @@ Reply StateMachine::apply_op(const Command& c) {
       break;
     }
     case Op::kPut:
-      store_[c.key] = c.value;
+      store[c.key] = c.value;
       break;
     case Op::kDel:
-      if (store_.erase(c.key) == 0) r.status = Status::kNotFound;
+      if (store.erase(c.key) == 0) r.status = Status::kNotFound;
       break;
     case Op::kCas: {
-      const auto it = store_.find(c.key);
-      const Bytes& current = it == store_.end() ? util::bottom() : it->second;
+      const auto it = store.find(c.key);
+      const Bytes& current = it == store.end() ? util::bottom() : it->second;
       if (current == c.expected) {
-        store_[c.key] = c.value;
+        store[c.key] = c.value;
       } else {
         r.status = Status::kCasMismatch;
         r.value = current;
@@ -215,680 +222,253 @@ Reply StateMachine::apply_op(const Command& c) {
 
 Reply StateMachine::apply_txn(const Command& c) {
   Reply r;
-  switch (c.op) {
-    case Op::kTxnPrepare: {
-      const std::optional<txn::PrepareRecord> rec = txn::decode_prepare(c.value);
-      if (!rec.has_value()) {
-        // Undecodable payload: the transaction can never commit here, so the
-        // deterministic answer is an abort outcome, cached like any reply.
-        ++txn_rejected_;
-        r.status = Status::kTxnAborted;
-        return r;
-      }
-      const auto it = locks_.find(c.key);
-      if (it != locks_.end()) {
-        if (it->second.txn == rec->txn && it->second.owner == c.client) {
-          const Lock& held = it->second;
-          if (static_cast<std::uint8_t>(rec->write) != held.write ||
-              rec->value != held.value ||
-              rec->has_expected != held.has_expected ||
-              (rec->has_expected && rec->expected != held.expected)) {
-            // Same (txn, owner) but a different payload: a buggy or
-            // equivocating coordinator re-preparing with new bytes. Only a
-            // byte-identical re-prepare (a recovery replay re-driving the
-            // original record) is idempotent — refuse anything else so the
-            // held buffered write is never silently swapped, and the sender
-            // never gets success for bytes that will not commit.
-            ++txn_conflicts_;
-            r.status = Status::kTxnConflict;
-            return r;
-          }
-          // Our own lock again, byte-identical — a recovery replay
-          // re-driving the prepare under a fresh seq (the cached-seq path
-          // never reaches here). Idempotent success keeps the replayed
-          // decision identical.
-          return r;
-        }
-        // Locked by another live transaction: refuse now, never wait. Lock
-        // acquisition order is log order, identical on every replica.
-        ++txn_conflicts_;
+  const auto it = st_.locks.find(c.key);
+  if (c.op == Op::kTxnPrepare) {
+    const std::optional<txn::PrepareRecord> rec = txn::decode_prepare(c.value);
+    if (!rec.has_value()) {
+      // Undecodable payload: the transaction can never commit here, so the
+      // deterministic answer is an abort outcome, cached like any reply.
+      ++st_.txn_rejected;
+      r.status = Status::kTxnAborted;
+      return r;
+    }
+    LockRecord want{c.key, rec->txn, c.client,
+                    static_cast<std::uint8_t>(rec->write), rec->value,
+                    rec->has_expected,
+                    rec->has_expected ? rec->expected : Bytes{}};
+    if (it != st_.locks.end()) {
+      // Our own lock again, byte-identical: a recovery replay re-driving the
+      // prepare under a fresh seq (the cached-seq path never reaches here),
+      // idempotent success. Anything else refuses now, never waits — a lock
+      // held by another live transaction (acquisition order is log order,
+      // identical on every replica), or the same (txn, owner) with a
+      // different payload: a buggy or equivocating coordinator, whose held
+      // buffered write must never be silently swapped.
+      if (it->second == want) return r;
+      ++st_.txn_conflicts;
+      r.status = Status::kTxnConflict;
+      return r;
+    }
+    if (rec->has_expected) {
+      // Optimistic guard: the coordinator read this key before preparing;
+      // if someone committed in between, the transfer would be a lost
+      // update — refuse like a CAS miss, current value riding back.
+      const auto sit = st_.store.find(c.key);
+      const Bytes& current =
+          sit == st_.store.end() ? util::bottom() : sit->second;
+      if (current != rec->expected) {
+        ++st_.txn_conflicts;
         r.status = Status::kTxnConflict;
+        r.value = current;
         return r;
       }
-      if (rec->has_expected) {
-        // Optimistic guard: the coordinator read this key before preparing;
-        // if someone committed in between, the transfer would be a lost
-        // update — refuse like a CAS miss, current value riding back.
-        const auto sit = store_.find(c.key);
-        const Bytes& current =
-            sit == store_.end() ? util::bottom() : sit->second;
-        if (current != rec->expected) {
-          ++txn_conflicts_;
-          r.status = Status::kTxnConflict;
-          r.value = current;
-          return r;
-        }
-      }
-      Lock& l = locks_[c.key];
-      l.txn = rec->txn;
-      l.owner = c.client;
-      l.write = static_cast<std::uint8_t>(rec->write);
-      l.value = rec->value;
-      l.has_expected = rec->has_expected;
-      l.expected = rec->has_expected ? rec->expected : Bytes{};
-      ++txn_prepared_;
-      return r;
     }
-    case Op::kTxnCommit: {
-      const std::optional<txn::DecisionRecord> rec =
-          txn::decode_decision(c.value);
-      if (!rec.has_value()) {
-        ++txn_rejected_;
-        r.status = Status::kTxnAborted;
-        return r;
-      }
-      const auto it = locks_.find(c.key);
-      if (it == locks_.end() || it->second.txn != rec->txn ||
-          it->second.owner != c.client) {
-        // Presumed abort: no matching lock means the prepare never landed
-        // here (or an abort already released it), so the commit cannot
-        // apply. A correct coordinator only sends commit after every
-        // prepare returned kOk, so honest runs never take this path.
-        ++txn_orphans_;
-        r.status = Status::kTxnAborted;
-        return r;
-      }
-      if (it->second.write == static_cast<std::uint8_t>(txn::WriteKind::kDel)) {
-        store_.erase(c.key);
-      } else {
-        store_[c.key] = it->second.value;
-      }
-      locks_.erase(it);
-      ++txn_committed_;
-      return r;
-    }
-    case Op::kTxnAbort: {
-      const std::optional<txn::DecisionRecord> rec =
-          txn::decode_decision(c.value);
-      if (!rec.has_value()) {
-        ++txn_rejected_;
-        r.status = Status::kTxnAborted;
-        return r;
-      }
-      const auto it = locks_.find(c.key);
-      if (it != locks_.end() && it->second.txn == rec->txn &&
-          it->second.owner == c.client) {
-        locks_.erase(it);
-        ++txn_aborted_;
-      } else {
-        // Abort is idempotent: releasing a lock that is not there (never
-        // taken, or already released) still succeeds — presumed abort
-        // means absence of a lock IS the aborted state.
-        ++txn_orphans_;
-      }
-      return r;
-    }
-    default:
-      return r;  // unreachable: apply() dispatches is_txn ops only
+    st_.locks.emplace(c.key, std::move(want));
+    ++st_.txn_prepared;
+    return r;
   }
+  const std::optional<txn::DecisionRecord> rec = txn::decode_decision(c.value);
+  if (!rec.has_value()) {
+    ++st_.txn_rejected;
+    r.status = Status::kTxnAborted;
+    return r;
+  }
+  if (it == st_.locks.end() || it->second.owner != c.client ||
+      it->second.txn != rec->txn) {
+    // Presumed abort: no matching lock means the prepare never landed here
+    // (or an abort already released it). A commit cannot apply — a correct
+    // coordinator only sends commit after every prepare returned kOk, so
+    // honest runs never take this path. An abort is idempotent: absence of
+    // a lock IS the aborted state.
+    ++st_.txn_orphans;
+    if (c.op == Op::kTxnCommit) r.status = Status::kTxnAborted;
+    return r;
+  }
+  if (c.op == Op::kTxnCommit) {
+    if (it->second.write == static_cast<std::uint8_t>(txn::WriteKind::kDel)) {
+      st_.store.erase(c.key);
+    } else {
+      st_.store[c.key] = it->second.value;
+    }
+    ++st_.txn_committed;
+  } else {
+    ++st_.txn_aborted;
+  }
+  st_.locks.erase(it);
+  return r;
 }
 
 Reply StateMachine::apply_admin(const Command& c) {
   Reply rejected;
   rejected.status = Status::kWrongEpoch;
-  if (!partitioned_) {
-    ++admin_rejected_;
+  // Every admin payload names a table geometry at an epoch; a stale epoch
+  // or an unreachable geometry rejects deterministically.
+  std::optional<RangeSnapshot> snap;
+  if (c.op == Op::kInstall) {
+    snap = decode_range_snapshot(c.value);
+  } else if (std::optional<RangeSpec> spec = decode_range_spec(c.value)) {
+    snap.emplace().spec = *std::move(spec);
+  }
+  if (!partitioned() || !snap.has_value() ||
+      snap->spec.epoch < st_.cfg_epoch ||
+      !resize_owned(snap->spec.table_buckets)) {
+    ++st_.admin_rejected;
     return rejected;
   }
-  switch (c.op) {
-    case Op::kSeal: {
-      const std::optional<RangeSpec> spec = decode_range_spec(c.value);
-      if (!spec.has_value() || spec->epoch < cfg_epoch_ ||
-          !resize_owned(spec->table_buckets)) {
-        ++admin_rejected_;
-        return rejected;
+  st_.cfg_epoch = snap->spec.epoch;
+  const std::vector<std::uint32_t>& buckets = snap->spec.buckets;
+  if (c.op == Op::kSeal) {
+    for (const std::uint32_t b : buckets) st_.owned[b] = 0;
+  } else if (c.op == Op::kInstall) {
+    for (auto& [k, v] : snap->pairs) st_.store[k] = std::move(v);
+    st_.keys_imported += snap->pairs.size();
+    // Merge the drained sessions by max seq: the machine holding the newest
+    // seq for a client also holds the only reply that client can still be
+    // waiting on. This is what lets a retry that straddles the epoch flip
+    // (applied at the source pre-seal, re-sent here) hit the duplicate path
+    // instead of applying twice. Prepare marks merge by the same monotone
+    // rule, on their own seq.
+    for (SessionRecord& rec : snap->sessions) {
+      SessionRecord& s = session(rec.client);
+      if (rec.last_seq > s.last_seq) {
+        s.last_seq = rec.last_seq;
+        s.reply = std::move(rec.reply);
       }
-      cfg_epoch_ = spec->epoch;
-      for (const std::uint32_t b : spec->buckets) owned_[b] = 0;
-      break;
+      if (rec.prepare_seq > s.prepare_seq) {
+        s.prepare_seq = rec.prepare_seq;
+        s.prepare_status = rec.prepare_status;
+      }
     }
-    case Op::kInstall: {
-      const std::optional<RangeSnapshot> snap = decode_range_snapshot(c.value);
-      if (!snap.has_value() || snap->spec.epoch < cfg_epoch_ ||
-          !resize_owned(snap->spec.table_buckets)) {
-        ++admin_rejected_;
-        return rejected;
-      }
-      cfg_epoch_ = snap->spec.epoch;
-      for (const auto& [k, v] : snap->pairs) store_[k] = v;
-      keys_imported_ += snap->pairs.size();
-      // Merge the drained sessions by max seq: the machine holding the
-      // newest seq for a client also holds the only reply that client can
-      // still be waiting on. This is what lets a retry that straddles the
-      // epoch flip (applied at the source pre-seal, re-sent here) hit the
-      // duplicate path instead of applying twice.
-      for (const SessionRecord& rec : snap->sessions) {
-        Session& s = sessions_[rec.client];
-        if (rec.last_seq > s.last_seq) {
-          s.last_seq = rec.last_seq;
-          s.last_reply = rec.reply;
-        }
-      }
-      // Locks migrate with their buckets: a transaction prepared before the
-      // split finds its lock here when the commit/abort record re-routes,
-      // so it still decides exactly once.
-      for (const LockRecord& rec : snap->locks) {
-        Lock& l = locks_[rec.key];
-        l.txn = rec.txn;
-        l.owner = rec.owner;
-        l.write = rec.write;
-        l.value = rec.value;
-        l.has_expected = rec.has_expected != 0;
-        l.expected = rec.expected;
-      }
-      // Prepare marks merge by max seq, the same monotone rule as the
-      // session records they extend: the machine holding a client's newest
-      // prepare also holds the only prepare outcome a recovering
-      // coordinator can still replay against.
-      for (const PrepareMark& rec : snap->prepare_marks) {
-        Session& s = sessions_[rec.client];
-        if (rec.seq > s.last_prepare_seq) {
-          s.last_prepare_seq = rec.seq;
-          s.last_prepare_status = static_cast<Status>(rec.status);
-        }
-      }
-      for (const std::uint32_t b : snap->spec.buckets) owned_[b] = 1;
-      break;
-    }
-    case Op::kPurge: {
-      const std::optional<RangeSpec> spec = decode_range_spec(c.value);
-      if (!spec.has_value() || spec->epoch < cfg_epoch_ ||
-          !resize_owned(spec->table_buckets)) {
-        ++admin_rejected_;
-        return rejected;
-      }
-      cfg_epoch_ = spec->epoch;
-      std::vector<std::uint8_t> drop(owned_.size(), 0);
-      for (const std::uint32_t b : spec->buckets) drop[b] = 1;
-      for (auto it = store_.begin(); it != store_.end();) {
-        if (drop[ShardMap::key_hash(it->first) % owned_.size()] != 0) {
-          it = store_.erase(it);
-          ++keys_purged_;
-        } else {
-          ++it;
-        }
-      }
-      // Sealed-away locks were drained with the range (export_range) and now
-      // live at the destination — drop the local copies with their pairs.
-      for (auto it = locks_.begin(); it != locks_.end();) {
-        if (drop[ShardMap::key_hash(it->first) % owned_.size()] != 0) {
-          it = locks_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      break;
-    }
-    default:
-      ++admin_rejected_;
-      return rejected;
+    // Locks migrate with their buckets: a transaction prepared before the
+    // split finds its lock here when the commit/abort record re-routes, so
+    // it still decides exactly once.
+    for (const LockRecord& l : snap->locks) st_.locks[l.key] = l;
+    for (const std::uint32_t b : buckets) st_.owned[b] = 1;
+  } else {  // kPurge
+    std::vector<std::uint8_t> drop(st_.owned.size(), 0);
+    for (const std::uint32_t b : buckets) drop[b] = 1;
+    const auto dropped = [&](const auto& entry) {
+      return drop[key_bucket(entry.first)] != 0;
+    };
+    st_.keys_purged += std::erase_if(st_.store, dropped);
+    // Sealed-away locks were drained with the range and now live at the
+    // destination — drop the local copies with their pairs.
+    std::erase_if(st_.locks, dropped);
   }
   return Reply{};
 }
 
 Bytes StateMachine::export_range(util::ByteView request) const {
-  if (!partitioned_) return {};
   const std::optional<RangeSpec> spec = decode_range_spec(request);
-  if (!spec.has_value()) return {};
   // Serve only once the seal for this epoch has applied here: the epoch has
   // been reached, the geometry matches, and every listed bucket is sealed
   // away — otherwise the drain would miss in-flight pre-seal ops.
-  if (cfg_epoch_ < spec->epoch) return {};
-  if (spec->table_buckets != owned_.size()) return {};
-  for (const std::uint32_t b : spec->buckets) {
-    if (owned_[b] != 0) return {};
+  if (!partitioned() || !spec.has_value() || st_.cfg_epoch < spec->epoch ||
+      spec->table_buckets != st_.owned.size()) {
+    return {};
   }
-  std::vector<std::uint8_t> take(owned_.size(), 0);
-  for (const std::uint32_t b : spec->buckets) take[b] = 1;
+  std::vector<std::uint8_t> take(st_.owned.size(), 0);
+  for (const std::uint32_t b : spec->buckets) {
+    if (st_.owned[b] != 0) return {};
+    take[b] = 1;
+  }
   RangeSnapshot snap;
   snap.spec = *spec;
-  for (const auto& [k, v] : store_) {
-    if (take[ShardMap::key_hash(k) % owned_.size()] != 0) {
-      snap.pairs.emplace_back(k, v);
-    }
+  for (const auto& [k, v] : st_.store) {
+    if (take[key_bucket(k)] != 0) snap.pairs.emplace_back(k, v);
   }
-  for (const auto& [client, s] : sessions_) {
-    SessionRecord rec;
-    rec.client = client;
-    rec.last_seq = s.last_seq;
-    rec.reply = s.last_reply;
-    snap.sessions.push_back(std::move(rec));
-  }
-  for (const auto& [k, l] : locks_) {
-    if (take[ShardMap::key_hash(k) % owned_.size()] != 0) {
-      LockRecord rec;
-      rec.key = k;
-      rec.txn = l.txn;
-      rec.owner = l.owner;
-      rec.write = l.write;
-      rec.value = l.value;
-      rec.has_expected = l.has_expected ? 1 : 0;
-      rec.expected = l.expected;
-      snap.locks.push_back(std::move(rec));
-    }
-  }
-  // Prepare marks travel with the full session table (they extend it): a
-  // coordinator whose prepare landed pre-seal can crash and replay it at
-  // the new owner and still read the original outcome.
-  for (const auto& [client, s] : sessions_) {
-    if (s.last_prepare_seq == 0) continue;
-    PrepareMark m;
-    m.client = client;
-    m.seq = s.last_prepare_seq;
-    m.status = static_cast<std::uint8_t>(s.last_prepare_status);
-    snap.prepare_marks.push_back(m);
+  // The whole session table travels, prepare marks included: a coordinator
+  // whose prepare landed pre-seal can crash and replay it at the new owner
+  // and still read the original outcome.
+  for (const auto& [client, s] : st_.sessions) snap.sessions.push_back(s);
+  for (const auto& [k, l] : st_.locks) {
+    if (take[key_bucket(k)] != 0) snap.locks.push_back(l);
   }
   return encode_range_snapshot(snap);
 }
 
-bool StateMachine::txn_active() const {
-  if (!locks_.empty() || txn_prepared_ != 0 || txn_committed_ != 0 ||
-      txn_aborted_ != 0 || txn_conflicts_ != 0 || txn_orphans_ != 0 ||
-      txn_rejected_ != 0) {
-    return true;
-  }
-  // Marks can exist with every counter zero: INSTALL imports them from a
-  // machine that applied the prepares elsewhere.
-  for (const auto& [client, s] : sessions_) {
-    if (s.last_prepare_seq != 0) return true;
-  }
-  return false;
-}
-
-std::uint64_t StateMachine::txn_fold(std::uint64_t h) const {
-  h = fnv1a_u64(h, locks_.size());
-  for (const auto& [k, l] : locks_) {
-    h = fnv1a(h, k);
-    h = fnv1a_u64(h, l.txn);
-    h = fnv1a_u64(h, l.owner);
-    h = fnv1a_u64(h, l.write);
-    h = fnv1a(h, l.value);
-    h = fnv1a_u64(h, l.has_expected ? 1 : 0);
-    h = fnv1a(h, l.expected);
-  }
-  h = fnv1a_u64(h, txn_prepared_);
-  h = fnv1a_u64(h, txn_committed_);
-  h = fnv1a_u64(h, txn_aborted_);
-  h = fnv1a_u64(h, txn_conflicts_);
-  h = fnv1a_u64(h, txn_orphans_);
-  // Prepare marks are replicated state (the duplicate path answers from
-  // them), so divergent marks must diverge the agreement hash.
-  std::uint64_t nmarks = 0;
-  for (const auto& [client, s] : sessions_) {
-    if (s.last_prepare_seq != 0) ++nmarks;
-  }
-  h = fnv1a_u64(h, nmarks);
-  for (const auto& [client, s] : sessions_) {
-    if (s.last_prepare_seq == 0) continue;
-    h = fnv1a_u64(h, client);
-    h = fnv1a_u64(h, s.last_prepare_seq);
-    h = fnv1a_u64(h, static_cast<std::uint64_t>(s.last_prepare_status));
-  }
-  return h;
-}
-
-std::uint64_t StateMachine::partition_fold(std::uint64_t h) const {
-  h = fnv1a_u64(h, group_);
-  h = fnv1a_u64(h, cfg_epoch_);
-  h = fnv1a_u64(h, owned_.size());
-  h = fnv1a(h, owned_);
-  h = fnv1a_u64(h, admin_applied_);
-  h = fnv1a_u64(h, bounces_);
-  h = fnv1a_u64(h, keys_imported_);
-  h = fnv1a_u64(h, keys_purged_);
-  return h;
+void StateMachine::encode_state(util::Writer& w) const {
+  put_section(w, kPairsSection, [&] {
+    for (const auto& [k, v] : st_.store) w.bytes(k).bytes(v);
+  });
+  put_section(w, kSessionsSection, [&] {
+    for (const auto& [client, s] : st_.sessions) put_session(w, s);
+  });
+  put_section(w, kLocksSection, [&] {
+    for (const auto& [k, l] : st_.locks) put_lock(w, l);
+  });
+  put_section(w, kPartitionSection, [&] {
+    if (partitioned()) w.u32(st_.group).u64(st_.cfg_epoch).bytes(st_.owned);
+  });
+  put_counters(w, kAppliedSection, {st_.ops_applied});
 }
 
 std::uint64_t StateMachine::store_hash() const {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const auto& [k, v] : store_) {
-    h = fnv1a(h, k);
-    h = fnv1a(h, v);
-  }
-  for (const auto& [client, s] : sessions_) {
-    h = fnv1a_u64(h, client);
-    h = fnv1a_u64(h, s.last_seq);
-    h = fnv1a_u64(h, static_cast<std::uint64_t>(s.last_reply.status));
-    h = fnv1a(h, s.last_reply.value);
-  }
-  h = fnv1a_u64(h, ops_applied_);
-  // Partition state is replicated state: fold it in partitioned mode so the
-  // agreement check covers ownership and the epoch; static-sharding hashes
-  // are unchanged byte-for-byte.
-  if (partitioned_) h = partition_fold(h);
-  // Same rule for transaction state: the fold exists only once transactions
-  // have touched this machine, so plain-KV hashes are unchanged.
-  if (txn_active()) h = txn_fold(h);
-  return h;
+  util::Writer w(256);
+  encode_state(w);
+  return util::fnv1a(util::kFnvBasis, w.data());
 }
 
 Bytes StateMachine::snapshot() const {
-  util::Writer w(64);
-  w.u32(static_cast<std::uint32_t>(store_.size()));
-  for (const auto& [k, v] : store_) w.bytes(k).bytes(v);
-  w.u32(static_cast<std::uint32_t>(sessions_.size()));
-  for (const auto& [client, s] : sessions_) {
-    w.u64(client)
-        .u64(s.last_seq)
-        .u8(static_cast<std::uint8_t>(s.last_reply.status))
-        .bytes(s.last_reply.value);
-  }
-  w.u64(ops_applied_).u64(duplicates_).u64(malformed_);
-  // The forged counter rides along whenever it can matter: in signed mode,
-  // and when a restored signed-mode count must survive another hop through
-  // a not-yet-armed machine. Legacy (signing-off) snapshot bytes stay
-  // identical to the pre-signing codec. restore() does not need to guess
-  // the layout from wiring — the trailing digest covers the field, so the
-  // bytes are self-describing (see restore()).
-  const bool with_forged = keystore_ != nullptr || forged_ != 0;
-  if (with_forged) w.u64(forged_);
-  // Partition section: a rejoiner restoring this snapshot lands in the
-  // post-split world — table geometry, ownership and epoch included —
-  // before it chases the log tip.
-  w.u8(partitioned_ ? 1 : 0);
-  if (partitioned_) {
-    w.u32(group_).u64(cfg_epoch_).bytes(owned_);
-    w.u64(admin_applied_).u64(bounces_).u64(admin_rejected_);
-    w.u64(keys_imported_).u64(keys_purged_);
-  }
-  // Txn section — same self-describing pattern as the forged field: present
-  // exactly when transaction state exists, resolved on restore by the
-  // digest, never by wiring. Transaction-free snapshots keep the
-  // pre-transaction bytes.
-  const bool with_txn = txn_active();
-  if (with_txn) {
-    w.u32(static_cast<std::uint32_t>(locks_.size()));
-    for (const auto& [k, l] : locks_) {
-      w.bytes(k).u64(l.txn).u64(l.owner).u8(l.write).bytes(l.value);
-      w.u8(l.has_expected ? 1 : 0).bytes(l.expected);
-    }
-    w.u64(txn_prepared_).u64(txn_committed_).u64(txn_aborted_);
-    w.u64(txn_conflicts_).u64(txn_orphans_).u64(txn_rejected_);
-    // Prepare marks, client order (canonical — sessions_ is ordered).
-    std::uint32_t nmarks = 0;
-    for (const auto& [client, s] : sessions_) {
-      if (s.last_prepare_seq != 0) ++nmarks;
-    }
-    w.u32(nmarks);
-    for (const auto& [client, s] : sessions_) {
-      if (s.last_prepare_seq == 0) continue;
-      w.u64(client).u64(s.last_prepare_seq);
-      w.u8(static_cast<std::uint8_t>(s.last_prepare_status));
-    }
-  }
-  // Trailing digest: the store_hash() fold extended over the counters the
-  // replicated-state hash leaves out, so the digest covers every byte an
-  // installer will adopt and any corruption fails closed on restore.
-  std::uint64_t digest = fnv1a_u64(fnv1a_u64(store_hash(), duplicates_),
-                                   malformed_);
-  if (with_forged) digest = fnv1a_u64(digest, forged_);
-  if (partitioned_) digest = fnv1a_u64(digest, admin_rejected_);
-  if (with_txn) digest = fnv1a_u64(digest, txn_rejected_);
-  w.u64(digest);
-  return std::move(w).take();
+  util::Writer w(256);
+  encode_state(w);
+  const State& s = st_;
+  put_counters(w, kStatsSection,
+               {s.duplicates, s.malformed, s.forged, s.admin_applied,
+                s.bounces, s.admin_rejected, s.keys_imported, s.keys_purged,
+                s.txn_prepared, s.txn_committed, s.txn_aborted,
+                s.txn_conflicts, s.txn_orphans, s.txn_rejected});
+  return std::move(w.checksum()).take();
 }
-
-namespace {
-
-struct DecodedSession {
-  std::uint64_t last_seq = 0;
-  Reply last_reply;
-  std::uint64_t last_prepare_seq = 0;
-  Status last_prepare_status = Status::kOk;
-};
-
-/// The only statuses a TxnPrepare can produce — what a prepare mark (or a
-/// drained PrepareMark record) may carry.
-inline bool prepare_status_valid(std::uint8_t status) {
-  const auto st = static_cast<Status>(status);
-  return st == Status::kOk || st == Status::kTxnConflict ||
-         st == Status::kTxnAborted;
-}
-
-/// Everything restore() decodes before committing any of it.
-struct DecodedSnapshot {
-  std::map<Bytes, Bytes> store;
-  std::map<ClientId, DecodedSession> sessions;
-  std::uint64_t ops = 0, dups = 0, malformed = 0, forged = 0;
-  bool partitioned = false;
-  std::uint32_t group = 0;
-  std::uint64_t cfg_epoch = 0;
-  Bytes owned;
-  std::uint64_t admin_applied = 0, bounces = 0, admin_rejected = 0;
-  std::uint64_t keys_imported = 0, keys_purged = 0;
-  std::map<Bytes, StateMachine::Lock> locks;
-  std::uint64_t txn_prepared = 0, txn_committed = 0, txn_aborted = 0;
-  std::uint64_t txn_conflicts = 0, txn_orphans = 0, txn_rejected = 0;
-};
-
-/// One layout attempt: decode `raw` with or without the forged field and
-/// the txn section, recompute the state fold and check it against the
-/// embedded digest. nullopt on malformed bytes or a digest mismatch.
-std::optional<DecodedSnapshot> parse_snapshot(util::ByteView raw,
-                                              bool with_forged,
-                                              bool with_txn) {
-  DecodedSnapshot d;
-  std::uint64_t claimed = 0;
-  try {
-    util::Reader r(raw);
-    const std::uint32_t nkeys = r.u32();
-    for (std::uint32_t i = 0; i < nkeys; ++i) {
-      Bytes k = r.bytes();
-      Bytes v = r.bytes();
-      // Map order is the codec's canonical order: out-of-order or duplicate
-      // keys mean the bytes were not produced by snapshot().
-      if (!d.store.emplace(std::move(k), std::move(v)).second) {
-        return std::nullopt;
-      }
-    }
-    const std::uint32_t nsessions = r.u32();
-    for (std::uint32_t i = 0; i < nsessions; ++i) {
-      const ClientId client = r.u64();
-      DecodedSession s;
-      s.last_seq = r.u64();
-      const std::uint8_t status = r.u8();
-      // Only committed outcomes are cacheable — see status_persistable.
-      if (!status_persistable(status)) return std::nullopt;
-      s.last_reply.status = static_cast<Status>(status);
-      s.last_reply.value = r.bytes();
-      if (!d.sessions.emplace(client, std::move(s)).second) {
-        return std::nullopt;
-      }
-    }
-    d.ops = r.u64();
-    d.dups = r.u64();
-    d.malformed = r.u64();
-    if (with_forged) d.forged = r.u64();
-    d.partitioned = r.u8() != 0;
-    if (d.partitioned) {
-      d.group = r.u32();
-      d.cfg_epoch = r.u64();
-      d.owned = r.bytes();
-      if (d.owned.empty() || d.owned.size() > kMaxTableBuckets) {
-        return std::nullopt;
-      }
-      for (const std::uint8_t o : d.owned) {
-        if (o > 1) return std::nullopt;
-      }
-      d.admin_applied = r.u64();
-      d.bounces = r.u64();
-      d.admin_rejected = r.u64();
-      d.keys_imported = r.u64();
-      d.keys_purged = r.u64();
-    }
-    if (with_txn) {
-      const std::uint32_t nlocks = r.u32();
-      for (std::uint32_t i = 0; i < nlocks; ++i) {
-        Bytes k = r.bytes();
-        StateMachine::Lock l;
-        l.txn = r.u64();
-        l.owner = r.u64();
-        l.write = r.u8();
-        if (l.write < 1 || l.write > 2) return std::nullopt;
-        l.value = r.bytes();
-        const std::uint8_t he = r.u8();
-        if (he > 1) return std::nullopt;
-        l.has_expected = he != 0;
-        l.expected = r.bytes();
-        // Canonical form: no guard ⇒ no guard bytes.
-        if (!l.has_expected && !l.expected.empty()) return std::nullopt;
-        if (!d.locks.emplace(std::move(k), std::move(l)).second) {
-          return std::nullopt;
-        }
-      }
-      d.txn_prepared = r.u64();
-      d.txn_committed = r.u64();
-      d.txn_aborted = r.u64();
-      d.txn_conflicts = r.u64();
-      d.txn_orphans = r.u64();
-      d.txn_rejected = r.u64();
-      const std::uint32_t nmarks = r.u32();
-      ClientId prev_mark_client = 0;
-      for (std::uint32_t i = 0; i < nmarks; ++i) {
-        const ClientId client = r.u64();
-        const std::uint64_t seq = r.u64();
-        const std::uint8_t status = r.u8();
-        if (i > 0 && client <= prev_mark_client) return std::nullopt;
-        prev_mark_client = client;
-        if (seq == 0 || !prepare_status_valid(status)) return std::nullopt;
-        // A mark extends an existing session record — a machine that set
-        // (or imported) one always has the session it belongs to.
-        const auto sit = d.sessions.find(client);
-        if (sit == d.sessions.end()) return std::nullopt;
-        sit->second.last_prepare_seq = seq;
-        sit->second.last_prepare_status = static_cast<Status>(status);
-      }
-    }
-    claimed = r.u64();
-    r.expect_end();
-  } catch (const util::SerdeError&) {
-    return std::nullopt;
-  }
-  // Recompute the fold over the decoded state and compare against the
-  // embedded digest — a corrupted or forged snapshot fails closed here.
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const auto& [k, v] : d.store) {
-    h = fnv1a(h, k);
-    h = fnv1a(h, v);
-  }
-  for (const auto& [client, s] : d.sessions) {
-    h = fnv1a_u64(h, client);
-    h = fnv1a_u64(h, s.last_seq);
-    h = fnv1a_u64(h, static_cast<std::uint64_t>(s.last_reply.status));
-    h = fnv1a(h, s.last_reply.value);
-  }
-  h = fnv1a_u64(h, d.ops);
-  if (d.partitioned) {
-    h = fnv1a_u64(h, d.group);
-    h = fnv1a_u64(h, d.cfg_epoch);
-    h = fnv1a_u64(h, d.owned.size());
-    h = fnv1a(h, d.owned);
-    h = fnv1a_u64(h, d.admin_applied);
-    h = fnv1a_u64(h, d.bounces);
-    h = fnv1a_u64(h, d.keys_imported);
-    h = fnv1a_u64(h, d.keys_purged);
-  }
-  if (with_txn) {
-    h = fnv1a_u64(h, d.locks.size());
-    for (const auto& [k, l] : d.locks) {
-      h = fnv1a(h, k);
-      h = fnv1a_u64(h, l.txn);
-      h = fnv1a_u64(h, l.owner);
-      h = fnv1a_u64(h, l.write);
-      h = fnv1a(h, l.value);
-      h = fnv1a_u64(h, l.has_expected ? 1 : 0);
-      h = fnv1a(h, l.expected);
-    }
-    h = fnv1a_u64(h, d.txn_prepared);
-    h = fnv1a_u64(h, d.txn_committed);
-    h = fnv1a_u64(h, d.txn_aborted);
-    h = fnv1a_u64(h, d.txn_conflicts);
-    h = fnv1a_u64(h, d.txn_orphans);
-    std::uint64_t nmarks = 0;
-    for (const auto& [client, s] : d.sessions) {
-      if (s.last_prepare_seq != 0) ++nmarks;
-    }
-    h = fnv1a_u64(h, nmarks);
-    for (const auto& [client, s] : d.sessions) {
-      if (s.last_prepare_seq == 0) continue;
-      h = fnv1a_u64(h, client);
-      h = fnv1a_u64(h, s.last_prepare_seq);
-      h = fnv1a_u64(h, static_cast<std::uint64_t>(s.last_prepare_status));
-    }
-  }
-  h = fnv1a_u64(h, d.dups);
-  h = fnv1a_u64(h, d.malformed);
-  if (with_forged) h = fnv1a_u64(h, d.forged);
-  if (d.partitioned) h = fnv1a_u64(h, d.admin_rejected);
-  if (with_txn) h = fnv1a_u64(h, d.txn_rejected);
-  if (h != claimed) return std::nullopt;
-  return d;
-}
-
-}  // namespace
 
 bool StateMachine::restore(util::ByteView raw) {
-  // The layout is self-describing: the forged field's and txn section's
-  // presence is resolved by the digest (which covers them when present),
-  // not by this machine's wiring — so a signed-mode or mid-transaction
-  // snapshot restores on a freshly-constructed machine, and a legacy
-  // snapshot restores on an armed one. Exactly one of the four layouts can
-  // validate for honest bytes; any corruption still fails closed in all
-  // attempts.
-  std::optional<DecodedSnapshot> d;
-  for (const bool with_forged : {true, false}) {
-    for (const bool with_txn : {true, false}) {
-      d = parse_snapshot(raw, with_forged, with_txn);
-      if (d.has_value()) break;
+  const std::optional<Sections> sec = split_sections(
+      raw, {kPairsSection, kSessionsSection, kLocksSection, kPartitionSection,
+            kAppliedSection, kStatsSection});
+  RangeSnapshot records;
+  if (!sec.has_value() || !get_records(*sec, records)) return false;
+  State s;
+  if (!(*sec)[kPartitionSection].empty()) {
+    try {
+      util::Reader r((*sec)[kPartitionSection]);
+      s.group = r.u32();
+      s.cfg_epoch = r.u64();
+      s.owned = r.bytes();
+      r.expect_end();
+    } catch (const util::SerdeError&) {
+      return false;
     }
-    if (d.has_value()) break;
+    if (s.owned.empty() || s.owned.size() > kMaxTableBuckets ||
+        std::any_of(s.owned.begin(), s.owned.end(),
+                    [](std::uint8_t o) { return o > 1; })) {
+      return false;
+    }
   }
-  if (!d.has_value()) return false;
-  store_ = std::move(d->store);
-  sessions_.clear();
-  for (auto& [client, s] : d->sessions) {
-    Session& dst = sessions_[client];
-    dst.last_seq = s.last_seq;
-    dst.last_reply = std::move(s.last_reply);
-    dst.last_prepare_seq = s.last_prepare_seq;
-    dst.last_prepare_status = s.last_prepare_status;
+  if (!get_counters((*sec)[kAppliedSection], {&s.ops_applied}) ||
+      !get_counters((*sec)[kStatsSection],
+                    {&s.duplicates, &s.malformed, &s.forged, &s.admin_applied,
+                     &s.bounces, &s.admin_rejected, &s.keys_imported,
+                     &s.keys_purged, &s.txn_prepared, &s.txn_committed,
+                     &s.txn_aborted, &s.txn_conflicts, &s.txn_orphans,
+                     &s.txn_rejected})) {
+    return false;
   }
-  ops_applied_ = d->ops;
-  duplicates_ = d->dups;
-  malformed_ = d->malformed;
-  forged_ = d->forged;
-  partitioned_ = d->partitioned;
-  group_ = d->group;
-  cfg_epoch_ = d->cfg_epoch;
-  owned_.assign(d->owned.begin(), d->owned.end());
-  admin_applied_ = d->admin_applied;
-  bounces_ = d->bounces;
-  admin_rejected_ = d->admin_rejected;
-  keys_imported_ = d->keys_imported;
-  keys_purged_ = d->keys_purged;
-  locks_ = std::move(d->locks);
-  txn_prepared_ = d->txn_prepared;
-  txn_committed_ = d->txn_committed;
-  txn_aborted_ = d->txn_aborted;
-  txn_conflicts_ = d->txn_conflicts;
-  txn_orphans_ = d->txn_orphans;
-  txn_rejected_ = d->txn_rejected;
+  for (auto& [k, v] : records.pairs) {
+    s.store.emplace_hint(s.store.end(), std::move(k), std::move(v));
+  }
+  for (SessionRecord& rec : records.sessions) {
+    s.sessions.emplace_hint(s.sessions.end(), rec.client, std::move(rec));
+  }
+  for (LockRecord& l : records.locks) {
+    s.locks.emplace_hint(s.locks.end(), l.key, std::move(l));
+  }
+  st_ = std::move(s);
   return true;
 }
 
 std::uint64_t StateMachine::last_seq(ClientId c) const {
-  const auto it = sessions_.find(c);
-  return it == sessions_.end() ? 0 : it->second.last_seq;
+  const auto it = st_.sessions.find(c);
+  return it == st_.sessions.end() ? 0 : it->second.last_seq;
 }
 
 }  // namespace mnm::kv

@@ -21,11 +21,11 @@
 //           bounce with Status::kWrongEpoch, *without* touching the session
 //           (the retried seq must still apply exactly once at the new
 //           owner). Sealed pairs stay in the store for the drain.
-//   INSTALL imports a digest-checked RangeSnapshot: pairs land in the
-//           store, drained sessions merge by max seq (a retry straddling
-//           the epoch flip finds its cached reply here), buckets open.
-//   PURGE   drops the sealed-away pairs at the source once the destination
-//           has installed.
+//   INSTALL imports a checksummed RangeSnapshot: pairs and locks land,
+//           drained sessions merge by max seq (a retry straddling the epoch
+//           flip finds its cached reply here), buckets open.
+//   PURGE   drops the sealed-away pairs and locks at the source once the
+//           destination has installed.
 //
 // Admin operations ride the Migrator's own session (dedup-covered retries)
 // but count in admin_applied(), never ops_applied() — the harness invariant
@@ -41,27 +41,18 @@
 // committed state. Txn records are ordinary keyed client ops everywhere
 // else: they count in ops_applied(), advance their session (so a
 // coordinator's recovery replay deduplicates), bounce on sealed buckets,
-// and the lock table travels in snapshot(), export_range() and INSTALL — a
-// transaction straddling a live reshard or a crash-and-rejoin commits or
-// aborts exactly once.
+// and locks travel in snapshots and drains. Each session also keeps its
+// *prepare mark* (SessionRecord): when a recovering coordinator replays a
+// prepare whose seq fell behind last_seq, the duplicate path re-delivers
+// the prepare's true outcome instead of an ambiguous kStaleDup.
 //
-// On top of the (last seq, cached reply) record, each session keeps a
-// *prepare mark*: the seq and outcome of the newest TxnPrepare it applied.
-// Decision records advance last_seq but never touch the mark, so when a
-// recovering coordinator replays a prepare whose seq fell behind last_seq
-// (an abort for an earlier key landed on the same shard before the crash),
-// the duplicate path still re-delivers the prepare's true accept/refuse
-// outcome instead of an ambiguous kStaleDup — the replayed decision is
-// guaranteed to equal the crashed attempt's (see txn::Coordinator). The
-// mark is replicated state: hashed, snapshotted, drained and merged (by max
-// seq) exactly like the session record it extends.
-//
-// The reply sink is how the co-located router learns outcomes: every replica
-// applies every command, each calls the sink, and the router keeps the first
-// delivery per (client, seq). Everything here is deterministic — iteration
-// is over ordered maps, and store_hash() folds store + sessions (+ the
-// partition state in partitioned mode) into one fingerprint the determinism
-// suite and the harness agreement check pin.
+// State codec (range.hpp): snapshot() writes the state sections — store,
+// sessions, locks, partition, ops applied — then a statistics section and
+// the checksum trailer. store_hash() is the FNV-1a of exactly those state
+// sections, so equal hashes across a shard's correct replicas ⇔ equal
+// replicated state; statistics ride snapshots but not the hash. Keys and
+// reply sinks are wiring: never snapshotted, never hashed, surviving
+// restore(), so the bytes do not depend on how a machine is armed.
 
 #pragma once
 
@@ -99,9 +90,7 @@ class StateMachine : public smr::StateMachine {
   /// a command validly signed for another shard's log verifies as forged
   /// here (cross-log replay protection). Forged commands are deterministic
   /// no-ops counted in forged(), exactly like malformed ones. Without a
-  /// keystore (the default) the machine accepts legacy unsigned wires and
-  /// behaves byte-identically to the pre-signing build. The keystore and
-  /// group are wiring, not state — not snapshotted, surviving restore().
+  /// keystore (the default) the machine accepts unsigned wires.
   void set_keystore(const crypto::KeyStore* ks, std::uint32_t group = 0) {
     keystore_ = ks;
     signing_group_ = group;
@@ -119,26 +108,17 @@ class StateMachine : public smr::StateMachine {
   /// Enter partitioned mode as group `group` of `initial` (epoch 0 table):
   /// the machine starts owning exactly the buckets the table assigns it and
   /// honors the reconfig admin operations. Without this call the machine
-  /// owns every key and admin operations are rejected — the static-sharding
-  /// behavior, byte-for-byte.
+  /// owns every key and admin operations are rejected.
   void configure_partition(std::uint32_t group, const ShardTable& initial);
 
   void apply(Slot slot, util::ByteView command) override;
 
-  /// Deterministic full-state codec for log compaction and peer catch-up:
-  /// store pairs + session records + op counters + partition state,
-  /// length-prefixed in map order, with the digest fold embedded as a
-  /// trailing digest. Equal states ⇒ identical bytes, so snapshots
-  /// themselves fingerprint.
+  /// Full-state codec for log compaction and peer catch-up (see the class
+  /// comment). Equal states ⇒ identical bytes.
   Bytes snapshot() const override;
-  /// Total inverse: decodes into temporaries, recomputes the state fold and
-  /// checks it against the embedded digest, and only then swaps the decoded
-  /// state in (the reply sink is wiring, not state — it survives). Both the
-  /// legacy and the signed-mode (forged-field) layouts are accepted
-  /// regardless of this machine's own wiring — the digest disambiguates
-  /// them, so arming order does not matter. Malformed bytes or a digest
-  /// mismatch return false with *this untouched. Never throws — snapshots
-  /// arrive from unverified peers.
+  /// One strict parse into a fresh state, swapped in only on success:
+  /// malformed bytes or a checksum mismatch return false with *this
+  /// untouched. Never throws — snapshots arrive from unverified peers.
   bool restore(util::ByteView raw) override;
 
   /// Drain service for the Migrator (smr::Log serves this over the catch-up
@@ -148,140 +128,105 @@ class StateMachine : public smr::StateMachine {
   /// buckets still owned).
   Bytes export_range(util::ByteView request) const override;
 
-  const std::map<Bytes, Bytes>& store() const { return store_; }
+  const std::map<Bytes, Bytes>& store() const { return st_.store; }
 
-  /// FNV-1a over the store and the session table (last seq + cached reply
-  /// per client), plus the partition state in partitioned mode. Equal
-  /// hashes across a shard's correct replicas ⇔ equal stores and equal
-  /// client-visible histories.
+  /// FNV-1a over the encoded state sections (see the class comment).
   std::uint64_t store_hash() const;
 
   /// Effective (non-duplicate, well-formed) client operations applied.
-  std::uint64_t ops_applied() const { return ops_applied_; }
+  std::uint64_t ops_applied() const { return st_.ops_applied; }
   /// Duplicate (client, seq) applies whose mutation was suppressed.
-  std::uint64_t duplicates_suppressed() const { return duplicates_; }
+  std::uint64_t duplicates_suppressed() const { return st_.duplicates; }
   /// Commands that failed decode_command (a Byzantine win can put arbitrary
   /// bytes in a slot; they no-op deterministically).
-  std::uint64_t malformed() const { return malformed_; }
+  std::uint64_t malformed() const { return st_.malformed; }
   /// Well-formed commands rejected by signature verification (missing
   /// signature, bad MAC, signer ≠ claimed client, unauthorized admin
   /// signer). Only ever non-zero with signing enabled.
-  std::uint64_t forged() const { return forged_; }
+  std::uint64_t forged() const { return st_.forged; }
 
-  bool partitioned() const { return partitioned_; }
-  std::uint32_t group() const { return group_; }
+  bool partitioned() const { return !st_.owned.empty(); }
+  std::uint32_t group() const { return st_.group; }
   /// Highest config epoch of any accepted admin operation.
-  std::uint64_t config_epoch() const { return cfg_epoch_; }
+  std::uint64_t config_epoch() const { return st_.cfg_epoch; }
   /// Buckets currently owned (and the table size they index into).
   std::size_t owned_buckets() const;
-  std::size_t table_buckets() const { return owned_.size(); }
+  std::size_t table_buckets() const { return st_.owned.size(); }
   bool owns_bucket(std::size_t b) const {
-    return b < owned_.size() && owned_[b] != 0;
+    return b < st_.owned.size() && st_.owned[b] != 0;
   }
 
   /// Admin (SEAL/INSTALL/PURGE) operations applied — excluded from
   /// ops_applied so the exactly-once rollup sees client ops only.
-  std::uint64_t admin_applied() const { return admin_applied_; }
+  std::uint64_t admin_applied() const { return st_.admin_applied; }
   /// Client ops bounced with kWrongEpoch (sealed or not-yet-open bucket).
-  std::uint64_t bounces() const { return bounces_; }
+  std::uint64_t bounces() const { return st_.bounces; }
   /// Admin operations rejected (malformed payload, stale epoch, bucket
   /// geometry mismatch) — deterministic no-ops, counted.
-  std::uint64_t admin_rejected() const { return admin_rejected_; }
-  std::uint64_t keys_imported() const { return keys_imported_; }
-  std::uint64_t keys_purged() const { return keys_purged_; }
+  std::uint64_t admin_rejected() const { return st_.admin_rejected; }
+  std::uint64_t keys_imported() const { return st_.keys_imported; }
+  std::uint64_t keys_purged() const { return st_.keys_purged; }
 
   /// Last applied request seq for a client (0 = no session).
   std::uint64_t last_seq(ClientId c) const;
 
-  /// One held transaction lock: the pending write buffered at prepare,
-  /// applied on commit, discarded on abort. The guard fields record the
-  /// prepare's full payload so a re-prepare by the same (txn, owner) is
-  /// idempotent only when byte-identical — an equivocating coordinator
-  /// re-preparing with different bytes is refused, never silently merged.
-  struct Lock {
-    std::uint64_t txn = 0;
-    ClientId owner = 0;      // coordinator session that prepared it
-    std::uint8_t write = 1;  // txn::WriteKind of the buffered mutation
-    Bytes value;             // pending kPut payload (empty for kDel)
-    bool has_expected = false;  // optimistic guard carried by the prepare
-    Bytes expected;             // guard value (empty when !has_expected)
-  };
-
-  const std::map<Bytes, Lock>& locks() const { return locks_; }
+  const std::map<Bytes, LockRecord>& locks() const { return st_.locks; }
   /// Locks currently held — zero once every transaction has decided, which
   /// is the harness's residual-lock atomicity check.
-  std::uint64_t locks_held() const { return locks_.size(); }
-  std::uint64_t txn_prepared() const { return txn_prepared_; }
-  std::uint64_t txn_committed() const { return txn_committed_; }
-  std::uint64_t txn_aborted() const { return txn_aborted_; }
+  std::uint64_t locks_held() const { return st_.locks.size(); }
+  std::uint64_t txn_prepared() const { return st_.txn_prepared; }
+  std::uint64_t txn_committed() const { return st_.txn_committed; }
+  std::uint64_t txn_aborted() const { return st_.txn_aborted; }
   /// Prepares refused (lock held / guard miss) + plain writes that hit a
   /// locked key — every kTxnConflict this machine ever returned.
-  std::uint64_t txn_conflicts() const { return txn_conflicts_; }
+  std::uint64_t txn_conflicts() const { return st_.txn_conflicts; }
   /// Decisions that found no matching lock (presumed abort / double abort).
-  std::uint64_t txn_orphans() const { return txn_orphans_; }
+  std::uint64_t txn_orphans() const { return st_.txn_orphans; }
   /// Txn records whose payload failed to decode — deterministic kTxnAborted.
-  std::uint64_t txn_rejected() const { return txn_rejected_; }
+  std::uint64_t txn_rejected() const { return st_.txn_rejected; }
 
  private:
-  struct Session {
-    std::uint64_t last_seq = 0;
-    Reply last_reply;
-    // Prepare mark (see class comment): seq + outcome of the newest
-    // TxnPrepare this session applied. 0 = no prepare ever applied.
-    // Decisions never overwrite it, so a replayed prepare's outcome
-    // survives later same-session records on this shard.
-    std::uint64_t last_prepare_seq = 0;
-    Status last_prepare_status = Status::kOk;
+  /// Everything snapshot() writes; restore() swaps in a freshly parsed one.
+  struct State {
+    std::map<Bytes, Bytes> store;
+    std::map<ClientId, SessionRecord> sessions;
+    std::map<Bytes, LockRecord> locks;
+    std::uint32_t group = 0;
+    std::uint64_t cfg_epoch = 0;
+    std::vector<std::uint8_t> owned;  // owned[bucket] != 0 ⇔ we serve it
+    std::uint64_t ops_applied = 0;
+    // Statistics: in snapshots, not in store_hash().
+    std::uint64_t duplicates = 0, malformed = 0, forged = 0;
+    std::uint64_t admin_applied = 0, bounces = 0, admin_rejected = 0;
+    std::uint64_t keys_imported = 0, keys_purged = 0;
+    std::uint64_t txn_prepared = 0, txn_committed = 0, txn_aborted = 0;
+    std::uint64_t txn_conflicts = 0, txn_orphans = 0, txn_rejected = 0;
   };
 
   Reply apply_op(const Command& c);
   Reply apply_admin(const Command& c);
   Reply apply_txn(const Command& c);
-  /// True once any transaction state exists — counters, live locks, or a
-  /// session prepare mark (marks can arrive alone via INSTALL). Gates the
-  /// txn hash fold and the snapshot txn section, keeping transaction-free
-  /// runs byte-identical to the pre-transaction build.
-  bool txn_active() const;
-  std::uint64_t txn_fold(std::uint64_t h) const;
   /// Signature check for a decoded command (signing enabled only): true iff
   /// the wire carried a signature, the claimed client id maps to a signer
   /// without wrapping, the signer is the claimed client's identity (and an
   /// allowed admin signer for admin ops), and the MAC verifies over the
   /// canonical bytes domain-tagged and bound to this machine's shard group.
   bool verify_signed(const SignedCommand& sc) const;
-  /// Grow owned_ to `table_buckets` by routing-preserving doubling; false
+  /// Grow owned to `table_buckets` by routing-preserving doubling; false
   /// when the target is not reachable (reject the admin op).
   bool resize_owned(std::uint32_t table_buckets);
-  std::uint64_t partition_fold(std::uint64_t h) const;
+  std::size_t key_bucket(util::ByteView key) const {
+    return ShardMap::key_hash(key) % st_.owned.size();
+  }
+  SessionRecord& session(ClientId c);
+  /// The state sections — the bytes store_hash() folds.
+  void encode_state(util::Writer& w) const;
 
-  std::map<Bytes, Bytes> store_;
-  std::map<ClientId, Session> sessions_;
-  std::map<Bytes, Lock> locks_;
-  std::uint64_t txn_prepared_ = 0;
-  std::uint64_t txn_committed_ = 0;
-  std::uint64_t txn_aborted_ = 0;
-  std::uint64_t txn_conflicts_ = 0;
-  std::uint64_t txn_orphans_ = 0;
-  std::uint64_t txn_rejected_ = 0;
-  ReplySink sink_;
+  State st_;
+  ReplySink sink_;                               // wiring, not state
   const crypto::KeyStore* keystore_ = nullptr;   // wiring, not state
   std::uint32_t signing_group_ = 0;              // wiring, not state
   std::set<crypto::ProcessId> admin_signers_;    // wiring, not state
-  std::uint64_t ops_applied_ = 0;
-  std::uint64_t duplicates_ = 0;
-  std::uint64_t malformed_ = 0;
-  std::uint64_t forged_ = 0;
-
-  // Partition state (reconfiguration runs only; see class comment).
-  bool partitioned_ = false;
-  std::uint32_t group_ = 0;
-  std::uint64_t cfg_epoch_ = 0;
-  std::vector<std::uint8_t> owned_;  // owned_[bucket] != 0 ⇔ we serve it
-  std::uint64_t admin_applied_ = 0;
-  std::uint64_t bounces_ = 0;
-  std::uint64_t admin_rejected_ = 0;
-  std::uint64_t keys_imported_ = 0;
-  std::uint64_t keys_purged_ = 0;
 };
 
 }  // namespace mnm::kv

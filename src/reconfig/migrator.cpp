@@ -131,7 +131,7 @@ sim::Task<void> Migrator::migrate(std::uint64_t epoch) {
   }
 
   // DRAIN — fetch the sealed range from a source replica. The validator
-  // decodes (digest-checked) and pins the spec, so a stale or forged
+  // decodes (checksummed) and pins the spec, so a stale or forged
   // response from the control wire is dropped and the fetch keeps waiting.
   kv::RangeSnapshot snap;
   auto valid = [&](util::ByteView payload) {

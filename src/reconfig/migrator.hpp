@@ -12,7 +12,7 @@
 //     the seal → drain → install → purge protocol:
 //       SEAL    (src group log)  stop serving the moving buckets; client
 //                                ops on them bounce with kWrongEpoch.
-//       DRAIN   (control wire)   fetch the sealed range as a digest-checked
+//       DRAIN   (control wire)   fetch the sealed range as a checksummed
 //                                RangeSnapshot via smr::Log::fetch_range —
 //                                local export when this process hosts a
 //                                caught-up source replica, the catch-up

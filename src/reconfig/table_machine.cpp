@@ -6,18 +6,6 @@
 
 namespace mnm::reconfig {
 
-namespace {
-
-inline std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= static_cast<std::uint8_t>(v >> (i * 8));
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
 void TableMachine::apply(Slot, util::ByteView command) {
   const std::optional<ConfigChange> c = decode_config_change(command);
   if (!c.has_value()) {
@@ -36,45 +24,38 @@ void TableMachine::apply(Slot, util::ByteView command) {
 
 std::uint64_t TableMachine::state_hash() const {
   std::uint64_t h = kv::shard_table_hash(table_);
-  h = fnv1a_u64(h, applied_);
-  h = fnv1a_u64(h, rejected_);
-  h = fnv1a_u64(h, malformed_);
+  h = util::fnv1a_u64(h, applied_);
+  h = util::fnv1a_u64(h, rejected_);
+  h = util::fnv1a_u64(h, malformed_);
   return h;
 }
 
 Bytes TableMachine::snapshot() const {
   const Bytes table = encode_shard_table(table_);
   util::Writer w(4 + table.size() + 8 * 4);
-  w.bytes(table).u64(applied_).u64(rejected_).u64(malformed_);
-  // Trailing digest: the agreement fold, so any corruption fails closed on
+  // Checksum trailer, as in the KV codec: any corruption fails closed on
   // restore.
-  w.u64(state_hash());
+  w.bytes(table).u64(applied_).u64(rejected_).u64(malformed_).checksum();
   return std::move(w).take();
 }
 
 bool TableMachine::restore(util::ByteView raw) {
-  kv::ShardTable table;
-  std::uint64_t applied = 0, rejected = 0, malformed = 0, claimed = 0;
+  const std::optional<util::ByteView> body = util::checked_body(raw);
+  if (!body.has_value()) return false;
+  std::optional<kv::ShardTable> table;
+  std::uint64_t applied = 0, rejected = 0, malformed = 0;
   try {
-    util::Reader r(raw);
-    const Bytes table_bytes = r.bytes();
-    const std::optional<kv::ShardTable> t = kv::decode_shard_table(table_bytes);
-    if (!t.has_value()) return false;
-    table = *t;
+    util::Reader r(*body);
+    table = kv::decode_shard_table(r.bytes_view());
     applied = r.u64();
     rejected = r.u64();
     malformed = r.u64();
-    claimed = r.u64();
     r.expect_end();
   } catch (const util::SerdeError&) {
     return false;
   }
-  std::uint64_t h = kv::shard_table_hash(table);
-  h = fnv1a_u64(h, applied);
-  h = fnv1a_u64(h, rejected);
-  h = fnv1a_u64(h, malformed);
-  if (h != claimed) return false;
-  table_ = std::move(table);
+  if (!table.has_value()) return false;
+  table_ = *std::move(table);
   applied_ = applied;
   rejected_ = rejected;
   malformed_ = malformed;

@@ -41,8 +41,8 @@ class TableMachine : public smr::StateMachine {
 
   void apply(Slot slot, util::ByteView command) override;
 
-  /// Deterministic full-state codec (table + counters + trailing digest);
-  /// total inverse that fails closed on malformed bytes or digest mismatch.
+  /// Deterministic full-state codec (table + counters + checksum trailer);
+  /// total inverse that fails closed on malformed bytes or a bad checksum.
   Bytes snapshot() const override;
   bool restore(util::ByteView raw) override;
 

@@ -53,6 +53,27 @@ inline std::string to_string(ByteView b) {
   return std::string(b.begin(), b.end());
 }
 
+/// 64-bit FNV-1a: the one hash behind key routing, state fingerprints and
+/// snapshot checksums. Start from kFnvBasis and fold bytes or
+/// little-endian u64s into the running value.
+inline constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
+
+inline std::uint64_t fnv1a(std::uint64_t h, ByteView bytes) {
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+inline std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= static_cast<std::uint8_t>(v >> (i * 8));
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
 /// Lowercase hex encoding (for logs, digests and test expectations).
 std::string hex_encode(const Bytes& b);
 

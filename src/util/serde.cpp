@@ -54,6 +54,20 @@ Writer& Writer::patch_u32(std::size_t pos, std::uint32_t v) {
   return *this;
 }
 
+Writer& Writer::truncate(std::size_t size) {
+  if (size < buf_.size()) buf_.resize(size);
+  return *this;
+}
+
+Writer& Writer::checksum() { return u64(fnv1a(kFnvBasis, buf_)); }
+
+std::optional<ByteView> checked_body(ByteView raw) {
+  if (raw.size() < 8) return std::nullopt;
+  const ByteView body = raw.first(raw.size() - 8);
+  if (Reader(raw.last(8)).u64() != fnv1a(kFnvBasis, body)) return std::nullopt;
+  return body;
+}
+
 void Reader::need(std::size_t n) const {
   if (buf_.size() - pos_ < n) throw SerdeError("Reader: truncated input");
 }

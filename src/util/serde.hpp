@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -52,6 +53,12 @@ class Writer {
   /// Overwrite the u32 previously written at byte offset `pos` (for length
   /// prefixes whose value is only known after the body is encoded).
   Writer& patch_u32(std::size_t pos, std::uint32_t v);
+  /// Drop everything written after the first `size` bytes.
+  Writer& truncate(std::size_t size);
+  /// Append the u64 FNV-1a of every byte written so far: the trailer of
+  /// self-checking blobs (state snapshots, range drains). checked_body()
+  /// is the inverse.
+  Writer& checksum();
 
   std::size_t size() const { return buf_.size(); }
   const Bytes& data() const& { return buf_; }
@@ -94,5 +101,9 @@ class Reader {
   ByteView buf_;
   std::size_t pos_ = 0;
 };
+
+/// The bytes before a Writer::checksum() trailer; nullopt when the trailer
+/// is missing or does not match them.
+std::optional<ByteView> checked_body(ByteView raw);
 
 }  // namespace mnm::util

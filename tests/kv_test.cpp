@@ -533,8 +533,7 @@ TEST(KvStateMachine, SnapshotForgedFieldIsSelfDescribing) {
   EXPECT_EQ(b.last_seq(2), 1u);
   EXPECT_EQ(b.store_hash(), a.store_hash());
 
-  // The layout is self-describing (the digest disambiguates the forged
-  // field), not inferred from wiring: signed-mode bytes restore into a
+  // Restore never depends on wiring: signed-mode bytes restore into a
   // machine that is not (yet) armed, forged count intact — arming order
   // must never reject a valid snapshot — and the restored count keeps
   // riding that machine's own snapshots to the next hop.
@@ -547,21 +546,31 @@ TEST(KvStateMachine, SnapshotForgedFieldIsSelfDescribing) {
   ASSERT_TRUE(rearmed.restore(legacy.snapshot()));
   EXPECT_EQ(rearmed.forged(), 1u);
 
-  // A never-signed machine's snapshot stays byte-identical to the
-  // pre-signing codec; an armed machine still accepts those legacy bytes.
+  // An armed machine accepts a never-signed machine's snapshot.
   StateMachine c, d;
   const Bytes put = encode_command(cmd(Op::kPut, 2, 1, "k", "v"));
   c.apply(0, put);
   d.set_keystore(&ks);
   d.apply(0, signed_wire(client, cmd(Op::kPut, 2, 1, "k", "v")));
-  // Same logical state; the signed-mode snapshot differs only by the
-  // forged field.
-  EXPECT_EQ(c.snapshot().size() + 8, d.snapshot().size());
   StateMachine armed;
   armed.set_keystore(&ks);
   EXPECT_TRUE(armed.restore(c.snapshot()));
   EXPECT_EQ(armed.forged(), 0u);
   EXPECT_EQ(armed.store_hash(), c.store_hash());
+}
+
+TEST(KvStateMachine, SnapshotBytesIndependentOfWiring) {
+  // Keys are wiring, not state: an armed and an unarmed machine holding the
+  // same logical state write the same snapshot bytes and the same hash.
+  crypto::KeyStore ks(8);
+  const crypto::Signer client = ks.register_process(client_signer_id(2));
+  StateMachine plain, armed;
+  armed.set_keystore(&ks);
+  armed.allow_admin_signer(client_signer_id(2));
+  plain.apply(0, encode_command(cmd(Op::kPut, 2, 1, "k", "v")));
+  armed.apply(0, signed_wire(client, cmd(Op::kPut, 2, 1, "k", "v")));
+  EXPECT_EQ(plain.snapshot(), armed.snapshot());
+  EXPECT_EQ(plain.store_hash(), armed.store_hash());
 }
 
 // --- Router retry-deadline saturation (halted shard). ---

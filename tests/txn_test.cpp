@@ -420,11 +420,10 @@ TEST(TxnStateMachine, LocksMigrateWithTheDrainedRange) {
   // must read its original outcome there.
   EXPECT_EQ(snap->locks[0].has_expected, 1u);
   EXPECT_EQ(snap->locks[0].expected, to_bytes("30"));
-  ASSERT_EQ(snap->prepare_marks.size(), 1u);
-  EXPECT_EQ(snap->prepare_marks[0].client, 2u);
-  EXPECT_EQ(snap->prepare_marks[0].seq, 1u);
-  EXPECT_EQ(snap->prepare_marks[0].status,
-            static_cast<std::uint8_t>(Status::kOk));
+  ASSERT_EQ(snap->sessions.size(), 3u);  // clients 1, 2 and the admin 99
+  EXPECT_EQ(snap->sessions[1].client, 2u);
+  EXPECT_EQ(snap->sessions[1].prepare_seq, 1u);
+  EXPECT_EQ(snap->sessions[1].prepare_status, Status::kOk);
 
   Command install;
   install.op = Op::kInstall;

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
@@ -595,7 +596,7 @@ TEST(WireFuzz, CatchupRandomBytesNeverCrash) {
 // ---------------------------------------------------------------------------
 // kv::StateMachine snapshot codec — full-state bytes installed by restarting
 // replicas. restore() must be total, fail closed on any corruption (the
-// trailing digest covers every decoded byte), and leave the target machine
+// checksum trailer covers every byte), and leave the target machine
 // untouched on rejection.
 // ---------------------------------------------------------------------------
 
@@ -651,7 +652,7 @@ TEST(WireFuzz, KvSnapshotTruncationsAndFlipsRejectedUntouched) {
           << "trial " << trial << " cut " << cut;
     }
     // Any single bit flip is caught: structurally (Serde/order checks) or by
-    // the trailing digest, which covers every decoded field.
+    // the checksum trailer, which covers every byte before it.
     Bytes flipped = wire;
     const std::size_t bit = rng.below(flipped.size() * 8);
     flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
@@ -661,11 +662,11 @@ TEST(WireFuzz, KvSnapshotTruncationsAndFlipsRejectedUntouched) {
 }
 
 TEST(WireFuzz, KvSnapshotForgedCountPrefixAndJunkNeverCrash) {
-  // Forged huge store-count in a short wire: the decode loop is bounded by
-  // the bytes present (each pair costs length prefixes), so it fails fast.
+  // Forged huge section len in a short, correctly checksummed wire: the
+  // framing is bounded by the bytes present, so it fails fast.
   util::Writer w;
-  w.u32(0xFFFFFFFFu);
-  w.raw(util::to_bytes("12345678"));
+  w.u8(kv::kPairsSection).u32(0xFFFFFFFFu);
+  w.raw(util::to_bytes("12345678")).checksum();
   kv::StateMachine m;
   EXPECT_FALSE(m.restore(std::move(w).take()));
 
@@ -674,8 +675,8 @@ TEST(WireFuzz, KvSnapshotForgedCountPrefixAndJunkNeverCrash) {
   for (int trial = 0; trial < 2000; ++trial) {
     if (m.restore(random_bytes(rng, rng.below(140)))) ++restored;
   }
-  // Junk carries no valid digest — a single accidental restore would mean
-  // the digest check is broken.
+  // Junk carries no valid checksum — a single accidental restore would
+  // mean the checksum check is broken.
   EXPECT_EQ(restored, 0u);
   EXPECT_EQ(m.store_hash(), kv::StateMachine().store_hash());
 }
@@ -782,7 +783,7 @@ TEST(WireFuzz, CheckpointMarkerJunkNeverCrash) {
 // consensus slots (a Byzantine proposer can win a slot with arbitrary
 // bytes) and over the catch-up control wire from unverified peers, so the
 // decoders must be strict and total: forged counts capped by the bytes
-// present, the snapshot digest failing closed, junk never crashing.
+// present, the snapshot checksum failing closed, junk never crashing.
 // ---------------------------------------------------------------------------
 
 kv::ShardTable random_shard_table(sim::Rng& rng) {
@@ -917,18 +918,20 @@ TEST(WireFuzz, ReconfigForgedCountPrefixesCappedByBytesPresent) {
   EXPECT_FALSE(
       kv::decode_range_spec(std::move(forged_spec).take()).has_value());
 
+  // A drain's first section len forged to 4 GiB, re-sealed under a correct
+  // checksum: the framing must refuse it without reading past the blob.
   sim::Rng rng(0x5EC0F3ull);
-  const kv::RangeSnapshot snap = random_range_snapshot(rng);
-  Bytes wire = kv::encode_range_snapshot(snap);
-  // The pair count sits right after the length-prefixed spec block.
-  const std::size_t count_at = 4 + (4 + 4 * snap.spec.buckets.size() + 8 + 4);
-  ASSERT_LT(count_at + 4, wire.size());
-  for (std::size_t i = 0; i < 4; ++i) wire[count_at + i] = 0xFF;
-  EXPECT_FALSE(kv::decode_range_snapshot(wire).has_value());
+  const Bytes wire = kv::encode_range_snapshot(random_range_snapshot(rng));
+  Bytes body(wire.begin(), wire.end() - 8);
+  for (std::size_t i = 1; i < 5; ++i) body[i] = 0xFF;  // after the tag byte
+  util::Writer resealed;
+  resealed.raw(body).checksum();
+  EXPECT_FALSE(
+      kv::decode_range_snapshot(std::move(resealed).take()).has_value());
 }
 
 TEST(WireFuzz, ReconfigSnapshotBitFlipsNeverAccepted) {
-  // Unlike the plain command codec, the range snapshot carries a digest:
+  // Unlike the plain command codec, the range snapshot carries a checksum:
   // ANY flipped bit must fail closed, not just not-crash.
   sim::Rng rng(0x5EC0F4ull);
   for (int trial = 0; trial < 120; ++trial) {
@@ -951,7 +954,7 @@ TEST(WireFuzz, ReconfigRandomBytesNeverCrashAnyDecoder) {
     (void)reconfig::decode_config_change(junk);
     if (kv::decode_range_snapshot(junk).has_value()) ++snapshots_decoded;
   }
-  // The embedded digest makes an accidental snapshot parse essentially
+  // The checksum trailer makes an accidental snapshot parse essentially
   // impossible.
   EXPECT_EQ(snapshots_decoded, 0u);
 }
@@ -1183,26 +1186,29 @@ TEST(WireFuzz, RangeSnapshotWithLocksRoundTripsAndFailsClosed) {
       l.owner = rng.below(8) + 1;
       l.write = rng.chance(0.5) ? 1 : 2;
       l.value = random_bytes(rng, rng.below(16));
-      l.has_expected = rng.chance(0.5) ? 1 : 0;
-      if (l.has_expected != 0) l.expected = random_bytes(rng, rng.below(16));
+      l.has_expected = rng.chance(0.5);
+      if (l.has_expected) l.expected = random_bytes(rng, rng.below(16));
       snap.locks.push_back(std::move(l));
     }
-    // Prepare marks ride as their own tail section, sometimes absent.
-    const std::size_t marks = rng.below(3);
-    for (std::size_t i = 0; i < marks; ++i) {
-      kv::PrepareMark pm;
-      pm.client = i + 1;  // ascending by construction
-      pm.seq = rng.below(64) + 1;
-      pm.status = static_cast<std::uint8_t>(
-          rng.chance(0.5) ? kv::Status::kOk : kv::Status::kTxnConflict);
-      snap.prepare_marks.push_back(pm);
+    // Sessions carry their prepare marks inline, sometimes none.
+    const std::size_t sessions = rng.below(3);
+    for (std::size_t i = 0; i < sessions; ++i) {
+      kv::SessionRecord s;
+      s.client = i + 1;  // ascending by construction
+      s.last_seq = rng.below(64) + 1;
+      if (rng.chance(0.5)) {
+        s.prepare_seq = rng.below(64) + 1;
+        s.prepare_status =
+            rng.chance(0.5) ? kv::Status::kOk : kv::Status::kTxnConflict;
+      }
+      snap.sessions.push_back(std::move(s));
     }
     const Bytes wire = kv::encode_range_snapshot(snap);
     const auto d = kv::decode_range_snapshot(wire);
     ASSERT_TRUE(d.has_value()) << "trial " << trial;
     EXPECT_EQ(*d, snap) << "trial " << trial;
 
-    // Truncations and any flipped bit fail the embedded digest, closed.
+    // Truncations and any flipped bit fail the checksum, closed.
     for (std::size_t cut = 0; cut < wire.size(); cut += rng.below(9) + 1) {
       EXPECT_FALSE(
           kv::decode_range_snapshot(util::ByteView(wire).subspan(0, cut))
@@ -1218,36 +1224,40 @@ TEST(WireFuzz, RangeSnapshotWithLocksRoundTripsAndFailsClosed) {
 }
 
 TEST(WireFuzz, RangeSnapshotTailSectionsRejectNonCanonicalForms) {
-  // Structural validators on the tagged tail fire before the digest check,
-  // so these malformed forms must reject even with a consistent digest.
+  // Record validators fire behind a correct checksum, so these malformed
+  // forms must reject even though the encoder sealed them consistently.
   kv::RangeSnapshot base;
   base.spec.epoch = 1;
   base.spec.table_buckets = 4;
   base.spec.buckets = {2};
 
-  // Unordered prepare marks (the encoder writes whatever it is given; the
+  // Unordered sessions (the encoder writes whatever it is given; the
   // decoder enforces ascending clients).
   kv::RangeSnapshot unordered = base;
-  unordered.prepare_marks.push_back({2, 5, 1});
-  unordered.prepare_marks.push_back({1, 6, 1});
+  unordered.sessions.push_back({2, 5, {}, 5, kv::Status::kOk});
+  unordered.sessions.push_back({1, 6, {}, 6, kv::Status::kOk});
   EXPECT_FALSE(
       kv::decode_range_snapshot(kv::encode_range_snapshot(unordered))
           .has_value());
 
-  // A zero-seq mark means "no mark" and is never drained.
+  // A zero-seq mark means "no mark" and carries the default status only.
   kv::RangeSnapshot zero_seq = base;
-  zero_seq.prepare_marks.push_back({1, 0, 1});
+  zero_seq.sessions.push_back({1, 4, {}, 0, kv::Status::kTxnConflict});
   EXPECT_FALSE(
       kv::decode_range_snapshot(kv::encode_range_snapshot(zero_seq))
           .has_value());
 
   // Marks carry prepare outcomes only — a kStaleDup (non-persistable
-  // marker) can never be one.
+  // marker) can never be one, nor a cached reply.
   kv::RangeSnapshot bad_status = base;
-  bad_status.prepare_marks.push_back(
-      {1, 3, static_cast<std::uint8_t>(kv::Status::kStaleDup)});
+  bad_status.sessions.push_back({1, 3, {}, 3, kv::Status::kStaleDup});
   EXPECT_FALSE(
       kv::decode_range_snapshot(kv::encode_range_snapshot(bad_status))
+          .has_value());
+  kv::RangeSnapshot bad_reply = base;
+  bad_reply.sessions.push_back({1, 3, {kv::Status::kWrongEpoch, {}}});
+  EXPECT_FALSE(
+      kv::decode_range_snapshot(kv::encode_range_snapshot(bad_reply))
           .has_value());
 
   // Guard bytes without the guard flag are non-canonical.
@@ -1258,37 +1268,112 @@ TEST(WireFuzz, RangeSnapshotTailSectionsRejectNonCanonicalForms) {
     l.txn = 7;
     l.owner = 1;
     l.write = 1;
-    l.has_expected = 0;
+    l.has_expected = false;
     l.expected = to_bytes("stray");
     stray_guard.locks.push_back(std::move(l));
   }
   EXPECT_FALSE(
       kv::decode_range_snapshot(kv::encode_range_snapshot(stray_guard))
           .has_value());
+}
 
-  // Unknown or repeated tail tags reject regardless of the digest bytes:
-  // splice extra sections into an otherwise valid wire.
-  kv::RangeSnapshot marked = base;
-  marked.prepare_marks.push_back({1, 3, 1});
-  const Bytes wire = kv::encode_range_snapshot(marked);
-  const Bytes no_tail_wire = kv::encode_range_snapshot(base);
-  // Duplicate the marks section (tag 2 twice: not ascending).
-  {
-    const std::size_t tail = wire.size() - 8;          // digest offset
-    const std::size_t head = no_tail_wire.size() - 8;  // tail-free prefix
-    Bytes doubled(wire.begin(), wire.begin() + tail);
-    doubled.insert(doubled.end(), wire.begin() + head, wire.begin() + tail);
-    doubled.insert(doubled.end(), wire.begin() + tail, wire.end());
-    EXPECT_FALSE(kv::decode_range_snapshot(doubled).has_value());
+// ---------------------------------------------------------------------------
+// The shared section framing (`u8 tag, u32 len, body`, ascending tags, FNV-1a
+// checksum trailer) behind both kv::StateMachine::restore and
+// kv::decode_range_snapshot. Each violation below is re-sealed with a
+// correct checksum (unless the checksum is the violation), so the framing
+// checks themselves must reject it.
+// ---------------------------------------------------------------------------
+
+using SectionList = std::vector<std::pair<std::uint8_t, Bytes>>;
+
+SectionList split_blob(const Bytes& blob) {
+  SectionList out;
+  util::Reader r(util::ByteView(blob).first(blob.size() - 8));
+  while (!r.at_end()) {
+    const std::uint8_t tag = r.u8();
+    out.emplace_back(tag, r.bytes());
   }
-  // Unknown tag 3 with enough bytes behind it to look like a section.
-  {
-    Bytes junk_tag(no_tail_wire.begin(), no_tail_wire.end() - 8);
-    junk_tag.push_back(3);
-    for (int i = 0; i < 12; ++i) junk_tag.push_back(0);
-    junk_tag.insert(junk_tag.end(), no_tail_wire.end() - 8,
-                    no_tail_wire.end());
-    EXPECT_FALSE(kv::decode_range_snapshot(junk_tag).has_value());
+  return out;
+}
+
+/// Frame `sections` (section `len_at`'s len prefix replaced by `len`), add
+/// `junk` behind the last one, and seal with a correct checksum.
+Bytes seal_blob(const SectionList& sections, Bytes junk = {},
+                std::size_t len_at = SIZE_MAX, std::uint32_t len = 0) {
+  util::Writer w;
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    const auto& [tag, body] = sections[i];
+    w.u8(tag).u32(i == len_at ? len : static_cast<std::uint32_t>(body.size()));
+    w.raw(body);
+  }
+  w.raw(junk).checksum();
+  return std::move(w).take();
+}
+
+/// Every framing violation of `blob`, which must hold ≥ 2 sections.
+/// `unknown` is a tag the blob's decoder does not accept.
+std::vector<std::pair<std::string, Bytes>> framing_violations(
+    const Bytes& blob, std::uint8_t unknown) {
+  const SectionList s = split_blob(blob);
+  std::vector<std::pair<std::string, Bytes>> out;
+  EXPECT_EQ(seal_blob(s), blob) << "the test framing must match the codec";
+  for (const std::uint8_t tag : {std::uint8_t{0}, unknown, std::uint8_t{200}}) {
+    SectionList l = s;
+    l.emplace_back(tag, Bytes{1});
+    std::stable_sort(l.begin(), l.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    out.emplace_back("unknown tag " + std::to_string(tag), seal_blob(l));
+  }
+  SectionList repeated = s;
+  repeated.push_back(s.back());
+  out.emplace_back("repeated tag", seal_blob(repeated));
+  SectionList descending = s;
+  std::swap(descending[0], descending[1]);
+  out.emplace_back("descending tags", seal_blob(descending));
+  SectionList empty = s;
+  empty[0].second.clear();
+  out.emplace_back("empty section", seal_blob(empty));
+  const auto len = [&](std::size_t i) {
+    return static_cast<std::uint32_t>(s[i].second.size());
+  };
+  out.emplace_back("len over-run",
+                   seal_blob(s, {}, s.size() - 1, len(s.size() - 1) + 1));
+  out.emplace_back("len under-run", seal_blob(s, {}, 0, len(0) - 1));
+  out.emplace_back("junk before checksum", seal_blob(s, Bytes{0xFF, 0, 0, 0}));
+  Bytes trailing = blob;
+  trailing.push_back(0);
+  out.emplace_back("trailing bytes", trailing);
+  Bytes flipped = blob;
+  flipped.back() ^= 0x01;
+  out.emplace_back("checksum flip", flipped);
+  return out;
+}
+
+TEST(WireFuzz, SectionFramingViolationsRejectedUntouched) {
+  sim::Rng rng(0x5EC7ull);
+  for (int trial = 0; trial < 40; ++trial) {
+    // Machine snapshots: the drain-only range tag is unknown here.
+    const Bytes snap = random_txn_machine(rng).snapshot();
+    kv::StateMachine victim;
+    victim.apply(0, kv::encode_command({kv::Op::kPut, 9, 1, to_bytes("canary"),
+                                        to_bytes("alive"), {}}));
+    const Bytes before = victim.snapshot();
+    for (const auto& [name, wire] :
+         framing_violations(snap, kv::kRangeSection)) {
+      EXPECT_FALSE(victim.restore(wire)) << "trial " << trial << ": " << name;
+      EXPECT_EQ(victim.snapshot(), before) << "trial " << trial << ": " << name;
+    }
+
+    // Range drains: the snapshot-only partition tag is unknown here.
+    kv::RangeSnapshot drain = random_range_snapshot(rng);
+    if (drain.pairs.empty()) drain.pairs.emplace_back(to_bytes("k"), Bytes{});
+    for (const auto& [name, wire] : framing_violations(
+             kv::encode_range_snapshot(drain), kv::kPartitionSection)) {
+      EXPECT_FALSE(kv::decode_range_snapshot(wire).has_value())
+          << "trial " << trial << ": " << name;
+    }
   }
 }
 
