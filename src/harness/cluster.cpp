@@ -6,7 +6,10 @@
 #include <stdexcept>
 
 #include <algorithm>
+#include <functional>
+#include <optional>
 #include <set>
+#include <tuple>
 
 #include "src/core/aligned_paxos.hpp"
 #include "src/core/cheap_quorum.hpp"
@@ -167,6 +170,33 @@ struct RecordingSm : smr::StateMachine {
   }
 };
 
+using EngineFactory =
+    std::function<std::unique_ptr<core::ConsensusEngine>(ProcessId)>;
+
+/// One process's part of a consensus group. Declared engine → machine →
+/// replica, so it destroys the replica (which references both) first.
+struct Member {
+  std::unique_ptr<core::ConsensusEngine> engine;
+  std::unique_ptr<smr::StateMachine> machine;
+  std::unique_ptr<smr::Replica> replica;  // null on Byzantine processes
+};
+
+/// One replicated consensus group. SMR mode runs one; KV mode runs its data
+/// shards followed, under reconfiguration, by the config group. A group
+/// keeps what a rejoin needs to rebuild a process's member in place.
+struct Group {
+  /// "" in SMR mode, "g<i>" for data shard i, "cfg" for the config group:
+  /// prefixes the tuner trajectories and KV rows.
+  std::string label;
+  bool config = false;  // the KV config group (TableMachine replicas)
+  smr::ReplicaConfig rc;
+  EngineFactory make_engine;
+  std::function<std::unique_ptr<smr::StateMachine>()> make_machine;
+  /// Hands the router or migrator process p's current member (KV mode).
+  std::function<void(ProcessId)> rebind;
+  std::vector<Member> members;  // index p - 1
+};
+
 /// Everything one run owns. The executor is declared first (constructed
 /// first, destroyed last); all cross-object references during teardown go
 /// through shared nodes, so this order is safe.
@@ -237,9 +267,8 @@ struct World {
     // Byzantine processes are never trusted — the standard assumption that
     // Ω eventually outputs a correct process).
     // poke_complete: this oracle's output changes only at process-crash and
-    // rejoin times, and the crash callbacks below (plus the rejoin rebuild
-    // hooks in run_smr/run_kv) poke — so leadership waits need no fallback
-    // timers at all.
+    // rejoin times, and the crash callbacks below (plus rejoin_process) poke
+    // — so leadership waits need no fallback timers at all.
     omega = std::make_unique<Omega>(
         exec,
         [this](sim::Time t) -> ProcessId {
@@ -335,7 +364,10 @@ struct World {
   std::vector<sim::Time> crash_at_;       // index p - 1; infinity = never
   std::vector<sim::Time> rejoin_at_;      // index p - 1; infinity = never
 
-  // Algorithm objects (only the relevant vectors are populated).
+  // Algorithm objects (only the relevant vectors are populated). The
+  // replicated modes give each process one base transport (index p - 1; KV
+  // mode adds a mux over it), declared before the groups that run over them
+  // so teardown runs groups → muxes → transports.
   std::vector<std::unique_ptr<core::NetTransport>> transports;
   std::vector<std::unique_ptr<core::TransportMux>> muxes;  // KV: 1 per process
   std::vector<std::unique_ptr<core::Paxos>> paxoses;
@@ -346,32 +378,14 @@ struct World {
   std::vector<std::unique_ptr<core::RobustBackup>> robust_backups;
   std::vector<std::unique_ptr<core::FastRobustProcess>> fast_robusts;
 
-  // SMR mode (index p - 1; Byzantine processes hold no replica).
-  std::vector<std::unique_ptr<core::ConsensusEngine>> engines;
-  std::vector<std::unique_ptr<RecordingSm>> state_machines;
-  std::vector<std::unique_ptr<smr::Replica>> smr_replicas;
-  std::shared_ptr<core::SlotRegions<core::FastRobustSlotRegions>> fr_regions;
-
-  // KV mode (outer index = shard, inner index = p - 1; Byzantine processes
-  // hold no replica). Declared after the transports/muxes they reference so
-  // teardown runs replicas → engines → muxes → transports.
-  std::vector<std::vector<std::unique_ptr<core::ConsensusEngine>>> kv_engines;
-  std::vector<std::vector<std::unique_ptr<kv::StateMachine>>> kv_machines;
-  std::vector<std::vector<std::unique_ptr<smr::Replica>>> kv_replicas;
+  // SMR and KV modes: the consensus groups, then KV mode's client layer
+  // and, under reconfiguration, the cluster-level table view and the
+  // migrator. Destroyed migrator → view → workload → router → groups by
+  // reverse declaration order.
+  std::vector<Group> groups;
   std::unique_ptr<kv::Router> kv_router;
   std::unique_ptr<kv::Workload> kv_workload;
-
-  // Reconfiguration (kv.reconfig non-empty): the config group's objects
-  // (index p - 1; Byzantine processes hold no replica), the cluster-level
-  // table view and the migration driver. Destroyed migrator → view →
-  // replicas → machines → engines by reverse declaration order.
-  bool reconfig = false;
   bool reconfig_plan_done = false;
-  kv::ShardTable initial_table;
-  smr::ReplicaConfig cfg_rc;
-  std::vector<std::unique_ptr<core::ConsensusEngine>> cfg_engines;
-  std::vector<std::unique_ptr<reconfig::TableMachine>> cfg_machines;
-  std::vector<std::unique_ptr<smr::Replica>> cfg_replicas;
   std::unique_ptr<reconfig::TableView> table_view;
   std::unique_ptr<reconfig::Migrator> migrator;
   std::vector<sim::Time> reconfig_flips;  // accepted-epoch arrival times
@@ -379,16 +393,15 @@ struct World {
   // Crash-and-rejoin graveyard: a crashed incarnation's objects are parked
   // here when the process rebuilds, because coroutine frames owned by the
   // executor still reference them — they must outlive the run (the executor
-  // destroys parked frames at teardown without resuming them). Destroyed in
-  // reverse declaration order: replicas → machines → engines → muxes →
-  // transports, mirroring the live vectors.
-  std::vector<std::unique_ptr<core::NetTransport>> retired_transports;
-  std::vector<std::unique_ptr<core::TransportMux>> retired_muxes;
-  std::vector<std::unique_ptr<core::ConsensusEngine>> retired_engines;
-  std::vector<std::unique_ptr<RecordingSm>> retired_recording_sms;
-  std::vector<std::unique_ptr<kv::StateMachine>> retired_kv_machines;
-  std::vector<std::unique_ptr<reconfig::TableMachine>> retired_table_machines;
-  std::vector<std::unique_ptr<smr::Replica>> retired_replicas;
+  // destroys parked frames at teardown without resuming them). An
+  // incarnation destroys its members (one per group) before its mux and
+  // transport.
+  struct Incarnation {
+    std::unique_ptr<core::NetTransport> transport;
+    std::unique_ptr<core::TransportMux> mux;
+    std::vector<Member> members;
+  };
+  std::vector<Incarnation> retired;
 
   // Region ids + name prefixes used by Byzantine strategies (SMR mode
   // points them at slot 0's regions, KV mode at shard 0 / slot 0's).
@@ -547,10 +560,8 @@ void spawn_byzantine(World& w, const ClusterConfig& config) {
     }
   }
 }
-
 // ---------------------------------------------------------------------------
-// SMR mode: one smr::Replica per correct process over the algorithm's
-// ConsensusEngine adapter.
+// Report plumbing shared by every run mode.
 // ---------------------------------------------------------------------------
 
 /// End-of-run resource counters shared by every run mode (single-shot, SMR,
@@ -599,6 +610,19 @@ void add_recovery_counters(RunReport& report, const smr::RunStats& s) {
   report.catchup_bytes += s.catchup_bytes;
 }
 
+// ---------------------------------------------------------------------------
+// Replicated modes: consensus groups of smr::Replica over the algorithm's
+// ConsensusEngine adapter. SMR mode runs one group of RecordingSm replicas.
+// KV mode runs `shards` data groups of kv::StateMachine replicas — message
+// traffic on a TransportMux sub per group (each with its own
+// SlotTransportHub slot namespace inside the engine), memory traffic under
+// "g<shard>/"-prefixed slot regions — plus, under reconfiguration, a config
+// group of reconfig::TableMachine replicas, with a kv::Router providing
+// exactly-once client sessions and a kv::Workload driving closed-loop
+// clients. Both modes build, start, rejoin and roll up their groups through
+// the code below.
+// ---------------------------------------------------------------------------
+
 /// Crash-and-rejoin is limited to the message-based engines: memory-routed
 /// algorithms park reader coroutines inside crashed ProcessViews and have no
 /// catch-up channel, while Paxos engines rebuild cleanly over a fresh
@@ -618,547 +642,130 @@ void check_rejoin_support(const ClusterConfig& config, Slot snapshot_interval,
   }
 }
 
-/// Rebuild process `p` as a fresh SMR incarnation: quarantine the crashed
-/// objects (live coroutine frames still reference them), free the network
-/// inbox, and start a recovering replica over a brand-new transport/engine.
-/// Volatile state is wiped by construction — everything the new incarnation
-/// knows arrives through snapshot + log catch-up from its peers.
-void rejoin_smr_process(World& w, const smr::ReplicaConfig& rc, ProcessId p) {
-  if (w.smr_replicas[p - 1] != nullptr) w.smr_replicas[p - 1]->log().halt();
-  w.transports[p - 1]->sever();
-  w.retired_replicas.push_back(std::move(w.smr_replicas[p - 1]));
-  w.retired_recording_sms.push_back(std::move(w.state_machines[p - 1]));
-  w.retired_engines.push_back(std::move(w.engines[p - 1]));
-  w.retired_transports.push_back(std::move(w.transports[p - 1]));
-
-  *w.alive[p - 1] = true;
-  w.network.revive(p);
-  core::PaxosConfig pc;
-  pc.n = w.cfg.n;
-  pc.skip_phase1_for_p1 = (w.cfg.algo == Algorithm::kFastPaxos);
-  w.transports[p - 1] = std::make_unique<core::NetTransport>(
-      w.exec, w.network, p, /*tag=*/100);
-  w.engines[p - 1] = std::make_unique<core::PaxosEngine>(
-      w.exec, *w.transports[p - 1], *w.omega, pc);
-  w.state_machines[p - 1] = std::make_unique<RecordingSm>();
-  smr::ReplicaConfig rejoin_rc = rc;
-  rejoin_rc.log.recover = true;
-  w.smr_replicas[p - 1] = std::make_unique<smr::Replica>(
-      w.exec, *w.engines[p - 1], *w.omega, *w.state_machines[p - 1],
-      rejoin_rc);
-  w.engines[p - 1]->start();
-  w.smr_replicas[p - 1]->start();
-  // Leadership may now revert to this (lower-id) process; wake the waiters.
-  w.omega->poke();
-}
-
-reconfig::TableMachine::TableSink table_sink_for(World& w);
-
-/// KV-mode twin of rejoin_smr_process: one fresh engine + machine + replica
-/// per shard (plus the config group, under reconfiguration) over a rebuilt
-/// base transport/mux, rebound into the router so client replies flow from
-/// the new incarnation.
-void rejoin_kv_process(World& w, const smr::ReplicaConfig& rc, ProcessId p) {
-  const std::size_t shards = w.kv_engines.size();
-  for (std::size_t g = 0; g < shards; ++g) {
-    if (w.kv_replicas[g][p - 1] != nullptr) {
-      w.kv_replicas[g][p - 1]->log().halt();
-    }
-    w.kv_router->rebind(g, p, nullptr, nullptr);
-  }
-  if (w.reconfig) {
-    if (w.cfg_replicas[p - 1] != nullptr) w.cfg_replicas[p - 1]->log().halt();
-    w.migrator->rebind_config(p, nullptr);
-  }
-  w.transports[p - 1]->sever();
-  for (std::size_t g = 0; g < shards; ++g) {
-    w.retired_replicas.push_back(std::move(w.kv_replicas[g][p - 1]));
-    w.retired_kv_machines.push_back(std::move(w.kv_machines[g][p - 1]));
-    w.retired_engines.push_back(std::move(w.kv_engines[g][p - 1]));
-  }
-  if (w.reconfig) {
-    w.retired_replicas.push_back(std::move(w.cfg_replicas[p - 1]));
-    w.retired_table_machines.push_back(std::move(w.cfg_machines[p - 1]));
-    w.retired_engines.push_back(std::move(w.cfg_engines[p - 1]));
-  }
-  w.retired_muxes.push_back(std::move(w.muxes[p - 1]));
-  w.retired_transports.push_back(std::move(w.transports[p - 1]));
-
-  *w.alive[p - 1] = true;
-  w.network.revive(p);
-  w.transports[p - 1] = std::make_unique<core::NetTransport>(
-      w.exec, w.network, p, /*tag=*/100);
-  w.muxes[p - 1] = std::make_unique<core::TransportMux>(
-      w.exec, *w.transports[p - 1]);
-  core::PaxosConfig pc;
-  pc.n = w.cfg.n;
-  pc.skip_phase1_for_p1 = (w.cfg.algo == Algorithm::kFastPaxos);
-  smr::ReplicaConfig rejoin_rc = rc;
-  rejoin_rc.log.recover = true;
-  for (std::size_t g = 0; g < shards; ++g) {
-    const std::uint8_t tag = static_cast<std::uint8_t>(g);
-    w.kv_engines[g][p - 1] = std::make_unique<core::PaxosEngine>(
-        w.exec, w.muxes[p - 1]->sub(tag), *w.omega, pc);
-    w.kv_machines[g][p - 1] = std::make_unique<kv::StateMachine>();
-    if (w.reconfig) {
-      // The fresh machine starts partitioned at the *initial* table: a
-      // peer's snapshot (or the replayed admin ops, when no snapshot was
-      // cut yet) carries it to the current epoch's ownership.
-      w.kv_machines[g][p - 1]->configure_partition(
-          static_cast<std::uint32_t>(g), w.initial_table);
-    }
-    w.kv_replicas[g][p - 1] = std::make_unique<smr::Replica>(
-        w.exec, *w.kv_engines[g][p - 1], *w.omega, *w.kv_machines[g][p - 1],
-        rejoin_rc);
-  }
-  if (w.reconfig) {
-    const std::uint8_t cfg_tag = static_cast<std::uint8_t>(shards);
-    w.cfg_engines[p - 1] = std::make_unique<core::PaxosEngine>(
-        w.exec, w.muxes[p - 1]->sub(cfg_tag), *w.omega, pc);
-    w.cfg_machines[p - 1] =
-        std::make_unique<reconfig::TableMachine>(w.initial_table);
-    // The sink re-attaches: replayed old epochs are dropped by the view,
-    // so a rejoiner into a post-split world installs the table without
-    // re-announcing flips.
-    w.cfg_machines[p - 1]->set_table_sink(table_sink_for(w));
-    smr::ReplicaConfig cfg_rejoin_rc = w.cfg_rc;
-    cfg_rejoin_rc.log.recover = true;
-    w.cfg_replicas[p - 1] = std::make_unique<smr::Replica>(
-        w.exec, *w.cfg_engines[p - 1], *w.omega, *w.cfg_machines[p - 1],
-        cfg_rejoin_rc);
-  }
-  w.muxes[p - 1]->start();
-  for (std::size_t g = 0; g < shards; ++g) {
-    w.kv_engines[g][p - 1]->start();
-    w.kv_replicas[g][p - 1]->start();
-    w.kv_router->rebind(g, p, w.kv_replicas[g][p - 1].get(),
-                        w.kv_machines[g][p - 1].get());
-  }
-  if (w.reconfig) {
-    w.cfg_engines[p - 1]->start();
-    w.cfg_replicas[p - 1]->start();
-    w.migrator->rebind_config(p, w.cfg_replicas[p - 1].get());
-  }
-  w.omega->poke();
-}
-
-RunReport run_smr(World& w, const ClusterConfig& config) {
-  const std::size_t n = config.n;
-  const auto all = all_processes(n);
-  const std::size_t fP = n > 0 ? (n - 1) / 2 : 0;
-
-  // ---- Build one engine per process over one shared transport/memory set. ----
-  switch (config.algo) {
-    case Algorithm::kPaxos:
-    case Algorithm::kFastPaxos: {
-      core::PaxosConfig pc;
-      pc.n = n;
-      pc.skip_phase1_for_p1 = (config.algo == Algorithm::kFastPaxos);
-      for (ProcessId p : all) {
-        w.transports.push_back(std::make_unique<core::NetTransport>(
-            w.exec, w.network, p, /*tag=*/100));
-        w.engines.push_back(std::make_unique<core::PaxosEngine>(
-            w.exec, *w.transports.back(), *w.omega, pc));
-      }
-      break;
-    }
-
-    case Algorithm::kDiskPaxos: {
-      auto pool = std::make_shared<core::SlotRegions<RegionId>>(
-          [wp = &w, n](Slot s) {
-            RegionId region = 0;
-            wp->for_each_backing([&](auto& m) {
-              region = core::make_disk_region(m, n, core::slot_ns(s, "dp"));
-            });
-            return region;
-          });
-      core::DiskPaxosConfig dc;
-      dc.n = n;
-      for (ProcessId p : all) {
-        w.transports.push_back(std::make_unique<core::NetTransport>(
-            w.exec, w.network, p, /*tag=*/910));
-        w.engines.push_back(std::make_unique<core::DiskPaxosEngine>(
-            w.exec, w.view_ptrs[p - 1], *w.transports.back(), *w.omega, pool,
-            dc));
-      }
-      break;
-    }
-
-    case Algorithm::kProtectedMemoryPaxos:
-    case Algorithm::kAlignedPaxos: {
-      auto pool = std::make_shared<core::SlotRegions<RegionId>>(
-          [wp = &w, n](Slot s) {
-            RegionId region = 0;
-            wp->for_each_backing([&](auto& m) {
-              region = core::make_pmp_region(m, n, kLeaderP1,
-                                             core::slot_ns(s, "pmp"));
-            });
-            return region;
-          });
-      for (ProcessId p : all) {
-        w.transports.push_back(std::make_unique<core::NetTransport>(
-            w.exec, w.network, p,
-            /*tag=*/config.algo == Algorithm::kAlignedPaxos ? 920 : 900));
-        if (config.algo == Algorithm::kAlignedPaxos) {
-          core::AlignedPaxosConfig ac;
-          ac.n = n;
-          w.engines.push_back(std::make_unique<core::AlignedEngine>(
-              w.exec, w.view_ptrs[p - 1], *w.transports.back(), *w.omega, pool,
-              ac));
-        } else {
-          core::PmpConfig pc;
-          pc.n = n;
-          w.engines.push_back(std::make_unique<core::PmpEngine>(
-              w.exec, w.view_ptrs[p - 1], *w.transports.back(), *w.omega, pool,
-              pc));
-        }
-      }
-      break;
-    }
-
-    case Algorithm::kFastRobust: {
-      auto pool = std::make_shared<core::SlotRegions<core::FastRobustSlotRegions>>(
-          [wp = &w, n](Slot s) {
-            core::FastRobustSlotRegions out;
-            wp->for_each_backing([&](auto& m) {
-              out = core::make_fast_robust_slot_regions(m, n, s);
-            });
-            return out;
-          });
-      w.fr_regions = pool;
-      // Byzantine region attacks target the first slot's regions.
-      w.neb_prefix = core::slot_ns(0, "neb");
-      w.cq_prefix = core::slot_ns(0, "cq");
-      if (!config.faults.byzantine.empty()) {
-        const core::FastRobustSlotRegions& r0 = pool->get(0);
-        w.neb_region_ids = r0.neb;
-        w.cq_region_leader_ = r0.cq.leader;
-      }
-
-      core::FastRobustConfig fc;
-      fc.n = n;
-      fc.f = fP;
-      fc.cheap.n = n;
-      fc.cheap.timeout = config.cq_timeout;
-      fc.neb.n = n;
-      fc.paxos.n = n;
-      fc.paxos.round_timeout = 150 * n;  // backup runs over NEB (see above)
-      fc.paxos.retry_backoff = 40;
-      for (ProcessId p : all) {
-        w.engines.push_back(std::make_unique<core::FastRobustEngine>(
-            w.exec, w.view_ptrs[p - 1], pool, w.keystore, w.signers[p - 1],
-            *w.omega, fc));
-      }
-      break;
-    }
-
-    case Algorithm::kRobustBackup:
-      throw std::invalid_argument(
-          "SMR mode: RobustBackup has no ConsensusEngine adapter (use "
-          "FastRobust, whose backup path is RobustBackup(Paxos))");
-  }
-
-  // ---- Replicas + workload. ----
-  // Byzantine engines route everything through memories, where passive
-  // replicas could never be heard — every correct replica proposes each slot.
-  const bool all_propose = (config.algo == Algorithm::kFastRobust);
-  check_rejoin_support(config, config.smr.snapshot_interval,
-                       "smr.snapshot_interval");
+/// The replica settings SmrConfig and KvConfig share.
+template <typename ModeConfig>
+smr::ReplicaConfig replica_config(const ModeConfig& mode, bool all_propose) {
   smr::ReplicaConfig rc;
-  rc.batch = config.smr.batch;
-  rc.log.window = config.smr.window;
+  rc.batch = mode.batch;
+  rc.log.window = mode.window;
   rc.log.all_propose = all_propose;
-  rc.log.snapshot_interval = config.smr.snapshot_interval;
-  rc.tune.enabled = config.smr.auto_tune;  // Replica forces off if all_propose
-  rc.tune.max_window = config.smr.max_window;
-  rc.tune.max_batch = config.smr.max_batch;
-  // Same clamp rule as smr::Replica (batch=0 would divide by zero here).
-  const std::size_t batch = std::max<std::size_t>(1, config.smr.batch);
-  const Slot fixed_slots = (config.smr.commands + batch - 1) / batch;
-  if (all_propose) rc.log.fixed_slots = fixed_slots;
-
-  for (ProcessId p : all) {
-    w.state_machines.push_back(std::make_unique<RecordingSm>());
-    if (config.faults.is_byzantine(p)) {
-      w.smr_replicas.push_back(nullptr);
-      continue;
-    }
-    w.smr_replicas.push_back(std::make_unique<smr::Replica>(
-        w.exec, *w.engines[p - 1], *w.omega, *w.state_machines.back(), rc));
-  }
-  for (ProcessId p : all) {
-    if (config.faults.is_byzantine(p)) continue;
-    w.engines[p - 1]->start();
-    w.smr_replicas[p - 1]->start();
-    for (std::size_t i = 0; i < config.smr.commands; ++i) {
-      w.smr_replicas[p - 1]->submit(util::to_bytes(smr_command(p, i)));
-    }
-    w.smr_replicas[p - 1]->flush();
-  }
-
-  spawn_byzantine(w, config);
-
-  // Crash-and-rejoin: rebuild each rejoining process at its scheduled time.
-  // The fresh incarnation submits nothing — commands its predecessor queued
-  // but never got decided are simply lost, which validity tolerates (applied
-  // ⊆ submitted); its job is to catch back up and stay in lockstep.
-  for (const auto& [p, t] : config.faults.process_rejoins) {
-    w.exec.call_at(t, [&w, rc, p = p] { rejoin_smr_process(w, rc, p); });
-  }
-
-  // ---- Run to quiescence. ----
-  // Leader mode: the current leader drained its queue and applied everything
-  // it proposed, and every correct replica caught up to the same log length.
-  // All-propose mode: every correct replica applied all fixed slots.
-  const auto done = [&]() -> bool {
-    if (all_propose) {
-      for (ProcessId p : all) {
-        if (!w.correct(p)) continue;
-        if (w.smr_replicas[p - 1]->log().applied_len() != fixed_slots) {
-          return false;
-        }
-      }
-      return true;
-    }
-    const ProcessId leader = w.omega->leader();
-    if (leader < 1 || leader > n || !w.correct(leader)) return false;
-    const smr::Replica& lr = *w.smr_replicas[leader - 1];
-    if (!lr.idle()) return false;
-    const Slot len = lr.log().applied_len();
-    for (ProcessId p : all) {
-      if (!w.correct(p)) continue;
-      if (w.smr_replicas[p - 1]->log().applied_len() != len) return false;
-    }
-    return true;
-  };
-  w.exec.run_until(done, config.horizon);
-
-  // ---- Report. ----
-  RunReport report;
-  report.termination = done();
-
-  std::set<std::string> submitted;
-  for (ProcessId p : all) {
-    if (config.faults.is_byzantine(p)) continue;
-    for (std::size_t i = 0; i < config.smr.commands; ++i) {
-      submitted.insert(smr_command(p, i));
-    }
-  }
-
-  std::vector<sim::Time> latencies;
-  std::vector<sim::Time> queue_waits;
-  std::uint64_t tuner_best_obs = 0;  // the busiest tuner = the leader's
-  const std::vector<std::string>* reference_log = nullptr;
-  for (ProcessId p : all) {
-    auto& row = w.reports[p - 1];
-    if (!row.byzantine && w.smr_replicas[p - 1] != nullptr) {
-      const smr::Replica& replica = *w.smr_replicas[p - 1];
-      const smr::RunStats stats = replica.stats();
-      row.log = w.state_machines[p - 1]->log;
-      row.decided = stats.slots_applied > 0;
-      row.decided_at = stats.last_apply_at;
-      row.fast_path = stats.slots_applied > 0 &&
-                      stats.fast_slots + stats.noop_slots >= stats.slots_applied;
-      std::string joined;
-      for (const auto& c : row.log) {
-        if (!joined.empty()) joined += '|';
-        joined += c;
-      }
-      row.decision = std::move(joined);
-
-      if (w.correct(p)) {
-        // Aggregate SMR metrics over correct replicas. fast-path is a
-        // proposer-local property (learners decide via DECIDE), so take the
-        // max rather than the last replica's count. At equal log length
-        // prefer the fuller command count: a rejoined replica's log-derived
-        // stats exclude slots a snapshot install covered, so a survivor's
-        // accounting is the exact one.
-        if (stats.slots_applied > report.slots_applied ||
-            (stats.slots_applied == report.slots_applied &&
-             stats.commands_applied > report.commands_applied)) {
-          report.slots_applied = stats.slots_applied;
-          report.commands_applied = stats.commands_applied;
-          report.noop_slots = stats.noop_slots;
-        }
-        report.fast_slots = std::max(report.fast_slots, stats.fast_slots);
-        const std::vector<sim::Time> won = smr::won_slot_latencies(replica.log());
-        latencies.insert(latencies.end(), won.begin(), won.end());
-        const std::vector<sim::Time> qw = smr::queue_wait_latencies(replica.log());
-        queue_waits.insert(queue_waits.end(), qw.begin(), qw.end());
-        report.occupancy_slots += stats.occupancy_slots;
-        report.occupancy_limit += stats.occupancy_limit;
-        add_recovery_counters(report, stats);
-        if (replica.tuner().enabled() && replica.tuner().observations() > 0) {
-          report.tuner_epochs += stats.tuner_epochs;
-          if (replica.tuner().observations() > tuner_best_obs) {
-            tuner_best_obs = replica.tuner().observations();
-            report.tuner_window = stats.tuner_window;
-            report.tuner_batch = stats.tuner_batch;
-          }
-          if (!report.tuner_trajectory.empty()) report.tuner_trajectory += '|';
-          report.tuner_trajectory +=
-              "p" + std::to_string(p) + ":" + stats.tuner_trajectory;
-        }
-        // Slot 0's record only survives on replicas that never compacted it
-        // away (records_base() > 0 means the first decision time was folded).
-        const auto& records = replica.log().records();
-        if (replica.log().applied_len() > 0 &&
-            replica.log().records_base() == 0 && !records.empty()) {
-          report.first_decision_delay =
-              std::min(report.first_decision_delay, records[0].decided_at);
-          report.first_correct_decision_delay = std::min(
-              report.first_correct_decision_delay, records[0].decided_at);
-        }
-        // Invariants: identical logs (SMR agreement), applied ⊆ submitted
-        // (SMR validity).
-        if (reference_log == nullptr) {
-          reference_log = &w.state_machines[p - 1]->log;
-        } else if (*reference_log != w.state_machines[p - 1]->log) {
-          report.agreement = false;
-        }
-        for (const auto& c : w.state_machines[p - 1]->log) {
-          if (!submitted.contains(c)) report.validity = false;
-        }
-      }
-    }
-    report.processes.push_back(row);
-  }
-  if (report.slots_applied > 0 && reference_log != nullptr &&
-      !reference_log->empty()) {
-    report.decided_value = reference_log->front();
-  }
-
-  std::sort(latencies.begin(), latencies.end());
-  report.commit_p50 = smr::latency_percentile(latencies, 50);
-  report.commit_p99 = smr::latency_percentile(latencies, 99);
-  report.commit_p999 = smr::latency_percentile(latencies, 99.9);
-  std::sort(queue_waits.begin(), queue_waits.end());
-  report.queue_wait_p50 = smr::latency_percentile(queue_waits, 50);
-  report.queue_wait_p99 = smr::latency_percentile(queue_waits, 99);
-  if (report.occupancy_limit > 0) {
-    report.window_occupancy = static_cast<double>(report.occupancy_slots) /
-                              static_cast<double>(report.occupancy_limit);
-  }
-
-  // Retired incarnations did real recovery work too (a first rejoiner may
-  // itself later serve catch-up before a second crash) — fold their counters
-  // in so the report covers every incarnation, per the RunReport contract.
-  for (const auto& retired : w.retired_replicas) {
-    if (retired != nullptr) add_recovery_counters(report, retired->stats());
-  }
-
-  fill_resource_counters(report, w, config);
-  if (report.slots_applied > 0) {
-    report.events_per_slot = static_cast<double>(report.events) /
-                             static_cast<double>(report.slots_applied);
-  }
-  if (config.algo == Algorithm::kFastRobust) {
-    for (const auto& engine : w.engines) {
-      add_tsend_stats(report, static_cast<const core::FastRobustEngine&>(*engine)
-                                  .tsend_stats());
-    }
-    finish_tsend_stats(report);
-  }
-  return report;
+  rc.log.snapshot_interval = mode.snapshot_interval;
+  rc.tune.enabled = mode.auto_tune;  // Replica forces it off if all_propose
+  rc.tune.max_window = mode.max_window;
+  rc.tune.max_batch = mode.max_batch;
+  return rc;
 }
 
-// ---------------------------------------------------------------------------
-// KV mode: `shards` independent smr::Replica groups over per-shard engine
-// instances — message traffic on a TransportMux sub per shard (each with its
-// own SlotTransportHub slot namespace inside the engine), memory traffic
-// under "g<shard>/"-prefixed slot regions — with a kv::Router providing
-// exactly-once client sessions and a kv::Workload driving closed-loop
-// clients.
-// ---------------------------------------------------------------------------
+/// Give process p a fresh base transport. SMR mode puts it on the
+/// algorithm's own message tag (Fast & Robust talks through the memories
+/// only and gets none); KV mode puts it on tag 100 under a TransportMux
+/// whose sub(tag) carries each group.
+void connect_process(World& w, ProcessId p) {
+  net::MsgType tag = 100;
+  if (!w.cfg.kv.enabled) {
+    switch (w.cfg.algo) {
+      case Algorithm::kDiskPaxos: tag = 910; break;
+      case Algorithm::kProtectedMemoryPaxos: tag = 900; break;
+      case Algorithm::kAlignedPaxos: tag = 920; break;
+      case Algorithm::kFastRobust: return;
+      default: break;
+    }
+  }
+  w.transports[p - 1] =
+      std::make_unique<core::NetTransport>(w.exec, w.network, p, tag);
+  if (w.cfg.kv.enabled) {
+    w.muxes[p - 1] =
+        std::make_unique<core::TransportMux>(w.exec, *w.transports[p - 1]);
+  }
+}
 
-/// Build one consensus group's engine for every process: message engines
-/// run over the per-process mux's sub-transport for `tag`; memory engines
-/// get a SlotRegions pool whose names live under `ns(base)`. Data shards
-/// and the reconfiguration config group differ only in tag and namespace.
-/// `byz_target` points the Byzantine region attacks at this group's slot 0.
-void build_kv_group(World& w, const ClusterConfig& config, std::uint8_t tag,
-                    const std::function<std::string(const char*)>& ns,
-                    std::vector<std::unique_ptr<core::ConsensusEngine>>& engines,
-                    bool byz_target) {
+/// Process p's transport for the group on mux tag `tag`.
+core::Transport& group_transport(World& w, ProcessId p, std::uint8_t tag) {
+  if (w.cfg.kv.enabled) return w.muxes[p - 1]->sub(tag);
+  return *w.transports[p - 1];
+}
+
+/// A SlotRegions pool whose slot-s entry `make(memory, s)` creates on every
+/// backing memory in order (ids agree across memories, so the last call's
+/// result names them all).
+template <typename Regions, typename Make>
+std::shared_ptr<core::SlotRegions<Regions>> slot_regions(World& w, Make make) {
+  return std::make_shared<core::SlotRegions<Regions>>([&w, make](Slot s) {
+    Regions out{};
+    w.for_each_backing([&](auto& m) { out = make(m, s); });
+    return out;
+  });
+}
+
+/// One group's engine factory under the configured algorithm. Message
+/// engines run over group_transport(p, tag); memory engines share one
+/// region pool whose names live under `ns(base)`. `byz_target` points the
+/// Byzantine region attacks at this group's slot 0.
+EngineFactory engine_factory(World& w, std::uint8_t tag,
+                             const std::function<std::string(const char*)>& ns,
+                             bool byz_target) {
+  const ClusterConfig& config = w.cfg;
   const std::size_t n = config.n;
-  const std::size_t fP = n > 0 ? (n - 1) / 2 : 0;
-
   switch (config.algo) {
     case Algorithm::kPaxos:
     case Algorithm::kFastPaxos: {
       core::PaxosConfig pc;
       pc.n = n;
       pc.skip_phase1_for_p1 = (config.algo == Algorithm::kFastPaxos);
-      for (ProcessId p : all_processes(n)) {
-        engines.push_back(std::make_unique<core::PaxosEngine>(
-            w.exec, w.muxes[p - 1]->sub(tag), *w.omega, pc));
-      }
-      break;
+      return [&w, tag, pc](ProcessId p) {
+        return std::make_unique<core::PaxosEngine>(
+            w.exec, group_transport(w, p, tag), *w.omega, pc);
+      };
     }
 
     case Algorithm::kDiskPaxos: {
-      auto pool = std::make_shared<core::SlotRegions<RegionId>>(
-          [wp = &w, n, prefix = ns("dp")](Slot s) {
-            RegionId region = 0;
-            wp->for_each_backing([&](auto& m) {
-              region = core::make_disk_region(m, n,
-                                              core::slot_ns(s, prefix));
-            });
-            return region;
-          });
+      const std::string prefix = ns("dp");
+      auto pool = slot_regions<RegionId>(w, [n, prefix](auto& m, Slot s) {
+        return core::make_disk_region(m, n, core::slot_ns(s, prefix));
+      });
       core::DiskPaxosConfig dc;
       dc.n = n;
-      for (ProcessId p : all_processes(n)) {
-        engines.push_back(std::make_unique<core::DiskPaxosEngine>(
-            w.exec, w.view_ptrs[p - 1], w.muxes[p - 1]->sub(tag), *w.omega,
-            pool, dc, ns("dp")));
-      }
-      break;
+      return [&w, tag, pool, dc, prefix](ProcessId p) {
+        return std::make_unique<core::DiskPaxosEngine>(
+            w.exec, w.view_ptrs[p - 1], group_transport(w, p, tag), *w.omega,
+            pool, dc, prefix);
+      };
     }
 
     case Algorithm::kProtectedMemoryPaxos:
     case Algorithm::kAlignedPaxos: {
-      auto pool = std::make_shared<core::SlotRegions<RegionId>>(
-          [wp = &w, n, prefix = ns("pmp")](Slot s) {
-            RegionId region = 0;
-            wp->for_each_backing([&](auto& m) {
-              region = core::make_pmp_region(m, n, kLeaderP1,
-                                             core::slot_ns(s, prefix));
-            });
-            return region;
-          });
-      for (ProcessId p : all_processes(n)) {
-        if (config.algo == Algorithm::kAlignedPaxos) {
-          core::AlignedPaxosConfig ac;
-          ac.n = n;
-          engines.push_back(std::make_unique<core::AlignedEngine>(
-              w.exec, w.view_ptrs[p - 1], w.muxes[p - 1]->sub(tag), *w.omega,
-              pool, ac, ns("pmp")));
-        } else {
-          core::PmpConfig pc;
-          pc.n = n;
-          engines.push_back(std::make_unique<core::PmpEngine>(
-              w.exec, w.view_ptrs[p - 1], w.muxes[p - 1]->sub(tag), *w.omega,
-              pool, pc, ns("pmp")));
-        }
+      const std::string prefix = ns("pmp");
+      auto pool = slot_regions<RegionId>(w, [n, prefix](auto& m, Slot s) {
+        return core::make_pmp_region(m, n, kLeaderP1,
+                                     core::slot_ns(s, prefix));
+      });
+      if (config.algo == Algorithm::kAlignedPaxos) {
+        core::AlignedPaxosConfig ac;
+        ac.n = n;
+        return [&w, tag, pool, ac, prefix](ProcessId p) {
+          return std::make_unique<core::AlignedEngine>(
+              w.exec, w.view_ptrs[p - 1], group_transport(w, p, tag),
+              *w.omega, pool, ac, prefix);
+        };
       }
-      break;
+      core::PmpConfig pc;
+      pc.n = n;
+      return [&w, tag, pool, pc, prefix](ProcessId p) {
+        return std::make_unique<core::PmpEngine>(
+            w.exec, w.view_ptrs[p - 1], group_transport(w, p, tag), *w.omega,
+            pool, pc, prefix);
+      };
     }
 
     case Algorithm::kFastRobust: {
       const std::string cq_prefix = ns("cq");
       const std::string neb_prefix = ns("neb");
-      auto pool = std::make_shared<core::SlotRegions<core::FastRobustSlotRegions>>(
-          [wp = &w, n, cq_prefix, neb_prefix](Slot s) {
-            core::FastRobustSlotRegions out;
-            wp->for_each_backing([&](auto& m) {
-              out = core::make_fast_robust_slot_regions(m, n, s, cq_prefix,
-                                                        neb_prefix);
-            });
-            return out;
+      auto pool = slot_regions<core::FastRobustSlotRegions>(
+          w, [n, cq_prefix, neb_prefix](auto& m, Slot s) {
+            return core::make_fast_robust_slot_regions(m, n, s, cq_prefix,
+                                                       neb_prefix);
           });
       if (byz_target) {
-        // Byzantine region attacks target the first shard's first slot.
         w.neb_prefix = core::slot_ns(0, neb_prefix);
         w.cq_prefix = core::slot_ns(0, cq_prefix);
         if (!config.faults.byzantine.empty()) {
@@ -1167,37 +774,94 @@ void build_kv_group(World& w, const ClusterConfig& config, std::uint8_t tag,
           w.cq_region_leader_ = r0.cq.leader;
         }
       }
-
       core::FastRobustConfig fc;
       fc.n = n;
-      fc.f = fP;
+      fc.f = n > 0 ? (n - 1) / 2 : 0;
       fc.cheap.n = n;
       fc.cheap.timeout = config.cq_timeout;
       fc.neb.n = n;
       fc.paxos.n = n;
       fc.paxos.round_timeout = 150 * n;  // backup runs over NEB
       fc.paxos.retry_backoff = 40;
-      for (ProcessId p : all_processes(n)) {
-        engines.push_back(std::make_unique<core::FastRobustEngine>(
+      return [&w, pool, fc, cq_prefix, neb_prefix](ProcessId p) {
+        return std::make_unique<core::FastRobustEngine>(
             w.exec, w.view_ptrs[p - 1], pool, w.keystore, w.signers[p - 1],
-            *w.omega, fc, cq_prefix, neb_prefix));
-      }
-      break;
+            *w.omega, fc, cq_prefix, neb_prefix);
+      };
     }
 
     case Algorithm::kRobustBackup:
-      throw std::invalid_argument(
-          "KV mode: RobustBackup has no ConsensusEngine adapter (use "
-          "FastRobust, whose backup path is RobustBackup(Paxos))");
+      break;
+  }
+  throw std::invalid_argument(
+      std::string(config.kv.enabled ? "KV" : "SMR") +
+      " mode: RobustBackup has no ConsensusEngine adapter (use FastRobust, "
+      "whose backup path is RobustBackup(Paxos))");
+}
+
+/// Append a group on mux tag `tag` and build its engines, one per process
+/// in process order (see engine_factory).
+Group& add_group(World& w, std::string label, std::uint8_t tag,
+                 const std::function<std::string(const char*)>& ns,
+                 bool byz_target) {
+  Group g;
+  g.label = std::move(label);
+  g.make_engine = engine_factory(w, tag, ns, byz_target);
+  for (ProcessId p : all_processes(w.cfg.n)) {
+    g.members.push_back(Member{g.make_engine(p), nullptr, nullptr});
+  }
+  return w.groups.emplace_back(std::move(g));
+}
+
+/// Give every member a state machine and, on correct processes, a replica
+/// over it.
+void add_replicas(World& w, Group& g) {
+  for (ProcessId p : all_processes(w.cfg.n)) {
+    Member& m = g.members[p - 1];
+    m.machine = g.make_machine();
+    if (w.cfg.faults.is_byzantine(p)) continue;
+    m.replica = std::make_unique<smr::Replica>(w.exec, *m.engine, *w.omega,
+                                               *m.machine, g.rc);
   }
 }
 
-/// Build data shard `g` (mux tag g, "g<g>/" region namespace).
-void build_kv_shard(World& w, const ClusterConfig& config, std::size_t g) {
-  build_kv_group(
-      w, config, static_cast<std::uint8_t>(g),
-      [g](const char* base) { return kv::shard_ns(g, base); },
-      w.kv_engines[g], /*byz_target=*/g == 0);
+/// Rebuild process `p` as a fresh incarnation in every group: park the
+/// crashed objects in the graveyard (live coroutine frames still reference
+/// them), free the network inbox, and start recovering replicas over a
+/// brand-new transport. Volatile state is wiped by construction —
+/// everything the new incarnation knows arrives through snapshot + log
+/// catch-up from its peers — and each group's rebind hook hands the router
+/// or migrator the new replica, so client replies flow from it.
+void rejoin_process(World& w, ProcessId p) {
+  for (Group& g : w.groups) g.members[p - 1].replica->log().halt();
+  w.transports[p - 1]->sever();
+  World::Incarnation& dead = w.retired.emplace_back();
+  dead.transport = std::move(w.transports[p - 1]);
+  if (!w.muxes.empty()) dead.mux = std::move(w.muxes[p - 1]);
+  for (Group& g : w.groups) {
+    dead.members.push_back(std::move(g.members[p - 1]));
+  }
+
+  *w.alive[p - 1] = true;
+  w.network.revive(p);
+  connect_process(w, p);
+  for (Group& g : w.groups) {
+    Member& m = g.members[p - 1];
+    m.engine = g.make_engine(p);
+    m.machine = g.make_machine();
+    smr::ReplicaConfig rc = g.rc;
+    rc.log.recover = true;
+    m.replica = std::make_unique<smr::Replica>(w.exec, *m.engine, *w.omega,
+                                               *m.machine, rc);
+  }
+  if (!w.muxes.empty()) w.muxes[p - 1]->start();
+  for (Group& g : w.groups) {
+    g.members[p - 1].engine->start();
+    g.members[p - 1].replica->start();
+    if (g.rebind) g.rebind(p);
+  }
+  // Leadership may now revert to this (lower-id) process; wake the waiters.
+  w.omega->poke();
 }
 
 /// The table sink every config-group machine gets: offer to the cluster
@@ -1223,61 +887,14 @@ sim::Task<void> run_reconfig_plan(World* w, std::vector<ReconfigAction> plan) {
   w->reconfig_plan_done = true;
 }
 
-RunReport run_kv(World& w, const ClusterConfig& config) {
-  const std::size_t n = config.n;
-  const auto all = all_processes(n);
-  const std::size_t shards = std::max<std::size_t>(1, config.kv.shards);
-  const bool fan_out = (config.algo == Algorithm::kFastRobust);
-  const bool reconfig = !config.kv.reconfig.empty();
-  // Under reconfiguration, build every group any scheduled change can
-  // activate: split targets exist (idle) from the start, plus one extra
-  // consensus group — the config group — on the next mux tag.
-  std::size_t groups = shards;
-  for (const ReconfigAction& a : config.kv.reconfig) {
-    groups = std::max<std::size_t>(
-        groups, std::max<std::size_t>(a.src, a.dst) + 1);
-  }
-  if (groups + (reconfig ? 1 : 0) > 256) {
-    throw std::invalid_argument("KV mode: at most 256 groups (1-byte mux tag)");
-  }
-  if (reconfig && groups > kv::kMaxTableGroups) {
-    throw std::invalid_argument("KV mode: reconfig plan exceeds group cap");
-  }
-  check_rejoin_support(config, config.kv.snapshot_interval,
-                       "kv.snapshot_interval");
-
-  // One base transport + mux per process; shard g's engine runs over sub(g).
-  for (ProcessId p : all) {
-    w.transports.push_back(std::make_unique<core::NetTransport>(
-        w.exec, w.network, p, /*tag=*/100));
-    w.muxes.push_back(
-        std::make_unique<core::TransportMux>(w.exec, *w.transports.back()));
-  }
-
-  w.kv_engines.resize(groups);
-  w.kv_machines.resize(groups);
-  w.kv_replicas.resize(groups);
-  for (std::size_t g = 0; g < groups; ++g) build_kv_shard(w, config, g);
-  if (reconfig) {
-    w.reconfig = true;
-    w.initial_table = kv::ShardTable::initial(shards);
-    w.table_view =
-        std::make_unique<reconfig::TableView>(w.exec, w.initial_table);
-    build_kv_group(
-        w, config, static_cast<std::uint8_t>(groups),
-        [](const char* base) { return kv::config_ns(base); }, w.cfg_engines,
-        /*byz_target=*/false);
-  }
-
-  // Replicas: one per (shard, correct process); Byzantine processes run none.
-  smr::ReplicaConfig rc;
-  rc.batch = config.kv.batch;
-  rc.log.window = config.kv.window;
-  rc.log.all_propose = fan_out;
-  rc.log.snapshot_interval = config.kv.snapshot_interval;
-  rc.tune.enabled = config.kv.auto_tune;  // Replica forces off if fan_out
-  rc.tune.max_window = config.kv.max_window;
-  rc.tune.max_batch = config.kv.max_batch;
+/// KV mode's groups: data shard i on mux tag i under "g<i>/" region names,
+/// then (under reconfiguration) the config group on the next tag under
+/// "cfg/", and the router, migrator and workload over them.
+void build_kv(World& w, smr::ReplicaConfig rc, std::size_t shards,
+              std::size_t data_groups) {
+  const KvConfig& kvc = w.cfg.kv;
+  const bool reconfig = !kvc.reconfig.empty();
+  const bool fan_out = rc.log.all_propose;
   // Reconfiguration runs serve range-snapshot drains over the control
   // channel; static runs keep the flag off so their event traces are
   // byte-identical to before the subsystem existed.
@@ -1290,237 +907,168 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
     rc.log.fixed_slots = Slot{1} << 20;
     rc.log.noop_fillers = false;
   }
-  for (std::size_t g = 0; g < groups; ++g) {
-    for (ProcessId p : all) {
-      w.kv_machines[g].push_back(std::make_unique<kv::StateMachine>());
+  const kv::ShardTable initial = kv::ShardTable::initial(shards);
+  for (std::size_t i = 0; i < data_groups; ++i) {
+    Group& g = add_group(
+        w, "g" + std::to_string(i), static_cast<std::uint8_t>(i),
+        [i](const char* base) { return kv::shard_ns(i, base); },
+        /*byz_target=*/i == 0);
+    g.rc = rc;
+    // A fresh machine starts partitioned at the *initial* table: a peer's
+    // snapshot (or the replayed admin ops, when no snapshot was cut yet)
+    // carries a rejoiner to the current epoch's ownership.
+    g.make_machine = [i, reconfig, initial] {
+      auto sm = std::make_unique<kv::StateMachine>();
       if (reconfig) {
-        w.kv_machines[g].back()->configure_partition(
-            static_cast<std::uint32_t>(g), w.initial_table);
+        sm->configure_partition(static_cast<std::uint32_t>(i), initial);
       }
-      if (config.faults.is_byzantine(p)) {
-        w.kv_replicas[g].push_back(nullptr);
-        continue;
-      }
-      w.kv_replicas[g].push_back(std::make_unique<smr::Replica>(
-          w.exec, *w.kv_engines[g][p - 1], *w.omega, *w.kv_machines[g].back(),
-          rc));
-    }
+      return sm;
+    };
+    g.rebind = [&w, i](ProcessId p) {
+      const Member& m = w.groups[i].members[p - 1];
+      w.kv_router->rebind(i, p, m.replica.get(),
+                          static_cast<kv::StateMachine*>(m.machine.get()));
+    };
   }
   if (reconfig) {
-    // Config group: one TableMachine replica per correct process. Config
-    // changes are rare and tiny — batch of 1, no range serving, but the
-    // same snapshot cadence so rejoiners can catch up the table history.
-    w.cfg_rc = rc;
-    w.cfg_rc.batch = 1;
-    w.cfg_rc.log.serve_ranges = false;
-    w.cfg_rc.tune.enabled = false;
-    for (ProcessId p : all) {
-      w.cfg_machines.push_back(
-          std::make_unique<reconfig::TableMachine>(w.initial_table));
-      w.cfg_machines.back()->set_table_sink(table_sink_for(w));
-      if (config.faults.is_byzantine(p)) {
-        w.cfg_replicas.push_back(nullptr);
-        continue;
-      }
-      w.cfg_replicas.push_back(std::make_unique<smr::Replica>(
-          w.exec, *w.cfg_engines[p - 1], *w.omega, *w.cfg_machines.back(),
-          w.cfg_rc));
-    }
+    w.table_view = std::make_unique<reconfig::TableView>(w.exec, initial);
+    // Config changes are rare and tiny — batch of 1, no range serving, but
+    // the same snapshot cadence so rejoiners can catch up the table history.
+    Group& g = add_group(
+        w, "cfg", static_cast<std::uint8_t>(data_groups),
+        [](const char* base) { return kv::config_ns(base); },
+        /*byz_target=*/false);
+    g.config = true;
+    g.rc = rc;
+    g.rc.batch = 1;
+    g.rc.log.serve_ranges = false;
+    g.rc.tune.enabled = false;
+    // The view drops replayed old epochs, so a rejoiner into a post-split
+    // world installs the table without re-announcing flips.
+    g.make_machine = [&w, initial] {
+      auto tm = std::make_unique<reconfig::TableMachine>(initial);
+      tm->set_table_sink(table_sink_for(w));
+      return tm;
+    };
+    g.rebind = [&w](ProcessId p) {
+      const Member& m = w.groups.back().members[p - 1];
+      w.migrator->rebind_config(p, m.replica.get());
+    };
   }
+  for (Group& g : w.groups) add_replicas(w, g);
 
-  // Router + workload over every shard's replica group.
-  std::vector<kv::ShardBackend> backends(groups);
-  for (std::size_t g = 0; g < groups; ++g) {
-    backends[g].fan_out = fan_out;
-    for (ProcessId p : all) {
-      backends[g].replicas.push_back(w.kv_replicas[g][p - 1].get());
-      backends[g].machines.push_back(
-          config.faults.is_byzantine(p) ? nullptr
-                                        : w.kv_machines[g][p - 1].get());
+  std::vector<kv::ShardBackend> backends(data_groups);
+  for (std::size_t i = 0; i < data_groups; ++i) {
+    backends[i].fan_out = fan_out;
+    for (const Member& m : w.groups[i].members) {
+      backends[i].replicas.push_back(m.replica.get());
+      auto* machine = static_cast<kv::StateMachine*>(m.machine.get());
+      backends[i].machines.push_back(m.replica == nullptr ? nullptr : machine);
     }
   }
   kv::RouterConfig router_cfg;
-  router_cfg.retry_timeout = config.kv.retry_timeout;
-  router_cfg.adaptive_retry = config.kv.adaptive_retry;
+  router_cfg.retry_timeout = kvc.retry_timeout;
+  router_cfg.adaptive_retry = kvc.adaptive_retry;
   // Signed-command mode: the router registers every session's client
   // identity in the run's shared keystore and arms verification on every
   // backend machine (client ids live at kClientSignerBase, disjoint from
   // the replica processes registered above).
-  router_cfg.keystore = config.kv.sign_commands ? &w.keystore : nullptr;
+  router_cfg.keystore = kvc.sign_commands ? &w.keystore : nullptr;
   w.kv_router = std::make_unique<kv::Router>(
       w.exec, *w.omega, kv::ShardMap(shards), std::move(backends), router_cfg,
       w.table_view.get());
   if (reconfig) {
     std::vector<smr::Replica*> cfg_backend;
-    for (ProcessId p : all) cfg_backend.push_back(w.cfg_replicas[p - 1].get());
+    for (const Member& m : w.groups.back().members) {
+      cfg_backend.push_back(m.replica.get());
+    }
     w.migrator = std::make_unique<reconfig::Migrator>(
         w.exec, *w.omega, *w.table_view, std::move(cfg_backend), fan_out,
         *w.kv_router);
   }
   kv::WorkloadConfig wc;
-  wc.clients = config.kv.clients;
-  wc.ops_per_client = config.kv.ops_per_client;
-  wc.mix = config.kv.mix;
-  wc.dist = config.kv.dist;
-  wc.keys = config.kv.keys;
-  wc.seed = config.seed;
-  wc.txn_fraction = config.kv.txn_fraction;
-  wc.txn_accounts = config.kv.txn_accounts;
-  wc.accounts = config.kv.accounts;
-  wc.txn_zipf_theta = config.kv.txn_zipf_theta;
-  wc.txn_crash_client = config.kv.txn_crash_client;
-  wc.txn_crash_txn = config.kv.txn_crash_txn;
-  wc.txn_crash_records = config.kv.txn_crash_records;
-  wc.txn_crash_pause = config.kv.txn_crash_pause;
-  wc.txn_crash_conflict = config.kv.txn_crash_conflict;
+  wc.clients = kvc.clients;
+  wc.ops_per_client = kvc.ops_per_client;
+  wc.mix = kvc.mix;
+  wc.dist = kvc.dist;
+  wc.keys = kvc.keys;
+  wc.seed = w.cfg.seed;
+  wc.txn_fraction = kvc.txn_fraction;
+  wc.txn_accounts = kvc.txn_accounts;
+  wc.accounts = kvc.accounts;
+  wc.txn_zipf_theta = kvc.txn_zipf_theta;
+  wc.txn_crash_client = kvc.txn_crash_client;
+  wc.txn_crash_txn = kvc.txn_crash_txn;
+  wc.txn_crash_records = kvc.txn_crash_records;
+  wc.txn_crash_pause = kvc.txn_crash_pause;
+  wc.txn_crash_conflict = kvc.txn_crash_conflict;
   w.kv_workload = std::make_unique<kv::Workload>(w.exec, *w.kv_router, wc);
+}
 
-  for (ProcessId p : all) w.muxes[p - 1]->start();
-  for (std::size_t g = 0; g < groups; ++g) {
-    for (ProcessId p : all) {
-      if (config.faults.is_byzantine(p)) continue;
-      w.kv_engines[g][p - 1]->start();
-      w.kv_replicas[g][p - 1]->start();
-    }
-  }
-  if (reconfig) {
-    for (ProcessId p : all) {
-      if (config.faults.is_byzantine(p)) continue;
-      w.cfg_engines[p - 1]->start();
-      w.cfg_replicas[p - 1]->start();
-    }
-  }
-  w.kv_workload->start();
-  if (reconfig) w.exec.spawn(run_reconfig_plan(&w, config.kv.reconfig));
-  spawn_byzantine(w, config);
-
-  // Crash-and-rejoin: rebuild every shard replica of a rejoining process at
-  // its scheduled time. Client commands the dead incarnation dropped are
-  // covered by the router's retry loop + session dedup (exactly-once still
-  // holds end to end — that is the acceptance invariant).
-  for (const auto& [p, t] : config.faults.process_rejoins) {
-    w.exec.call_at(t, [&w, rc, p = p] { rejoin_kv_process(w, rc, p); });
-  }
-
-  // ---- Run to quiescence: every client answered, every shard converged
-  // (no queued duplicates left, all correct replicas at one log length). ----
-  const auto group_settled =
-      [&](const std::vector<std::unique_ptr<smr::Replica>>& reps) -> bool {
-    Slot len = 0;
-    bool have_len = false;
-    for (ProcessId p : all) {
-      if (!w.correct(p)) continue;
-      const smr::Replica& r = *reps[p - 1];
-      if (fan_out) {
-        if (!r.idle()) return false;
-      }
-      if (!have_len) {
-        len = r.log().applied_len();
-        have_len = true;
-      } else if (r.log().applied_len() != len) {
-        return false;
-      }
-    }
-    if (!fan_out) {
-      const ProcessId leader = w.omega->leader();
-      if (leader < 1 || leader > n || !w.correct(leader)) return false;
-      if (!reps[leader - 1]->idle()) return false;
-    }
-    return true;
-  };
-  const auto done = [&]() -> bool {
-    if (!w.kv_workload->done()) return false;
-    if (reconfig && (!w.reconfig_plan_done || !w.migrator->idle())) {
+/// Whether group `g` has converged: every correct replica at one log
+/// length, with the proposers idle — the leader in leader mode, every
+/// replica under all-propose. SMR mode's all-propose run instead drives a
+/// fixed slot count, which every correct replica must have applied.
+bool settled(const World& w, const Group& g) {
+  const bool all_propose = g.rc.log.all_propose;
+  std::optional<Slot> len;
+  for (ProcessId p = 1; p <= static_cast<ProcessId>(w.cfg.n); ++p) {
+    if (!w.correct(p)) continue;
+    const smr::Replica& r = *g.members[p - 1].replica;
+    const Slot applied = r.log().applied_len();
+    if (all_propose && !w.cfg.kv.enabled) {
+      if (applied != g.rc.log.fixed_slots) return false;
+    } else if ((all_propose && !r.idle()) ||
+               (len.has_value() && applied != *len)) {
       return false;
     }
-    for (std::size_t g = 0; g < groups; ++g) {
-      if (!group_settled(w.kv_replicas[g])) return false;
-    }
-    if (reconfig && !group_settled(w.cfg_replicas)) return false;
-    return true;
-  };
-  w.exec.run_until(done, config.horizon);
+    len = applied;
+  }
+  if (all_propose) return true;
+  const ProcessId leader = w.omega->leader();
+  if (leader < 1 || leader > w.cfg.n || !w.correct(leader)) return false;
+  return g.members[leader - 1].replica->idle();
+}
 
-  // ---- Report. ----
-  RunReport report;
-  report.termination = done();
-
-  const kv::WorkloadStats& ws = w.kv_workload->stats();
-  report.kv_ops = ws.ops;
-  report.kv_reads = ws.reads;
-  report.kv_writes = ws.puts + ws.dels + ws.cas_ops;
-  report.kv_retries = w.kv_router->retries();
-  report.kv_ops_per_kdelay = ws.ops_per_kdelay();
-  std::vector<sim::Time> op_latencies = ws.latencies;
-  std::sort(op_latencies.begin(), op_latencies.end());
-  report.kv_op_p50 = smr::latency_percentile(op_latencies, 50);
-  report.kv_op_p99 = smr::latency_percentile(op_latencies, 99);
-  report.kv_op_p999 = smr::latency_percentile(op_latencies, 99.9);
-
-  // Per-shard rollups + invariants over correct replicas: equal store/session
-  // hashes (KV agreement), well-formed commands only and no session running
-  // past its client's issued count (KV validity), and — the global
-  // exactly-once check — effective applied ops summing to exactly the
-  // completed client ops, duplicates excluded.
-  std::vector<sim::Time> commit_latencies;
+/// Roll the correct replicas of every data group (SMR mode's one group, KV
+/// mode's shards — not the config group) into `report`: commit and
+/// queue-wait percentiles, occupancy, recovery and tuner counters, the
+/// first decision time, and slot accounting from one reference replica per
+/// group. The fast path is proposer-local (learners decide via DECIDE), so
+/// each group counts its busiest replica's fast slots and the groups add
+/// up. Retired incarnations' recovery work counts too.
+void roll_up_replicas(const World& w, RunReport& report) {
+  std::vector<sim::Time> latencies;
   std::vector<sim::Time> queue_waits;
   std::uint64_t tuner_best_obs = 0;  // the busiest tuner = a leader's
-  std::uint64_t combined_hash = util::kFnvBasis;
-  std::uint64_t effective_total = 0;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const kv::StateMachine* reference = nullptr;
-    const smr::Replica* ref_replica = nullptr;
+  for (const Group& g : w.groups) {
+    if (g.config) continue;
+    smr::RunStats ref;  // slot accounting reference; zeros until one is set
+    bool have_ref = false;
     bool ref_rejoined = false;
-    for (ProcessId p : all) {
+    std::uint64_t fast_slots = 0;
+    for (ProcessId p = 1; p <= static_cast<ProcessId>(w.cfg.n); ++p) {
       if (!w.correct(p)) continue;
-      const kv::StateMachine& sm = *w.kv_machines[g][p - 1];
-      const smr::Replica& replica = *w.kv_replicas[g][p - 1];
-      // Slot accounting reference: prefer a replica that never rejoined — a
-      // rejoiner's log-derived stats exclude slots its snapshot install
-      // covered, while a survivor's fold is exact.
+      const smr::Replica& replica = *g.members[p - 1].replica;
+      const smr::RunStats stats = replica.stats();
+      // A rejoiner's log-derived stats exclude the slots its snapshot
+      // install covered, while a survivor's fold is exact: KV mode prefers
+      // a replica that never rejoined, SMR mode the longest log and, at
+      // equal length, the fuller command count.
       const bool rejoined = w.rejoin_at_[p - 1] != sim::kTimeInfinity;
-      if (ref_replica == nullptr || (ref_rejoined && !rejoined)) {
-        ref_replica = &replica;
+      if (w.cfg.kv.enabled
+              ? !have_ref || (ref_rejoined && !rejoined)
+              : std::tie(stats.slots_applied, stats.commands_applied) >
+                    std::tie(ref.slots_applied, ref.commands_applied)) {
+        ref = stats;
+        have_ref = true;
         ref_rejoined = rejoined;
       }
-      if (reference == nullptr) {
-        reference = &sm;
-        report.kv_shard_ops.push_back(sm.ops_applied());
-        report.kv_duplicates += sm.duplicates_suppressed();
-        report.kv_malformed += sm.malformed();
-        report.kv_forged += sm.forged();
-        effective_total += sm.ops_applied();
-        report.kv_txn_conflicts += sm.txn_conflicts();
-        report.kv_locks_held += sm.locks_held();
-        // Balance conservation: every committed transfer moves value
-        // between accounts without creating or destroying any, so the
-        // accounts' sum across all shards must be exactly 0.
-        for (const auto& [k, v] : sm.store()) {
-          static constexpr char kAcct[] = "acct-";
-          if (k.size() >= 5 && std::equal(kAcct, kAcct + 5, k.begin())) {
-            // Account bytes are attacker-influenced in unsigned Byzantine
-            // runs: parse totally — anything that is not exactly a decimal
-            // int64 is a validity failure, never a throw out of the rollup.
-            const char* b = reinterpret_cast<const char*>(v.data());
-            const char* e = b + v.size();
-            std::int64_t bal = 0;
-            const std::from_chars_result res = std::from_chars(b, e, bal);
-            if (res.ec == std::errc{} && res.ptr == e) {
-              report.kv_txn_balance += bal;
-            } else {
-              report.validity = false;
-            }
-          }
-        }
-      } else if (sm.store_hash() != reference->store_hash()) {
-        report.agreement = false;
-      }
-      if (sm.malformed() != 0) report.validity = false;
-      const smr::RunStats stats = replica.stats();
-      report.fast_slots = std::max(report.fast_slots, stats.fast_slots);
+      fast_slots = std::max(fast_slots, stats.fast_slots);
       const std::vector<sim::Time> won = smr::won_slot_latencies(replica.log());
-      commit_latencies.insert(commit_latencies.end(), won.begin(), won.end());
-      const std::vector<sim::Time> qw = smr::queue_wait_latencies(replica.log());
+      latencies.insert(latencies.end(), won.begin(), won.end());
+      const std::vector<sim::Time> qw =
+          smr::queue_wait_latencies(replica.log());
       queue_waits.insert(queue_waits.end(), qw.begin(), qw.end());
       report.occupancy_slots += stats.occupancy_slots;
       report.occupancy_limit += stats.occupancy_limit;
@@ -1533,8 +1081,7 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
           report.tuner_batch = stats.tuner_batch;
         }
         if (!report.tuner_trajectory.empty()) report.tuner_trajectory += '|';
-        report.tuner_trajectory += "g" + std::to_string(g) + "p" +
-                                   std::to_string(p) + ":" +
+        report.tuner_trajectory += g.label + "p" + std::to_string(p) + ":" +
                                    stats.tuner_trajectory;
       }
       // Slot 0's record only survives on replicas that never compacted it
@@ -1548,36 +1095,149 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
             report.first_correct_decision_delay, records[0].decided_at);
       }
     }
-    if (ref_replica != nullptr) {
-      // Reference replica's stats drive the aggregate slot accounting (all
-      // correct replicas of a shard apply the same log); RunStats folds in
-      // compacted slots, so this stays exact after truncation.
-      const smr::RunStats ref_stats = ref_replica->stats();
-      report.slots_applied += ref_stats.slots_applied;
-      report.commands_applied += ref_stats.commands_applied;
-      report.noop_slots += ref_stats.noop_slots;
-      combined_hash = util::fnv1a_u64(combined_hash, reference->store_hash());
+    report.fast_slots += fast_slots;
+    report.slots_applied += ref.slots_applied;
+    report.commands_applied += ref.commands_applied;
+    report.noop_slots += ref.noop_slots;
+  }
+  for (const World::Incarnation& dead : w.retired) {
+    for (const Member& m : dead.members) {
+      if (m.replica != nullptr) {
+        add_recovery_counters(report, m.replica->stats());
+      }
     }
   }
-  // Config group rollup + agreement: every correct replica must hold the
-  // same table history (state_hash covers table + accept/reject counters);
-  // the fingerprint folds it in so reconfig determinism pins the config
-  // log too. Static runs have no config group — their hash is unchanged.
-  if (reconfig) {
-    const reconfig::TableMachine* cfg_ref = nullptr;
-    for (ProcessId p : all) {
+
+  std::sort(latencies.begin(), latencies.end());
+  report.commit_p50 = smr::latency_percentile(latencies, 50);
+  report.commit_p99 = smr::latency_percentile(latencies, 99);
+  report.commit_p999 = smr::latency_percentile(latencies, 99.9);
+  std::sort(queue_waits.begin(), queue_waits.end());
+  report.queue_wait_p50 = smr::latency_percentile(queue_waits, 50);
+  report.queue_wait_p99 = smr::latency_percentile(queue_waits, 99);
+  if (report.occupancy_limit > 0) {
+    report.window_occupancy = static_cast<double>(report.occupancy_slots) /
+                              static_cast<double>(report.occupancy_limit);
+  }
+}
+
+const std::vector<std::string>& log_of(const Member& m) {
+  return static_cast<const RecordingSm&>(*m.machine).log;
+}
+const kv::StateMachine& store_of(const Member& m) {
+  return static_cast<const kv::StateMachine&>(*m.machine);
+}
+const reconfig::TableMachine& table_of(const Member& m) {
+  return static_cast<const reconfig::TableMachine&>(*m.machine);
+}
+
+/// A KV-mode replica's agreement digest: its store/session hash in a data
+/// shard, its table-history hash in the config group.
+std::uint64_t kv_digest(const Group& g, const Member& m) {
+  return g.config ? table_of(m).state_hash() : store_of(m).store_hash();
+}
+
+/// SMR mode's invariants over correct replicas: identical applied logs (SMR
+/// agreement) holding only submitted commands (SMR validity).
+void check_logs(const World& w, RunReport& report) {
+  std::set<std::string> submitted;
+  for (ProcessId p : all_processes(w.cfg.n)) {
+    if (w.cfg.faults.is_byzantine(p)) continue;
+    for (std::size_t i = 0; i < w.cfg.smr.commands; ++i) {
+      submitted.insert(smr_command(p, i));
+    }
+  }
+  const std::vector<std::string>* reference = nullptr;
+  for (ProcessId p : all_processes(w.cfg.n)) {
+    if (!w.correct(p)) continue;
+    const std::vector<std::string>& log = log_of(w.groups[0].members[p - 1]);
+    if (reference == nullptr) {
+      reference = &log;
+    } else if (*reference != log) {
+      report.agreement = false;
+    }
+    for (const auto& c : log) {
+      if (!submitted.contains(c)) report.validity = false;
+    }
+  }
+  if (report.slots_applied > 0 && reference != nullptr && !reference->empty()) {
+    report.decided_value = reference->front();
+  }
+}
+
+/// KV mode's client-visible layer and invariants. Per group over correct
+/// replicas: one digest (KV agreement) and no malformed commands (KV
+/// validity); each data shard's first correct replica supplies its
+/// counters, and the digests fold into kv_store_hash. Then the global
+/// checks: exactly-once, no leaked locks, conserved balances.
+void check_stores(const World& w, RunReport& report) {
+  const kv::WorkloadStats& ws = w.kv_workload->stats();
+  report.kv_ops = ws.ops;
+  report.kv_reads = ws.reads;
+  report.kv_writes = ws.puts + ws.dels + ws.cas_ops;
+  report.kv_retries = w.kv_router->retries();
+  report.kv_ops_per_kdelay = ws.ops_per_kdelay();
+  std::vector<sim::Time> op_latencies = ws.latencies;
+  std::sort(op_latencies.begin(), op_latencies.end());
+  report.kv_op_p50 = smr::latency_percentile(op_latencies, 50);
+  report.kv_op_p99 = smr::latency_percentile(op_latencies, 99);
+  report.kv_op_p999 = smr::latency_percentile(op_latencies, 99.9);
+
+  // Config-group digests (state_hash covers table + accept/reject counters)
+  // fold in too, so reconfig determinism pins the config log; static runs
+  // have no config group and their hash is unchanged.
+  std::uint64_t combined_hash = util::kFnvBasis;
+  std::uint64_t effective_total = 0;
+  for (const Group& g : w.groups) {
+    std::optional<std::uint64_t> reference;
+    for (ProcessId p : all_processes(w.cfg.n)) {
       if (!w.correct(p)) continue;
-      const reconfig::TableMachine& tm = *w.cfg_machines[p - 1];
-      if (cfg_ref == nullptr) {
-        cfg_ref = &tm;
-      } else if (tm.state_hash() != cfg_ref->state_hash()) {
-        report.agreement = false;
+      const Member& m = g.members[p - 1];
+      const std::uint64_t digest = kv_digest(g, m);
+      if ((g.config ? table_of(m).malformed() : store_of(m).malformed()) != 0) {
+        report.validity = false;
       }
-      if (tm.malformed() != 0) report.validity = false;
+      if (reference.has_value()) {
+        if (digest != *reference) report.agreement = false;
+        continue;
+      }
+      reference = digest;
+      if (g.config) continue;
+      const kv::StateMachine& sm = store_of(m);
+      report.kv_shard_ops.push_back(sm.ops_applied());
+      report.kv_duplicates += sm.duplicates_suppressed();
+      report.kv_malformed += sm.malformed();
+      report.kv_forged += sm.forged();
+      effective_total += sm.ops_applied();
+      report.kv_txn_conflicts += sm.txn_conflicts();
+      report.kv_locks_held += sm.locks_held();
+      // Balance conservation: every committed transfer moves value
+      // between accounts without creating or destroying any, so the
+      // accounts' sum across all shards must be exactly 0.
+      for (const auto& [k, v] : sm.store()) {
+        static constexpr char kAcct[] = "acct-";
+        if (k.size() >= 5 && std::equal(kAcct, kAcct + 5, k.begin())) {
+          // Account bytes are attacker-influenced in unsigned Byzantine
+          // runs: parse totally — anything that is not exactly a decimal
+          // int64 is a validity failure, never a throw out of the rollup.
+          const char* b = reinterpret_cast<const char*>(v.data());
+          const char* e = b + v.size();
+          std::int64_t bal = 0;
+          const std::from_chars_result res = std::from_chars(b, e, bal);
+          if (res.ec == std::errc{} && res.ptr == e) {
+            report.kv_txn_balance += bal;
+          } else {
+            report.validity = false;
+          }
+        }
+      }
     }
-    if (cfg_ref != nullptr) {
-      combined_hash = util::fnv1a_u64(combined_hash, cfg_ref->state_hash());
+    if (reference.has_value()) {
+      combined_hash = util::fnv1a_u64(combined_hash, *reference);
     }
+  }
+  report.kv_store_hash = combined_hash;
+  if (w.migrator != nullptr) {
     report.reconfig_epoch = w.table_view->epoch();
     report.reconfig_migrations = w.migrator->migrations();
     report.reconfig_keys_moved = w.migrator->keys_moved();
@@ -1585,7 +1245,6 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
     report.reconfig_bounces = w.kv_router->bounces();
     report.reconfig_flip_times = w.reconfig_flips;
   }
-  report.kv_store_hash = combined_hash;
   // Exactly-once, globally: every completed client op applied its mutation
   // exactly once, on exactly one shard (only checkable once everything
   // settled — a cut-short run legitimately has uncommitted tails). Admin
@@ -1609,75 +1268,159 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
   std::sort(txn_latencies.begin(), txn_latencies.end());
   report.kv_txn_commit_p50 = smr::latency_percentile(txn_latencies, 50);
   report.kv_txn_commit_p999 = smr::latency_percentile(txn_latencies, 99.9);
-
-  std::sort(commit_latencies.begin(), commit_latencies.end());
-  report.commit_p50 = smr::latency_percentile(commit_latencies, 50);
-  report.commit_p99 = smr::latency_percentile(commit_latencies, 99);
-  report.commit_p999 = smr::latency_percentile(commit_latencies, 99.9);
-  std::sort(queue_waits.begin(), queue_waits.end());
-  report.queue_wait_p50 = smr::latency_percentile(queue_waits, 50);
-  report.queue_wait_p99 = smr::latency_percentile(queue_waits, 99);
-  if (report.occupancy_limit > 0) {
-    report.window_occupancy = static_cast<double>(report.occupancy_slots) /
-                              static_cast<double>(report.occupancy_limit);
+  if (report.kv_ops > 0) {
+    report.decided_value = "kv:" + std::to_string(report.kv_store_hash);
   }
+}
 
-  // Per-process rows: one row per process, its per-shard applied lengths +
-  // store hashes joined — the determinism fingerprint for KV runs.
-  for (ProcessId p : all) {
-    auto& row = w.reports[p - 1];
+/// One row per process. A non-Byzantine row carries its last apply time
+/// over every group and its decision: SMR mode's applied log, joined; KV
+/// mode's per-group applied lengths and digests — the determinism
+/// fingerprint of a KV run.
+void fill_rows(World& w, RunReport& report) {
+  for (ProcessReport& row : w.reports) {
     if (!row.byzantine) {
       std::ostringstream os;
-      sim::Time last_apply = 0;
-      bool any = false;
-      for (std::size_t g = 0; g < groups; ++g) {
-        const smr::Replica* replica = w.kv_replicas[g][p - 1].get();
-        if (replica == nullptr) continue;
-        const smr::RunStats stats = replica->stats();
-        if (stats.slots_applied > 0) any = true;
-        last_apply = std::max(last_apply, stats.last_apply_at);
-        os << (g > 0 ? "|" : "") << "g" << g << ":slots="
-           << stats.slots_applied << ",h=" << std::hex
-           << w.kv_machines[g][p - 1]->store_hash() << std::dec;
+      for (const Group& g : w.groups) {
+        const Member& m = g.members[row.id - 1];
+        const smr::RunStats stats = m.replica->stats();
+        row.decided_at = std::max(row.decided_at, stats.last_apply_at);
+        if (!g.config) row.decided = row.decided || stats.slots_applied > 0;
+        if (w.cfg.kv.enabled) {
+          os << (&g == &w.groups.front() ? "" : "|") << g.label
+             << ":slots=" << stats.slots_applied << ",h=" << std::hex
+             << kv_digest(g, m) << std::dec;
+          continue;
+        }
+        row.log = log_of(m);
+        row.fast_path =
+            stats.slots_applied > 0 &&
+            stats.fast_slots + stats.noop_slots >= stats.slots_applied;
+        std::string joined;
+        for (const auto& c : row.log) {
+          if (!joined.empty()) joined += '|';
+          joined += c;
+        }
+        os << joined;
       }
-      if (reconfig && w.cfg_replicas[p - 1] != nullptr) {
-        const smr::RunStats stats = w.cfg_replicas[p - 1]->stats();
-        last_apply = std::max(last_apply, stats.last_apply_at);
-        os << "|cfg:slots=" << stats.slots_applied << ",h=" << std::hex
-           << w.cfg_machines[p - 1]->state_hash() << std::dec;
-      }
-      row.decided = any;
-      row.decided_at = last_apply;
       row.decision = os.str();
     }
     report.processes.push_back(row);
   }
-  if (report.kv_ops > 0) {
-    report.decided_value = "kv:" + std::to_string(report.kv_store_hash);
+}
+
+/// SMR and KV modes: build the groups, drive the workload (SMR: every
+/// correct replica submits `smr.commands`; KV: the client workload and any
+/// reconfiguration plan) under the fault plan, run to quiescence and roll
+/// up the report.
+RunReport run_replicated(World& w) {
+  const ClusterConfig& config = w.cfg;
+  const bool kv = config.kv.enabled;
+  // Byzantine engines route everything through memories, where passive
+  // replicas could never be heard — every correct replica proposes each slot.
+  const bool all_propose = (config.algo == Algorithm::kFastRobust);
+  const std::size_t shards = std::max<std::size_t>(1, config.kv.shards);
+  // Under reconfiguration, build every group any scheduled change can
+  // activate: split targets exist (idle) from the start, plus one extra
+  // consensus group — the config group — on the next mux tag.
+  std::size_t data_groups = shards;
+  for (const ReconfigAction& a : config.kv.reconfig) {
+    data_groups = std::max<std::size_t>(
+        data_groups, std::max<std::size_t>(a.src, a.dst) + 1);
+  }
+  const bool reconfig = kv && !config.kv.reconfig.empty();
+  if (kv && data_groups + (reconfig ? 1 : 0) > 256) {
+    throw std::invalid_argument("KV mode: at most 256 groups (1-byte mux tag)");
+  }
+  if (reconfig && data_groups > kv::kMaxTableGroups) {
+    throw std::invalid_argument("KV mode: reconfig plan exceeds group cap");
+  }
+  check_rejoin_support(
+      config, kv ? config.kv.snapshot_interval : config.smr.snapshot_interval,
+      kv ? "kv.snapshot_interval" : "smr.snapshot_interval");
+
+  w.transports.resize(config.n);
+  if (kv) w.muxes.resize(config.n);
+  for (ProcessId p : all_processes(config.n)) connect_process(w, p);
+  if (kv) {
+    build_kv(w, replica_config(config.kv, all_propose), shards, data_groups);
+  } else {
+    Group& g = add_group(
+        w, "", 0, [](const char* base) { return std::string(base); },
+        /*byz_target=*/true);
+    g.rc = replica_config(config.smr, all_propose);
+    if (all_propose) {
+      // Same clamp rule as smr::Replica (batch=0 would divide by zero here).
+      const std::size_t batch = std::max<std::size_t>(1, config.smr.batch);
+      g.rc.log.fixed_slots = (config.smr.commands + batch - 1) / batch;
+    }
+    g.make_machine = [] { return std::make_unique<RecordingSm>(); };
+    add_replicas(w, g);
   }
 
-  // Retired incarnations' recovery work counts too (see run_smr).
-  for (const auto& retired : w.retired_replicas) {
-    if (retired != nullptr) add_recovery_counters(report, retired->stats());
+  for (const auto& mux : w.muxes) mux->start();
+  for (Group& g : w.groups) {
+    for (ProcessId p : all_processes(config.n)) {
+      Member& m = g.members[p - 1];
+      if (m.replica == nullptr) continue;
+      m.engine->start();
+      m.replica->start();
+      if (kv) continue;
+      for (std::size_t i = 0; i < config.smr.commands; ++i) {
+        m.replica->submit(util::to_bytes(smr_command(p, i)));
+      }
+      m.replica->flush();
+    }
+  }
+  if (kv) {
+    w.kv_workload->start();
+    if (reconfig) w.exec.spawn(run_reconfig_plan(&w, config.kv.reconfig));
+  }
+  spawn_byzantine(w, config);
+
+  // Crash-and-rejoin: rebuild each rejoining process at its scheduled time.
+  // The fresh incarnation submits nothing. In SMR mode commands its
+  // predecessor queued but never got decided are simply lost, which
+  // validity tolerates (applied ⊆ submitted); in KV mode the router's retry
+  // loop + session dedup cover them (exactly-once still holds end to end).
+  for (const auto& [p, t] : config.faults.process_rejoins) {
+    w.exec.call_at(t, [&w, p = p] { rejoin_process(w, p); });
   }
 
+  // ---- Run to quiescence: every client answered and the plan migrated
+  // (KV), and every group settled. ----
+  const auto done = [&w]() -> bool {
+    if (w.kv_workload != nullptr && !w.kv_workload->done()) return false;
+    if (w.migrator != nullptr &&
+        (!w.reconfig_plan_done || !w.migrator->idle())) {
+      return false;
+    }
+    return std::all_of(w.groups.begin(), w.groups.end(),
+                       [&w](const Group& g) { return settled(w, g); });
+  };
+  w.exec.run_until(done, config.horizon);
+
+  // ---- Report. ----
+  RunReport report;
+  report.termination = done();
+  roll_up_replicas(w, report);
+  if (kv) {
+    check_stores(w, report);
+  } else {
+    check_logs(w, report);
+  }
+  fill_rows(w, report);
   fill_resource_counters(report, w, config);
   if (report.slots_applied > 0) {
     report.events_per_slot = static_cast<double>(report.events) /
                              static_cast<double>(report.slots_applied);
   }
   if (config.algo == Algorithm::kFastRobust) {
-    for (const auto& shard_engines : w.kv_engines) {
-      for (const auto& engine : shard_engines) {
-        add_tsend_stats(report,
-                        static_cast<const core::FastRobustEngine&>(*engine)
-                            .tsend_stats());
+    for (const Group& g : w.groups) {
+      for (const Member& m : g.members) {
+        const auto& fr = static_cast<const core::FastRobustEngine&>(*m.engine);
+        add_tsend_stats(report, fr.tsend_stats());
       }
-    }
-    for (const auto& engine : w.cfg_engines) {
-      add_tsend_stats(report,
-                      static_cast<const core::FastRobustEngine&>(*engine)
-                          .tsend_stats());
     }
     finish_tsend_stats(report);
   }
@@ -1688,8 +1431,7 @@ RunReport run_kv(World& w, const ClusterConfig& config) {
 
 RunReport run_cluster(const ClusterConfig& config) {
   World w(config);
-  if (config.kv.enabled) return run_kv(w, config);
-  if (config.smr.enabled) return run_smr(w, config);
+  if (config.kv.enabled || config.smr.enabled) return run_replicated(w);
   if (!config.faults.process_rejoins.empty()) {
     throw std::invalid_argument(
         "crash-and-rejoin requires SMR or KV mode (single-shot consensus has "

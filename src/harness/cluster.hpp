@@ -107,15 +107,6 @@ struct SmrConfig {
   Slot snapshot_interval = 0;
 };
 
-/// Sharded-KV mode: the key space is hash-partitioned across `shards`
-/// independent consensus groups, each an smr::Replica group over the chosen
-/// algorithm's engine — per-shard TransportMux sub + slot-hub namespace for
-/// message traffic, per-shard "g<i>/"-prefixed slot regions on the shared
-/// memories — with a kv::Router providing client-visible exactly-once
-/// sessions and a kv::Workload driving `clients` closed-loop YCSB-style
-/// clients through it. Fault plans apply exactly as in the other modes
-/// (Byzantine region attacks target shard 0 / slot 0); the run checks
-/// per-shard store/session agreement, session validity, and termination.
 /// One scheduled reconfiguration step (KV mode): at time `at`, propose
 /// (kind, src, dst) into the config group and migrate the moved buckets.
 /// Steps run serially in vector order — a step whose time has passed when
@@ -127,6 +118,15 @@ struct ReconfigAction {
   std::uint32_t dst = 0;
 };
 
+/// Sharded-KV mode: the key space is hash-partitioned across `shards`
+/// independent consensus groups, each an smr::Replica group over the chosen
+/// algorithm's engine — per-shard TransportMux sub + slot-hub namespace for
+/// message traffic, per-shard "g<i>/"-prefixed slot regions on the shared
+/// memories — with a kv::Router providing client-visible exactly-once
+/// sessions and a kv::Workload driving `clients` closed-loop YCSB-style
+/// clients through it. Fault plans apply exactly as in the other modes
+/// (Byzantine region attacks target shard 0 / slot 0); the run checks
+/// per-shard store/session agreement, session validity, and termination.
 struct KvConfig {
   bool enabled = false;
   std::size_t shards = 2;
@@ -265,6 +265,9 @@ struct RunReport {
   Slot slots_applied = 0;             // longest correct replica's applied log
   std::uint64_t commands_applied = 0;
   std::uint64_t noop_slots = 0;
+  /// Slots decided on the fast path. The fast path is proposer-local
+  /// (learners decide via DECIDE), so each group counts its busiest correct
+  /// replica, and KV mode sums that over its data shards.
   std::uint64_t fast_slots = 0;
   /// Commit latency (enqueue → local decide, sim-time) percentiles over
   /// every slot some correct replica proposed and won. p999 is the tail

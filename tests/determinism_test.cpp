@@ -24,6 +24,10 @@ struct Fingerprint {
   std::optional<std::string> value;
   sim::Time first_delay = 0;
   std::uint64_t msgs = 0, reads = 0, writes = 0, perms = 0, sigs = 0, verifs = 0;
+  // Executor events: the whole schedule's length, so a run that replays the
+  // same outcomes through a different event sequence cannot fingerprint
+  // equal.
+  std::uint64_t events = 0;
   // SMR mode: applied logs (in `decisions`, joined) plus the multi-slot
   // metrics, so a reordered pipeline cannot hide behind equal counts.
   Slot slots = 0;
@@ -97,6 +101,7 @@ Fingerprint fingerprint(const RunReport& r) {
   f.perms = r.permission_changes;
   f.sigs = r.signatures;
   f.verifs = r.verifications;
+  f.events = r.events;
   f.slots = r.slots_applied;
   f.cmds = r.commands_applied;
   f.p50 = r.commit_p50;
@@ -276,6 +281,39 @@ TEST(Determinism, SmrFastRobustBackupPathSameSeedSameRun) {
   expect_deterministic(c, /*check_ok=*/false);
 }
 
+TEST(Determinism, SmrMemoryEnginesSameSeedSameRun) {
+  // The memory engines in SMR mode — Disk Paxos, Protected Memory Paxos and
+  // Aligned Paxos — create each slot's regions on demand and talk over one
+  // NetTransport per process on the engine's own tag. Their memory and
+  // message traffic must replay on the same schedule; the absolute event
+  // and message counts pin that schedule itself.
+  struct Pin {
+    Algorithm algo;
+    std::uint64_t events, msgs;
+  };
+  for (const Pin& pin : {Pin{Algorithm::kDiskPaxos, 194, 12},
+                         Pin{Algorithm::kProtectedMemoryPaxos, 127, 6},
+                         Pin{Algorithm::kAlignedPaxos, 448, 84}}) {
+    const Algorithm algo = pin.algo;
+    ClusterConfig c;
+    c.algo = algo;
+    c.n = algo == Algorithm::kProtectedMemoryPaxos ? 2 : 3;
+    c.m = 3;
+    c.seed = 42;
+    c.smr.enabled = true;
+    c.smr.commands = 12;
+    c.smr.batch = 2;
+    c.smr.window = 4;
+    const RunReport a = run_cluster(c);
+    EXPECT_EQ(a.slots_applied, 6u) << algorithm_name(algo) << ": "
+                                   << a.summary();
+    EXPECT_GT(a.mem_writes, 0u) << algorithm_name(algo);
+    EXPECT_EQ(a.events, pin.events) << algorithm_name(algo);
+    EXPECT_EQ(a.messages_sent, pin.msgs) << algorithm_name(algo);
+    expect_deterministic(c);
+  }
+}
+
 // --- Crash-and-rejoin: the whole recovery trajectory is deterministic. ---
 
 TEST(Determinism, SmrCrashAndRejoinSameSeedSameRun) {
@@ -300,6 +338,16 @@ TEST(Determinism, SmrCrashAndRejoinSameSeedSameRun) {
   EXPECT_GT(a.snapshots_installed, 0u) << a.summary();
   EXPECT_GT(a.slots_truncated, 0u) << a.summary();
   EXPECT_GT(a.catchup_bytes, 0u) << a.summary();
+  // Absolute pins: the rejoin rebuild is shared with KV mode, and sharing
+  // it must not move this schedule — event count, traffic, every replica's
+  // last apply time and the catch-up bytes the rejoiner fetched.
+  EXPECT_EQ(a.events, 806u) << a.summary();
+  EXPECT_EQ(a.messages_sent, 284u) << a.summary();
+  ASSERT_EQ(a.processes.size(), 3u);
+  EXPECT_EQ(a.processes[0].decided_at, 0u);
+  EXPECT_EQ(a.processes[1].decided_at, 22u);
+  EXPECT_EQ(a.processes[2].decided_at, 23u);
+  EXPECT_EQ(a.catchup_bytes, 1362u) << a.summary();
   expect_deterministic(c);
 }
 
@@ -325,6 +373,48 @@ TEST(Determinism, KvCrashAndRejoinRetryStormSameSeedSameRun) {
   const RunReport a = run_cluster(c);
   EXPECT_GT(a.snapshots_installed, 0u) << a.summary();
   EXPECT_GT(a.catchup_bytes, 0u) << a.summary();
+  // Absolute pins, as in the SMR rejoin test: both shards' rebuild runs the
+  // same rejoin path, and the schedule must not move.
+  EXPECT_EQ(a.events, 2144u) << a.summary();
+  EXPECT_EQ(a.messages_sent, 620u) << a.summary();
+  ASSERT_EQ(a.processes.size(), 3u);
+  EXPECT_EQ(a.processes[0].decided_at, 0u);
+  EXPECT_EQ(a.processes[1].decided_at, 55u);
+  EXPECT_EQ(a.processes[2].decided_at, 56u);
+  EXPECT_EQ(a.kv_store_hash, 11380451022688408098ull) << a.summary();
+  EXPECT_EQ(a.catchup_bytes, 2322u) << a.summary();
+  expect_deterministic(c);
+}
+
+TEST(Determinism, KvRejoinAcrossSplitSameSeedSameRun) {
+  // p3 crashes before a live split and rejoins long after it: its rebuild
+  // covers both data groups *and* the config group, whose fresh
+  // TableMachine must catch up the table history. The whole trajectory —
+  // config-group rejoin included — must replay byte-for-byte.
+  ClusterConfig c;
+  c.algo = Algorithm::kFastPaxos;
+  c.n = 3;
+  c.m = 0;
+  c.kv.enabled = true;
+  c.kv.shards = 1;
+  c.kv.clients = 6;
+  c.kv.ops_per_client = 16;
+  c.kv.dist = kv::KeyDist::kZipfian;
+  c.kv.retry_timeout = 24;
+  c.kv.snapshot_interval = 4;
+  c.kv.reconfig.push_back({40, reconfig::ChangeKind::kSplit, 0, 1});
+  c.faults.process_crashes[3] = 20;
+  c.faults.process_rejoins[3] = 900;
+  const RunReport a = run_cluster(c);
+  EXPECT_EQ(a.reconfig_epoch, 1u) << a.summary();
+  EXPECT_GT(a.snapshots_installed, 0u) << a.summary();
+  ASSERT_EQ(a.processes.size(), 3u);
+  EXPECT_EQ(a.processes[2].rejoined_at, 900u);
+  EXPECT_NE(a.processes[2].decision.find("|cfg:"), std::string::npos)
+      << a.processes[2].decision;
+  EXPECT_EQ(a.events, 1392u) << a.summary();
+  EXPECT_EQ(a.messages_sent, 284u) << a.summary();
+  EXPECT_EQ(a.kv_store_hash, 2818580490853794863ull) << a.summary();
   expect_deterministic(c);
 }
 

@@ -55,6 +55,9 @@ TEST(KvCluster, ShardedMixAOverFastPaxos) {
   EXPECT_GT(r.kv_op_p50, 0u);
   EXPECT_GE(r.kv_op_p999, r.kv_op_p99);
   EXPECT_GE(r.commit_p999, r.commit_p99);
+  // Fault-free Fast Paxos: p1 leads every shard and skips phase 1, so every
+  // slot of every shard is fast — fast_slots adds up across the shards.
+  EXPECT_EQ(r.fast_slots, r.slots_applied) << r.summary();
 }
 
 TEST(KvCluster, ZipfianReadMostlyOverFastPaxos) {
@@ -231,6 +234,14 @@ TEST(KvCluster, FastRobustShardHonestRunCommitsFast) {
   EXPECT_EQ(total_shard_ops(r), r.kv_ops);
   EXPECT_GT(r.fast_slots, 0u) << "honest synchronous shard should stay on "
                                  "the 2-delay Cheap Quorum path";
+
+  // Two shards: every slot of both stays on the fast path, and fast_slots
+  // counts both shards' slots, not one replica's.
+  const RunReport two =
+      run_cluster(kv_config(Algorithm::kFastRobust, 3, 3, 2, 2, 3));
+  EXPECT_TRUE(two.all_ok()) << two.summary();
+  EXPECT_EQ(two.kv_shard_ops.size(), 2u);
+  EXPECT_EQ(two.fast_slots, two.slots_applied) << two.summary();
 }
 
 TEST(KvCluster, ByzantineShardCannotForkReplies) {

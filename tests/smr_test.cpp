@@ -448,6 +448,21 @@ TEST(SmrCluster, RejoinConfigIsValidated) {
   memory_engine.algo = Algorithm::kDiskPaxos;
   memory_engine.m = 3;
   EXPECT_THROW(harness::run_cluster(memory_engine), std::invalid_argument);
+
+  // KV mode rejoins through the same path and validates the same way, on
+  // its own snapshot knob.
+  ClusterConfig kv = c;
+  kv.smr.enabled = false;
+  kv.kv.enabled = true;
+  kv.kv.snapshot_interval = 0;
+  EXPECT_THROW(harness::run_cluster(kv), std::invalid_argument);
+  kv.kv.snapshot_interval = 4;
+  EXPECT_NO_THROW(harness::run_cluster(kv));
+
+  ClusterConfig kv_memory_engine = kv;
+  kv_memory_engine.algo = Algorithm::kProtectedMemoryPaxos;
+  kv_memory_engine.m = 3;
+  EXPECT_THROW(harness::run_cluster(kv_memory_engine), std::invalid_argument);
 }
 
 TEST(SmrFaultPlan, CrashedByHorizonAccountsForRejoins) {
