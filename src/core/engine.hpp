@@ -10,9 +10,10 @@
 // for an open-ended space of slots, multiplexed over ONE base transport per
 // replica (SlotTransportHub's slot-tag namespace) and ONE set of memories
 // whose per-slot regions live under "s<slot>/..." name prefixes
-// (SlotRegions). Adapters exist for all seven protocols: Paxos, Fast Paxos,
-// Disk Paxos, Protected Memory Paxos, Aligned Paxos, Cheap Quorum, and
-// Fast & Robust. smr::Log builds pipelined replication on top.
+// (SlotRegions). Adapters exist for eight protocols: Paxos, Fast Paxos,
+// Disk Paxos, Protected Memory Paxos, Aligned Paxos, Cheap Quorum, Robust
+// Backup(Paxos) and Fast & Robust. smr::Log builds pipelined replication on
+// top.
 //
 // Contract:
 //  * propose(slot, v) resolves with the slot's decision (which may be
@@ -23,9 +24,9 @@
 //  * open_slot(slot) makes this replica participate passively (acceptor /
 //    learner roles) without proposing. Message-routed engines discover and
 //    open slots automatically from inbound traffic (the hub's horizon);
-//    all-propose engines (Cheap Quorum, Fast & Robust, whose traffic runs
-//    through memories) require every correct replica to propose each slot —
-//    smr::Log's all_propose mode does exactly that.
+//    all-propose engines (Cheap Quorum, Robust Backup, Fast & Robust, whose
+//    traffic runs through memories) require every correct replica to
+//    propose each slot — smr::Log's all_propose mode does exactly that.
 //  * decisions() streams every locally decided slot exactly once, in local
 //    decision order (slot order NOT guaranteed — that is the pipelining).
 //    Single consumer.
@@ -56,6 +57,7 @@
 #include "src/core/omega.hpp"
 #include "src/core/paxos.hpp"
 #include "src/core/protected_memory_paxos.hpp"
+#include "src/core/robust_backup.hpp"
 #include "src/core/slot_hub.hpp"
 #include "src/core/transport.hpp"
 #include "src/crypto/signature.hpp"
@@ -151,9 +153,14 @@ class ConsensusEngine {
   /// The replica-to-replica control channel (snapshot catch-up requests and
   /// responses), or nullptr when the engine has no message path for it.
   /// Hub-routed engines expose the hub's reserved control frame; memory-
-  /// routed Byzantine engines (Cheap Quorum, Fast & Robust) return nullptr —
-  /// replica recovery is not supported on those backends.
+  /// routed Byzantine engines (Cheap Quorum, Robust Backup, Fast & Robust)
+  /// return nullptr — replica recovery is not supported on those backends.
   virtual Transport* control_transport() { return nullptr; }
+
+  /// T-send decode accounting summed over this replica's slot stacks — the
+  /// suffix-only-decode counters the harness RunReport surfaces. Zeros for
+  /// engines without a trusted transport.
+  virtual trusted::TsendStats tsend_stats() const { return {}; }
 
   /// One past the highest slot this replica knows of.
   Slot slot_horizon() const { return horizon_; }
@@ -321,8 +328,9 @@ class AlignedEngine : public HubEngine<AlignedPaxos> {
 };
 
 // ---------------------------------------------------------------------------
-// Byzantine-model engines (Cheap Quorum / Fast & Robust) — all traffic runs
-// through the memories; every correct replica must propose each slot.
+// Byzantine-model engines (Cheap Quorum / Robust Backup / Fast & Robust) —
+// all traffic runs through the memories; every correct replica must propose
+// each slot.
 // ---------------------------------------------------------------------------
 
 class CheapQuorumEngine : public ConsensusEngine {
@@ -354,30 +362,146 @@ class CheapQuorumEngine : public ConsensusEngine {
   std::map<Slot, std::unique_ptr<CheapQuorum>> slots_;
 };
 
-/// Per-slot regions of a Fast & Robust slot: Cheap Quorum's plus NEB's,
-/// each set in a write scope of its own.
-struct FastRobustSlotRegions {
-  CheapQuorumRegions cq;
+/// One slot's NEB regions, in a write scope of their own.
+struct NebSlotRegions {
   std::map<ProcessId, RegionId> neb;
   mem::ScopeId neb_scope = mem::kDefaultScope;
 };
 
-/// Create slot `s`'s Fast & Robust regions on one memory: Cheap Quorum's in
-/// one fresh write scope, then NEB's in another. Call it on every backing
-/// memory in the same order, so region and scope ids agree across them.
+/// Create slot `s`'s NEB regions on one memory, in a fresh write scope.
+/// Call it on every backing memory in the same order, so region and scope
+/// ids agree across them.
 template <typename MemoryT>
-FastRobustSlotRegions make_fast_robust_slot_regions(
-    MemoryT& memory, std::size_t n, Slot s, const std::string& cq_ns = "cq",
-    const std::string& neb_ns = "neb") {
-  FastRobustSlotRegions out;
-  out.cq = make_cq_regions(memory, n, kLeaderP1, slot_ns(s, cq_ns),
-                           memory.new_scope());
+NebSlotRegions make_neb_slot_regions(MemoryT& memory, std::size_t n, Slot s,
+                                     const std::string& neb_ns = "neb") {
+  NebSlotRegions out;
   out.neb_scope = memory.new_scope();
   out.neb = make_neb_regions(memory, n, slot_ns(s, neb_ns), out.neb_scope);
   return out;
 }
 
-class FastRobustEngine : public ConsensusEngine {
+/// Per-slot regions of a Fast & Robust slot: Cheap Quorum's plus NEB's,
+/// each set in a write scope of its own.
+struct FastRobustSlotRegions : NebSlotRegions {
+  CheapQuorumRegions cq;
+};
+
+/// Create slot `s`'s Fast & Robust regions on one memory: Cheap Quorum's in
+/// one fresh write scope, then NEB's in another (see make_neb_slot_regions).
+template <typename MemoryT>
+FastRobustSlotRegions make_fast_robust_slot_regions(
+    MemoryT& memory, std::size_t n, Slot s, const std::string& cq_ns = "cq",
+    const std::string& neb_ns = "neb") {
+  CheapQuorumRegions cq = make_cq_regions(memory, n, kLeaderP1,
+                                          slot_ns(s, cq_ns), memory.new_scope());
+  return {make_neb_slot_regions(memory, n, s, neb_ns), std::move(cq)};
+}
+
+/// A slot stack's propose result as the engine's Decision: Fast & Robust
+/// reports its own path and time, Robust Backup its Paxos instance's.
+inline Decision decision_of(FastRobustOutcome out, const FastRobustProcess&) {
+  return Decision{std::move(out.value), out.fast, out.decided_at};
+}
+inline Decision decision_of(Bytes value, RobustBackup& rb) {
+  return Decision{std::move(value), rb.paxos().decided_fast(),
+                  rb.paxos().decided_at()};
+}
+
+/// NEB-backed engines (Robust Backup / Fast & Robust): one stack per slot —
+/// NEB slots over the slot's regions, under slot_ns(s, neb_ns), and the
+/// protocol process over them — differing only in how the process is made.
+/// Every process type exposes start(), propose(Bytes) and tsend_stats(), and
+/// has a decision_of overload.
+template <typename Process, typename Regions>
+class NebStackEngine : public ConsensusEngine {
+ public:
+  /// Builds the slot's protocol process over its regions and NEB slots.
+  using MakeProcessFn =
+      std::function<std::unique_ptr<Process>(Slot, const Regions&, NebSlots&)>;
+
+  NebStackEngine(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
+                 std::shared_ptr<SlotRegions<Regions>> regions,
+                 ProcessId self, std::size_t n, std::string neb_ns,
+                 MakeProcessFn make)
+      : ConsensusEngine(exec),
+        memories_(std::move(memories)),
+        regions_(std::move(regions)),
+        self_(self),
+        n_(n),
+        neb_ns_(std::move(neb_ns)),
+        make_(std::move(make)) {}
+
+  ProcessId self() const override { return self_; }
+  std::size_t process_count() const override { return n_; }
+  void start() override {}
+
+  void open_slot(Slot slot) override {
+    if (slots_.contains(slot)) return;
+    const Regions& r = regions_->get(slot);
+    Stack stack;
+    stack.neb_slots = std::make_unique<NebSlots>(
+        *exec_, memories_, r.neb, slot_ns(slot, neb_ns_), r.neb_scope);
+    stack.process = make_(slot, r, *stack.neb_slots);
+    stack.process->start();
+    slots_.emplace(slot, std::move(stack));
+    note_slot(slot);
+  }
+
+  sim::Task<Decision> propose(Slot slot, Bytes value) override {
+    open_slot(slot);
+    Process* inst = slots_.at(slot).process.get();
+    Decision d = decision_of(co_await inst->propose(std::move(value)), *inst);
+    push_decision(slot, d);
+    co_return d;
+  }
+
+  trusted::TsendStats tsend_stats() const override {
+    trusted::TsendStats out;
+    for (const auto& [slot, stack] : slots_) out += stack.process->tsend_stats();
+    return out;
+  }
+
+ private:
+  struct Stack {
+    std::unique_ptr<NebSlots> neb_slots;
+    std::unique_ptr<Process> process;
+  };
+
+  std::vector<mem::MemoryIface*> memories_;
+  std::shared_ptr<SlotRegions<Regions>> regions_;
+  ProcessId self_;
+  std::size_t n_;
+  std::string neb_ns_;
+  MakeProcessFn make_;
+  std::map<Slot, Stack> slots_;
+};
+
+/// Robust Backup(Paxos) per slot (§4.1): the slow-path-only Byzantine
+/// consensus, Paxos over T-send.
+class RobustBackupEngine : public NebStackEngine<RobustBackup, NebSlotRegions> {
+ public:
+  /// `regions->get(s)` must create make_neb_slot_regions(m, n, s, neb_ns) on
+  /// every backing memory.
+  RobustBackupEngine(sim::Executor& exec,
+                     std::vector<mem::MemoryIface*> memories,
+                     std::shared_ptr<SlotRegions<NebSlotRegions>> regions,
+                     const crypto::KeyStore& keystore, crypto::Signer signer,
+                     Omega& omega, RobustBackupConfig config,
+                     std::string neb_ns = "neb")
+      : NebStackEngine(
+            exec, std::move(memories), std::move(regions), signer.id(),
+            config.n, std::move(neb_ns),
+            [&exec, &keystore, signer, &omega, config](
+                Slot, const NebSlotRegions&, NebSlots& neb) {
+              return std::make_unique<RobustBackup>(exec, neb, keystore,
+                                                    signer, omega, config);
+            }) {}
+};
+
+/// Fast & Robust per slot (§4.3): Cheap Quorum, with Preferential Paxos over
+/// Robust Backup as the backup path.
+class FastRobustEngine
+    : public NebStackEngine<FastRobustProcess, FastRobustSlotRegions> {
  public:
   /// `regions->get(s)` must create make_fast_robust_slot_regions(m, n, s,
   /// cq_ns, neb_ns) on every backing memory.
@@ -386,34 +510,19 @@ class FastRobustEngine : public ConsensusEngine {
                    std::shared_ptr<SlotRegions<FastRobustSlotRegions>> regions,
                    const crypto::KeyStore& keystore, crypto::Signer signer,
                    Omega& omega, FastRobustConfig config,
-                   std::string cq_ns = "cq", std::string neb_ns = "neb");
-
-  ProcessId self() const override;
-  std::size_t process_count() const override { return config_.n; }
-  void start() override {}
-  void open_slot(Slot slot) override;
-  sim::Task<Decision> propose(Slot slot, Bytes value) override;
-
-  /// Aggregate t-send decode accounting across this replica's slot stacks —
-  /// the per-delivery suffix-only-decode counters bench_log_pipeline and the
-  /// harness RunReport surface.
-  trusted::TsendStats tsend_stats() const;
-
- private:
-  struct SlotStack {
-    std::unique_ptr<NebSlots> neb_slots;
-    std::unique_ptr<FastRobustProcess> process;
-  };
-
-  std::vector<mem::MemoryIface*> memories_;
-  std::shared_ptr<SlotRegions<FastRobustSlotRegions>> regions_;
-  const crypto::KeyStore* keystore_;
-  crypto::Signer signer_;
-  Omega* omega_;
-  FastRobustConfig config_;
-  std::string cq_ns_;
-  std::string neb_ns_;
-  std::map<Slot, SlotStack> slots_;
+                   std::string cq_ns = "cq", std::string neb_ns = "neb")
+      : NebStackEngine(
+            exec, std::move(memories), std::move(regions), signer.id(),
+            config.n, std::move(neb_ns),
+            [&exec, &keystore, signer, &omega, config,
+             cq_ns = std::move(cq_ns)](Slot s, const FastRobustSlotRegions& r,
+                                       NebSlots& neb) {
+              FastRobustConfig c = config;
+              c.cheap.prefix = slot_ns(s, cq_ns);
+              return std::make_unique<FastRobustProcess>(
+                  exec, neb.memories(), r.cq, neb, keystore, signer, omega,
+                  std::move(c));
+            }) {}
 };
 
 }  // namespace mnm::core

@@ -237,6 +237,23 @@ struct World {
       view_ptrs.push_back(std::move(raw));
     }
 
+    // Every id in the fault plan must name a process or memory of this run.
+    const auto check_ids = [](const auto& plan, std::size_t count,
+                              const char* what) {
+      for (const auto& entry : plan) {
+        if (entry.first < 1 || entry.first > count) {
+          throw std::invalid_argument(what);
+        }
+      }
+    };
+    check_ids(cfg.faults.process_crashes, cfg.n,
+              "process_crashes: unknown process");
+    check_ids(cfg.faults.byzantine, cfg.n, "byzantine: unknown process");
+    check_ids(cfg.faults.process_rejoins, cfg.n,
+              "process_rejoins: unknown process");
+    check_ids(cfg.faults.memory_crashes, cfg.m,
+              "memory_crashes: unknown memory");
+
     // Per-process fault summary, precomputed so the per-event predicates
     // below (Ω queries, done()) never walk the fault maps.
     byzantine_.assign(cfg.n, 0);
@@ -248,9 +265,6 @@ struct World {
       if (it != cfg.faults.process_crashes.end()) crash_at_[p - 1] = it->second;
     }
     for (const auto& [p, at] : cfg.faults.process_rejoins) {
-      if (p < 1 || p > static_cast<ProcessId>(cfg.n)) {
-        throw std::invalid_argument("process_rejoins: unknown process");
-      }
       if (cfg.faults.is_byzantine(p)) {
         throw std::invalid_argument(
             "process_rejoins: Byzantine processes do not rejoin");
@@ -298,7 +312,6 @@ struct World {
     }
     for (const auto& [mid, t] : cfg.faults.memory_crashes) {
       exec.call_at(t, [this, mid = mid] {
-        if (mid == 0 || mid > memories.size()) return;
         if (this->cfg.verbs_backend) {
           verbs_backing[mid - 1]->device().crash();
         } else {
@@ -364,24 +377,16 @@ struct World {
   std::vector<sim::Time> crash_at_;       // index p - 1; infinity = never
   std::vector<sim::Time> rejoin_at_;      // index p - 1; infinity = never
 
-  // Algorithm objects (only the relevant vectors are populated). The
-  // replicated modes give each process one base transport (index p - 1; KV
-  // mode adds a mux over it), declared before the groups that run over them
-  // so teardown runs groups → muxes → transports.
+  // Each process's base transport (index p - 1; KV mode adds a mux over
+  // it), declared before the groups that run over them so teardown runs
+  // groups → muxes → transports.
   std::vector<std::unique_ptr<core::NetTransport>> transports;
   std::vector<std::unique_ptr<core::TransportMux>> muxes;  // KV: 1 per process
-  std::vector<std::unique_ptr<core::Paxos>> paxoses;
-  std::vector<std::unique_ptr<core::DiskPaxos>> disk_paxoses;
-  std::vector<std::unique_ptr<core::ProtectedMemoryPaxos>> pmps;
-  std::vector<std::unique_ptr<core::AlignedPaxos>> aligneds;
-  std::vector<std::unique_ptr<core::NebSlots>> neb_slots;
-  std::vector<std::unique_ptr<core::RobustBackup>> robust_backups;
-  std::vector<std::unique_ptr<core::FastRobustProcess>> fast_robusts;
 
-  // SMR and KV modes: the consensus groups, then KV mode's client layer
-  // and, under reconfiguration, the cluster-level table view and the
-  // migrator. Destroyed migrator → view → workload → router → groups by
-  // reverse declaration order.
+  // The consensus groups (single-shot and SMR modes run one), then KV
+  // mode's client layer and, under reconfiguration, the cluster-level table
+  // view and the migrator. Destroyed migrator → view → workload → router →
+  // groups by reverse declaration order.
   std::vector<Group> groups;
   std::unique_ptr<kv::Router> kv_router;
   std::unique_ptr<kv::Workload> kv_workload;
@@ -403,31 +408,24 @@ struct World {
   };
   std::vector<Incarnation> retired;
 
-  // Region ids + name prefixes used by Byzantine strategies (SMR mode
-  // points them at slot 0's regions, KV mode at shard 0 / slot 0's).
+  // Region ids + name prefixes used by Byzantine strategies: slot 0's
+  // regions of the first group (the only group in single-shot and SMR
+  // modes, shard 0 in KV mode).
   std::map<ProcessId, RegionId> neb_region_ids;
   RegionId cq_region_leader_ = 0;
   std::string neb_prefix = "neb";
   std::string cq_prefix = "cq";
 };
 
-// --- Driver coroutines (parameters, not captures). ---
-
-sim::Task<void> drive_bytes(sim::Executor* exec, ProcessReport* row,
-                            sim::Task<Bytes> proposal) {
-  const Bytes v = co_await std::move(proposal);
+/// Single-shot mode: await one proposal (coroutine state in parameters, not
+/// captures) and record its decision in the process's row.
+sim::Task<void> drive_decision(ProcessReport* row,
+                               sim::Task<core::Decision> proposal) {
+  const core::Decision d = co_await std::move(proposal);
   row->decided = true;
-  row->decision = util::to_string(v);
-  row->decided_at = exec->now();
-}
-
-sim::Task<void> drive_fast_robust(ProcessReport* row,
-                                  sim::Task<core::FastRobustOutcome> proposal) {
-  const core::FastRobustOutcome out = co_await std::move(proposal);
-  row->decided = true;
-  row->decision = util::to_string(out.value);
-  row->decided_at = out.decided_at;
-  row->fast_path = out.fast;
+  row->decision = util::to_string(d.value);
+  row->decided_at = d.decided_at;
+  row->fast_path = d.fast;
 }
 
 // --- Byzantine strategies. ---
@@ -567,10 +565,9 @@ void spawn_byzantine(World& w, const ClusterConfig& config) {
 /// End-of-run resource counters shared by every run mode (single-shot, SMR,
 /// KV) — one definition, so a counter added to RunReport cannot silently
 /// stay zero in one mode.
-void fill_resource_counters(RunReport& report, World& w,
-                            const ClusterConfig& config) {
+void fill_resource_counters(RunReport& report, World& w) {
   report.messages_sent = w.network.messages_sent();
-  if (!config.verbs_backend) {
+  if (!w.cfg.verbs_backend) {
     for (const auto& m : w.mem_backing) {
       report.mem_reads += m->reads();
       report.mem_read_batches += m->read_batches();
@@ -587,15 +584,18 @@ void fill_resource_counters(RunReport& report, World& w,
   report.signatures = w.keystore.signatures_made();
   report.verifications = w.keystore.verifications_made();
   report.events = w.exec.events_processed();
-}
-
-void add_tsend_stats(RunReport& report, const core::trusted::TsendStats& s) {
-  report.tsend_deliveries += s.deliveries;
-  report.history_entries_decoded += s.entries_decoded;
-  report.history_entries_skipped += s.entries_skipped;
-}
-
-void finish_tsend_stats(RunReport& report) {
+  if (report.slots_applied > 0) {
+    report.events_per_slot = static_cast<double>(report.events) /
+                             static_cast<double>(report.slots_applied);
+  }
+  for (const Group& g : w.groups) {
+    for (const Member& m : g.members) {
+      const core::trusted::TsendStats s = m.engine->tsend_stats();
+      report.tsend_deliveries += s.deliveries;
+      report.history_entries_decoded += s.entries_decoded;
+      report.history_entries_skipped += s.entries_skipped;
+    }
+  }
   if (report.tsend_deliveries > 0) {
     report.decoded_per_delivery =
         static_cast<double>(report.history_entries_decoded) /
@@ -656,23 +656,11 @@ smr::ReplicaConfig replica_config(const ModeConfig& mode, bool all_propose) {
   return rc;
 }
 
-/// Give process p a fresh base transport. SMR mode puts it on the
-/// algorithm's own message tag (Fast & Robust talks through the memories
-/// only and gets none); KV mode puts it on tag 100 under a TransportMux
-/// whose sub(tag) carries each group.
+/// Give process p a fresh base transport on message tag 100; KV mode puts
+/// a TransportMux over it whose sub(tag) carries each group.
 void connect_process(World& w, ProcessId p) {
-  net::MsgType tag = 100;
-  if (!w.cfg.kv.enabled) {
-    switch (w.cfg.algo) {
-      case Algorithm::kDiskPaxos: tag = 910; break;
-      case Algorithm::kProtectedMemoryPaxos: tag = 900; break;
-      case Algorithm::kAlignedPaxos: tag = 920; break;
-      case Algorithm::kFastRobust: return;
-      default: break;
-    }
-  }
   w.transports[p - 1] =
-      std::make_unique<core::NetTransport>(w.exec, w.network, p, tag);
+      std::make_unique<core::NetTransport>(w.exec, w.network, p, /*tag=*/100);
   if (w.cfg.kv.enabled) {
     w.muxes[p - 1] =
         std::make_unique<core::TransportMux>(w.exec, *w.transports[p - 1]);
@@ -757,46 +745,64 @@ EngineFactory engine_factory(World& w, std::uint8_t tag,
       };
     }
 
-    case Algorithm::kFastRobust: {
-      const std::string cq_prefix = ns("cq");
-      const std::string neb_prefix = ns("neb");
-      auto pool = slot_regions<core::FastRobustSlotRegions>(
-          w, [n, cq_prefix, neb_prefix](auto& m, Slot s) {
-            return core::make_fast_robust_slot_regions(m, n, s, cq_prefix,
-                                                       neb_prefix);
-          });
-      if (byz_target) {
-        w.neb_prefix = core::slot_ns(0, neb_prefix);
-        w.cq_prefix = core::slot_ns(0, cq_prefix);
-        if (!config.faults.byzantine.empty()) {
-          const core::FastRobustSlotRegions& r0 = pool->get(0);
-          w.neb_region_ids = r0.neb;
-          w.cq_region_leader_ = r0.cq.leader;
-        }
-      }
-      core::FastRobustConfig fc;
-      fc.n = n;
-      fc.f = n > 0 ? (n - 1) / 2 : 0;
-      fc.cheap.n = n;
-      fc.cheap.timeout = config.cq_timeout;
-      fc.neb.n = n;
-      fc.paxos.n = n;
-      fc.paxos.round_timeout = 150 * n;  // backup runs over NEB
-      fc.paxos.retry_backoff = 40;
-      return [&w, pool, fc, cq_prefix, neb_prefix](ProcessId p) {
-        return std::make_unique<core::FastRobustEngine>(
-            w.exec, w.view_ptrs[p - 1], pool, w.keystore, w.signers[p - 1],
-            *w.omega, fc, cq_prefix, neb_prefix);
-      };
-    }
-
     case Algorithm::kRobustBackup:
+    case Algorithm::kFastRobust:
       break;
   }
-  throw std::invalid_argument(
-      std::string(config.kv.enabled ? "KV" : "SMR") +
-      " mode: RobustBackup has no ConsensusEngine adapter (use FastRobust, "
-      "whose backup path is RobustBackup(Paxos))");
+
+  // The NEB-backed Byzantine engines: per-slot stacks over the memories.
+  const std::string cq_prefix = ns("cq");
+  const std::string neb_prefix = ns("neb");
+  if (byz_target) {
+    w.neb_prefix = core::slot_ns(0, neb_prefix);
+    w.cq_prefix = core::slot_ns(0, cq_prefix);
+  }
+  const bool byz_regions = byz_target && !config.faults.byzantine.empty();
+  // Backup rounds run over non-equivocating broadcast (≥6 delays per
+  // hop, plus scan latency growing with n); give proposers generous
+  // patience so they don't abort rounds that are still in flight.
+  core::PaxosConfig backup;
+  backup.n = n;
+  backup.round_timeout = 150 * n;
+  backup.retry_backoff = 40;
+  if (config.algo == Algorithm::kRobustBackup) {
+    auto pool = slot_regions<core::NebSlotRegions>(
+        w, [n, neb_prefix](auto& m, Slot s) {
+          return core::make_neb_slot_regions(m, n, s, neb_prefix);
+        });
+    if (byz_regions) w.neb_region_ids = pool->get(0).neb;
+    core::RobustBackupConfig rc;
+    rc.n = n;
+    rc.neb.n = n;
+    rc.paxos = backup;
+    return [&w, pool, rc, neb_prefix](ProcessId p) {
+      return std::make_unique<core::RobustBackupEngine>(
+          w.exec, w.view_ptrs[p - 1], pool, w.keystore, w.signers[p - 1],
+          *w.omega, rc, neb_prefix);
+    };
+  }
+  auto pool = slot_regions<core::FastRobustSlotRegions>(
+      w, [n, cq_prefix, neb_prefix](auto& m, Slot s) {
+        return core::make_fast_robust_slot_regions(m, n, s, cq_prefix,
+                                                   neb_prefix);
+      });
+  if (byz_regions) {
+    const core::FastRobustSlotRegions& r0 = pool->get(0);
+    w.neb_region_ids = r0.neb;
+    w.cq_region_leader_ = r0.cq.leader;
+  }
+  core::FastRobustConfig fc;
+  fc.n = n;
+  fc.f = n > 0 ? (n - 1) / 2 : 0;
+  fc.cheap.n = n;
+  fc.cheap.timeout = config.cq_timeout;
+  fc.neb.n = n;
+  fc.paxos = backup;
+  return [&w, pool, fc, cq_prefix, neb_prefix](ProcessId p) {
+    return std::make_unique<core::FastRobustEngine>(
+        w.exec, w.view_ptrs[p - 1], pool, w.keystore, w.signers[p - 1],
+        *w.omega, fc, cq_prefix, neb_prefix);
+  };
 }
 
 /// Append a group on mux tag `tag` and build its engines, one per process
@@ -1318,7 +1324,8 @@ RunReport run_replicated(World& w) {
   const bool kv = config.kv.enabled;
   // Byzantine engines route everything through memories, where passive
   // replicas could never be heard — every correct replica proposes each slot.
-  const bool all_propose = (config.algo == Algorithm::kFastRobust);
+  const bool all_propose = config.algo == Algorithm::kRobustBackup ||
+                           config.algo == Algorithm::kFastRobust;
   const std::size_t shards = std::max<std::size_t>(1, config.kv.shards);
   // Under reconfiguration, build every group any scheduled change can
   // activate: split targets exist (idle) from the start, plus one extra
@@ -1339,9 +1346,6 @@ RunReport run_replicated(World& w) {
       config, kv ? config.kv.snapshot_interval : config.smr.snapshot_interval,
       kv ? "kv.snapshot_interval" : "smr.snapshot_interval");
 
-  w.transports.resize(config.n);
-  if (kv) w.muxes.resize(config.n);
-  for (ProcessId p : all_processes(config.n)) connect_process(w, p);
   if (kv) {
     build_kv(w, replica_config(config.kv, all_propose), shards, data_groups);
   } else {
@@ -1410,19 +1414,57 @@ RunReport run_replicated(World& w) {
     check_logs(w, report);
   }
   fill_rows(w, report);
-  fill_resource_counters(report, w, config);
-  if (report.slots_applied > 0) {
-    report.events_per_slot = static_cast<double>(report.events) /
-                             static_cast<double>(report.slots_applied);
+  return report;
+}
+
+/// Single-shot mode: one consensus instance, run as a one-slot group. Each
+/// non-Byzantine process, in id order, starts its engine, opens slot 0 and
+/// proposes its input there; its row records the engine's Decision. The
+/// slot opens before the proposal's coroutine is spawned, so every instance
+/// starts ahead of its own proposal, in process order.
+RunReport run_single_shot(World& w) {
+  const ClusterConfig& config = w.cfg;
+  if (!config.faults.process_rejoins.empty()) {
+    throw std::invalid_argument(
+        "crash-and-rejoin requires SMR or KV mode (single-shot consensus has "
+        "no log to catch up on)");
   }
-  if (config.algo == Algorithm::kFastRobust) {
-    for (const Group& g : w.groups) {
-      for (const Member& m : g.members) {
-        const auto& fr = static_cast<const core::FastRobustEngine&>(*m.engine);
-        add_tsend_stats(report, fr.tsend_stats());
+  Group& g = add_group(
+      w, "", 0, [](const char* base) { return std::string(base); },
+      /*byz_target=*/true);
+  for (ProcessId p : all_processes(config.n)) {
+    if (config.faults.is_byzantine(p)) continue;
+    core::ConsensusEngine& engine = *g.members[p - 1].engine;
+    engine.start();
+    engine.open_slot(0);
+    w.exec.spawn(drive_decision(
+        &w.reports[p - 1],
+        engine.propose(0, util::to_bytes(input_of(config, p)))));
+  }
+  spawn_byzantine(w, config);
+  w.exec.run_until([&w] { return w.done(); }, config.horizon);
+
+  // ---- Report: the §3 verdicts over the correct processes' rows. ----
+  RunReport report;
+  report.processes = w.reports;
+  std::set<std::string> inputs;
+  for (ProcessId p : all_processes(config.n)) inputs.insert(input_of(config, p));
+  for (const ProcessReport& row : w.reports) {
+    if (row.byzantine) continue;
+    if (row.decided) {
+      report.first_decision_delay =
+          std::min(report.first_decision_delay, row.decided_at);
+      report.first_correct_decision_delay =
+          std::min(report.first_correct_decision_delay, row.decided_at);
+      if (!report.decided_value.has_value()) {
+        report.decided_value = row.decision;
+      } else if (*report.decided_value != row.decision) {
+        report.agreement = false;
       }
+      if (!inputs.contains(row.decision)) report.validity = false;
+    } else if (w.correct(row.id)) {
+      report.termination = false;
     }
-    finish_tsend_stats(report);
   }
   return report;
 }
@@ -1431,205 +1473,13 @@ RunReport run_replicated(World& w) {
 
 RunReport run_cluster(const ClusterConfig& config) {
   World w(config);
-  if (config.kv.enabled || config.smr.enabled) return run_replicated(w);
-  if (!config.faults.process_rejoins.empty()) {
-    throw std::invalid_argument(
-        "crash-and-rejoin requires SMR or KV mode (single-shot consensus has "
-        "no log to catch up on)");
-  }
-  const std::size_t n = config.n;
-  const auto all = all_processes(n);
-  const std::size_t fP = n > 0 ? (n - 1) / 2 : 0;  // tolerance n >= 2f+1
-
-  // ---- Wire the chosen algorithm. ----
-  switch (config.algo) {
-    case Algorithm::kPaxos:
-    case Algorithm::kFastPaxos: {
-      core::PaxosConfig pc;
-      pc.n = n;
-      pc.skip_phase1_for_p1 = (config.algo == Algorithm::kFastPaxos);
-      for (ProcessId p : all) {
-        w.transports.push_back(
-            std::make_unique<core::NetTransport>(w.exec, w.network, p, /*tag=*/100));
-        w.paxoses.push_back(
-            std::make_unique<core::Paxos>(w.exec, *w.transports.back(), *w.omega, pc));
-      }
-      for (ProcessId p : all) {
-        if (w.cfg.faults.is_byzantine(p)) continue;  // crash-model algorithms
-        w.paxoses[p - 1]->start();
-        w.exec.spawn(drive_bytes(&w.exec, &w.reports[p - 1],
-                                 w.paxoses[p - 1]->propose(
-                                     util::to_bytes(input_of(config, p)))));
-      }
-      break;
-    }
-
-    case Algorithm::kDiskPaxos: {
-      RegionId region = 0;
-      w.for_each_backing([&](auto& m) { region = core::make_disk_region(m, n); });
-      core::DiskPaxosConfig dc;
-      dc.n = n;
-      for (ProcessId p : all) {
-        w.transports.push_back(std::make_unique<core::NetTransport>(
-            w.exec, w.network, p, /*tag=*/910));
-        w.disk_paxoses.push_back(std::make_unique<core::DiskPaxos>(
-            w.exec, w.view_ptrs[p - 1], region, *w.transports.back(), *w.omega,
-            dc));
-      }
-      for (ProcessId p : all) {
-        w.disk_paxoses[p - 1]->start();
-        w.exec.spawn(drive_bytes(&w.exec, &w.reports[p - 1],
-                                 w.disk_paxoses[p - 1]->propose(
-                                     util::to_bytes(input_of(config, p)))));
-      }
-      break;
-    }
-
-    case Algorithm::kProtectedMemoryPaxos: {
-      RegionId region = 0;
-      w.for_each_backing([&](auto& m) { region = core::make_pmp_region(m, n); });
-      core::PmpConfig pc;
-      pc.n = n;
-      for (ProcessId p : all) {
-        w.transports.push_back(std::make_unique<core::NetTransport>(
-            w.exec, w.network, p, /*tag=*/900));
-        w.pmps.push_back(std::make_unique<core::ProtectedMemoryPaxos>(
-            w.exec, w.view_ptrs[p - 1], region, *w.transports.back(), *w.omega,
-            pc));
-      }
-      for (ProcessId p : all) {
-        w.pmps[p - 1]->start();
-        w.exec.spawn(drive_bytes(&w.exec, &w.reports[p - 1],
-                                 w.pmps[p - 1]->propose(
-                                     util::to_bytes(input_of(config, p)))));
-      }
-      break;
-    }
-
-    case Algorithm::kAlignedPaxos: {
-      RegionId region = 0;
-      w.for_each_backing([&](auto& m) { region = core::make_pmp_region(m, n); });
-      core::AlignedPaxosConfig ac;
-      ac.n = n;
-      for (ProcessId p : all) {
-        w.transports.push_back(std::make_unique<core::NetTransport>(
-            w.exec, w.network, p, /*tag=*/920));
-        w.aligneds.push_back(std::make_unique<core::AlignedPaxos>(
-            w.exec, w.view_ptrs[p - 1], region, *w.transports.back(), *w.omega,
-            ac));
-      }
-      for (ProcessId p : all) {
-        w.aligneds[p - 1]->start();
-        w.exec.spawn(drive_bytes(&w.exec, &w.reports[p - 1],
-                                 w.aligneds[p - 1]->propose(
-                                     util::to_bytes(input_of(config, p)))));
-      }
-      break;
-    }
-
-    case Algorithm::kRobustBackup: {
-      std::map<ProcessId, RegionId> neb_regions;
-      w.for_each_backing([&](auto& m) { neb_regions = core::make_neb_regions(m, n); });
-      w.neb_region_ids = neb_regions;
-      core::RobustBackupConfig rc;
-      rc.n = n;
-      rc.neb.n = n;
-      rc.paxos.n = n;
-      // Rounds run over non-equivocating broadcast (≥6 delays per hop, plus
-      // scan latency growing with n); give proposers generous patience so
-      // they don't abort rounds that are still in flight.
-      rc.paxos.round_timeout = 150 * n;
-      rc.paxos.retry_backoff = 40;
-      for (ProcessId p : all) {
-        w.neb_slots.push_back(std::make_unique<core::NebSlots>(
-            w.exec, w.view_ptrs[p - 1], neb_regions));
-        w.robust_backups.push_back(std::make_unique<core::RobustBackup>(
-            w.exec, *w.neb_slots.back(), w.keystore, w.signers[p - 1], *w.omega, rc));
-      }
-      for (ProcessId p : all) {
-        if (w.cfg.faults.is_byzantine(p)) continue;
-        w.robust_backups[p - 1]->start();
-        w.exec.spawn(drive_bytes(&w.exec, &w.reports[p - 1],
-                                 w.robust_backups[p - 1]->propose(
-                                     util::to_bytes(input_of(config, p)))));
-      }
-      break;
-    }
-
-    case Algorithm::kFastRobust: {
-      core::CheapQuorumRegions cq_regions;
-      std::map<ProcessId, RegionId> neb_regions;
-      w.for_each_backing([&](auto& m) {
-        cq_regions = core::make_cq_regions(m, n);
-        neb_regions = core::make_neb_regions(m, n);
-      });
-      w.neb_region_ids = neb_regions;
-      w.cq_region_leader_ = cq_regions.leader;
-
-      core::FastRobustConfig fc;
-      fc.n = n;
-      fc.f = fP;
-      fc.cheap.n = n;
-      fc.cheap.timeout = config.cq_timeout;
-      fc.neb.n = n;
-      fc.paxos.n = n;
-      fc.paxos.round_timeout = 150 * n;  // backup runs over NEB (see above)
-      fc.paxos.retry_backoff = 40;
-      for (ProcessId p : all) {
-        w.neb_slots.push_back(std::make_unique<core::NebSlots>(
-            w.exec, w.view_ptrs[p - 1], neb_regions));
-        w.fast_robusts.push_back(std::make_unique<core::FastRobustProcess>(
-            w.exec, w.view_ptrs[p - 1], cq_regions, *w.neb_slots.back(),
-            w.keystore, w.signers[p - 1], *w.omega, fc));
-      }
-      for (ProcessId p : all) {
-        if (w.cfg.faults.is_byzantine(p)) continue;
-        w.fast_robusts[p - 1]->start();
-        w.exec.spawn(drive_fast_robust(&w.reports[p - 1],
-                                       w.fast_robusts[p - 1]->propose(
-                                           util::to_bytes(input_of(config, p)))));
-      }
-      break;
-    }
-  }
-
-  // ---- Byzantine strategies. ----
-  spawn_byzantine(w, config);
-
-  // ---- Run. ----
-  w.exec.run_until([&] { return w.done(); }, config.horizon);
-
-  // ---- Report. ----
-  RunReport report;
-  report.processes = w.reports;
-
-  std::set<std::string> inputs;
-  for (ProcessId p : all) inputs.insert(input_of(config, p));
-
-  std::optional<std::string> decided;
-  for (ProcessId p : all) {
-    const auto& row = w.reports[p - 1];
-    if (row.byzantine) continue;
-    if (row.decided) {
-      report.first_decision_delay =
-          std::min(report.first_decision_delay, row.decided_at);
-      report.first_correct_decision_delay =
-          std::min(report.first_correct_decision_delay, row.decided_at);
-      if (decided.has_value() && *decided != row.decision) {
-        report.agreement = false;
-      }
-      decided = decided.has_value() ? decided : row.decision;
-      if (!inputs.contains(row.decision)) report.validity = false;
-    } else if (w.correct(p)) {
-      report.termination = false;
-    }
-  }
-  report.decided_value = decided;
-
-  fill_resource_counters(report, w, config);
-  for (const auto& rb : w.robust_backups) add_tsend_stats(report, rb->tsend_stats());
-  for (const auto& fr : w.fast_robusts) add_tsend_stats(report, fr->tsend_stats());
-  finish_tsend_stats(report);
+  w.transports.resize(config.n);
+  if (config.kv.enabled) w.muxes.resize(config.n);
+  for (ProcessId p : all_processes(config.n)) connect_process(w, p);
+  RunReport report = config.kv.enabled || config.smr.enabled
+                         ? run_replicated(w)
+                         : run_single_shot(w);
+  fill_resource_counters(report, w);
   return report;
 }
 

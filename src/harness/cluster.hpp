@@ -1,14 +1,18 @@
-// Experiment harness: builds a full M&M cluster for one consensus instance,
-// injects faults, runs to quiescence, and checks the paper's correctness
-// properties (§3: uniform agreement / agreement, validity, termination).
+// Experiment harness: builds a full M&M cluster, injects faults, runs to
+// quiescence, and checks the paper's correctness properties (§3: uniform
+// agreement / agreement, validity, termination).
 //
 // One Cluster = one configuration of
 //   * an algorithm (the paper's three + baselines),
 //   * n processes and m memories (mem::Memory or the verbs backend),
 //   * a fault plan: crash times for processes/memories, Byzantine
 //     strategies, and a partial-synchrony shape (GST + pre-GST delay),
-// and produces a RunReport with per-process outcomes, delay counts, message
-// and memory-operation counts, signature counts, and invariant verdicts.
+//   * a mode: one consensus instance (the default), a replicated log (SMR)
+//     or a sharded KV store.
+// Every mode runs the algorithm's core::ConsensusEngine in consensus
+// groups; single-shot mode is a one-slot group. The run produces a
+// RunReport with per-process outcomes, delay counts, message and
+// memory-operation counts, signature counts, and invariant verdicts.
 //
 // Everything is deterministic given the seed.
 
@@ -215,8 +219,15 @@ struct ProcessReport {
   sim::Time rejoined_at = sim::kTimeInfinity;
   bool decided = false;
   std::string decision;
+  /// Single-shot mode: the instance's local decision time (a process that
+  /// learns the value before its own proposal returns reports the learning
+  /// time). SMR/KV modes: the replica's last apply time.
   sim::Time decided_at = 0;
-  bool fast_path = false;  // Fast & Robust: decided on the Cheap Quorum path
+  /// Single-shot mode: the engine's Decision::fast — the process decided on
+  /// its protocol's fast path (Fast Paxos's or PMP's 2-delay round, Fast &
+  /// Robust's Cheap Quorum path). SMR mode: every applied slot of this
+  /// replica was fast or a no-op.
+  bool fast_path = false;
 
   /// SMR mode: the commands this replica applied, in apply order.
   std::vector<std::string> log;
@@ -357,8 +368,11 @@ struct RunReport {
   std::string summary() const;
 };
 
-/// Build and run one consensus instance under `config`. Process p proposes
-/// "value-p" (or "value-all" with identical_inputs).
+/// Build and run `config`. Single-shot mode (neither smr nor kv enabled)
+/// runs a one-slot consensus group: every non-Byzantine process p proposes
+/// "value-p" (or "value-all" with identical_inputs) for slot 0. Throws
+/// std::invalid_argument on a fault plan naming an unknown process or
+/// memory.
 RunReport run_cluster(const ClusterConfig& config);
 
 }  // namespace mnm::harness

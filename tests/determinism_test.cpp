@@ -205,6 +205,53 @@ TEST(Determinism, FastRobustWithByzantineLeaderSameSeedSameRun) {
   expect_deterministic(c, /*check_ok=*/false);
 }
 
+TEST(Determinism, SingleShotCostsPinned) {
+  // The paper's per-instance costs at the seven default single-shot shapes
+  // (seed 1): first decision delay, messages, memory reads and writes,
+  // permission changes and signatures, then every process's decision time.
+  // Executor events are not pinned: how many bookkeeping events an engine
+  // spends around the protocol (slot demux, discovery, decision watchers)
+  // is not a protocol cost.
+  struct Pin {
+    Algorithm algo;
+    std::size_t n, m;
+    sim::Time delay;
+    std::uint64_t msgs, reads, writes, perms, sigs;
+    std::vector<sim::Time> decided_at;
+  };
+  const std::vector<Pin> pins = {
+      {Algorithm::kPaxos, 3, 0, 4, 14, 0, 0, 0, 0, {4, 5, 5}},
+      {Algorithm::kFastPaxos, 3, 0, 2, 8, 0, 0, 0, 0, {2, 3, 3}},
+      {Algorithm::kDiskPaxos, 2, 3, 4, 1, 6, 3, 0, 0, {4, 5}},
+      {Algorithm::kProtectedMemoryPaxos, 2, 3, 2, 1, 0, 3, 0, 0, {2, 3}},
+      {Algorithm::kAlignedPaxos, 3, 3, 8, 14, 9, 6, 3, 0, {8, 9, 9}},
+      {Algorithm::kRobustBackup, 3, 3, 58, 0, 405, 108, 0, 54, {58, 72, 72}},
+      {Algorithm::kFastRobust, 3, 3, 2, 0, 603, 165, 0, 79, {2, 10, 10}},
+  };
+  for (const Pin& pin : pins) {
+    ClusterConfig c;
+    c.algo = pin.algo;
+    c.n = pin.n;
+    c.m = pin.m;
+    c.seed = 1;
+    const RunReport r = run_cluster(c);
+    const char* name = algorithm_name(pin.algo);
+    ASSERT_TRUE(r.all_ok()) << name << ": " << r.summary();
+    EXPECT_EQ(r.decided_value, "value-1") << name;
+    EXPECT_EQ(r.first_decision_delay, pin.delay) << name;
+    EXPECT_EQ(r.messages_sent, pin.msgs) << name;
+    EXPECT_EQ(r.mem_reads, pin.reads) << name;
+    EXPECT_EQ(r.mem_writes, pin.writes) << name;
+    EXPECT_EQ(r.permission_changes, pin.perms) << name;
+    EXPECT_EQ(r.signatures, pin.sigs) << name;
+    ASSERT_EQ(r.processes.size(), pin.n) << name;
+    for (std::size_t i = 0; i < pin.n; ++i) {
+      EXPECT_EQ(r.processes[i].decided_at, pin.decided_at[i])
+          << name << " p" << i + 1;
+    }
+  }
+}
+
 TEST(Determinism, PaxosWithCrashSameSeedSameRun) {
   ClusterConfig c;
   c.algo = Algorithm::kPaxos;
@@ -284,9 +331,9 @@ TEST(Determinism, SmrFastRobustBackupPathSameSeedSameRun) {
 TEST(Determinism, SmrMemoryEnginesSameSeedSameRun) {
   // The memory engines in SMR mode — Disk Paxos, Protected Memory Paxos and
   // Aligned Paxos — create each slot's regions on demand and talk over one
-  // NetTransport per process on the engine's own tag. Their memory and
-  // message traffic must replay on the same schedule; the absolute event
-  // and message counts pin that schedule itself.
+  // NetTransport per process. Their memory and message traffic must replay
+  // on the same schedule; the absolute event and message counts pin that
+  // schedule itself.
   struct Pin {
     Algorithm algo;
     std::uint64_t events, msgs;

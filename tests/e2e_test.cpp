@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+
 #include "src/harness/cluster.hpp"
 #include "src/sim/time.hpp"
 
@@ -244,6 +247,24 @@ TEST(PartialSynchrony, PaxosWithLateGst) {
   const RunReport r = run_cluster(c);
   EXPECT_TRUE(r.all_ok()) << r.summary();
   EXPECT_GE(r.first_decision_delay, 300u);  // no decision before GST here
+}
+
+// ---------- Fault-plan validation ----------
+
+TEST(FaultPlan, UnknownProcessOrMemoryIdsAreRejected) {
+  // Every id in a fault plan must name a process (1..n) or memory (1..m) of
+  // the run; anything else is a configuration error, never an out-of-range
+  // index or a fault that silently never happens.
+  const auto rejects = [](const std::function<void(FaultPlan&)>& edit) {
+    ClusterConfig c = base(Algorithm::kFastRobust, 3, 3);
+    edit(c.faults);
+    EXPECT_THROW(run_cluster(c), std::invalid_argument);
+  };
+  rejects([](FaultPlan& f) { f.process_crashes[0] = 3; });
+  rejects([](FaultPlan& f) { f.process_crashes[4] = 3; });
+  rejects([](FaultPlan& f) { f.byzantine[4] = ByzantineStrategy::kGarbage; });
+  rejects([](FaultPlan& f) { f.memory_crashes[4] = 3; });
+  rejects([](FaultPlan& f) { f.memory_crashes[0] = 3; });
 }
 
 // ---------- Identical inputs / validity shapes ----------

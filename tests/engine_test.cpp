@@ -1,4 +1,4 @@
-// core::ConsensusEngine conformance across all seven protocol adapters.
+// core::ConsensusEngine conformance across all eight protocol adapters.
 //
 // The engine contract every adapter must honor (engine.hpp): propose
 // resolves with the slot's decision, decisions() streams each locally
@@ -36,6 +36,7 @@ enum class Kind {
   kPmp,
   kAligned,
   kCheapQuorum,
+  kRobustBackup,
   kFastRobust,
 };
 
@@ -130,6 +131,27 @@ struct EngineWorld {
         for (ProcessId p : all_processes(n)) {
           engines.push_back(std::make_unique<CheapQuorumEngine>(
               exec, ifc, pool, keystore, signers[p - 1], cc));
+        }
+        break;
+      }
+      case Kind::kRobustBackup: {
+        auto pool =
+            std::make_shared<SlotRegions<NebSlotRegions>>([this](Slot s) {
+              NebSlotRegions out;
+              for (auto& mp : memories) {
+                out = make_neb_slot_regions(*mp, this->n, s);
+              }
+              return out;
+            });
+        RobustBackupConfig rc;
+        rc.n = n;
+        rc.neb.n = n;
+        rc.paxos.n = n;
+        rc.paxos.round_timeout = 150 * n;
+        rc.paxos.retry_backoff = 40;
+        for (ProcessId p : all_processes(n)) {
+          engines.push_back(std::make_unique<RobustBackupEngine>(
+              exec, ifc, pool, keystore, signers[p - 1], omega, rc));
         }
         break;
       }
@@ -264,6 +286,10 @@ TEST(ConsensusEngine, AlignedPaxosThreeSlots) {
 
 TEST(ConsensusEngine, CheapQuorumTwoSlots) {
   all_propose_roundtrip(Kind::kCheapQuorum, 3, 3);
+}
+
+TEST(ConsensusEngine, RobustBackupTwoSlots) {
+  all_propose_roundtrip(Kind::kRobustBackup, 3, 3);
 }
 
 TEST(ConsensusEngine, FastRobustTwoSlots) {

@@ -175,8 +175,11 @@ TEST(SmrCluster, DeepWindowBeatsSerialOnVirtualTime) {
 TEST(SmrCluster, MemoryEnginesReplicateLogs) {
   for (const Algorithm algo :
        {Algorithm::kDiskPaxos, Algorithm::kProtectedMemoryPaxos,
-        Algorithm::kAlignedPaxos}) {
-    const std::size_t n = algo == Algorithm::kAlignedPaxos ? 3 : 2;
+        Algorithm::kAlignedPaxos, Algorithm::kRobustBackup}) {
+    // Disk Paxos and PMP need n ≥ fP+1; Aligned and Robust Backup more.
+    const bool f_plus_1 = algo == Algorithm::kDiskPaxos ||
+                          algo == Algorithm::kProtectedMemoryPaxos;
+    const std::size_t n = f_plus_1 ? 2 : 3;
     const RunReport r = harness::run_cluster(smr_config(algo, n, 3, 8, 2, 4));
     EXPECT_TRUE(r.all_ok()) << harness::algorithm_name(algo) << ": "
                             << r.summary();
