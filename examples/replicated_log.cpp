@@ -11,6 +11,7 @@
 // which re-proposes the open window and continues with its own queued
 // commands. The surviving replicas' logs stay identical.
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -134,8 +135,21 @@ int main() {
   }
   const bool logs_match = machines[1]->log == machines[2]->log;
 
-  const smr::RunStats s2 = replicas[1]->stats();
-  std::printf("\np2 run stats: %s\n", s2.summary().c_str());
+  // p2's fold of every slot it applied: counts plus the latency samples of
+  // the slots it proposed and won after taking over.
+  const smr::SlotStats& s2 = replicas[1]->log().stats();
+  std::vector<sim::Time> commit = s2.won_latencies;
+  std::sort(commit.begin(), commit.end());
+  std::printf(
+      "\np2 slot stats: cmds=%llu slots=%llu noop=%llu fast=%llu "
+      "won=%zu commit p50=%llu p99=%llu last apply t=%llu\n",
+      static_cast<unsigned long long>(s2.commands),
+      static_cast<unsigned long long>(replicas[1]->log().applied_len()),
+      static_cast<unsigned long long>(s2.noop_slots),
+      static_cast<unsigned long long>(s2.fast_slots), commit.size(),
+      static_cast<unsigned long long>(smr::latency_percentile(commit, 50)),
+      static_cast<unsigned long long>(smr::latency_percentile(commit, 99)),
+      static_cast<unsigned long long>(s2.last_apply_at));
   std::printf("replica logs identical: %s\n", logs_match ? "yes" : "NO (bug!)");
   std::printf("state machine on p2: ");
   for (const auto& [k, v] : machines[1]->kv) {

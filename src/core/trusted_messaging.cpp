@@ -126,16 +126,9 @@ namespace {
 /// zero length-prefix terminates the entry stream (entries are never empty).
 Bytes encode_tsend_wire(ProcessId dst, util::ByteView payload,
                         util::ByteView history_body, std::uint64_t k,
-                        const crypto::Signature& sig, std::uint64_t base,
-                        const Bytes& base_chain) {
-  util::Writer w(16 + base_chain.size() + history_body.size() + 4 + 4 + 4 +
-                 payload.size() + 8 + 8 + sig.mac.size());
-  if (base > 0) {
-    // Checkpoint header: the marker can never open a real entry frame (a
-    // 4 GiB entry is unencodable), so decoders disambiguate on the first
-    // word alone.
-    w.u32(kCheckpointMarker).u64(base).bytes(base_chain);
-  }
+                        const crypto::Signature& sig) {
+  util::Writer w(history_body.size() + 4 + 4 + 4 + payload.size() + 8 + 8 +
+                 sig.mac.size());
   w.raw(history_body);
   w.u32(0);  // entry-stream terminator
   w.u32(dst).bytes(payload).u64(k);
@@ -145,11 +138,10 @@ Bytes encode_tsend_wire(ProcessId dst, util::ByteView payload,
 }  // namespace
 
 Bytes encode_tsend(ProcessId dst, util::ByteView payload, const History& h,
-                   std::uint64_t k, const crypto::Signature& sig,
-                   std::uint64_t base, const Bytes& base_chain) {
+                   std::uint64_t k, const crypto::Signature& sig) {
   const Bytes enc = encode_history(h);
-  return encode_tsend_wire(dst, payload, util::ByteView(enc).subspan(4), k, sig,
-                           base, base_chain);
+  return encode_tsend_wire(dst, payload, util::ByteView(enc).subspan(4), k,
+                           sig);
 }
 
 std::optional<TSendContent> decode_tsend(util::ByteView raw,
@@ -158,26 +150,11 @@ std::optional<TSendContent> decode_tsend(util::ByteView raw,
                                          std::size_t known_shared) {
   try {
     TSendContent c;
-    // Checkpoint header, if present (see kCheckpointMarker). Parsed before
-    // the prefix hop so `base`/`base_chain` are available either way; when
-    // the hop below matches, the header bytes are part of the verified
-    // prefix (the stored prefix always begins at wire byte 0).
-    std::size_t header = 0;
-    if (raw.size() >= 4) {
-      util::Reader hr(raw);
-      if (hr.u32() == kCheckpointMarker) {
-        c.base = hr.u64();
-        c.base_chain = hr.bytes();
-        if (c.base == 0) return std::nullopt;  // canonical: header ⇔ base > 0
-        header = raw.size() - hr.remaining();
-      }
-    }
     // Hop over the verified prefix if the wire leads with exactly those
     // bytes. The prefix is a concatenation of well-formed length-prefixed
-    // entry frames (preceded by the sender's checkpoint header when it has
-    // one), so a byte-identical wire prefix parses to the same entries with
-    // a frame boundary exactly at its end — no decode needed. Only the
-    // residual past `known_shared` is compared; both inputs are
+    // entry frames, so a byte-identical wire prefix parses to the same
+    // entries with a frame boundary exactly at its end — no decode needed.
+    // Only the residual past `known_shared` is compared; both inputs are
     // receiver-established (stored verified bytes / NEB delivered-prefix
     // identity), never fields of the incoming message.
     std::size_t skip = 0;
@@ -193,9 +170,7 @@ std::optional<TSendContent> decode_tsend(util::ByteView raw,
         c.prefix_entries = prefix_entries;
       }
     }
-    // A matched prefix always spans the header (stored prefixes start at
-    // wire byte 0); on a miss, entry parsing starts right past it.
-    util::Reader r(raw.subspan(std::max(skip, header)));
+    util::Reader r(raw.subspan(skip));
     while (true) {
       const util::ByteView entry_bytes = r.bytes_view();
       if (entry_bytes.empty()) break;  // terminator
@@ -210,7 +185,7 @@ std::optional<TSendContent> decode_tsend(util::ByteView raw,
       c.suffix.push_back(std::move(*e));
     }
     // Everything before the 4-byte terminator is the history body
-    // (including the checkpoint header and any skipped prefix).
+    // (including any skipped prefix).
     c.history_body = raw.subspan(0, raw.size() - r.remaining() - 4);
     c.dst = r.u32();
     c.payload = r.bytes();
@@ -283,48 +258,9 @@ void TrustedTransport::start() {
   exec_->spawn(deliver_loop());
 }
 
-void TrustedTransport::maybe_checkpoint(std::size_t published,
-                                        std::size_t published_bytes) {
-  if (config_.checkpoint_interval == 0 ||
-      published < config_.checkpoint_interval) {
-    return;
-  }
-  // Drop exactly the prefix that was on the wire just broadcast. Entries
-  // appended after that encode (the new kSent link, receipts since the last
-  // send) have never been published, so dropping them would strand every
-  // receiver: a receiver's verified position can only reach entries it has
-  // seen on some wire. The chain tip of the dropped prefix commits to all
-  // of it, so chaining, signing, and the wire header continue from there.
-  history_base_ += published;
-  base_chain_ = history_[published - 1].chain;
-  history_.erase(history_.begin(),
-                 history_.begin() + static_cast<std::ptrdiff_t>(published));
-  encoded_body_.erase(
-      encoded_body_.begin(),
-      encoded_body_.begin() + static_cast<std::ptrdiff_t>(published_bytes));
-  ++checkpoints_;
-}
-
-PeerCheckpoint TrustedTransport::peer_checkpoint(ProcessId owner) const {
-  const PeerCache* pc = peer_cache_.find(owner);
-  if (pc == nullptr) return {};
-  return {pc->base + pc->entries, pc->last_chain, pc->expected_sent};
-}
-
-void TrustedTransport::seed_peer_checkpoint(ProcessId owner,
-                                            const PeerCheckpoint& cp) {
-  PeerCache& pc = peer_cache_[owner];
-  pc.base = cp.entries;
-  pc.entries = 0;
-  pc.body.clear();
-  pc.last_chain = cp.chain;
-  pc.expected_sent = cp.expected_sent;
-  pc.neb_known = 0;
-}
-
 void TrustedTransport::append_entry(HistoryEntry::Kind kind, std::uint64_t k,
                                     ProcessId peer, util::ByteView payload) {
-  const Bytes prev = history_.empty() ? base_chain_ : history_.back().chain;
+  const Bytes prev = history_.empty() ? Bytes{} : history_.back().chain;
   HistoryEntry e;
   e.kind = kind;
   e.k = k;
@@ -354,20 +290,14 @@ void TrustedTransport::send(ProcessId dst, util::Buffer payload) {
   // encoding (the chain already commits to every entry).
   const std::uint64_t k = next_k_++;
   const Bytes history_digest =
-      history_.empty() ? base_chain_ : history_.back().chain;
+      history_.empty() ? Bytes{} : history_.back().chain;
 
   const crypto::Signature sig =
       signer_.sign(tsend_signing_bytes(k, dst, payload, history_digest));
 
-  // Everything retained right now goes out on this wire — that is the
-  // prefix maybe_checkpoint below may drop (published entries only).
-  const std::size_t published = history_.size();
-  const std::size_t published_bytes = encoded_body_.size();
-  Bytes wire = encode_tsend_wire(dst, payload, encoded_body_, k, sig,
-                                 history_base_, base_chain_);
+  Bytes wire = encode_tsend_wire(dst, payload, encoded_body_, k, sig);
 
   append_entry(HistoryEntry::Kind::kSent, k, dst, payload);
-  maybe_checkpoint(published, published_bytes);
   // Fire-and-forget: the broadcast completes (majority ack) in background.
   exec_->spawn(run_broadcast(neb_, std::move(wire)));
 }
@@ -407,25 +337,7 @@ sim::Task<void> TrustedTransport::deliver_loop() {
     const util::ByteView body = content->history_body;
     Bytes prev_chain;
     std::uint64_t expected_sent = 1;
-    bool anchored = false;
     if (content->prefix_entries > 0) {
-      prev_chain = pc.last_chain;
-      expected_sent = pc.expected_sent;
-    } else if (content->base > 0) {
-      // Checkpointed wire with no byte-prefix match: the dropped entries
-      // are not on the wire, so verification can only resume from a
-      // position this receiver already holds (earlier deliveries or a
-      // seed). The wire's claimed base chain is checked against that held
-      // state — never the other way around. No anchor ⇒ reject: to this
-      // receiver the sender has crashed, exactly the Byzantine downgrade
-      // T-send promises.
-      if (pc.base + pc.entries != content->base ||
-          pc.last_chain != content->base_chain) {
-        ++rejected_;
-        ++checkpoint_rejected_;
-        continue;
-      }
-      anchored = true;
       prev_chain = pc.last_chain;
       expected_sent = pc.expected_sent;
     }
@@ -463,15 +375,7 @@ sim::Task<void> TrustedTransport::deliver_loop() {
     vc.owner = d.from;
     vc.suffix = content->suffix.data();
     vc.suffix_len = content->suffix.size();
-    // Global (checkpoint-inclusive) entry count before the suffix, so a
-    // stateful validator's committed position lines up whether the prefix
-    // was byte-skipped, checkpoint-anchored, or absent.
-    vc.prefix_entries =
-        anchored ? static_cast<std::size_t>(content->base)
-                 : (content->prefix_entries > 0
-                        ? static_cast<std::size_t>(pc.base) +
-                              content->prefix_entries
-                        : 0);
+    vc.prefix_entries = content->prefix_entries;
     vc.k = d.k;
     vc.dst = content->dst;
     vc.payload = &content->payload;
@@ -489,18 +393,12 @@ sim::Task<void> TrustedTransport::deliver_loop() {
                      body.begin() + static_cast<std::ptrdiff_t>(pc.body.size()),
                      body.end());
     } else {
-      // Rebuild or checkpoint-anchored accept: the cache re-bases at the
-      // wire's checkpoint (0 when the sender has none) and stores its full
-      // history section — header included, so future prefix compares start
-      // at wire byte 0.
-      pc.base = content->base;
       pc.body.assign(body.begin(), body.end());
     }
     pc.last_chain = prev_chain;
     pc.expected_sent = expected_sent;
     pc.neb_known = pc.body.size();
     ++stats_.accepted;
-    if (anchored) ++anchored_resumes_;
     // T-receive: record a standalone-verifiable receipt in our own history,
     // hand the message to the protocol if it is addressed to us.
     const Receipt receipt{content->dst, content->payload, history_digest,

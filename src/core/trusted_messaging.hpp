@@ -102,12 +102,6 @@ bool verify_history_suffix(const crypto::KeyStore& ks, ProcessId owner,
 ///    of the owner's history, already structurally verified (chain +
 ///    signatures + sent-seqs) by the transport. `prefix_entries` == 0 means
 ///    the transport (re)built its cache and the suffix is the whole history.
-///    With history checkpointing, `prefix_entries` counts *global* entries
-///    (checkpointed-away ones included), so a stateful validator's
-///    committed position still lines up; a validator with no committed
-///    state cannot audit a checkpoint-anchored suffix (the dropped entries
-///    are gone from the wire) — seeded resume is for validators that carry
-///    their own recovered state, or for accept_all_validator.
 ///  * The transport guarantees entries [0, prefix_entries) are byte-identical
 ///    to those of the last call for this owner that returned true — prefix
 ///    identity is anchored in receiver-stored verified bytes, so a stateful
@@ -161,34 +155,6 @@ struct TsendStats {
 
 struct TrustedConfig {
   std::size_t n = 3;
-  /// History checkpointing: after a T-send whose wire carried at least this
-  /// many entries, the sender drops exactly that published prefix, keeping
-  /// only its chain tip (base_chain) and the count of dropped entries
-  /// (history_base). Only published entries are droppable — a receiver's
-  /// verified position can reach only entries it has seen on some wire.
-  /// Subsequent wires lead with a checkpoint header (marker, base, chain
-  /// tip) instead of the dropped entry frames, so sender memory and wire
-  /// size are bounded by the interval instead of the run length. 0 = off —
-  /// wires stay byte-identical to the pre-checkpoint format.
-  ///
-  /// Receivers accept a checkpointed wire only when it anchors in state
-  /// they already hold: their verified entry count must equal the wire's
-  /// base and their verified chain tip must equal the header's chain — the
-  /// header is checked against receiver-held trust, never taken on faith. A
-  /// rejoining receiver re-enters that state via seed_peer_checkpoint()
-  /// (from its own recovered state or a peer's exported checkpoint) and
-  /// resumes verification at the checkpoint instead of entry 0.
-  std::size_t checkpoint_interval = 0;
-};
-
-/// A receiver-side verification position in one peer's history: `entries`
-/// history entries verified, ending at chain tip `chain`, with
-/// `expected_sent` the peer's next sent-seq. Exported by peer_checkpoint()
-/// and installed by seed_peer_checkpoint() on a rejoining transport.
-struct PeerCheckpoint {
-  std::uint64_t entries = 0;
-  Bytes chain;
-  std::uint64_t expected_sent = 1;
 };
 
 /// Transport implementing T-send / T-receive. All sends are broadcast via
@@ -229,34 +195,13 @@ class TrustedTransport : public Transport {
   /// Byzantine-wire-path cost counters (suffix-only decode accounting).
   const TsendStats& tsend_stats() const { return stats_; }
 
-  /// Retained (post-checkpoint) history suffix; entry i here is global
-  /// entry history_base() + i.
+  /// This transport's own history: every message it T-sent or T-received.
   const History& history() const { return history_; }
-  /// Entries dropped by sender-side checkpointing (0 with the feature off).
-  std::uint64_t history_base() const { return history_base_; }
-  /// Sender-side checkpoints taken.
-  std::uint64_t checkpoints() const { return checkpoints_; }
-  /// Checkpointed wires rejected because they did not anchor in held state.
-  std::uint64_t checkpoint_rejected() const { return checkpoint_rejected_; }
-  /// Deliveries resumed at a checkpoint header (anchored, not byte-skip).
-  std::uint64_t anchored_resumes() const { return anchored_resumes_; }
-
-  /// Export this receiver's verified position in `owner`'s history, for
-  /// seeding a rejoining transport. Zero-entry checkpoint when `owner` was
-  /// never heard from.
-  PeerCheckpoint peer_checkpoint(ProcessId owner) const;
-  /// Install a verified position in `owner`'s history so verification
-  /// resumes there instead of entry 0. The seed must come from trusted
-  /// receiver state (own recovered cache or a correct peer's export) — it
-  /// IS the trust anchor checkpointed wires are checked against. Replaces
-  /// any existing cache for `owner`.
-  void seed_peer_checkpoint(ProcessId owner, const PeerCheckpoint& cp);
 
  private:
   sim::Task<void> deliver_loop();
   void append_entry(HistoryEntry::Kind kind, std::uint64_t k, ProcessId peer,
                     util::ByteView payload);
-  void maybe_checkpoint(std::size_t published, std::size_t published_bytes);
 
   sim::Executor* exec_;
   NonEquivBroadcast* neb_;
@@ -270,12 +215,6 @@ class TrustedTransport : public Transport {
   /// Concatenated length-prefixed entry encodings of history_ (the body of
   /// encode_history without its leading count), appended on append_entry.
   Bytes encoded_body_;
-  /// Sender-side checkpoint state: entries dropped before history_[0] and
-  /// the chain tip of the last dropped entry (the seed chain_entry() and
-  /// the wire header continue from).
-  std::uint64_t history_base_ = 0;
-  Bytes base_chain_;
-  std::uint64_t checkpoints_ = 0;
 
   /// Verified prefix of one peer's attached history. Histories are
   /// append-only, so if a new message's encoded history starts with the
@@ -287,14 +226,9 @@ class TrustedTransport : public Transport {
   /// attacker-supplied, so shortcutting the compare through them would let
   /// a fabricated prefix ride a copied chain tip.
   struct PeerCache {
-    /// Global entry index of the first entry covered by `body` — the
-    /// sender's checkpoint base when the cached wire prefix was accepted, a
-    /// seed's entry count, or 0. base + entries is the receiver's total
-    /// verified position in this peer's history.
-    std::uint64_t base = 0;
-    std::size_t entries = 0;  // entries in `body` (past `base`)
-    /// Verified leading wire bytes (checkpoint header, when the sender has
-    /// one, plus entry frames), byte-compared against the next wire.
+    std::size_t entries = 0;  // entries in `body`
+    /// Verified leading wire bytes (entry frames), byte-compared against the
+    /// next wire.
     Bytes body;
     Bytes last_chain;
     std::uint64_t expected_sent = 1;
@@ -310,8 +244,6 @@ class TrustedTransport : public Transport {
 
   sim::Channel<TMsg> incoming_;
   std::uint64_t rejected_ = 0;
-  std::uint64_t checkpoint_rejected_ = 0;
-  std::uint64_t anchored_resumes_ = 0;
   TsendStats stats_;
   bool started_ = false;
 };
@@ -332,27 +264,12 @@ class TrustedTransport : public Transport {
 /// history): the hash chain already commits to every prior entry, and the
 /// receiver holds the chain tip as a byproduct of incremental verification,
 /// so binding the history costs O(1) instead of re-hashing its encoding.
-/// When `base > 0` the wire leads with a checkpoint header — the marker
-/// word kCheckpointMarker (which can never open a real entry frame: entry
-/// frames are length-prefixed and a 4 GiB entry is unencodable), the count
-/// of dropped entries, and their chain tip — followed by the retained entry
-/// frames. `h` then holds only entries [base, …).
 Bytes encode_tsend(ProcessId dst, util::ByteView payload, const History& h,
-                   std::uint64_t k, const crypto::Signature& sig,
-                   std::uint64_t base = 0, const Bytes& base_chain = {});
-
-/// Leading u32 of a checkpointed wire's history section.
-inline constexpr std::uint32_t kCheckpointMarker = 0xFFFFFFFFu;
+                   std::uint64_t k, const crypto::Signature& sig);
 
 struct TSendContent {
   ProcessId dst = 0;
   Bytes payload;
-  /// Checkpoint header fields: entries the sender dropped before the wire's
-  /// first entry frame and their claimed chain tip. base == 0 ⇔ no header.
-  /// The chain is *sender-claimed* — a receiver must check it against a
-  /// position it already holds (PeerCache / seed) before resuming from it.
-  std::uint64_t base = 0;
-  Bytes base_chain;
   /// History entries decoded past the caller's verified prefix — the whole
   /// attached history when no prefix was supplied or it did not match.
   History suffix;

@@ -579,6 +579,7 @@ void fill_resource_counters(RunReport& report, World& w) {
       report.mem_reads += vm->device().posted_reads();
       report.mem_read_batches += vm->device().posted_read_batches();
       report.mem_writes += vm->device().posted_writes();
+      report.permission_changes += vm->permission_changes();
     }
   }
   report.signatures = w.keystore.signatures_made();
@@ -603,11 +604,11 @@ void fill_resource_counters(RunReport& report, World& w) {
   }
 }
 
-void add_recovery_counters(RunReport& report, const smr::RunStats& s) {
-  report.snapshots_taken += s.snapshots_taken;
-  report.snapshots_installed += s.snapshots_installed;
-  report.slots_truncated += s.slots_truncated;
-  report.catchup_bytes += s.catchup_bytes;
+void add_recovery_counters(RunReport& report, const smr::Log& log) {
+  report.snapshots_taken += log.snapshots_taken();
+  report.snapshots_installed += log.snapshots_installed();
+  report.slots_truncated += log.slots_truncated();
+  report.catchup_bytes += log.catchup_bytes();
 }
 
 // ---------------------------------------------------------------------------
@@ -1047,70 +1048,66 @@ void roll_up_replicas(const World& w, RunReport& report) {
   std::vector<sim::Time> latencies;
   std::vector<sim::Time> queue_waits;
   std::uint64_t tuner_best_obs = 0;  // the busiest tuner = a leader's
+  // A log's slot-accounting rank: applied length, then commands.
+  const auto rank = [](const smr::Log* log) {
+    return log == nullptr ? std::pair<Slot, std::uint64_t>{0, 0}
+                          : std::pair{log->applied_len(), log->stats().commands};
+  };
   for (const Group& g : w.groups) {
     if (g.config) continue;
-    smr::RunStats ref;  // slot accounting reference; zeros until one is set
-    bool have_ref = false;
+    const smr::Log* ref = nullptr;  // slot accounting reference
     bool ref_rejoined = false;
     std::uint64_t fast_slots = 0;
     for (ProcessId p = 1; p <= static_cast<ProcessId>(w.cfg.n); ++p) {
       if (!w.correct(p)) continue;
       const smr::Replica& replica = *g.members[p - 1].replica;
-      const smr::RunStats stats = replica.stats();
-      // A rejoiner's log-derived stats exclude the slots its snapshot
-      // install covered, while a survivor's fold is exact: KV mode prefers
-      // a replica that never rejoined, SMR mode the longest log and, at
-      // equal length, the fuller command count.
+      const smr::Log& log = replica.log();
+      const smr::SlotStats& s = log.stats();
+      // A rejoiner's fold excludes the slots its snapshot install covered,
+      // while a survivor's is exact: KV mode prefers a replica that never
+      // rejoined, SMR mode the longest log and, at equal length, the fuller
+      // command count.
       const bool rejoined = w.rejoin_at_[p - 1] != sim::kTimeInfinity;
-      if (w.cfg.kv.enabled
-              ? !have_ref || (ref_rejoined && !rejoined)
-              : std::tie(stats.slots_applied, stats.commands_applied) >
-                    std::tie(ref.slots_applied, ref.commands_applied)) {
-        ref = stats;
-        have_ref = true;
+      if (w.cfg.kv.enabled ? ref == nullptr || (ref_rejoined && !rejoined)
+                           : rank(&log) > rank(ref)) {
+        ref = &log;
         ref_rejoined = rejoined;
       }
-      fast_slots = std::max(fast_slots, stats.fast_slots);
-      const std::vector<sim::Time> won = smr::won_slot_latencies(replica.log());
-      latencies.insert(latencies.end(), won.begin(), won.end());
-      const std::vector<sim::Time> qw =
-          smr::queue_wait_latencies(replica.log());
-      queue_waits.insert(queue_waits.end(), qw.begin(), qw.end());
-      report.occupancy_slots += stats.occupancy_slots;
-      report.occupancy_limit += stats.occupancy_limit;
-      add_recovery_counters(report, stats);
-      if (replica.tuner().enabled() && replica.tuner().observations() > 0) {
-        report.tuner_epochs += stats.tuner_epochs;
-        if (replica.tuner().observations() > tuner_best_obs) {
-          tuner_best_obs = replica.tuner().observations();
-          report.tuner_window = stats.tuner_window;
-          report.tuner_batch = stats.tuner_batch;
+      fast_slots = std::max(fast_slots, s.fast_slots);
+      latencies.insert(latencies.end(), s.won_latencies.begin(),
+                       s.won_latencies.end());
+      queue_waits.insert(queue_waits.end(), s.queue_waits.begin(),
+                         s.queue_waits.end());
+      report.occupancy_slots += s.occupancy_slots;
+      report.occupancy_limit += s.occupancy_limit;
+      add_recovery_counters(report, log);
+      const smr::Tuner& tuner = replica.tuner();
+      if (tuner.enabled() && tuner.observations() > 0) {
+        report.tuner_epochs += tuner.trajectory().size();
+        if (tuner.observations() > tuner_best_obs) {
+          tuner_best_obs = tuner.observations();
+          report.tuner_window = tuner.window();
+          report.tuner_batch = tuner.batch();
         }
         if (!report.tuner_trajectory.empty()) report.tuner_trajectory += '|';
         report.tuner_trajectory += g.label + "p" + std::to_string(p) + ":" +
-                                   stats.tuner_trajectory;
+                                   tuner.trajectory_fingerprint();
       }
-      // Slot 0's record only survives on replicas that never compacted it
-      // away (records_base() > 0 means the first decision time was folded).
-      const auto& records = replica.log().records();
-      if (replica.log().applied_len() > 0 &&
-          replica.log().records_base() == 0 && !records.empty()) {
-        report.first_decision_delay =
-            std::min(report.first_decision_delay, records[0].decided_at);
-        report.first_correct_decision_delay = std::min(
-            report.first_correct_decision_delay, records[0].decided_at);
-      }
+      report.first_decision_delay =
+          std::min(report.first_decision_delay, s.first_decided_at);
+      report.first_correct_decision_delay =
+          std::min(report.first_correct_decision_delay, s.first_decided_at);
     }
     report.fast_slots += fast_slots;
-    report.slots_applied += ref.slots_applied;
-    report.commands_applied += ref.commands_applied;
-    report.noop_slots += ref.noop_slots;
+    if (ref != nullptr) {
+      report.slots_applied += ref->applied_len();
+      report.commands_applied += ref->stats().commands;
+      report.noop_slots += ref->stats().noop_slots;
+    }
   }
   for (const World::Incarnation& dead : w.retired) {
     for (const Member& m : dead.members) {
-      if (m.replica != nullptr) {
-        add_recovery_counters(report, m.replica->stats());
-      }
+      if (m.replica != nullptr) add_recovery_counters(report, m.replica->log());
     }
   }
 
@@ -1289,19 +1286,19 @@ void fill_rows(World& w, RunReport& report) {
       std::ostringstream os;
       for (const Group& g : w.groups) {
         const Member& m = g.members[row.id - 1];
-        const smr::RunStats stats = m.replica->stats();
+        const Slot slots = m.replica->log().applied_len();
+        const smr::SlotStats& stats = m.replica->log().stats();
         row.decided_at = std::max(row.decided_at, stats.last_apply_at);
-        if (!g.config) row.decided = row.decided || stats.slots_applied > 0;
+        if (!g.config) row.decided = row.decided || slots > 0;
         if (w.cfg.kv.enabled) {
           os << (&g == &w.groups.front() ? "" : "|") << g.label
-             << ":slots=" << stats.slots_applied << ",h=" << std::hex
-             << kv_digest(g, m) << std::dec;
+             << ":slots=" << slots << ",h=" << std::hex << kv_digest(g, m)
+             << std::dec;
           continue;
         }
         row.log = log_of(m);
         row.fast_path =
-            stats.slots_applied > 0 &&
-            stats.fast_slots + stats.noop_slots >= stats.slots_applied;
+            slots > 0 && stats.fast_slots + stats.noop_slots >= slots;
         std::string joined;
         for (const auto& c : row.log) {
           if (!joined.empty()) joined += '|';

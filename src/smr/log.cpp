@@ -95,17 +95,18 @@ void Log::enqueue_commands(std::vector<Bytes> commands) {
   pending_signal_.bump();
 }
 
-SlotRecord& Log::record(Slot s) {
-  if (s < records_base_) {
-    // Compacted (or caught-up-over) slot: its stats are already folded.
-    // Hand back a scratch sink so rare late writers (a stale DECIDE racing
-    // a snapshot) stay harmless.
-    scratch_record_ = SlotRecord{};
-    return scratch_record_;
-  }
-  const std::size_t idx = s - records_base_;
-  if (records_.size() <= idx) records_.resize(idx + 1);
-  return records_[idx];
+Log::Launch& Log::launch_record(Slot s) {
+  const std::size_t idx = s - applied_len_;
+  if (launches_.size() <= idx) launches_.resize(idx + 1);
+  return launches_[idx];
+}
+
+Log::Launch Log::retire_launch() {
+  if (launches_.empty()) return {};
+  const Launch l = launches_.front();
+  launches_.pop_front();
+  if (l.launched && open_slots_ > 0) --open_slots_;
+  return l;
 }
 
 Log::Pending Log::take_pending_or_noop() {
@@ -143,13 +144,17 @@ void Log::requeue_front(Pending group) {
 }
 
 void Log::launch(Slot slot, Pending p, bool retry) {
-  SlotRecord& rec = record(slot);
-  rec.proposed_here = true;
-  rec.enqueued_at = p.enqueued_at;
-  rec.proposed_at = exec_->now();
-  ++open_slots_;
-  rec.in_flight = open_slots_;
-  rec.window_limit = live_window();
+  // An already-applied slot (an all-propose engine that decided it without
+  // us) is proposed without a record: it has left the window.
+  if (slot >= applied_len_) {
+    Launch& l = launch_record(slot);
+    l.launched = true;
+    l.enqueued_at = p.enqueued_at;
+    l.proposed_at = exec_->now();
+    l.in_flight = ++open_slots_;
+    l.window_limit = live_window();
+    own_above_truncation_ = true;
+  }
   exec_->spawn(drive(slot, std::move(p), retry));
 }
 
@@ -164,7 +169,13 @@ sim::Task<void> Log::drive(Slot slot, Pending group, bool retry) {
   try {
     const core::Decision d = co_await engine_->propose(slot, proposed);
     if (d.value == proposed) {
-      record(slot).won_here = true;
+      // The won sample folds once: at apply if the slot is still open, here
+      // if it already applied (the decision stream can beat propose).
+      if (slot >= applied_len_) {
+        launch_record(slot).won = true;
+      } else if (!decode_batch(proposed).empty()) {
+        stats_.won_latencies.push_back(d.decided_at - group.enqueued_at);
+      }
     } else if (retry && !proposed.empty()) {
       // Our batch lost the slot (a hand-off adopted an older leader's
       // value): put it back at the front so it wins a later slot.
@@ -180,27 +191,32 @@ sim::Task<void> Log::drive(Slot slot, Pending group, bool retry) {
 }
 
 void Log::apply_slot(Slot slot, const core::Decision& d) {
-  SlotRecord& rec = record(slot);
-  rec.decided_at = d.decided_at;
-  rec.fast = d.fast;
-  rec.applied_at = exec_->now();
   const std::vector<Bytes> commands = decode_batch(d.value);
-  rec.commands = commands.size();
-  rec.noop = commands.empty();
-  if (rec.proposed_here) {
-    if (open_slots_ > 0) --open_slots_;
+  const bool noop = commands.empty();
+  stats_.commands += commands.size();
+  if (noop) ++stats_.noop_slots;
+  if (d.fast) ++stats_.fast_slots;
+  stats_.last_apply_at = exec_->now();
+  if (slot == 0) stats_.first_decided_at = d.decided_at;
+  own_above_truncation_ = true;
+  const Launch l = retire_launch();
+  if (l.launched) {
+    stats_.occupancy_slots += l.in_flight;
+    stats_.occupancy_limit += l.window_limit;
+    const sim::Time wait =
+        l.proposed_at >= l.enqueued_at ? l.proposed_at - l.enqueued_at : 0;
+    if (!noop) {
+      stats_.queue_waits.push_back(wait);
+      if (l.won) stats_.won_latencies.push_back(d.decided_at - l.enqueued_at);
+    }
     if (tuner_ != nullptr && tuner_->enabled()) {
       // The controller's inputs, all executor-time/count derived: queue
       // wait (enqueue→propose), consensus service (propose→decide), the
       // queue still backed up behind the window, and launch-time occupancy.
-      const sim::Time wait = rec.proposed_at >= rec.enqueued_at
-                                 ? rec.proposed_at - rec.enqueued_at
-                                 : 0;
-      const sim::Time service = rec.decided_at >= rec.proposed_at
-                                    ? rec.decided_at - rec.proposed_at
-                                    : 0;
-      tuner_->observe(wait, service, pending_cmds_, rec.in_flight,
-                      rec.commands);
+      const sim::Time service =
+          d.decided_at >= l.proposed_at ? d.decided_at - l.proposed_at : 0;
+      tuner_->observe(wait, service, pending_cmds_, l.in_flight,
+                      commands.size());
     }
   }
   for (const Bytes& c : commands) sm_->apply(slot, c);
@@ -246,32 +262,10 @@ void Log::compact_below(Slot s) {
   // A decision below the snapshot slot can no longer be applied in order —
   // the snapshot already covers it.
   stash_.erase(stash_.begin(), stash_.lower_bound(s));
-  if (s <= records_base_) return;
-  const Slot upto =
-      std::min<Slot>(s, records_base_ + static_cast<Slot>(records_.size()));
-  for (Slot t = records_base_; t < upto; ++t) {
-    const SlotRecord& r = records_[t - records_base_];
-    compacted_.commands += r.commands;
-    if (r.noop) ++compacted_.noop_slots;
-    if (r.fast) ++compacted_.fast_slots;
-    compacted_.last_apply_at = std::max(compacted_.last_apply_at, r.applied_at);
-    if (r.proposed_here) {
-      compacted_.occupancy_slots += r.in_flight;
-      compacted_.occupancy_limit += r.window_limit;
-      if (!r.noop) {
-        compacted_.queue_waits.push_back(
-            r.proposed_at >= r.enqueued_at ? r.proposed_at - r.enqueued_at
-                                           : 0);
-        if (r.won_here) {
-          compacted_.won_latencies.push_back(r.decided_at - r.enqueued_at);
-        }
-      }
-    }
-  }
-  records_.erase(records_.begin(),
-                 records_.begin() + static_cast<std::ptrdiff_t>(upto - records_base_));
-  slots_truncated_ += s - records_base_;
-  records_base_ = s;
+  if (s <= truncated_upto_) return;
+  slots_truncated_ += s - truncated_upto_;
+  truncated_upto_ = s;
+  own_above_truncation_ = !launches_.empty();
 }
 
 sim::Task<void> Log::pump_leader() {
@@ -300,10 +294,8 @@ sim::Task<void> Log::pump_leader() {
       // propose retries under our leadership), so they are skipped.
       const Slot horizon = engine_->slot_horizon();
       for (Slot s = applied_len_; s < horizon; ++s) {
-        if (s >= records_base_ && s - records_base_ < records_.size() &&
-            records_[s - records_base_].proposed_here) {
-          continue;
-        }
+        const std::size_t idx = s - applied_len_;
+        if (idx < launches_.size() && launches_[idx].launched) continue;
         if (stash_.contains(s)) continue;  // decided, awaiting apply
         launch(s, take_pending_or_noop(), /*retry=*/true);
       }
@@ -321,11 +313,8 @@ sim::Task<void> Log::pump_leader() {
     sel.on(pending_signal_, v_pending)
         .on(applied_signal_, v_applied)
         .on(omega_->changed(), v_omega)
-        .on(engine_->horizon_signal(), v_horizon);
-    // Only recovering logs watch the recovery signal — an extra never-
-    // bumping source would be inert, but keeping the default Select set
-    // untouched keeps the pre-recovery event trace byte-identical.
-    if (config_.recover) sel.on(recovering_signal_, v_recover);
+        .on(engine_->horizon_signal(), v_horizon)
+        .on(recovering_signal_, v_recover);
     (void)co_await sel;
   }
 }
@@ -463,6 +452,7 @@ sim::Task<Bytes> Log::fetch_range(Bytes request,
 }
 
 void Log::install_slot(Slot s, const Bytes& payload) {
+  retire_launch();
   const std::vector<Bytes> commands = decode_batch(payload);
   for (const Bytes& c : commands) sm_->apply(s, c);
   if (config_.snapshot_interval > 0) retained_[s] = payload;
@@ -477,6 +467,10 @@ void Log::install_catchup(const CatchupResponse& resp,
   bool progressed = false;
   if (resp.snap_slot > applied_len_) {
     if (!resp.snapshot.empty() && sm_->restore(resp.snapshot)) {
+      for (Slot s = applied_len_; s < resp.snap_slot && !launches_.empty();
+           ++s) {
+        retire_launch();
+      }
       applied_len_ = resp.snap_slot;
       // The installed snapshot becomes ours: we can serve it onward, and
       // our own cadence restarts from its slot.
@@ -499,11 +493,7 @@ void Log::install_catchup(const CatchupResponse& resp,
     progressed = true;
   }
   if (!progressed) return;
-  // The caught-up region was never recorded here; slide the record base
-  // over it (fresh logs only — a log with live records keeps them).
-  if (records_.empty() && records_base_ < applied_len_) {
-    records_base_ = applied_len_;
-  }
+  if (!own_above_truncation_) truncated_upto_ = applied_len_;
   stash_.erase(stash_.begin(), stash_.lower_bound(applied_len_));
   drain_stash();  // decisions that arrived during recovery may now connect
   next_slot_ = std::max(next_slot_, applied_len_);

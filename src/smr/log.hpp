@@ -110,8 +110,6 @@ struct LogConfig {
   /// queues advance in lockstep and fillers are never needed). fixed_slots
   /// is then just a cap, not a target.
   bool noop_fillers = true;
-  /// Seed for Ω leadership-wait backoff.
-  sim::Time lead_poll = 1;
   /// Snapshot the state machine every `snapshot_interval` applied slots and
   /// compact the log below the snapshot slot (0 = never, the default — the
   /// pre-snapshot behavior, byte-for-byte). With an interval set the Log
@@ -133,38 +131,29 @@ struct LogConfig {
   sim::Time catchup_timeout = 8;
 };
 
-/// Everything recorded about one slot at this replica (index == slot).
-struct SlotRecord {
-  bool proposed_here = false;  // this replica drove a proposal for the slot
-  bool won_here = false;       // ...and its payload was the decided value
-  bool noop = false;           // decided batch was empty / undecodable
-  bool fast = false;           // local decision took the engine's fast path
-  std::size_t commands = 0;    // commands applied from the slot
-  sim::Time enqueued_at = 0;   // proposer only: when the payload was queued
-  sim::Time proposed_at = 0;   // proposer only
-  sim::Time decided_at = 0;    // local decision time
-  sim::Time applied_at = 0;
-  /// Proposer only: open slots (launched, not yet applied) right after this
-  /// slot launched, and the live window limit it launched under — the
-  /// window-occupancy signal the tuner and RunStats read.
-  std::size_t in_flight = 0;
-  std::size_t window_limit = 0;
-};
-
-/// Per-slot stats folded out of records compacted below a snapshot slot, so
-/// RunStats and the latency percentiles are identical whether or not the
-/// slots behind them were truncated. Latency samples are kept verbatim
-/// (8 bytes per slot vs. a full SlotRecord + payload) — percentiles cannot
-/// be folded into scalars.
-struct CompactedStats {
-  std::uint64_t commands = 0;
-  std::uint64_t noop_slots = 0;
-  std::uint64_t fast_slots = 0;
+/// Every slot this replica applied from a decision, folded once at apply.
+/// Slots installed by catch-up carry no decision metadata and fold nothing.
+struct SlotStats {
+  std::uint64_t commands = 0;    // commands applied from decided slots
+  std::uint64_t noop_slots = 0;  // decided batch was empty / undecodable
+  std::uint64_t fast_slots = 0;  // local decision took the engine's fast path
   sim::Time last_apply_at = 0;
+  /// Local decision time of slot 0 (infinity until slot 0 applies here
+  /// from a decision).
+  sim::Time first_decided_at = sim::kTimeInfinity;
+  /// Window occupancy over the slots this replica launched: open slots right
+  /// after each launch / the live window limit it launched under, summed —
+  /// ratio-of-sums is the mean occupancy, and the integers fingerprint
+  /// exactly.
   std::uint64_t occupancy_slots = 0;
   std::uint64_t occupancy_limit = 0;
-  std::vector<sim::Time> won_latencies;  // enqueue → decide, won slots
-  std::vector<sim::Time> queue_waits;    // enqueue → propose, proposed slots
+  /// Latency samples, unsorted (percentiles cannot be folded into scalars):
+  /// enqueue → local decide of every non-noop slot this replica launched and
+  /// won, and enqueue → propose of every non-noop slot it launched.
+  std::vector<sim::Time> won_latencies;
+  std::vector<sim::Time> queue_waits;
+
+  bool operator==(const SlotStats&) const = default;
 };
 
 class Log {
@@ -209,12 +198,12 @@ class Log {
     return pending_.empty() && stash_.empty() && applied_len_ >= next_slot_;
   }
   sim::VersionSignal& applied_signal() { return applied_signal_; }
-  /// Live slot records: records()[i] describes slot records_base() + i.
-  /// Slots below records_base() were compacted; their stats live on in
-  /// compacted().
-  const std::vector<SlotRecord>& records() const { return records_; }
-  Slot records_base() const { return records_base_; }
-  const CompactedStats& compacted() const { return compacted_; }
+  /// The fold of every slot applied so far; compaction does not touch it.
+  const SlotStats& stats() const { return stats_; }
+  /// Proposer records held: one per slot from [applied_len(), newest
+  /// launch], so at most the window (plus a hand-off's adopted suffix), and
+  /// none at quiescence or on a replica that never launches.
+  std::size_t launches_held() const { return launches_.size(); }
 
   /// True while the recovery hold is on: the log is catching up from a
   /// peer and pump_leader does not assign fresh slots yet.
@@ -253,6 +242,17 @@ class Log {
     std::vector<Bytes> cmds;     // raw commands (enqueue_commands path)
     sim::Time enqueued_at = 0;
   };
+  /// Proposer-side record of one slot, held from launch to apply.
+  struct Launch {
+    bool launched = false;       // false: a gap below a later launch
+    bool won = false;            // our payload was decided (drive saw it)
+    sim::Time enqueued_at = 0;
+    sim::Time proposed_at = 0;
+    /// Open slots right after this launch, and the live window limit it
+    /// launched under — the occupancy signal the tuner and SlotStats read.
+    std::size_t in_flight = 0;
+    std::size_t window_limit = 0;
+  };
 
   sim::Task<void> apply_loop();
   sim::Task<void> pump_leader();
@@ -270,20 +270,23 @@ class Log {
   /// them).
   sim::Task<void> catchup_driver();
 
-  SlotRecord& record(Slot s);
+  /// The proposer record of unapplied slot `s` (created on first touch).
+  Launch& launch_record(Slot s);
+  /// Drop the proposer record of slot applied_len_, which is leaving the
+  /// window, closing its window seat if it was launched here.
+  Launch retire_launch();
   Pending take_pending_or_noop();
   void requeue_front(Pending group);
   void launch(Slot slot, Pending p, bool retry);
   void apply_slot(Slot slot, const core::Decision& d);
   /// Snapshot + compact when the interval says so (no-op otherwise).
   void maybe_snapshot();
-  /// Drop retained payloads, stash entries and records below `s`, folding
-  /// record stats into compacted_.
+  /// Drop retained payloads and stash entries below `s`.
   void compact_below(Slot s);
   void serve_catchup(ProcessId dst, Slot from);
   void serve_range(ProcessId dst, const RangeSnapRequest& req);
   void install_catchup(const CatchupResponse& resp, std::size_t wire_bytes);
-  /// Apply one caught-up slot payload (no decision metadata, no record).
+  /// Apply one caught-up slot payload (no decision metadata, no fold).
   void install_slot(Slot s, const Bytes& payload);
   void drain_stash();
 
@@ -298,10 +301,8 @@ class Log {
   sim::VersionSignal pending_signal_;
   std::map<Slot, core::Decision> stash_;  // decided, awaiting in-order apply
   sim::VersionSignal stash_signal_;       // bumps on stash insert (gap watch)
-  std::vector<SlotRecord> records_;
-  Slot records_base_ = 0;  // slot of records_[0]; below = compacted
-  SlotRecord scratch_record_;  // write sink for compacted-slot records
-  CompactedStats compacted_;
+  std::deque<Launch> launches_;  // launches_[i] describes slot applied_len_ + i
+  SlotStats stats_;
   Slot applied_len_ = 0;
   Slot next_slot_ = 0;
   std::size_t open_slots_ = 0;  // launched here, not yet applied
@@ -330,6 +331,12 @@ class Log {
   std::uint64_t snapshots_taken_ = 0;
   std::uint64_t snapshots_installed_ = 0;
   std::uint64_t slots_truncated_ = 0;
+  // Compaction counts slots from truncated_upto_ to each snapshot slot. A
+  // catch-up install into a log holding no slot of its own above that point
+  // (none applied from a decision or launched here since) slides it past
+  // the installed prefix, so caught-up slots never count as truncated.
+  Slot truncated_upto_ = 0;
+  bool own_above_truncation_ = false;
   std::uint64_t catchup_bytes_ = 0;
   std::uint64_t catchup_rejected_ = 0;
 };

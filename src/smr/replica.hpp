@@ -2,10 +2,9 @@
 //
 // submit(cmd) batches commands into slot payloads (up to `batch` commands
 // per slot — the amortization every log replication system leans on: one
-// consensus round commits many commands), hands them to smr::Log, and
-// reports a RunStats with throughput, per-slot commit-latency percentiles,
-// and path/no-op counts. One Replica per process; the replicated state
-// machine is pluggable.
+// consensus round commits many commands) and hands them to smr::Log, whose
+// SlotStats fold carries the per-slot counts and latency samples. One
+// Replica per process; the replicated state machine is pluggable.
 //
 // With `tune.enabled` (auto-tuning) the replica owns an smr::Tuner and
 // window/batch become live, clamped settings instead of constants: the
@@ -19,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/common.hpp"
@@ -40,66 +38,10 @@ struct ReplicaConfig {
   TunerConfig tune{};
 };
 
-/// Enqueue → local-decide latencies of the applied slots this log proposed
-/// and won (the slots whose commit latency is attributable to this
-/// replica). Unsorted; callers aggregating several replicas concatenate
-/// first, then sort once.
-std::vector<sim::Time> won_slot_latencies(const Log& log);
-
-/// Enqueue → propose waits of every applied slot this log proposed — the
-/// queue-wait signal the tuner adapts from, exported so bench rows and
-/// tests can assert on the controller's own inputs. Unsorted.
-std::vector<sim::Time> queue_wait_latencies(const Log& log);
-
 /// Index-based percentile over a latency list sorted ascending (p in
 /// 0..100, fractional percentiles like 99.9 included; zero when empty).
-/// The single definition RunStats and the harness report share.
+/// The single definition every harness percentile uses.
 sim::Time latency_percentile(const std::vector<sim::Time>& sorted, double p);
-
-/// End-of-run report for one replica.
-struct RunStats {
-  std::uint64_t commands_submitted = 0;
-  std::uint64_t commands_applied = 0;
-  Slot slots_applied = 0;
-  std::uint64_t noop_slots = 0;
-  std::uint64_t fast_slots = 0;  // slots whose local decision was fast-path
-  sim::Time last_apply_at = 0;
-  /// Commit latency (enqueue → local decide, sim-time) percentiles over the
-  /// slots this replica proposed and won. Zero when it won none. p999 is
-  /// the production-scale tail metric: one straggler slot per thousand is
-  /// what a p50/p99 pair misses.
-  sim::Time commit_p50 = 0;
-  sim::Time commit_p99 = 0;
-  sim::Time commit_p999 = 0;
-  /// Queue wait (enqueue → propose) percentiles over the slots this replica
-  /// proposed — the tuner's saturation signal.
-  sim::Time queue_wait_p50 = 0;
-  sim::Time queue_wait_p99 = 0;
-  /// Window occupancy as integer sums (launch-time open slots / live window
-  /// limit, summed over proposed slots): ratio-of-sums is the mean
-  /// occupancy, and the integer parts fingerprint exactly.
-  std::uint64_t occupancy_slots = 0;
-  std::uint64_t occupancy_limit = 0;
-  double window_occupancy = 0.0;
-  /// Controller outcome (zeros / empty when auto-tuning is off).
-  std::uint64_t tuner_epochs = 0;
-  std::size_t tuner_window = 0;
-  std::size_t tuner_batch = 0;
-  std::string tuner_trajectory;
-  /// Recovery counters (all zero when snapshotting is off): snapshots this
-  /// replica cut locally vs installed from a peer, log slots freed by
-  /// compaction, catch-up response bytes consumed, and malformed or
-  /// unusable control frames dropped.
-  std::uint64_t snapshots_taken = 0;
-  std::uint64_t snapshots_installed = 0;
-  std::uint64_t slots_truncated = 0;
-  std::uint64_t catchup_bytes = 0;
-  std::uint64_t catchup_rejected = 0;
-  /// Applied commands per 1000 sim-time units — the pipelining headline.
-  double commands_per_kdelay = 0.0;
-
-  std::string summary() const;
-};
 
 class Replica {
  public:
@@ -133,16 +75,12 @@ class Replica {
   }
   /// No open batch, nothing pending, every proposed slot applied.
   bool idle() const { return open_batch_.empty() && log_.quiescent(); }
-  std::uint64_t commands_submitted() const { return submitted_; }
-
-  RunStats stats() const;
 
  private:
   Tuner tuner_;  // before log_: the log holds a pointer to it
   Log log_;
   ReplicaConfig config_;
   std::vector<Bytes> open_batch_;
-  std::uint64_t submitted_ = 0;
 };
 
 }  // namespace mnm::smr

@@ -297,6 +297,7 @@ sim::Task<mem::Status> VerbsMemory::change_permission(ProcessId caller,
       op->outcome = mem::Status::kNak;
       return;
     }
+    ++perm_changes_;
     it->second.perm = std::move(op->proposed);
     install_registrations(it->second);
     op->outcome = mem::Status::kAck;

@@ -184,6 +184,9 @@ class VerbsMemory : public mem::MemoryIface {
                                            mem::Permission proposed) override;
 
   const mem::Permission& region_permission(RegionId region) const;
+  /// Accepted permission changes, counted at the host-side effect point
+  /// like mem::Memory::permission_changes.
+  std::uint64_t permission_changes() const { return perm_changes_; }
 
  private:
   struct RegionState {
@@ -204,6 +207,7 @@ class VerbsMemory : public mem::MemoryIface {
   std::map<ProcessId, QpId> qps_;
   std::map<RegionId, RegionState> regions_;
   RegionId next_region_ = 1;
+  std::uint64_t perm_changes_ = 0;
 };
 
 }  // namespace mnm::verbs

@@ -9,6 +9,8 @@
 
 #include <functional>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "src/harness/cluster.hpp"
 #include "src/sim/time.hpp"
@@ -75,14 +77,36 @@ TEST(CommonCase, AlignedPaxosDecides) {
 }
 
 TEST(CommonCase, VerbsBackendMatchesMemBackendOnDelays) {
+  // The verbs backend runs the same schedule as mem::Memory, so every cost
+  // counter matches too. Crashing p1 at t=0 makes the permission-changing
+  // algorithms revoke its access, so their permission counts are non-zero.
+  std::vector<ClusterConfig> configs;
   for (Algorithm a : {Algorithm::kProtectedMemoryPaxos, Algorithm::kDiskPaxos}) {
-    ClusterConfig c = base(a, 2, 3);
+    configs.push_back(base(a, 2, 3));
+  }
+  for (Algorithm a : {Algorithm::kProtectedMemoryPaxos,
+                      Algorithm::kAlignedPaxos, Algorithm::kFastRobust}) {
+    ClusterConfig c = base(a, 3, 3);
+    c.faults.process_crashes[1] = 0;
+    configs.push_back(c);
+  }
+  for (ClusterConfig c : configs) {
     const RunReport plain = run_cluster(c);
     c.verbs_backend = true;
     const RunReport rdma = run_cluster(c);
+    const std::string name = algorithm_name(c.algo);
     EXPECT_TRUE(rdma.all_ok()) << rdma.summary();
-    EXPECT_EQ(plain.first_decision_delay, rdma.first_decision_delay)
-        << algorithm_name(a);
+    EXPECT_EQ(plain.first_decision_delay, rdma.first_decision_delay) << name;
+    EXPECT_EQ(plain.messages_sent, rdma.messages_sent) << name;
+    EXPECT_EQ(plain.mem_reads, rdma.mem_reads) << name;
+    EXPECT_EQ(plain.mem_read_batches, rdma.mem_read_batches) << name;
+    EXPECT_EQ(plain.mem_writes, rdma.mem_writes) << name;
+    EXPECT_EQ(plain.permission_changes, rdma.permission_changes) << name;
+    EXPECT_EQ(plain.signatures, rdma.signatures) << name;
+    EXPECT_EQ(plain.verifications, rdma.verifications) << name;
+    if (!c.faults.process_crashes.empty()) {
+      EXPECT_GT(plain.permission_changes, 0u) << name;
+    }
   }
 }
 

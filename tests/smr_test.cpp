@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,32 @@ struct ScriptedEngine : core::ConsensusEngine {
   }
 };
 
+/// Test double for leader mode: every proposal decides its own value
+/// `delay` after it is made. The decision streams before propose returns,
+/// or — with `late_return` — one time unit after, so the Log applies the
+/// slot before it learns that it won.
+struct InstantEngine : core::ConsensusEngine {
+  InstantEngine(sim::Executor& exec, sim::Time delay, bool late_return)
+      : ConsensusEngine(exec), delay_(delay), late_return_(late_return) {}
+
+  ProcessId self() const override { return 1; }
+  std::size_t process_count() const override { return 1; }
+  void start() override {}
+  void open_slot(Slot s) override { note_slot(s); }
+  sim::Task<core::Decision> propose(Slot s, Bytes value) override {
+    note_slot(s);
+    co_await exec_->sleep(delay_);
+    const core::Decision d{std::move(value), true, exec_->now()};
+    push_decision(s, d);
+    if (late_return_) co_await exec_->sleep(1);
+    co_return d;
+  }
+
+ private:
+  sim::Time delay_;
+  bool late_return_;
+};
+
 struct RecordingSm : smr::StateMachine {
   std::vector<std::pair<Slot, std::string>> applied;
   void apply(Slot slot, util::ByteView command) override {
@@ -79,9 +106,10 @@ TEST(SmrLog, OutOfOrderDecisionsApplyInSlotOrder) {
   ASSERT_EQ(sm.applied.size(), 4u);
   EXPECT_EQ(sm.applied[2], (std::pair<Slot, std::string>{1, "c1"}));
   EXPECT_EQ(sm.applied[3], (std::pair<Slot, std::string>{2, "c2"}));
-  // Record bookkeeping followed the decisions.
-  EXPECT_EQ(log.records()[2].commands, 1u);
-  EXPECT_EQ(log.records()[2].decided_at, 10u);
+  // The fold followed the decisions: every command once, slot 0's time.
+  EXPECT_EQ(log.stats().commands, 4u);
+  EXPECT_EQ(log.stats().noop_slots, 0u);
+  EXPECT_EQ(log.stats().first_decided_at, 11u);
 }
 
 TEST(SmrLog, EmptyAndGarbageBatchesApplyAsNoops) {
@@ -98,8 +126,89 @@ TEST(SmrLog, EmptyAndGarbageBatchesApplyAsNoops) {
   exec.run_until([&] { return log.applied_len() == 2; }, 1000);
   EXPECT_EQ(log.applied_len(), 2u);
   EXPECT_TRUE(sm.applied.empty());
-  EXPECT_TRUE(log.records()[0].noop);
-  EXPECT_TRUE(log.records()[1].noop);
+  EXPECT_EQ(log.stats().noop_slots, 2u);
+  EXPECT_EQ(log.stats().commands, 0u);
+}
+
+TEST(SmrLog, ProposerRecordsStayWithinTheWindow) {
+  // A leader over an engine that decides at once: the proposer keeps one
+  // record per open slot, never more than the window, and none once idle.
+  // A follower applying the same number of slots keeps none at all.
+  constexpr Slot kSlots = 1024;
+  constexpr std::size_t kWindow = 4;
+  sim::Executor exec;
+  core::Omega omega = core::Omega::fixed(exec, 1);
+  InstantEngine engine(exec, /*delay=*/2, /*late_return=*/false);
+  RecordingSm sm;
+  smr::LogConfig lc;
+  lc.window = kWindow;
+  smr::Log leader(exec, engine, omega, sm, lc);
+  leader.start();
+  for (Slot s = 0; s < kSlots; ++s) {
+    leader.enqueue(smr::encode_batch({to_bytes("c" + std::to_string(s))}));
+  }
+
+  core::Omega elsewhere = core::Omega::fixed(exec, 2);
+  ScriptedEngine passive(exec);
+  RecordingSm follower_sm;
+  smr::Log follower(exec, passive, elsewhere, follower_sm, lc);
+  follower.start();
+  for (Slot s = 0; s < kSlots; ++s) {
+    passive.inject(s, {to_bytes("f" + std::to_string(s))}, s + 1);
+  }
+
+  std::size_t most_held = 0;
+  std::size_t follower_held = 0;
+  exec.run_until(
+      [&] {
+        most_held = std::max(most_held, leader.launches_held());
+        follower_held = std::max(follower_held, follower.launches_held());
+        return leader.quiescent() && follower.applied_len() == kSlots;
+      },
+      1'000'000);
+  ASSERT_EQ(leader.applied_len(), kSlots);
+  ASSERT_EQ(follower.applied_len(), kSlots);
+  EXPECT_GT(most_held, 0u);
+  EXPECT_LE(most_held, kWindow);
+  EXPECT_EQ(leader.launches_held(), 0u);
+  EXPECT_EQ(follower_held, 0u);
+  // Every slot was launched, won and folded exactly once.
+  const smr::SlotStats& st = leader.stats();
+  EXPECT_EQ(st.commands, kSlots);
+  EXPECT_EQ(st.won_latencies.size(), kSlots);
+  EXPECT_EQ(st.queue_waits.size(), kSlots);
+  EXPECT_EQ(st.occupancy_limit, kSlots * kWindow);
+  EXPECT_EQ(st.fast_slots, kSlots);
+  EXPECT_TRUE(follower.stats().won_latencies.empty());
+  EXPECT_EQ(follower.stats().occupancy_limit, 0u);
+}
+
+TEST(SmrLog, WonSampleFoldsOnceWhicheverOfApplyAndWinComesFirst) {
+  // The won sample folds at apply when propose returned first, and when
+  // propose returns after the slot applied it folds then — once either way,
+  // with the same enqueue → decide latency.
+  const auto run = [](bool late_return) {
+    sim::Executor exec;
+    core::Omega omega = core::Omega::fixed(exec, 1);
+    InstantEngine engine(exec, /*delay=*/3, late_return);
+    RecordingSm sm;
+    smr::LogConfig lc;
+    lc.window = 2;
+    smr::Log log(exec, engine, omega, sm, lc);
+    log.start();
+    for (int i = 0; i < 16; ++i) {
+      log.enqueue(smr::encode_batch({to_bytes("c" + std::to_string(i))}));
+    }
+    exec.run_until([&] { return log.quiescent(); }, 1'000'000);
+    exec.run();  // let late proposals return
+    EXPECT_EQ(log.applied_len(), 16u);
+    return log.stats();
+  };
+  const smr::SlotStats early = run(false);
+  const smr::SlotStats late = run(true);
+  EXPECT_EQ(early.won_latencies.size(), 16u);
+  EXPECT_EQ(late.won_latencies.size(), 16u);
+  EXPECT_EQ(early, late);
 }
 
 TEST(SmrBatchCodec, RoundTrip) {
@@ -345,49 +454,78 @@ TEST(SmrLogRecovery, SnapshotCadenceCompactsWithoutLosingAccounting) {
   ASSERT_EQ(sm.applied.size(), 10u);
 
   // Two snapshot boundaries passed (slots 4 and 8): the applied prefix below
-  // the last snapshot is gone, its stats folded — totals stay exact.
+  // the last snapshot is gone, but every slot folded at apply — totals and
+  // slot 0's decision time stay exact.
   EXPECT_GE(log.snapshots_taken(), 2u);
-  EXPECT_EQ(log.records_base(), 8u);
   EXPECT_EQ(log.slots_truncated(), 8u);
-  EXPECT_EQ(log.records().size(), 2u);
-  std::uint64_t commands = log.compacted().commands;
-  for (const auto& rec : log.records()) commands += rec.commands;
-  EXPECT_EQ(commands, 10u);
-  // The fold kept the compacted prefix's apply times; the live suffix is
-  // at least as new.
-  EXPECT_LE(log.compacted().last_apply_at, log.records().back().applied_at);
+  EXPECT_EQ(log.stats().commands, 10u);
+  EXPECT_EQ(log.stats().noop_slots, 0u);
+  EXPECT_EQ(log.stats().first_decided_at, 1u);
 }
 
 TEST(SmrLogRecovery, CompactionIsInvisibleToReplicaStats) {
-  // Same scripted decisions with and without compaction: RunStats (and the
-  // latency vectors the harness aggregates) must be byte-identical.
+  // The same leader-driven run with and without compaction: the whole fold
+  // — counts, occupancy, slot 0's time and every latency sample — must be
+  // identical.
   const auto run = [](Slot interval) {
-    auto exec = std::make_unique<sim::Executor>();
-    core::Omega omega = core::Omega::fixed(*exec, 2);
-    auto engine = std::make_unique<ScriptedEngine>(*exec);
-    auto sm = std::make_unique<SnapshotSm>();
+    sim::Executor exec;
+    core::Omega omega = core::Omega::fixed(exec, 1);
+    InstantEngine engine(exec, /*delay=*/2, /*late_return=*/false);
+    SnapshotSm sm;
     smr::LogConfig lc;
+    lc.window = 3;
     lc.snapshot_interval = interval;
-    smr::Log log(*exec, *engine, omega, *sm, lc);
+    smr::Log log(exec, engine, omega, sm, lc);
     log.start();
-    for (Slot s = 0; s < 13; ++s) {
-      engine->inject(s, {to_bytes("x" + std::to_string(s)),
-                         to_bytes("y" + std::to_string(s))},
-                     2 * s + 3);
+    for (int i = 0; i < 13; ++i) {
+      log.enqueue(smr::encode_batch({to_bytes("x" + std::to_string(i)),
+                                     to_bytes("y" + std::to_string(i))}));
     }
-    exec->run_until([&] { return log.applied_len() == 13; }, 1000);
+    exec.run_until([&] { return log.quiescent(); }, 1000);
     EXPECT_EQ(log.applied_len(), 13u);
-    std::uint64_t commands = log.compacted().commands;
-    sim::Time last = log.compacted().last_apply_at;
-    for (const auto& rec : log.records()) {
-      commands += rec.commands;
-      last = std::max(last, rec.applied_at);
-    }
-    return std::pair<std::uint64_t, sim::Time>{commands, last};
+    EXPECT_EQ(log.slots_truncated(), interval == 0 ? 0u : 10u);
+    return log.stats();
   };
-  const auto plain = run(0);
-  const auto compacted = run(5);
+  const smr::SlotStats plain = run(0);
+  const smr::SlotStats compacted = run(5);
+  EXPECT_EQ(plain.commands, 26u);
+  EXPECT_EQ(plain.won_latencies.size(), 13u);
+  EXPECT_EQ(plain.first_decided_at, 2u);
   EXPECT_EQ(plain, compacted);
+}
+
+TEST(SmrCluster, FirstDecisionDelaySurvivesCompaction) {
+  // Slot 0's decision time folds at apply, so compacting it away no longer
+  // turns the report's first decision delay into infinity.
+  ClusterConfig smr = smr_config(Algorithm::kFastPaxos, 3, 0, 64, 2, 4);
+  const RunReport smr_plain = harness::run_cluster(smr);
+  smr.smr.snapshot_interval = 4;
+  const RunReport smr_compacted = harness::run_cluster(smr);
+  ASSERT_TRUE(smr_compacted.all_ok()) << smr_compacted.summary();
+  EXPECT_GT(smr_compacted.slots_truncated, 0u) << smr_compacted.summary();
+  EXPECT_EQ(smr_plain.first_decision_delay, 2u) << smr_plain.summary();
+  EXPECT_EQ(smr_compacted.first_decision_delay,
+            smr_plain.first_decision_delay);
+  EXPECT_EQ(smr_compacted.first_correct_decision_delay,
+            smr_plain.first_correct_decision_delay);
+
+  ClusterConfig kv;
+  kv.algo = Algorithm::kFastPaxos;
+  kv.n = 3;
+  kv.m = 0;
+  kv.kv.enabled = true;
+  kv.kv.shards = 2;
+  kv.kv.clients = 8;
+  kv.kv.ops_per_client = 64;
+  const RunReport kv_plain = harness::run_cluster(kv);
+  kv.kv.snapshot_interval = 64;
+  const RunReport kv_compacted = harness::run_cluster(kv);
+  ASSERT_TRUE(kv_compacted.all_ok()) << kv_compacted.summary();
+  EXPECT_GT(kv_compacted.slots_truncated, 0u) << kv_compacted.summary();
+  EXPECT_EQ(kv_plain.first_decision_delay, 2u) << kv_plain.summary();
+  EXPECT_EQ(kv_compacted.first_decision_delay, kv_plain.first_decision_delay);
+  EXPECT_EQ(kv_compacted.first_correct_decision_delay,
+            kv_plain.first_correct_decision_delay);
 }
 
 TEST(SmrCluster, LeaderCrashAndRejoinCatchesUpAndConverges) {

@@ -26,8 +26,7 @@ using util::to_string;
 
 struct TrustedFixture {
   explicit TrustedFixture(std::size_t n,
-                          HistoryValidator validator = accept_all_validator(),
-                          std::size_t checkpoint_interval = 0)
+                          HistoryValidator validator = accept_all_validator())
       : n(n), keystore(11) {
     for (std::size_t i = 0; i < 3; ++i) {
       auto mp = std::make_unique<mem::Memory>(exec, static_cast<MemoryId>(i + 1));
@@ -42,7 +41,7 @@ struct TrustedFixture {
           exec, *slots.back(), keystore, signers.back(), NebConfig{n}));
       transports.push_back(std::make_unique<TrustedTransport>(
           exec, *nebs.back(), keystore, signers.back(),
-          TrustedConfig{n, checkpoint_interval}, validator));
+          TrustedConfig{n}, validator));
     }
   }
 
@@ -549,105 +548,6 @@ TEST(TrustedTransport, ValidatorRejectionsAreCounted) {
   f.exec.run(500);
   EXPECT_GE(f.transports[1]->rejected(), 1u);
   EXPECT_TRUE(f.transports[1]->incoming().empty());
-}
-
-// --- History checkpointing (crash-and-rejoin support). ---
-
-TEST(TSendCheckpoint, SenderDropsPublishedPrefixReceiversFollowAnchored) {
-  // Checkpoint after every wire that published >= 2 entries: the sender's
-  // retained history and every subsequent wire stay bounded, receivers keep
-  // accepting via the anchored path, and nothing is ever rejected.
-  TrustedFixture f(3, accept_all_validator(), /*checkpoint_interval=*/2);
-  f.start_all();
-  std::map<ProcessId, int> got;
-  for (ProcessId p : all_processes(3)) {
-    f.exec.spawn([](TrustedTransport* t, int* count) -> Task<void> {
-      while (true) {
-        (void)co_await t->incoming().recv();
-        ++*count;
-      }
-    }(f.transports[p - 1].get(), &got[p]));
-  }
-  for (int i = 0; i < 6; ++i) {
-    f.transports[0]->send_all(to_bytes("m" + std::to_string(i)));
-    f.exec.run(300 * (i + 1));
-  }
-  EXPECT_EQ(got[2], 6);
-  EXPECT_EQ(got[3], 6);
-  const TrustedTransport& sender = *f.transports[0];
-  EXPECT_GT(sender.checkpoints(), 0u);
-  EXPECT_GT(sender.history_base(), 0u);
-  // Bounded retention: far fewer live entries than the run produced.
-  EXPECT_LT(sender.history().size(), sender.history_base() + 2);
-  for (ProcessId p = 2; p <= 3; ++p) {
-    const TrustedTransport& rx = *f.transports[p - 1];
-    EXPECT_EQ(rx.rejected(), 0u) << "p" << p;
-    EXPECT_EQ(rx.checkpoint_rejected(), 0u) << "p" << p;
-    EXPECT_GT(rx.anchored_resumes(), 0u)
-        << "p" << p << ": checkpointed wires must take the anchored path";
-    // The receiver's verified position reaches past the sender's checkpoint
-    // (it lags only the not-yet-published tail: the latest send's own entry
-    // and self-receipt, which no wire has carried yet).
-    const PeerCheckpoint cp = rx.peer_checkpoint(1);
-    EXPECT_GE(cp.entries, sender.history_base()) << "p" << p;
-    EXPECT_LE(cp.entries, sender.history_base() + sender.history().size())
-        << "p" << p;
-  }
-}
-
-TEST(TSendCheckpoint, SeededCheckpointResumesVerificationAfterRestart) {
-  // A receiver restarts with nothing but an exported checkpoint (its own
-  // recovered verification position): seeding it must let the very next
-  // checkpointed wire verify from that anchor instead of entry 0.
-  TrustedFixture f(3, accept_all_validator(), /*checkpoint_interval=*/2);
-  f.start_all();
-  for (int i = 0; i < 4; ++i) {
-    f.transports[0]->send_all(to_bytes("m" + std::to_string(i)));
-    f.exec.run(300 * (i + 1));
-  }
-  ASSERT_GT(f.transports[0]->checkpoints(), 0u);
-
-  TrustedTransport& rx = *f.transports[1];
-  const PeerCheckpoint cp = rx.peer_checkpoint(1);
-  ASSERT_GT(cp.entries, 0u);
-  // Simulate the restart: the seed wipes the cached body and re-enters the
-  // position as pure checkpoint state (base = entries, nothing retained).
-  rx.seed_peer_checkpoint(1, cp);
-  const std::uint64_t resumes_before = rx.anchored_resumes();
-  const std::uint64_t accepted_before = rx.tsend_stats().accepted;
-
-  f.transports[0]->send_all(to_bytes("after-restart"));
-  f.exec.run(2000);
-  EXPECT_EQ(rx.checkpoint_rejected(), 0u);
-  EXPECT_GT(rx.anchored_resumes(), resumes_before)
-      << "the post-restart wire must verify from the seeded anchor";
-  EXPECT_EQ(rx.tsend_stats().accepted, accepted_before + 1);
-}
-
-TEST(TSendCheckpoint, MismatchedAnchorRejectedNotTrusted) {
-  // The checkpoint header is sender-claimed: a receiver whose held position
-  // does not match it must reject, not adopt. Seed a forged position (wrong
-  // chain tip) and watch the next wire bounce.
-  TrustedFixture f(3, accept_all_validator(), /*checkpoint_interval=*/2);
-  f.start_all();
-  for (int i = 0; i < 4; ++i) {
-    f.transports[0]->send_all(to_bytes("m" + std::to_string(i)));
-    f.exec.run(300 * (i + 1));
-  }
-  ASSERT_GT(f.transports[0]->checkpoints(), 0u);
-
-  TrustedTransport& rx = *f.transports[1];
-  PeerCheckpoint forged = rx.peer_checkpoint(1);
-  ASSERT_FALSE(forged.chain.empty());
-  forged.chain[0] ^= 0x01;
-  rx.seed_peer_checkpoint(1, forged);
-  const std::uint64_t accepted_before = rx.tsend_stats().accepted;
-
-  f.transports[0]->send_all(to_bytes("bounces"));
-  f.exec.run(2000);
-  EXPECT_GE(rx.checkpoint_rejected(), 1u);
-  EXPECT_EQ(rx.tsend_stats().accepted, accepted_before)
-      << "a wire anchored at an unverifiable position must not deliver";
 }
 
 // --- Paxos validator semantics. ---
