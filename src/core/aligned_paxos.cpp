@@ -2,45 +2,38 @@
 
 #include "src/sim/fanout.hpp"
 #include "src/sim/select.hpp"
-#include "src/util/serde.hpp"
 
 namespace mnm::core {
+
+namespace {
+/// How long a proposer waits for a combined majority before retrying.
+constexpr sim::Time kRoundTimeout = 40;
+/// Backoff between failed rounds.
+constexpr sim::Time kRetryBackoff = 8;
+}  // namespace
 
 AlignedPaxos::AlignedPaxos(sim::Executor& exec,
                            std::vector<mem::MemoryIface*> memories,
                            RegionId region, Transport& transport, Omega& omega,
                            AlignedPaxosConfig config)
-    : exec_(&exec),
-      memories_(std::move(memories)),
-      region_(region),
+    : DecisionLatch(exec),
+      exec_(&exec),
       transport_(&transport),
       omega_(&omega),
       self_(transport.self()),
-      config_(std::move(config)),
-      replies_(exec),
-      all_(all_processes(config_.n)),
-      excl_perm_(mem::Permission::exclusive_writer(self_, all_)),
-      decision_gate_(exec) {
-  for (ProcessId p : all_) {
-    slot_names_.push_back(config_.prefix + "/slot/" + std::to_string(p));
-  }
-}
+      n_(config.n),
+      memories_(exec, std::move(memories), region, self_, config.n,
+                config.prefix + "/slot", /*dynamic=*/true),
+      replies_(exec) {}
 
 void AlignedPaxos::start() { exec_->spawn(dispatch_loop()); }
-
-void AlignedPaxos::decide_locally(util::ByteView value) {
-  if (decided_value_.has_value()) return;
-  decided_value_ = util::to_bytes(value);
-  decided_at_ = exec_->now();
-  decision_gate_.open();
-}
 
 sim::Task<void> AlignedPaxos::dispatch_loop() {
   while (true) {
     const TMsg raw = co_await transport_->incoming().recv();
     if (raw.payload.empty()) continue;
     if (raw.payload[0] == kMuxDecide) {
-      decide_locally(util::ByteView(raw.payload).subspan(1));
+      decide(util::ByteView(raw.payload).subspan(1));
       continue;
     }
     const auto msg = PaxosMsg::decode(raw.payload);
@@ -48,7 +41,8 @@ sim::Task<void> AlignedPaxos::dispatch_loop() {
     switch (msg->kind) {
       case PaxosKind::kPrepare:
       case PaxosKind::kAccept:
-        handle_acceptor(raw.src, *msg);
+        max_seen_ = std::max(max_seen_, msg->ballot);
+        transport_->send(raw.src, acceptor_.answer(*msg).encode());
         break;
       case PaxosKind::kPromise:
       case PaxosKind::kAccepted:
@@ -61,204 +55,86 @@ sim::Task<void> AlignedPaxos::dispatch_loop() {
   }
 }
 
-void AlignedPaxos::handle_acceptor(ProcessId src, const PaxosMsg& msg) {
-  max_proposal_seen_ = std::max(max_proposal_seen_, msg.ballot);
-  if (msg.kind == PaxosKind::kPrepare) {
-    if (msg.ballot >= promised_) {
-      promised_ = msg.ballot;
-      transport_->send(src,
-                       PaxosMsg{PaxosKind::kPromise, msg.ballot,
-                                acc_ballot_.value_or(0), acc_ballot_.has_value(),
-                                acc_value_}
-                           .encode());
-    } else {
-      transport_->send(src,
-                       PaxosMsg{PaxosKind::kNack, msg.ballot, promised_, false,
-                                {}}
-                           .encode());
+template <typename R, typename MemOk>
+sim::Task<bool> AlignedPaxos::hear_back(
+    sim::Channel<std::pair<std::size_t, R>>& mem_ch, std::uint64_t ballot,
+    PaxosKind kind, ValueChoice* choice, MemOk mem_ok) {
+  // One suspension per wait, woken by whichever source signals first in
+  // executor (time, seq) order — a round costs O(responses) events, not
+  // O(timeout / poll) timer ticks. Queued memory answers drain before
+  // process replies.
+  const std::size_t quorum = majority(n_ + memories_.size());
+  const sim::Time deadline = exec_->now() + kRoundTimeout;
+  std::size_t answers = 0;
+  while (answers < quorum) {
+    if (auto answer = mem_ch.try_recv()) {
+      if (!mem_ok(answer->second)) co_return false;
+      ++answers;
+      continue;
     }
-  } else if (msg.kind == PaxosKind::kAccept) {
-    if (msg.ballot >= promised_) {
-      promised_ = msg.ballot;
-      acc_ballot_ = msg.ballot;
-      acc_value_ = msg.value;
-      transport_->send(src,
-                       PaxosMsg{PaxosKind::kAccepted, msg.ballot, 0, false, {}}
-                           .encode());
-    } else {
-      transport_->send(src,
-                       PaxosMsg{PaxosKind::kNack, msg.ballot, promised_, false,
-                                {}}
-                           .encode());
+    if (auto reply = replies_.try_recv()) {
+      const PaxosMsg& msg = reply->second;
+      if (msg.ballot != ballot) continue;
+      if (msg.kind == PaxosKind::kNack) {
+        max_seen_ = std::max(max_seen_, msg.acc_ballot);
+        co_return false;
+      }
+      if (msg.kind != kind) continue;
+      ++answers;
+      if (choice != nullptr) {
+        choice->offer(msg.has_value, msg.acc_ballot, msg.value);
+      }
+      continue;
     }
+    sim::Select sel(*exec_);
+    sel.on(mem_ch).on(replies_).until(deadline);
+    if (co_await sel == sim::Select::kTimedOut) co_return false;
   }
-}
-
-sim::Task<AlignedPaxos::Phase1Answer> AlignedPaxos::phase1_memory(
-    std::size_t idx, std::uint64_t prop_nr) {
-  mem::MemoryIface* m = memories_[idx];
-  Phase1Answer out;
-
-  const mem::Status grabbed =
-      co_await m->change_permission(self_, region_, excl_perm_);
-  if (grabbed != mem::Status::kAck) co_return out;
-
-  PmpSlot own;
-  own.min_proposal = prop_nr;
-  const mem::Status wrote =
-      co_await m->write(self_, region_, slot_names_[self_ - 1], own.encode());
-  if (wrote != mem::Status::kAck) co_return out;
-
-  // One batched scatter-gather read of every slot: a single completion event
-  // and one permission evaluation instead of n independent reads.
-  auto reads = co_await m->read_many(self_, region_, slot_names_);
-  for (auto& rr : reads) {
-    if (!rr.ok()) co_return out;
-    const auto slot = PmpSlot::decode(rr.value);
-    if (!slot.has_value()) co_return out;
-    out.slots.push_back(*slot);
-  }
-  out.ok = true;
-  co_return out;
-}
-
-sim::Task<mem::Status> AlignedPaxos::phase2_memory(std::size_t idx,
-                                                   std::uint64_t prop_nr,
-                                                   Bytes value) {
-  PmpSlot s;
-  s.min_proposal = prop_nr;
-  s.acc_proposal = prop_nr;
-  s.has_value = true;
-  s.value = std::move(value);
-  co_return co_await memories_[idx]->write(self_, region_,
-                                           slot_names_[self_ - 1], s.encode());
+  co_return true;
 }
 
 sim::Task<Bytes> AlignedPaxos::propose(Bytes v) {
-  const std::size_t n = config_.n;
-  const std::size_t agents = n + memories_.size();
-  const std::size_t quorum = majority(agents);
-
   while (!decided()) {
-    co_await omega_->wait_leadership_or(self_, decision_gate_, config_.poll);
+    co_await omega_->wait_leadership_or(self_, decision_gate());
     if (decided()) break;
 
-    const std::uint64_t prop_nr =
-        (max_proposal_seen_ / n + 1) * n + (self_ - 1);
-    max_proposal_seen_ = prop_nr;
-    Bytes my_value = v;
+    const std::uint64_t ballot = next_ballot(max_seen_, n_, self_);
+    max_seen_ = ballot;
+    ValueChoice choice{v};
 
     // ---- Phase 1 against every agent (communicate1 / hearback1). ----
-    // Memory agents.
-    sim::Fanout<Phase1Answer> mem_fan(*exec_);
+    sim::Fanout<DiskMemories::Scan> mem_fan(*exec_);
     for (std::size_t i = 0; i < memories_.size(); ++i) {
-      mem_fan.add(i, phase1_memory(i, prop_nr));
+      mem_fan.add(i, memories_.phase(i, DiskBlock{ballot, 0, false, {}}));
     }
-    // Process agents.
     transport_->send_all(
-        PaxosMsg{PaxosKind::kPrepare, prop_nr, 0, false, {}}.encode());
-
-    std::size_t responses = 0;
-    bool reject = false;
-    bool adopted = false;
-    std::uint64_t best_acc = 0;
-    const sim::Time deadline = exec_->now() + config_.round_timeout;
-
-    // Collect from both sources until a combined majority answers. One
-    // suspension per wait, woken by whichever source signals first in
-    // executor (time, seq) order — a round costs O(responses) events, not
-    // O(round_timeout / poll) timer ticks. Queued memory answers drain
-    // before process replies, mirroring the old memory-first alternation.
-    auto& proc_ch = replies_;
-    auto& mem_ch = mem_fan.results();
-    while (responses < quorum && !reject) {
-      if (auto batch = mem_ch.try_recv()) {
-        ++responses;
-        Phase1Answer& answer = batch->second;
-        if (!answer.ok) {
-          reject = true;
-          break;
-        }
-        for (const auto& slot : answer.slots) {
-          max_proposal_seen_ = std::max(max_proposal_seen_, slot.min_proposal);
-          if (slot.min_proposal > prop_nr) reject = true;
-          if (slot.has_value && (!adopted || slot.acc_proposal > best_acc)) {
-            adopted = true;
-            best_acc = slot.acc_proposal;
-            my_value = slot.value;
-          }
-        }
-        continue;
-      }
-      if (auto reply = proc_ch.try_recv()) {
-        const PaxosMsg& msg = reply->second;
-        if (msg.ballot != prop_nr) continue;
-        if (msg.kind == PaxosKind::kNack) {
-          max_proposal_seen_ = std::max(max_proposal_seen_, msg.acc_ballot);
-          reject = true;
-          break;
-        }
-        if (msg.kind != PaxosKind::kPromise) continue;
-        ++responses;
-        if (msg.has_value && (!adopted || msg.acc_ballot > best_acc)) {
-          adopted = true;
-          best_acc = msg.acc_ballot;
-          my_value = msg.value;
-        }
-        continue;
-      }
-      sim::Select sel(*exec_);
-      sel.on(mem_ch).on(proc_ch).until(deadline);
-      if (co_await sel == sim::Select::kTimedOut) break;
-    }
-    if (reject || responses < quorum) {
-      co_await exec_->sleep(config_.retry_backoff);
+        PaxosMsg{PaxosKind::kPrepare, ballot, 0, false, {}}.encode());
+    const auto fold = [&](const DiskMemories::Scan& scan) {
+      return DiskMemories::fold(scan, ballot, max_seen_, &choice);
+    };
+    if (!co_await hear_back(mem_fan.results(), ballot, PaxosKind::kPromise,
+                            &choice, fold)) {
+      co_await exec_->sleep(kRetryBackoff);
       continue;
     }
 
     // ---- Phase 2 against every agent (communicate2 / analyze2). ----
+    const DiskBlock commit{ballot, ballot, true, choice.value};
     sim::Fanout<mem::Status> mem2_fan(*exec_);
     for (std::size_t i = 0; i < memories_.size(); ++i) {
-      mem2_fan.add(i, phase2_memory(i, prop_nr, my_value));
+      mem2_fan.add(i, memories_.write(i, commit));
     }
     transport_->send_all(
-        PaxosMsg{PaxosKind::kAccept, prop_nr, 0, true, my_value}.encode());
-
-    std::size_t acks = 0;
-    bool reject2 = false;
-    const sim::Time deadline2 = exec_->now() + config_.round_timeout;
-    auto& mem2_ch = mem2_fan.results();
-    while (acks < quorum && !reject2) {
-      if (auto batch = mem2_ch.try_recv()) {
-        if (batch->second == mem::Status::kAck) {
-          ++acks;
-        } else {
-          reject2 = true;
-        }
-        continue;
-      }
-      if (auto reply = proc_ch.try_recv()) {
-        const PaxosMsg& msg = reply->second;
-        if (msg.ballot != prop_nr) continue;
-        if (msg.kind == PaxosKind::kNack) {
-          max_proposal_seen_ = std::max(max_proposal_seen_, msg.acc_ballot);
-          reject2 = true;
-          break;
-        }
-        if (msg.kind == PaxosKind::kAccepted) ++acks;
-        continue;
-      }
-      sim::Select sel(*exec_);
-      sel.on(mem2_ch).on(proc_ch).until(deadline2);
-      if (co_await sel == sim::Select::kTimedOut) break;
-    }
-    if (reject2 || acks < quorum) {
-      co_await exec_->sleep(config_.retry_backoff);
+        PaxosMsg{PaxosKind::kAccept, ballot, 0, true, choice.value}.encode());
+    const auto acked = [](mem::Status st) { return st == mem::Status::kAck; };
+    if (!co_await hear_back(mem2_fan.results(), ballot, PaxosKind::kAccepted,
+                            nullptr, acked)) {
+      co_await exec_->sleep(kRetryBackoff);
       continue;
     }
 
-    decide_locally(my_value);
-    transport_->send_all(TransportMux::frame(kMuxDecide, my_value),
+    decide(choice.value);
+    transport_->send_all(TransportMux::frame(kMuxDecide, choice.value),
                          /*include_self=*/false);
   }
 

@@ -17,8 +17,10 @@
 // when a majority of *memories* is gone even with all processes alive;
 // Aligned Paxos keeps going.
 //
-// Memory layout reuses the PMP region/slot format ("<prefix>/slot/<p>");
-// acceptor messages reuse the Paxos wire format. All conversations run over
+// Memory agents run PMP's steps (disk_paxos.*: the phase step with its
+// permission seize, the phase-2 write, the scan fold) over the PMP region
+// and slot format ("<prefix>/slot/<p>"); process agents run Paxos's
+// acceptor (paxos.*) over the Paxos wire format. All conversations run over
 // ONE base Transport — a standalone setup passes a NetTransport, a
 // multi-slot engine a slot sub-transport. A single dispatch loop (the Paxos
 // shape) routes inbound messages: raw PaxosMsg bytes (first byte is a
@@ -28,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,7 +40,6 @@
 #include "src/core/transport_mux.hpp"
 #include "src/mem/memory.hpp"
 #include "src/sim/executor.hpp"
-#include "src/sim/sync.hpp"
 #include "src/sim/task.hpp"
 
 namespace mnm::core {
@@ -48,14 +48,9 @@ struct AlignedPaxosConfig {
   std::size_t n = 3;
   /// Register-name namespace; must match the region's make_pmp_region prefix.
   std::string prefix = "pmp";
-  sim::Time round_timeout = 40;
-  /// Seed for the leadership-wait backoff (waits are event-driven; this only
-  /// paces the fallback re-check of un-poked Ω schedules).
-  sim::Time poll = 1;
-  sim::Time retry_backoff = 8;
 };
 
-class AlignedPaxos {
+class AlignedPaxos : public DecisionLatch {
  public:
   /// `region` is a PMP-style region (make_pmp_region), identical across
   /// memories. `transport` carries all three conversations;
@@ -64,58 +59,34 @@ class AlignedPaxos {
                RegionId region, Transport& transport, Omega& omega,
                AlignedPaxosConfig config);
 
-  /// Spawn the acceptor + decide listeners.
+  /// Spawn the acceptor + decide listener.
   void start();
 
   sim::Task<Bytes> propose(Bytes v);
 
-  bool decided() const { return decided_value_.has_value(); }
-  const Bytes& decision() const { return *decided_value_; }
-  sim::Time decided_at() const { return decided_at_; }
-  /// Aligned Paxos always runs both phases — kept for the uniform
-  /// ConsensusEngine surface.
-  bool decided_fast() const { return false; }
-  sim::Gate& decision_gate() { return decision_gate_; }
-
  private:
-  /// One agent's phase-1 answer translated to the common language
-  /// (Algorithm 11/12): either a rejection or the accepted pairs it knows.
-  struct Phase1Answer {
-    bool ok = false;
-    std::vector<PmpSlot> slots;  // processes report one; memories report n
-  };
-
-  sim::Task<Phase1Answer> phase1_memory(std::size_t idx, std::uint64_t prop_nr);
-  sim::Task<mem::Status> phase2_memory(std::size_t idx, std::uint64_t prop_nr,
-                                       Bytes value);
   sim::Task<void> dispatch_loop();
-  void handle_acceptor(ProcessId src, const PaxosMsg& msg);
-  void decide_locally(util::ByteView value);
+  /// Hear back from both agent kinds (Algorithms 11/12) until a combined
+  /// majority answers `ballot`: memories through `mem_ok`, processes with
+  /// `kind` (promises offered to `choice`, if any). False on a rejection or
+  /// at the round timeout.
+  template <typename R, typename MemOk>
+  sim::Task<bool> hear_back(sim::Channel<std::pair<std::size_t, R>>& mem_ch,
+                            std::uint64_t ballot, PaxosKind kind,
+                            ValueChoice* choice, MemOk mem_ok);
 
   sim::Executor* exec_;
-  std::vector<mem::MemoryIface*> memories_;
-  RegionId region_;
   Transport* transport_;
   Omega* omega_;
   ProcessId self_;
-  AlignedPaxosConfig config_;
+  std::size_t n_;
+  /// The memory agents, through PMP's steps.
+  DiskMemories memories_;
+  /// This process as a process agent.
+  PaxosAcceptor acceptor_;
   /// Promise/accepted/nack replies routed to the proposer by dispatch_loop.
   sim::Channel<std::pair<ProcessId, PaxosMsg>> replies_;
-
-  // Hot-path caches (built once in the constructor).
-  std::vector<ProcessId> all_;
-  std::vector<std::string> slot_names_;  // index p - 1
-  mem::Permission excl_perm_;            // exclusive_writer(self, all)
-
-  // Acceptor state (for the process-agent role).
-  std::uint64_t promised_ = 0;
-  std::optional<std::uint64_t> acc_ballot_;
-  Bytes acc_value_;
-
-  std::uint64_t max_proposal_seen_ = 0;
-  std::optional<Bytes> decided_value_;
-  sim::Time decided_at_ = 0;
-  sim::Gate decision_gate_;
+  std::uint64_t max_seen_ = 0;
 };
 
 }  // namespace mnm::core

@@ -1,5 +1,6 @@
 #include "src/core/cheap_quorum.hpp"
 
+#include <algorithm>
 #include <set>
 
 #include "src/mem/write_watch.hpp"
@@ -87,7 +88,8 @@ bool verify_unanimity_proof(const crypto::KeyStore& ks, std::size_t n,
   try {
     util::Reader r(proof);
     const std::uint32_t count = r.u32();
-    copy_blobs.reserve(count);
+    // Byzantine-chosen count: pre-size only for the bytes present.
+    copy_blobs.reserve(std::min<std::size_t>(count, r.remaining() / 4));
     for (std::uint32_t i = 0; i < count; ++i) copy_blobs.push_back(r.bytes());
     assembler_sig = crypto::Signature::decode(r);
     r.expect_end();

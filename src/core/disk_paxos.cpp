@@ -5,6 +5,11 @@
 
 namespace mnm::core {
 
+namespace {
+/// Backoff between failed attempts.
+constexpr sim::Time kRetryBackoff = 8;
+}  // namespace
+
 Bytes DiskBlock::encode() const {
   util::Writer w(8 + 8 + 1 + 4 + value.size());
   w.u64(mbal).u64(bal).boolean(has_value).bytes(value);
@@ -12,7 +17,7 @@ Bytes DiskBlock::encode() const {
 }
 
 std::optional<DiskBlock> DiskBlock::decode(util::ByteView raw) {
-  if (util::is_bottom(raw)) return DiskBlock{};
+  if (util::is_bottom(raw)) return DiskBlock{};  // ⊥ block: all zero
   try {
     util::Reader r(raw);
     DiskBlock b;
@@ -27,54 +32,37 @@ std::optional<DiskBlock> DiskBlock::decode(util::ByteView raw) {
   }
 }
 
-DiskPaxos::DiskPaxos(sim::Executor& exec,
-                     std::vector<mem::MemoryIface*> memories, RegionId region,
-                     Transport& transport, Omega& omega, DiskPaxosConfig config)
+DiskMemories::DiskMemories(sim::Executor& exec,
+                           std::vector<mem::MemoryIface*> memories,
+                           RegionId region, ProcessId self, std::size_t n,
+                           const std::string& registers, bool dynamic)
     : exec_(&exec),
       memories_(std::move(memories)),
       region_(region),
-      transport_(&transport),
-      omega_(&omega),
-      self_(transport.self()),
-      config_(std::move(config)),
-      all_(all_processes(config_.n)),
-      decision_gate_(exec) {
-  for (ProcessId p : all_) {
-    block_names_.push_back(config_.prefix + "/block/" + std::to_string(p));
+      self_(self),
+      dynamic_(dynamic),
+      excl_perm_(mem::Permission::exclusive_writer(self, all_processes(n))) {
+  for (ProcessId p : all_processes(n)) {
+    names_.push_back(registers + "/" + std::to_string(p));
   }
 }
 
-void DiskPaxos::start() { exec_->spawn(decide_listener()); }
-
-void DiskPaxos::decide_locally(util::ByteView value) {
-  if (decided_value_.has_value()) return;
-  decided_value_ = util::to_bytes(value);
-  decided_at_ = exec_->now();
-  decision_gate_.open();
-}
-
-sim::Task<void> DiskPaxos::decide_listener() {
-  while (true) {
-    const TMsg m = co_await transport_->incoming().recv();
-    decide_locally(m.payload);
-  }
-}
-
-sim::Task<DiskPaxos::RoundResult> DiskPaxos::phase_at_memory(
-    std::size_t idx, DiskBlock own) {
+sim::Task<DiskMemories::Scan> DiskMemories::phase(std::size_t idx,
+                                                  DiskBlock own) {
   mem::MemoryIface* m = memories_[idx];
-  RoundResult out;
-
-  const mem::Status wrote = co_await m->write(
-      self_, region_, block_names_[self_ - 1], own.encode());
+  Scan out;
+  if (dynamic_) {
+    const mem::Status grabbed =
+        co_await m->change_permission(self_, region_, excl_perm_);
+    if (grabbed != mem::Status::kAck) co_return out;
+  }
+  const mem::Status wrote =
+      co_await m->write(self_, region_, names_[self_ - 1], own.encode());
   if (wrote != mem::Status::kAck) co_return out;
-
-  // Batched scatter-gather read of every block at this disk: one completion
-  // event, results in block_names_ order.
-  auto reads = co_await m->read_many(self_, region_, block_names_);
-  out.blocks.resize(all_.size());
+  auto reads = co_await m->read_many(self_, region_, names_);
+  out.blocks.resize(names_.size());
   for (std::size_t i = 0; i < reads.size(); ++i) {
-    if (!reads[i].ok()) co_return out;
+    if (!reads[i].ok()) co_return out;  // lost permission mid-phase: fail
     const auto block = DiskBlock::decode(reads[i].value);
     if (!block.has_value()) co_return out;
     out.blocks[i] = *block;
@@ -83,94 +71,117 @@ sim::Task<DiskPaxos::RoundResult> DiskPaxos::phase_at_memory(
   co_return out;
 }
 
-sim::Task<Bytes> DiskPaxos::propose(Bytes v) {
-  const std::size_t m = memories_.size();
-  const std::size_t quorum = majority(m);
-  const auto& all = all_;
+sim::Task<mem::Status> DiskMemories::write(std::size_t idx, DiskBlock own) {
+  co_return co_await memories_[idx]->write(self_, region_, names_[self_ - 1],
+                                           own.encode());
+}
 
+bool DiskMemories::fold(const Scan& scan, std::uint64_t mbal,
+                        std::uint64_t& max_seen, ValueChoice* choice) {
+  if (!scan.ok) return false;
+  bool ok = true;
+  for (const DiskBlock& b : scan.blocks) {
+    max_seen = std::max(max_seen, b.mbal);
+    if (b.mbal > mbal) ok = false;
+    if (choice != nullptr) choice->offer(b.has_value, b.bal, b.value);
+  }
+  return ok;
+}
+
+sim::Task<bool> DiskMemories::phase_quorum(DiskBlock own,
+                                           std::uint64_t& max_seen,
+                                           ValueChoice* choice) {
+  sim::Fanout<Scan> fanout(*exec_);
+  for (std::size_t i = 0; i < size(); ++i) fanout.add(i, phase(i, own));
+  const auto scans = co_await fanout.collect(majority(size()));
+  for (const auto& [idx, scan] : scans) {
+    if (!fold(scan, own.mbal, max_seen, choice)) co_return false;
+  }
+  co_return true;
+}
+
+sim::Task<bool> DiskMemories::write_quorum(DiskBlock own) {
+  sim::Fanout<mem::Status> fanout(*exec_);
+  for (std::size_t i = 0; i < size(); ++i) fanout.add(i, write(i, own));
+  const auto acks = co_await fanout.collect(majority(size()));
+  for (const auto& [idx, st] : acks) {
+    if (st != mem::Status::kAck) co_return false;
+  }
+  co_return true;
+}
+
+DiskPaxos::DiskPaxos(sim::Executor& exec,
+                     std::vector<mem::MemoryIface*> memories, RegionId region,
+                     Transport& transport, Omega& omega, DiskPaxosConfig config)
+    : DiskPaxos(exec, std::move(memories), region, transport, omega, config.n,
+                config.prefix + "/block", /*dynamic=*/false) {}
+
+DiskPaxos::DiskPaxos(sim::Executor& exec,
+                     std::vector<mem::MemoryIface*> memories, RegionId region,
+                     Transport& transport, Omega& omega, std::size_t n,
+                     const std::string& registers, bool dynamic)
+    : DecisionLatch(exec),
+      exec_(&exec),
+      transport_(&transport),
+      omega_(&omega),
+      self_(transport.self()),
+      n_(n),
+      memories_(exec, std::move(memories), region, self_, n, registers,
+                dynamic) {}
+
+void DiskPaxos::start() { exec_->spawn(decide_listener()); }
+
+sim::Task<void> DiskPaxos::decide_listener() {
+  while (true) {
+    const TMsg m = co_await transport_->incoming().recv();
+    decide(m.payload);
+  }
+}
+
+sim::Task<Bytes> DiskPaxos::propose(Bytes v) {
   while (!decided()) {
-    co_await omega_->wait_leadership_or(self_, decision_gate_, config_.poll);
+    // Wait to become leader (Alg. 7 line 9), but wake up if a DECIDE arrives.
+    co_await omega_->wait_leadership_or(self_, decision_gate());
     if (decided()) break;
 
-    std::uint64_t mbal;
-    Bytes my_value = v;
-
-    const bool fast = (self_ == kLeaderP1 && first_attempt_);
+    // p1's first attempt runs at ballot 0, whose phase 1 is implicit: every
+    // block is still ⊥, so there is nothing to adopt, and with dynamic
+    // permissions p1 already holds every write permission.
+    const bool fast = self_ == kLeaderP1 && first_attempt_;
     first_attempt_ = false;
-    if (fast) {
-      // p1's implicit phase 1 at ballot 0: blocks are all ⊥ initially, so no
-      // value adoption is needed. Unlike Protected Memory Paxos, Disk Paxos
-      // must still pay the verifying read in phase 2 below.
-      mbal = 0;
-    } else {
-      mbal = (max_mbal_seen_ / config_.n + 1) * config_.n + (self_ - 1);
-      max_mbal_seen_ = mbal;
-
-      // Phase 1: announce mbal, read everyone's blocks from a majority.
-      DiskBlock own;
-      own.mbal = mbal;
-      sim::Fanout<RoundResult> fanout(*exec_);
-      for (std::size_t i = 0; i < m; ++i) fanout.add(i, phase_at_memory(i, own));
-      auto results = co_await fanout.collect(quorum);
-
-      bool restart = false;
-      std::uint64_t best_bal = 0;
-      bool adopted = false;
-      for (auto& [idx, r] : results) {
-        if (!r.ok) {
-          restart = true;
-          break;
-        }
-        for (std::size_t i = 0; i < r.blocks.size(); ++i) {
-          const DiskBlock& b = r.blocks[i];
-          max_mbal_seen_ = std::max(max_mbal_seen_, b.mbal);
-          if (all[i] != self_ && b.mbal > mbal) restart = true;
-          if (b.has_value && (!adopted || b.bal > best_bal)) {
-            adopted = true;
-            best_bal = b.bal;
-            my_value = b.value;
-          }
-        }
-        if (restart) break;
-      }
-      if (restart) {
-        co_await exec_->sleep(config_.retry_backoff);
+    std::uint64_t mbal = 0;
+    ValueChoice choice{v};
+    if (!fast) {
+      // Phase 1: announce mbal, read every block from a majority, adopt the
+      // highest accepted value (Alg. 7 lines 12–20).
+      mbal = next_ballot(max_seen_, n_, self_);
+      max_seen_ = mbal;
+      const DiskBlock announce{mbal, 0, false, {}};
+      if (!co_await memories_.phase_quorum(announce, max_seen_, &choice)) {
+        co_await exec_->sleep(kRetryBackoff);
         continue;
       }
     }
 
-    // Phase 2: write the chosen value, then *verify* by re-reading all
-    // blocks — with static permissions an acked write proves nothing about
-    // contention, so the extra read (2 more delays) is unavoidable (§6).
-    DiskBlock commit;
-    commit.mbal = mbal;
-    commit.bal = mbal;
-    commit.has_value = true;
-    commit.value = my_value;
-    sim::Fanout<RoundResult> fanout(*exec_);
-    for (std::size_t i = 0; i < m; ++i) fanout.add(i, phase_at_memory(i, commit));
-    auto results = co_await fanout.collect(quorum);
-
-    bool restart = false;
-    for (auto& [idx, r] : results) {
-      if (!r.ok) {
-        restart = true;
-        break;
-      }
-      for (std::size_t i = 0; i < r.blocks.size(); ++i) {
-        const DiskBlock& b = r.blocks[i];
-        max_mbal_seen_ = std::max(max_mbal_seen_, b.mbal);
-        if (all[i] != self_ && b.mbal > mbal) restart = true;
-      }
-      if (restart) break;
+    // Phase 2: write (mbal, mbal, value). With dynamic permissions a majority
+    // of acks decides: an acked write proves the permission was still ours
+    // (Alg. 7 lines 21–24). With static ones an ack proves nothing about
+    // contention, so the leader re-reads every block to verify — the 2 extra
+    // delays no static-permission algorithm avoids (§6).
+    const DiskBlock commit{mbal, mbal, true, choice.value};
+    bool chosen = false;
+    if (memories_.dynamic()) {
+      chosen = co_await memories_.write_quorum(commit);
+    } else {
+      chosen = co_await memories_.phase_quorum(commit, max_seen_, nullptr);
     }
-    if (restart) {
-      co_await exec_->sleep(config_.retry_backoff);
+    if (!chosen) {
+      co_await exec_->sleep(kRetryBackoff);
       continue;
     }
 
-    decide_locally(my_value);
-    transport_->send_all(my_value, /*include_self=*/false);
+    decide(choice.value, fast && memories_.dynamic());
+    transport_->send_all(choice.value, /*include_self=*/false);
   }
 
   co_return decision();

@@ -1,4 +1,5 @@
-// Disk Paxos (Gafni & Lamport [28]) — the static-permission baseline.
+// Disk Paxos (Gafni & Lamport [28]) — the static-permission baseline — and
+// the memory side of every Disk-Paxos-shaped protocol here.
 //
 // Memory-only consensus with n ≥ fP+1 processes and m ≥ 2fM+1 memories, but
 // *no* dynamic permissions: every memory exposes a single region that always
@@ -20,6 +21,12 @@
 // writes. The prefix defaults to "dp"; multi-slot engines namespace it per
 // slot ("s<slot>/dp") so one memory serves a whole log.
 //
+// The memory side has one copy, here: the block record and its codec, the
+// per-memory phase step and phase-2 write, and the scan fold
+// (DiskMemories). Protected Memory Paxos (§5.1) is this algorithm with
+// dynamic permissions, and Aligned Paxos (§5.2) runs the same steps for its
+// memory agents.
+//
 // DECIDE dissemination runs over the Transport abstraction (one conversation,
 // no tag plumbing): pass a NetTransport in a standalone setup or a slot
 // sub-transport under core::ConsensusEngine.
@@ -33,10 +40,10 @@
 
 #include "src/common.hpp"
 #include "src/core/omega.hpp"
+#include "src/core/paxos.hpp"
 #include "src/core/transport.hpp"
 #include "src/mem/memory.hpp"
 #include "src/sim/executor.hpp"
-#include "src/sim/sync.hpp"
 #include "src/sim/task.hpp"
 
 namespace mnm::core {
@@ -50,6 +57,8 @@ RegionId make_disk_region(MemoryT& memory, std::size_t n,
                               mem::static_permissions());
 }
 
+/// A process's block: Disk Paxos's dblock, PMP's slot (minProposal,
+/// accProposal, value) of Algorithm 7 line 4.
 struct DiskBlock {
   std::uint64_t mbal = 0;  // ballot being attempted
   std::uint64_t bal = 0;   // ballot of the accepted value
@@ -60,15 +69,66 @@ struct DiskBlock {
   static std::optional<DiskBlock> decode(util::ByteView raw);
 };
 
+/// One process's access to the blocks at every memory: at each, process p
+/// owns register "<registers>/<p>" and reads all n. The only variation is
+/// `dynamic`: with dynamic permissions (PMP, Aligned Paxos) a phase first
+/// seizes exclusive write permission (Alg. 7 line 13), so a later acked
+/// write proves no other leader intervened.
+class DiskMemories {
+ public:
+  /// One memory's answer to a phase: every block, index p - 1; !ok when an
+  /// operation failed there.
+  struct Scan {
+    bool ok = false;
+    std::vector<DiskBlock> blocks;
+  };
+
+  DiskMemories(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
+               RegionId region, ProcessId self, std::size_t n,
+               const std::string& registers, bool dynamic);
+
+  std::size_t size() const { return memories_.size(); }
+  bool dynamic() const { return dynamic_; }
+
+  /// One phase at memory `idx`: seize write permission (if dynamic), write
+  /// `own`, then read every block in one batched scatter-gather request (a
+  /// single completion and permission evaluation).
+  sim::Task<Scan> phase(std::size_t idx, DiskBlock own);
+  /// Write `own` at memory `idx`: the phase-2 write of PMP and Aligned
+  /// Paxos, whose ack is that memory's "accepted".
+  sim::Task<mem::Status> write(std::size_t idx, DiskBlock own);
+
+  /// phase(own) at every memory, folding the first majority of scans
+  /// (continue after m − fM iterations, Alg. 7 lines 12–16; crashed
+  /// memories never complete). True iff every fold passed.
+  sim::Task<bool> phase_quorum(DiskBlock own, std::uint64_t& max_seen,
+                               ValueChoice* choice);
+  /// write(own) at every memory; true iff the first majority all ack.
+  sim::Task<bool> write_quorum(DiskBlock own);
+
+  /// The scan fold: raise `max_seen` to every block's mbal and offer each
+  /// accepted value to `choice` (if any). False when the phase failed at
+  /// that memory or a block's mbal exceeds `mbal` — a rival leader.
+  static bool fold(const Scan& scan, std::uint64_t mbal,
+                   std::uint64_t& max_seen, ValueChoice* choice);
+
+ private:
+  sim::Executor* exec_;
+  std::vector<mem::MemoryIface*> memories_;
+  RegionId region_;
+  ProcessId self_;
+  bool dynamic_;
+  std::vector<std::string> names_;  // index p - 1
+  mem::Permission excl_perm_;       // exclusive_writer(self, all)
+};
+
 struct DiskPaxosConfig {
   std::size_t n = 2;
   /// Register-name namespace; must match the region's make_disk_region prefix.
   std::string prefix = "dp";
-  sim::Time poll = 1;
-  sim::Time retry_backoff = 8;
 };
 
-class DiskPaxos {
+class DiskPaxos : public DecisionLatch {
  public:
   /// `transport` carries the DECIDE dissemination; `transport.self()` is this
   /// process's identity.
@@ -76,46 +136,29 @@ class DiskPaxos {
             RegionId region, Transport& transport, Omega& omega,
             DiskPaxosConfig config);
 
+  /// Spawn the DECIDE listener.
   void start();
+
   sim::Task<Bytes> propose(Bytes v);
 
-  bool decided() const { return decided_value_.has_value(); }
-  const Bytes& decision() const { return *decided_value_; }
-  sim::Time decided_at() const { return decided_at_; }
-  /// Disk Paxos is never 2-deciding (Theorem 6.1) — kept for the uniform
-  /// ConsensusEngine surface.
-  bool decided_fast() const { return false; }
-  sim::Gate& decision_gate() { return decision_gate_; }
+ protected:
+  /// Blocks under "<registers>/<p>"; `dynamic` is Protected Memory Paxos.
+  DiskPaxos(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
+            RegionId region, Transport& transport, Omega& omega, std::size_t n,
+            const std::string& registers, bool dynamic);
 
  private:
-  struct RoundResult {
-    bool ok = false;                 // no higher mbal seen
-    std::vector<DiskBlock> blocks;   // all blocks at this memory
-  };
-
-  /// Write own block then read all blocks at memory `idx` (one Disk Paxos
-  /// "phase" at one disk).
-  sim::Task<RoundResult> phase_at_memory(std::size_t idx, DiskBlock own);
   sim::Task<void> decide_listener();
-  void decide_locally(util::ByteView value);
 
   sim::Executor* exec_;
-  std::vector<mem::MemoryIface*> memories_;
-  RegionId region_;
   Transport* transport_;
   Omega* omega_;
   ProcessId self_;
-  DiskPaxosConfig config_;
+  std::size_t n_;
+  DiskMemories memories_;
 
-  // Hot-path caches (built once in the constructor).
-  std::vector<ProcessId> all_;
-  std::vector<std::string> block_names_;  // index p - 1
-
-  std::uint64_t max_mbal_seen_ = 0;
+  std::uint64_t max_seen_ = 0;
   bool first_attempt_ = true;
-  std::optional<Bytes> decided_value_;
-  sim::Time decided_at_ = 0;
-  sim::Gate decision_gate_;
 };
 
 }  // namespace mnm::core

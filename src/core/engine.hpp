@@ -10,23 +10,22 @@
 // for an open-ended space of slots, multiplexed over ONE base transport per
 // replica (SlotTransportHub's slot-tag namespace) and ONE set of memories
 // whose per-slot regions live under "s<slot>/..." name prefixes
-// (SlotRegions). Adapters exist for eight protocols: Paxos, Fast Paxos,
-// Disk Paxos, Protected Memory Paxos, Aligned Paxos, Cheap Quorum, Robust
-// Backup(Paxos) and Fast & Robust. smr::Log builds pipelined replication on
-// top.
+// (SlotRegions). Adapters exist for seven protocols: Paxos, Fast Paxos,
+// Disk Paxos, Protected Memory Paxos, Aligned Paxos, Robust Backup(Paxos)
+// and Fast & Robust. Cheap Quorum has none: it may abort, so alone it is not
+// a consensus; it runs as Fast & Robust's fast path. smr::Log builds
+// pipelined replication on top.
 //
 // Contract:
 //  * propose(slot, v) resolves with the slot's decision (which may be
 //    another proposer's value). Calling propose for an already-decided slot
-//    resolves immediately. Cheap Quorum — not a full consensus — throws
-//    ProposeAborted when it aborts (its abort outcome seeds Fast & Robust's
-//    backup; use FastRobustEngine for totality).
+//    resolves immediately.
 //  * open_slot(slot) makes this replica participate passively (acceptor /
 //    learner roles) without proposing. Message-routed engines discover and
 //    open slots automatically from inbound traffic (the hub's horizon);
-//    all-propose engines (Cheap Quorum, Robust Backup, Fast & Robust, whose
-//    traffic runs through memories) require every correct replica to
-//    propose each slot — smr::Log's all_propose mode does exactly that.
+//    all-propose engines (Robust Backup, Fast & Robust, whose traffic runs
+//    through memories) require every correct replica to propose each
+//    slot — smr::Log's all_propose mode does exactly that.
 //  * decisions() streams every locally decided slot exactly once, in local
 //    decision order (slot order NOT guaranteed — that is the pipelining).
 //    Single consumer.
@@ -45,7 +44,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -82,18 +80,12 @@ struct SlotDecision {
   Decision decision;
 };
 
-/// Thrown by engines whose protocol may terminate without deciding
-/// (Cheap Quorum's abort, §4.2).
-struct ProposeAborted : std::runtime_error {
-  explicit ProposeAborted(const std::string& what) : std::runtime_error(what) {}
-};
-
 /// Per-slot memory-region namespace: "s<slot>/<base>". All per-slot
 /// register names and region prefixes live under it. Memory-backed engines
-/// take `base` as a constructor parameter (default "dp"/"pmp"/"cq"/"neb")
-/// so several engine instances — e.g. one per KV shard, base
-/// kv::shard_ns(g, ...) — can share one set of memories with disjoint
-/// region namespaces.
+/// take `base` as their config's prefix (default "dp"/"pmp") or as a
+/// constructor parameter (default "cq"/"neb") so several engine instances —
+/// e.g. one per KV shard, base kv::shard_ns(g, ...) — can share one set of
+/// memories with disjoint region namespaces.
 inline std::string slot_ns(Slot s, const std::string& base) {
   std::string out;
   out.reserve(base.size() + 22);
@@ -153,8 +145,8 @@ class ConsensusEngine {
   /// The replica-to-replica control channel (snapshot catch-up requests and
   /// responses), or nullptr when the engine has no message path for it.
   /// Hub-routed engines expose the hub's reserved control frame; memory-
-  /// routed Byzantine engines (Cheap Quorum, Robust Backup, Fast & Robust)
-  /// return nullptr — replica recovery is not supported on those backends.
+  /// routed Byzantine engines (Robust Backup, Fast & Robust) return
+  /// nullptr — replica recovery is not supported on those backends.
   virtual Transport* control_transport() { return nullptr; }
 
   /// T-send decode accounting summed over this replica's slot stacks — the
@@ -207,20 +199,41 @@ class ConsensusEngine {
 
 // ---------------------------------------------------------------------------
 // Hub-routed engines (Paxos / Fast Paxos / Disk Paxos / PMP / Aligned) —
-// per-slot protocol instances over the slot hub, differing only in how an
-// instance is made. Every instance type exposes start(), propose(Bytes),
-// decision()/decided_fast()/decided_at() and decision_gate().
+// per-slot protocol instances over the slot hub, differing only in their
+// instance type. Every instance type exposes start(), propose(Bytes) and the
+// DecisionLatch surface.
 // ---------------------------------------------------------------------------
 
 template <typename Inst>
 class HubEngine : public ConsensusEngine {
  public:
-  /// Builds the slot's protocol instance over its sub-transport.
-  using MakeInstanceFn =
-      std::function<std::unique_ptr<Inst>(Slot, Transport&)>;
+  /// Message-only instances (Paxos; Fast Paxos with
+  /// config.skip_phase1_for_p1 — a 2-delay steady state under a stable
+  /// leader).
+  template <typename Config>
+  HubEngine(sim::Executor& exec, Transport& base, Omega& omega, Config config)
+      : HubEngine(exec, base, [&exec, &omega, config](Slot, Transport& t) {
+          return std::make_unique<Inst>(exec, t, omega, config);
+        }) {}
 
-  HubEngine(sim::Executor& exec, Transport& base, MakeInstanceFn make)
-      : ConsensusEngine(exec), hub_(exec, base), make_(std::move(make)) {}
+  /// Memory-backed instances (Disk Paxos, PMP, Aligned Paxos): slot s runs
+  /// in `regions->get(s)` under register prefix slot_ns(s, config.prefix).
+  /// `regions->get(s)` must create that prefix's region (make_disk_region,
+  /// or make_pmp_region for PMP and Aligned) on every backing memory.
+  template <typename Config>
+  HubEngine(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
+            Transport& base, Omega& omega,
+            std::shared_ptr<SlotRegions<RegionId>> regions, Config config)
+      : HubEngine(exec, base,
+                  [&exec, &omega, memories = std::move(memories),
+                   regions = std::move(regions),
+                   config = std::move(config)](Slot s, Transport& t) {
+                    Config c = config;
+                    c.prefix = slot_ns(s, config.prefix);
+                    return std::make_unique<Inst>(exec, memories,
+                                                  regions->get(s), t, omega,
+                                                  std::move(c));
+                  }) {}
 
   ProcessId self() const override { return hub_.self(); }
   std::size_t process_count() const override { return hub_.process_count(); }
@@ -249,118 +262,27 @@ class HubEngine : public ConsensusEngine {
   Transport* control_transport() override { return &hub_.control(); }
 
  private:
+  /// Builds the slot's protocol instance over its sub-transport.
+  using MakeInstanceFn =
+      std::function<std::unique_ptr<Inst>(Slot, Transport&)>;
+
+  HubEngine(sim::Executor& exec, Transport& base, MakeInstanceFn make)
+      : ConsensusEngine(exec), hub_(exec, base), make_(std::move(make)) {}
+
   SlotTransportHub hub_;
   MakeInstanceFn make_;
   std::map<Slot, std::unique_ptr<Inst>> slots_;
 };
 
-/// Paxos per slot over the slot hub. With config.skip_phase1_for_p1 this is
-/// the Fast Paxos engine (2-delay steady state under a stable leader).
-class PaxosEngine : public HubEngine<Paxos> {
- public:
-  PaxosEngine(sim::Executor& exec, Transport& base, Omega& omega,
-              PaxosConfig config)
-      : HubEngine(exec, base,
-                  [&exec, &omega, config](Slot, Transport& t) {
-                    return std::make_unique<Paxos>(exec, t, omega, config);
-                  }) {}
-};
-
-class DiskPaxosEngine : public HubEngine<DiskPaxos> {
- public:
-  /// `regions->get(s)` must create make_disk_region(m, n, slot_ns(s, ns))
-  /// on every backing memory.
-  DiskPaxosEngine(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
-                  Transport& base, Omega& omega,
-                  std::shared_ptr<SlotRegions<RegionId>> regions,
-                  DiskPaxosConfig config, std::string ns = "dp")
-      : HubEngine(exec, base,
-                  [&exec, &omega, memories = std::move(memories),
-                   regions = std::move(regions), config = std::move(config),
-                   ns = std::move(ns)](Slot s, Transport& t) {
-                    DiskPaxosConfig c = config;
-                    c.prefix = slot_ns(s, ns);
-                    return std::make_unique<DiskPaxos>(
-                        exec, memories, regions->get(s), t, omega,
-                        std::move(c));
-                  }) {}
-};
-
-class PmpEngine : public HubEngine<ProtectedMemoryPaxos> {
- public:
-  /// `regions->get(s)` must create make_pmp_region(m, n, first_leader,
-  /// slot_ns(s, ns)) on every backing memory.
-  PmpEngine(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
-            Transport& base, Omega& omega,
-            std::shared_ptr<SlotRegions<RegionId>> regions, PmpConfig config,
-            std::string ns = "pmp")
-      : HubEngine(exec, base,
-                  [&exec, &omega, memories = std::move(memories),
-                   regions = std::move(regions), config = std::move(config),
-                   ns = std::move(ns)](Slot s, Transport& t) {
-                    PmpConfig c = config;
-                    c.prefix = slot_ns(s, ns);
-                    return std::make_unique<ProtectedMemoryPaxos>(
-                        exec, memories, regions->get(s), t, omega,
-                        std::move(c));
-                  }) {}
-};
-
-class AlignedEngine : public HubEngine<AlignedPaxos> {
- public:
-  /// `regions->get(s)` must create make_pmp_region(m, n, first_leader,
-  /// slot_ns(s, ns)) on every backing memory (Aligned reuses the PMP slot
-  /// format).
-  AlignedEngine(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
-                Transport& base, Omega& omega,
-                std::shared_ptr<SlotRegions<RegionId>> regions,
-                AlignedPaxosConfig config, std::string ns = "pmp")
-      : HubEngine(exec, base,
-                  [&exec, &omega, memories = std::move(memories),
-                   regions = std::move(regions), config = std::move(config),
-                   ns = std::move(ns)](Slot s, Transport& t) {
-                    AlignedPaxosConfig c = config;
-                    c.prefix = slot_ns(s, ns);
-                    return std::make_unique<AlignedPaxos>(
-                        exec, memories, regions->get(s), t, omega,
-                        std::move(c));
-                  }) {}
-};
+using PaxosEngine = HubEngine<Paxos>;
+using DiskPaxosEngine = HubEngine<DiskPaxos>;
+using PmpEngine = HubEngine<ProtectedMemoryPaxos>;
+using AlignedEngine = HubEngine<AlignedPaxos>;
 
 // ---------------------------------------------------------------------------
-// Byzantine-model engines (Cheap Quorum / Robust Backup / Fast & Robust) —
-// all traffic runs through the memories; every correct replica must propose
-// each slot.
+// Byzantine-model engines (Robust Backup / Fast & Robust) — all traffic runs
+// through the memories; every correct replica must propose each slot.
 // ---------------------------------------------------------------------------
-
-class CheapQuorumEngine : public ConsensusEngine {
- public:
-  /// `regions->get(s)` must create make_cq_regions(m, n, leader,
-  /// slot_ns(s, ns), m.new_scope()) on every backing memory — a fresh write
-  /// scope per slot, so a slot's follower loops wake on its own writes only.
-  CheapQuorumEngine(sim::Executor& exec,
-                    std::vector<mem::MemoryIface*> memories,
-                    std::shared_ptr<SlotRegions<CheapQuorumRegions>> regions,
-                    const crypto::KeyStore& keystore, crypto::Signer signer,
-                    CheapQuorumConfig config, std::string ns = "cq");
-
-  ProcessId self() const override;
-  std::size_t process_count() const override { return config_.n; }
-  void start() override {}
-  void open_slot(Slot slot) override;
-  /// Throws ProposeAborted when Cheap Quorum aborts (§4.2): the fast half
-  /// alone is not a consensus.
-  sim::Task<Decision> propose(Slot slot, Bytes value) override;
-
- private:
-  std::vector<mem::MemoryIface*> memories_;
-  std::shared_ptr<SlotRegions<CheapQuorumRegions>> regions_;
-  const crypto::KeyStore* keystore_;
-  crypto::Signer signer_;
-  CheapQuorumConfig config_;
-  std::string ns_;
-  std::map<Slot, std::unique_ptr<CheapQuorum>> slots_;
-};
 
 /// One slot's NEB regions, in a write scope of their own.
 struct NebSlotRegions {

@@ -67,11 +67,10 @@ class Omega {
   sim::VersionSignal& changed() { return changed_; }
 
   /// Suspend until this process is the leader ("wait until Ω == p",
-  /// Alg. 7 line 9). Wakes on poke(); `poll` seeds the backoff fallback.
-  sim::Task<void> wait_leadership(ProcessId self, sim::Time poll = 1) {
-    // Floor at 1: a zero fallback would make the select time out without
-    // suspending and spin the loop in native code.
-    sim::Time backoff = std::max<sim::Time>(poll, 1);
+  /// Alg. 7 line 9). Wakes on poke(); the fallback re-check starts at one
+  /// delay and doubles up to kBackoffCap.
+  sim::Task<void> wait_leadership(ProcessId self) {
+    sim::Time backoff = 1;
     while (!trusts(self)) {
       sim::Select sel(*exec_);
       sel.on(changed_, changed_.version());
@@ -83,9 +82,8 @@ class Omega {
 
   /// As wait_leadership, but also returns (possibly without leadership) once
   /// `stop` opens — the proposers' "wait until Ω == p or we already decided".
-  sim::Task<void> wait_leadership_or(ProcessId self, sim::Gate& stop,
-                                     sim::Time poll = 1) {
-    sim::Time backoff = std::max<sim::Time>(poll, 1);  // see wait_leadership
+  sim::Task<void> wait_leadership_or(ProcessId self, sim::Gate& stop) {
+    sim::Time backoff = 1;
     while (!trusts(self) && !stop.is_open()) {
       sim::Select sel(*exec_);
       sel.on(stop).on(changed_, changed_.version());

@@ -32,26 +32,41 @@ std::optional<PaxosMsg> PaxosMsg::decode(util::ByteView raw) {
   }
 }
 
+PaxosMsg PaxosAcceptor::answer(const PaxosMsg& request) {
+  if (request.ballot < promised) {
+    return PaxosMsg{PaxosKind::kNack, request.ballot, promised, false, {}};
+  }
+  promised = request.ballot;
+  if (request.kind == PaxosKind::kPrepare) {
+    return PaxosMsg{PaxosKind::kPromise, request.ballot, acc_ballot.value_or(0),
+                    acc_ballot.has_value(), acc_value};
+  }
+  acc_ballot = request.ballot;
+  acc_value = request.value;
+  return PaxosMsg{PaxosKind::kAccepted, request.ballot, 0, false, {}};
+}
+
+void DecisionLatch::decide(util::ByteView value, bool fast) {
+  if (decided()) return;
+  value_ = util::to_bytes(value);
+  at_ = exec_->now();
+  fast_ = fast;
+  gate_.open();
+}
+
 Paxos::Paxos(sim::Executor& exec, Transport& transport, Omega& omega,
              PaxosConfig config)
-    : exec_(&exec),
+    : DecisionLatch(exec),
+      exec_(&exec),
       transport_(&transport),
       omega_(&omega),
       config_(config),
-      replies_(exec),
-      decision_gate_(exec) {}
+      replies_(exec) {}
 
 void Paxos::start() {
   assert(!started_ && "Paxos::start called twice");
   started_ = true;
   exec_->spawn(dispatch_loop());
-}
-
-void Paxos::decide_locally(util::ByteView value) {
-  if (decided_value_.has_value()) return;
-  decided_value_ = util::to_bytes(value);
-  decided_at_ = exec_->now();
-  decision_gate_.open();
 }
 
 sim::Task<void> Paxos::dispatch_loop() {
@@ -62,10 +77,11 @@ sim::Task<void> Paxos::dispatch_loop() {
     switch (msg->kind) {
       case PaxosKind::kPrepare:
       case PaxosKind::kAccept:
-        handle_acceptor(raw.src, *msg);
+        max_ballot_seen_ = std::max(max_ballot_seen_, msg->ballot);
+        transport_->send(raw.src, acceptor_.answer(*msg).encode());
         break;
       case PaxosKind::kDecide:
-        decide_locally(msg->value);
+        decide(msg->value);
         break;
       case PaxosKind::kPromise:
       case PaxosKind::kAccepted:
@@ -76,97 +92,48 @@ sim::Task<void> Paxos::dispatch_loop() {
   }
 }
 
-void Paxos::handle_acceptor(ProcessId src, const PaxosMsg& msg) {
-  max_ballot_seen_ = std::max(max_ballot_seen_, msg.ballot);
-  if (msg.kind == PaxosKind::kPrepare) {
-    if (msg.ballot >= min_ballot_) {
-      min_ballot_ = msg.ballot;
-      PaxosMsg reply{PaxosKind::kPromise, msg.ballot,
-                     accepted_ballot_.value_or(0), accepted_ballot_.has_value(),
-                     accepted_value_};
-      transport_->send(src, reply.encode());
-    } else {
-      transport_->send(src, PaxosMsg{PaxosKind::kNack, msg.ballot, min_ballot_,
-                                     false, {}}
-                                .encode());
-    }
-    return;
+sim::Task<bool> Paxos::hear_back(std::uint64_t ballot, PaxosKind kind,
+                                 ValueChoice* choice) {
+  const sim::Time deadline = exec_->now() + config_.round_timeout;
+  for (std::size_t replies = 0; replies < majority(config_.n);) {
+    auto reply = co_await replies_.recv_until(deadline);
+    if (!reply.has_value()) co_return false;  // timeout
+    const PaxosMsg& m = reply->second;
+    if (m.ballot != ballot) continue;  // stale round
+    if (m.kind == PaxosKind::kNack) co_return false;
+    if (m.kind != kind) continue;
+    ++replies;
+    if (choice != nullptr) choice->offer(m.has_value, m.acc_ballot, m.value);
   }
-  // kAccept.
-  if (msg.ballot >= min_ballot_) {
-    min_ballot_ = msg.ballot;
-    accepted_ballot_ = msg.ballot;
-    accepted_value_ = msg.value;
-    transport_->send(src,
-                     PaxosMsg{PaxosKind::kAccepted, msg.ballot, 0, false, {}}
-                         .encode());
-  } else {
-    transport_->send(src, PaxosMsg{PaxosKind::kNack, msg.ballot, min_ballot_,
-                                   false, {}}
-                              .encode());
-  }
+  co_return true;
 }
 
 sim::Task<bool> Paxos::run_round(const Bytes& input, bool fast_first) {
-  const std::size_t n = config_.n;
-  const std::size_t quorum = majority(n);
-  const ProcessId self = transport_->self();
-
-  std::uint64_t ballot;
-  Bytes value = input;
-
-  if (fast_first) {
-    // p1's implicit phase 1 at ballot 0.
-    ballot = 0;
-  } else {
-    // Pick a fresh ballot owned by self, above everything seen.
-    const std::uint64_t round = max_ballot_seen_ / n + 1;
-    ballot = round * n + (self - 1);
-    max_ballot_seen_ = std::max(max_ballot_seen_, ballot);
-
-    // Phase 1: prepare / promise.
+  // The fast round is p1's ballot 0, whose phase 1 is implicit.
+  std::uint64_t ballot = 0;
+  ValueChoice choice{input};
+  if (!fast_first) {
+    // Phase 1: prepare / promise, at a fresh ballot above everything seen.
+    ballot = next_ballot(max_ballot_seen_, config_.n, transport_->self());
+    max_ballot_seen_ = ballot;
     transport_->send_all(PaxosMsg{PaxosKind::kPrepare, ballot, 0, false, {}}
                              .encode());
-    std::size_t promises = 0;
-    std::uint64_t best_acc = 0;
-    bool adopted = false;
-    const sim::Time deadline = exec_->now() + config_.round_timeout;
-    while (promises < quorum) {
-      auto reply = co_await replies_.recv_until(deadline);
-      if (!reply.has_value()) co_return false;  // timeout
-      const PaxosMsg& m = reply->second;
-      if (m.ballot != ballot) continue;  // stale round
-      if (m.kind == PaxosKind::kNack) co_return false;
-      if (m.kind != PaxosKind::kPromise) continue;
-      ++promises;
-      if (m.has_value && (!adopted || m.acc_ballot > best_acc)) {
-        adopted = true;
-        best_acc = m.acc_ballot;
-        value = m.value;
-      }
+    if (!co_await hear_back(ballot, PaxosKind::kPromise, &choice)) {
+      co_return false;
     }
   }
 
   // Phase 2: accept / accepted.
   transport_->send_all(
-      PaxosMsg{PaxosKind::kAccept, ballot, 0, true, value}.encode());
-  std::size_t accepts = 0;
-  const sim::Time deadline = exec_->now() + config_.round_timeout;
-  while (accepts < quorum) {
-    auto reply = co_await replies_.recv_until(deadline);
-    if (!reply.has_value()) co_return false;
-    const PaxosMsg& m = reply->second;
-    if (m.ballot != ballot) continue;
-    if (m.kind == PaxosKind::kNack) co_return false;
-    if (m.kind != PaxosKind::kAccepted) continue;
-    ++accepts;
+      PaxosMsg{PaxosKind::kAccept, ballot, 0, true, choice.value}.encode());
+  if (!co_await hear_back(ballot, PaxosKind::kAccepted, nullptr)) {
+    co_return false;
   }
 
   // Chosen. Decide and tell everyone.
-  if (!decided()) decided_fast_ = fast_first;
-  decide_locally(value);
+  decide(choice.value, fast_first);
   transport_->send_all(
-      PaxosMsg{PaxosKind::kDecide, ballot, 0, true, value}.encode(),
+      PaxosMsg{PaxosKind::kDecide, ballot, 0, true, choice.value}.encode(),
       /*include_self=*/false);
   co_return true;
 }
@@ -184,7 +151,7 @@ sim::Task<Bytes> Paxos::propose(Bytes value) {
       co_await exec_->sleep(config_.retry_backoff);
     } else {
       // Event-driven: woken by an Ω poke or by our own DECIDE.
-      co_await omega_->wait_leadership_or(self, decision_gate_, config_.poll);
+      co_await omega_->wait_leadership_or(self, decision_gate());
     }
   }
   co_return decision();

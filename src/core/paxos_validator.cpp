@@ -1,8 +1,7 @@
 #include "src/core/paxos_validator.hpp"
 
 #include <map>
-#include <optional>
-#include <set>
+#include <utility>
 
 #include "src/core/paxos.hpp"
 #include "src/core/transport_mux.hpp"
@@ -14,10 +13,6 @@ namespace {
 using trusted::History;
 using trusted::HistoryEntry;
 using trusted::Receipt;
-
-ProcessId ballot_owner(std::uint64_t ballot, std::size_t n) {
-  return static_cast<ProcessId>(ballot % n) + 1;
-}
 
 /// Framing: returns the Paxos bytes if this payload is (framed or raw)
 /// Paxos; nullopt for set-up payloads or garbage-with-setup-tag.
@@ -41,47 +36,26 @@ struct Replay {
   explicit Replay(std::size_t n) : n(n) {}
 
   std::size_t n;
-  // Acceptor state.
-  std::uint64_t promised = 0;
-  std::optional<std::uint64_t> acc_ballot;
-  Bytes acc_value;
-  // Verified receipts, grouped for the proposer rules.
-  // ballot → origins that sent PROMISE(b) (+ their reported accepted pair).
-  struct PromiseInfo {
-    bool has_value = false;
-    std::uint64_t acc_ballot = 0;
-    Bytes value;
-  };
-  std::map<std::uint64_t, std::map<ProcessId, PromiseInfo>> promises;
-  std::map<std::uint64_t, std::set<ProcessId>> prepares_seen;  // ballot → owners
-  std::map<std::uint64_t, std::map<ProcessId, Bytes>> accepts_seen;  // ballot → origin → value
-  std::map<std::uint64_t, std::set<ProcessId>> accepted_seen;  // ballot → origins
+  /// The process's acceptor, advanced by the PROMISE/ACCEPTED it sends.
+  PaxosAcceptor acceptor;
+  /// Verified receipts: (kind, ballot) → origin → message.
+  std::map<std::pair<PaxosKind, std::uint64_t>, std::map<ProcessId, PaxosMsg>>
+      received;
   // Our own sent ACCEPTs: ballot → value.
   std::map<std::uint64_t, Bytes> sent_accepts;
 
-  bool ingest_receipt(ProcessId origin, const PaxosMsg& m) {
-    switch (m.kind) {
-      case PaxosKind::kPrepare:
-        prepares_seen[m.ballot].insert(origin);
-        return true;
-      case PaxosKind::kPromise: {
-        auto& info = promises[m.ballot][origin];
-        info.has_value = m.has_value;
-        info.acc_ballot = m.acc_ballot;
-        info.value = m.value;
-        return true;
-      }
-      case PaxosKind::kAccept:
-        accepts_seen[m.ballot][origin] = m.value;
-        return true;
-      case PaxosKind::kAccepted:
-        accepted_seen[m.ballot].insert(origin);
-        return true;
-      case PaxosKind::kNack:
-      case PaxosKind::kDecide:
-        return true;
-    }
-    return false;
+  /// The `kind` message for `ballot` received from `origin`, if any.
+  const PaxosMsg* receipt(PaxosKind kind, std::uint64_t ballot,
+                          ProcessId origin) const {
+    const auto it = received.find({kind, ballot});
+    if (it == received.end()) return nullptr;
+    const auto mit = it->second.find(origin);
+    return mit == it->second.end() ? nullptr : &mit->second;
+  }
+
+  void ingest_receipt(ProcessId origin, const PaxosMsg& m) {
+    if (m.kind == PaxosKind::kNack || m.kind == PaxosKind::kDecide) return;
+    received[{m.kind, m.ballot}][origin] = m;
   }
 
   /// Check a message `owner` sends and advance the replayed state.
@@ -91,71 +65,47 @@ struct Replay {
       case PaxosKind::kPrepare:
         return ballot_owner(m.ballot, n) == owner;
 
-      case PaxosKind::kPromise: {
-        const ProcessId proposer = ballot_owner(m.ballot, n);
-        if (dst != proposer && dst != trusted::kToAll) return false;
-        if (!prepares_seen[m.ballot].contains(proposer)) return false;
-        if (m.ballot < promised) return false;
-        // The promise must report the acceptor's real accepted state.
-        if (m.has_value != acc_ballot.has_value()) return false;
-        if (m.has_value &&
-            (m.acc_ballot != *acc_ballot || m.value != acc_value)) {
-          return false;
-        }
-        promised = m.ballot;
-        return true;
-      }
-
+      case PaxosKind::kPromise:
       case PaxosKind::kAccepted: {
+        // Replay the ballot owner's PREPARE (for a PROMISE) or ACCEPT (for
+        // an ACCEPTED) through the acceptor the live processes run: the
+        // send must be exactly its answer.
         const ProcessId proposer = ballot_owner(m.ballot, n);
         if (dst != proposer && dst != trusted::kToAll) return false;
-        const auto bit = accepts_seen.find(m.ballot);
-        if (bit == accepts_seen.end() || !bit->second.contains(proposer)) {
-          return false;
-        }
-        if (m.ballot < promised) return false;
-        promised = m.ballot;
-        acc_ballot = m.ballot;
-        acc_value = bit->second.at(proposer);
-        return true;
+        const PaxosMsg* request = receipt(m.kind == PaxosKind::kPromise
+                                              ? PaxosKind::kPrepare
+                                              : PaxosKind::kAccept,
+                                          m.ballot, proposer);
+        return request != nullptr && acceptor.answer(*request) == m;
       }
 
       case PaxosKind::kAccept: {
         if (ballot_owner(m.ballot, n) != owner) return false;
         if (!m.has_value) return false;
-        if (m.ballot == 0) {  // p1's fast ballot: value is its own input
-          sent_accepts[0] = m.value;
-          return true;
-        }
-        const auto pit = promises.find(m.ballot);
-        if (pit == promises.end() || pit->second.size() < quorum) return false;
-        // Value-choice rule.
-        bool any = false;
-        std::uint64_t best = 0;
-        Bytes best_value;
-        for (const auto& [origin, info] : pit->second) {
-          if (info.has_value && (!any || info.acc_ballot > best)) {
-            any = true;
-            best = info.acc_ballot;
-            best_value = info.value;
+        // Ballot 0 is p1's fast ballot: its value is p1's own input.
+        if (m.ballot != 0) {
+          const auto pit = received.find({PaxosKind::kPromise, m.ballot});
+          if (pit == received.end() || pit->second.size() < quorum) {
+            return false;
           }
+          ValueChoice choice{m.value};
+          for (const auto& [origin, promise] : pit->second) {
+            choice.offer(promise.has_value, promise.acc_ballot, promise.value);
+          }
+          if (choice.value != m.value) return false;
         }
-        if (any && m.value != best_value) return false;
         sent_accepts[m.ballot] = m.value;
         return true;
       }
 
       case PaxosKind::kDecide: {
         if (!m.has_value) return false;
-        for (const auto& [ballot, origins] : accepted_seen) {
-          if (origins.size() < quorum) continue;
-          const auto sit = sent_accepts.find(ballot);
-          if (sit != sent_accepts.end() && sit->second == m.value) return true;
-          if (ballot == 0 && ballot_owner(0, n) == owner) {
-            // Fast ballot: the accept itself may be ballot 0.
-            const auto fit = sent_accepts.find(0);
-            if (fit != sent_accepts.end() && fit->second == m.value) return true;
+        for (const auto& [key, origins] : received) {
+          if (key.first != PaxosKind::kAccepted || origins.size() < quorum) {
+            continue;
           }
+          const auto sit = sent_accepts.find(key.second);
+          if (sit != sent_accepts.end() && sit->second == m.value) return true;
         }
         return false;
       }
@@ -166,10 +116,6 @@ struct Replay {
     return false;
   }
 };
-
-}  // namespace
-
-namespace {
 
 /// Process one history entry of `owner` into `replay`. Returns false if the
 /// entry proves the history illegal.
@@ -211,8 +157,8 @@ bool ingest_entry(const crypto::KeyStore& keystore, ProcessId owner,
       break;
   }
   const auto msg = PaxosMsg::decode(paxos_bytes);
-  if (!msg.has_value()) return true;
-  return replay.ingest_receipt(e.peer, *msg);
+  if (msg.has_value()) replay.ingest_receipt(e.peer, *msg);
+  return true;
 }
 
 /// Replayed state of one owner's history, committed exactly as far as the

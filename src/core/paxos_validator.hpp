@@ -3,16 +3,19 @@
 // Robust Backup (§4.1) needs receivers to check "whether a received message
 // is consistent with the protocol" given the sender's full history. This
 // validator replays the sender's history against the Paxos state machine and
-// rejects any send a correct Paxos process could not have produced:
+// rejects any send a correct Paxos process could not have produced. It
+// judges with paxos.*'s own rules — the acceptor the live processes run,
+// the ballot rule and the value-choice rule — so the check cannot drift
+// from the protocol it checks:
 //
-//  * PROMISE(b) requires an earlier verified receipt of PREPARE(b) from b's
-//    owner, b ≥ the acceptor's promised ballot at that point, and the
-//    reported (acc_ballot, value) to match the replayed acceptor state;
-//  * ACCEPTED(b) requires an earlier receipt of ACCEPT(b, v), b ≥ promised;
+//  * PROMISE(b) / ACCEPTED(b) require an earlier verified receipt of
+//    PREPARE(b) / ACCEPT(b, v) from b's owner, and must be exactly the
+//    replayed acceptor's answer to it (b ≥ the promised ballot; a PROMISE
+//    reports the accepted pair);
 //  * PREPARE/ACCEPT(b) must use a ballot owned by the sender; ACCEPT(b, v)
 //    (b > 0) requires receipts of a majority of PROMISE(b) from distinct
 //    processes and v to be the value of the highest-ballot promise that
-//    carried one (the Paxos value-choice rule); ballot 0 is p1's implicit
+//    carried one (the value-choice rule); ballot 0 is p1's implicit
 //    phase-1 fast ballot, whose value is the sender's own input and thus
 //    unconstrained;
 //  * DECIDE(v) requires a majority of ACCEPTED(b) receipts for a ballot b at

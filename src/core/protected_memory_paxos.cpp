@@ -1,8 +1,5 @@
 #include "src/core/protected_memory_paxos.hpp"
 
-#include "src/sim/fanout.hpp"
-#include "src/util/serde.hpp"
-
 namespace mnm::core {
 
 mem::LegalChangeFn pmp_legal_change(std::vector<ProcessId> all) {
@@ -22,186 +19,6 @@ mem::LegalChangeFn pmp_legal_change(std::vector<ProcessId> all) {
     }
     return proposed == mem::Permission::exclusive_writer(requester, all);
   };
-}
-
-Bytes PmpSlot::encode() const {
-  util::Writer w(8 + 8 + 1 + 4 + value.size());
-  w.u64(min_proposal).u64(acc_proposal).boolean(has_value).bytes(value);
-  return std::move(w).take();
-}
-
-std::optional<PmpSlot> PmpSlot::decode(util::ByteView raw) {
-  if (util::is_bottom(raw)) return PmpSlot{};  // ⊥ slot: all zero
-  try {
-    util::Reader r(raw);
-    PmpSlot s;
-    s.min_proposal = r.u64();
-    s.acc_proposal = r.u64();
-    s.has_value = r.boolean();
-    s.value = r.bytes();
-    r.expect_end();
-    return s;
-  } catch (const util::SerdeError&) {
-    return std::nullopt;
-  }
-}
-
-ProtectedMemoryPaxos::ProtectedMemoryPaxos(
-    sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
-    RegionId region, Transport& transport, Omega& omega, PmpConfig config)
-    : exec_(&exec),
-      memories_(std::move(memories)),
-      region_(region),
-      transport_(&transport),
-      omega_(&omega),
-      self_(transport.self()),
-      config_(std::move(config)),
-      all_(all_processes(config_.n)),
-      excl_perm_(mem::Permission::exclusive_writer(self_, all_)),
-      decision_gate_(exec) {
-  for (ProcessId p : all_) {
-    slot_names_.push_back(config_.prefix + "/slot/" + std::to_string(p));
-  }
-}
-
-void ProtectedMemoryPaxos::start() { exec_->spawn(decide_listener()); }
-
-void ProtectedMemoryPaxos::decide_locally(util::ByteView value) {
-  if (decided_value_.has_value()) return;
-  decided_value_ = util::to_bytes(value);
-  decided_at_ = exec_->now();
-  decision_gate_.open();
-}
-
-sim::Task<void> ProtectedMemoryPaxos::decide_listener() {
-  while (true) {
-    const TMsg m = co_await transport_->incoming().recv();
-    decide_locally(m.payload);
-  }
-}
-
-sim::Task<ProtectedMemoryPaxos::Phase1Result>
-ProtectedMemoryPaxos::phase1_at_memory(std::size_t idx, std::uint64_t prop_nr) {
-  mem::MemoryIface* m = memories_[idx];
-  Phase1Result out;
-
-  // Seize exclusive write permission (Alg. 7 line 13).
-  const mem::Status grabbed =
-      co_await m->change_permission(self_, region_, excl_perm_);
-  if (grabbed != mem::Status::kAck) co_return out;
-
-  // write1: stamp our proposal number (line 14).
-  PmpSlot own;
-  own.min_proposal = prop_nr;
-  const mem::Status wrote = co_await m->write(self_, region_,
-                                              slot_names_[self_ - 1], own.encode());
-  if (wrote != mem::Status::kAck) co_return out;
-
-  // Read every process's slot at this memory in one batched scatter-gather
-  // request (line 15): a single completion and permission evaluation.
-  auto reads = co_await m->read_many(self_, region_, slot_names_);
-  out.slots.resize(all_.size());
-  for (std::size_t i = 0; i < reads.size(); ++i) {
-    if (!reads[i].ok()) co_return out;  // lost permission mid-phase: fail
-    const auto slot = PmpSlot::decode(reads[i].value);
-    if (!slot.has_value()) co_return out;
-    out.slots[i] = *slot;
-  }
-  out.ok = true;
-  co_return out;
-}
-
-sim::Task<mem::Status> ProtectedMemoryPaxos::phase2_at_memory(
-    std::size_t idx, std::uint64_t prop_nr, Bytes value) {
-  PmpSlot s;
-  s.min_proposal = prop_nr;
-  s.acc_proposal = prop_nr;
-  s.has_value = true;
-  s.value = std::move(value);
-  co_return co_await memories_[idx]->write(self_, region_,
-                                           slot_names_[self_ - 1], s.encode());
-}
-
-sim::Task<Bytes> ProtectedMemoryPaxos::propose(Bytes v) {
-  const std::size_t m = memories_.size();
-  const std::size_t quorum = majority(m);
-
-  while (!decided()) {
-    // Wait to become leader (line 9), but wake up if a DECIDE arrives.
-    co_await omega_->wait_leadership_or(self_, decision_gate_, config_.poll);
-    if (decided()) break;
-
-    Bytes my_value = v;
-    std::uint64_t prop_nr;
-
-    const bool fast_attempt = (self_ == kLeaderP1 && first_attempt_);
-    if (fast_attempt) {
-      // p1's first attempt: it already holds every permission, and no slot
-      // can contain anything yet — skip straight to phase 2 (the 2-delay
-      // fast path). Proposal number 0 is owned by p1.
-      prop_nr = 0;
-      first_attempt_ = false;
-    } else {
-      first_attempt_ = false;
-      prop_nr = (max_proposal_seen_ / config_.n + 1) * config_.n + (self_ - 1);
-      max_proposal_seen_ = prop_nr;
-
-      // Phase 1 on all memories in parallel; continue after a majority of
-      // iterations complete (lines 12–16). Crashed memories never complete.
-      sim::Fanout<Phase1Result> fanout(*exec_);
-      for (std::size_t i = 0; i < m; ++i) {
-        fanout.add(i, phase1_at_memory(i, prop_nr));
-      }
-      auto results = co_await fanout.collect(quorum);
-
-      bool restart = false;
-      std::uint64_t best_acc = 0;
-      bool adopted = false;
-      for (auto& [idx, r] : results) {
-        if (!r.ok) {
-          restart = true;  // write1 failed somewhere we heard from (line 17)
-          break;
-        }
-        for (const auto& slot : r.slots) {
-          max_proposal_seen_ = std::max(max_proposal_seen_, slot.min_proposal);
-          if (slot.min_proposal > prop_nr) restart = true;  // line 18
-          if (slot.has_value && (!adopted || slot.acc_proposal > best_acc)) {
-            adopted = true;
-            best_acc = slot.acc_proposal;
-            my_value = slot.value;  // line 20
-          }
-        }
-        if (restart) break;
-      }
-      if (restart) {
-        co_await exec_->sleep(config_.retry_backoff);
-        continue;
-      }
-    }
-
-    // Phase 2: write (propNr, propNr, value) to all memories; a majority of
-    // acks decides — no verifying read needed, because an acked write proves
-    // the permission was still ours at that memory (lines 21–24).
-    sim::Fanout<mem::Status> fanout(*exec_);
-    for (std::size_t i = 0; i < m; ++i) {
-      fanout.add(i, phase2_at_memory(i, prop_nr, my_value));
-    }
-    auto acks = co_await fanout.collect(quorum);
-    bool all_acked = true;
-    for (auto& [idx, st] : acks) {
-      if (st != mem::Status::kAck) all_acked = false;
-    }
-    if (!all_acked) {
-      co_await exec_->sleep(config_.retry_backoff);
-      continue;
-    }
-
-    if (!decided()) decided_fast_ = fast_attempt;
-    decide_locally(my_value);
-    transport_->send_all(my_value, /*include_self=*/false);
-  }
-
-  co_return decision();
 }
 
 }  // namespace mnm::core

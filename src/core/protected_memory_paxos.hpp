@@ -10,6 +10,10 @@
 //   crash consensus, n ≥ fP+1 processes, m ≥ 2fM+1 memories, 2-deciding
 //   (p1's first attempt is a single parallel write across the memories).
 //
+// That is the composition here: ProtectedMemoryPaxos is DiskPaxos
+// (disk_paxos.*) with dynamic permissions — the same block record, phase
+// step and scan fold, plus the permission seize and the write-only phase 2.
+//
 // Memory layout: one region per memory covering "pmp/"; registers
 // "pmp/slot/<p>" hold (minProposal, accProposal, value) triples. legalChange
 // permits exactly one kind of change: a process taking exclusive
@@ -22,18 +26,15 @@
 
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/common.hpp"
+#include "src/core/disk_paxos.hpp"
 #include "src/core/omega.hpp"
 #include "src/core/transport.hpp"
 #include "src/mem/memory.hpp"
 #include "src/sim/executor.hpp"
-#include "src/sim/sync.hpp"
-#include "src/sim/task.hpp"
 
 namespace mnm::core {
 
@@ -54,79 +55,25 @@ RegionId make_pmp_region(MemoryT& memory, std::size_t n,
                               pmp_legal_change(all));
 }
 
-/// Slot contents (minProposal, accProposal, value) — Algorithm 7 line 4.
-struct PmpSlot {
-  std::uint64_t min_proposal = 0;
-  std::uint64_t acc_proposal = 0;
-  bool has_value = false;
-  Bytes value;
-
-  Bytes encode() const;
-  static std::optional<PmpSlot> decode(util::ByteView raw);
-};
-
 struct PmpConfig {
   std::size_t n = 2;
   /// Register-name namespace; must match the region's make_pmp_region prefix.
   std::string prefix = "pmp";
-  sim::Time poll = 1;
-  sim::Time retry_backoff = 8;
 };
 
-class ProtectedMemoryPaxos {
+/// Disk Paxos with dynamic permissions: blocks live under "<prefix>/slot/<p>",
+/// each phase-1 step first seizes exclusive write permission, and a majority
+/// of phase-2 write acks decides.
+class ProtectedMemoryPaxos : public DiskPaxos {
  public:
   /// `region` must be the PMP region id, identical across `memories`.
   /// `transport` carries the DECIDE dissemination; `transport.self()` is this
   /// process's identity.
   ProtectedMemoryPaxos(sim::Executor& exec,
                        std::vector<mem::MemoryIface*> memories, RegionId region,
-                       Transport& transport, Omega& omega, PmpConfig config);
-
-  /// Spawn the DECIDE listener.
-  void start();
-
-  sim::Task<Bytes> propose(Bytes v);
-
-  bool decided() const { return decided_value_.has_value(); }
-  const Bytes& decision() const { return *decided_value_; }
-  sim::Time decided_at() const { return decided_at_; }
-  /// True iff this process decided on p1's single-write fast path (§1's
-  /// uncontended instantaneous guarantee), i.e. as the proposer of the
-  /// 2-delay first attempt. Learners report false.
-  bool decided_fast() const { return decided_fast_; }
-  sim::Gate& decision_gate() { return decision_gate_; }
-
- private:
-  struct Phase1Result {
-    bool ok = false;                   // permission + write1 succeeded
-    std::vector<PmpSlot> slots;        // all processes' slots at this memory
-  };
-
-  sim::Task<Phase1Result> phase1_at_memory(std::size_t idx, std::uint64_t prop_nr);
-  sim::Task<mem::Status> phase2_at_memory(std::size_t idx, std::uint64_t prop_nr,
-                                          Bytes value);
-  sim::Task<void> decide_listener();
-  void decide_locally(util::ByteView value);
-
-  sim::Executor* exec_;
-  std::vector<mem::MemoryIface*> memories_;
-  RegionId region_;
-  Transport* transport_;
-  Omega* omega_;
-  ProcessId self_;
-  PmpConfig config_;
-
-  // Hot-path caches (built once in the constructor).
-  std::vector<ProcessId> all_;
-  std::vector<std::string> slot_names_;  // index p - 1
-  mem::Permission excl_perm_;            // exclusive_writer(self, all)
-
-  std::uint64_t max_proposal_seen_ = 0;
-  bool first_attempt_ = true;
-  bool decided_fast_ = false;
-  std::optional<Bytes> decided_value_;
-  sim::Time decided_at_ = 0;
-  sim::Gate decision_gate_;
+                       Transport& transport, Omega& omega, PmpConfig config)
+      : DiskPaxos(exec, std::move(memories), region, transport, omega,
+                  config.n, config.prefix + "/slot", /*dynamic=*/true) {}
 };
 
 }  // namespace mnm::core

@@ -714,10 +714,11 @@ EngineFactory engine_factory(World& w, std::uint8_t tag,
       });
       core::DiskPaxosConfig dc;
       dc.n = n;
-      return [&w, tag, pool, dc, prefix](ProcessId p) {
+      dc.prefix = prefix;
+      return [&w, tag, pool, dc](ProcessId p) {
         return std::make_unique<core::DiskPaxosEngine>(
             w.exec, w.view_ptrs[p - 1], group_transport(w, p, tag), *w.omega,
-            pool, dc, prefix);
+            pool, dc);
       };
     }
 
@@ -731,18 +732,20 @@ EngineFactory engine_factory(World& w, std::uint8_t tag,
       if (config.algo == Algorithm::kAlignedPaxos) {
         core::AlignedPaxosConfig ac;
         ac.n = n;
-        return [&w, tag, pool, ac, prefix](ProcessId p) {
+        ac.prefix = prefix;
+        return [&w, tag, pool, ac](ProcessId p) {
           return std::make_unique<core::AlignedEngine>(
               w.exec, w.view_ptrs[p - 1], group_transport(w, p, tag),
-              *w.omega, pool, ac, prefix);
+              *w.omega, pool, ac);
         };
       }
       core::PmpConfig pc;
       pc.n = n;
-      return [&w, tag, pool, pc, prefix](ProcessId p) {
+      pc.prefix = prefix;
+      return [&w, tag, pool, pc](ProcessId p) {
         return std::make_unique<core::PmpEngine>(
             w.exec, w.view_ptrs[p - 1], group_transport(w, p, tag), *w.omega,
-            pool, pc, prefix);
+            pool, pc);
       };
     }
 

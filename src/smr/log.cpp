@@ -161,32 +161,24 @@ void Log::launch(Slot slot, Pending p, bool retry) {
 sim::Task<void> Log::drive(Slot slot, Pending group, bool retry) {
   // Raw groups encode here, at launch; pre-encoded payloads pass through.
   // The group survives the move into propose(): it detects a lost slot, and
-  // is what the loss/abort paths re-queue.
+  // is what the loss path re-queues.
   if (group.payload.empty() && !group.cmds.empty()) {
     group.payload = encode_batch(group.cmds);
   }
   const Bytes proposed = group.payload;
-  try {
-    const core::Decision d = co_await engine_->propose(slot, proposed);
-    if (d.value == proposed) {
-      // The won sample folds once: at apply if the slot is still open, here
-      // if it already applied (the decision stream can beat propose).
-      if (slot >= applied_len_) {
-        launch_record(slot).won = true;
-      } else if (!decode_batch(proposed).empty()) {
-        stats_.won_latencies.push_back(d.decided_at - group.enqueued_at);
-      }
-    } else if (retry && !proposed.empty()) {
-      // Our batch lost the slot (a hand-off adopted an older leader's
-      // value): put it back at the front so it wins a later slot.
-      requeue_front(std::move(group));
+  const core::Decision d = co_await engine_->propose(slot, proposed);
+  if (d.value == proposed) {
+    // The won sample folds once: at apply if the slot is still open, here
+    // if it already applied (the decision stream can beat propose).
+    if (slot >= applied_len_) {
+      launch_record(slot).won = true;
+    } else if (!decode_batch(proposed).empty()) {
+      stats_.won_latencies.push_back(d.decided_at - group.enqueued_at);
     }
-  } catch (const core::ProposeAborted&) {
-    // Engine could not decide this proposal (Cheap Quorum abort). The
-    // payload is not lost if retry is on.
-    if (retry && !proposed.empty()) {
-      requeue_front(std::move(group));
-    }
+  } else if (retry && !proposed.empty()) {
+    // Our batch lost the slot (a hand-off adopted an older leader's
+    // value): put it back at the front so it wins a later slot.
+    requeue_front(std::move(group));
   }
 }
 

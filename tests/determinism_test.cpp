@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/harness/cluster.hpp"
@@ -246,6 +247,90 @@ TEST(Determinism, SingleShotCostsPinned) {
     EXPECT_EQ(r.signatures, pin.sigs) << name;
     ASSERT_EQ(r.processes.size(), pin.n) << name;
     for (std::size_t i = 0; i < pin.n; ++i) {
+      EXPECT_EQ(r.processes[i].decided_at, pin.decided_at[i])
+          << name << " p" << i + 1;
+    }
+  }
+}
+
+TEST(Determinism, FailoverCostsPinned) {
+  // The crash protocols' costs when p1 (or a memory) fails (seed 1, n = 3,
+  // m = 3 for the memory protocols): these shapes reach phase-1 adoption
+  // and retries, which the fault-free shapes above never do. Pins the
+  // decided value, first decision delay, messages, memory reads, writes and
+  // permission changes, executor events, and every process's decision time
+  // (0 for a process that crashed undecided).
+  enum class Fault { kP1At1, kP1At3LateGst, kMemory1At0 };
+  struct Pin {
+    Algorithm algo;
+    Fault fault;
+    const char* value;
+    sim::Time delay;
+    std::uint64_t msgs, reads, writes, perms, events;
+    std::vector<sim::Time> decided_at;
+  };
+  const std::vector<Pin> pins = {
+      {Algorithm::kPaxos, Fault::kP1At1, "value-2", 5, 17, 0, 0, 0, 58,
+       {0, 5, 6}},
+      {Algorithm::kFastPaxos, Fault::kP1At1, "value-1", 5, 17, 0, 0, 0, 58,
+       {0, 5, 6}},
+      {Algorithm::kDiskPaxos, Fault::kP1At1, "value-1", 9, 2, 18, 9, 0, 66,
+       {0, 9, 10}},
+      {Algorithm::kProtectedMemoryPaxos, Fault::kP1At1, "value-1", 2, 2, 9, 9,
+       3, 68, {2, 9, 10}},
+      {Algorithm::kAlignedPaxos, Fault::kP1At1, "value-2", 9, 17, 9, 6, 6, 99,
+       {0, 9, 10}},
+      {Algorithm::kPaxos, Fault::kP1At3LateGst, "value-2", 23, 17, 0, 0, 0, 58,
+       {0, 23, 24}},
+      {Algorithm::kFastPaxos, Fault::kP1At3LateGst, "value-1", 23, 17, 0, 0, 0,
+       58, {0, 23, 24}},
+      {Algorithm::kDiskPaxos, Fault::kP1At3LateGst, "value-1", 4, 2, 27, 9, 0,
+       74, {4, 11, 16}},
+      {Algorithm::kProtectedMemoryPaxos, Fault::kP1At3LateGst, "value-1", 2, 4,
+       9, 9, 3, 70, {2, 7, 7}},
+      {Algorithm::kAlignedPaxos, Fault::kP1At3LateGst, "value-2", 23, 17, 9, 9,
+       6, 105, {0, 23, 24}},
+      {Algorithm::kDiskPaxos, Fault::kMemory1At0, "value-1", 4, 2, 6, 2, 0, 41,
+       {4, 5, 5}},
+      {Algorithm::kProtectedMemoryPaxos, Fault::kMemory1At0, "value-1", 2, 2, 0,
+       2, 0, 37, {2, 3, 3}},
+      {Algorithm::kAlignedPaxos, Fault::kMemory1At0, "value-1", 8, 14, 6, 4, 2,
+       85, {8, 9, 9}},
+  };
+  for (const Pin& pin : pins) {
+    ClusterConfig c;
+    c.algo = pin.algo;
+    c.n = 3;
+    c.m = (pin.algo == Algorithm::kPaxos || pin.algo == Algorithm::kFastPaxos)
+              ? 0
+              : 3;
+    c.seed = 1;
+    switch (pin.fault) {
+      case Fault::kP1At1:
+        c.faults.process_crashes[1] = 1;
+        break;
+      case Fault::kP1At3LateGst:
+        c.faults.process_crashes[1] = 3;
+        c.gst = 20;
+        c.pre_gst_delay = 5;
+        break;
+      case Fault::kMemory1At0:
+        c.faults.memory_crashes[1] = 0;
+        break;
+    }
+    const RunReport r = run_cluster(c);
+    const std::string name = std::string(algorithm_name(pin.algo)) + " fault " +
+                             std::to_string(static_cast<int>(pin.fault));
+    ASSERT_TRUE(r.all_ok()) << name << ": " << r.summary();
+    EXPECT_EQ(r.decided_value, pin.value) << name;
+    EXPECT_EQ(r.first_decision_delay, pin.delay) << name;
+    EXPECT_EQ(r.messages_sent, pin.msgs) << name;
+    EXPECT_EQ(r.mem_reads, pin.reads) << name;
+    EXPECT_EQ(r.mem_writes, pin.writes) << name;
+    EXPECT_EQ(r.permission_changes, pin.perms) << name;
+    EXPECT_EQ(r.events, pin.events) << name;
+    ASSERT_EQ(r.processes.size(), pin.decided_at.size()) << name;
+    for (std::size_t i = 0; i < pin.decided_at.size(); ++i) {
       EXPECT_EQ(r.processes[i].decided_at, pin.decided_at[i])
           << name << " p" << i + 1;
     }

@@ -1,4 +1,4 @@
-// core::ConsensusEngine conformance across all eight protocol adapters.
+// core::ConsensusEngine conformance across all seven protocol adapters.
 //
 // The engine contract every adapter must honor (engine.hpp): propose
 // resolves with the slot's decision, decisions() streams each locally
@@ -35,7 +35,6 @@ enum class Kind {
   kDiskPaxos,
   kPmp,
   kAligned,
-  kCheapQuorum,
   kRobustBackup,
   kFastRobust,
 };
@@ -112,25 +111,6 @@ struct EngineWorld {
             engines.push_back(std::make_unique<PmpEngine>(
                 exec, ifc, *transports.back(), omega, pool, pc));
           }
-        }
-        break;
-      }
-      case Kind::kCheapQuorum: {
-        auto pool =
-            std::make_shared<SlotRegions<CheapQuorumRegions>>([this](Slot s) {
-              CheapQuorumRegions out;
-              for (auto& mp : memories) {
-                out = make_cq_regions(*mp, this->n, kLeaderP1, slot_ns(s, "cq"),
-                                      mp->new_scope());
-              }
-              return out;
-            });
-        CheapQuorumConfig cc;
-        cc.n = n;
-        cc.timeout = 120;
-        for (ProcessId p : all_processes(n)) {
-          engines.push_back(std::make_unique<CheapQuorumEngine>(
-              exec, ifc, pool, keystore, signers[p - 1], cc));
         }
         break;
       }
@@ -284,10 +264,6 @@ TEST(ConsensusEngine, AlignedPaxosThreeSlots) {
   leader_driven_roundtrip(Kind::kAligned, 3, 3);
 }
 
-TEST(ConsensusEngine, CheapQuorumTwoSlots) {
-  all_propose_roundtrip(Kind::kCheapQuorum, 3, 3);
-}
-
 TEST(ConsensusEngine, RobustBackupTwoSlots) {
   all_propose_roundtrip(Kind::kRobustBackup, 3, 3);
 }
@@ -325,24 +301,6 @@ TEST(ConsensusEngine, SlotsAreIndependentInstances) {
   EXPECT_EQ(got[0], "first");
   EXPECT_EQ(got[1], "first");  // slot 7 already decided
   EXPECT_EQ(got[2], "other");  // slot 8 is a fresh instance
-}
-
-TEST(ConsensusEngine, CheapQuorumAbortThrowsProposeAborted) {
-  // The leader never proposes: followers time out, panic, and abort — the
-  // engine surfaces that as ProposeAborted instead of hanging or deciding.
-  EngineWorld w(Kind::kCheapQuorum, 3, 3);
-  int aborted = 0;
-  for (ProcessId p : {ProcessId{2}, ProcessId{3}}) {
-    w.exec.spawn([](ConsensusEngine* e, ProcessId p, int* aborted) -> Task<void> {
-      try {
-        (void)co_await e->propose(0, to_bytes("v" + std::to_string(p)));
-      } catch (const ProposeAborted&) {
-        ++*aborted;
-      }
-    }(w.engines[p - 1].get(), p, &aborted));
-  }
-  w.exec.run_until([&] { return aborted == 2; }, 100000);
-  EXPECT_EQ(aborted, 2);
 }
 
 TEST(SlotTransportHub, OversizedSlotIdsAreDropped) {

@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/core/fast_paxos.hpp"
 #include "src/core/omega.hpp"
 #include "src/core/paxos.hpp"
 #include "src/core/transport.hpp"

@@ -24,25 +24,26 @@ using sim::Task;
 using util::to_bytes;
 using util::to_string;
 
+// PMP's slot (minProposal, accProposal, value) is Disk Paxos's block.
 TEST(PmpSlotWire, RoundTrip) {
-  PmpSlot s{7, 5, true, to_bytes("v")};
-  const auto d = PmpSlot::decode(s.encode());
+  DiskBlock s{7, 5, true, to_bytes("v")};
+  const auto d = DiskBlock::decode(s.encode());
   ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->min_proposal, 7u);
-  EXPECT_EQ(d->acc_proposal, 5u);
+  EXPECT_EQ(d->mbal, 7u);
+  EXPECT_EQ(d->bal, 5u);
   EXPECT_TRUE(d->has_value);
   EXPECT_EQ(to_string(d->value), "v");
 }
 
 TEST(PmpSlotWire, BottomDecodesToEmptySlot) {
-  const auto d = PmpSlot::decode({});
+  const auto d = DiskBlock::decode({});
   ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->min_proposal, 0u);
+  EXPECT_EQ(d->mbal, 0u);
   EXPECT_FALSE(d->has_value);
 }
 
 TEST(PmpSlotWire, GarbageRejected) {
-  EXPECT_FALSE(PmpSlot::decode(to_bytes("xx")).has_value());
+  EXPECT_FALSE(DiskBlock::decode(to_bytes("xx")).has_value());
 }
 
 TEST(PmpLegalChange, OnlyExclusiveSelfGrabAllowed) {
@@ -158,7 +159,7 @@ TEST(ProtectedMemoryPaxos, StolenPermissionNaksOldLeaderWrite) {
     (void)co_await w->ifc[0]->change_permission(
         2, w->region, mem::Permission::exclusive_writer(2, all_processes(2)));
     // p1's write now fails.
-    PmpSlot s{0, 0, true, to_bytes("stale")};
+    DiskBlock s{0, 0, true, to_bytes("stale")};
     *out = co_await w->ifc[0]->write(1, w->region, "pmp/slot/1", s.encode());
   }(&w, &p1_write));
   w.exec.run(100);

@@ -15,7 +15,11 @@
 //    hygiene: attacker-controlled count/length prefixes are capped by the
 //    bytes actually present (the same unchecked-reserve class that caused
 //    the decode_history bad_alloc), truncations and junk decode to
-//    empty/nullopt, and round-trips are exact.
+//    empty/nullopt, and round-trips are exact;
+//  * Cheap Quorum unanimity proofs are Byzantine-written and ride every
+//    Preferential Paxos set-up input: a forged copy count is capped by the
+//    bytes present, so a 4-byte proof is rejected (priority 0), never a
+//    bad_alloc.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +28,8 @@
 #include <set>
 #include <vector>
 
+#include "src/core/cheap_quorum.hpp"
+#include "src/core/fast_robust.hpp"
 #include "src/core/nonequiv_broadcast.hpp"
 #include "src/core/trusted_messaging.hpp"
 #include "src/crypto/signature.hpp"
@@ -296,6 +302,25 @@ TEST(WireFuzz, SmrBatchForgedCountPrefixCappedByBytesPresent) {
   const auto one = smr::decode_batch(std::move(w2).take());
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0], util::to_bytes("x"));
+}
+
+TEST(WireFuzz, UnanimityProofForgedCountCappedByBytesPresent) {
+  // Each process writes its own Proof[q], and proofs ride Preferential
+  // Paxos set-up inputs that every correct process ranks with
+  // fast_robust_priority. A forged u32 copy count must be capped by the
+  // bytes actually present: an uncapped reserve(count) is a bad_alloc.
+  crypto::KeyStore ks(7);
+  for (ProcessId p : all_processes(3)) (void)ks.register_process(p);
+  util::Writer w;
+  w.u32(0xFFFFFFFFu).bytes(to_bytes("copy"));
+  const Bytes forged[] = {Bytes{0xFF, 0xFF, 0xFF, 0xFF}, std::move(w).take()};
+  for (const Bytes& proof : forged) {
+    EXPECT_FALSE(verify_unanimity_proof(ks, 3, kLeaderP1, proof, nullptr));
+    PrioInput input;
+    input.value = to_bytes("v");
+    input.proof = proof;
+    EXPECT_EQ(fast_robust_priority(ks, 3)(input), 0);
+  }
 }
 
 TEST(WireFuzz, SmrBatchRandomBytesNeverCrash) {
