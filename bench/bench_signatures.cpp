@@ -91,9 +91,9 @@ int main() {
       "\nReading: the *fast decision itself* uses exactly one signature (the\n"
       "leader signs its value; it decides on the write ack without reading\n"
       "anything back — the uncontended-instantaneous guarantee of dynamic\n"
-      "permissions). Whole-run counts include the always-running backup\n"
-      "(set-up + Paxos over signed histories), which is off the fast path's\n"
-      "critical 2 delays. The slow path's counts grow quickly — that is the\n"
-      "cost Cheap Quorum avoids in the common case.\n");
+      "permissions). The whole run signs 2n + 1 times: the leader's value,\n"
+      "n copies and n unanimity proofs, all of Cheap Quorum; no backup runs\n"
+      "unless someone panics. The slow path's counts grow quickly — that is\n"
+      "the cost Cheap Quorum avoids in the common case.\n");
   return 0;
 }

@@ -200,6 +200,17 @@ sim::Task<bool> CheapQuorum::anyone_panicked() {
   co_return false;
 }
 
+sim::Task<void> CheapQuorum::wait_panic() {
+  // Every Panic[q] lives in the watched scope, so the snapshot-then-read
+  // pass loses no panic write.
+  mem::WriteWatch watch(memories_, regions_.scope);
+  while (true) {
+    watch.snapshot();
+    if (co_await anyone_panicked()) co_return;
+    co_await watch.wait_change(*exec_, sim::kTimeInfinity);
+  }
+}
+
 sim::Task<CqOutcome> CheapQuorum::propose(Bytes v) {
   const ProcessId self = signer_.id();
   if (self != config_.leader) {

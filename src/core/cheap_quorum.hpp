@@ -138,6 +138,11 @@ class CheapQuorum {
   /// abort outcome (never hangs: panic mode always terminates).
   sim::Task<CqOutcome> propose(Bytes v);
 
+  /// Resolve once some Panic[q] of this instance is set: snapshot the
+  /// instance's write scope, read every Panic[q], and otherwise wait for the
+  /// scope's next write. Never resolves in a run where nobody panics.
+  sim::Task<void> wait_panic();
+
   std::uint64_t signatures_on_path() const { return signatures_on_path_; }
 
  private:

@@ -421,7 +421,8 @@ class RobustBackupEngine : public NebStackEngine<RobustBackup, NebSlotRegions> {
 };
 
 /// Fast & Robust per slot (§4.3): Cheap Quorum, with Preferential Paxos over
-/// Robust Backup as the backup path.
+/// Robust Backup as the backup path. A fast decision streams at once; the
+/// slot's backup stack is built only when someone panics.
 class FastRobustEngine
     : public NebStackEngine<FastRobustProcess, FastRobustSlotRegions> {
  public:

@@ -1,5 +1,8 @@
 #include "src/core/fast_robust.hpp"
 
+#include "src/core/paxos_validator.hpp"
+#include "src/core/transport_mux.hpp"
+
 namespace mnm::core {
 
 PriorityFn fast_robust_priority(const crypto::KeyStore& keystore, std::size_t n,
@@ -28,6 +31,33 @@ PriorityFn fast_robust_priority(const crypto::KeyStore& keystore, std::size_t n,
   };
 }
 
+/// The backup half of one process's stack, in dependency order.
+struct FastRobustProcess::Backup {
+  Backup(sim::Executor& exec, NebSlots& neb_slots,
+         const crypto::KeyStore& keystore, crypto::Signer signer, Omega& omega,
+         const FastRobustConfig& config)
+      : neb(exec, neb_slots, keystore, signer, config.neb),
+        trusted(exec, neb, keystore, signer, trusted::TrustedConfig{config.n},
+                paxos_validator(keystore, config.n)),
+        mux(exec, trusted),
+        paxos(exec, mux.sub(kMuxPaxos), omega, config.paxos),
+        preferential(exec, mux.sub(kMuxSetup), paxos,
+                     PreferentialPaxosConfig{config.n, config.f},
+                     fast_robust_priority(keystore, config.n,
+                                          config.cheap.leader)) {
+    neb.start();
+    trusted.start();
+    mux.start();
+    paxos.start();
+  }
+
+  NonEquivBroadcast neb;
+  trusted::TrustedTransport trusted;
+  TransportMux mux;
+  Paxos paxos;
+  PreferentialPaxos preferential;
+};
+
 FastRobustProcess::FastRobustProcess(sim::Executor& exec,
                                      std::vector<mem::MemoryIface*> memories,
                                      CheapQuorumRegions cq_regions,
@@ -35,50 +65,54 @@ FastRobustProcess::FastRobustProcess(sim::Executor& exec,
                                      const crypto::KeyStore& keystore,
                                      crypto::Signer signer, Omega& omega,
                                      FastRobustConfig config)
-    : config_(config),
+    : exec_(&exec),
+      neb_slots_(&neb_slots),
+      keystore_(&keystore),
+      signer_(signer),
+      omega_(&omega),
+      config_(config),
       cheap_(exec, std::move(memories), cq_regions, keystore, signer,
-             config.cheap),
-      neb_(exec, neb_slots, keystore, signer, config.neb),
-      trusted_(exec, neb_, keystore, signer, trusted::TrustedConfig{config.n},
-               paxos_validator(keystore, config.n)),
-      mux_(exec, trusted_),
-      paxos_(exec, mux_.sub(kMuxPaxos), omega, config.paxos),
-      preferential_(exec, mux_.sub(kMuxSetup), paxos_,
-                    PreferentialPaxosConfig{config.n, config.f},
-                    fast_robust_priority(keystore, config.n, config.cheap.leader)) {}
+             config.cheap) {}
 
-void FastRobustProcess::start() {
-  neb_.start();
-  trusted_.start();
-  mux_.start();
-  paxos_.start();
+FastRobustProcess::~FastRobustProcess() = default;
+
+FastRobustProcess::Backup& FastRobustProcess::backup() {
+  if (backup_ == nullptr) {
+    backup_ = std::make_unique<Backup>(*exec_, *neb_slots_, *keystore_,
+                                       signer_, *omega_, config_);
+  }
+  return *backup_;
+}
+
+trusted::TsendStats FastRobustProcess::tsend_stats() const {
+  return backup_ == nullptr ? trusted::TsendStats{}
+                            : backup_->trusted.tsend_stats();
 }
 
 sim::Task<FastRobustOutcome> FastRobustProcess::propose(Bytes v) {
   // Fast path.
   const CqOutcome cq = co_await cheap_.propose(std::move(v));
 
-  // Backup path — joined unconditionally (Figure 6): the abort (or fast
-  // decision, for liveness of the others) becomes this process's
-  // Preferential Paxos input with Definition 3 priorities computed by
-  // verification at each receiver.
+  // The Preferential Paxos input (Figure 6): the abort value, or the fast
+  // decision, with the evidence each receiver verifies into a Definition 3
+  // priority.
   PrioInput input;
   input.value = cq.value;
   input.proof = cq.proof;
   input.leader_sig = cq.leader_sig;
-  const PrioInput backup = co_await preferential_.propose(std::move(input));
 
-  FastRobustOutcome out;
   if (cq.decided) {
-    out.value = cq.value;
-    out.fast = true;
-    out.decided_at = cq.at;
-  } else {
-    out.value = backup.value;
-    out.fast = false;
-    out.decided_at = paxos_.decided_at();
+    exec_->spawn(join_on_panic(std::move(input)));
+    co_return FastRobustOutcome{cq.value, true, cq.at};
   }
-  co_return out;
+  Backup& b = backup();
+  const PrioInput decided = co_await b.preferential.propose(std::move(input));
+  co_return FastRobustOutcome{decided.value, false, b.paxos.decided_at()};
+}
+
+sim::Task<void> FastRobustProcess::join_on_panic(PrioInput input) {
+  co_await cheap_.wait_panic();
+  (void)co_await backup().preferential.propose(std::move(input));
 }
 
 }  // namespace mnm::core

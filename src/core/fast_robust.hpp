@@ -10,10 +10,23 @@
 //   M (priority 1): abort values signed by the leader p1
 //   B (priority 0): everything else
 //
-// Every process joins the backup phase regardless of whether it decided on
-// the fast path (a fast decider keeps its fast decision; its participation
-// keeps the backup live for the others). Weak Byzantine agreement with
-// n ≥ 2fP+1, m ≥ 2fM+1; 2-deciding in the common case.
+// A fast decider answers at its Cheap Quorum decision and joins the backup
+// lazily: only once it sees some Panic[q] set in the instance's Cheap
+// Quorum regions. It joins with its decision's value, unanimity proof and
+// leader signature as its Preferential Paxos input, and keeps its fast
+// decision. The backup stack is built on that first need, so a run in
+// which nobody panics sends no NEB traffic at all.
+//
+// Safety needs no new argument: a lazy joiner is indistinguishable from a
+// slow process, and Lemma 4.8 holds under every asynchronous schedule.
+// Liveness: every abort goes through panic mode, which writes Panic[self]
+// before anything else, so every correct fast decider eventually sees it
+// and joins, and a process still in Cheap Quorum sees it and aborts too.
+// Every correct process therefore runs any backup a correct aborter runs,
+// and the backup gets its n − fP correct participants.
+//
+// Weak Byzantine agreement with n ≥ 2fP+1, m ≥ 2fM+1; 2-deciding in the
+// common case.
 
 #pragma once
 
@@ -23,9 +36,7 @@
 #include "src/core/nonequiv_broadcast.hpp"
 #include "src/core/omega.hpp"
 #include "src/core/paxos.hpp"
-#include "src/core/paxos_validator.hpp"
 #include "src/core/preferential_paxos.hpp"
-#include "src/core/transport_mux.hpp"
 #include "src/core/trusted_messaging.hpp"
 
 namespace mnm::core {
@@ -48,7 +59,9 @@ struct FastRobustOutcome {
   sim::Time decided_at = 0; // virtual time of this process's decision
 };
 
-/// One process's full Fast & Robust stack.
+/// One process's full Fast & Robust stack: Cheap Quorum up front, the
+/// backup (NEB, T-send, mux, backup Paxos, Preferential Paxos) built and
+/// started on first need.
 class FastRobustProcess {
  public:
   FastRobustProcess(sim::Executor& exec,
@@ -56,28 +69,32 @@ class FastRobustProcess {
                     CheapQuorumRegions cq_regions, NebSlots& neb_slots,
                     const crypto::KeyStore& keystore, crypto::Signer signer,
                     Omega& omega, FastRobustConfig config);
+  ~FastRobustProcess();
 
-  void start();
+  /// Nothing runs before propose: the backup starts when it is built.
+  void start() {}
 
+  /// Resolves at the Cheap Quorum decision, or after the backup on abort.
   sim::Task<FastRobustOutcome> propose(Bytes v);
 
-  CheapQuorum& cheap_quorum() { return cheap_; }
-  Paxos& backup_paxos() { return paxos_; }
-  trusted::TrustedTransport& trusted_transport() { return trusted_; }
-  NonEquivBroadcast& neb() { return neb_; }
-  /// Backup-path t-send decode accounting (suffix-only decode proof).
-  const trusted::TsendStats& tsend_stats() const {
-    return trusted_.tsend_stats();
-  }
+  /// Backup-path t-send decode accounting (suffix-only decode proof); zeros
+  /// while the backup has not been built.
+  trusted::TsendStats tsend_stats() const;
 
  private:
+  struct Backup;
+  Backup& backup();
+  /// A fast decider's lazy join: wait for a panic, then run the backup.
+  sim::Task<void> join_on_panic(PrioInput input);
+
+  sim::Executor* exec_;
+  NebSlots* neb_slots_;
+  const crypto::KeyStore* keystore_;
+  crypto::Signer signer_;
+  Omega* omega_;
   FastRobustConfig config_;
   CheapQuorum cheap_;
-  NonEquivBroadcast neb_;
-  trusted::TrustedTransport trusted_;
-  TransportMux mux_;
-  Paxos paxos_;
-  PreferentialPaxos preferential_;
+  std::unique_ptr<Backup> backup_;
 };
 
 }  // namespace mnm::core

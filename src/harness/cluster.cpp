@@ -1046,7 +1046,12 @@ bool settled(const World& w, const Group& g) {
 /// first decision time, and slot accounting from one reference replica per
 /// group. The fast path is proposer-local (learners decide via DECIDE), so
 /// each group counts its busiest replica's fast slots and the groups add
-/// up. Retired incarnations' recovery work counts too.
+/// up. Commit samples: a leader-mode group's proposers each win their own
+/// slots, so their samples pool; every replica of an all-propose group can
+/// win the same slot, so that group counts one replica's samples — the
+/// correct replica with the lowest commit p50 (ties: lowest id), whose
+/// decisions answer clients first. Retired incarnations' recovery work
+/// counts too.
 void roll_up_replicas(const World& w, RunReport& report) {
   std::vector<sim::Time> latencies;
   std::vector<sim::Time> queue_waits;
@@ -1061,6 +1066,8 @@ void roll_up_replicas(const World& w, RunReport& report) {
     const smr::Log* ref = nullptr;  // slot accounting reference
     bool ref_rejoined = false;
     std::uint64_t fast_slots = 0;
+    const std::vector<sim::Time>* sampler = nullptr;  // all-propose only
+    sim::Time sampler_p50 = 0;
     for (ProcessId p = 1; p <= static_cast<ProcessId>(w.cfg.n); ++p) {
       if (!w.correct(p)) continue;
       const smr::Replica& replica = *g.members[p - 1].replica;
@@ -1077,8 +1084,18 @@ void roll_up_replicas(const World& w, RunReport& report) {
         ref_rejoined = rejoined;
       }
       fast_slots = std::max(fast_slots, s.fast_slots);
-      latencies.insert(latencies.end(), s.won_latencies.begin(),
-                       s.won_latencies.end());
+      if (!g.rc.log.all_propose) {
+        latencies.insert(latencies.end(), s.won_latencies.begin(),
+                         s.won_latencies.end());
+      } else if (!s.won_latencies.empty()) {
+        std::vector<sim::Time> sorted = s.won_latencies;
+        std::sort(sorted.begin(), sorted.end());
+        const sim::Time p50 = smr::latency_percentile(sorted, 50);
+        if (sampler == nullptr || p50 < sampler_p50) {
+          sampler = &s.won_latencies;
+          sampler_p50 = p50;
+        }
+      }
       queue_waits.insert(queue_waits.end(), s.queue_waits.begin(),
                          s.queue_waits.end());
       report.occupancy_slots += s.occupancy_slots;
@@ -1102,6 +1119,9 @@ void roll_up_replicas(const World& w, RunReport& report) {
           std::min(report.first_correct_decision_delay, s.first_decided_at);
     }
     report.fast_slots += fast_slots;
+    if (sampler != nullptr) {
+      latencies.insert(latencies.end(), sampler->begin(), sampler->end());
+    }
     if (ref != nullptr) {
       report.slots_applied += ref->applied_len();
       report.commands_applied += ref->stats().commands;

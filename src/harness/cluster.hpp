@@ -281,8 +281,11 @@ struct RunReport {
   /// replica, and KV mode sums that over its data shards.
   std::uint64_t fast_slots = 0;
   /// Commit latency (enqueue → local decide, sim-time) percentiles over
-  /// every slot some correct replica proposed and won. p999 is the tail
-  /// metric production scale cares about.
+  /// the slots correct replicas proposed and won. A leader-mode group pools
+  /// its replicas' samples; an all-propose group, whose replicas can all
+  /// win one slot, contributes only its correct replica with the lowest
+  /// commit p50 (ties: lowest id). p999 is the tail metric production
+  /// scale cares about.
   sim::Time commit_p50 = 0;
   sim::Time commit_p99 = 0;
   sim::Time commit_p999 = 0;

@@ -11,6 +11,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -281,6 +282,30 @@ TEST(ConsensusEngine, FastPaxosLeaderDecisionsAreFastPath) {
   }(w.engines[0].get(), &fast));
   w.exec.run_until([&] { return fast; }, 100000);
   EXPECT_TRUE(fast) << "p1's ballot-0 skip should report the fast path";
+}
+
+TEST(ConsensusEngine, FastRobustStreamsTheCheapQuorumDecision) {
+  // Fast & Robust answers at the Cheap Quorum decision: p1's decision stream
+  // yields slot 0 at t = 2, on the fast path, without waiting for a backup
+  // that nobody's panic calls for.
+  EngineWorld w(Kind::kFastRobust, 3, 3);
+  std::optional<SlotDecision> first;
+  sim::Time streamed_at = 0;
+  w.exec.spawn([](EngineWorld* w, std::optional<SlotDecision>* first,
+                  sim::Time* at) -> Task<void> {
+    *first = co_await w->engines[0]->decisions().recv();
+    *at = w->exec.now();
+  }(&w, &first, &streamed_at));
+  for (ProcessId p : all_processes(3)) {
+    w.propose(p, 0, "from-p" + std::to_string(p));
+  }
+  w.exec.run_until([&] { return first.has_value(); }, 100000);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->slot, 0u);
+  EXPECT_EQ(to_string(first->decision.value), "from-p1");
+  EXPECT_TRUE(first->decision.fast);
+  EXPECT_EQ(first->decision.decided_at, 2u);
+  EXPECT_EQ(streamed_at, 2u);
 }
 
 TEST(ConsensusEngine, SlotsAreIndependentInstances) {

@@ -1,8 +1,13 @@
 // Tests for the Fast & Robust composition pieces: the Definition 3 priority
 // function, Preferential Paxos's priority-decision property (Lemma 4.7),
-// and the Composition Lemma (4.8) end to end.
+// the Composition Lemma (4.8) end to end, and the lazy backup — a fast
+// decider joins the backup only after a panic — under a fault-plan sweep.
 
 #include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
+#include <tuple>
 
 #include "src/core/fast_robust.hpp"
 #include "src/harness/cluster.hpp"
@@ -131,6 +136,48 @@ TEST(CompositionLemma, HoldsAcrossTimeoutSweep) {
   }
 }
 
+// --- The lazy backup: a fast decider joins only after a panic. ---
+
+TEST(LazyBackup, FastDeciderJoinsWhenAnotherProcessPanics) {
+  // p2 is down from the start, so unanimity never forms: p1 decides on the
+  // fast path at 2, and p3 times out, panics and aborts. With n = 3 and
+  // fP = 1 the backup needs two participants, so p3 terminates only because
+  // p1 sees p3's Panic[p3] and joins with its fast decision's input — which
+  // Lemma 4.8 then makes the backup's decision.
+  harness::ClusterConfig c;
+  c.algo = harness::Algorithm::kFastRobust;
+  c.n = 3;
+  c.m = 3;
+  c.faults.process_crashes[2] = 0;
+  const harness::RunReport r = harness::run_cluster(c);
+  ASSERT_TRUE(r.all_ok()) << r.summary();
+  const harness::ProcessReport& p1 = r.processes[0];
+  const harness::ProcessReport& p3 = r.processes[2];
+  ASSERT_TRUE(p1.decided && p3.decided) << r.summary();
+  EXPECT_TRUE(p1.fast_path);
+  EXPECT_EQ(p1.decided_at, 2u);
+  EXPECT_FALSE(p3.fast_path);
+  EXPECT_GT(p3.decided_at, c.cq_timeout) << "p3 decides after its panic";
+  EXPECT_EQ(p1.decision, "value-1");
+  EXPECT_EQ(p3.decision, p1.decision);
+  EXPECT_GT(r.tsend_deliveries, 0u) << "the backup ran: " << r.summary();
+}
+
+TEST(LazyBackup, FaultFreeRunNeverBuildsTheBackup) {
+  // Nobody panics, so no process builds its backup stack: no t-send is ever
+  // delivered, and the signatures are Cheap Quorum's 2n + 1 — the leader's
+  // value, n copies and n unanimity proofs.
+  harness::ClusterConfig c;
+  c.algo = harness::Algorithm::kFastRobust;
+  c.n = 3;
+  c.m = 3;
+  const harness::RunReport r = harness::run_cluster(c);
+  ASSERT_TRUE(r.all_ok()) << r.summary();
+  EXPECT_EQ(r.tsend_deliveries, 0u) << r.summary();
+  EXPECT_EQ(r.signatures, 2 * c.n + 1) << r.summary();
+  for (const auto& p : r.processes) EXPECT_TRUE(p.fast_path) << "p" << p.id;
+}
+
 TEST(FastRobustEngine, BackupTakeoverUnderByzantineLeaderAndSlowSchedule) {
   // Engine-API coverage of the backup path: the Cheap Quorum leader is
   // Byzantine (plants conflicting signed values, then goes silent) and the
@@ -210,6 +257,11 @@ TEST(FastRobustEngine, OpCostDoesNotGrowWithHistory) {
   EXPECT_LE(per_op(long_run.mem_reads, long_run),
             1.15 * per_op(short_run.mem_reads, short_run))
       << short_run.summary() << "\n" << long_run.summary();
+  // Absolute ceilings: a fault-free slot runs Cheap Quorum alone, so an op
+  // costs tens of events and reads, not the hundreds a backup per slot
+  // would add.
+  EXPECT_LE(per_op(long_run.events, long_run), 100.0) << long_run.summary();
+  EXPECT_LE(per_op(long_run.mem_reads, long_run), 25.0) << long_run.summary();
 }
 
 TEST(PreferentialPaxos, PriorityDecisionLemma47) {
@@ -233,6 +285,157 @@ TEST(PreferentialPaxos, PriorityDecisionLemma47) {
   EXPECT_GT(f.priority(t_input), f.priority(b1));
   EXPECT_GT(f.priority(t_input), f.priority(b2));
 }
+
+// --- Fault-plan sweep (a CI-sized slice): every mode, both sizes, the
+// follower timeout from 2 to 120 and three GST shapes, under crashes of
+// p1, p2 or pn, a memory crash, and each Byzantine strategy at p1 and pn.
+// Whatever mix of fast deciders, lazy joiners and aborters results, every
+// run must agree and terminate. ---
+
+enum class SweepMode { kSingleShot, kSmr, kKv };
+
+enum class SweepFault {
+  kNone,
+  kCrashP1,
+  kCrashP2,
+  kCrashPn,
+  kMemoryCrash,
+  kByzantineP1,
+  kByzantinePn,
+};
+
+using SweepParam = std::tuple<SweepMode, int /*n*/, SweepFault,
+                              harness::ByzantineStrategy>;
+
+class FaultPlanSweep : public ::testing::TestWithParam<SweepParam> {};
+
+TEST_P(FaultPlanSweep, AgreesAndTerminates) {
+  const auto [mode, n, fault, strategy] = GetParam();
+  const ProcessId pn = static_cast<ProcessId>(n);
+  struct Gst {
+    sim::Time gst, pre;
+  };
+  for (const sim::Time timeout : {sim::Time{2}, sim::Time{10}, sim::Time{40},
+                                  sim::Time{120}}) {
+    for (const Gst shape : {Gst{0, 1}, Gst{100, 10}, Gst{400, 50}}) {
+      harness::ClusterConfig c;
+      c.algo = harness::Algorithm::kFastRobust;
+      c.n = static_cast<std::size_t>(n);
+      c.m = 3;
+      c.cq_timeout = timeout;
+      c.gst = shape.gst;
+      c.pre_gst_delay = shape.pre;
+      c.horizon = 200000;
+      switch (mode) {
+        case SweepMode::kSingleShot: break;
+        case SweepMode::kSmr:
+          c.smr.enabled = true;
+          c.smr.commands = 4;
+          c.smr.batch = 2;
+          c.smr.window = 2;
+          break;
+        case SweepMode::kKv:
+          c.kv.enabled = true;
+          c.kv.shards = 1;
+          c.kv.clients = 2;
+          c.kv.ops_per_client = 3;
+          c.kv.sign_commands = true;  // forged commands no-op, not apply
+          break;
+      }
+      switch (fault) {
+        case SweepFault::kNone: break;
+        case SweepFault::kCrashP1: c.faults.process_crashes[1] = 3; break;
+        case SweepFault::kCrashP2: c.faults.process_crashes[2] = 3; break;
+        case SweepFault::kCrashPn: c.faults.process_crashes[pn] = 3; break;
+        case SweepFault::kMemoryCrash: c.faults.memory_crashes[1] = 3; break;
+        case SweepFault::kByzantineP1: c.faults.byzantine[1] = strategy; break;
+        case SweepFault::kByzantinePn: c.faults.byzantine[pn] = strategy; break;
+      }
+      const harness::RunReport r = harness::run_cluster(c);
+      const std::string where = "cq_timeout=" + std::to_string(timeout) +
+                                " gst=" + std::to_string(shape.gst) +
+                                " pre=" + std::to_string(shape.pre) + " ";
+      EXPECT_TRUE(r.agreement) << where << r.summary();
+      EXPECT_TRUE(r.termination) << where << r.summary();
+      // Single-shot validity is strict — the decision must be some process's
+      // input — so a Cheap Quorum leader that equivocates can get its own
+      // planted value decided, as in Determinism's Byzantine-leader pin.
+      const bool strict_validity_case =
+          mode == SweepMode::kSingleShot && fault == SweepFault::kByzantineP1 &&
+          strategy == harness::ByzantineStrategy::kCqLeaderEquivocate;
+      if (!strict_validity_case) {
+        EXPECT_TRUE(r.validity) << where << r.summary();
+      }
+    }
+  }
+}
+
+std::string sweep_name(const ::testing::TestParamInfo<SweepParam>& info) {
+  const auto [mode, n, fault, strategy] = info.param;
+  std::ostringstream os;
+  switch (mode) {
+    case SweepMode::kSingleShot: os << "SingleShot"; break;
+    case SweepMode::kSmr: os << "Smr"; break;
+    case SweepMode::kKv: os << "Kv"; break;
+  }
+  os << "_n" << n << "_";
+  switch (fault) {
+    case SweepFault::kNone: os << "NoFault"; break;
+    case SweepFault::kCrashP1: os << "CrashP1"; break;
+    case SweepFault::kCrashP2: os << "CrashP2"; break;
+    case SweepFault::kCrashPn: os << "CrashPn"; break;
+    case SweepFault::kMemoryCrash: os << "MemoryCrash"; break;
+    case SweepFault::kByzantineP1: os << "ByzP1"; break;
+    case SweepFault::kByzantinePn: os << "ByzPn"; break;
+  }
+  if (fault == SweepFault::kByzantineP1 || fault == SweepFault::kByzantinePn) {
+    switch (strategy) {
+      case harness::ByzantineStrategy::kSilent: os << "Silent"; break;
+      case harness::ByzantineStrategy::kNebEquivocate: os << "NebEquiv"; break;
+      case harness::ByzantineStrategy::kCqLeaderEquivocate: os << "CqEquiv"; break;
+      case harness::ByzantineStrategy::kGarbage: os << "Garbage"; break;
+      case harness::ByzantineStrategy::kForgeClientCommands:
+        os << "ForgeClient";
+        break;
+    }
+  }
+  return os.str();
+}
+
+const auto kSweepModes = ::testing::Values(
+    SweepMode::kSingleShot, SweepMode::kSmr, SweepMode::kKv);
+
+INSTANTIATE_TEST_SUITE_P(
+    Crashes, FaultPlanSweep,
+    ::testing::Combine(kSweepModes, ::testing::Values(3, 5),
+                       ::testing::Values(SweepFault::kNone,
+                                         SweepFault::kCrashP1,
+                                         SweepFault::kCrashP2,
+                                         SweepFault::kCrashPn,
+                                         SweepFault::kMemoryCrash),
+                       ::testing::Values(harness::ByzantineStrategy::kSilent)),
+    sweep_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    Byzantine, FaultPlanSweep,
+    ::testing::Combine(
+        kSweepModes, ::testing::Values(3, 5),
+        ::testing::Values(SweepFault::kByzantineP1, SweepFault::kByzantinePn),
+        ::testing::Values(harness::ByzantineStrategy::kSilent,
+                          harness::ByzantineStrategy::kNebEquivocate,
+                          harness::ByzantineStrategy::kCqLeaderEquivocate,
+                          harness::ByzantineStrategy::kGarbage)),
+    sweep_name);
+
+// The client-command forger attacks KV sessions: elsewhere its planted batch
+// is simply a value no correct process proposed.
+INSTANTIATE_TEST_SUITE_P(
+    ForgedClientCommands, FaultPlanSweep,
+    ::testing::Combine(
+        ::testing::Values(SweepMode::kKv), ::testing::Values(3, 5),
+        ::testing::Values(SweepFault::kByzantineP1, SweepFault::kByzantinePn),
+        ::testing::Values(harness::ByzantineStrategy::kForgeClientCommands)),
+    sweep_name);
 
 }  // namespace
 }  // namespace mnm::core

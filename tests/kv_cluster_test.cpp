@@ -340,12 +340,17 @@ TEST(KvCluster, SignedCommandsSurviveLiveResharding) {
 // ---------------------------------------------------------------------------
 
 TEST(KvCluster, SlowShardNoLongerRetryStormsWithAdaptiveDeadline) {
-  // A FastRobust-backed shard commits an op in ~80+ time units — beyond the
-  // default fixed deadline of 64, so the old Router re-submitted nearly
-  // every operation every time (dedup kept it correct, but the log filled
-  // with suppressed duplicates). The adaptive deadline observes the shard's
-  // real latency after the cold-start misses and stops the storm.
+  // A FastRobust-backed shard whose Cheap Quorum leader equivocates (p1
+  // plants conflicting signed values, then goes silent) and whose followers
+  // panic after 10 time units decides every slot through the backup, so it
+  // commits an op in ~100 time units — beyond the default fixed deadline of
+  // 64, and the old Router re-submitted nearly every operation every time
+  // (dedup kept it correct, but the log filled with suppressed duplicates).
+  // The adaptive deadline observes the shard's real latency after the
+  // cold-start misses and stops the storm.
   ClusterConfig fixed = kv_config(Algorithm::kFastRobust, 3, 3, 1, 2, 16);
+  fixed.faults.byzantine[1] = ByzantineStrategy::kCqLeaderEquivocate;
+  fixed.cq_timeout = 10;
   fixed.kv.adaptive_retry = false;
   ClusterConfig adaptive = fixed;
   adaptive.kv.adaptive_retry = true;

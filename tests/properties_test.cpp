@@ -215,6 +215,7 @@ std::string byz_name(const ::testing::TestParamInfo<ByzParam>& info) {
     case ByzantineStrategy::kNebEquivocate: os << "NebEquiv"; break;
     case ByzantineStrategy::kCqLeaderEquivocate: os << "CqEquiv"; break;
     case ByzantineStrategy::kGarbage: os << "Garbage"; break;
+    case ByzantineStrategy::kForgeClientCommands: os << "ForgeClient"; break;
   }
   os << "_p" << pid << "_s" << seed;
   return os.str();
