@@ -26,7 +26,7 @@ AlignedPaxos::AlignedPaxos(sim::Executor& exec,
                 config.prefix + "/slot", /*dynamic=*/true),
       replies_(exec) {}
 
-void AlignedPaxos::start() { exec_->spawn(dispatch_loop()); }
+void AlignedPaxos::start() { exec_->spawn(dispatch_loop(), reader_); }
 
 sim::Task<void> AlignedPaxos::dispatch_loop() {
   while (true) {

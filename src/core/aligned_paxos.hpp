@@ -59,7 +59,8 @@ class AlignedPaxos : public DecisionLatch {
                RegionId region, Transport& transport, Omega& omega,
                AlignedPaxosConfig config);
 
-  /// Spawn the acceptor + decide listener.
+  /// Spawn the acceptor + decide listener, which lives as long as this
+  /// instance.
   void start();
 
   sim::Task<Bytes> propose(Bytes v);
@@ -87,6 +88,7 @@ class AlignedPaxos : public DecisionLatch {
   /// Promise/accepted/nack replies routed to the proposer by dispatch_loop.
   sim::Channel<std::pair<ProcessId, PaxosMsg>> replies_;
   std::uint64_t max_seen_ = 0;
+  sim::OwnedRoot reader_;  // dispatch_loop; destroyed first
 };
 
 }  // namespace mnm::core

@@ -36,31 +36,31 @@ DiskMemories::DiskMemories(sim::Executor& exec,
                            std::vector<mem::MemoryIface*> memories,
                            RegionId region, ProcessId self, std::size_t n,
                            const std::string& registers, bool dynamic)
-    : exec_(&exec),
-      memories_(std::move(memories)),
-      region_(region),
-      self_(self),
-      dynamic_(dynamic),
-      excl_perm_(mem::Permission::exclusive_writer(self, all_processes(n))) {
+    : exec_(&exec) {
+  std::vector<std::string> names;
   for (ProcessId p : all_processes(n)) {
-    names_.push_back(registers + "/" + std::to_string(p));
+    names.push_back(registers + "/" + std::to_string(p));
   }
+  at_ = std::make_shared<const Access>(Access{
+      std::move(memories), region, self, dynamic, std::move(names),
+      mem::Permission::exclusive_writer(self, all_processes(n))});
 }
 
-sim::Task<DiskMemories::Scan> DiskMemories::phase(std::size_t idx,
-                                                  DiskBlock own) {
-  mem::MemoryIface* m = memories_[idx];
+sim::Task<DiskMemories::Scan> DiskMemories::phase_at(
+    std::shared_ptr<const Access> at, std::size_t idx, DiskBlock own) {
+  mem::MemoryIface* m = at->memories[idx];
+  const ProcessId self = at->self;
   Scan out;
-  if (dynamic_) {
+  if (at->dynamic) {
     const mem::Status grabbed =
-        co_await m->change_permission(self_, region_, excl_perm_);
+        co_await m->change_permission(self, at->region, at->excl_perm);
     if (grabbed != mem::Status::kAck) co_return out;
   }
-  const mem::Status wrote =
-      co_await m->write(self_, region_, names_[self_ - 1], own.encode());
+  const mem::Status wrote = co_await m->write(
+      self, at->region, at->names[self - 1], own.encode());
   if (wrote != mem::Status::kAck) co_return out;
-  auto reads = co_await m->read_many(self_, region_, names_);
-  out.blocks.resize(names_.size());
+  auto reads = co_await m->read_many(self, at->region, at->names);
+  out.blocks.resize(at->names.size());
   for (std::size_t i = 0; i < reads.size(); ++i) {
     if (!reads[i].ok()) co_return out;  // lost permission mid-phase: fail
     const auto block = DiskBlock::decode(reads[i].value);
@@ -71,9 +71,10 @@ sim::Task<DiskMemories::Scan> DiskMemories::phase(std::size_t idx,
   co_return out;
 }
 
-sim::Task<mem::Status> DiskMemories::write(std::size_t idx, DiskBlock own) {
-  co_return co_await memories_[idx]->write(self_, region_, names_[self_ - 1],
-                                           own.encode());
+sim::Task<mem::Status> DiskMemories::write_at(
+    std::shared_ptr<const Access> at, std::size_t idx, DiskBlock own) {
+  co_return co_await at->memories[idx]->write(
+      at->self, at->region, at->names[at->self - 1], own.encode());
 }
 
 bool DiskMemories::fold(const Scan& scan, std::uint64_t mbal,
@@ -129,7 +130,7 @@ DiskPaxos::DiskPaxos(sim::Executor& exec,
       memories_(exec, std::move(memories), region, self_, n, registers,
                 dynamic) {}
 
-void DiskPaxos::start() { exec_->spawn(decide_listener()); }
+void DiskPaxos::start() { exec_->spawn(decide_listener(), listener_); }
 
 sim::Task<void> DiskPaxos::decide_listener() {
   while (true) {

@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -87,16 +88,20 @@ class DiskMemories {
                RegionId region, ProcessId self, std::size_t n,
                const std::string& registers, bool dynamic);
 
-  std::size_t size() const { return memories_.size(); }
-  bool dynamic() const { return dynamic_; }
+  std::size_t size() const { return at_->memories.size(); }
+  bool dynamic() const { return at_->dynamic; }
 
   /// One phase at memory `idx`: seize write permission (if dynamic), write
   /// `own`, then read every block in one batched scatter-gather request (a
   /// single completion and permission evaluation).
-  sim::Task<Scan> phase(std::size_t idx, DiskBlock own);
+  sim::Task<Scan> phase(std::size_t idx, DiskBlock own) const {
+    return phase_at(at_, idx, std::move(own));
+  }
   /// Write `own` at memory `idx`: the phase-2 write of PMP and Aligned
   /// Paxos, whose ack is that memory's "accepted".
-  sim::Task<mem::Status> write(std::size_t idx, DiskBlock own);
+  sim::Task<mem::Status> write(std::size_t idx, DiskBlock own) const {
+    return write_at(at_, idx, std::move(own));
+  }
 
   /// phase(own) at every memory, folding the first majority of scans
   /// (continue after m − fM iterations, Alg. 7 lines 12–16; crashed
@@ -113,13 +118,24 @@ class DiskMemories {
                    std::uint64_t& max_seen, ValueChoice* choice);
 
  private:
+  /// What a step touches. Each step holds a reference, because a fan-out
+  /// straggler may outlive this object (its slot retired meanwhile).
+  struct Access {
+    std::vector<mem::MemoryIface*> memories;
+    RegionId region;
+    ProcessId self;
+    bool dynamic;
+    std::vector<std::string> names;  // index p - 1
+    mem::Permission excl_perm;       // exclusive_writer(self, all)
+  };
+
+  static sim::Task<Scan> phase_at(std::shared_ptr<const Access> at,
+                                  std::size_t idx, DiskBlock own);
+  static sim::Task<mem::Status> write_at(std::shared_ptr<const Access> at,
+                                         std::size_t idx, DiskBlock own);
+
   sim::Executor* exec_;
-  std::vector<mem::MemoryIface*> memories_;
-  RegionId region_;
-  ProcessId self_;
-  bool dynamic_;
-  std::vector<std::string> names_;  // index p - 1
-  mem::Permission excl_perm_;       // exclusive_writer(self, all)
+  std::shared_ptr<const Access> at_;
 };
 
 struct DiskPaxosConfig {
@@ -136,7 +152,7 @@ class DiskPaxos : public DecisionLatch {
             RegionId region, Transport& transport, Omega& omega,
             DiskPaxosConfig config);
 
-  /// Spawn the DECIDE listener.
+  /// Spawn the DECIDE listener, which lives as long as this instance.
   void start();
 
   sim::Task<Bytes> propose(Bytes v);
@@ -159,6 +175,7 @@ class DiskPaxos : public DecisionLatch {
 
   std::uint64_t max_seen_ = 0;
   bool first_attempt_ = true;
+  sim::OwnedRoot listener_;  // decide_listener; destroyed first
 };
 
 }  // namespace mnm::core

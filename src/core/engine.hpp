@@ -19,13 +19,21 @@
 // Contract:
 //  * propose(slot, v) resolves with the slot's decision (which may be
 //    another proposer's value). Calling propose for an already-decided slot
-//    resolves immediately.
+//    at or above the retirement floor resolves immediately; below the floor
+//    the decision is gone and propose never resolves.
 //  * open_slot(slot) makes this replica participate passively (acceptor /
-//    learner roles) without proposing. Message-routed engines discover and
-//    open slots automatically from inbound traffic (the hub's horizon);
-//    all-propose engines (Robust Backup, Fast & Robust, whose traffic runs
-//    through memories) require every correct replica to propose each
-//    slot — smr::Log's all_propose mode does exactly that.
+//    learner roles) without proposing; below the floor it is a no-op.
+//    Message-routed engines discover and open slots automatically from
+//    inbound traffic (the hub's horizon), from the floor up; all-propose
+//    engines (Robust Backup, Fast & Robust, whose traffic runs through
+//    memories) require every correct replica to propose each slot —
+//    smr::Log's all_propose mode does exactly that.
+//  * retire_below(floor) frees the consensus state of every slot below
+//    `floor` (smr::Log calls it once a snapshot covers those slots) and
+//    raises the floor; a retired slot never reopens, whatever arrives for
+//    it. Hub-routed engines free each instance once no propose on it is in
+//    flight, with its reader coroutine and hub sub. Retirement schedules no
+//    executor event. The Byzantine engines keep every slot (a no-op).
 //  * decisions() streams every locally decided slot exactly once, in local
 //    decision order (slot order NOT guaranteed — that is the pipelining).
 //    Single consumer.
@@ -35,11 +43,13 @@
 //
 // Hot-path invariants preserved: engines add no per-message work beyond one
 // slot-id frame (encoded into the same single broadcast buffer) and one
-// FlatMap probe; per-slot instance setup allocates, steady-state message
-// flow does not.
+// indexed SlotWindow lookup; per-slot instance setup allocates, steady-state
+// message flow does not.
 
 #pragma once
 
+#include <algorithm>
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -64,6 +74,7 @@
 #include "src/sim/executor.hpp"
 #include "src/sim/sync.hpp"
 #include "src/sim/task.hpp"
+#include "src/util/slot_window.hpp"
 
 namespace mnm::core {
 
@@ -139,6 +150,15 @@ class ConsensusEngine {
   /// Propose `value` for `slot`; resolves with the slot's decision.
   virtual sim::Task<Decision> propose(Slot slot, Bytes value) = 0;
 
+  /// Free the consensus state of every slot below `floor` (see the
+  /// contract above). A floor at or below the current one changes nothing.
+  virtual void retire_below(Slot) {}
+
+  /// Per-slot state this replica holds: live protocol instances, and the
+  /// slot-hub subs of hub-routed engines.
+  virtual std::size_t instances_held() const { return 0; }
+  virtual std::size_t subs_held() const { return 0; }
+
   /// Locally decided slots, exactly once each, in local decision order.
   sim::Channel<SlotDecision>& decisions() { return decisions_; }
 
@@ -168,27 +188,6 @@ class ConsensusEngine {
 
   void push_decision(Slot s, Decision d) {
     decisions_.send(SlotDecision{s, std::move(d)});
-  }
-
-  /// Per-slot decision watcher for gate-exposing instances: pushes into
-  /// decisions() exactly once, whether the decision came from our own
-  /// propose or from a learned DECIDE.
-  template <typename Inst>
-  sim::Task<void> watch_decision(Slot s, Inst* inst) {
-    co_await inst->decision_gate().wait();
-    push_decision(
-        s, Decision{inst->decision(), inst->decided_fast(), inst->decided_at()});
-  }
-
-  /// Follower-side slot discovery: open every slot the hub hears about.
-  sim::Task<void> discover_from_hub(SlotTransportHub* hub) {
-    while (true) {
-      const std::uint64_t seen = hub->heard().version();
-      while (slot_horizon() < hub->horizon()) open_slot(slot_horizon());
-      sim::Select sel(*exec_);
-      sel.on(hub->heard(), seen);
-      (void)co_await sel;
-    }
   }
 
   sim::Executor* exec_;
@@ -240,24 +239,44 @@ class HubEngine : public ConsensusEngine {
 
   void start() override {
     hub_.start();
-    exec_->spawn(discover_from_hub(&hub_));
+    exec_->spawn(discover_loop());
   }
 
   void open_slot(Slot slot) override {
-    if (slots_.contains(slot)) return;
-    std::unique_ptr<Inst> inst = make_(slot, hub_.slot(slot));
-    inst->start();
-    exec_->spawn(watch_decision(slot, inst.get()));
-    slots_.emplace(slot, std::move(inst));
+    if (slot < floor_ || slots_.find(slot) != nullptr) return;
+    slots_.get_or_make(slot, [&] {
+      auto open = std::make_unique<Open>();
+      open->inst = make_(slot, hub_.slot(slot));
+      open->inst->start();
+      exec_->spawn(watch_decision(slot, open->inst.get()), open->watcher);
+      return open;
+    });
     note_slot(slot);
   }
 
   sim::Task<Decision> propose(Slot slot, Bytes value) override {
+    if (slot < floor_) {
+      // Retired: the decision is gone, and a snapshot covers the slot.
+      co_await std::suspend_always{};
+    }
     open_slot(slot);
-    Inst* inst = slots_.at(slot).get();
-    const Bytes decided = co_await inst->propose(std::move(value));
-    co_return Decision{decided, inst->decided_fast(), inst->decided_at()};
+    Open& open = *slots_.find(slot);
+    ++open.proposing;
+    const Bytes decided = co_await open.inst->propose(std::move(value));
+    const Decision d{decided, open.inst->decided_fast(),
+                     open.inst->decided_at()};
+    if (--open.proposing == 0 && slot < floor_) release_retired();
+    co_return d;
   }
+
+  void retire_below(Slot floor) override {
+    if (floor <= floor_) return;
+    floor_ = floor;
+    release_retired();
+  }
+
+  std::size_t instances_held() const override { return slots_.size(); }
+  std::size_t subs_held() const override { return hub_.subs_held(); }
 
   Transport* control_transport() override { return &hub_.control(); }
 
@@ -266,12 +285,62 @@ class HubEngine : public ConsensusEngine {
   using MakeInstanceFn =
       std::function<std::unique_ptr<Inst>(Slot, Transport&)>;
 
+  /// One open slot: its instance, the watcher that streams its decision,
+  /// and the propose() calls running on it (a retired slot waits for them).
+  struct Open {
+    std::unique_ptr<Inst> inst;
+    sim::OwnedRoot watcher;
+    std::size_t proposing = 0;
+  };
+
   HubEngine(sim::Executor& exec, Transport& base, MakeInstanceFn make)
       : ConsensusEngine(exec), hub_(exec, base), make_(std::move(make)) {}
 
+  /// Pushes slot s's decision into decisions() exactly once, whether it
+  /// came from our own propose or from a learned DECIDE.
+  sim::Task<void> watch_decision(Slot s, Inst* inst) {
+    co_await inst->decision_gate().wait();
+    push_decision(
+        s, Decision{inst->decision(), inst->decided_fast(), inst->decided_at()});
+  }
+
+  /// Follower-side slot discovery: open every slot the hub hears about,
+  /// from the floor up.
+  sim::Task<void> discover_loop() {
+    while (true) {
+      const std::uint64_t seen = hub_.heard().version();
+      for (Slot s = std::max(slot_horizon(), floor_); s < hub_.horizon();
+           ++s) {
+        open_slot(s);
+      }
+      sim::Select sel(*exec_);
+      sel.on(hub_.heard(), seen);
+      (void)co_await sel;
+    }
+  }
+
+  /// Destroy every retired instance no propose() is running on, then let
+  /// the table and the hub drop everything below the lowest one left.
+  void release_retired() {
+    Slot held = floor_;
+    const Slot end = std::min(floor_, slots_.end());
+    for (Slot s = slots_.floor(); s < end; ++s) {
+      const Open* open = slots_.find(s);
+      if (open == nullptr) continue;
+      if (open->proposing > 0) {
+        held = std::min(held, s);
+      } else {
+        slots_.erase(s);
+      }
+    }
+    slots_.raise_floor(held);
+    hub_.retire_below(held);
+  }
+
   SlotTransportHub hub_;
   MakeInstanceFn make_;
-  std::map<Slot, std::unique_ptr<Inst>> slots_;
+  util::SlotWindow<Open> slots_;
+  Slot floor_ = 0;  // retire_below's floor; slots_ may lag it (see Open)
 };
 
 using PaxosEngine = HubEngine<Paxos>;
@@ -382,6 +451,8 @@ class NebStackEngine : public ConsensusEngine {
     for (const auto& [slot, stack] : slots_) out += stack.process->tsend_stats();
     return out;
   }
+
+  std::size_t instances_held() const override { return slots_.size(); }
 
  private:
   struct Stack {

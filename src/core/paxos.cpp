@@ -66,7 +66,7 @@ Paxos::Paxos(sim::Executor& exec, Transport& transport, Omega& omega,
 void Paxos::start() {
   assert(!started_ && "Paxos::start called twice");
   started_ = true;
-  exec_->spawn(dispatch_loop());
+  exec_->spawn(dispatch_loop(), reader_);
 }
 
 sim::Task<void> Paxos::dispatch_loop() {

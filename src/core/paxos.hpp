@@ -147,6 +147,7 @@ class Paxos : public DecisionLatch {
         PaxosConfig config);
 
   /// Spawn the message-handling loop. Call exactly once before propose.
+  /// The loop lives as long as this instance.
   void start();
 
   /// Propose `value`; resolves with the decided value (§3 consensus:
@@ -172,6 +173,7 @@ class Paxos : public DecisionLatch {
   bool used_fast_ballot_ = false;
   sim::Channel<std::pair<ProcessId, PaxosMsg>> replies_;
   bool started_ = false;
+  sim::OwnedRoot reader_;  // dispatch_loop; destroyed first
 };
 
 }  // namespace mnm::core

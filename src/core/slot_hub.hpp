@@ -11,10 +11,15 @@
 // which then drains the buffered messages. That is what makes leader-driven
 // pipelining work without any out-of-band slot announcement.
 //
+// Subs retire with their slots: retire_below(f) frees every sub below f and
+// raises the hub's floor, and a later frame below the floor is dropped — it
+// creates no sub and does not move the horizon — so stray traffic cannot
+// reopen a retired slot.
+//
 // Hot-path shape matches TransportMux: framing is one extra Writer into the
 // shared broadcast buffer (still one serialize per broadcast), inbound
 // stripping is a zero-copy Buffer slice, and the slot → sub table is a
-// util::FlatMap (open-addressed, no erase).
+// util::SlotWindow (an index from the floor, sized by the live range).
 
 #pragma once
 
@@ -25,40 +30,48 @@
 #include "src/core/transport.hpp"
 #include "src/sim/executor.hpp"
 #include "src/sim/sync.hpp"
-#include "src/util/flat_map.hpp"
 #include "src/util/serde.hpp"
+#include "src/util/slot_window.hpp"
 
 namespace mnm::core {
 
 class SlotTransportHub {
  public:
-  /// Frames whose slot id is ≥ max_slot are dropped: malformed (or
+  /// Frames whose slot id is ≥ floor + guard are dropped: malformed (or
   /// Byzantine) traffic must not inflate the horizon and trick learners
-  /// into opening unbounded per-slot state.
-  static constexpr Slot kDefaultMaxSlot = Slot{1} << 20;
+  /// into opening unbounded per-slot state. The guard is relative, so a
+  /// long-running group whose floor rises never reaches it.
+  static constexpr Slot kDefaultGuard = Slot{1} << 20;
 
   /// Reserved frame id for the control channel (catch-up requests and
   /// responses between replicas, and the range-snapshot transfer frames of
   /// live resharding — smr/catchup.hpp demuxes the kinds by leading tag
   /// byte). All-ones can never be a real slot — it is
-  /// far above every max_slot guard — so the demux routes it to a dedicated
+  /// far above every slot guard — so the demux routes it to a dedicated
   /// sub-transport without advancing the horizon: control traffic must not
   /// look like slot activity to the discovery loop.
   static constexpr Slot kControlSlot = ~Slot{0};
 
   SlotTransportHub(sim::Executor& exec, Transport& base,
-                   Slot max_slot = kDefaultMaxSlot)
-      : exec_(&exec), base_(&base), max_slot_(max_slot), heard_(exec) {}
+                   Slot guard = kDefaultGuard)
+      : exec_(&exec), base_(&base), guard_(guard), heard_(exec) {}
 
   ProcessId self() const { return base_->self(); }
   std::size_t process_count() const { return base_->process_count(); }
 
-  /// The sub-transport for `slot` (created on first use; also advances the
-  /// horizon, so opening a slot locally counts as hearing of it).
+  /// The sub-transport for `slot` at or above the retirement floor
+  /// (created on first use; also advances the horizon, so opening a slot
+  /// locally counts as hearing of it).
   Transport& slot(Slot s) {
     note(s);
     return sub(s);
   }
+
+  /// Free every sub below `floor` and drop later frames for those slots.
+  /// Schedules nothing and leaves the horizon where it is.
+  void retire_below(Slot floor) { subs_.raise_floor(floor); }
+  /// Live slot subs (the control channel's not counted).
+  std::size_t subs_held() const { return subs_.size(); }
 
   /// Spawn the demux loop. Call exactly once, before messages flow.
   void start() { exec_->spawn(demux_loop(this)); }
@@ -70,7 +83,7 @@ class SlotTransportHub {
 
   /// The control channel: a sub-transport on the reserved kControlSlot
   /// frame id. Created on first use; its traffic never notes the horizon.
-  Transport& control() { return sub(kControlSlot); }
+  Transport& control() { return control_sub(); }
 
   static Bytes frame(Slot s, util::ByteView payload) {
     util::Writer w(payload.size() + 8);
@@ -105,13 +118,24 @@ class SlotTransportHub {
   };
 
   Sub& sub(Slot s) {
-    std::unique_ptr<Sub>& cell = subs_[s];
-    if (cell == nullptr) cell = std::make_unique<Sub>(*exec_, *base_, s);
-    return *cell;
+    return subs_.get_or_make(
+        s, [&] { return std::make_unique<Sub>(*exec_, *base_, s); });
+  }
+
+  Sub& control_sub() {
+    if (control_ == nullptr) {
+      control_ = std::make_unique<Sub>(*exec_, *base_, kControlSlot);
+    }
+    return *control_;
+  }
+
+  /// True for slots at or above the floor and below the guard above it.
+  bool in_window(Slot s) const {
+    return s >= subs_.floor() && s - subs_.floor() < guard_;
   }
 
   void note(Slot s) {
-    if (s >= max_slot_) return;
+    if (!in_window(s)) return;
     if (s + 1 > horizon_) {
       horizon_ = s + 1;
       heard_.bump();
@@ -130,12 +154,12 @@ class SlotTransportHub {
         continue;
       }
       if (s == kControlSlot) {  // control frame: route, never note
-        Sub& ctl = hub->sub(kControlSlot);
+        Sub& ctl = hub->control_sub();
         m.payload = m.payload.suffix(8);
         ctl.incoming_.send(std::move(m));
         continue;
       }
-      if (s >= hub->max_slot_) continue;  // horizon guard: drop
+      if (!hub->in_window(s)) continue;  // retired, or past the guard: drop
       hub->note(s);
       Sub& sub = hub->sub(s);
       m.payload = m.payload.suffix(8);  // strip the slot id, zero-copy
@@ -145,10 +169,11 @@ class SlotTransportHub {
 
   sim::Executor* exec_;
   Transport* base_;
-  Slot max_slot_;
+  Slot guard_;
   Slot horizon_ = 0;
   sim::VersionSignal heard_;
-  util::FlatMap<std::uint64_t, std::unique_ptr<Sub>> subs_;
+  util::SlotWindow<Sub> subs_;
+  std::unique_ptr<Sub> control_;
 };
 
 }  // namespace mnm::core

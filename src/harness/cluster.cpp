@@ -1043,10 +1043,10 @@ bool settled(const World& w, const Group& g) {
 /// Roll the correct replicas of every data group (SMR mode's one group, KV
 /// mode's shards — not the config group) into `report`: commit and
 /// queue-wait percentiles, occupancy, recovery and tuner counters, the
-/// first decision time, and slot accounting from one reference replica per
-/// group. The fast path is proposer-local (learners decide via DECIDE), so
-/// each group counts its busiest replica's fast slots and the groups add
-/// up. Commit samples: a leader-mode group's proposers each win their own
+/// per-slot state their engines still hold, the first decision time, and
+/// slot accounting from one reference replica per group. The fast path is
+/// proposer-local (learners decide via DECIDE), so each group counts its
+/// busiest replica's fast slots and the groups add up. Commit samples: a leader-mode group's proposers each win their own
 /// slots, so their samples pool; every replica of an all-propose group can
 /// win the same slot, so that group counts one replica's samples — the
 /// correct replica with the lowest commit p50 (ties: lowest id), whose
@@ -1101,6 +1101,10 @@ void roll_up_replicas(const World& w, RunReport& report) {
       report.occupancy_slots += s.occupancy_slots;
       report.occupancy_limit += s.occupancy_limit;
       add_recovery_counters(report, log);
+      const core::ConsensusEngine& engine = *g.members[p - 1].engine;
+      report.slot_state_held =
+          std::max({report.slot_state_held, engine.instances_held(),
+                    engine.subs_held()});
       const smr::Tuner& tuner = replica.tuner();
       if (tuner.enabled() && tuner.observations() > 0) {
         report.tuner_epochs += tuner.trajectory().size();

@@ -317,6 +317,12 @@ struct RunReport {
   std::uint64_t snapshots_installed = 0;
   std::uint64_t slots_truncated = 0;
   std::uint64_t catchup_bytes = 0;
+  /// Per-slot consensus state left at the end of the run: the most
+  /// protocol instances or slot-hub subs any correct replica's engine holds
+  /// in a data group. The crash engines retire slots a snapshot behind, so
+  /// with a snapshot interval it stays within window + 2 × interval;
+  /// without one, and on the Byzantine engines, it is the slot count.
+  std::size_t slot_state_held = 0;
 
   // KV mode only (config.kv.enabled). Shard/commit metrics above aggregate
   // over every shard's replicas; these add the client-visible layer.

@@ -1,6 +1,7 @@
 #include "src/sim/executor.hpp"
 
 #include <cassert>
+#include <utility>
 
 namespace mnm::sim {
 
@@ -13,8 +14,11 @@ Executor::~Executor() {
   for (auto it = roots_.rbegin(); it != roots_.rend(); ++it) {
     if (it->handle) {
       // Frames destroyed mid-flight never run return_void; detach the
-      // counter so teardown order cannot touch a stale pointer.
-      it->handle.promise().live_counter = nullptr;
+      // counter so teardown order cannot touch a stale pointer, and empty
+      // the owner's handle so it does not destroy the frame again.
+      auto& promise = it->handle.promise();
+      promise.live_counter = nullptr;
+      if (promise.owner != nullptr) promise.owner->handle_ = nullptr;
       it->handle.destroy();
     }
   }
@@ -53,29 +57,62 @@ TimerHandle Executor::call_at(Time t, InlineFn fn) {
   return TimerHandle{cell, cell->gen};
 }
 
-void Executor::spawn(Task<void> task) {
-  auto handle = task.release();
-  if (!handle) return;
-  roots_.push_back(Root{handle});
+void Executor::add_root(RootHandle handle) {
+  handle.promise().root_index = static_cast<std::uint32_t>(roots_.size());
   handle.promise().live_counter = &live_roots_;
+  roots_.push_back(Root{handle});
   ++live_roots_;
-  // Start the task as a scheduled event so spawn() is safe to call from
-  // anywhere, including inside another coroutine's step.
-  schedule_at(now_, [handle] { handle.resume(); });
   if (++spawns_since_reap_ >= 1024) {
     reap_finished_roots();
     spawns_since_reap_ = 0;
   }
 }
 
+void Executor::spawn(Task<void> task) {
+  auto handle = task.release();
+  if (!handle) return;
+  add_root(handle);
+  // Start the task as a scheduled event so spawn() is safe to call from
+  // anywhere, including inside another coroutine's step.
+  schedule_at(now_, [handle] { handle.resume(); });
+}
+
+void Executor::spawn(Task<void> task, OwnedRoot& owner) {
+  assert(!owner.active() && "OwnedRoot already holds a live root");
+  auto handle = task.release();
+  if (!handle) return;
+  add_root(handle);
+  handle.promise().owner = &owner;
+  owner.exec_ = this;
+  owner.handle_ = handle;
+  // The same (time, seq) start as spawn(task), but cancellable: an owner
+  // that lets go before the first resume leaves no event behind.
+  owner.start_ = call_at(now_, [handle] { handle.resume(); });
+}
+
+void Executor::destroy_root(OwnedRoot& owner) {
+  const RootHandle handle = std::exchange(owner.handle_, nullptr);
+  owner.start_.cancel();
+  auto& promise = handle.promise();
+  roots_[promise.root_index].handle = nullptr;  // the next reap drops it
+  if (!handle.done()) --live_roots_;  // it never reaches return_void
+  handle.destroy();
+}
+
 void Executor::reap_finished_roots() {
-  std::erase_if(roots_, [](Root& r) {
-    if (r.handle && r.handle.done()) {
+  std::size_t kept = 0;
+  for (Root& r : roots_) {
+    if (!r.handle) continue;  // destroyed by its owner
+    auto& promise = r.handle.promise();
+    if (r.handle.done()) {
+      if (promise.owner != nullptr) promise.owner->handle_ = nullptr;
       r.handle.destroy();
-      return true;
+      continue;
     }
-    return false;
-  });
+    promise.root_index = static_cast<std::uint32_t>(kept);
+    roots_[kept++] = r;
+  }
+  roots_.resize(kept);
 }
 
 bool Executor::step() {

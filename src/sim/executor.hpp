@@ -22,7 +22,9 @@
 // Detached tasks: `spawn` registers a Task<void> as a root. Roots that
 // finish are reaped lazily; roots still suspended when the executor is
 // destroyed are destroyed with it (this is how operations on crashed
-// memories, which hang forever per §3, are cleaned up).
+// memories, which hang forever per §3, are cleaned up). A root spawned with
+// an OwnedRoot can also be destroyed early by its owner (a retired slot's
+// reader loop).
 
 #pragma once
 
@@ -66,6 +68,35 @@ class TimerHandle {
       : cell_(cell), gen_(gen) {}
   detail::CancelCell* cell_ = nullptr;
   std::uint64_t gen_ = 0;
+};
+
+class Executor;
+
+/// An owner's hold on a detached root (Executor::spawn(task, owner)). The
+/// root runs like any other, but its owner can end it early: reset(), or
+/// the handle's destructor, destroys the frame in place wherever it is
+/// suspended. That schedules nothing — waiters the frame left behind are
+/// flagged dead, so no source resumes it — and the frame leaves the
+/// executor's root list. A root that finishes first is reaped as usual and
+/// the handle empties; so does one the executor destroys at teardown. Not
+/// movable: the frame points back at its handle.
+class OwnedRoot {
+ public:
+  OwnedRoot() = default;
+  OwnedRoot(const OwnedRoot&) = delete;
+  OwnedRoot& operator=(const OwnedRoot&) = delete;
+  ~OwnedRoot() { reset(); }
+
+  /// True while the frame exists.
+  bool active() const { return handle_ != nullptr; }
+  /// Destroy the frame now, if it still exists.
+  void reset();
+
+ private:
+  friend class Executor;
+  Executor* exec_ = nullptr;
+  std::coroutine_handle<Task<void>::promise_type> handle_ = nullptr;
+  TimerHandle start_;  // the first resume, cancelled if reset() beats it
 };
 
 class Executor {
@@ -115,6 +146,10 @@ class Executor {
 
   /// Detach a root task; it starts at the next processed event.
   void spawn(Task<void> task);
+  /// Detach a root task that `owner` may destroy before it finishes (see
+  /// OwnedRoot). It starts exactly as spawn(task) would. `owner` must not
+  /// hold a live root already.
+  void spawn(Task<void> task, OwnedRoot& owner);
 
   /// Run until the event queue drains or the clock would pass `until`.
   /// Returns the number of events processed.
@@ -142,8 +177,10 @@ class Executor {
     }
   };
 
+  friend class OwnedRoot;
+  using RootHandle = std::coroutine_handle<Task<void>::promise_type>;
   struct Root {
-    std::coroutine_handle<Task<void>::promise_type> handle;
+    RootHandle handle;  // nullptr once its owner destroyed it
   };
 
   bool event_cancelled(const Event& ev) const {
@@ -154,6 +191,10 @@ class Executor {
   void retire_cell(Event& ev);
   detail::CancelCell* acquire_cell();
 
+  /// Register a released task as a root and count it live.
+  void add_root(RootHandle handle);
+  /// Destroy an owned root in place and leave a gap in the root list.
+  void destroy_root(OwnedRoot& owner);
   void reap_finished_roots();
   bool step();  // process one event; false if queue empty
 
@@ -167,5 +208,9 @@ class Executor {
   std::vector<Root> roots_;
   std::size_t spawns_since_reap_ = 0;
 };
+
+inline void OwnedRoot::reset() {
+  if (handle_ != nullptr) exec_->destroy_root(*this);
+}
 
 }  // namespace mnm::sim

@@ -7,8 +7,8 @@
 // therefore owns its children, and destroying a root task tears down the
 // whole tree. The executor (executor.hpp) only ever *resumes* handles — it
 // never owns them — except for detached tasks registered via
-// Executor::spawn, which the executor keeps alive until they finish or the
-// executor is destroyed.
+// Executor::spawn, which the executor keeps alive until they finish, their
+// OwnedRoot (if any) lets go, or the executor is destroyed.
 //
 // This mirrors the structure the paper's pseudocode needs: blocking reads,
 // writes and waits become `co_await`, and operations on crashed memories
@@ -19,6 +19,7 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstdint>
 #include <exception>
 #include <utility>
 #include <variant>
@@ -29,6 +30,7 @@ namespace mnm::sim {
 
 template <typename T>
 class Task;
+class OwnedRoot;
 
 namespace detail {
 
@@ -128,16 +130,18 @@ class [[nodiscard]] Task<void> {
  public:
   struct promise_type : detail::PromiseBase {
     std::exception_ptr error;
-    bool finished = false;
-    /// Set by Executor::spawn so detached-root completion is counted in O(1)
-    /// instead of scanning the root list.
+    /// Set by Executor::spawn: this root's position in the executor's root
+    /// list, the handle that may destroy it early (if any), and the live
+    /// count that detached-root completion decrements in O(1) instead of
+    /// scanning the root list.
+    std::uint32_t root_index = 0;
+    OwnedRoot* owner = nullptr;
     std::size_t* live_counter = nullptr;
 
     Task get_return_object() {
       return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
     void return_void() {
-      finished = true;
       if (live_counter != nullptr) --*live_counter;
     }
     void unhandled_exception() {

@@ -243,10 +243,14 @@ void Log::maybe_snapshot() {
   if (applied_len_ - snapshot_slot_ < config_.snapshot_interval) return;
   Bytes snap = sm_->snapshot();
   if (snap.empty()) return;  // machine doesn't support snapshots
+  const Slot previous = snapshot_slot_;
   snapshot_ = std::move(snap);
   snapshot_slot_ = applied_len_;
   ++snapshots_taken_;
   compact_below(snapshot_slot_);
+  // Every slot below the previous snapshot applied a full interval ago:
+  // late traffic for it has long drained, so its consensus state can go.
+  engine_->retire_below(previous);
 }
 
 void Log::compact_below(Slot s) {
@@ -471,6 +475,9 @@ void Log::install_catchup(const CatchupResponse& resp,
       retained_.erase(retained_.begin(),
                       retained_.lower_bound(resp.snap_slot));
       ++snapshots_installed_;
+      // The snapshot covers every slot below it: nothing there needs this
+      // replica's consensus state again.
+      engine_->retire_below(resp.snap_slot);
       progressed = true;
     } else {
       // Malformed or digest-mismatched snapshot: reject, state untouched.

@@ -115,7 +115,10 @@ struct LogConfig {
   /// pre-snapshot behavior, byte-for-byte). With an interval set the Log
   /// also retains applied decision payloads above the snapshot slot and
   /// serves them (plus the snapshot) to catching-up peers over the engine's
-  /// control transport.
+  /// control transport, and it retires the engine's slots a snapshot behind
+  /// (ConsensusEngine::retire_below): after each compaction, below the
+  /// previous snapshot slot; after a catch-up install, below the installed
+  /// one.
   Slot snapshot_interval = 0;
   /// Start in recovery: hold fresh proposals and catch up from a peer's
   /// snapshot + log suffix first (requires an engine with a control

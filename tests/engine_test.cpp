@@ -42,15 +42,18 @@ enum class Kind {
 
 /// Minimal cluster: n processes, m memories, one engine per process over one
 /// NetTransport (message engines) or the shared memories (Byzantine engines).
+/// The last memory answers after `last_memory_delay`.
 struct EngineWorld {
-  EngineWorld(Kind kind, std::size_t n, std::size_t m)
+  EngineWorld(Kind kind, std::size_t n, std::size_t m,
+              sim::Time last_memory_delay = sim::kMemoryOpDelay)
       : n(n),
         network(exec, n),
         omega(Omega::fixed(exec, kLeaderP1)),
         keystore(99) {
     for (std::size_t i = 0; i < m; ++i) {
-      memories.push_back(
-          std::make_unique<mem::Memory>(exec, static_cast<MemoryId>(i + 1)));
+      memories.push_back(std::make_unique<mem::Memory>(
+          exec, static_cast<MemoryId>(i + 1),
+          i + 1 == m ? last_memory_delay : sim::kMemoryOpDelay));
       ifc.push_back(memories.back().get());
     }
     for (ProcessId p : all_processes(n)) {
@@ -343,6 +346,86 @@ TEST(SlotTransportHub, OversizedSlotIdsAreDropped) {
   t1.send(2, SlotTransportHub::frame(3, to_bytes("y")));
   exec.run_until([&] { return hub.horizon() >= 4; }, 1000);
   EXPECT_EQ(hub.horizon(), 4u);  // slot 3 heard; 2^40 dropped
+
+  // The guard rides the retirement floor, so a long-running group never
+  // reaches it. With an 8-slot guard and the floor at 100, frames below 100
+  // and from 108 up are dropped, and one in between is delivered.
+  constexpr Slot kGuard = 8;
+  NetTransport u1(exec, network, 1, /*tag=*/6);
+  NetTransport u2(exec, network, 2, /*tag=*/6);
+  SlotTransportHub small(exec, u2, kGuard);
+  small.start();
+  small.retire_below(100);
+  u1.send(2, SlotTransportHub::frame(99, to_bytes("retired")));
+  u1.send(2, SlotTransportHub::frame(100 + kGuard, to_bytes("too far")));
+  u1.send(2, SlotTransportHub::frame(105, to_bytes("in between")));
+  exec.run();
+  EXPECT_EQ(small.horizon(), 106u);
+  EXPECT_EQ(small.subs_held(), 1u);  // no sub for either dropped frame
+  sim::Channel<TMsg>& in = small.slot(105).incoming();
+  ASSERT_EQ(in.size(), 1u);
+  EXPECT_EQ(to_string(in.try_recv()->payload), "in between");
+}
+
+TEST(ConsensusEngine, RetiredSlotNeverReopens) {
+  // A fresh acceptor at a retired slot could accept a second value, so
+  // traffic for a slot below the floor must find nothing to answer it: no
+  // PROMISE or ACCEPTED, no new instance or sub, no horizon move.
+  EngineWorld w(Kind::kFastPaxos, 3, 0);
+  w.start_collectors();
+  for (Slot s = 0; s < 4; ++s) w.propose(1, s, "v" + std::to_string(s));
+  w.exec.run_until([&] { return w.all_decided(4); }, 100000);
+  ASSERT_TRUE(w.all_decided(4));
+  w.exec.run();  // let the DECIDE broadcasts drain
+
+  ConsensusEngine& p2 = *w.engines[1];
+  EXPECT_EQ(p2.instances_held(), 4u);
+  EXPECT_EQ(p2.subs_held(), 4u);
+  p2.retire_below(3);
+  EXPECT_EQ(p2.instances_held(), 1u);
+  EXPECT_EQ(p2.subs_held(), 1u);
+  p2.open_slot(1);  // below the floor: a no-op
+  EXPECT_EQ(p2.instances_held(), 1u);
+
+  const Slot horizon = p2.slot_horizon();
+  const std::uint64_t sent = w.network.messages_sent();
+  const auto inject = [&](Slot s, PaxosKind kind) {
+    const PaxosMsg m{kind, /*ballot=*/1000, 0, kind == PaxosKind::kAccept,
+                     to_bytes("second value")};
+    w.network.send(3, 2, /*tag=*/100, SlotTransportHub::frame(s, m.encode()));
+  };
+  inject(1, PaxosKind::kPrepare);
+  inject(1, PaxosKind::kAccept);
+  w.exec.run();
+  EXPECT_EQ(w.network.messages_sent(), sent + 2);  // ours, and no answer
+  EXPECT_EQ(p2.instances_held(), 1u);
+  EXPECT_EQ(p2.subs_held(), 1u);
+  EXPECT_EQ(p2.slot_horizon(), horizon);
+  EXPECT_EQ(w.decided[1].size(), 4u);
+
+  // Control: the same PREPARE at a live slot is answered with a PROMISE.
+  inject(3, PaxosKind::kPrepare);
+  w.exec.run();
+  EXPECT_EQ(w.network.messages_sent(), sent + 4);
+}
+
+TEST(ConsensusEngine, SlowMemoryStragglerOutlivesItsRetiredInstance) {
+  // Disk Paxos decides on two memories' verifying scans while the third,
+  // slow memory's scan straggles on past the slot's retirement. Resuming
+  // between its write and its read, the straggler must not read the
+  // destroyed instance (the sanitizer build catches it if it does).
+  constexpr sim::Time kSlow = 100;
+  EngineWorld w(Kind::kDiskPaxos, 2, 3, kSlow);
+  w.start_collectors();
+  w.propose(1, 0, "v0");
+  w.exec.run_until([&] { return w.all_decided(1); }, 1000);
+  ASSERT_TRUE(w.all_decided(1));
+  ASSERT_LT(w.exec.now(), kSlow / 2);  // the slow write has not landed yet
+  for (auto& e : w.engines) e->retire_below(1);
+  EXPECT_EQ(w.engines[0]->instances_held(), 0u);
+  w.exec.run();
+  EXPECT_EQ(w.memories[2]->writes(), 1u);
+  EXPECT_EQ(w.memories[2]->read_batches(), 1u);  // read after the retirement
 }
 
 }  // namespace

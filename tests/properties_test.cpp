@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -279,6 +280,88 @@ INSTANTIATE_TEST_SUITE_P(
                                          Algorithm::kFastRobust),
                        ::testing::Values(100, 500), ::testing::Values(10, 60)),
     gst_name);
+
+// ---------------------------------------------------------------------------
+// Sweep 5: replicated logs under crashes with compaction. A snapshot every
+// 4 applies retires slots every few applies, so the seed's crashes land
+// around retiring instances, hub subs and fan-out stragglers parked on
+// crashed memories; each correct replica must still agree, stay valid,
+// terminate, and end holding at most window + 2 × interval instances.
+// ---------------------------------------------------------------------------
+
+using RetireParam = std::tuple<Algorithm, int /*seed*/>;
+
+class SmrRetireSweep : public ::testing::TestWithParam<RetireParam> {};
+
+TEST_P(SmrRetireSweep, SafeLiveAndBoundedUnderCrashes) {
+  constexpr std::size_t kWindow = 4;
+  constexpr Slot kInterval = 4;
+  const auto [algo, seed] = GetParam();
+  sim::Rng rng(static_cast<std::uint64_t>(seed) * 6007 + 29);
+
+  ClusterConfig c;
+  c.algo = algo;
+  c.seed = static_cast<std::uint64_t>(seed);
+  c.smr.enabled = true;
+  c.smr.commands = 100;
+  c.smr.batch = 2;
+  c.smr.window = kWindow;
+  c.smr.snapshot_interval = kInterval;
+  c.horizon = 200000;
+  // Sweep 2's crash budgets, but at least one crash of each kind, and all
+  // inside the run's first 40 delays (a fault-free run takes 26 to 100).
+  std::size_t max_proc_crashes = 0;
+  switch (algo) {
+    case Algorithm::kDiskPaxos:
+    case Algorithm::kProtectedMemoryPaxos:
+      c.n = 3;
+      c.m = 5;
+      max_proc_crashes = 2;  // all but one
+      break;
+    case Algorithm::kAlignedPaxos:
+      c.n = 3;
+      c.m = 3;
+      max_proc_crashes = 1;
+      break;
+    default:  // Paxos, Fast Paxos: a minority
+      c.n = 5;
+      c.m = 0;
+      max_proc_crashes = 2;
+      break;
+  }
+  const std::size_t crashes = 1 + rng.below(max_proc_crashes);
+  std::set<ProcessId> victims;
+  while (victims.size() < crashes) {
+    victims.insert(static_cast<ProcessId>(rng.range(1, c.n)));
+  }
+  for (ProcessId v : victims) c.faults.process_crashes[v] = rng.below(40);
+  if (c.m >= 3) {
+    const std::size_t mem_crashes = 1 + rng.below((c.m - 1) / 2);
+    std::set<MemoryId> mem_victims;
+    while (mem_victims.size() < mem_crashes) {
+      mem_victims.insert(static_cast<MemoryId>(rng.range(1, c.m)));
+    }
+    for (MemoryId v : mem_victims) c.faults.memory_crashes[v] = rng.below(40);
+  }
+
+  const RunReport r = run_cluster(c);
+  const std::string where =
+      std::string(algorithm_name(algo)) + " seed=" + std::to_string(seed);
+  EXPECT_TRUE(r.agreement) << where << " " << r.summary();
+  EXPECT_TRUE(r.validity) << where << " " << r.summary();
+  EXPECT_TRUE(r.termination) << where << " " << r.summary();
+  EXPECT_GT(r.snapshots_taken, 0u) << where << " " << r.summary();
+  EXPECT_LE(r.slot_state_held, kWindow + 2 * kInterval) << where;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Compaction, SmrRetireSweep,
+    ::testing::Combine(::testing::Values(Algorithm::kPaxos, Algorithm::kFastPaxos,
+                                         Algorithm::kDiskPaxos,
+                                         Algorithm::kProtectedMemoryPaxos,
+                                         Algorithm::kAlignedPaxos),
+                       ::testing::Range(1, 9)),
+    crash_name);
 
 }  // namespace
 }  // namespace mnm::harness

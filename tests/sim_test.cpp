@@ -134,6 +134,100 @@ TEST(Task, SuspendedRootsAreReapedSafelyAtTeardown) {
   exec.reset();  // must not crash or leak
 }
 
+Task<void> recv_forever(Channel<int>& ch, int* got) {
+  while (true) *got = co_await ch.recv();
+}
+
+TEST(OwnedRoot, ResetDestroysASuspendedRootInPlace) {
+  // A value already handed to the waiter (its resume event queued) is
+  // dropped with the frame: the queued event finds the waiter dead.
+  Executor exec;
+  Channel<int> ch(exec);
+  int got = 0;
+  OwnedRoot reader;
+  exec.spawn(recv_forever(ch, &got), reader);
+  exec.run();
+  ch.send(1);
+  exec.run();
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(exec.live_roots(), 1u);
+  ch.send(2);
+  const std::size_t events = exec.events_processed();
+  reader.reset();
+  EXPECT_FALSE(reader.active());
+  EXPECT_EQ(exec.live_roots(), 0u);
+  exec.run();
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(exec.events_processed(), events + 1);  // the stale wake-up only
+  ch.send(3);
+  exec.run();
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(ch.size(), 1u);  // queued: nobody receives any more
+}
+
+TEST(OwnedRoot, ResetBeforeTheFirstResumeLeavesNoEvent) {
+  Executor exec;
+  Channel<int> ch(exec);
+  int got = 0;
+  {
+    OwnedRoot reader;
+    exec.spawn(recv_forever(ch, &got), reader);
+  }  // destroyed before its start event ran
+  EXPECT_EQ(exec.run(), 0u);
+  EXPECT_EQ(exec.live_roots(), 0u);
+}
+
+TEST(OwnedRoot, FinishedRootIsReapedAndTheHandleEmpties) {
+  Executor exec;
+  OwnedRoot root;
+  exec.spawn([](Executor& e) -> Task<void> { co_await e.sleep(1); }(exec),
+             root);
+  EXPECT_TRUE(root.active());
+  exec.run();  // run() reaps finished roots on exit
+  EXPECT_FALSE(root.active());
+  root.reset();  // a no-op now
+  EXPECT_EQ(exec.live_roots(), 0u);
+}
+
+TEST(OwnedRoot, ExecutorTeardownEmptiesTheHandle) {
+  OwnedRoot reader;  // outlives the executor
+  int got = 0;
+  {
+    Executor exec;
+    Channel<int> ch(exec);
+    exec.spawn(recv_forever(ch, &got), reader);
+    exec.run();
+    EXPECT_TRUE(reader.active());
+  }
+  EXPECT_FALSE(reader.active());  // ~OwnedRoot must not touch the executor
+}
+
+TEST(OwnedRoot, ResetLeavesOtherRootsRunning) {
+  // Roots spawned around the destroyed one keep their places: the root list
+  // closes the gap at the next reap.
+  Executor exec;
+  Channel<int> a(exec);
+  Channel<int> b(exec);
+  int got_a = 0;
+  int got_b = 0;
+  exec.spawn(recv_forever(a, &got_a));
+  OwnedRoot middle;
+  int got_m = 0;
+  Channel<int> m(exec);
+  exec.spawn(recv_forever(m, &got_m), middle);
+  OwnedRoot last;
+  exec.spawn(recv_forever(b, &got_b), last);
+  exec.run();
+  middle.reset();
+  a.send(1);
+  b.send(2);
+  exec.run();  // reaps the gap
+  EXPECT_EQ(got_a, 1);
+  EXPECT_EQ(got_b, 2);
+  last.reset();  // still found at its (shifted) place in the list
+  EXPECT_EQ(exec.live_roots(), 1u);
+}
+
 TEST(Channel, SendBeforeRecvIsQueued) {
   Executor exec;
   Channel<int> ch(exec);

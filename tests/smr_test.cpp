@@ -569,6 +569,70 @@ TEST(SmrCluster, TwoReplicasRejoinFromDifferentSnapshotSlots) {
   EXPECT_GT(r.slots_truncated, 0u) << r.summary();
 }
 
+// Retirement (ConsensusEngine::retire_below): with a snapshot cadence the
+// crash engines free each slot a snapshot behind, so every correct replica
+// ends holding at most window + 2 × interval instances and hub subs, however
+// long the run. Without a cadence nothing retires: one per slot, as ever.
+class SmrRetire : public ::testing::TestWithParam<Algorithm> {};
+
+TEST_P(SmrRetire, LongRunHoldsWindowPlusTwoIntervals) {
+  constexpr std::size_t kSlots = 4096;
+  constexpr std::size_t kWindow = 4;
+  constexpr Slot kInterval = 64;
+  const Algorithm algo = GetParam();
+  const bool memory = algo != Algorithm::kPaxos && algo != Algorithm::kFastPaxos;
+  const std::size_t n = algo == Algorithm::kDiskPaxos ||
+                                algo == Algorithm::kProtectedMemoryPaxos
+                            ? 2
+                            : 3;
+  for (const Slot interval : {kInterval, Slot{0}}) {
+    ClusterConfig c = smr_config(algo, n, memory ? 3 : 0, kSlots, 1, kWindow);
+    c.smr.snapshot_interval = interval;
+    const RunReport r = harness::run_cluster(c);
+    ASSERT_TRUE(r.all_ok()) << r.summary();
+    ASSERT_EQ(r.slots_applied, kSlots) << r.summary();
+    if (interval > 0) {
+      EXPECT_LE(r.slot_state_held, kWindow + 2 * kInterval);
+    } else {
+      EXPECT_EQ(r.slot_state_held, kSlots);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HubEngines, SmrRetire,
+    ::testing::Values(Algorithm::kPaxos, Algorithm::kFastPaxos,
+                      Algorithm::kDiskPaxos, Algorithm::kProtectedMemoryPaxos,
+                      Algorithm::kAlignedPaxos),
+    [](const ::testing::TestParamInfo<Algorithm>& info) -> std::string {
+      switch (info.param) {
+        case Algorithm::kPaxos: return "Paxos";
+        case Algorithm::kFastPaxos: return "FastPaxos";
+        case Algorithm::kDiskPaxos: return "DiskPaxos";
+        case Algorithm::kProtectedMemoryPaxos: return "PMP";
+        default: return "Aligned";
+      }
+    });
+
+TEST(SmrCluster, RejoinerRetiresWhatItsSnapshotCovers) {
+  // p1 crashes early and rejoins while p2 still drives: the rejoiner hears
+  // the live slots, installs a peer snapshot, and retires everything below
+  // it, so it ends as bounded as the survivors.
+  constexpr std::size_t kWindow = 4;
+  constexpr Slot kInterval = 64;
+  ClusterConfig c =
+      smr_config(Algorithm::kFastPaxos, 3, 0, 2048, 1, kWindow);
+  c.smr.snapshot_interval = kInterval;
+  c.faults.process_crashes[1] = 200;
+  c.faults.process_rejoins[1] = 600;
+  const RunReport r = harness::run_cluster(c);
+  ASSERT_TRUE(r.all_ok()) << r.summary();
+  EXPECT_GE(r.snapshots_installed, 1u) << r.summary();
+  EXPECT_EQ(r.processes[0].log, r.processes[1].log);
+  EXPECT_GT(r.slots_applied, 2 * kInterval) << r.summary();
+  EXPECT_LE(r.slot_state_held, kWindow + 2 * kInterval);
+}
+
 TEST(SmrCluster, RejoinConfigIsValidated) {
   ClusterConfig c = smr_config(Algorithm::kFastPaxos, 3, 0, 8, 2, 4);
   c.faults.process_crashes[1] = 6;

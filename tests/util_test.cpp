@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/util/bytes.hpp"
 #include "src/util/serde.hpp"
+#include "src/util/slot_window.hpp"
 
 namespace mnm::util {
 namespace {
@@ -146,6 +149,37 @@ TEST(Reader, RawViewBoundsChecked) {
   Reader r(buf);
   EXPECT_EQ(to_string(r.raw_view(2)), "ab");
   EXPECT_THROW(r.raw_view(2), SerdeError);
+}
+
+TEST(SlotWindow, EntriesLiveFromFirstUseUntilTheFloorPassesThem) {
+  SlotWindow<int> w;
+  int made = 0;
+  const auto make = [&] { return std::make_unique<int>(++made); };
+  EXPECT_EQ(w.get_or_make(3, make), 1);
+  EXPECT_EQ(w.get_or_make(3, make), 1);  // built once
+  EXPECT_EQ(w.get_or_make(0, make), 2);
+  EXPECT_EQ(w.find(1), nullptr);  // never touched
+  EXPECT_EQ(w.find(9), nullptr);  // past the end
+  EXPECT_EQ(w.size(), 2u);
+  EXPECT_EQ(w.end(), 4u);
+
+  w.erase(0);
+  EXPECT_EQ(w.find(0), nullptr);
+  EXPECT_EQ(w.size(), 1u);
+
+  w.raise_floor(3);
+  EXPECT_EQ(w.floor(), 3u);
+  ASSERT_NE(w.find(3), nullptr);
+  EXPECT_EQ(*w.find(3), 1);
+  w.raise_floor(2);  // never lowers
+  EXPECT_EQ(w.floor(), 3u);
+
+  w.raise_floor(10);  // past every cell: the table empties
+  EXPECT_EQ(w.floor(), 10u);
+  EXPECT_EQ(w.size(), 0u);
+  EXPECT_EQ(w.find(3), nullptr);
+  EXPECT_EQ(w.get_or_make(12, make), 3);
+  EXPECT_EQ(w.end(), 13u);
 }
 
 }  // namespace
