@@ -3,11 +3,15 @@
 // Reproduces the paper's headline complexity claims in one table:
 //   Fast & Robust            2 delays   (Thm 4.9, Lemma B.6)
 //   Protected Memory Paxos   2 delays   (Thm 5.1)
-//   Fast Paxos (messages)    2 delays   (§1, [38])
+//   Fast Paxos (messages)    2 delays   (§1, [38]; p1's term 0 here — any
+//                                        stable leader after one phase 1)
 //   Paxos (2-phase)          4 delays
 //   Disk Paxos               4 delays   (§1: "at least four delays")
 //   Robust Backup(Paxos)     ≥ 6 delays (§4 footnote 2: NEB ≥ 6 delays/hop)
-//   Aligned Paxos            4 delays   (two phases, §5.2)
+//   Aligned Paxos            8 delays   (two phases, §5.2: each phase waits
+//                                        on a memory agent's 4-delay
+//                                        permission-and-write chain; it
+//                                        has no term 0 yet)
 //
 // The simulator's clock counts the paper's delay units exactly (1 per
 // message, 2 per memory op), so these are integer reproductions, not

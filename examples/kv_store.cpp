@@ -60,7 +60,7 @@ int main() {
   core::Omega omega = core::Omega::fixed(exec, kLeaderP1);
   core::PaxosConfig pc;
   pc.n = kReplicas;
-  pc.skip_phase1_for_p1 = true;
+  pc.leader_terms = true;
 
   // --- The quickstart: per process one transport + mux; per (shard,
   // process) one engine over the mux sub + one replica over a KV state

@@ -72,7 +72,7 @@ int main() {
   // transport endpoint (tag 100) — the engine multiplexes every slot over it.
   core::PaxosConfig pc;
   pc.n = kReplicas;
-  pc.skip_phase1_for_p1 = true;  // 2-delay steady state under a stable leader
+  pc.leader_terms = true;  // one phase 1 per leader: 2 delays a slot
   smr::ReplicaConfig rc;
   rc.batch = kBatch;
   rc.log.window = kWindow;

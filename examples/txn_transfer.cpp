@@ -90,7 +90,7 @@ int main() {
   core::Omega omega = core::Omega::fixed(exec, kLeaderP1);
   core::PaxosConfig pc;
   pc.n = kReplicas;
-  pc.skip_phase1_for_p1 = true;
+  pc.leader_terms = true;
 
   // Same stack as examples/kv_store.cpp: per process one transport + mux,
   // per (shard, process) one engine + replica over a KV state machine, one

@@ -206,14 +206,31 @@ class ConsensusEngine {
 template <typename Inst>
 class HubEngine : public ConsensusEngine {
  public:
-  /// Message-only instances (Paxos; Fast Paxos with
-  /// config.skip_phase1_for_p1 — a 2-delay steady state under a stable
-  /// leader).
+  /// Message-only instances: Paxos, and Fast Paxos with
+  /// config.leader_terms — slot s's instance runs under the group's
+  /// PaxosTerm, whose frames ride the hub's term channel, so every stable
+  /// leader decides in 2 delays.
   template <typename Config>
   HubEngine(sim::Executor& exec, Transport& base, Omega& omega, Config config)
-      : HubEngine(exec, base, [&exec, &omega, config](Slot, Transport& t) {
-          return std::make_unique<Inst>(exec, t, omega, config);
-        }) {}
+      : HubEngine(exec, base,
+                  [this, &exec, &omega, config](Slot s, Transport& t) {
+                    return std::make_unique<Inst>(exec, t, omega, config,
+                                                  term_.get(), s);
+                  }) {
+    if (config.leader_terms) {
+      term_ = std::make_unique<PaxosTerm>(
+          exec, hub_.self(), &hub_.term(), omega, config,
+          [this](Slot from, const auto& visit) {
+            for (Slot s = std::max(from, slots_.floor()); s < slots_.end();
+                 ++s) {
+              const Open* open = slots_.find(s);
+              if (open != nullptr && !visit(s, *open->inst)) return;
+            }
+          });
+      hub_.on_term(
+          [this](const TMsg& m) { term_->receive(m.src, m.payload); });
+    }
+  }
 
   /// Memory-backed instances (Disk Paxos, PMP, Aligned Paxos): slot s runs
   /// in `regions->get(s)` under register prefix slot_ns(s, config.prefix).
@@ -272,6 +289,7 @@ class HubEngine : public ConsensusEngine {
   void retire_below(Slot floor) override {
     if (floor <= floor_) return;
     floor_ = floor;
+    if (term_ != nullptr) term_->retire_below(floor);
     release_retired();
   }
 
@@ -279,6 +297,9 @@ class HubEngine : public ConsensusEngine {
   std::size_t subs_held() const override { return hub_.subs_held(); }
 
   Transport* control_transport() override { return &hub_.control(); }
+
+  /// The group's leader term (Fast Paxos), or nullptr.
+  const PaxosTerm* term() const { return term_.get(); }
 
  private:
   /// Builds the slot's protocol instance over its sub-transport.
@@ -339,6 +360,7 @@ class HubEngine : public ConsensusEngine {
 
   SlotTransportHub hub_;
   MakeInstanceFn make_;
+  std::unique_ptr<PaxosTerm> term_;  // the instances point at it
   util::SlotWindow<Open> slots_;
   Slot floor_ = 0;  // retire_below's floor; slots_ may lag it (see Open)
 };

@@ -16,6 +16,11 @@
 // creates no sub and does not move the horizon — so stray traffic cannot
 // reopen a retired slot.
 //
+// Beside the slots run two reserved frames: the control channel (catch-up
+// and range transfers) and the term channel, which carries a Fast Paxos
+// leader's one PREPARE for all of its group's slots and the PROMISEs that
+// answer it (core::PaxosTerm). Neither notes the horizon.
+//
 // Hot-path shape matches TransportMux: framing is one extra Writer into the
 // shared broadcast buffer (still one serialize per broadcast), inbound
 // stripping is a zero-copy Buffer slice, and the slot → sub table is a
@@ -24,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "src/common.hpp"
@@ -51,6 +57,13 @@ class SlotTransportHub {
   /// sub-transport without advancing the horizon: control traffic must not
   /// look like slot activity to the discovery loop.
   static constexpr Slot kControlSlot = ~Slot{0};
+
+  /// Reserved frame id for the group's leader-term channel (PaxosTerm),
+  /// just below the control frame. Inbound term frames go to the on_term()
+  /// handler inline in the demux loop — the term runs no reader coroutine,
+  /// so a group whose leader never changes schedules nothing for it — and
+  /// are dropped while no handler is set.
+  static constexpr Slot kTermSlot = kControlSlot - 1;
 
   SlotTransportHub(sim::Executor& exec, Transport& base,
                    Slot guard = kDefaultGuard)
@@ -84,6 +97,18 @@ class SlotTransportHub {
   /// The control channel: a sub-transport on the reserved kControlSlot
   /// frame id. Created on first use; its traffic never notes the horizon.
   Transport& control() { return control_sub(); }
+
+  /// The term channel for sending: a sub-transport on kTermSlot, created
+  /// on first use. What it receives goes to `handler` (see on_term).
+  Transport& term() {
+    if (term_ == nullptr) {
+      term_ = std::make_unique<Sub>(*exec_, *base_, kTermSlot);
+    }
+    return *term_;
+  }
+  void on_term(std::function<void(const TMsg&)> handler) {
+    term_handler_ = std::move(handler);
+  }
 
   static Bytes frame(Slot s, util::ByteView payload) {
     util::Writer w(payload.size() + 8);
@@ -159,6 +184,12 @@ class SlotTransportHub {
         ctl.incoming_.send(std::move(m));
         continue;
       }
+      if (s == kTermSlot) {  // term frame: hand over inline, never note
+        if (hub->term_handler_) {
+          hub->term_handler_(TMsg{m.src, m.payload.suffix(8)});
+        }
+        continue;
+      }
       if (!hub->in_window(s)) continue;  // retired, or past the guard: drop
       hub->note(s);
       Sub& sub = hub->sub(s);
@@ -174,6 +205,8 @@ class SlotTransportHub {
   sim::VersionSignal heard_;
   util::SlotWindow<Sub> subs_;
   std::unique_ptr<Sub> control_;
+  std::unique_ptr<Sub> term_;
+  std::function<void(const TMsg&)> term_handler_;
 };
 
 }  // namespace mnm::core

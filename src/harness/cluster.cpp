@@ -45,7 +45,7 @@ namespace mnm::harness {
 const char* algorithm_name(Algorithm a) {
   switch (a) {
     case Algorithm::kPaxos: return "Paxos (messages, 2-phase)";
-    case Algorithm::kFastPaxos: return "Fast Paxos (messages, phase-1 skip)";
+    case Algorithm::kFastPaxos: return "Fast Paxos (messages, leader terms)";
     case Algorithm::kDiskPaxos: return "Disk Paxos (memory, static perms)";
     case Algorithm::kProtectedMemoryPaxos: return "Protected Memory Paxos";
     case Algorithm::kAlignedPaxos: return "Aligned Paxos";
@@ -700,7 +700,7 @@ EngineFactory engine_factory(World& w, std::uint8_t tag,
     case Algorithm::kFastPaxos: {
       core::PaxosConfig pc;
       pc.n = n;
-      pc.skip_phase1_for_p1 = (config.algo == Algorithm::kFastPaxos);
+      pc.leader_terms = (config.algo == Algorithm::kFastPaxos);
       return [&w, tag, pc](ProcessId p) {
         return std::make_unique<core::PaxosEngine>(
             w.exec, group_transport(w, p, tag), *w.omega, pc);

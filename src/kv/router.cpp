@@ -35,13 +35,20 @@ Router::Router(sim::Executor& exec, core::Omega& omega, ShardMap map,
       });
     }
   }
+  if (view_ != nullptr) {
+    for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
+      ownership_.emplace_back(exec);
+    }
+  }
   for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
     for (StateMachine* sm : shards_[shard].machines) arm_machine(sm, shard);
   }
 }
 
-void Router::arm_machine(StateMachine* sm, std::size_t shard) const {
-  if (config_.keystore == nullptr || sm == nullptr) return;
+void Router::arm_machine(StateMachine* sm, std::size_t shard) {
+  if (sm == nullptr) return;
+  if (!ownership_.empty()) sm->set_ownership_signal(&ownership_[shard]);
+  if (config_.keystore == nullptr) return;
   sm->set_keystore(config_.keystore, static_cast<std::uint32_t>(shard));
   for (const crypto::ProcessId id : admin_signer_ids_) {
     sm->allow_admin_signer(id);
@@ -271,8 +278,23 @@ sim::Task<Reply> Router::run_op(ClientId client, Command cmd,
   s.reply.reset();
   s.bounced = false;
   std::size_t attempt = 0;
-  sim::Time submitted_at = exec_->now();
-  submit(shard, wire);
+  sim::Time submitted_at = 0;
+  // The table's and the shard's ownership versions at the last submission:
+  // a parked op wakes once either moves past them, including a move that
+  // landed before its bounce did.
+  std::uint64_t table_seen = 0;
+  std::uint64_t owner_seen = 0;
+  const auto send = [&] {
+    submitted_at = exec_->now();
+    if (view_ != nullptr) {
+      table_seen = view_->changed().version();
+      owner_seen = ownership_[shard].version();
+    }
+    submit(shard, wire);
+  };
+  // Bounced off a bucket its route's group has not opened yet.
+  bool parked = false;
+  send();
   while (true) {
     // Snapshot before checking: a delivery landing between the check and
     // the await makes the select ready immediately (no lost wakeup).
@@ -283,28 +305,33 @@ sim::Task<Reply> Router::run_op(ClientId client, Command cmd,
       // table; a changed route re-signs for the new shard's log and
       // re-submits immediately (same client, same seq — session dedup
       // keeps it exactly-once). An unchanged route means the destination
-      // hasn't opened the bucket yet — fall through to the deadline wait
-      // so sealed buckets back off like timeouts.
+      // hasn't opened the bucket yet: park until the table changes or the
+      // group applies its next SEAL/INSTALL/PURGE.
       s.bounced = false;
       ++bounces_;
       const std::size_t next = route(cmd.key);
       if (next != shard) {
         shard = next;
         wire = encode_wire(s, cmd, shard);
-        submitted_at = exec_->now();
-        submit(shard, wire);
+        send();
         continue;
       }
-      ++attempt;
+      parked = view_ != nullptr;
     }
     // Saturating add: near the end of a huge horizon (or with a huge cap)
-    // now + deadline must not wrap past kTimeInfinity into the past.
-    const sim::Time deadline = retry_deadline(shard, attempt);
+    // now + deadline must not wrap past kTimeInfinity into the past. A
+    // parked op is in no queue a crash could lose, so its deadline is only
+    // the cap.
+    const sim::Time deadline =
+        parked ? config_.retry_timeout_cap : retry_deadline(shard, attempt);
     const sim::Time now = exec_->now();
     sim::Select sel(*exec_);
     sel.on(s.signal, seen)
         .until(now > sim::kTimeInfinity - deadline ? sim::kTimeInfinity
                                                    : now + deadline);
+    if (parked) {
+      sel.on(view_->changed(), table_seen).on(ownership_[shard], owner_seen);
+    }
     const int which = co_await sel;
     if (s.reply.has_value()) break;
     if (s.bounced) continue;  // handled at the top of the loop
@@ -316,16 +343,18 @@ sim::Task<Reply> Router::run_op(ClientId client, Command cmd,
       // the new shard's log (an unchanged one re-submits identical bytes).
       ++retries_;
       ++attempt;
-      if (!pinned.has_value()) {
-        const std::size_t next = route(cmd.key);
-        if (next != shard) {
-          shard = next;
-          wire = encode_wire(s, cmd, shard);
-        }
-      }
-      submitted_at = exec_->now();
-      submit(shard, wire);
+    } else if (!parked) {
+      continue;
     }
+    parked = false;
+    if (!pinned.has_value()) {
+      const std::size_t next = route(cmd.key);
+      if (next != shard) {
+        shard = next;
+        wire = encode_wire(s, cmd, shard);
+      }
+    }
+    send();
   }
   // Feed the deadline model with this op's latency, measured from the last
   // submission (a retry that raced its predecessor's reply under-reports,

@@ -44,10 +44,15 @@
 // re-submits the same (client, seq) command to the new owner — re-signed
 // for that shard's log in signed mode, since signatures bind the target
 // group. If the route hasn't
-// changed yet (the destination has not opened the bucket), the bounce
-// backs off like a timeout so sealed buckets aren't storm-retried. The
-// Migrator's own admin sessions (register_admin_client) are exempt: for
-// them kWrongEpoch is a real, resolved outcome (a stale seal/install).
+// changed yet (the destination has not opened the bucket), the op parks:
+// it waits, re-submitting nothing, until the table view's changed() moves
+// or the route's group applies a SEAL, INSTALL or PURGE — each group has
+// an ownership VersionSignal its machines bump — so it re-submits the
+// moment the bucket can open, and never polls a sealed bucket. A parked op
+// sits in no queue a crash could lose, so its deadline is only the cap.
+// A Router without a TableView builds no signal (no bucket ever moves).
+// The Migrator's own admin sessions (register_admin_client) are exempt:
+// for them kWrongEpoch is a real, resolved outcome (a stale seal/install).
 //
 // When a shard's leader replica is auto-tuning (smr::Tuner), the flush task
 // also consults Replica::flush_hold(): while the open batch is short of the
@@ -217,12 +222,13 @@ class Router {
   /// the legacy encoding otherwise.
   Bytes encode_wire(const ClientSession& s, const Command& cmd,
                     std::size_t shard) const;
-  /// Enable signed-command verification on `sm` as shard `shard`'s machine
-  /// (no-op without a keystore): sets the keystore + signing group and
-  /// replays the admin allow-list, so machines created after
+  /// Wire `sm` as shard `shard`'s machine: point it at the shard's
+  /// ownership signal (live routing only) and enable signed-command
+  /// verification (no-op without a keystore) — the keystore + signing group
+  /// and the admin allow-list, replayed so machines created after
   /// register_admin_client (rejoin, split targets) still accept the
   /// Migrator.
-  void arm_machine(StateMachine* sm, std::size_t shard) const;
+  void arm_machine(StateMachine* sm, std::size_t shard);
 
   sim::Executor* exec_;
   core::Omega* omega_;
@@ -234,6 +240,9 @@ class Router {
   std::vector<crypto::ProcessId> admin_signer_ids_;  // signed mode only
   std::vector<std::uint8_t> flush_armed_;
   std::vector<sim::Time> shard_latency_;  // decaying max per shard
+  /// Per shard, bumped by its machines' SEAL/INSTALL/PURGE; live routing
+  /// only.
+  std::deque<sim::VersionSignal> ownership_;
   std::uint64_t retries_ = 0;
   std::uint64_t bounces_ = 0;
 };

@@ -145,6 +145,9 @@ void StateMachine::apply(Slot, util::ByteView command) {
     s.last_seq = c->seq;
     ++st_.admin_applied;
     if (sink_) sink_(c->client, c->seq, s.reply);
+    if (ownership_signal_ != nullptr && s.reply.status == Status::kOk) {
+      ownership_signal_->bump();
+    }
     return;
   }
   if (partitioned() && !owns_bucket(key_bucket(c->key))) {

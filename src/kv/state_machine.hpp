@@ -66,6 +66,7 @@
 #include "src/kv/command.hpp"
 #include "src/kv/range.hpp"
 #include "src/kv/shard.hpp"
+#include "src/sim/sync.hpp"
 #include "src/smr/log.hpp"
 
 namespace mnm::kv {
@@ -81,6 +82,14 @@ class StateMachine : public smr::StateMachine {
       std::function<void(ClientId, std::uint64_t seq, const Reply&)>;
 
   void set_reply_sink(ReplySink sink) { sink_ = std::move(sink); }
+
+  /// Bumped each time this machine applies a SEAL, INSTALL or PURGE, the
+  /// ops that move bucket ownership: the Router parks an op bounced off a
+  /// not-yet-open bucket on its group's signal. nullptr (the default, and
+  /// every static run) bumps nothing.
+  void set_ownership_signal(sim::VersionSignal* signal) {
+    ownership_signal_ = signal;
+  }
 
   /// Enable signed-command verification: every applied command must carry a
   /// signature by its claimed client's identity (client_signer_id) over the
@@ -224,6 +233,7 @@ class StateMachine : public smr::StateMachine {
 
   State st_;
   ReplySink sink_;                               // wiring, not state
+  sim::VersionSignal* ownership_signal_ = nullptr;  // wiring, not state
   const crypto::KeyStore* keystore_ = nullptr;   // wiring, not state
   std::uint32_t signing_group_ = 0;              // wiring, not state
   std::set<crypto::ProcessId> admin_signers_;    // wiring, not state

@@ -272,7 +272,9 @@ TEST(Determinism, FailoverCostsPinned) {
   const std::vector<Pin> pins = {
       {Algorithm::kPaxos, Fault::kP1At1, "value-2", 5, 17, 0, 0, 0, 58,
        {0, 5, 6}},
-      {Algorithm::kFastPaxos, Fault::kP1At1, "value-1", 5, 17, 0, 0, 0, 58,
+      // Fast Paxos: p2 takes over with one term PREPARE, whose frames the
+      // slot hub hands to the term inline (58 events as a per-slot round).
+      {Algorithm::kFastPaxos, Fault::kP1At1, "value-1", 5, 17, 0, 0, 0, 55,
        {0, 5, 6}},
       {Algorithm::kDiskPaxos, Fault::kP1At1, "value-1", 9, 2, 18, 9, 0, 66,
        {0, 9, 10}},
@@ -283,7 +285,7 @@ TEST(Determinism, FailoverCostsPinned) {
       {Algorithm::kPaxos, Fault::kP1At3LateGst, "value-2", 23, 17, 0, 0, 0, 58,
        {0, 23, 24}},
       {Algorithm::kFastPaxos, Fault::kP1At3LateGst, "value-1", 23, 17, 0, 0, 0,
-       58, {0, 23, 24}},
+       55, {0, 23, 24}},
       {Algorithm::kDiskPaxos, Fault::kP1At3LateGst, "value-1", 4, 2, 27, 9, 0,
        74, {4, 11, 16}},
       {Algorithm::kProtectedMemoryPaxos, Fault::kP1At3LateGst, "value-1", 2, 4,
@@ -334,6 +336,50 @@ TEST(Determinism, FailoverCostsPinned) {
       EXPECT_EQ(r.processes[i].decided_at, pin.decided_at[i])
           << name << " p" << i + 1;
     }
+  }
+}
+
+TEST(Determinism, FailoverKeepsTheTwoDelayCommonCase) {
+  // KV, 1 shard, 8 clients × 64 ops, window = batch = 4, seed 1. With p1
+  // crashed at 0, Fast Paxos's p2 runs phase 1 once — a 2-delay PREPARE /
+  // PROMISE before the first window — and every slot after it in 2 delays
+  // (op p50 4 and 2000 ops/kdelay with a phase 1 per slot). 512 ops over
+  // 130 delays is 3938 ops/kdelay, against 4000 with p1 alive. Paxos, the
+  // per-slot two-phase control, stays at 4 delays either way.
+  struct Pin {
+    Algorithm algo;
+    bool p1_crashed;
+    sim::Time op_p50;
+    double ops_per_kdelay;
+    std::uint64_t msgs, events;
+  };
+  const std::vector<Pin> pins = {
+      {Algorithm::kFastPaxos, false, 2, 4000.0, 1024, 5016},
+      {Algorithm::kFastPaxos, true, 2, 512000.0 / 130, 901, 4005},
+      {Algorithm::kPaxos, true, 4, 2000.0, 1536, 5528},
+  };
+  for (const Pin& pin : pins) {
+    ClusterConfig c;
+    c.algo = pin.algo;
+    c.n = 3;
+    c.m = 0;
+    c.seed = 1;
+    c.kv.enabled = true;
+    c.kv.shards = 1;
+    c.kv.clients = 8;
+    c.kv.ops_per_client = 64;
+    c.kv.window = 4;
+    c.kv.batch = 4;
+    if (pin.p1_crashed) c.faults.process_crashes[1] = 0;
+    const RunReport r = run_cluster(c);
+    const std::string name = std::string(algorithm_name(pin.algo)) +
+                             (pin.p1_crashed ? " p1 crashed at 0" : "");
+    ASSERT_TRUE(r.all_ok()) << name << ": " << r.summary();
+    EXPECT_EQ(r.kv_ops, 512u) << name;
+    EXPECT_EQ(r.kv_op_p50, pin.op_p50) << name;
+    EXPECT_DOUBLE_EQ(r.kv_ops_per_kdelay, pin.ops_per_kdelay) << name;
+    EXPECT_EQ(r.messages_sent, pin.msgs) << name;
+    EXPECT_EQ(r.events, pin.events) << name;
   }
 }
 
@@ -472,13 +518,16 @@ TEST(Determinism, SmrCrashAndRejoinSameSeedSameRun) {
   EXPECT_GT(a.catchup_bytes, 0u) << a.summary();
   // Absolute pins: the rejoin rebuild is shared with KV mode, and sharing
   // it must not move this schedule — event count, traffic, every replica's
-  // last apply time and the catch-up bytes the rejoiner fetched.
-  EXPECT_EQ(a.events, 806u) << a.summary();
-  EXPECT_EQ(a.messages_sent, 284u) << a.summary();
+  // last apply time and the catch-up bytes the rejoiner fetched. p2 leads
+  // from t = 6 under one term, and the rejoined p1 establishes its own at
+  // its snapshot install (806 events, 284 messages and last applies at
+  // 22/23 when every slot ran its own phase 1).
+  EXPECT_EQ(a.events, 662u) << a.summary();
+  EXPECT_EQ(a.messages_sent, 212u) << a.summary();
   ASSERT_EQ(a.processes.size(), 3u);
   EXPECT_EQ(a.processes[0].decided_at, 0u);
-  EXPECT_EQ(a.processes[1].decided_at, 22u);
-  EXPECT_EQ(a.processes[2].decided_at, 23u);
+  EXPECT_EQ(a.processes[1].decided_at, 16u);
+  EXPECT_EQ(a.processes[2].decided_at, 17u);
   EXPECT_EQ(a.catchup_bytes, 1362u) << a.summary();
   expect_deterministic(c);
 }
@@ -506,13 +555,16 @@ TEST(Determinism, KvCrashAndRejoinRetryStormSameSeedSameRun) {
   EXPECT_GT(a.snapshots_installed, 0u) << a.summary();
   EXPECT_GT(a.catchup_bytes, 0u) << a.summary();
   // Absolute pins, as in the SMR rejoin test: both shards' rebuild runs the
-  // same rejoin path, and the schedule must not move.
-  EXPECT_EQ(a.events, 2144u) << a.summary();
-  EXPECT_EQ(a.messages_sent, 620u) << a.summary();
+  // same rejoin path, and the schedule must not move. p2 leads each shard
+  // under one term and the rejoined p1 takes a term of its own (2144
+  // events, 620 messages and last applies at 55/56 with a phase 1 per
+  // slot); the store hash and catch-up bytes are unchanged.
+  EXPECT_EQ(a.events, 1701u) << a.summary();
+  EXPECT_EQ(a.messages_sent, 426u) << a.summary();
   ASSERT_EQ(a.processes.size(), 3u);
   EXPECT_EQ(a.processes[0].decided_at, 0u);
-  EXPECT_EQ(a.processes[1].decided_at, 55u);
-  EXPECT_EQ(a.processes[2].decided_at, 56u);
+  EXPECT_EQ(a.processes[1].decided_at, 35u);
+  EXPECT_EQ(a.processes[2].decided_at, 36u);
   EXPECT_EQ(a.kv_store_hash, 11380451022688408098ull) << a.summary();
   EXPECT_EQ(a.catchup_bytes, 2322u) << a.summary();
   expect_deterministic(c);

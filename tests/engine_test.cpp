@@ -65,7 +65,7 @@ struct EngineWorld {
       case Kind::kFastPaxos: {
         PaxosConfig pc;
         pc.n = n;
-        pc.skip_phase1_for_p1 = (kind == Kind::kFastPaxos);
+        pc.leader_terms = (kind == Kind::kFastPaxos);
         for (ProcessId p : all_processes(n)) {
           transports.push_back(
               std::make_unique<NetTransport>(exec, network, p, /*tag=*/100));
@@ -284,7 +284,7 @@ TEST(ConsensusEngine, FastPaxosLeaderDecisionsAreFastPath) {
     *fast = d.fast;
   }(w.engines[0].get(), &fast));
   w.exec.run_until([&] { return fast; }, 100000);
-  EXPECT_TRUE(fast) << "p1's ballot-0 skip should report the fast path";
+  EXPECT_TRUE(fast) << "p1's term 0 should report the fast path";
 }
 
 TEST(ConsensusEngine, FastRobustStreamsTheCheapQuorumDecision) {
@@ -407,6 +407,181 @@ TEST(ConsensusEngine, RetiredSlotNeverReopens) {
   inject(3, PaxosKind::kPrepare);
   w.exec.run();
   EXPECT_EQ(w.network.messages_sent(), sent + 4);
+
+  // A term PREPARE asking from slot 0 is answered with one PROMISE (which
+  // reports from the floor up) and reopens nothing below the floor.
+  w.network.send(3, 2, /*tag=*/100,
+                 SlotTransportHub::frame(
+                     SlotTransportHub::kTermSlot,
+                     PaxosTermMsg{PaxosTermKind::kPrepare, 2000, 0, {}}
+                         .encode()));
+  w.exec.run();
+  EXPECT_EQ(w.network.messages_sent(), sent + 6);
+  EXPECT_EQ(p2.instances_held(), 1u);
+  EXPECT_EQ(p2.subs_held(), 1u);
+  EXPECT_EQ(p2.slot_horizon(), horizon);
+  EXPECT_EQ(static_cast<PaxosEngine&>(p2).term()->promised(), 2000u);
+  EXPECT_EQ(w.decided[1].size(), 4u);
+}
+
+// --- Leader terms (Fast Paxos): one phase 1 per leader, not per slot. ---
+
+/// Three Fast Paxos engines on tag 100 under a scripted Ω: lead(p) moves the
+/// leader and pokes, as the harness does at a fault.
+struct TermWorld {
+  TermWorld() : network(exec, 3), omega(exec, [this](sim::Time) { return leader; }, true) {
+    pc.n = 3;
+    pc.leader_terms = true;
+    for (ProcessId p : all_processes(3)) {
+      transports.push_back(nullptr);
+      engines.push_back(nullptr);
+      incarnate(p);
+    }
+  }
+
+  /// A fresh incarnation of p over a fresh transport (the rejoin path); the
+  /// old one is kept, severed, as the harness keeps crashed incarnations.
+  void incarnate(ProcessId p) {
+    if (transports[p - 1] != nullptr) {
+      transports[p - 1]->sever();
+      retired.push_back(std::move(transports[p - 1]));
+      retired_engines.push_back(std::move(engines[p - 1]));
+    }
+    transports[p - 1] =
+        std::make_unique<NetTransport>(exec, network, p, /*tag=*/100);
+    engines[p - 1] =
+        std::make_unique<PaxosEngine>(exec, *transports[p - 1], omega, pc);
+    engines[p - 1]->start();
+  }
+
+  void lead(ProcessId p) {
+    leader = p;
+    omega.poke();
+  }
+
+  const PaxosTerm& term(ProcessId p) const { return *engines[p - 1]->term(); }
+
+  /// p proposes v for slot s; the decision lands in `out`.
+  void propose(ProcessId p, Slot s, const std::string& v,
+               std::optional<Decision>* out) {
+    exec.spawn([](ConsensusEngine* e, Slot s, Bytes v,
+                  std::optional<Decision>* out) -> Task<void> {
+      *out = co_await e->propose(s, std::move(v));
+    }(engines[p - 1].get(), s, to_bytes(v), out));
+  }
+
+  Decision decide(ProcessId p, Slot s, const std::string& v) {
+    std::optional<Decision> d;
+    propose(p, s, v, &d);
+    exec.run_until([&] { return d.has_value(); }, exec.now() + 10000);
+    EXPECT_TRUE(d.has_value()) << "slot " << s << " undecided";
+    return d.value_or(Decision{});
+  }
+
+  /// Deliver `m` on p_from's term frame to each of `to`.
+  void send_term(ProcessId from, std::vector<ProcessId> to,
+                 const PaxosTermMsg& m) {
+    for (ProcessId dst : to) {
+      network.send(from, dst, /*tag=*/100,
+                   SlotTransportHub::frame(SlotTransportHub::kTermSlot,
+                                           m.encode()));
+    }
+  }
+
+  Executor exec;
+  net::Network network;
+  ProcessId leader = kLeaderP1;
+  Omega omega;
+  PaxosConfig pc;
+  std::vector<std::unique_ptr<NetTransport>> transports;  // index p - 1
+  std::vector<std::unique_ptr<PaxosEngine>> engines;
+  std::vector<std::unique_ptr<NetTransport>> retired;
+  std::vector<std::unique_ptr<PaxosEngine>> retired_engines;
+};
+
+TEST(LeaderTerm, NewTermAdoptsAValueAMinorityAccepted) {
+  // p1 got "minority" accepted at ballot 0 by p3 alone, then went silent.
+  // p2's term PREPARE reaches p2 and p3 only, so p3's PROMISE must carry
+  // the pair and p2 must propose it, not its own value. The next slot then
+  // runs phase 2 alone: decided 2 delays after its propose, fast, with no
+  // second PREPARE.
+  TermWorld w;
+  w.transports[0]->sever();  // p1 silent from here on
+  w.network.send(1, 3, /*tag=*/100,
+                 SlotTransportHub::frame(
+                     0, PaxosMsg{PaxosKind::kAccept, 0, 0, true,
+                                 to_bytes("minority")}
+                            .encode()));
+  w.exec.run();
+  w.lead(2);
+  const Decision d0 = w.decide(2, 0, "p2-value");
+  EXPECT_EQ(to_string(d0.value), "minority");
+  EXPECT_FALSE(d0.fast);  // this round waited for the term's phase 1
+  ASSERT_TRUE(w.term(2).ballot().has_value());
+  EXPECT_EQ(*w.term(2).ballot(), 4u);  // p2's first ballot above 0
+  EXPECT_EQ(w.term(2).prepares_sent(), 1u);
+
+  const sim::Time start = w.exec.now();
+  const Decision d1 = w.decide(2, 1, "p2-next");
+  EXPECT_EQ(to_string(d1.value), "p2-next");
+  EXPECT_TRUE(d1.fast);
+  EXPECT_EQ(d1.decided_at, start + 2);
+  EXPECT_EQ(w.term(2).prepares_sent(), 1u);
+}
+
+TEST(LeaderTerm, NackEndsTheTermAndTheLeaderReestablishesAbove) {
+  // p2 holds term 4. A rival's term PREPARE at ballot 8 (p3's) raises every
+  // acceptor's group promise, so p2's next ACCEPT at 4 is NACKed: the term
+  // ends, and p2's retry establishes term 10, above the NACKed promise.
+  TermWorld w;
+  w.lead(2);
+  EXPECT_EQ(to_string(w.decide(2, 0, "a").value), "a");
+  EXPECT_EQ(*w.term(2).ballot(), 4u);
+
+  w.send_term(3, {1, 2, 3}, PaxosTermMsg{PaxosTermKind::kPrepare, 8, 0, {}});
+  w.exec.run();
+  EXPECT_EQ(w.term(1).promised(), 8u);
+  EXPECT_EQ(*w.term(2).ballot(), 4u);  // nothing told p2 yet
+
+  const Decision d = w.decide(2, 1, "b");
+  EXPECT_EQ(to_string(d.value), "b");
+  EXPECT_FALSE(d.fast);
+  ASSERT_TRUE(w.term(2).ballot().has_value());
+  EXPECT_EQ(*w.term(2).ballot(), 10u);
+  EXPECT_EQ(w.term(2).prepares_sent(), 2u);
+  EXPECT_EQ(w.term(3).promised(), 10u);
+}
+
+TEST(LeaderTerm, RejoinedP1IsRefusedAtBallotZeroThenEstablishesItsOwnTerm) {
+  // p2 leads while p1 is away and holds term 4 at every acceptor. p1 comes
+  // back as a fresh incarnation, which holds term 0 — the implicit promise
+  // of ballot 0 — and leads: its ballot-0 ACCEPT is refused under p2's
+  // term promise, the term ends, and p1 establishes term 6.
+  TermWorld w;
+  w.lead(2);
+  EXPECT_EQ(to_string(w.decide(2, 0, "from-p2").value), "from-p2");
+  EXPECT_EQ(w.term(1).promised(), 4u);
+
+  w.incarnate(1);
+  ASSERT_TRUE(w.term(1).ballot().has_value());
+  EXPECT_EQ(*w.term(1).ballot(), 0u);  // term 0, held from the start
+  w.lead(1);
+  const sim::Time start = w.exec.now();
+  const Decision d = w.decide(1, 1, "from-p1");
+  EXPECT_EQ(to_string(d.value), "from-p1");
+  EXPECT_FALSE(d.fast);
+  // NACKed after 2 delays; the round whose term ended retries at once,
+  // with no backoff: PREPARE / PROMISE, then ACCEPT / ACCEPTED.
+  EXPECT_EQ(d.decided_at, start + 2 + 4);
+  ASSERT_TRUE(w.term(1).ballot().has_value());
+  EXPECT_EQ(*w.term(1).ballot(), 6u);
+  EXPECT_EQ(w.term(1).prepares_sent(), 1u);
+  EXPECT_EQ(w.term(2).promised(), 6u);
+  // p1's next slot runs under its own term: 2 delays, fast.
+  const sim::Time next = w.exec.now();
+  const Decision d2 = w.decide(1, 2, "again");
+  EXPECT_TRUE(d2.fast);
+  EXPECT_EQ(d2.decided_at, next + 2);
 }
 
 TEST(ConsensusEngine, SlowMemoryStragglerOutlivesItsRetiredInstance) {

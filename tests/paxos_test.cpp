@@ -43,6 +43,25 @@ TEST(PaxosMsgWire, RejectsMalformed) {
   EXPECT_FALSE(PaxosMsg::decode(padded).has_value());
 }
 
+TEST(PaxosAcceptor, HonoursTheGroupPromiseOfALeaderTerm) {
+  // A term's group-level promise binds every slot: a lower ballot is
+  // refused with the promise it ran into, and the term's own ballot (or a
+  // higher one) is answered as usual.
+  PaxosAcceptor a;
+  const PaxosMsg nack =
+      a.answer(PaxosMsg{PaxosKind::kAccept, 0, 0, true, to_bytes("v")}, 4);
+  EXPECT_EQ(nack.kind, PaxosKind::kNack);
+  EXPECT_EQ(nack.acc_ballot, 4u);
+  EXPECT_FALSE(a.acc_ballot.has_value());
+  EXPECT_EQ(a.answer(PaxosMsg{PaxosKind::kAccept, 4, 0, true, to_bytes("w")}, 4)
+                .kind,
+            PaxosKind::kAccepted);
+  EXPECT_EQ(a.acc_ballot, std::optional<std::uint64_t>{4});
+  // Its own promise still counts when it is the higher one.
+  EXPECT_EQ(a.answer(PaxosMsg{PaxosKind::kPrepare, 3, 0, false, {}}, 0).kind,
+            PaxosKind::kNack);
+}
+
 TEST(OmegaOracle, FixedLeader) {
   Executor exec;
   Omega omega = Omega::fixed(exec, 2);
@@ -88,7 +107,7 @@ struct PaxosCluster {
       : n(n), network(exec, n), omega(Omega::fixed(exec, fixed_leader)) {
     PaxosConfig pc;
     pc.n = n;
-    pc.skip_phase1_for_p1 = fast;
+    pc.leader_terms = fast;
     for (ProcessId p : all_processes(n)) {
       transports.push_back(std::make_unique<NetTransport>(exec, network, p, 100));
       paxoses.push_back(std::make_unique<Paxos>(exec, *transports.back(), omega, pc));

@@ -10,12 +10,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/core/engine.hpp"
 #include "src/core/omega.hpp"
+#include "src/core/transport_mux.hpp"
 #include "src/harness/cluster.hpp"
+#include "src/kv/router.hpp"
+#include "src/kv/state_machine.hpp"
+#include "src/kv/workload.hpp"
+#include "src/net/network.hpp"
 #include "src/sim/executor.hpp"
 #include "src/smr/replica.hpp"
 #include "src/util/serde.hpp"
@@ -669,6 +676,201 @@ TEST(SmrCluster, RejoinConfigIsValidated) {
   kv_memory_engine.m = 3;
   EXPECT_THROW(harness::run_cluster(kv_memory_engine), std::invalid_argument);
 }
+
+// Leader churn. A scripted Ω moves the leader p1 → p2 → p3 → p1 … every k
+// delays for the first kChurn delays (the seed shifts the phase), then gives
+// p2, p3 and p1 one long stable stretch each and settles on p1, so every
+// replica's queue drains. The cluster is wired by hand, as in
+// examples/kv_store.cpp, because the harness's Ω is lowest-alive. Under
+// Fast Paxos every churn step ends a term and starts one; Paxos is the
+// per-slot two-phase control. SMR and a 2-shard KV, seeds 1–8: agreement,
+// validity, termination, and Σ applies == ops.
+struct ChurnCluster {
+  static constexpr std::size_t kN = 3;
+  static constexpr sim::Time kChurn = 120;
+  static constexpr sim::Time kStretch = 200;
+  static constexpr std::size_t kCommands = 16;  // per SMR replica
+
+  ChurnCluster(bool fast, bool kv, sim::Time k, std::uint64_t seed)
+      : k(k),
+        seed(seed),
+        network(exec, kN),
+        omega(exec, [this](sim::Time t) { return leader(t); }, true) {
+    core::PaxosConfig pc;
+    pc.n = kN;
+    pc.leader_terms = fast;
+    smr::ReplicaConfig rc;
+    rc.batch = 2;
+    rc.log.window = 4;
+    for (ProcessId p : all_processes(kN)) {
+      transports.push_back(
+          std::make_unique<core::NetTransport>(exec, network, p, /*tag=*/100));
+      if (kv) {
+        muxes.push_back(
+            std::make_unique<core::TransportMux>(exec, *transports.back()));
+      }
+    }
+    const std::size_t groups = kv ? 2 : 1;
+    for (std::size_t g = 0; g < groups; ++g) {
+      for (ProcessId p : all_processes(kN)) {
+        core::Transport& t =
+            kv ? muxes[p - 1]->sub(static_cast<std::uint8_t>(g))
+               : *transports[p - 1];
+        engines.push_back(std::make_unique<core::PaxosEngine>(exec, t, omega, pc));
+        if (kv) {
+          machines.push_back(std::make_unique<kv::StateMachine>());
+        } else {
+          machines.push_back(std::make_unique<RecordingSm>());
+        }
+        replicas.push_back(std::make_unique<smr::Replica>(
+            exec, *engines.back(), omega, *machines.back(), rc));
+      }
+    }
+    // Every change of Ω's output is poked, as the harness does at faults.
+    for (sim::Time t = 0; t <= kChurn + 2 * kStretch; ++t) {
+      if (t == 0 || leader(t) != leader(t - 1)) {
+        exec.call_at(t, [this] { omega.poke(); });
+      }
+    }
+    if (kv) {
+      std::vector<kv::ShardBackend> backends(groups);
+      for (std::size_t i = 0; i < replicas.size(); ++i) {
+        backends[i / kN].replicas.push_back(replicas[i].get());
+        backends[i / kN].machines.push_back(
+            static_cast<kv::StateMachine*>(machines[i].get()));
+      }
+      router = std::make_unique<kv::Router>(exec, omega, kv::ShardMap(groups),
+                                            std::move(backends),
+                                            kv::RouterConfig{});
+      kv::WorkloadConfig wc;
+      wc.clients = 6;
+      wc.ops_per_client = 12;
+      wc.keys = 32;
+      wc.seed = seed;
+      workload = std::make_unique<kv::Workload>(exec, *router, wc);
+    }
+    for (auto& m : muxes) m->start();
+    for (auto& e : engines) e->start();
+    for (auto& r : replicas) r->start();
+  }
+
+  ProcessId leader(sim::Time t) const {
+    if (t < kChurn) return static_cast<ProcessId>(((t + seed) / k) % kN) + 1;
+    const sim::Time stretch = (t - kChurn) / kStretch;
+    return stretch < 2 ? static_cast<ProcessId>(stretch + 2) : kLeaderP1;
+  }
+
+  /// Every replica of every group applied the same number of slots.
+  bool drained() const {
+    for (std::size_t i = 0; i < replicas.size(); ++i) {
+      if (replicas[i]->log().applied_len() !=
+          replicas[i - i % kN]->log().applied_len()) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  sim::Time k;
+  std::uint64_t seed;
+  sim::Executor exec;
+  net::Network network;
+  core::Omega omega;
+  std::vector<std::unique_ptr<core::NetTransport>> transports;
+  std::vector<std::unique_ptr<core::TransportMux>> muxes;
+  std::vector<std::unique_ptr<core::PaxosEngine>> engines;  // [group × p]
+  std::vector<std::unique_ptr<smr::StateMachine>> machines;
+  std::vector<std::unique_ptr<smr::Replica>> replicas;
+  std::unique_ptr<kv::Router> router;
+  std::unique_ptr<kv::Workload> workload;
+};
+
+class LeaderChurn
+    : public ::testing::TestWithParam<std::tuple<bool, bool, sim::Time>> {};
+
+TEST_P(LeaderChurn, AgreesAndAppliesEveryOpOnce) {
+  const auto [fast, kv, k] = GetParam();
+  constexpr sim::Time kHorizon = 20000;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ChurnCluster c(fast, kv, k, seed);
+    // Under Fast Paxos the churn must really move terms around.
+    const auto prepares = [&] {
+      std::uint64_t sum = 0;
+      for (const auto& e : c.engines) {
+        if (e->term() != nullptr) sum += e->term()->prepares_sent();
+      }
+      return sum;
+    };
+    if (kv) {
+      c.workload->start();
+      ASSERT_TRUE(c.exec.run_until([&] { return c.workload->done(); },
+                                   kHorizon));
+      ASSERT_TRUE(c.exec.run_until([&] { return c.drained(); }, kHorizon));
+      std::uint64_t applied = 0;
+      for (std::size_t i = 0; i < c.machines.size(); ++i) {
+        const auto& sm = static_cast<const kv::StateMachine&>(*c.machines[i]);
+        const auto& ref = static_cast<const kv::StateMachine&>(
+            *c.machines[i - i % ChurnCluster::kN]);
+        EXPECT_EQ(sm.store_hash(), ref.store_hash()) << "machine " << i;
+        EXPECT_EQ(sm.malformed(), 0u);
+        if (i % ChurnCluster::kN == 0) applied += sm.ops_applied();
+      }
+      EXPECT_EQ(applied, c.workload->stats().ops);
+      EXPECT_EQ(c.workload->stats().ops, 6u * 12u);
+      if (fast) {
+      EXPECT_GE(prepares(), 2u);
+    }
+      continue;
+    }
+    std::vector<std::string> submitted;
+    for (ProcessId p : all_processes(ChurnCluster::kN)) {
+      for (std::size_t i = 0; i < ChurnCluster::kCommands; ++i) {
+        submitted.push_back("p" + std::to_string(p) + "-" + std::to_string(i));
+        c.replicas[p - 1]->submit(to_bytes(submitted.back()));
+      }
+      c.replicas[p - 1]->flush();
+    }
+    const auto log_of = [&](ProcessId p) {
+      std::vector<std::string> out;
+      for (const auto& [slot, cmd] :
+           static_cast<const RecordingSm&>(*c.machines[p - 1]).applied) {
+        out.push_back(cmd);
+      }
+      return out;
+    };
+    ASSERT_TRUE(c.exec.run_until(
+        [&] {
+          for (ProcessId p : all_processes(ChurnCluster::kN)) {
+            if (log_of(p).size() < submitted.size()) return false;
+          }
+          return true;
+        },
+        kHorizon));
+    c.exec.run(c.exec.now() + 100);
+    const std::vector<std::string> log = log_of(1);
+    EXPECT_EQ(log_of(2), log);
+    EXPECT_EQ(log_of(3), log);
+    std::vector<std::string> sorted = log;
+    std::sort(sorted.begin(), sorted.end());
+    std::sort(submitted.begin(), submitted.end());
+    EXPECT_EQ(sorted, submitted);  // each command exactly once, none other
+    if (fast) {
+      EXPECT_GE(prepares(), 2u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, LeaderChurn,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
+                       ::testing::Values(sim::Time{1}, sim::Time{3},
+                                         sim::Time{8})),
+    [](const ::testing::TestParamInfo<LeaderChurn::ParamType>& info) {
+      return std::string(std::get<0>(info.param) ? "FastPaxos" : "Paxos") +
+             (std::get<1>(info.param) ? "_Kv" : "_Smr") + "_k" +
+             std::to_string(std::get<2>(info.param));
+    });
 
 TEST(SmrFaultPlan, CrashedByHorizonAccountsForRejoins) {
   harness::FaultPlan plan;

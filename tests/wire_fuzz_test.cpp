@@ -31,6 +31,7 @@
 #include "src/core/cheap_quorum.hpp"
 #include "src/core/fast_robust.hpp"
 #include "src/core/nonequiv_broadcast.hpp"
+#include "src/core/paxos.hpp"
 #include "src/core/trusted_messaging.hpp"
 #include "src/crypto/signature.hpp"
 #include "src/kv/command.hpp"
@@ -327,6 +328,88 @@ TEST(WireFuzz, SmrBatchRandomBytesNeverCrash) {
   sim::Rng rng(0xBA7C6ull);
   for (int trial = 0; trial < 2000; ++trial) {
     (void)smr::decode_batch(random_bytes(rng, rng.below(120)));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Leader-term frames (PaxosTermMsg): PREPARE / PROMISE / NACK on the slot
+// hub's term channel. Strict and total: the PROMISE's pair count is capped
+// by the bytes present, pairs must ascend by slot, trailing bytes reject.
+// ---------------------------------------------------------------------------
+
+PaxosTermMsg random_term_msg(sim::Rng& rng) {
+  PaxosTermMsg m;
+  m.kind = static_cast<PaxosTermKind>(rng.below(3) + 1);
+  m.ballot = rng.below(1000);
+  m.mark = rng.below(1000);
+  if (m.kind == PaxosTermKind::kPromise) {
+    Slot slot = rng.below(8);
+    for (std::uint64_t i = rng.below(5); i > 0; --i) {
+      m.accepted.push_back(
+          {slot, rng.below(100), random_bytes(rng, rng.below(12))});
+      slot += 1 + rng.below(3);
+    }
+  }
+  return m;
+}
+
+TEST(WireFuzz, PaxosTermMsgRoundTripsAndRejectsEveryTruncation) {
+  sim::Rng rng(0x7E12A0ull);
+  for (int trial = 0; trial < 500; ++trial) {
+    const PaxosTermMsg m = random_term_msg(rng);
+    const Bytes wire = m.encode();
+    const auto back = PaxosTermMsg::decode(wire);
+    ASSERT_TRUE(back.has_value()) << "trial " << trial;
+    EXPECT_EQ(*back, m);
+    for (std::size_t cut = 0; cut < wire.size(); ++cut) {
+      const Bytes prefix(wire.begin(), wire.begin() + cut);
+      EXPECT_FALSE(PaxosTermMsg::decode(prefix).has_value())
+          << "trial " << trial << " cut " << cut;
+    }
+    Bytes padded = wire;
+    padded.push_back(0);
+    EXPECT_FALSE(PaxosTermMsg::decode(padded).has_value());
+  }
+}
+
+TEST(WireFuzz, PaxosTermPromiseForgedCountAndOrderRejected) {
+  // A PROMISE claiming 2^32 - 1 pairs in a few bytes must be refused before
+  // any reserve; so must a count one past the pairs present, and pairs that
+  // repeat or descend by slot.
+  const auto promise = [](std::uint32_t count, std::vector<Slot> slots) {
+    util::Writer w;
+    w.u8(2).u64(7).u64(0).u32(count);
+    for (const Slot s : slots) w.u64(s).u64(1).bytes(to_bytes("v"));
+    return std::move(w).take();
+  };
+  EXPECT_FALSE(PaxosTermMsg::decode(promise(0xFFFFFFFFu, {})).has_value());
+  EXPECT_FALSE(PaxosTermMsg::decode(promise(0xFFFFFFFFu, {1})).has_value());
+  EXPECT_FALSE(PaxosTermMsg::decode(promise(3, {1, 2})).has_value());
+  EXPECT_FALSE(PaxosTermMsg::decode(promise(2, {2, 2})).has_value());
+  EXPECT_FALSE(PaxosTermMsg::decode(promise(2, {3, 1})).has_value());
+  const auto ok = PaxosTermMsg::decode(promise(2, {1, 5}));
+  ASSERT_TRUE(ok.has_value());
+  ASSERT_EQ(ok->accepted.size(), 2u);
+  EXPECT_EQ(ok->accepted[1].slot, 5u);
+  // An unknown kind, and a PREPARE carrying a count it must not have.
+  util::Writer bad_kind;
+  bad_kind.u8(4).u64(1).u64(0);
+  EXPECT_FALSE(PaxosTermMsg::decode(std::move(bad_kind).take()).has_value());
+  util::Writer prepare;
+  prepare.u8(1).u64(1).u64(0).u32(0);
+  EXPECT_FALSE(PaxosTermMsg::decode(std::move(prepare).take()).has_value());
+}
+
+TEST(WireFuzz, PaxosTermMsgFlipsAndRandomBytesNeverCrash) {
+  sim::Rng rng(0x7E12A1ull);
+  for (int trial = 0; trial < 2000; ++trial) {
+    Bytes wire = random_term_msg(rng).encode();
+    wire[rng.below(wire.size())] ^=
+        static_cast<std::uint8_t>(1u << rng.below(8));
+    if (const auto m = PaxosTermMsg::decode(wire)) {
+      EXPECT_EQ(m->encode(), wire);  // whatever decodes is canonical
+    }
+    (void)PaxosTermMsg::decode(random_bytes(rng, rng.below(80)));
   }
 }
 
