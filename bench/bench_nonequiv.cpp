@@ -1,17 +1,15 @@
-// Experiment F7 — non-equivocating broadcast (Algorithm 2): delivery
-// latency (≥ 6 delays, §4 footnote 2), scaling with n and payload size,
-// memory-crash tolerance, and equivocation suppression rate. Wall-clock
-// throughput of the simulator is measured with google-benchmark.
+// Non-equivocating broadcast (Algorithm 2): wall-clock cost of simulating
+// ten broadcasts from p1 delivered at every process, n = 3 / 5 / 7, m = 3.
+// Delivery delays and equivocation suppression are asserted in
+// tests/nonequiv_test.cpp.
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "src/core/nonequiv_broadcast.hpp"
-#include "src/harness/table.hpp"
 #include "src/mem/memory.hpp"
 #include "src/sim/executor.hpp"
 
@@ -47,80 +45,6 @@ struct NebWorld {
   std::vector<std::unique_ptr<NebSlots>> slots;
   std::vector<std::unique_ptr<NonEquivBroadcast>> nebs;
 };
-
-void latency_table() {
-  std::printf("\n== F7: delivery latency (virtual delays) vs n, payload ==\n");
-  harness::Table t({"n", "m", "payload bytes", "first delivery (delays)",
-                    "all deliver (delays)"});
-  for (std::size_t n : {3u, 5u, 7u}) {
-    for (std::size_t payload : {16u, 1024u}) {
-      NebWorld w(n, 3);
-      std::map<ProcessId, bool> got;
-      sim::Time first = 0, all_done = 0;
-      for (ProcessId p : all_processes(n)) {
-        w.exec.spawn([](sim::Executor* e, NonEquivBroadcast* neb, ProcessId p,
-                        std::map<ProcessId, bool>* got, sim::Time* first,
-                        sim::Time* all_done, std::size_t n) -> sim::Task<void> {
-          (void)co_await neb->deliveries().recv();
-          if (*first == 0) *first = e->now();
-          (*got)[p] = true;
-          if (got->size() == n) *all_done = e->now();
-        }(&w.exec, w.nebs[p - 1].get(), p, &got, &first, &all_done, n));
-      }
-      w.exec.spawn([](NonEquivBroadcast* neb, std::size_t bytes) -> sim::Task<void> {
-        (void)co_await neb->broadcast(Bytes(bytes, 0xAB));
-      }(w.nebs[0].get(), payload));
-      w.exec.run_until([&] { return all_done != 0; }, 5000);
-      t.row({std::to_string(n), "3", std::to_string(payload),
-             std::to_string(first), std::to_string(all_done)});
-    }
-  }
-  t.print();
-  std::printf("(lower bound from the paper: 6 delays after the broadcast\n"
-              " write completes — read + copy-write + cross-check read)\n");
-}
-
-void equivocation_table() {
-  std::printf("\n== F7b: equivocation suppression (1000 randomized attacks) ==\n");
-  harness::Table t({"attack shape", "trials", "split deliveries (must be 0)",
-                    "any delivery"});
-  for (const bool partial_write : {false, true}) {
-    int split = 0, delivered = 0;
-    const int trials = 500;
-    for (int trial = 0; trial < trials; ++trial) {
-      NebWorld w(3, 3);
-      sim::Rng rng(static_cast<std::uint64_t>(trial) * 31 + 7);
-      // Byzantine p2 writes conflicting signed slot values directly;
-      // `partial_write` leaves one memory untouched (the quorum-split shape
-      // most likely to cause divergent reads).
-      w.exec.spawn([](NebWorld* w, sim::Rng rng, bool partial) -> sim::Task<void> {
-        for (std::size_t i = 0; i < w->ifc.size(); ++i) {
-          if (partial && i == 2) continue;
-          const Bytes msg = util::to_bytes("equiv-" + std::to_string(rng.below(2)));
-          const crypto::Signature sig =
-              w->signers[1].sign(neb_signing_bytes(1, msg));
-          (void)co_await w->ifc[i]->write(2, w->regions.at(2), "neb/2/1/2",
-                                          encode_neb_slot(1, msg, sig));
-        }
-      }(&w, rng.fork(), partial_write));
-
-      std::map<ProcessId, std::string> got;
-      for (ProcessId p : {ProcessId{1}, ProcessId{3}}) {
-        w.exec.spawn([](NonEquivBroadcast* neb, std::string* sink) -> sim::Task<void> {
-          const NebDelivery d = co_await neb->deliveries().recv();
-          *sink = util::to_string(d.message);
-        }(w.nebs[p - 1].get(), &got[p]));
-      }
-      w.exec.run(400);
-      if (!got[1].empty() || !got[3].empty()) ++delivered;
-      if (!got[1].empty() && !got[3].empty() && got[1] != got[3]) ++split;
-    }
-    t.row({partial_write ? "2-of-3 memories poisoned" : "all memories poisoned",
-           std::to_string(trials), std::to_string(split),
-           std::to_string(delivered)});
-  }
-  t.print();
-}
 
 void bm_broadcast_deliver(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -158,11 +82,4 @@ BENCHMARK(bm_broadcast_deliver)->Arg(3)->Arg(5)->Arg(7)->Unit(benchmark::kMillis
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::printf("bench_nonequiv: non-equivocating broadcast (Algorithm 2)\n");
-  latency_table();
-  equivocation_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+BENCHMARK_MAIN();

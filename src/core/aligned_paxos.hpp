@@ -13,9 +13,9 @@
 //                      memory's "accepted"
 //
 // Quorums are majorities of n + m, so any majority of agents — mixing
-// processes and memories freely — suffices. Compare bench_aligned: PMP dies
-// when a majority of *memories* is gone even with all processes alive;
-// Aligned Paxos keeps going.
+// processes and memories freely — suffices. PMP dies when a majority of
+// *memories* is gone even with all processes alive; Aligned Paxos keeps
+// going (e2e_test's CrashResilience.AlignedPaxosDecidesIffCombinedMajorityAlive).
 //
 // Memory agents run PMP's steps (disk_paxos.*: the phase step with its
 // permission seize, the phase-2 write, the scan fold) over the PMP region

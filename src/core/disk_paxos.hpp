@@ -13,8 +13,10 @@
 //
 // even when p1 skips phase 1 on its first attempt. Theorem 6.1 shows no
 // static-permission shared-memory algorithm can do better than this 2-op
-// structure (no 2-deciding algorithm exists); bench_lower_bound measures the
-// gap.
+// structure (no 2-deciding algorithm exists). e2e_test's
+// CommonCase.DiskPaxosDecidesInFourDelays asserts the gap, and paper_test's
+// TheoremSixOne.AckOnlyWriterBreaksAgreementPmpDoesNot replays the proof's
+// schedule.
 //
 // Registers: "<prefix>/block/<p>" holds p's block (mbal, bal, value) — Disk
 // Paxos's dblock — replicated across the m memories by direct per-memory

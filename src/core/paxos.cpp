@@ -310,13 +310,7 @@ Paxos::Paxos(sim::Executor& exec, Transport& transport, Omega& omega,
       config_(config),
       term_(term),
       slot_(slot),
-      replies_(exec) {
-  if (term_ == nullptr && config_.leader_terms) {
-    own_term_ = std::make_unique<PaxosTerm>(exec, transport.self(), nullptr,
-                                            omega, config_);
-    term_ = own_term_.get();
-  }
-}
+      replies_(exec) {}
 
 void Paxos::start() {
   assert(!started_ && "Paxos::start called twice");

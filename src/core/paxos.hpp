@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -336,9 +335,8 @@ class PaxosTerm {
 class Paxos : public DecisionLatch {
  public:
   /// `term` is the leader term of the group this instance runs slot `slot`
-  /// in (the Fast Paxos engine's), or nullptr: then, with
-  /// config.leader_terms, the instance keeps a term of its own, which holds
-  /// p1's term 0 and nothing after it.
+  /// in (the Fast Paxos engine's), or nullptr: then every round runs both
+  /// phases.
   Paxos(sim::Executor& exec, Transport& transport, Omega& omega,
         PaxosConfig config, PaxosTerm* term = nullptr, Slot slot = 0);
 
@@ -376,7 +374,6 @@ class Paxos : public DecisionLatch {
   Omega* omega_;
   PaxosConfig config_;
   PaxosAcceptor acceptor_;
-  std::unique_ptr<PaxosTerm> own_term_;
   PaxosTerm* term_ = nullptr;
   Slot slot_ = 0;
 

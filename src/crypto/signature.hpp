@@ -85,7 +85,8 @@ class KeyStore {
     return sig.signer == expected && valid(msg, sig);
   }
 
-  // Instrumentation for the signature-economy benchmark (bench_signatures):
+  // Instrumentation: the harness reports these as RunReport::signatures and
+  // RunReport::verifications.
   std::uint64_t signatures_made() const { return sign_count_; }
   std::uint64_t verifications_made() const { return verify_count_; }
   void reset_counters() { sign_count_ = verify_count_ = 0; }

@@ -624,11 +624,13 @@ void add_recovery_counters(RunReport& report, const smr::Log& log) {
 // the code below.
 // ---------------------------------------------------------------------------
 
-/// Crash-and-rejoin is limited to the message-based engines: memory-routed
-/// algorithms park reader coroutines inside crashed ProcessViews and have no
-/// catch-up channel, while Paxos engines rebuild cleanly over a fresh
-/// NetTransport. And without a snapshot cadence peers have nothing to serve
-/// a rejoiner, so the run would never converge — reject up front.
+/// Crash-and-rejoin is limited to the message-based engines: every other
+/// engine reaches memory through its process's ProcessViews, which all of
+/// the process's incarnations share, so a crashed incarnation's parked
+/// coroutine could wake after the rejoin and act with the process's
+/// permissions. Paxos engines rebuild cleanly over a fresh NetTransport.
+/// And without a snapshot cadence peers have nothing to serve a rejoiner,
+/// so the run would never converge — reject up front.
 void check_rejoin_support(const ClusterConfig& config, Slot snapshot_interval,
                           const char* knob) {
   if (config.faults.process_rejoins.empty()) return;
@@ -1119,8 +1121,6 @@ void roll_up_replicas(const World& w, RunReport& report) {
       }
       report.first_decision_delay =
           std::min(report.first_decision_delay, s.first_decided_at);
-      report.first_correct_decision_delay =
-          std::min(report.first_correct_decision_delay, s.first_decided_at);
     }
     report.fast_slots += fast_slots;
     if (sampler != nullptr) {
@@ -1478,8 +1478,6 @@ RunReport run_single_shot(World& w) {
     if (row.decided) {
       report.first_decision_delay =
           std::min(report.first_decision_delay, row.decided_at);
-      report.first_correct_decision_delay =
-          std::min(report.first_correct_decision_delay, row.decided_at);
       if (!report.decided_value.has_value()) {
         report.decided_value = row.decision;
       } else if (*report.decided_value != row.decision) {

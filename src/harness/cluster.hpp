@@ -68,7 +68,10 @@ struct FaultPlan {
   /// time, strictly earlier) restart at the given time with volatile state
   /// wiped — a fresh replica incarnation that recovers through snapshot +
   /// log catch-up from its peers. Message-based SMR/KV engines only
-  /// (kPaxos / kFastPaxos), and the relevant snapshot_interval must be > 0.
+  /// (kPaxos / kFastPaxos): the other engines' memory views are shared by
+  /// every incarnation of a process, so a crashed incarnation's coroutines
+  /// could still act through them. The relevant snapshot_interval must be
+  /// > 0.
   std::map<ProcessId, sim::Time> process_rejoins;
 
   /// Processes still down at the horizon — what resilience accounting (and
@@ -244,10 +247,11 @@ struct RunReport {
 
   std::optional<std::string> decided_value;
   /// Virtual time of the earliest decision = decision delay (proposals start
-  /// at t = 0, one unit = one network delay).
+  /// at t = 0, one unit = one network delay). Single-shot mode takes every
+  /// non-Byzantine process's decision, a process that decides and then
+  /// crashes included; SMR and KV modes take slot 0's decision time at the
+  /// correct replicas.
   sim::Time first_decision_delay = sim::kTimeInfinity;
-  /// Earliest decision by a *correct* process.
-  sim::Time first_correct_decision_delay = sim::kTimeInfinity;
 
   // Cost metrics, whole run. `mem_reads` counts per-slot detail (a batched
   // read of n slots adds n); `mem_read_batches` counts each read_many as one.

@@ -1,6 +1,5 @@
-// Fixed-width table printer for the benchmark binaries: every experiment in
-// bench/ regenerates a paper artifact as rows on stdout (EXPERIMENTS.md
-// records the expected shapes).
+// Fixed-width table printer for the benchmark binaries in bench/, which
+// print their sweeps as rows on stdout before the timed benchmarks run.
 
 #pragma once
 

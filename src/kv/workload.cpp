@@ -81,7 +81,7 @@ Workload::Workload(sim::Executor& exec, Router& router, WorkloadConfig config)
     : exec_(&exec),
       router_(&router),
       config_(config),
-      zipf_(config.keys, config.zipf_theta) {
+      zipf_(config.keys, kKeyZipfTheta) {
   assert(config_.keys >= 1 && "kv::Workload: key space must be non-empty");
   if (config_.txn_fraction > 0.0) {
     assert(config_.txn_accounts >= 2 &&

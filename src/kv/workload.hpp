@@ -10,7 +10,7 @@
 //
 // with the write share split 80% PUT / 10% CAS / 10% DEL so all four ops
 // exercise the log. Key popularity is uniform or zipfian (the YCSB
-// generator: theta 0.99 by default) over a fixed key space. Every choice
+// generator at theta kKeyZipfTheta) over a fixed key space. Every choice
 // flows from one sim::Rng fork per client, so a (seed, config) pair
 // reproduces the identical operation stream — the determinism suite pins
 // whole sharded runs on that.
@@ -67,13 +67,15 @@ class ZipfGenerator {
   double theta_, alpha_, zetan_, eta_;
 };
 
+/// Key popularity skew under KeyDist::kZipfian (YCSB's default).
+inline constexpr double kKeyZipfTheta = 0.99;
+
 struct WorkloadConfig {
   std::size_t clients = 8;
   std::size_t ops_per_client = 32;
   Mix mix = Mix::kA;
   KeyDist dist = KeyDist::kUniform;
   std::size_t keys = 128;  // key-space size
-  double zipf_theta = 0.99;
   std::uint64_t seed = 1;
 
   // Transactional mix (see file comment). 0 keeps the plain workload

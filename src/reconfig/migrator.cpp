@@ -10,17 +10,13 @@ namespace mnm::reconfig {
 
 Migrator::Migrator(sim::Executor& exec, core::Omega& omega, TableView& view,
                    std::vector<smr::Replica*> config_replicas,
-                   bool config_fan_out, kv::Router& router,
-                   MigratorConfig config)
+                   bool config_fan_out, kv::Router& router)
     : exec_(&exec),
       omega_(&omega),
       view_(&view),
       config_replicas_(std::move(config_replicas)),
       config_fan_out_(config_fan_out),
-      router_(&router),
-      config_(config) {
-  config_.propose_timeout = std::max<sim::Time>(1, config_.propose_timeout);
-  config_.drain_retry = std::max<sim::Time>(1, config_.drain_retry);
+      router_(&router) {
   admin_client_ = router_->register_admin_client();
 }
 
@@ -77,7 +73,7 @@ sim::Task<bool> Migrator::propose(ConfigChange c) {
     if (view_->epoch() >= target) break;
     sim::Select sel(*exec_);
     sel.on(view_->changed(), seen)
-        .until(exec_->now() + config_.propose_timeout);
+        .until(exec_->now() + kProposeTimeout);
     const int which = co_await sel;
     if (view_->epoch() >= target) break;
     if (which == sim::Select::kTimedOut) {
@@ -150,7 +146,7 @@ sim::Task<void> Migrator::migrate(std::uint64_t epoch) {
       // move, then re-pick.
       ++drains_retried_;
     }
-    co_await exec_->sleep(config_.drain_retry);
+    co_await exec_->sleep(kDrainRetry);
   }
 
   // INSTALL — the full snapshot rides the destination group's log, so

@@ -53,14 +53,12 @@
 
 namespace mnm::reconfig {
 
-struct MigratorConfig {
-  /// Re-submit an undecided ConfigChange after this long (leader crash
-  /// can lose the proposal; the CAS makes the duplicate harmless).
-  sim::Time propose_timeout = 256;
-  /// Pause before re-picking the source replica after a failed drain
-  /// round (the picked replica was halted mid-fetch).
-  sim::Time drain_retry = 64;
-};
+/// Re-submit an undecided ConfigChange after this long (leader crash can
+/// lose the proposal; the CAS makes the duplicate harmless).
+inline constexpr sim::Time kProposeTimeout = 256;
+/// Pause before re-picking the source replica after a failed drain round
+/// (the picked replica was halted mid-fetch).
+inline constexpr sim::Time kDrainRetry = 64;
 
 class Migrator {
  public:
@@ -70,7 +68,7 @@ class Migrator {
   /// own admin session with the router.
   Migrator(sim::Executor& exec, core::Omega& omega, TableView& view,
            std::vector<smr::Replica*> config_replicas, bool config_fan_out,
-           kv::Router& router, MigratorConfig config = {});
+           kv::Router& router);
 
   /// Drive one change end to end: propose against the current epoch, wait
   /// for the decided flip, seal/drain/install/purge the moved buckets.
@@ -108,7 +106,6 @@ class Migrator {
   std::vector<smr::Replica*> config_replicas_;
   bool config_fan_out_;
   kv::Router* router_;
-  MigratorConfig config_;
   kv::ClientId admin_client_ = 0;
   std::uint64_t migrations_ = 0;
   std::uint64_t keys_moved_ = 0;

@@ -50,7 +50,6 @@ Log::Log(sim::Executor& exec, core::ConsensusEngine& engine, core::Omega& omega,
   // Validation rule (see LogConfig): a window of 0 silently stalled the
   // pump; clamp rather than assert so Release builds behave identically.
   config_.window = std::clamp<std::size_t>(config_.window, 1, kMaxWindow);
-  config_.catchup_timeout = std::max<sim::Time>(1, config_.catchup_timeout);
 }
 
 void Log::start() {
@@ -424,7 +423,7 @@ sim::Task<Bytes> Log::fetch_range(Bytes request,
     range_responses_.clear();
     ctl->send_all(encode_range_request(RangeSnapRequest{cookie, request}),
                   /*include_self=*/false);
-    const sim::Time deadline = exec_->now() + config_.catchup_timeout;
+    const sim::Time deadline = exec_->now() + kCatchupTimeout;
     while (true) {
       while (!range_responses_.empty()) {
         Bytes b = std::move(range_responses_.front());
@@ -517,7 +516,7 @@ sim::Task<void> Log::catchup_driver() {
       }
       if (halted_) co_return;
       const Slot before = applied_len_;
-      co_await exec_->sleep(config_.catchup_timeout);
+      co_await exec_->sleep(kCatchupTimeout);
       if (halted_) co_return;
       if (stash_.empty() || applied_len_ > before) continue;
     }
@@ -525,7 +524,7 @@ sim::Task<void> Log::catchup_driver() {
     const std::uint64_t responses_before = responses_seen_;
     ctl->send_all(encode_catchup_request(CatchupRequest{applied_len_}),
                   /*include_self=*/false);
-    co_await exec_->sleep(config_.catchup_timeout);
+    co_await exec_->sleep(kCatchupTimeout);
     if (halted_) co_return;
     if (!recovering_) continue;
     const bool heard = responses_seen_ > responses_before;

@@ -92,6 +92,10 @@ std::vector<Bytes> decode_batch(util::ByteView raw);
 /// wanting a dynamic all-propose workload set a cap and noop_fillers=false.
 inline constexpr std::size_t kMaxWindow = 1 << 16;
 
+/// Recovery/gap-repair request cadence and range-fetch response deadline,
+/// in executor time.
+inline constexpr sim::Time kCatchupTimeout = 8;
+
 struct LogConfig {
   /// Max slots between the first unapplied slot and the newest assignment.
   /// With auto-tuning (ReplicaConfig::tune.enabled) this is the *initial*
@@ -129,9 +133,6 @@ struct LogConfig {
   /// resharding. Off by default so non-reconfiguration runs spawn exactly
   /// the coroutines they always did, byte-for-byte.
   bool serve_ranges = false;
-  /// Recovery/gap-repair request cadence and response-collection deadline,
-  /// in executor time.
-  sim::Time catchup_timeout = 8;
 };
 
 /// Every slot this replica applied from a decision, folded once at apply.
@@ -221,7 +222,7 @@ class Log {
   /// Fetch a machine-defined range slice from this group (reconfiguration
   /// drain; requires serve_ranges). Tries the local machine first; while it
   /// cannot serve, broadcasts a RangeSnapRequest on the control channel
-  /// each catchup_timeout and returns the first response `valid` accepts
+  /// each kCatchupTimeout and returns the first response `valid` accepts
   /// (invalid responses — a Byzantine peer can answer with garbage — are
   /// counted against catchup_rejected and skipped). Engines without a
   /// control transport poll the local machine on the applied signal

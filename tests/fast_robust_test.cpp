@@ -166,16 +166,25 @@ TEST(LazyBackup, FastDeciderJoinsWhenAnotherProcessPanics) {
 TEST(LazyBackup, FaultFreeRunNeverBuildsTheBackup) {
   // Nobody panics, so no process builds its backup stack: no t-send is ever
   // delivered, and the signatures are Cheap Quorum's 2n + 1 — the leader's
-  // value, n copies and n unanimity proofs.
-  harness::ClusterConfig c;
-  c.algo = harness::Algorithm::kFastRobust;
-  c.n = 3;
-  c.m = 3;
-  const harness::RunReport r = harness::run_cluster(c);
-  ASSERT_TRUE(r.all_ok()) << r.summary();
-  EXPECT_EQ(r.tsend_deliveries, 0u) << r.summary();
-  EXPECT_EQ(r.signatures, 2 * c.n + 1) << r.summary();
-  for (const auto& p : r.processes) EXPECT_TRUE(p.fast_path) << "p" << p.id;
+  // value, n copies and n unanimity proofs (§4.2: the prior best needs
+  // 6fP + 2 on its fast path alone). Verifications are pinned as measured.
+  struct Row {
+    std::size_t n;
+    std::uint64_t verifications;
+  };
+  for (const Row& row : {Row{3, 42}, Row{5, 170}, Row{7, 434}}) {
+    harness::ClusterConfig c;
+    c.algo = harness::Algorithm::kFastRobust;
+    c.n = row.n;
+    c.m = 3;
+    const harness::RunReport r = harness::run_cluster(c);
+    ASSERT_TRUE(r.all_ok()) << r.summary();
+    EXPECT_EQ(r.tsend_deliveries, 0u) << r.summary();
+    EXPECT_EQ(r.signatures, 2 * c.n + 1) << r.summary();
+    EXPECT_LT(r.signatures, 6 * ((c.n - 1) / 2) + 2) << r.summary();
+    EXPECT_EQ(r.verifications, row.verifications) << r.summary();
+    for (const auto& p : r.processes) EXPECT_TRUE(p.fast_path) << "p" << p.id;
+  }
 }
 
 TEST(FastRobustEngine, BackupTakeoverUnderByzantineLeaderAndSlowSchedule) {

@@ -5,12 +5,14 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/core/nonequiv_broadcast.hpp"
 #include "src/crypto/signature.hpp"
 #include "src/mem/memory.hpp"
 #include "src/sim/executor.hpp"
+#include "src/sim/rng.hpp"
 
 namespace mnm::core {
 namespace {
@@ -238,21 +240,38 @@ TEST(NonEquivBroadcast, SequenceNumbersDeliverInOrder) {
 TEST(NonEquivBroadcast, DeliveryCostsSixDelays) {
   // Footnote 2: non-equivocating broadcast incurs at least 6 delays —
   // read (2) + copy write (2) + cross-check reads (2) after the slot is
-  // visible.
-  NebFixture f(3, 3);
-  f.start_all();
-  std::map<ProcessId, std::vector<NebDelivery>> got;
-  sim::Time first_delivery = 0;
-  f.exec.spawn([](NonEquivBroadcast* neb) -> Task<void> {
-    (void)co_await neb->broadcast(to_bytes("timed"));
-  }(f.nebs[0].get()));
-  f.exec.spawn([](Executor* e, NonEquivBroadcast* neb, sim::Time* at) -> Task<void> {
-    (void)co_await neb->deliveries().recv();
-    *at = e->now();
-  }(&f.exec, f.nebs[1].get(), &first_delivery));
-  f.exec.run(3000);
-  // Broadcast write completes at 2; scan needs read+write+read ≥ 6 more.
-  EXPECT_GE(first_delivery, 8u);
+  // visible, and the broadcast write completes at 2. Measured, with m = 3:
+  // every process delivers at the same instant, 12 / 16 / 20 delays after
+  // p1 broadcasts at n = 3 / 5 / 7, whatever the payload size. That is
+  // 2n + 6: each scanner's first pass reads the n head slots one after
+  // another from 0 and misses the write, which takes effect at 1, so the
+  // delivering pass starts at 2n.
+  struct Row {
+    std::size_t n;
+    sim::Time delay;
+  };
+  for (const Row& row : {Row{3, 12}, Row{5, 16}, Row{7, 20}}) {
+    const std::size_t n = row.n;
+    for (std::size_t bytes : {16u, 1024u}) {
+      NebFixture f(n, 3);
+      f.start_all();
+      std::vector<sim::Time> delivered_at;
+      for (ProcessId p : all_processes(n)) {
+        f.exec.spawn([](Executor* e, NonEquivBroadcast* neb,
+                        std::vector<sim::Time>* at) -> Task<void> {
+          (void)co_await neb->deliveries().recv();
+          at->push_back(e->now());
+        }(&f.exec, f.nebs[p - 1].get(), &delivered_at));
+      }
+      f.exec.spawn([](NonEquivBroadcast* neb, std::size_t bytes) -> Task<void> {
+        (void)co_await neb->broadcast(Bytes(bytes, 0xAB));
+      }(f.nebs[0].get(), bytes));
+      f.exec.run_until([&] { return delivered_at.size() == n; }, 5000);
+      ASSERT_EQ(delivered_at.size(), n) << "n=" << n << " bytes=" << bytes;
+      EXPECT_EQ(delivered_at.front(), row.delay) << "n=" << n << " bytes=" << bytes;
+      EXPECT_EQ(delivered_at.back(), row.delay) << "n=" << n << " bytes=" << bytes;
+    }
+  }
 }
 
 TEST(NonEquivBroadcast, Property2EquivocatorNeverSplitsCorrectProcesses) {
@@ -287,6 +306,43 @@ TEST(NonEquivBroadcast, Property2EquivocatorNeverSplitsCorrectProcesses) {
   // Property 2: if both delivered, the messages must match.
   if (!got[1].empty() && !got[3].empty()) {
     EXPECT_EQ(to_string(got[1][0].message), to_string(got[3][0].message));
+  }
+
+  // 500 seeded attacks per shape, every process's scanner running: each
+  // memory gets a coin-flip value, on all three memories or on two of them
+  // (the quorum-split shape most likely to give divergent reads). No attack
+  // splits p1 and p3; in 255 of each 500 someone delivers.
+  for (const bool partial : {false, true}) {
+    int split = 0, delivered = 0;
+    for (int trial = 0; trial < 500; ++trial) {
+      NebFixture w(3, 3);
+      w.start_all();
+      sim::Rng rng(static_cast<std::uint64_t>(trial) * 31 + 7);
+      w.exec.spawn([](NebFixture* w, sim::Rng rng, bool partial) -> Task<void> {
+        for (std::size_t i = 0; i < w->iface.size(); ++i) {
+          if (partial && i == 2) continue;
+          const Bytes msg = to_bytes("equiv-" + std::to_string(rng.below(2)));
+          const crypto::Signature sig =
+              w->signers[1].sign(neb_signing_bytes(1, msg));
+          (void)co_await w->iface[i]->write(2, w->regions.at(2), "neb/2/1/2",
+                                            encode_neb_slot(1, msg, sig));
+        }
+      }(&w, rng.fork(), partial));
+      std::map<ProcessId, std::string> first;
+      for (ProcessId p : {ProcessId{1}, ProcessId{3}}) {
+        w.exec.spawn([](NonEquivBroadcast* neb, std::string* sink) -> Task<void> {
+          const NebDelivery d = co_await neb->deliveries().recv();
+          *sink = to_string(d.message);
+        }(w.nebs[p - 1].get(), &first[p]));
+      }
+      w.exec.run(400);
+      if (!first[1].empty() || !first[3].empty()) ++delivered;
+      if (!first[1].empty() && !first[3].empty() && first[1] != first[3]) {
+        ++split;
+      }
+    }
+    EXPECT_EQ(split, 0) << "partial=" << partial;
+    EXPECT_EQ(delivered, 255) << "partial=" << partial;
   }
 }
 

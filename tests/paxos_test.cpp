@@ -110,7 +110,15 @@ struct PaxosCluster {
     pc.leader_terms = fast;
     for (ProcessId p : all_processes(n)) {
       transports.push_back(std::make_unique<NetTransport>(exec, network, p, 100));
-      paxoses.push_back(std::make_unique<Paxos>(exec, *transports.back(), omega, pc));
+      // A lone instance's term has no channel: it holds p1's term 0 and
+      // nothing after it.
+      if (fast) {
+        terms.push_back(
+            std::make_unique<PaxosTerm>(exec, p, nullptr, omega, pc));
+      }
+      paxoses.push_back(std::make_unique<Paxos>(
+          exec, *transports.back(), omega, pc,
+          fast ? terms.back().get() : nullptr));
       paxoses.back()->start();
     }
   }
@@ -135,6 +143,7 @@ struct PaxosCluster {
   net::Network network;
   Omega omega;
   std::vector<std::unique_ptr<NetTransport>> transports;
+  std::vector<std::unique_ptr<PaxosTerm>> terms;
   std::vector<std::unique_ptr<Paxos>> paxoses;
 };
 

@@ -513,8 +513,6 @@ TEST(SmrCluster, FirstDecisionDelaySurvivesCompaction) {
   EXPECT_EQ(smr_plain.first_decision_delay, 2u) << smr_plain.summary();
   EXPECT_EQ(smr_compacted.first_decision_delay,
             smr_plain.first_decision_delay);
-  EXPECT_EQ(smr_compacted.first_correct_decision_delay,
-            smr_plain.first_correct_decision_delay);
 
   ClusterConfig kv;
   kv.algo = Algorithm::kFastPaxos;
@@ -531,8 +529,6 @@ TEST(SmrCluster, FirstDecisionDelaySurvivesCompaction) {
   EXPECT_GT(kv_compacted.slots_truncated, 0u) << kv_compacted.summary();
   EXPECT_EQ(kv_plain.first_decision_delay, 2u) << kv_plain.summary();
   EXPECT_EQ(kv_compacted.first_decision_delay, kv_plain.first_decision_delay);
-  EXPECT_EQ(kv_compacted.first_correct_decision_delay,
-            kv_plain.first_correct_decision_delay);
 }
 
 TEST(SmrCluster, LeaderCrashAndRejoinCatchesUpAndConverges) {
@@ -540,40 +536,55 @@ TEST(SmrCluster, LeaderCrashAndRejoinCatchesUpAndConverges) {
   // much later with wiped state: it must install a peer snapshot, replay the
   // retained suffix, and end bit-identical to the survivors — after which
   // it is the lowest-id correct process and takes leadership back.
-  ClusterConfig c = smr_config(Algorithm::kFastPaxos, 3, 0, 24, 2, 4);
-  c.smr.snapshot_interval = 4;
-  c.faults.process_crashes[1] = 6;
-  c.faults.process_rejoins[1] = 400;
-  const RunReport r = harness::run_cluster(c);
-  EXPECT_TRUE(r.all_ok()) << r.summary();
-  EXPECT_EQ(r.processes[0].rejoined_at, 400u);
-  // Full convergence — the rejoined replica too, not just the survivors.
-  EXPECT_EQ(r.processes[0].log, r.processes[1].log);
-  EXPECT_EQ(r.processes[1].log, r.processes[2].log);
-  EXPECT_FALSE(r.processes[0].log.empty());
-  EXPECT_GT(r.snapshots_taken, 0u) << r.summary();
-  EXPECT_GE(r.snapshots_installed, 1u) << r.summary();
-  EXPECT_GT(r.slots_truncated, 0u) << r.summary();
-  EXPECT_GT(r.catchup_bytes, 0u) << r.summary();
+  // However long p1 stays down, the recovery costs the same: one snapshot
+  // installed, 56 slots truncated and 1362 catch-up bytes.
+  for (const sim::Time rejoin_at :
+       {sim::Time{300}, sim::Time{400}, sim::Time{900}}) {
+    ClusterConfig c = smr_config(Algorithm::kFastPaxos, 3, 0, 24, 2, 4);
+    c.smr.snapshot_interval = 4;
+    c.faults.process_crashes[1] = 6;
+    c.faults.process_rejoins[1] = rejoin_at;
+    const RunReport r = harness::run_cluster(c);
+    EXPECT_TRUE(r.all_ok()) << r.summary();
+    EXPECT_EQ(r.processes[0].rejoined_at, rejoin_at);
+    // Full convergence — the rejoined replica too, not just the survivors.
+    EXPECT_EQ(r.processes[0].log, r.processes[1].log);
+    EXPECT_EQ(r.processes[1].log, r.processes[2].log);
+    EXPECT_FALSE(r.processes[0].log.empty());
+    EXPECT_GT(r.snapshots_taken, 0u) << r.summary();
+    EXPECT_EQ(r.snapshots_installed, 1u) << r.summary();
+    EXPECT_EQ(r.slots_truncated, 56u) << r.summary();
+    EXPECT_EQ(r.catchup_bytes, 1362u) << r.summary();
+  }
 }
 
 TEST(SmrCluster, TwoReplicasRejoinFromDifferentSnapshotSlots) {
   // Two crashes at different depths of the same run: each rejoiner catches
   // up from whatever snapshot its serving peer holds at that moment — two
-  // different base slots — and both must still converge.
-  ClusterConfig c = smr_config(Algorithm::kFastPaxos, 5, 0, 20, 2, 4);
-  c.smr.snapshot_interval = 4;
-  c.faults.process_crashes[1] = 6;
-  c.faults.process_rejoins[1] = 300;
-  c.faults.process_crashes[2] = 40;
-  c.faults.process_rejoins[2] = 700;
-  const RunReport r = harness::run_cluster(c);
-  EXPECT_TRUE(r.all_ok()) << r.summary();
-  for (ProcessId p = 2; p <= 5; ++p) {
-    EXPECT_EQ(r.processes[0].log, r.processes[p - 1].log) << "p" << p;
+  // different base slots — and both must still converge. Each run installs
+  // two snapshots; the truncated slots and catch-up bytes grow with the
+  // workload.
+  struct Row {
+    std::size_t commands;
+    std::uint64_t truncated, catchup_bytes;
+  };
+  for (const Row& row : {Row{20, 112, 6060}, Row{24, 140, 7124}}) {
+    ClusterConfig c =
+        smr_config(Algorithm::kFastPaxos, 5, 0, row.commands, 2, 4);
+    c.smr.snapshot_interval = 4;
+    c.faults.process_crashes[1] = 6;
+    c.faults.process_rejoins[1] = 300;
+    c.faults.process_crashes[2] = 40;
+    c.faults.process_rejoins[2] = 700;
+    const RunReport r = harness::run_cluster(c);
+    EXPECT_TRUE(r.all_ok()) << r.summary();
+    for (ProcessId p = 2; p <= 5; ++p) {
+      EXPECT_EQ(r.processes[0].log, r.processes[p - 1].log) << "p" << p;
+    }
+    EXPECT_EQ(r.snapshots_installed, 2u) << r.summary();
+    EXPECT_EQ(r.slots_truncated, row.truncated) << r.summary();
+    EXPECT_EQ(r.catchup_bytes, row.catchup_bytes) << r.summary();
   }
-  EXPECT_GE(r.snapshots_installed, 2u) << r.summary();
-  EXPECT_GT(r.slots_truncated, 0u) << r.summary();
 }
 
 // Retirement (ConsensusEngine::retire_below): with a snapshot cadence the
