@@ -5,13 +5,14 @@
 //  * cadence sweep: snapshots taken/installed, slots truncated, catch-up
 //    bytes and the rejoiner's convergence delay as functions of
 //    smr.snapshot_interval under a fixed crash/rejoin schedule. The rejoin
-//    lands mid-run, so the rejoiner chases a moving tip: a dense cadence
-//    means nearly every chase round falls behind a fresh boundary and
-//    re-fetches a whole snapshot, while a sparse cadence chases with cheap
-//    payload suffixes — the knob's wire-cost trade-off in one table.
-//  * rejoin-time sweep: the earlier the rejoin, the longer the live chase
-//    (more catch-up rounds, more bytes, longer convergence); a post-drain
-//    rejoin converges instantly off one snapshot plus a bounded suffix.
+//    lands mid-run: one answered round installs a peer's snapshot plus the
+//    suffix above it, and the rejoiner then applies the live decisions. A
+//    sparser cadence ships an older snapshot with a longer suffix, so the
+//    bytes barely move with the knob.
+//  * rejoin-time sweep: the bytes are one snapshot of the state the group
+//    had applied by the rejoin, so they grow with the rejoin time, and the
+//    convergence delay is the rest of the run; a post-drain rejoin
+//    converges instantly off one snapshot plus a bounded suffix.
 //  * wall-clock guard rows (google-benchmark → BENCH_recovery.json,
 //    compared by scripts/bench.sh): whole-cluster crash-and-rejoin runs
 //    with the machine-independent throughput counter (cmds/ops per kdelay)
@@ -100,10 +101,11 @@ void cadence_sweep() {
            r.agreement ? "yes" : "NO"});
   }
   t.print();
-  std::printf("(chasing a moving tip, a dense cadence re-fetches a fresh\n"
-              " snapshot nearly every round while a sparse one chases with\n"
-              " payload suffixes; every row converges — the rejoiner's log\n"
-              " equals the survivors' wherever the boundary fell)\n");
+  std::printf("(one answered round installs a snapshot plus the suffix\n"
+              " above it, then the rejoiner applies the live decisions: a\n"
+              " sparser cadence ships an older snapshot and a longer suffix,\n"
+              " about the same bytes; every row converges — the rejoiner's\n"
+              " log equals the survivors' wherever the boundary fell)\n");
 }
 
 void rejoin_time_sweep() {
@@ -124,10 +126,11 @@ void rejoin_time_sweep() {
            r.agreement ? "yes" : "NO"});
   }
   t.print();
-  std::printf("(an early rejoin buys a long live chase — more rounds, more\n"
-              " bytes; a post-drain rejoin converges instantly off one\n"
-              " snapshot plus a bounded replay, never per-slot consensus\n"
-              " re-runs)\n");
+  std::printf("(the bytes are one snapshot of what the group applied by\n"
+              " the rejoin, so an early rejoin is the cheapest; the converge\n"
+              " delay is the rest of the run, and a post-drain rejoin\n"
+              " converges instantly off one snapshot plus a bounded replay,\n"
+              " never per-slot consensus re-runs)\n");
 }
 
 void bm_smr_recovery(benchmark::State& state, std::size_t interval,

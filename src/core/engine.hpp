@@ -24,7 +24,7 @@
 //  * open_slot(slot) makes this replica participate passively (acceptor /
 //    learner roles) without proposing; below the floor it is a no-op.
 //    Message-routed engines discover and open slots automatically from
-//    inbound traffic (the hub's horizon), from the floor up; all-propose
+//    inbound traffic (each slot the hub hears a frame for); all-propose
 //    engines (Robust Backup, Fast & Robust, whose traffic runs through
 //    memories) require every correct replica to propose each slot —
 //    smr::Log's all_propose mode does exactly that.
@@ -325,15 +325,15 @@ class HubEngine : public ConsensusEngine {
         s, Decision{inst->decision(), inst->decided_fast(), inst->decided_at()});
   }
 
-  /// Follower-side slot discovery: open every slot the hub hears about,
-  /// from the floor up.
+  /// Follower-side slot discovery: open each slot the hub heard a frame
+  /// for, in slot order, whenever its first frame arrived (a late frame
+  /// below the horizon included). Slots nobody sent for stay unopened.
   sim::Task<void> discover_loop() {
+    std::vector<Slot> heard;
     while (true) {
       const std::uint64_t seen = hub_.heard().version();
-      for (Slot s = std::max(slot_horizon(), floor_); s < hub_.horizon();
-           ++s) {
-        open_slot(s);
-      }
+      hub_.take_heard(heard);
+      for (const Slot s : heard) open_slot(s);
       sim::Select sel(*exec_);
       sel.on(hub_.heard(), seen);
       (void)co_await sel;

@@ -7,9 +7,11 @@
 // messages to per-slot sub-transports. Sub-transports are created on demand
 // on BOTH sides: a follower that has never heard of slot s gets a buffering
 // sub the moment the first message for s arrives, and the `heard` signal +
-// `horizon()` tell the engine's discovery loop to open the slot's instance,
-// which then drains the buffered messages. That is what makes leader-driven
-// pipelining work without any out-of-band slot announcement.
+// take_heard() tell the engine's discovery loop to open the slot's
+// instance, which then drains the buffered messages. That is what makes
+// leader-driven pipelining work without any out-of-band slot announcement.
+// Only heard slots open: a replica that rejoins mid-run and first hears
+// slot 700 builds one instance, not 700.
 //
 // Subs retire with their slots: retire_below(f) frees every sub below f and
 // raises the hub's floor, and a later frame below the floor is dropped — it
@@ -28,9 +30,11 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "src/common.hpp"
 #include "src/core/transport.hpp"
@@ -90,9 +94,19 @@ class SlotTransportHub {
   void start() { exec_->spawn(demux_loop(this)); }
 
   /// One past the highest slot with observed activity (local opens and
-  /// inbound frames). `heard()` bumps whenever it grows.
+  /// inbound frames). `heard()` bumps whenever it grows, and whenever an
+  /// inbound frame creates a sub below it (a late first frame).
   Slot horizon() const { return horizon_; }
   sim::VersionSignal& heard() { return heard_; }
+
+  /// Swap into `out`, in ascending order, the slots whose subs inbound
+  /// frames created since the last call (local opens are not listed).
+  /// `out`'s old contents are dropped; both buffers keep their capacity.
+  void take_heard(std::vector<Slot>& out) {
+    out.clear();
+    std::swap(out, heard_slots_);
+    std::sort(out.begin(), out.end());
+  }
 
   /// The control channel: a sub-transport on the reserved kControlSlot
   /// frame id. Created on first use; its traffic never notes the horizon.
@@ -192,9 +206,14 @@ class SlotTransportHub {
       }
       if (!hub->in_window(s)) continue;  // retired, or past the guard: drop
       hub->note(s);
-      Sub& sub = hub->sub(s);
+      Sub* sub = hub->subs_.find(s);
+      if (sub == nullptr) {  // first frame: list the slot for discovery
+        sub = &hub->sub(s);
+        hub->heard_slots_.push_back(s);
+        hub->heard_.bump();
+      }
       m.payload = m.payload.suffix(8);  // strip the slot id, zero-copy
-      sub.incoming_.send(std::move(m));
+      sub->incoming_.send(std::move(m));
     }
   }
 
@@ -203,6 +222,7 @@ class SlotTransportHub {
   Slot guard_;
   Slot horizon_ = 0;
   sim::VersionSignal heard_;
+  std::vector<Slot> heard_slots_;  // subs inbound frames created, unopened
   util::SlotWindow<Sub> subs_;
   std::unique_ptr<Sub> control_;
   std::unique_ptr<Sub> term_;

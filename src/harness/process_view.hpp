@@ -3,10 +3,18 @@
 // The model (§3) says a crashed process "stops taking steps forever". In the
 // simulator a process is a tree of coroutines; freezing it is implemented at
 // its interaction points: the network drops sends/deliveries of crashed
-// processes (src/net), and this wrapper makes every memory operation issued
-// after the crash hang forever, so the process's coroutines suspend at their
-// next step and never run again. (In-flight operations complete — a real
-// crash cannot retract an RDMA request already on the wire.)
+// processes (src/net), and this wrapper makes the process's memory steps
+// hang. An operation issued after the crash hangs at once. One in flight at
+// the crash still takes effect at the memory — a real crash cannot retract
+// an RDMA request already on the wire — but the process never resumes from
+// it, so it cannot decide or write again on the strength of its answer.
+//
+// The alive flag belongs to the process, not to one incarnation: every
+// incarnation of a process shares its views, and a rejoin sets the flag back
+// to true. A crashed incarnation's operation that completes after the rejoin
+// would therefore resume it with the process's permissions, which is why
+// crash-and-rejoin is limited to the message engines until each incarnation
+// gets views of its own (ROADMAP item 12).
 
 #pragma once
 
@@ -27,6 +35,17 @@ class ProcessView final : public mem::MemoryIface {
     return sim::OneShot<R>(*exec_).wait();
   }
 
+  /// One memory step: issued only while the process is alive, and resumed
+  /// from only if it still is when the memory answers.
+  template <typename R>
+  sim::Task<R> step(sim::Task<R> op) {
+    if (*alive_) {
+      R out = co_await std::move(op);
+      if (*alive_) co_return out;
+    }
+    co_return co_await hang<R>();
+  }
+
  public:
   ProcessView(sim::Executor& exec, mem::MemoryIface& inner,
               std::shared_ptr<const bool> alive)
@@ -36,22 +55,19 @@ class ProcessView final : public mem::MemoryIface {
 
   sim::Task<mem::Status> write(ProcessId caller, RegionId region,
                                std::string reg, Bytes value) override {
-    if (!*alive_) co_return co_await hang<mem::Status>();
-    co_return co_await inner_->write(caller, region, std::move(reg),
-                                     std::move(value));
+    return step(
+        inner_->write(caller, region, std::move(reg), std::move(value)));
   }
 
   sim::Task<mem::ReadResult> read(ProcessId caller, RegionId region,
                                   std::string reg) override {
-    if (!*alive_) co_return co_await hang<mem::ReadResult>();
-    co_return co_await inner_->read(caller, region, std::move(reg));
+    return step(inner_->read(caller, region, std::move(reg)));
   }
 
   sim::Task<std::vector<mem::ReadResult>> read_many(
       ProcessId caller, RegionId region,
       std::vector<std::string> regs) override {
-    if (!*alive_) co_return co_await hang<std::vector<mem::ReadResult>>();
-    co_return co_await inner_->read_many(caller, region, std::move(regs));
+    return step(inner_->read_many(caller, region, std::move(regs)));
   }
 
   sim::VersionSignal& write_signal(mem::ScopeId scope) override {
@@ -64,8 +80,8 @@ class ProcessView final : public mem::MemoryIface {
 
   sim::Task<mem::Status> change_permission(ProcessId caller, RegionId region,
                                            mem::Permission proposed) override {
-    if (!*alive_) co_return co_await hang<mem::Status>();
-    co_return co_await inner_->change_permission(caller, region, std::move(proposed));
+    return step(
+        inner_->change_permission(caller, region, std::move(proposed)));
   }
 
  private:

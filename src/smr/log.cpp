@@ -46,6 +46,7 @@ Log::Log(sim::Executor& exec, core::ConsensusEngine& engine, core::Omega& omega,
       stash_signal_(exec),
       applied_signal_(exec),
       recovering_signal_(exec),
+      response_signal_(exec),
       range_signal_(exec) {
   // Validation rule (see LogConfig): a window of 0 silently stalled the
   // pump; clamp rather than assert so Release builds behave identically.
@@ -78,6 +79,7 @@ void Log::halt() {
   stash_signal_.bump();
   applied_signal_.bump();
   recovering_signal_.bump();
+  response_signal_.bump();
   range_signal_.bump();
 }
 
@@ -345,8 +347,8 @@ sim::Task<void> Log::control_loop() {
     if (const auto req = decode_catchup_request(m.payload)) {
       if (config_.snapshot_interval > 0) serve_catchup(m.src, req->from);
     } else if (const auto resp = decode_catchup_response(m.payload)) {
-      ++responses_seen_;
       install_catchup(*resp, m.payload.size());
+      response_signal_.bump();
     } else if (const auto rreq = decode_range_request(m.payload)) {
       if (config_.serve_ranges) serve_range(m.src, *rreq);
     } else if (const auto rresp = decode_range_response(m.payload)) {
@@ -459,6 +461,8 @@ void Log::install_slot(Slot s, const Bytes& payload) {
 void Log::install_catchup(const CatchupResponse& resp,
                           std::size_t wire_bytes) {
   catchup_bytes_ += wire_bytes;
+  // A capped answer leaves more to fetch past its last slot.
+  if (resp.payloads.size() >= kMaxCatchupSlots) answers_complete_ = false;
   bool progressed = false;
   if (resp.snap_slot > applied_len_) {
     if (!resp.snapshot.empty() && sm_->restore(resp.snapshot)) {
@@ -481,6 +485,7 @@ void Log::install_catchup(const CatchupResponse& resp,
     } else {
       // Malformed or digest-mismatched snapshot: reject, state untouched.
       ++catchup_rejected_;
+      answers_complete_ = false;
     }
   }
   for (std::size_t i = 0; i < resp.payloads.size(); ++i) {
@@ -500,7 +505,7 @@ void Log::install_catchup(const CatchupResponse& resp,
 
 sim::Task<void> Log::catchup_driver() {
   core::Transport* ctl = engine_->control_transport();
-  std::uint64_t empty_rounds = 0;
+  std::uint64_t silent_rounds = 0;
   while (true) {
     if (halted_) co_return;
     if (!recovering_) {
@@ -520,21 +525,26 @@ sim::Task<void> Log::catchup_driver() {
       if (halted_) co_return;
       if (stash_.empty() || applied_len_ > before) continue;
     }
-    const Slot before = applied_len_;
-    const std::uint64_t responses_before = responses_seen_;
+    // One round: ask every peer, then wait for the first answer. Answers
+    // install in control_loop as they land, this round's and later ones'.
+    const std::uint64_t v_response = response_signal_.version();
+    answers_complete_ = true;
     ctl->send_all(encode_catchup_request(CatchupRequest{applied_len_}),
                   /*include_self=*/false);
-    co_await exec_->sleep(kCatchupTimeout);
+    sim::Select sel(*exec_);
+    sel.on(response_signal_, v_response).until(exec_->now() + kCatchupTimeout);
+    (void)co_await sel;
     if (halted_) co_return;
     if (!recovering_) continue;
-    const bool heard = responses_seen_ > responses_before;
-    empty_rounds = heard ? 0 : empty_rounds + 1;
-    // Recovery ends when a peer answered and had nothing more for us (we
-    // are level), or when nobody serves at all (no snapshot-enabled peer
-    // alive) — holding proposals forever would trade a slow catch-up for a
-    // livelock.
-    if (applied_len_ == before && stash_.empty() &&
-        (heard || empty_rounds >= 4)) {
+    const bool answered = response_signal_.version() != v_response;
+    silent_rounds = answered ? 0 : silent_rounds + 1;
+    // Recovery ends once an answer brought everything up to the peer's
+    // applied prefix and every decision heard meanwhile connected to it, or
+    // when nobody serves at all (no snapshot-enabled peer alive) — holding
+    // proposals forever would trade a slow catch-up for a livelock. Any
+    // other answered round asks again at once.
+    if ((answered && answers_complete_ && stash_.empty()) ||
+        silent_rounds >= 4) {
       recovering_ = false;
       recovering_signal_.bump();
     }

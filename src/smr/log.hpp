@@ -92,8 +92,9 @@ std::vector<Bytes> decode_batch(util::ByteView raw);
 /// wanting a dynamic all-propose workload set a cap and noop_fillers=false.
 inline constexpr std::size_t kMaxWindow = 1 << 16;
 
-/// Recovery/gap-repair request cadence and range-fetch response deadline,
-/// in executor time.
+/// The cap on a silent catch-up or range-fetch round, in executor time: a
+/// round ends at its first usable answer and waits this long only for a
+/// round nobody answers.
 inline constexpr sim::Time kCatchupTimeout = 8;
 
 struct LogConfig {
@@ -126,7 +127,9 @@ struct LogConfig {
   Slot snapshot_interval = 0;
   /// Start in recovery: hold fresh proposals and catch up from a peer's
   /// snapshot + log suffix first (requires an engine with a control
-  /// transport). The rejoin path of a restarted replica.
+  /// transport). The hold lifts at the first answered round whose answers
+  /// were complete and left no decision stashed, or after four silent
+  /// rounds. The rejoin path of a restarted replica.
   bool recover = false;
   /// Answer range-snapshot requests (StateMachine::export_range) on the
   /// control channel and allow fetch_range() — the drain leg of live
@@ -268,10 +271,13 @@ class Log {
   /// (when this log retains state to serve) and installs responses (when
   /// recovering or gap-repairing).
   sim::Task<void> control_loop();
-  /// Recovery driver: broadcasts catch-up requests until level with a peer,
-  /// then keeps watch for stalled gaps (slots decided before this replica
-  /// rejoined never re-broadcast their DECIDE — only a re-request fills
-  /// them).
+  /// Recovery driver: broadcasts a catch-up request and waits for the first
+  /// answer (at most kCatchupTimeout). An answered round that leaves the
+  /// log incomplete — a capped or rejected answer, or a stashed decision
+  /// past a gap — asks again at once; a complete one lifts the hold, as do
+  /// four silent rounds. It then keeps watch for stalled gaps (slots
+  /// decided before this replica rejoined never re-broadcast their DECIDE —
+  /// only a re-request fills them).
   sim::Task<void> catchup_driver();
 
   /// The proposer record of unapplied slot `s` (created on first touch).
@@ -323,7 +329,11 @@ class Log {
   bool recovering_ = false;
   sim::VersionSignal recovering_signal_;
   bool halted_ = false;
-  std::uint64_t responses_seen_ = 0;
+  // Bumps on every catch-up response (and on halt): a round waits on it.
+  sim::VersionSignal response_signal_;
+  // False once a response of the current round was capped at
+  // kMaxCatchupSlots or carried a snapshot the machine rejected.
+  bool answers_complete_ = true;
   // Range-drain state: responses for the live fetch_range round, keyed by
   // its cookie (stale rounds' responses are dropped on cookie mismatch).
   std::uint64_t range_cookie_seq_ = 0;

@@ -259,7 +259,9 @@ TEST(Determinism, FailoverCostsPinned) {
   // and retries, which the fault-free shapes above never do. Pins the
   // decided value, first decision delay, messages, memory reads, writes and
   // permission changes, executor events, and every process's decision time
-  // (0 for a process that crashed undecided).
+  // (0 for a process that crashed undecided). A write p1 issued before its
+  // crash still lands, but p1 never resumes from it: PMP's p1 at 1 and Disk
+  // Paxos's p1 at 3 decide nothing, and the first decision is p2's.
   enum class Fault { kP1At1, kP1At3LateGst, kMemory1At0 };
   struct Pin {
     Algorithm algo;
@@ -278,16 +280,16 @@ TEST(Determinism, FailoverCostsPinned) {
        {0, 5, 6}},
       {Algorithm::kDiskPaxos, Fault::kP1At1, "value-1", 9, 2, 18, 9, 0, 66,
        {0, 9, 10}},
-      {Algorithm::kProtectedMemoryPaxos, Fault::kP1At1, "value-1", 2, 2, 9, 9,
-       3, 68, {2, 9, 10}},
+      {Algorithm::kProtectedMemoryPaxos, Fault::kP1At1, "value-1", 9, 2, 9, 9,
+       3, 66, {0, 9, 10}},
       {Algorithm::kAlignedPaxos, Fault::kP1At1, "value-2", 9, 17, 9, 6, 6, 99,
        {0, 9, 10}},
       {Algorithm::kPaxos, Fault::kP1At3LateGst, "value-2", 23, 17, 0, 0, 0, 58,
        {0, 23, 24}},
       {Algorithm::kFastPaxos, Fault::kP1At3LateGst, "value-1", 23, 17, 0, 0, 0,
        55, {0, 23, 24}},
-      {Algorithm::kDiskPaxos, Fault::kP1At3LateGst, "value-1", 4, 2, 27, 9, 0,
-       74, {4, 11, 16}},
+      {Algorithm::kDiskPaxos, Fault::kP1At3LateGst, "value-1", 11, 2, 27, 9, 0,
+       72, {0, 11, 16}},
       {Algorithm::kProtectedMemoryPaxos, Fault::kP1At3LateGst, "value-1", 2, 4,
        9, 9, 3, 70, {2, 7, 7}},
       {Algorithm::kAlignedPaxos, Fault::kP1At3LateGst, "value-2", 23, 17, 9, 9,

@@ -153,14 +153,15 @@ TEST(CrashResilience, PmpSurvivesAllButOneProcess) {
 TEST(CrashResilience, PmpSurvivesLeaderCrashMidRun) {
   // Determinism.FailoverCostsPinned pins p1 dying right after starting (at
   // 1). Crashed at 0, p1 never writes and p2 runs both phases: 8 delays.
-  // Crashed at 10, or at 1 with p2 following at 30, the first decision is
-  // p1's own 2-delay one, from the write it issued at 0.
+  // Crashed at 10, the first decision is p1's own 2-delay one. Crashed at 1
+  // with p2 following at 30, p1's write issued at 0 lands but p1 never
+  // resumes from it, so the first decision is p2's, at 9.
   struct Row {
     std::map<ProcessId, sim::Time> crashes;
     sim::Time first_decision;
   };
   const std::vector<Row> rows = {
-      {{{1, 0}}, 8}, {{{1, 10}}, 2}, {{{1, 1}, {2, 30}}, 2}};
+      {{{1, 0}}, 8}, {{{1, 10}}, 2}, {{{1, 1}, {2, 30}}, 9}};
   for (const Row& row : rows) {
     ClusterConfig c = base(Algorithm::kProtectedMemoryPaxos, 3, 3);
     c.faults.process_crashes = row.crashes;

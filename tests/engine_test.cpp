@@ -331,6 +331,32 @@ TEST(ConsensusEngine, SlotsAreIndependentInstances) {
   EXPECT_EQ(got[2], "other");  // slot 8 is a fresh instance
 }
 
+TEST(ConsensusEngine, DiscoveryOpensOnlyHeardSlots) {
+  // A follower opens the slots it hears a frame for, not every slot below
+  // them: a replica that rejoins a long-running group and first hears slot
+  // 700 builds one instance. A late first frame below the horizon still
+  // opens its slot, so frames for 5 and then 4 open both.
+  EngineWorld w(Kind::kFastPaxos, 3, 0);
+  const auto inject = [&](ProcessId dst, Slot s) {
+    const PaxosMsg m{PaxosKind::kPrepare, /*ballot=*/1000, 0, false, {}};
+    w.network.send(1, dst, /*tag=*/100, SlotTransportHub::frame(s, m.encode()));
+    w.exec.run();
+  };
+  ConsensusEngine& p2 = *w.engines[1];
+  inject(2, 700);
+  EXPECT_EQ(p2.instances_held(), 1u);
+  EXPECT_EQ(p2.subs_held(), 1u);
+  EXPECT_EQ(p2.slot_horizon(), 701u);
+
+  ConsensusEngine& p3 = *w.engines[2];
+  inject(3, 5);
+  EXPECT_EQ(p3.instances_held(), 1u);
+  inject(3, 4);
+  EXPECT_EQ(p3.instances_held(), 2u);
+  EXPECT_EQ(p3.subs_held(), 2u);
+  EXPECT_EQ(p3.slot_horizon(), 6u);
+}
+
 TEST(SlotTransportHub, OversizedSlotIdsAreDropped) {
   // A malformed frame claiming an absurd slot id must not inflate the
   // horizon (learners would open unbounded state).

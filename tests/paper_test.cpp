@@ -98,12 +98,11 @@ TEST(FastRobustFailover, CheapQuorumHandsOffToTheBackup) {
   // timeout (cq_timeout 120) and a backup round; a faulty follower leaves
   // p1's 2-delay fast decision standing.
   //
-  // When p1 crashes at 1 or 3 the first decision is p1's own, at 2. At 3
-  // it decided before the crash. At 1 its value write, issued at 0, is
-  // still in flight; harness::ProcessView lets in-flight operations
-  // complete, the completion resumes p1 all the same, and the harness
-  // counts the decision. Both rows pin every process's decision time as it
-  // is today.
+  // When p1 crashes at 3 it has decided on the fast path, at 2, before the
+  // crash. At 1 its value write, issued at 0, is still in flight: the write
+  // lands at the memories, but harness::ProcessView never resumes a crashed
+  // process from it, so p1 decides nothing and the first decision is the
+  // backup's, at 206. Both rows pin every process's decision time.
   struct Row {
     const char* scenario;
     ClusterConfig config;
@@ -132,7 +131,7 @@ TEST(FastRobustFailover, CheapQuorumHandsOffToTheBackup) {
        208, 0, 2},
       {"p1 crashes at 1",
        fast_robust([](ClusterConfig& c) { c.faults.process_crashes[1] = 1; }),
-       2, 1, 2, {2, 206, 218}},
+       206, 0, 2, {0, 206, 218}},
       {"p1 crashes at 3",
        fast_robust([](ClusterConfig& c) { c.faults.process_crashes[1] = 3; }),
        2, 1, 2, {2, 206, 218}},

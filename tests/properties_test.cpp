@@ -363,5 +363,79 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Range(1, 9)),
     crash_name);
 
+// ---------------------------------------------------------------------------
+// Sweep 6: crash-and-rejoin. One replica crashes at 10 + 3·seed and rejoins
+// 20 + 7·seed later, while its group is still deciding: in SMR (512
+// commands, batch 2, window 4, a snapshot every 8 applies) and in a 2-shard
+// KV (8 clients × 96 ops, a snapshot every 16 applies), under Paxos and
+// Fast Paxos, with p1 (whom Ω trusts again the moment it rejoins), p2 or p3
+// as the victim. Every correct replica, the rejoiner included, must agree,
+// stay valid, terminate and end with the same log or store.
+// ---------------------------------------------------------------------------
+
+using RejoinParam =
+    std::tuple<Algorithm, bool /*kv*/, int /*victim*/, int /*seed*/>;
+
+class RejoinSweep : public ::testing::TestWithParam<RejoinParam> {};
+
+TEST_P(RejoinSweep, RejoinerConvergesWhileTheGroupDecides) {
+  const auto [algo, kv, victim, seed] = GetParam();
+  ClusterConfig c;
+  c.algo = algo;
+  c.n = 3;
+  c.m = 0;
+  c.seed = static_cast<std::uint64_t>(seed);
+  if (kv) {
+    c.kv.enabled = true;
+    c.kv.shards = 2;
+    c.kv.clients = 8;
+    c.kv.ops_per_client = 96;
+    c.kv.snapshot_interval = 16;
+  } else {
+    c.smr.enabled = true;
+    c.smr.commands = 512;
+    c.smr.batch = 2;
+    c.smr.window = 4;
+    c.smr.snapshot_interval = 8;
+  }
+  const sim::Time crash_at = 10 + 3 * static_cast<sim::Time>(seed);
+  const auto p = static_cast<ProcessId>(victim);
+  c.faults.process_crashes[p] = crash_at;
+  c.faults.process_rejoins[p] = crash_at + 20 + 7 * static_cast<sim::Time>(seed);
+
+  const RunReport r = run_cluster(c);
+  const std::string where = std::string(algorithm_name(algo)) +
+                            (kv ? " kv" : " smr") + " p" +
+                            std::to_string(victim) +
+                            " seed=" + std::to_string(seed) + " " + r.summary();
+  EXPECT_TRUE(r.agreement) << where;
+  EXPECT_TRUE(r.validity) << where;
+  EXPECT_TRUE(r.termination) << where;
+  EXPECT_GT(r.catchup_bytes, 0u) << where;  // the rejoiner caught up
+  if (kv) {
+    EXPECT_EQ(r.kv_ops, c.kv.clients * c.kv.ops_per_client) << where;
+  } else {
+    for (const ProcessReport& row : r.processes) {
+      EXPECT_EQ(row.log, r.processes[0].log) << where << " p" << row.id;
+    }
+  }
+}
+
+std::string rejoin_name(const ::testing::TestParamInfo<RejoinParam>& info) {
+  const auto [algo, kv, victim, seed] = info.param;
+  std::ostringstream os;
+  os << (algo == Algorithm::kPaxos ? "Paxos" : "FastPaxos")
+     << (kv ? "_Kv" : "_Smr") << "_p" << victim << "_s" << seed;
+  return os.str();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rejoin, RejoinSweep,
+    ::testing::Combine(::testing::Values(Algorithm::kPaxos,
+                                         Algorithm::kFastPaxos),
+                       ::testing::Bool(), ::testing::Range(1, 4),
+                       ::testing::Range(1, 9)),
+    rejoin_name);
+
 }  // namespace
 }  // namespace mnm::harness

@@ -36,7 +36,8 @@ using harness::RunReport;
 using util::to_bytes;
 using util::to_string;
 
-/// Test double: decisions are injected by the test, in any order.
+/// Test double: decisions are injected by the test, in any order. With
+/// `control` set, the log catches up over it.
 struct ScriptedEngine : core::ConsensusEngine {
   explicit ScriptedEngine(sim::Executor& exec) : ConsensusEngine(exec) {}
 
@@ -47,6 +48,8 @@ struct ScriptedEngine : core::ConsensusEngine {
   sim::Task<core::Decision> propose(Slot, Bytes) override {
     throw std::logic_error("scripted engine: propose not scripted");
   }
+  core::Transport* control_transport() override { return control; }
+  core::Transport* control = nullptr;
 
   void inject(Slot s, const std::vector<Bytes>& commands, sim::Time at) {
     push_decision(s, core::Decision{smr::encode_batch(commands), false, at});
@@ -501,6 +504,125 @@ TEST(SmrLogRecovery, CompactionIsInvisibleToReplicaStats) {
   EXPECT_EQ(plain, compacted);
 }
 
+/// (time sent, first slot asked for) of one catch-up request.
+using Rounds = std::vector<std::pair<sim::Time, Slot>>;
+
+/// A control channel whose peers (p2 and p3) the test plays: it records
+/// every catch-up request the log sends, and answer() delivers a response
+/// from p2 at a given time.
+struct ScriptedPeers : core::Transport {
+  explicit ScriptedPeers(sim::Executor& exec) : exec(&exec), in(exec) {}
+
+  ProcessId self() const override { return 1; }
+  std::size_t process_count() const override { return 3; }
+  void send(ProcessId, util::Buffer payload) override {
+    const auto req = smr::decode_catchup_request(payload);
+    ASSERT_TRUE(req.has_value());
+    requests.emplace_back(exec->now(), req->from);
+  }
+  sim::Channel<core::TMsg>& incoming() override { return in; }
+
+  void answer(sim::Time at, smr::CatchupResponse resp) {
+    exec->call_at(at, [this, bytes = smr::encode_catchup_response(resp)] {
+      in.send(core::TMsg{2, bytes});
+    });
+  }
+  /// One request per round: the log asks both peers at once.
+  Rounds rounds() const {
+    Rounds out;
+    for (std::size_t i = 0; i < requests.size(); i += 2) {
+      out.push_back(requests[i]);
+    }
+    return out;
+  }
+
+  sim::Executor* exec;
+  sim::Channel<core::TMsg> in;
+  Rounds requests;
+};
+
+/// A recovering follower log over ScriptedPeers (Ω trusts p2).
+struct RecoveringLog {
+  RecoveringLog()
+      : omega(core::Omega::fixed(exec, 2)),
+        engine(exec),
+        peers(exec),
+        log(exec, engine, omega, sm, config()) {
+    engine.control = &peers;
+    log.start();
+  }
+  static smr::LogConfig config() {
+    smr::LogConfig lc;
+    lc.snapshot_interval = 4;
+    lc.recover = true;
+    return lc;
+  }
+
+  sim::Executor exec;
+  core::Omega omega;
+  ScriptedEngine engine;
+  ScriptedPeers peers;
+  SnapshotSm sm;
+  smr::Log log;
+};
+
+TEST(SmrLogRecovery, SilentPeersEndTheHoldAfterFourRounds) {
+  // Nobody answers: each round runs to its kCatchupTimeout cap, and the
+  // fourth silent round lifts the hold rather than holding proposals
+  // forever.
+  RecoveringLog r;
+  r.exec.run(4 * smr::kCatchupTimeout - 1);
+  EXPECT_TRUE(r.log.recovering());
+  r.exec.run(4 * smr::kCatchupTimeout);
+  EXPECT_FALSE(r.log.recovering());
+  EXPECT_EQ(r.peers.rounds(), (Rounds{{0, 0}, {8, 0}, {16, 0}, {24, 0}}));
+  r.exec.run();
+  EXPECT_EQ(r.peers.rounds().size(), 4u);  // no stash, no gap watch round
+}
+
+TEST(SmrLogRecovery, IncompleteAnswerAsksAgainAtOnce) {
+  // An answer capped at kMaxCatchupSlots, then one whose snapshot the
+  // machine rejects: each starts the next round the moment it lands. The
+  // level answer that follows lifts the hold.
+  RecoveringLog r;
+  smr::CatchupResponse capped;
+  for (std::size_t i = 0; i < smr::kMaxCatchupSlots; ++i) {
+    capped.payloads.push_back(
+        smr::encode_batch({to_bytes("c" + std::to_string(i))}));
+  }
+  r.peers.answer(2, capped);
+  smr::CatchupResponse forged;
+  forged.snap_slot = 600;
+  forged.snapshot = to_bytes("not a snapshot");
+  r.peers.answer(4, forged);
+  smr::CatchupResponse level;
+  level.first_slot = smr::kMaxCatchupSlots;
+  r.peers.answer(6, level);
+
+  r.exec.run(5);
+  EXPECT_TRUE(r.log.recovering());
+  r.exec.run(6);
+  EXPECT_FALSE(r.log.recovering());
+  constexpr Slot kCap = smr::kMaxCatchupSlots;
+  EXPECT_EQ(r.peers.rounds(), (Rounds{{0, 0}, {2, kCap}, {4, kCap}}));
+  EXPECT_EQ(r.log.applied_len(), kCap);
+  EXPECT_EQ(r.sm.applied.size(), kCap);
+  EXPECT_EQ(r.log.catchup_rejected(), 1u);
+}
+
+TEST(SmrLogRecovery, HaltWakesAWaitingRound) {
+  // halt() ends the driver's round at once instead of at its cap: after
+  // the halt at 3 only the apply and control loops, parked on their
+  // channels, are left.
+  RecoveringLog r;
+  r.exec.run(2);
+  EXPECT_EQ(r.exec.live_roots(), 4u);  // apply, pump, control, catch-up
+  r.exec.call_at(3, [&] { r.log.halt(); });
+  r.exec.run(3);
+  EXPECT_EQ(r.exec.live_roots(), 2u);
+  EXPECT_EQ(r.peers.rounds(), (Rounds{{0, 0}}));
+}
+
 TEST(SmrCluster, FirstDecisionDelaySurvivesCompaction) {
   // Slot 0's decision time folds at apply, so compacting it away no longer
   // turns the report's first decision delay into infinity.
@@ -568,7 +690,7 @@ TEST(SmrCluster, TwoReplicasRejoinFromDifferentSnapshotSlots) {
     std::size_t commands;
     std::uint64_t truncated, catchup_bytes;
   };
-  for (const Row& row : {Row{20, 112, 6060}, Row{24, 140, 7124}}) {
+  for (const Row& row : {Row{20, 112, 5985}, Row{24, 140, 7049}}) {
     ClusterConfig c =
         smr_config(Algorithm::kFastPaxos, 5, 0, row.commands, 2, 4);
     c.smr.snapshot_interval = 4;
@@ -585,6 +707,50 @@ TEST(SmrCluster, TwoReplicasRejoinFromDifferentSnapshotSlots) {
     EXPECT_EQ(r.slots_truncated, row.truncated) << r.summary();
     EXPECT_EQ(r.catchup_bytes, row.catchup_bytes) << r.summary();
   }
+}
+
+TEST(SmrCluster, FollowerRejoinUnderLoadFetchesOneSnapshot) {
+  // bench_recovery's i4 row: p3 crashes at 6 and rejoins at 60 while p1
+  // keeps deciding. The rejoiner installs one snapshot and connects to the
+  // live decision stream, so its hold lifts after the answered round. A
+  // rejoiner that waited for a round in which nothing applied would never
+  // see one while decisions stream in, and would re-fetch a fresh snapshot
+  // every round.
+  ClusterConfig c = smr_config(Algorithm::kFastPaxos, 3, 0, 512, 2, 4);
+  c.smr.snapshot_interval = 4;
+  c.faults.process_crashes[3] = 6;
+  c.faults.process_rejoins[3] = 60;
+  const RunReport r = harness::run_cluster(c);
+  ASSERT_TRUE(r.all_ok()) << r.summary();
+  EXPECT_EQ(r.processes[0].log, r.processes[2].log);
+  EXPECT_EQ(r.snapshots_installed, 1u) << r.summary();
+  EXPECT_EQ(r.catchup_bytes, 6918u) << r.summary();
+}
+
+TEST(SmrCluster, RejoinedLeaderServesWithinEightDelays) {
+  // Fast Paxos KV under load: p1 crashes at 100 and rejoins at 200, and Ω
+  // trusts it at once. Its hold lifts when its peers' answers land, 2
+  // delays after it asks, and its term's PREPARE and PROMISEs take the
+  // rest: no op waits more than 8 delays.
+  ClusterConfig c;
+  c.algo = Algorithm::kFastPaxos;
+  c.n = 3;
+  c.m = 0;
+  c.kv.enabled = true;
+  c.kv.shards = 2;
+  c.kv.clients = 8;
+  c.kv.ops_per_client = 128;
+  c.kv.window = 4;
+  c.kv.batch = 4;
+  c.kv.snapshot_interval = 16;
+  c.faults.process_crashes[1] = 100;
+  c.faults.process_rejoins[1] = 200;
+  const RunReport r = harness::run_cluster(c);
+  ASSERT_TRUE(r.all_ok()) << r.summary();
+  EXPECT_EQ(r.kv_ops, 8u * 128u);
+  EXPECT_EQ(r.snapshots_installed, 2u) << r.summary();
+  EXPECT_LE(r.kv_op_p999, 8u) << r.summary();
+  EXPECT_EQ(r.catchup_bytes, 8962u) << r.summary();
 }
 
 // Retirement (ConsensusEngine::retire_below): with a snapshot cadence the
