@@ -30,6 +30,10 @@ using namespace mnm::harness;
 
 namespace {
 
+/// Every guard row runs seeds 1..kGuardSeeds: its counters are means over
+/// the same runs on every machine, however fast the wall clock goes.
+constexpr benchmark::IterationCount kGuardSeeds = 16;
+
 ClusterConfig kv_config(Algorithm algo, std::size_t n, std::size_t m,
                         std::size_t shards, std::size_t clients,
                         std::size_t ops, kv::Mix mix,
@@ -263,23 +267,28 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("kv/FastPaxos_s1_C", bm_kv,
                                Algorithm::kFastPaxos, 3, 0, 1, 64, 8,
                                kv::Mix::kC, false, false)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("kv/FastPaxos_s8_C", bm_kv,
                                Algorithm::kFastPaxos, 3, 0, 8, 64, 8,
                                kv::Mix::kC, false, false)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("kv/FastPaxos_s4_A", bm_kv,
                                Algorithm::kFastPaxos, 3, 0, 4, 64, 8,
                                kv::Mix::kA, false, false)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("kv/PMP_s2_A", bm_kv,
                                Algorithm::kProtectedMemoryPaxos, 2, 3, 2, 8, 4,
                                kv::Mix::kA, false, false)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("kv/FastRobust_s1_A", bm_kv,
                                Algorithm::kFastRobust, 3, 3, 1, 2, 3,
                                kv::Mix::kA, false, false)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   // Signed-vs-unsigned pair: identical workload to kv/FastPaxos_s4_A, but
   // every command carries a client HMAC and every replica apply verifies
   // it. The baseline pins the verification cost on the apply path (one
@@ -287,23 +296,27 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("kv/FastPaxos_s4_A_signed", bm_kv,
                                Algorithm::kFastPaxos, 3, 0, 4, 64, 8,
                                kv::Mix::kA, false, true)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   // Auto-tuned counterparts of the fixed guard rows: the controller starts
   // from the same 4x4 and must land within ~10% of it (or beat it) on both
   // the read-heavy and the write-heavy mix.
   benchmark::RegisterBenchmark("kv/FastPaxos_s1_C_auto", bm_kv,
                                Algorithm::kFastPaxos, 3, 0, 1, 64, 8,
                                kv::Mix::kC, true, false)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("kv/FastPaxos_s4_A_auto", bm_kv,
                                Algorithm::kFastPaxos, 3, 0, 4, 64, 8,
                                kv::Mix::kA, true, false)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   // During-migration row: a live 1→2 split (src/reconfig/) mid-workload.
   // Compare against kv/FastPaxos_s1_C for what the reshard costs while it
   // runs; bench_reconfig carries the full plan matrix.
   benchmark::RegisterBenchmark("kv/FastPaxos_split_1to2_A", bm_kv_split)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -29,6 +29,10 @@ using namespace mnm::harness;
 
 namespace {
 
+/// Every guard row runs seeds 1..kGuardSeeds: its counters are means over
+/// the same runs on every machine, however fast the wall clock goes.
+constexpr benchmark::IterationCount kGuardSeeds = 16;
+
 ClusterConfig smr_config(Algorithm algo, std::size_t n, std::size_t m,
                          std::size_t commands, std::size_t batch,
                          std::size_t window) {
@@ -252,19 +256,23 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("log/FastPaxos_w1_b1", bm_pipeline,
                                Algorithm::kFastPaxos, 3, 0, 64, 1, 1,
                                false, false)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("log/FastPaxos_w8_b1", bm_pipeline,
                                Algorithm::kFastPaxos, 3, 0, 64, 1, 8,
                                false, false)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("log/FastPaxos_w8_b8", bm_pipeline,
                                Algorithm::kFastPaxos, 3, 0, 64, 8, 8,
                                false, false)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("log/FastPaxos_w16_b8", bm_pipeline,
                                Algorithm::kFastPaxos, 3, 0, 64, 8, 16,
                                false, false)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   // Auto-tuning acceptance pair: the hand-tuned best fixed cell at a
   // 4096-command backlog vs the controller converging from a neutral 4x4
   // start under identical workload. The cmds_per_kdelay counters are the
@@ -272,26 +280,31 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("log/FastPaxos_w16_b8_c4096", bm_pipeline,
                                Algorithm::kFastPaxos, 3, 0, 4096, 8, 16,
                                false, false)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("log/FastPaxos_auto", bm_pipeline,
                                Algorithm::kFastPaxos, 3, 0, 4096, 4, 4,
                                false, true)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("log/PMP_w8_b4", bm_pipeline,
                                Algorithm::kProtectedMemoryPaxos, 2, 3, 32, 4, 8,
                                false, false)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("log/FastRobust_w2_b2", bm_pipeline,
                                Algorithm::kFastRobust, 3, 3, 4, 2, 2,
                                false, false)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   // Backup-forced variant (force_backup): every slot runs Preferential
   // Paxos over Robust Backup(Paxos), the t-send-heavy path where
   // suffix-only history decode carries the load.
   benchmark::RegisterBenchmark("log/FastRobust_w2_b2_backup", bm_pipeline,
                                Algorithm::kFastRobust, 3, 3, 4, 2, 2,
                                true, false)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -27,6 +27,10 @@ using namespace mnm::harness;
 
 namespace {
 
+/// Every guard row runs seeds 1..kGuardSeeds: its counters are means over
+/// the same runs on every machine, however fast the wall clock goes.
+constexpr benchmark::IterationCount kGuardSeeds = 16;
+
 using reconfig::ChangeKind;
 
 /// One reconfiguration scenario: a plan plus the shard count it starts at.
@@ -162,7 +166,8 @@ int main(int argc, char** argv) {
             : plan.actions[0].kind == ChangeKind::kMerge ? "merge_2to1"
                                                          : "split_1to2";
     benchmark::RegisterBenchmark(name.c_str(), bm_plan, plan)
-        ->Unit(benchmark::kMillisecond);
+        ->Unit(benchmark::kMillisecond)
+        ->Iterations(kGuardSeeds);
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -37,6 +37,10 @@ using namespace mnm::harness;
 
 namespace {
 
+/// Every guard row runs seeds 1..kGuardSeeds: its counters are means over
+/// the same runs on every machine, however fast the wall clock goes.
+constexpr benchmark::IterationCount kGuardSeeds = 16;
+
 ClusterConfig txn_config(std::size_t shards, std::size_t clients,
                          std::size_t ops, double fraction, double theta,
                          std::size_t txn_accounts = 2,
@@ -201,31 +205,38 @@ int main(int argc, char** argv) {
   // acceptance: ops_per_kdelay within 15% of the txn-free control.
   benchmark::RegisterBenchmark("txn/FastPaxos_s3_theta0", bm_txn, 3, 0.4, 0.0,
                                2)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("txn/FastPaxos_s3_theta95", bm_txn, 3, 0.4,
                                0.95, 2)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("txn/FastPaxos_s3_theta99", bm_txn, 3, 0.4,
                                0.99, 2)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   // Four-account transfers: double the records per transaction.
   benchmark::RegisterBenchmark("txn/FastPaxos_s3_size4", bm_txn, 3, 0.4, 0.8,
                                4)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   // Single-shard control: 2PC over one replicated log.
   benchmark::RegisterBenchmark("txn/FastPaxos_s1_control", bm_txn, 1, 0.4,
                                0.0, 2)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   // The overhead acceptance pair: every slot a transfer vs no transfers at
   // all, same fleet/shards/pipeline. Both rows count one op per logged
   // command (reads included), so their ops_per_kdelay must agree within
   // 15% — the 2PC machinery adds records, not per-record cost.
   benchmark::RegisterBenchmark("txn/FastPaxos_s3_pure", bm_txn, 3, 1.0, 0.0,
                                2)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("txn/FastPaxos_s3_plain", bm_txn, 3, 0.0, 0.0,
                                2)
-      ->Unit(benchmark::kMillisecond);
+      ->Unit(benchmark::kMillisecond)
+      ->Iterations(kGuardSeeds);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

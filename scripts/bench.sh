@@ -43,7 +43,8 @@
 #                   BENCH_reconfig.json BENCH_txn.json
 #
 # BENCH_MIN_TIME overrides google-benchmark's --benchmark_min_time (default
-# 0.5; CI smoke uses 0.01).
+# 0.5; CI smoke uses 0.01). The log_pipeline, kv, recovery, reconfig and
+# txn rows run a fixed 16 iterations (seeds 1-16) whatever it is set to.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

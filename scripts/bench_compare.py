@@ -4,6 +4,9 @@
 Guards the virtual-time throughput counters (``ops_per_kdelay``,
 ``cmds_per_kdelay``) by default: they are derived from simulator time, so
 they are machine-independent and meaningful even on a loaded CI runner.
+Every guard row runs a fixed 16 iterations, seeds 1-16 (google-benchmark
+names it ``<row>/iterations:16``), so a counter is an exact mean over
+the same runs at any ``--benchmark_min_time`` on any machine.
 A row regresses when its fresh counter drops more than ``--threshold``
 (default 15%) below the baseline. Wall-clock ``items_per_second`` is only
 compared behind ``--wall-clock`` — it guards local runs on a quiet box,

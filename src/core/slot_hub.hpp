@@ -15,13 +15,13 @@
 //
 // Subs retire with their slots: retire_below(f) frees every sub below f and
 // raises the hub's floor, and a later frame below the floor is dropped — it
-// creates no sub and does not move the horizon — so stray traffic cannot
+// creates no sub and lists nothing for discovery — so stray traffic cannot
 // reopen a retired slot.
 //
-// Beside the slots run two reserved frames: the control channel (catch-up
-// and range transfers) and the term channel, which carries a Fast Paxos
-// leader's one PREPARE for all of its group's slots and the PROMISEs that
-// answer it (core::PaxosTerm). Neither notes the horizon.
+// Beside the slots run two reserved frames: the control channel (snapshot
+// catch-up) and the term channel, which carries a Fast Paxos leader's one
+// PREPARE for all of its group's slots and the PROMISEs that answer it
+// (core::PaxosTerm). Neither lists a slot for discovery.
 //
 // Hot-path shape matches TransportMux: framing is one extra Writer into the
 // shared broadcast buffer (still one serialize per broadcast), inbound
@@ -48,18 +48,17 @@ namespace mnm::core {
 class SlotTransportHub {
  public:
   /// Frames whose slot id is ≥ floor + guard are dropped: malformed (or
-  /// Byzantine) traffic must not inflate the horizon and trick learners
-  /// into opening unbounded per-slot state. The guard is relative, so a
-  /// long-running group whose floor rises never reaches it.
+  /// Byzantine) traffic must not trick learners into opening unbounded
+  /// per-slot state. The guard is relative, so a long-running group whose
+  /// floor rises never reaches it.
   static constexpr Slot kDefaultGuard = Slot{1} << 20;
 
   /// Reserved frame id for the control channel (catch-up requests and
-  /// responses between replicas, and the range-snapshot transfer frames of
-  /// live resharding — smr/catchup.hpp demuxes the kinds by leading tag
-  /// byte). All-ones can never be a real slot — it is
-  /// far above every slot guard — so the demux routes it to a dedicated
-  /// sub-transport without advancing the horizon: control traffic must not
-  /// look like slot activity to the discovery loop.
+  /// responses between replicas — smr/catchup.hpp demuxes the two by
+  /// leading tag byte). All-ones can never be a real slot — it is far above
+  /// every slot guard — so the demux routes it to a dedicated sub-transport
+  /// and lists nothing: control traffic must not look like slot activity to
+  /// the discovery loop.
   static constexpr Slot kControlSlot = ~Slot{0};
 
   /// Reserved frame id for the group's leader-term channel (PaxosTerm),
@@ -77,15 +76,11 @@ class SlotTransportHub {
   std::size_t process_count() const { return base_->process_count(); }
 
   /// The sub-transport for `slot` at or above the retirement floor
-  /// (created on first use; also advances the horizon, so opening a slot
-  /// locally counts as hearing of it).
-  Transport& slot(Slot s) {
-    note(s);
-    return sub(s);
-  }
+  /// (created on first use; a local open lists nothing for discovery).
+  Transport& slot(Slot s) { return sub(s); }
 
   /// Free every sub below `floor` and drop later frames for those slots.
-  /// Schedules nothing and leaves the horizon where it is.
+  /// Schedules nothing.
   void retire_below(Slot floor) { subs_.raise_floor(floor); }
   /// Live slot subs (the control channel's not counted).
   std::size_t subs_held() const { return subs_.size(); }
@@ -93,10 +88,8 @@ class SlotTransportHub {
   /// Spawn the demux loop. Call exactly once, before messages flow.
   void start() { exec_->spawn(demux_loop(this)); }
 
-  /// One past the highest slot with observed activity (local opens and
-  /// inbound frames). `heard()` bumps whenever it grows, and whenever an
-  /// inbound frame creates a sub below it (a late first frame).
-  Slot horizon() const { return horizon_; }
+  /// Bumps whenever an inbound frame creates a sub (the slot's first frame
+  /// here), and only then.
   sim::VersionSignal& heard() { return heard_; }
 
   /// Swap into `out`, in ascending order, the slots whose subs inbound
@@ -109,7 +102,7 @@ class SlotTransportHub {
   }
 
   /// The control channel: a sub-transport on the reserved kControlSlot
-  /// frame id. Created on first use; its traffic never notes the horizon.
+  /// frame id. Created on first use; its traffic lists nothing.
   Transport& control() { return control_sub(); }
 
   /// The term channel for sending: a sub-transport on kTermSlot, created
@@ -173,14 +166,6 @@ class SlotTransportHub {
     return s >= subs_.floor() && s - subs_.floor() < guard_;
   }
 
-  void note(Slot s) {
-    if (!in_window(s)) return;
-    if (s + 1 > horizon_) {
-      horizon_ = s + 1;
-      heard_.bump();
-    }
-  }
-
   static sim::Task<void> demux_loop(SlotTransportHub* hub) {
     while (true) {
       TMsg m = co_await hub->base_->incoming().recv();
@@ -192,20 +177,19 @@ class SlotTransportHub {
       } catch (const util::SerdeError&) {
         continue;
       }
-      if (s == kControlSlot) {  // control frame: route, never note
+      if (s == kControlSlot) {  // control frame: route, never list
         Sub& ctl = hub->control_sub();
         m.payload = m.payload.suffix(8);
         ctl.incoming_.send(std::move(m));
         continue;
       }
-      if (s == kTermSlot) {  // term frame: hand over inline, never note
+      if (s == kTermSlot) {  // term frame: hand over inline, never list
         if (hub->term_handler_) {
           hub->term_handler_(TMsg{m.src, m.payload.suffix(8)});
         }
         continue;
       }
       if (!hub->in_window(s)) continue;  // retired, or past the guard: drop
-      hub->note(s);
       Sub* sub = hub->subs_.find(s);
       if (sub == nullptr) {  // first frame: list the slot for discovery
         sub = &hub->sub(s);
@@ -220,7 +204,6 @@ class SlotTransportHub {
   sim::Executor* exec_;
   Transport* base_;
   Slot guard_;
-  Slot horizon_ = 0;
   sim::VersionSignal heard_;
   std::vector<Slot> heard_slots_;  // subs inbound frames created, unopened
   util::SlotWindow<Sub> subs_;

@@ -60,30 +60,6 @@ Bytes encode_history(const History& h) {
   return std::move(w).take();
 }
 
-std::optional<History> decode_history(const Bytes& raw) {
-  try {
-    util::Reader r(raw);
-    const std::uint32_t count = r.u32();
-    History h;
-    // The count is attacker-controlled; cap the pre-size by what the buffer
-    // could possibly hold (every entry frame is > 8 bytes) so a forged
-    // header cannot force a huge allocation before the bounds checks bite.
-    h.reserve(std::min<std::size_t>(count, r.remaining() / 8));
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const util::ByteView entry_bytes = r.bytes_view();
-      util::Reader er(entry_bytes);
-      auto e = HistoryEntry::decode(er);
-      if (!e.has_value()) return std::nullopt;
-      er.expect_end();  // entry frames are canonical (see decode_tsend)
-      h.push_back(std::move(*e));
-    }
-    r.expect_end();
-    return h;
-  } catch (const util::SerdeError&) {
-    return std::nullopt;
-  }
-}
-
 Bytes chain_entry(const Bytes& prev_chain, HistoryEntry::Kind kind,
                   std::uint64_t k, ProcessId peer, util::ByteView payload) {
   util::Writer w(4 + prev_chain.size() + 1 + 8 + 4 + 4 + payload.size());

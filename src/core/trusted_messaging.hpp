@@ -70,7 +70,6 @@ struct HistoryEntry {
 using History = std::vector<HistoryEntry>;
 
 Bytes encode_history(const History& h);
-std::optional<History> decode_history(const Bytes& raw);
 
 /// Chain hash of an entry given its predecessor's chain value.
 Bytes chain_entry(const Bytes& prev_chain, HistoryEntry::Kind kind,

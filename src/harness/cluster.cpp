@@ -907,18 +907,6 @@ void build_kv(World& w, smr::ReplicaConfig rc, std::size_t shards,
   const KvConfig& kvc = w.cfg.kv;
   const bool reconfig = !kvc.reconfig.empty();
   const bool fan_out = rc.log.all_propose;
-  // Reconfiguration runs serve range-snapshot drains over the control
-  // channel; static runs keep the flag off so their event traces are
-  // byte-identical to before the subsystem existed.
-  rc.log.serve_ranges = reconfig;
-  if (fan_out) {
-    // The workload is dynamic (client-driven), so there is no slot target to
-    // fill with no-ops: replicas wait for fanned-out payloads — which land
-    // on every correct queue in the same tick — and fixed_slots is only the
-    // hub-sized safety cap.
-    rc.log.fixed_slots = Slot{1} << 20;
-    rc.log.noop_fillers = false;
-  }
   const kv::ShardTable initial = kv::ShardTable::initial(shards);
   for (std::size_t i = 0; i < data_groups; ++i) {
     Group& g = add_group(
@@ -944,8 +932,8 @@ void build_kv(World& w, smr::ReplicaConfig rc, std::size_t shards,
   }
   if (reconfig) {
     w.table_view = std::make_unique<reconfig::TableView>(w.exec, initial);
-    // Config changes are rare and tiny — batch of 1, no range serving, but
-    // the same snapshot cadence so rejoiners can catch up the table history.
+    // Config changes are rare and tiny — batch of 1, but the same snapshot
+    // cadence so rejoiners can catch up the table history.
     Group& g = add_group(
         w, "cfg", static_cast<std::uint8_t>(data_groups),
         [](const char* base) { return kv::config_ns(base); },
@@ -953,7 +941,6 @@ void build_kv(World& w, smr::ReplicaConfig rc, std::size_t shards,
     g.config = true;
     g.rc = rc;
     g.rc.batch = 1;
-    g.rc.log.serve_ranges = false;
     g.rc.tune.enabled = false;
     // The view drops replayed old epochs, so a rejoiner into a post-split
     // world installs the table without re-announcing flips.
@@ -1019,8 +1006,7 @@ void build_kv(World& w, smr::ReplicaConfig rc, std::size_t shards,
 
 /// Whether group `g` has converged: every correct replica at one log
 /// length, with the proposers idle — the leader in leader mode, every
-/// replica under all-propose. SMR mode's all-propose run instead drives a
-/// fixed slot count, which every correct replica must have applied.
+/// replica under all-propose.
 bool settled(const World& w, const Group& g) {
   const bool all_propose = g.rc.log.all_propose;
   std::optional<Slot> len;
@@ -1028,10 +1014,7 @@ bool settled(const World& w, const Group& g) {
     if (!w.correct(p)) continue;
     const smr::Replica& r = *g.members[p - 1].replica;
     const Slot applied = r.log().applied_len();
-    if (all_propose && !w.cfg.kv.enabled) {
-      if (applied != g.rc.log.fixed_slots) return false;
-    } else if ((all_propose && !r.idle()) ||
-               (len.has_value() && applied != *len)) {
+    if ((all_propose && !r.idle()) || (len.has_value() && applied != *len)) {
       return false;
     }
     len = applied;
@@ -1377,11 +1360,6 @@ RunReport run_replicated(World& w) {
         w, "", 0, [](const char* base) { return std::string(base); },
         /*byz_target=*/true);
     g.rc = replica_config(config.smr, all_propose);
-    if (all_propose) {
-      // Same clamp rule as smr::Replica (batch=0 would divide by zero here).
-      const std::size_t batch = std::max<std::size_t>(1, config.smr.batch);
-      g.rc.log.fixed_slots = (config.smr.commands + batch - 1) / batch;
-    }
     g.make_machine = [] { return std::make_unique<RecordingSm>(); };
     add_replicas(w, g);
   }

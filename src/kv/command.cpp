@@ -2,22 +2,6 @@
 
 namespace mnm::kv {
 
-const char* op_name(Op op) {
-  switch (op) {
-    case Op::kGet: return "GET";
-    case Op::kPut: return "PUT";
-    case Op::kDel: return "DEL";
-    case Op::kCas: return "CAS";
-    case Op::kSeal: return "SEAL";
-    case Op::kInstall: return "INSTALL";
-    case Op::kPurge: return "PURGE";
-    case Op::kTxnPrepare: return "TXN-PREPARE";
-    case Op::kTxnCommit: return "TXN-COMMIT";
-    case Op::kTxnAbort: return "TXN-ABORT";
-  }
-  return "?";
-}
-
 Bytes encode_command(const Command& c) {
   util::Writer w(1 + 8 + 8 + 4 + c.key.size() + 4 + c.value.size() + 4 +
                  c.expected.size());

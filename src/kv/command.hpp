@@ -66,8 +66,6 @@ enum class Op : std::uint8_t {
   kTxnAbort = 10,   // discard the buffered write, release the lock
 };
 
-const char* op_name(Op op);
-
 inline bool is_admin(Op op) { return op >= Op::kSeal && op <= Op::kPurge; }
 inline bool is_txn(Op op) { return op >= Op::kTxnPrepare && op <= Op::kTxnAbort; }
 

@@ -2,9 +2,8 @@
 // the reconfiguration admin operations (Op::kSeal / kInstall / kPurge).
 //
 //  * RangeSpec names a set of hash buckets at a config epoch, against a
-//    stated table size: the seal and purge payloads, and the range-snapshot
-//    request a Migrator broadcasts on a source group's catch-up control
-//    channel.
+//    stated table size: the seal and purge payloads, and the request the
+//    Migrator's drain passes to a source replica's export_range.
 //  * RangeSnapshot is the drained state of a sealed range: the (key, value)
 //    pairs and locks of the moving buckets plus the source machine's full
 //    session table (merged max-seq at the destination, so a retry

@@ -130,8 +130,8 @@ class StateMachine : public smr::StateMachine {
   /// untouched. Never throws — snapshots arrive from unverified peers.
   bool restore(util::ByteView raw) override;
 
-  /// Drain service for the Migrator (smr::Log serves this over the catch-up
-  /// control channel): `request` is an encoded RangeSpec; the reply is an
+  /// Drain service for the Migrator (smr::Log::fetch_range reads it on the
+  /// source replica): `request` is an encoded RangeSpec; the reply is an
   /// encoded RangeSnapshot of the sealed range, or empty when this machine
   /// cannot serve it yet (not partitioned, seal not applied, or the listed
   /// buckets still owned).

@@ -6,14 +6,6 @@
 
 namespace mnm::reconfig {
 
-const char* change_kind_name(ChangeKind k) {
-  switch (k) {
-    case ChangeKind::kSplit: return "split";
-    case ChangeKind::kMerge: return "merge";
-  }
-  return "?";
-}
-
 Bytes encode_config_change(const ConfigChange& c) {
   util::Writer w(1 + 8 + 4 + 4);
   w.u8(static_cast<std::uint8_t>(c.kind))

@@ -36,8 +36,6 @@ enum class ChangeKind : std::uint8_t {
   kMerge = 2,
 };
 
-const char* change_kind_name(ChangeKind k);
-
 struct ConfigChange {
   ChangeKind kind = ChangeKind::kSplit;
   /// Table epoch this change was computed against; the change applies iff

@@ -126,9 +126,9 @@ sim::Task<void> Migrator::migrate(std::uint64_t epoch) {
     co_return;
   }
 
-  // DRAIN — fetch the sealed range from a source replica. The validator
-  // decodes (checksummed) and pins the spec, so a stale or forged
-  // response from the control wire is dropped and the fetch keeps waiting.
+  // DRAIN — read the sealed range from a source replica's machine. The
+  // validator decodes (checksummed) and pins the spec; the fetch re-reads
+  // after each apply there until an export passes.
   kv::RangeSnapshot snap;
   auto valid = [&](util::ByteView payload) {
     std::optional<kv::RangeSnapshot> s = kv::decode_range_snapshot(payload);

@@ -12,11 +12,12 @@
 //     the seal → drain → install → purge protocol:
 //       SEAL    (src group log)  stop serving the moving buckets; client
 //                                ops on them bounce with kWrongEpoch.
-//       DRAIN   (control wire)   fetch the sealed range as a checksummed
-//                                RangeSnapshot via smr::Log::fetch_range —
-//                                local export when this process hosts a
-//                                caught-up source replica, the catch-up
-//                                control channel otherwise.
+//       DRAIN   (src replica)    read the sealed range as a checksummed
+//                                RangeSnapshot from the machine of the
+//                                source replica Ω trusts, via
+//                                smr::Log::fetch_range, which waits until
+//                                that machine has applied the seal (a
+//                                rejoined replica catches up first).
 //       INSTALL (dst group log)  replicate the snapshot into the
 //                                destination's log so every dst replica
 //                                imports the same pairs + sessions at the

@@ -7,11 +7,9 @@
 namespace mnm::smr {
 
 namespace {
-// Leading tag byte so all message kinds share the one control channel.
+// Leading tag byte so both message kinds share the one control channel.
 constexpr std::uint8_t kRequestTag = 1;
 constexpr std::uint8_t kResponseTag = 2;
-constexpr std::uint8_t kRangeRequestTag = 3;
-constexpr std::uint8_t kRangeResponseTag = 4;
 }  // namespace
 
 Bytes encode_catchup_request(const CatchupRequest& req) {
@@ -62,50 +60,6 @@ std::optional<CatchupResponse> decode_catchup_response(util::ByteView raw) {
     resp.payloads.reserve(std::min<std::size_t>(count, r.remaining() / 4));
     for (std::uint32_t i = 0; i < count; ++i) resp.payloads.push_back(r.bytes());
     r.expect_end();
-    return resp;
-  } catch (const util::SerdeError&) {
-    return std::nullopt;
-  }
-}
-
-Bytes encode_range_request(const RangeSnapRequest& req) {
-  util::Writer w(1 + 8 + 4 + req.request.size());
-  w.u8(kRangeRequestTag).u64(req.cookie).bytes(req.request);
-  return std::move(w).take();
-}
-
-std::optional<RangeSnapRequest> decode_range_request(util::ByteView raw) {
-  try {
-    util::Reader r(raw);
-    if (r.u8() != kRangeRequestTag) return std::nullopt;
-    RangeSnapRequest req;
-    req.cookie = r.u64();
-    req.request = r.bytes();
-    r.expect_end();
-    if (req.request.size() > kMaxRangeFrameBytes) return std::nullopt;
-    return req;
-  } catch (const util::SerdeError&) {
-    return std::nullopt;
-  }
-}
-
-Bytes encode_range_response(const RangeSnapResponse& resp) {
-  util::Writer w(1 + 8 + 4 + resp.payload.size());
-  w.u8(kRangeResponseTag).u64(resp.cookie).bytes(resp.payload);
-  return std::move(w).take();
-}
-
-std::optional<RangeSnapResponse> decode_range_response(util::ByteView raw) {
-  try {
-    util::Reader r(raw);
-    if (r.u8() != kRangeResponseTag) return std::nullopt;
-    RangeSnapResponse resp;
-    resp.cookie = r.u64();
-    resp.payload = r.bytes();
-    r.expect_end();
-    if (resp.payload.empty() || resp.payload.size() > kMaxRangeFrameBytes) {
-      return std::nullopt;
-    }
     return resp;
   } catch (const util::SerdeError&) {
     return std::nullopt;

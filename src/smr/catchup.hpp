@@ -6,7 +6,9 @@
 // carries an optional snapshot (covering slots [0, snap_slot)) plus a run
 // of decided slot payloads starting at first_slot. Responses are capped at
 // kMaxCatchupSlots payloads — a requester far behind simply asks again from
-// its new applied prefix.
+// its new applied prefix. These two frames are all the control channel
+// carries (a leading tag byte tells them apart); a reconfiguration drain
+// reads the local machine and sends nothing (smr::Log::fetch_range).
 //
 // Both decoders are strict and total: the bytes arrive from an unverified
 // peer, so malformed input yields nullopt (the installer counts a
@@ -45,34 +47,5 @@ std::optional<CatchupRequest> decode_catchup_request(util::ByteView raw);
 
 Bytes encode_catchup_response(const CatchupResponse& resp);
 std::optional<CatchupResponse> decode_catchup_response(util::ByteView raw);
-
-/// Range-snapshot transfer frames — the drain leg of live resharding. They
-/// share the control channel with the catch-up frames (distinct leading tag
-/// bytes demux the four kinds): a requester broadcasts a RangeSnapRequest
-/// whose `request` bytes are opaque to the Log (StateMachine::export_range
-/// interprets them); every peer whose machine can serve the range answers
-/// with a RangeSnapResponse carrying the machine's self-validating
-/// encoding. The cookie pairs responses with the fetch that asked — stale
-/// responses from an abandoned round are dropped by cookie mismatch, not
-/// by parsing ambiguity. Payload caps mirror the catch-up hygiene.
-
-/// Max opaque payload bytes in a range request/response frame.
-inline constexpr std::size_t kMaxRangeFrameBytes = std::size_t{1} << 24;
-
-struct RangeSnapRequest {
-  std::uint64_t cookie = 0;  // echoes back in the matching responses
-  Bytes request;             // machine-defined range descriptor
-};
-
-struct RangeSnapResponse {
-  std::uint64_t cookie = 0;
-  Bytes payload;  // StateMachine::export_range bytes (never empty on wire)
-};
-
-Bytes encode_range_request(const RangeSnapRequest& req);
-std::optional<RangeSnapRequest> decode_range_request(util::ByteView raw);
-
-Bytes encode_range_response(const RangeSnapResponse& resp);
-std::optional<RangeSnapResponse> decode_range_response(util::ByteView raw);
 
 }  // namespace mnm::smr

@@ -46,8 +46,7 @@ Log::Log(sim::Executor& exec, core::ConsensusEngine& engine, core::Omega& omega,
       stash_signal_(exec),
       applied_signal_(exec),
       recovering_signal_(exec),
-      response_signal_(exec),
-      range_signal_(exec) {
+      response_signal_(exec) {
   // Validation rule (see LogConfig): a window of 0 silently stalled the
   // pump; clamp rather than assert so Release builds behave identically.
   config_.window = std::clamp<std::size_t>(config_.window, 1, kMaxWindow);
@@ -62,8 +61,7 @@ void Log::start() {
   // needs retained state (snapshot_interval > 0), recovering needs a peer
   // to ask. Memory-routed Byzantine engines have neither.
   core::Transport* ctl = engine_->control_transport();
-  const bool serve = (config_.snapshot_interval > 0 ||
-                      config_.serve_ranges) && ctl != nullptr;
+  const bool serve = config_.snapshot_interval > 0 && ctl != nullptr;
   recovering_ = config_.recover && ctl != nullptr;
   if (serve || recovering_) exec_->spawn(control_loop());
   if (recovering_) exec_->spawn(catchup_driver());
@@ -80,13 +78,6 @@ void Log::halt() {
   applied_signal_.bump();
   recovering_signal_.bump();
   response_signal_.bump();
-  range_signal_.bump();
-}
-
-void Log::enqueue(Bytes payload) {
-  pending_.push_back(Pending{std::move(payload), {}, exec_->now()});
-  pending_cmds_ += 1;  // opaque group: count unknown, one unit
-  pending_signal_.bump();
 }
 
 void Log::enqueue_commands(std::vector<Bytes> commands) {
@@ -114,17 +105,15 @@ Log::Pending Log::take_pending_or_noop() {
   if (pending_.empty()) return Pending{Bytes{}, {}, exec_->now()};
   Pending p = std::move(pending_.front());
   pending_.pop_front();
-  pending_cmds_ -= p.cmds.empty() ? 1 : p.cmds.size();
-  // Continuous batching: merge whole raw-command groups queued behind the
-  // head into one slot payload, up to the tuner's live batch. Only the
-  // not-yet-encoded raw path merges (opaque enqueue() payloads and
-  // re-queued groups — whose wire bytes must stay identical on retry —
-  // stay one group = one slot), so fixed-config behavior is untouched.
-  if (tuner_ != nullptr && tuner_->enabled() && !p.cmds.empty() &&
-      p.payload.empty()) {
+  pending_cmds_ -= p.cmds.size();
+  // Continuous batching: merge whole groups queued behind the head into one
+  // slot payload, up to the tuner's live batch. Only not-yet-encoded groups
+  // merge (a re-queued group, whose wire bytes must stay identical on
+  // retry, stays one group = one slot), so fixed-config behavior is
+  // untouched.
+  if (tuner_ != nullptr && tuner_->enabled() && p.payload.empty()) {
     const std::size_t live_batch = tuner_->batch();
-    while (!pending_.empty() && !pending_.front().cmds.empty() &&
-           pending_.front().payload.empty() &&
+    while (!pending_.empty() && pending_.front().payload.empty() &&
            p.cmds.size() < live_batch &&
            p.cmds.size() + pending_.front().cmds.size() <= live_batch) {
       Pending next = std::move(pending_.front());
@@ -139,7 +128,7 @@ Log::Pending Log::take_pending_or_noop() {
 }
 
 void Log::requeue_front(Pending group) {
-  pending_cmds_ += group.cmds.empty() ? 1 : group.cmds.size();
+  pending_cmds_ += group.cmds.size();
   pending_.push_front(std::move(group));
   pending_signal_.bump();
 }
@@ -160,9 +149,9 @@ void Log::launch(Slot slot, Pending p, bool retry) {
 }
 
 sim::Task<void> Log::drive(Slot slot, Pending group, bool retry) {
-  // Raw groups encode here, at launch; pre-encoded payloads pass through.
-  // The group survives the move into propose(): it detects a lost slot, and
-  // is what the loss path re-queues.
+  // Groups encode here, at launch; a re-queued group's payload passes
+  // through. The group survives the move into propose(): it detects a lost
+  // slot, and is what the loss path re-queues.
   if (group.payload.empty() && !group.cmds.empty()) {
     group.payload = encode_batch(group.cmds);
   }
@@ -317,12 +306,12 @@ sim::Task<void> Log::pump_leader() {
 }
 
 sim::Task<void> Log::pump_all() {
-  while (next_slot_ < config_.fixed_slots) {
-    if (halted_) co_return;
-    const std::uint64_t v_applied = applied_signal_.version();
-    const std::uint64_t v_pending = pending_signal_.version();
-    const bool have_work = !pending_.empty() || config_.noop_fillers;
-    if (have_work && next_slot_ < applied_len_ + config_.window) {
+  while (!halted_) {
+    // Wait for queued work, then for a window seat.
+    sim::VersionSignal& signal =
+        pending_.empty() ? pending_signal_ : applied_signal_;
+    const std::uint64_t seen = signal.version();
+    if (!pending_.empty() && next_slot_ < applied_len_ + config_.window) {
       // Candidate-per-slot model: no retry — consensus picking another
       // replica's candidate is the expected outcome, not a loss.
       launch(next_slot_, take_pending_or_noop(), /*retry=*/false);
@@ -330,8 +319,7 @@ sim::Task<void> Log::pump_all() {
       continue;
     }
     sim::Select sel(*exec_);
-    sel.on(applied_signal_, v_applied);
-    if (!config_.noop_fillers) sel.on(pending_signal_, v_pending);
+    sel.on(signal, seen);
     (void)co_await sel;
   }
 }
@@ -349,16 +337,6 @@ sim::Task<void> Log::control_loop() {
     } else if (const auto resp = decode_catchup_response(m.payload)) {
       install_catchup(*resp, m.payload.size());
       response_signal_.bump();
-    } else if (const auto rreq = decode_range_request(m.payload)) {
-      if (config_.serve_ranges) serve_range(m.src, *rreq);
-    } else if (const auto rresp = decode_range_response(m.payload)) {
-      // Responses for the live fetch round only; an abandoned round's
-      // stragglers drop on cookie mismatch.
-      if (live_range_cookie_ != 0 && rresp->cookie == live_range_cookie_) {
-        range_bytes_ += rresp->payload.size();
-        range_responses_.push_back(std::move(rresp->payload));
-        range_signal_.bump();
-      }
     } else {
       ++catchup_rejected_;
     }
@@ -385,67 +363,17 @@ void Log::serve_catchup(ProcessId dst, Slot from) {
   ctl->send(dst, encode_catchup_response(resp));
 }
 
-void Log::serve_range(ProcessId dst, const RangeSnapRequest& req) {
-  // The request bytes are machine-defined; a machine that cannot serve the
-  // range (yet) answers nothing — the requester re-broadcasts on its own
-  // cadence until some peer has sealed the range.
-  Bytes payload = sm_->export_range(req.request);
-  if (payload.empty() || payload.size() > kMaxRangeFrameBytes) return;
-  ++ranges_served_;
-  core::Transport* ctl = engine_->control_transport();
-  ctl->send(dst, encode_range_response(
-                     RangeSnapResponse{req.cookie, std::move(payload)}));
-}
-
 sim::Task<Bytes> Log::fetch_range(Bytes request,
                                   std::function<bool(util::ByteView)> valid) {
-  core::Transport* ctl = engine_->control_transport();
-  while (true) {
-    if (halted_) co_return Bytes{};
-    // Local machine first: in the fault-free flow the replica driving the
-    // drain has itself applied the seal, so no wire round is needed.
-    {
-      Bytes local = sm_->export_range(request);
-      if (!local.empty() && valid(local)) co_return local;
-    }
-    if (ctl == nullptr) {
-      // No control channel (memory-routed Byzantine engines): wait for the
-      // local machine to advance and re-try the local export.
-      const std::uint64_t v_applied = applied_signal_.version();
-      sim::Select sel(*exec_);
-      sel.on(applied_signal_, v_applied);
-      (void)co_await sel;
-      continue;
-    }
-    // Broadcast one request round and collect responses until the catch-up
-    // cadence expires; the first response the validator accepts wins, and
-    // rejected ones (Byzantine peers can answer with garbage) are counted.
-    const std::uint64_t cookie = ++range_cookie_seq_;
-    live_range_cookie_ = cookie;
-    range_responses_.clear();
-    ctl->send_all(encode_range_request(RangeSnapRequest{cookie, request}),
-                  /*include_self=*/false);
-    const sim::Time deadline = exec_->now() + kCatchupTimeout;
-    while (true) {
-      while (!range_responses_.empty()) {
-        Bytes b = std::move(range_responses_.front());
-        range_responses_.erase(range_responses_.begin());
-        if (valid(b)) {
-          live_range_cookie_ = 0;
-          range_responses_.clear();
-          co_return b;
-        }
-        ++catchup_rejected_;
-      }
-      if (halted_ || exec_->now() >= deadline) break;
-      const std::uint64_t v_range = range_signal_.version();
-      if (!range_responses_.empty()) continue;  // landed since the drain
-      sim::Select sel(*exec_);
-      sel.on(range_signal_, v_range).until(deadline);
-      (void)co_await sel;
-    }
-    live_range_cookie_ = 0;  // round over: stragglers drop, then re-ask
+  while (!halted_) {
+    const std::uint64_t v_applied = applied_signal_.version();
+    Bytes local = sm_->export_range(request);
+    if (!local.empty() && valid(local)) co_return local;
+    sim::Select sel(*exec_);
+    sel.on(applied_signal_, v_applied);
+    (void)co_await sel;
   }
+  co_return Bytes{};
 }
 
 void Log::install_slot(Slot s, const Bytes& payload) {

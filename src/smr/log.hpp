@@ -22,9 +22,11 @@
 //    batches commit unless their replica dies.
 //
 //  * All-propose (`all_propose`, Byzantine-model engines): every correct
-//    replica proposes its own candidate payload (or a no-op filler once its
-//    queue drains) for each of `fixed_slots` slots, window-paced. This is
-//    the mode Fast & Robust / Cheap Quorum require, since their traffic
+//    replica proposes each queued payload for the next slot, window-paced;
+//    callers feed every correct replica the same payloads in the same order
+//    (the harness submits one workload per replica, kv::Router fans each
+//    payload out in one tick), so every replica proposes every slot. This
+//    is the mode Fast & Robust / Cheap Quorum require, since their traffic
 //    runs through memories and passive replicas could never be heard.
 //
 // All waits are event-driven (sim::Select over the pending/applied/Ω/
@@ -71,9 +73,8 @@ class StateMachine {
   /// Partial-state drain hook (reconfiguration): `request` is an opaque,
   /// machine-defined range descriptor; the reply is a self-validating
   /// encoding of the requested slice, or empty when this machine cannot
-  /// serve it (yet). The Log stays agnostic of the bytes — it only carries
-  /// them between a requester (Log::fetch_range) and serving peers over the
-  /// control channel. Must be total: the request arrives from the wire.
+  /// serve it (yet). The Log stays agnostic of the bytes: Log::fetch_range
+  /// re-asks after every apply until the reply is usable.
   virtual Bytes export_range(util::ByteView) const { return {}; }
 };
 
@@ -86,15 +87,13 @@ std::vector<Bytes> decode_batch(util::ByteView raw);
 
 /// Validation rule (applied at Log construction, documented once here):
 /// `window` is clamped into [1, kMaxWindow] — a window of 0 can make no
-/// progress and silently stalled before this rule existed. `fixed_slots`
-/// needs no clamp (a window wider than the slot target is simply never
-/// filled), but all_propose with fixed_slots == 0 drives nothing; callers
-/// wanting a dynamic all-propose workload set a cap and noop_fillers=false.
+/// progress and silently stalled before this rule existed. A window wider
+/// than the queued work is simply never filled.
 inline constexpr std::size_t kMaxWindow = 1 << 16;
 
-/// The cap on a silent catch-up or range-fetch round, in executor time: a
-/// round ends at its first usable answer and waits this long only for a
-/// round nobody answers.
+/// The cap on a silent catch-up round, in executor time: a round ends at
+/// its first usable answer and waits this long only for a round nobody
+/// answers.
 inline constexpr sim::Time kCatchupTimeout = 8;
 
 struct LogConfig {
@@ -104,17 +103,6 @@ struct LogConfig {
   std::size_t window = 8;
   /// Every replica proposes every slot (required by Byzantine engines).
   bool all_propose = false;
-  /// all_propose only: total slots to drive (each replica must use the
-  /// same value).
-  Slot fixed_slots = 0;
-  /// all_propose only: when true (the default — the fixed-workload harness
-  /// shape), an empty queue proposes the no-op filler so every slot up to
-  /// fixed_slots completes. When false, the pump waits for queued work
-  /// before opening a slot — the dynamic-workload shape (kv::Router fans
-  /// the same payload out to every correct replica in the same tick, so
-  /// queues advance in lockstep and fillers are never needed). fixed_slots
-  /// is then just a cap, not a target.
-  bool noop_fillers = true;
   /// Snapshot the state machine every `snapshot_interval` applied slots and
   /// compact the log below the snapshot slot (0 = never, the default — the
   /// pre-snapshot behavior, byte-for-byte). With an interval set the Log
@@ -131,11 +119,6 @@ struct LogConfig {
   /// were complete and left no decision stashed, or after four silent
   /// rounds. The rejoin path of a restarted replica.
   bool recover = false;
-  /// Answer range-snapshot requests (StateMachine::export_range) on the
-  /// control channel and allow fetch_range() — the drain leg of live
-  /// resharding. Off by default so non-reconfiguration runs spawn exactly
-  /// the coroutines they always did, byte-for-byte.
-  bool serve_ranges = false;
 };
 
 /// Every slot this replica applied from a decision, folded once at apply.
@@ -172,12 +155,10 @@ class Log {
   /// engine.start().
   void start();
 
-  /// Queue a batch payload (encode_batch) for replication.
-  void enqueue(Bytes payload);
-  /// Queue a group of raw commands. Unlike enqueue(), the group is encoded
-  /// at *launch* time, so the pump may merge consecutive groups into one
-  /// slot payload up to the tuner's live batch size — the continuous-
-  /// batching path auto-tuned Replicas feed.
+  /// Queue a group of raw commands for one slot. The group is encoded at
+  /// *launch* time, so with a tuner attached the pump may merge consecutive
+  /// groups into one slot payload up to its live batch size (continuous
+  /// batching).
   void enqueue_commands(std::vector<Bytes> commands);
 
   /// Attach the live window/batch controller (owned by the Replica; may be
@@ -191,14 +172,8 @@ class Log {
   }
 
   std::size_t pending() const { return pending_.size(); }
-  /// Commands queued behind the window (opaque enqueue() payloads count as
-  /// one command each — exact on the enqueue_commands() path the tuner
-  /// actually observes).
-  std::uint64_t pending_commands() const { return pending_cmds_; }
   /// Slots applied to the state machine (the contiguous prefix).
   Slot applied_len() const { return applied_len_; }
-  /// One past the highest slot this replica has proposed for.
-  Slot proposed_upto() const { return next_slot_; }
   /// Nothing queued, nothing decided-but-unapplied, every slot this replica
   /// proposed is applied.
   bool quiescent() const {
@@ -222,14 +197,11 @@ class Log {
   /// loops blocked on a channel recv stay suspended but inert.
   void halt();
 
-  /// Fetch a machine-defined range slice from this group (reconfiguration
-  /// drain; requires serve_ranges). Tries the local machine first; while it
-  /// cannot serve, broadcasts a RangeSnapRequest on the control channel
-  /// each kCatchupTimeout and returns the first response `valid` accepts
-  /// (invalid responses — a Byzantine peer can answer with garbage — are
-  /// counted against catchup_rejected and skipped). Engines without a
-  /// control transport poll the local machine on the applied signal
-  /// instead. Returns empty only if this log halts first.
+  /// Fetch a machine-defined range slice from this replica's machine
+  /// (reconfiguration drain): returns StateMachine::export_range(request)
+  /// once it is non-empty and `valid` accepts it, re-asking after every
+  /// apply (a catch-up install included). Sends nothing. Returns empty
+  /// only if this log halts first.
   sim::Task<Bytes> fetch_range(Bytes request,
                                std::function<bool(util::ByteView)> valid);
 
@@ -238,15 +210,11 @@ class Log {
   std::uint64_t slots_truncated() const { return slots_truncated_; }
   std::uint64_t catchup_bytes() const { return catchup_bytes_; }
   std::uint64_t catchup_rejected() const { return catchup_rejected_; }
-  /// Range-snapshot responses this log served to drain requesters.
-  std::uint64_t ranges_served() const { return ranges_served_; }
-  /// Range-snapshot response bytes consumed by fetch_range here.
-  std::uint64_t range_bytes() const { return range_bytes_; }
 
  private:
   struct Pending {
-    Bytes payload;               // pre-encoded batch; empty on the raw path
-    std::vector<Bytes> cmds;     // raw commands (enqueue_commands path)
+    Bytes payload;               // encoded at launch; set on a re-queue
+    std::vector<Bytes> cmds;     // the group's raw commands
     sim::Time enqueued_at = 0;
   };
   /// Proposer-side record of one slot, held from launch to apply.
@@ -294,7 +262,6 @@ class Log {
   /// Drop retained payloads and stash entries below `s`.
   void compact_below(Slot s);
   void serve_catchup(ProcessId dst, Slot from);
-  void serve_range(ProcessId dst, const RangeSnapRequest& req);
   void install_catchup(const CatchupResponse& resp, std::size_t wire_bytes);
   /// Apply one caught-up slot payload (no decision metadata, no fold).
   void install_slot(Slot s, const Bytes& payload);
@@ -334,14 +301,6 @@ class Log {
   // False once a response of the current round was capped at
   // kMaxCatchupSlots or carried a snapshot the machine rejected.
   bool answers_complete_ = true;
-  // Range-drain state: responses for the live fetch_range round, keyed by
-  // its cookie (stale rounds' responses are dropped on cookie mismatch).
-  std::uint64_t range_cookie_seq_ = 0;
-  std::uint64_t live_range_cookie_ = 0;
-  std::vector<Bytes> range_responses_;
-  sim::VersionSignal range_signal_;
-  std::uint64_t ranges_served_ = 0;
-  std::uint64_t range_bytes_ = 0;
   std::uint64_t snapshots_taken_ = 0;
   std::uint64_t snapshots_installed_ = 0;
   std::uint64_t slots_truncated_ = 0;

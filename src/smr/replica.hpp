@@ -1,16 +1,18 @@
 // smr::Replica — the client-facing end of the replication stack.
 //
-// submit(cmd) batches commands into slot payloads (up to `batch` commands
-// per slot — the amortization every log replication system leans on: one
-// consensus round commits many commands) and hands them to smr::Log, whose
-// SlotStats fold carries the per-slot counts and latency samples. One
-// Replica per process; the replicated state machine is pluggable.
+// submit(cmd) batches commands into groups of up to `batch` commands per
+// slot (the amortization every log replication system leans on: one
+// consensus round commits many commands), and each flush hands the open
+// group to smr::Log::enqueue_commands, which encodes it when the slot
+// launches. The Log's SlotStats fold carries the per-slot counts and
+// latency samples. One Replica per process; the replicated state machine
+// is pluggable.
 //
 // With `tune.enabled` (auto-tuning) the replica owns an smr::Tuner and
 // window/batch become live, clamped settings instead of constants: the
 // tuner starts from the configured window/batch, the Log's pump reads the
-// live window per slot and merges queued command groups up to the live
-// batch, and kv::Router consults flush_hold() to decide flush-now vs
+// live window per slot and merges queued groups up to the live batch,
+// and kv::Router consults flush_hold() to decide flush-now vs
 // pack-more. Requires leader-driven mode (all_propose forces the tuner
 // off — per-replica live batching would break the lockstep queues the
 // Byzantine engines need).

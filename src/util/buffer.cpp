@@ -45,8 +45,6 @@ Buffer::Buffer(Bytes&& b) {
 
 Buffer::Buffer(const Bytes& b) : Buffer(Bytes(b)) {}
 
-Buffer Buffer::copy_of(ByteView v) { return Buffer(Bytes(v.begin(), v.end())); }
-
 const std::uint8_t* Buffer::data() const {
   return ctrl_ == nullptr ? nullptr : ctrl_->data.data() + off_;
 }

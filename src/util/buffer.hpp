@@ -42,8 +42,6 @@ class Buffer {
   /// should move or share instead.
   Buffer(const Bytes& b);  // NOLINT(google-explicit-constructor)
 
-  static Buffer copy_of(ByteView v);
-
   Buffer(const Buffer& other) noexcept : ctrl_(other.ctrl_), off_(other.off_), len_(other.len_) {
     if (ctrl_ != nullptr) ++ctrl_->refs;
   }

@@ -310,10 +310,4 @@ sim::Task<mem::Status> VerbsMemory::change_permission(ProcessId caller,
   co_return co_await done.wait();
 }
 
-const mem::Permission& VerbsMemory::region_permission(RegionId region) const {
-  const auto it = regions_.find(region);
-  if (it == regions_.end()) throw std::out_of_range("VerbsMemory::region_permission");
-  return it->second.perm;
-}
-
 }  // namespace mnm::verbs

@@ -183,7 +183,6 @@ class VerbsMemory : public mem::MemoryIface {
   sim::Task<mem::Status> change_permission(ProcessId caller, RegionId region,
                                            mem::Permission proposed) override;
 
-  const mem::Permission& region_permission(RegionId region) const;
   /// Accepted permission changes, counted at the host-side effect point
   /// like mem::Memory::permission_changes.
   std::uint64_t permission_changes() const { return perm_changes_; }

@@ -356,9 +356,9 @@ TEST(Determinism, FailoverKeepsTheTwoDelayCommonCase) {
     std::uint64_t msgs, events;
   };
   const std::vector<Pin> pins = {
-      {Algorithm::kFastPaxos, false, 2, 4000.0, 1024, 5016},
-      {Algorithm::kFastPaxos, true, 2, 512000.0 / 130, 901, 4005},
-      {Algorithm::kPaxos, true, 4, 2000.0, 1536, 5528},
+      {Algorithm::kFastPaxos, false, 2, 4000.0, 1024, 4889},
+      {Algorithm::kFastPaxos, true, 2, 512000.0 / 130, 901, 3878},
+      {Algorithm::kPaxos, true, 4, 2000.0, 1536, 5401},
   };
   for (const Pin& pin : pins) {
     ClusterConfig c;
@@ -471,9 +471,9 @@ TEST(Determinism, SmrMemoryEnginesSameSeedSameRun) {
     Algorithm algo;
     std::uint64_t events, msgs;
   };
-  for (const Pin& pin : {Pin{Algorithm::kDiskPaxos, 194, 12},
-                         Pin{Algorithm::kProtectedMemoryPaxos, 127, 6},
-                         Pin{Algorithm::kAlignedPaxos, 448, 84}}) {
+  for (const Pin& pin : {Pin{Algorithm::kDiskPaxos, 192, 12},
+                         Pin{Algorithm::kProtectedMemoryPaxos, 125, 6},
+                         Pin{Algorithm::kAlignedPaxos, 446, 84}}) {
     const Algorithm algo = pin.algo;
     ClusterConfig c;
     c.algo = algo;
@@ -524,7 +524,7 @@ TEST(Determinism, SmrCrashAndRejoinSameSeedSameRun) {
   // from t = 6 under one term, and the rejoined p1 establishes its own at
   // its snapshot install (806 events, 284 messages and last applies at
   // 22/23 when every slot ran its own phase 1).
-  EXPECT_EQ(a.events, 662u) << a.summary();
+  EXPECT_EQ(a.events, 656u) << a.summary();
   EXPECT_EQ(a.messages_sent, 212u) << a.summary();
   ASSERT_EQ(a.processes.size(), 3u);
   EXPECT_EQ(a.processes[0].decided_at, 0u);
@@ -561,7 +561,7 @@ TEST(Determinism, KvCrashAndRejoinRetryStormSameSeedSameRun) {
   // under one term and the rejoined p1 takes a term of its own (2144
   // events, 620 messages and last applies at 55/56 with a phase 1 per
   // slot); the store hash and catch-up bytes are unchanged.
-  EXPECT_EQ(a.events, 1701u) << a.summary();
+  EXPECT_EQ(a.events, 1670u) << a.summary();
   EXPECT_EQ(a.messages_sent, 426u) << a.summary();
   ASSERT_EQ(a.processes.size(), 3u);
   EXPECT_EQ(a.processes[0].decided_at, 0u);
@@ -598,7 +598,7 @@ TEST(Determinism, KvRejoinAcrossSplitSameSeedSameRun) {
   EXPECT_EQ(a.processes[2].rejoined_at, 900u);
   EXPECT_NE(a.processes[2].decision.find("|cfg:"), std::string::npos)
       << a.processes[2].decision;
-  EXPECT_EQ(a.events, 1392u) << a.summary();
+  EXPECT_EQ(a.events, 1356u) << a.summary();
   EXPECT_EQ(a.messages_sent, 284u) << a.summary();
   EXPECT_EQ(a.kv_store_hash, 2818580490853794863ull) << a.summary();
   expect_deterministic(c);

@@ -358,20 +358,24 @@ TEST(ConsensusEngine, DiscoveryOpensOnlyHeardSlots) {
 }
 
 TEST(SlotTransportHub, OversizedSlotIdsAreDropped) {
-  // A malformed frame claiming an absurd slot id must not inflate the
-  // horizon (learners would open unbounded state).
+  // A malformed frame claiming an absurd slot id must create no sub and
+  // list nothing for discovery (learners would open unbounded state).
   sim::Executor exec;
   net::Network network(exec, 2);
   NetTransport t1(exec, network, 1, /*tag=*/5);
   NetTransport t2(exec, network, 2, /*tag=*/5);
   SlotTransportHub hub(exec, t2);
   hub.start();
-  (void)hub.slot(0);  // open slot 0 so the demux has somewhere to deliver
+  (void)hub.slot(0);  // a local open: a sub, but nothing heard
   // p1 sends a frame for an enormous slot id and a well-formed one.
   t1.send(2, SlotTransportHub::frame(Slot{1} << 40, to_bytes("x")));
   t1.send(2, SlotTransportHub::frame(3, to_bytes("y")));
-  exec.run_until([&] { return hub.horizon() >= 4; }, 1000);
-  EXPECT_EQ(hub.horizon(), 4u);  // slot 3 heard; 2^40 dropped
+  exec.run();
+  std::vector<Slot> heard;
+  hub.take_heard(heard);
+  EXPECT_EQ(heard, std::vector<Slot>{3});  // slot 3 heard; 2^40 dropped
+  EXPECT_EQ(hub.subs_held(), 2u);           // slots 0 and 3
+  EXPECT_EQ(hub.heard().version(), 1u);     // bumped by slot 3's sub alone
 
   // The guard rides the retirement floor, so a long-running group never
   // reaches it. With an 8-slot guard and the floor at 100, frames below 100
@@ -386,7 +390,8 @@ TEST(SlotTransportHub, OversizedSlotIdsAreDropped) {
   u1.send(2, SlotTransportHub::frame(100 + kGuard, to_bytes("too far")));
   u1.send(2, SlotTransportHub::frame(105, to_bytes("in between")));
   exec.run();
-  EXPECT_EQ(small.horizon(), 106u);
+  small.take_heard(heard);
+  EXPECT_EQ(heard, std::vector<Slot>{105});
   EXPECT_EQ(small.subs_held(), 1u);  // no sub for either dropped frame
   sim::Channel<TMsg>& in = small.slot(105).incoming();
   ASSERT_EQ(in.size(), 1u);

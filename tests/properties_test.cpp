@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "src/harness/cluster.hpp"
 #include "src/sim/rng.hpp"
@@ -156,20 +157,23 @@ TEST_P(CrashSweep, SafeAndLiveUnderCrashes) {
                              << r.summary();
 }
 
+/// The algorithm's part of a sweep's test name.
+const char* algo_tag(Algorithm algo) {
+  switch (algo) {
+    case Algorithm::kPaxos: return "Paxos";
+    case Algorithm::kFastPaxos: return "FastPaxos";
+    case Algorithm::kDiskPaxos: return "DiskPaxos";
+    case Algorithm::kProtectedMemoryPaxos: return "PMP";
+    case Algorithm::kAlignedPaxos: return "Aligned";
+    case Algorithm::kRobustBackup: return "RobustBackup";
+    case Algorithm::kFastRobust: return "FastRobust";
+  }
+  return "?";
+}
+
 std::string crash_name(const ::testing::TestParamInfo<CrashParam>& info) {
   const auto [algo, seed] = info.param;
-  std::ostringstream os;
-  switch (algo) {
-    case Algorithm::kPaxos: os << "Paxos"; break;
-    case Algorithm::kFastPaxos: os << "FastPaxos"; break;
-    case Algorithm::kDiskPaxos: os << "DiskPaxos"; break;
-    case Algorithm::kProtectedMemoryPaxos: os << "PMP"; break;
-    case Algorithm::kAlignedPaxos: os << "Aligned"; break;
-    case Algorithm::kRobustBackup: os << "RobustBackup"; break;
-    case Algorithm::kFastRobust: os << "FastRobust"; break;
-  }
-  os << "_s" << seed;
-  return os.str();
+  return std::string(algo_tag(algo)) + "_s" + std::to_string(seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -436,6 +440,112 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool(), ::testing::Range(1, 4),
                        ::testing::Range(1, 9)),
     rejoin_name);
+
+// ---------------------------------------------------------------------------
+// Sweep 7: the reconfiguration drain. A KV group (32 clients × 8 ops over
+// 128 keys, window = batch = 4, retry deadline 24) splits 0→1, splits
+// 0→1 and 0→2, or merges 1→0 at t = 40, while the drain source's group
+// runs fault-free, loses p1 or p2 at 30 (before the seal), 41 or 45
+// (around it), or — Paxos and Fast Paxos, with a snapshot every 8 applies —
+// loses p1 at 30 and gets it back at 55. The Migrator drains from the
+// replica Ω trusts, which waits for its own machine to apply the seal, so
+// every planned migration must finish with every op done exactly once.
+// ---------------------------------------------------------------------------
+
+/// One reconfiguration plan of the sweep, over `shards` initial groups.
+struct DrainPlan {
+  const char* name;
+  std::size_t shards;
+  std::vector<ReconfigAction> actions;
+};
+const DrainPlan kDrainPlans[] = {
+    {"Split", 1, {{40, reconfig::ChangeKind::kSplit, 0, 1}}},
+    {"DoubleSplit",
+     1,
+     {{40, reconfig::ChangeKind::kSplit, 0, 1},
+      {40, reconfig::ChangeKind::kSplit, 0, 2}}},
+    {"Merge", 2, {{40, reconfig::ChangeKind::kMerge, 1, 0}}},
+};
+
+/// One fault of the sweep: `victim` crashes at `crash_at` (victim 0: no
+/// crash) and, if `rejoin_at` is set, rejoins then.
+struct DrainFault {
+  const char* name;
+  ProcessId victim;
+  sim::Time crash_at;
+  sim::Time rejoin_at;
+};
+constexpr DrainFault kDrainFaults[] = {
+    {"NoCrash", 0, 0, 0},  {"P1At30", 1, 30, 0},
+    {"P1At41", 1, 41, 0},  {"P1At45", 1, 45, 0},
+    {"P2At30", 2, 30, 0},  {"P2At41", 2, 41, 0},
+    {"P2At45", 2, 45, 0},  {"P1At30Rejoin55", 1, 30, 55},
+};
+
+using DrainParam = std::tuple<Algorithm, int /*plan*/, int /*fault*/,
+                              int /*seed*/>;
+
+std::vector<DrainParam> drain_params() {
+  std::vector<DrainParam> out;
+  for (Algorithm algo : {Algorithm::kPaxos, Algorithm::kFastPaxos,
+                         Algorithm::kDiskPaxos,
+                         Algorithm::kProtectedMemoryPaxos,
+                         Algorithm::kAlignedPaxos}) {
+    const bool rejoins =
+        algo == Algorithm::kPaxos || algo == Algorithm::kFastPaxos;
+    for (int plan = 0; plan < std::ssize(kDrainPlans); ++plan) {
+      for (int fault = 0; fault < std::ssize(kDrainFaults); ++fault) {
+        if (kDrainFaults[fault].rejoin_at > 0 && !rejoins) continue;
+        for (int seed = 1; seed <= 2; ++seed) {
+          out.emplace_back(algo, plan, fault, seed);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+class DrainSweep : public ::testing::TestWithParam<DrainParam> {};
+
+TEST_P(DrainSweep, EveryPlannedMigrationFinishes) {
+  const auto [algo, plan_index, fault_index, seed] = GetParam();
+  const DrainPlan& plan = kDrainPlans[plan_index];
+  const DrainFault& fault = kDrainFaults[fault_index];
+  ClusterConfig c;
+  c.algo = algo;
+  c.n = 3;
+  c.m = algo == Algorithm::kPaxos || algo == Algorithm::kFastPaxos ? 0 : 3;
+  c.seed = static_cast<std::uint64_t>(seed);
+  c.kv.enabled = true;
+  c.kv.shards = plan.shards;
+  c.kv.clients = 32;
+  c.kv.ops_per_client = 8;
+  c.kv.keys = 128;
+  c.kv.window = 4;
+  c.kv.batch = 4;
+  c.kv.retry_timeout = 24;
+  c.kv.reconfig = plan.actions;
+  if (fault.victim != 0) c.faults.process_crashes[fault.victim] = fault.crash_at;
+  if (fault.rejoin_at > 0) {
+    c.faults.process_rejoins[fault.victim] = fault.rejoin_at;
+    c.kv.snapshot_interval = 8;
+  }
+
+  const RunReport r = run_cluster(c);
+  EXPECT_TRUE(r.all_ok()) << r.summary();
+  EXPECT_EQ(r.reconfig_migrations, plan.actions.size()) << r.summary();
+  EXPECT_EQ(r.reconfig_epoch, plan.actions.size()) << r.summary();
+  EXPECT_EQ(r.kv_ops, c.kv.clients * c.kv.ops_per_client) << r.summary();
+}
+
+std::string drain_name(const ::testing::TestParamInfo<DrainParam>& info) {
+  const auto [algo, plan, fault, seed] = info.param;
+  return std::string(algo_tag(algo)) + "_" + kDrainPlans[plan].name + "_" +
+         kDrainFaults[fault].name + "_s" + std::to_string(seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Reconfig, DrainSweep,
+                         ::testing::ValuesIn(drain_params()), drain_name);
 
 }  // namespace
 }  // namespace mnm::harness

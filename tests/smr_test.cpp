@@ -155,7 +155,7 @@ TEST(SmrLog, ProposerRecordsStayWithinTheWindow) {
   smr::Log leader(exec, engine, omega, sm, lc);
   leader.start();
   for (Slot s = 0; s < kSlots; ++s) {
-    leader.enqueue(smr::encode_batch({to_bytes("c" + std::to_string(s))}));
+    leader.enqueue_commands({to_bytes("c" + std::to_string(s))});
   }
 
   core::Omega elsewhere = core::Omega::fixed(exec, 2);
@@ -207,7 +207,7 @@ TEST(SmrLog, WonSampleFoldsOnceWhicheverOfApplyAndWinComesFirst) {
     smr::Log log(exec, engine, omega, sm, lc);
     log.start();
     for (int i = 0; i < 16; ++i) {
-      log.enqueue(smr::encode_batch({to_bytes("c" + std::to_string(i))}));
+      log.enqueue_commands({to_bytes("c" + std::to_string(i))});
     }
     exec.run_until([&] { return log.quiescent(); }, 1'000'000);
     exec.run();  // let late proposals return
@@ -362,13 +362,13 @@ TEST(SmrCluster, ZeroWindowAndBatchAreClampedNotStuck) {
 }
 
 TEST(SmrCluster, WindowWiderThanSlotTargetIsHarmless) {
-  // all_propose with fixed_slots < window: the window is simply never
-  // filled; every slot still commits on every correct replica.
+  // all_propose with less queued work than the window: the window is
+  // simply never filled; every slot still commits on every correct replica.
   const RunReport r =
       harness::run_cluster(smr_config(Algorithm::kFastRobust, 3, 3, 4, 2, 64));
   EXPECT_TRUE(r.all_ok()) << r.summary();
-  // fixed_slots = 4 commands / batch 2 = 2 slots, each won by one replica's
-  // candidate batch.
+  // 4 commands / batch 2 = 2 groups queued at each replica, so 2 slots,
+  // each won by one replica's candidate batch.
   EXPECT_EQ(r.slots_applied, 2u) << r.summary();
   EXPECT_EQ(r.commands_applied, 4u) << r.summary();
 }
@@ -488,8 +488,8 @@ TEST(SmrLogRecovery, CompactionIsInvisibleToReplicaStats) {
     smr::Log log(exec, engine, omega, sm, lc);
     log.start();
     for (int i = 0; i < 13; ++i) {
-      log.enqueue(smr::encode_batch({to_bytes("x" + std::to_string(i)),
-                                     to_bytes("y" + std::to_string(i))}));
+      log.enqueue_commands({to_bytes("x" + std::to_string(i)),
+                            to_bytes("y" + std::to_string(i))});
     }
     exec.run_until([&] { return log.quiescent(); }, 1000);
     EXPECT_EQ(log.applied_len(), 13u);
@@ -508,8 +508,8 @@ TEST(SmrLogRecovery, CompactionIsInvisibleToReplicaStats) {
 using Rounds = std::vector<std::pair<sim::Time, Slot>>;
 
 /// A control channel whose peers (p2 and p3) the test plays: it records
-/// every catch-up request the log sends, and answer() delivers a response
-/// from p2 at a given time.
+/// every catch-up request the log sends (any other frame fails the test),
+/// and answer() delivers a response from p2 at a given time.
 struct ScriptedPeers : core::Transport {
   explicit ScriptedPeers(sim::Executor& exec) : exec(&exec), in(exec) {}
 
@@ -621,6 +621,112 @@ TEST(SmrLogRecovery, HaltWakesAWaitingRound) {
   r.exec.run(3);
   EXPECT_EQ(r.exec.live_roots(), 2u);
   EXPECT_EQ(r.peers.rounds(), (Rounds{{0, 0}}));
+}
+
+TEST(SmrLogRecovery, GapWatchAsksForAStalledGapAfterOneGrace) {
+  // Past recovery, a decision stashed behind a missing slot gets one grace
+  // period for the missing DECIDE; then the log asks for the gap, and
+  // the answer applies both slots in order.
+  constexpr sim::Time kInject = 10;
+  RecoveringLog r;
+  r.peers.answer(2, smr::CatchupResponse{});  // level: the hold lifts
+  r.exec.call_at(kInject,
+                 [&] { r.engine.inject(1, {to_bytes("c1")}, kInject); });
+  smr::CatchupResponse gap;
+  gap.payloads.push_back(smr::encode_batch({to_bytes("c0")}));
+  r.peers.answer(kInject + smr::kCatchupTimeout + 1, gap);
+
+  r.exec.run(kInject + smr::kCatchupTimeout - 1);
+  EXPECT_FALSE(r.log.recovering());
+  EXPECT_EQ(r.log.applied_len(), 0u);
+  EXPECT_EQ(r.peers.rounds(), (Rounds{{0, 0}}));
+  r.exec.run();
+  EXPECT_EQ(r.peers.rounds(),
+            (Rounds{{0, 0}, {kInject + smr::kCatchupTimeout, 0}}));
+  EXPECT_EQ(r.log.applied_len(), 2u);
+  EXPECT_EQ(r.sm.applied, (std::vector<std::string>{"c0", "c1"}));
+}
+
+TEST(SmrLogRecovery, GapFilledWithinTheGraceSendsNothing) {
+  // The missing DECIDE lands one delay before the grace period ends: both
+  // slots apply from their decisions and the log asks for nothing.
+  constexpr sim::Time kInject = 10;
+  RecoveringLog r;
+  r.peers.answer(2, smr::CatchupResponse{});
+  r.exec.call_at(kInject,
+                 [&] { r.engine.inject(1, {to_bytes("c1")}, kInject); });
+  r.exec.call_at(kInject + smr::kCatchupTimeout - 1, [&] {
+    r.engine.inject(0, {to_bytes("c0")}, kInject + smr::kCatchupTimeout - 1);
+  });
+  r.exec.run();
+  EXPECT_EQ(r.peers.rounds(), (Rounds{{0, 0}}));
+  EXPECT_EQ(r.log.applied_len(), 2u);
+  EXPECT_EQ(r.sm.applied, (std::vector<std::string>{"c0", "c1"}));
+}
+
+/// SnapshotSm with a drain hook: the "range" request exports every command
+/// applied so far, "c0;c1;...", once anything has applied.
+struct ExportingSm : SnapshotSm {
+  Bytes export_range(util::ByteView request) const override {
+    if (to_string(request) != "range" || applied.empty()) return {};
+    std::string out;
+    for (const std::string& c : applied) out += c + ";";
+    return to_bytes(out);
+  }
+};
+
+/// One fetch_range call's outcome.
+struct Fetched {
+  bool done = false;
+  sim::Time at = 0;
+  std::string bytes;
+};
+
+/// Fetch `request`, accepting only an export that holds "seal".
+sim::Task<void> fetch_sealed(sim::Executor* exec, smr::Log* log,
+                             std::string request, Fetched* out) {
+  const Bytes got = co_await log->fetch_range(
+      to_bytes(request), [](util::ByteView b) {
+        return to_string(b).find("seal") != std::string::npos;
+      });
+  out->done = true;
+  out->at = exec->now();
+  out->bytes = to_string(got);
+}
+
+TEST(SmrLog, FetchRangeResolvesAtTheLocalApplyAndSendsNothing) {
+  // The drain reads this replica's own machine: the fetch resolves at the
+  // apply that makes the export usable (the earlier, rejected export does
+  // not end it), sends nothing on the control channel, and resolves empty
+  // when the log halts first.
+  sim::Executor exec;
+  core::Omega omega = core::Omega::fixed(exec, 2);
+  ScriptedEngine engine(exec);
+  ScriptedPeers peers(exec);
+  engine.control = &peers;
+  ExportingSm sm;
+  smr::Log log(exec, engine, omega, sm, smr::LogConfig{});
+  log.start();
+  Fetched range, never;
+  exec.spawn(fetch_sealed(&exec, &log, "range", &range));
+  exec.spawn(fetch_sealed(&exec, &log, "other", &never));
+  exec.call_at(5, [&] { engine.inject(0, {to_bytes("a")}, 5); });
+  exec.call_at(9, [&] { engine.inject(1, {to_bytes("seal")}, 9); });
+  exec.call_at(20, [&] { log.halt(); });
+
+  exec.run(8);
+  EXPECT_EQ(log.applied_len(), 1u);
+  EXPECT_FALSE(range.done);
+  exec.run(9);
+  ASSERT_TRUE(range.done);
+  EXPECT_EQ(range.at, 9u);
+  EXPECT_EQ(range.bytes, "a;seal;");
+  EXPECT_FALSE(never.done);
+  exec.run();
+  ASSERT_TRUE(never.done);
+  EXPECT_EQ(never.at, 20u);
+  EXPECT_EQ(never.bytes, "");
+  EXPECT_TRUE(peers.requests.empty());
 }
 
 TEST(SmrCluster, FirstDecisionDelaySurvivesCompaction) {
