@@ -36,8 +36,7 @@ constexpr benchmark::IterationCount kGuardSeeds = 16;
 
 ClusterConfig kv_config(Algorithm algo, std::size_t n, std::size_t m,
                         std::size_t shards, std::size_t clients,
-                        std::size_t ops, kv::Mix mix,
-                        bool auto_tune = false, bool sign = false) {
+                        std::size_t ops, kv::Mix mix, bool sign = false) {
   ClusterConfig c;
   c.algo = algo;
   c.n = n;
@@ -54,11 +53,6 @@ ClusterConfig kv_config(Algorithm algo, std::size_t n, std::size_t m,
   // sharding shows up as aggregate throughput.
   c.kv.window = 4;
   c.kv.batch = 4;
-  // Auto rows keep the same 4x4 starting point but let the per-shard
-  // Tuner walk window/batch inside [1,16]x[1,8] from observed latency.
-  c.kv.auto_tune = auto_tune;
-  c.kv.max_window = 16;
-  c.kv.max_batch = 8;
   // Signed rows: every client op carries an HMAC signature and every
   // replica verifies before apply — the _signed guard rows pin that cost
   // (expected small: one MAC sign per op, one verify per replica apply).
@@ -135,56 +129,16 @@ void engine_matrix() {
               " engines alike — the ConsensusEngine seam doing its job)\n");
 }
 
-void auto_tune_table() {
-  std::printf("\n== F10c: auto-tuned window/batch/flush vs the fixed 4x4 "
-              "config ==\n");
-  struct Row {
-    const char* label;
-    std::size_t shards;
-    kv::Mix mix;
-  };
-  const Row rows[] = {
-      {"s1 C-mix", 1, kv::Mix::kC},
-      {"s4 A-mix", 4, kv::Mix::kA},
-  };
-  Table t({"workload", "config", "ops", "ops/kdelay", "op p50", "op p99",
-           "retries"});
-  for (const Row& row : rows) {
-    for (const bool auto_tune : {false, true}) {
-      const RunReport r = run_cluster(kv_config(Algorithm::kFastPaxos, 3, 0,
-                                                row.shards, 64, 8, row.mix,
-                                                auto_tune));
-      if (!r.all_ok()) {
-        std::printf("  !! run failed: %s\n", r.summary().c_str());
-        continue;
-      }
-      char rate[32];
-      std::snprintf(rate, sizeof(rate), "%.0f", r.kv_ops_per_kdelay);
-      t.row({row.label, auto_tune ? "auto" : "fixed 4x4",
-             std::to_string(r.kv_ops), rate, std::to_string(r.kv_op_p50),
-             std::to_string(r.kv_op_p99), std::to_string(r.kv_retries)});
-      if (auto_tune && !r.tuner_trajectory.empty()) {
-        std::printf("  trajectory: %s\n", r.tuner_trajectory.c_str());
-      }
-    }
-  }
-  t.print();
-  std::printf("(per-shard controllers grow the bounded 4x4 pipeline toward\n"
-              " the observed load; the kv/..._auto guard rows pin this)\n");
-}
-
 void bm_kv(benchmark::State& state, Algorithm algo, std::size_t n,
            std::size_t m, std::size_t shards, std::size_t clients,
-           std::size_t ops, kv::Mix mix, bool auto_tune = false,
-           bool sign = false) {
+           std::size_t ops, kv::Mix mix, bool sign = false) {
   std::uint64_t seed = 1;
   std::uint64_t completed = 0;
   double ops_per_kdelay = 0.0;
   sim::Time op_p50 = 0, op_p999 = 0, commit_p999 = 0;
   std::uint64_t iters = 0;
   for (auto _ : state) {
-    ClusterConfig c =
-        kv_config(algo, n, m, shards, clients, ops, mix, auto_tune, sign);
+    ClusterConfig c = kv_config(algo, n, m, shards, clients, ops, mix, sign);
     c.seed = seed++;
     const RunReport r = run_cluster(c);
     if (!r.agreement || !r.termination) {
@@ -259,34 +213,33 @@ int main(int argc, char** argv) {
   std::printf("bench_kv: sharded replicated KV store throughput\n");
   shard_scaling_grid();
   engine_matrix();
-  auto_tune_table();
 
   // Baseline-compared guards (scripts/bench.sh → BENCH_kv.json). The
   // s1_C/s8_C pair carries the scaling acceptance: ops_per_kdelay must grow
   // ≥3x from one shard to eight on the read-heavy mix.
   benchmark::RegisterBenchmark("kv/FastPaxos_s1_C", bm_kv,
                                Algorithm::kFastPaxos, 3, 0, 1, 64, 8,
-                               kv::Mix::kC, false, false)
+                               kv::Mix::kC, false)
       ->Unit(benchmark::kMillisecond)
       ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("kv/FastPaxos_s8_C", bm_kv,
                                Algorithm::kFastPaxos, 3, 0, 8, 64, 8,
-                               kv::Mix::kC, false, false)
+                               kv::Mix::kC, false)
       ->Unit(benchmark::kMillisecond)
       ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("kv/FastPaxos_s4_A", bm_kv,
                                Algorithm::kFastPaxos, 3, 0, 4, 64, 8,
-                               kv::Mix::kA, false, false)
+                               kv::Mix::kA, false)
       ->Unit(benchmark::kMillisecond)
       ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("kv/PMP_s2_A", bm_kv,
                                Algorithm::kProtectedMemoryPaxos, 2, 3, 2, 8, 4,
-                               kv::Mix::kA, false, false)
+                               kv::Mix::kA, false)
       ->Unit(benchmark::kMillisecond)
       ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("kv/FastRobust_s1_A", bm_kv,
                                Algorithm::kFastRobust, 3, 3, 1, 2, 3,
-                               kv::Mix::kA, false, false)
+                               kv::Mix::kA, false)
       ->Unit(benchmark::kMillisecond)
       ->Iterations(kGuardSeeds);
   // Signed-vs-unsigned pair: identical workload to kv/FastPaxos_s4_A, but
@@ -295,20 +248,7 @@ int main(int argc, char** argv) {
   // sign per op + one verify per replica apply — expected small).
   benchmark::RegisterBenchmark("kv/FastPaxos_s4_A_signed", bm_kv,
                                Algorithm::kFastPaxos, 3, 0, 4, 64, 8,
-                               kv::Mix::kA, false, true)
-      ->Unit(benchmark::kMillisecond)
-      ->Iterations(kGuardSeeds);
-  // Auto-tuned counterparts of the fixed guard rows: the controller starts
-  // from the same 4x4 and must land within ~10% of it (or beat it) on both
-  // the read-heavy and the write-heavy mix.
-  benchmark::RegisterBenchmark("kv/FastPaxos_s1_C_auto", bm_kv,
-                               Algorithm::kFastPaxos, 3, 0, 1, 64, 8,
-                               kv::Mix::kC, true, false)
-      ->Unit(benchmark::kMillisecond)
-      ->Iterations(kGuardSeeds);
-  benchmark::RegisterBenchmark("kv/FastPaxos_s4_A_auto", bm_kv,
-                               Algorithm::kFastPaxos, 3, 0, 4, 64, 8,
-                               kv::Mix::kA, true, false)
+                               kv::Mix::kA, true)
       ->Unit(benchmark::kMillisecond)
       ->Iterations(kGuardSeeds);
   // During-migration row: a live 1→2 split (src/reconfig/) mid-workload.

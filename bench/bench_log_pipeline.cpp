@@ -100,56 +100,6 @@ void window_batch_grid() {
               " APUS-style systems pull, now measurable in one knob each)\n");
 }
 
-void auto_tune_table() {
-  std::printf("\n== auto-tuned window/batch vs the fixed grid (Fast Paxos "
-              "engine, n=3, 4096 commands) ==\n");
-  Table t({"config", "slots", "cmds/kdelay", "commit p50", "commit p99",
-           "qwait p99", "final w×b", "epochs"});
-  const auto row = [&t](const char* name, const RunReport& r) {
-    if (!r.all_ok()) {
-      std::printf("  !! run failed: %s\n", r.summary().c_str());
-      return;
-    }
-    const double kdelay =
-        r.processes[0].decided_at > 0
-            ? 1000.0 * static_cast<double>(r.commands_applied) /
-                  static_cast<double>(r.processes[0].decided_at)
-            : 0.0;
-    char rate[32], wb[32];
-    std::snprintf(rate, sizeof(rate), "%.0f", kdelay);
-    if (r.tuner_epochs > 0) {
-      std::snprintf(wb, sizeof(wb), "%zux%zu", r.tuner_window, r.tuner_batch);
-    } else {
-      std::snprintf(wb, sizeof(wb), "-");
-    }
-    t.row({name, std::to_string(r.slots_applied), rate,
-           std::to_string(r.commit_p50), std::to_string(r.commit_p99),
-           std::to_string(r.queue_wait_p99), wb,
-           std::to_string(r.tuner_epochs)});
-  };
-  for (const auto& [w, b] : {std::pair<std::size_t, std::size_t>{4, 4},
-                             {8, 8},
-                             {16, 8}}) {
-    const RunReport r =
-        run_cluster(smr_config(Algorithm::kFastPaxos, 3, 0, 4096, b, w));
-    char name[32];
-    std::snprintf(name, sizeof(name), "fixed w%zu b%zu", w, b);
-    row(name, r);
-  }
-  ClusterConfig c = smr_config(Algorithm::kFastPaxos, 3, 0, 4096, 4, 4);
-  c.smr.auto_tune = true;
-  c.smr.max_window = 16;
-  c.smr.max_batch = 8;
-  const RunReport r = run_cluster(c);
-  row("auto (from 4x4)", r);
-  if (!r.tuner_trajectory.empty()) {
-    std::printf("  trajectory: %s\n", r.tuner_trajectory.c_str());
-  }
-  std::printf("(the controller starts at a neutral 4x4 and must walk to the\n"
-              " grid's best cell on its own; the epochs it spends converging\n"
-              " are the gap to the hand-tuned row)\n");
-}
-
 void suffix_decode_table() {
   std::printf("\n== t-send suffix decode (Fast & Robust engine, n=3, "
               "backup forced: p1 equivocates, cq_timeout=10) ==\n");
@@ -181,8 +131,7 @@ void suffix_decode_table() {
 
 void bm_pipeline(benchmark::State& state, Algorithm algo, std::size_t n,
                  std::size_t m, std::size_t commands, std::size_t batch,
-                 std::size_t window, bool backup_forced = false,
-                 bool auto_tune = false) {
+                 std::size_t window, bool backup_forced = false) {
   std::uint64_t seed = 1;
   std::uint64_t committed = 0;
   std::uint64_t deliveries = 0, decoded = 0, skipped = 0;
@@ -193,11 +142,6 @@ void bm_pipeline(benchmark::State& state, Algorithm algo, std::size_t n,
     ClusterConfig c = smr_config(algo, n, m, commands, batch, window);
     c.seed = seed++;
     if (backup_forced) force_backup(c);
-    if (auto_tune) {
-      c.smr.auto_tune = true;
-      c.smr.max_window = 16;
-      c.smr.max_batch = 8;
-    }
     const RunReport r = run_cluster(c);
     if (!r.agreement) {
       state.SkipWithError("agreement violated");
@@ -250,59 +194,45 @@ void bm_pipeline(benchmark::State& state, Algorithm algo, std::size_t n,
 int main(int argc, char** argv) {
   std::printf("bench_log_pipeline: pipelined smr::Log throughput\n");
   window_batch_grid();
-  auto_tune_table();
   suffix_decode_table();
 
   benchmark::RegisterBenchmark("log/FastPaxos_w1_b1", bm_pipeline,
-                               Algorithm::kFastPaxos, 3, 0, 64, 1, 1,
-                               false, false)
+                               Algorithm::kFastPaxos, 3, 0, 64, 1, 1, false)
       ->Unit(benchmark::kMillisecond)
       ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("log/FastPaxos_w8_b1", bm_pipeline,
-                               Algorithm::kFastPaxos, 3, 0, 64, 1, 8,
-                               false, false)
+                               Algorithm::kFastPaxos, 3, 0, 64, 1, 8, false)
       ->Unit(benchmark::kMillisecond)
       ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("log/FastPaxos_w8_b8", bm_pipeline,
-                               Algorithm::kFastPaxos, 3, 0, 64, 8, 8,
-                               false, false)
+                               Algorithm::kFastPaxos, 3, 0, 64, 8, 8, false)
       ->Unit(benchmark::kMillisecond)
       ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("log/FastPaxos_w16_b8", bm_pipeline,
-                               Algorithm::kFastPaxos, 3, 0, 64, 8, 16,
-                               false, false)
+                               Algorithm::kFastPaxos, 3, 0, 64, 8, 16, false)
       ->Unit(benchmark::kMillisecond)
       ->Iterations(kGuardSeeds);
-  // Auto-tuning acceptance pair: the hand-tuned best fixed cell at a
-  // 4096-command backlog vs the controller converging from a neutral 4x4
-  // start under identical workload. The cmds_per_kdelay counters are the
-  // machine-independent comparison bench_compare.py guards.
+  // A 4096-command backlog at the grid's widest cell: the long-run
+  // pipeline at full occupancy, where the 64-command rows mostly measure
+  // its ramp.
   benchmark::RegisterBenchmark("log/FastPaxos_w16_b8_c4096", bm_pipeline,
-                               Algorithm::kFastPaxos, 3, 0, 4096, 8, 16,
-                               false, false)
-      ->Unit(benchmark::kMillisecond)
-      ->Iterations(kGuardSeeds);
-  benchmark::RegisterBenchmark("log/FastPaxos_auto", bm_pipeline,
-                               Algorithm::kFastPaxos, 3, 0, 4096, 4, 4,
-                               false, true)
+                               Algorithm::kFastPaxos, 3, 0, 4096, 8, 16, false)
       ->Unit(benchmark::kMillisecond)
       ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("log/PMP_w8_b4", bm_pipeline,
                                Algorithm::kProtectedMemoryPaxos, 2, 3, 32, 4, 8,
-                               false, false)
+                               false)
       ->Unit(benchmark::kMillisecond)
       ->Iterations(kGuardSeeds);
   benchmark::RegisterBenchmark("log/FastRobust_w2_b2", bm_pipeline,
-                               Algorithm::kFastRobust, 3, 3, 4, 2, 2,
-                               false, false)
+                               Algorithm::kFastRobust, 3, 3, 4, 2, 2, false)
       ->Unit(benchmark::kMillisecond)
       ->Iterations(kGuardSeeds);
   // Backup-forced variant (force_backup): every slot runs Preferential
   // Paxos over Robust Backup(Paxos), the t-send-heavy path where
   // suffix-only history decode carries the load.
   benchmark::RegisterBenchmark("log/FastRobust_w2_b2_backup", bm_pipeline,
-                               Algorithm::kFastRobust, 3, 3, 4, 2, 2,
-                               true, false)
+                               Algorithm::kFastRobust, 3, 3, 4, 2, 2, true)
       ->Unit(benchmark::kMillisecond)
       ->Iterations(kGuardSeeds);
   benchmark::Initialize(&argc, argv);

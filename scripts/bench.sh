@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Build the bench preset and run the benchmark suite.
 #
-# Seven baseline-compared regression guards always run and write
-# machine-readable JSON at the repo root (compare against the checked-in
-# baselines to detect regressions):
+# Seven regression guards always run and write machine-readable JSON at
+# the repo root (compare against the checked-in baselines to detect
+# regressions):
 #   * bench_smr_throughput — end-to-end consensus instances/sec per algorithm
 #     → BENCH_smr_throughput.json
 #   * bench_hotpath        — per-layer cost floor (executor, channel, fan-out)
@@ -30,6 +30,13 @@
 #     within 15% (the 2PC machinery adds records, not per-record cost)
 #     → BENCH_txn.json
 #
+# CI compares only the five virtual-time baselines (BENCH_log_pipeline,
+# BENCH_kv, BENCH_recovery, BENCH_reconfig and BENCH_txn), on their
+# ops_per_kdelay / cmds_per_kdelay counters via scripts/bench_compare.py.
+# BENCH_smr_throughput and BENCH_hotpath are wall clock only: compare them
+# by hand, on a quiet machine, against a baseline whose "recorded" block
+# names the same build type and CPU count.
+#
 # A full run (the default) additionally executes the eighth target,
 # bench_nonequiv — the wall-clock cost of simulating non-equivocating
 # broadcast — writing its google-benchmark JSON under build-bench/. The
@@ -37,7 +44,7 @@
 # assertions in tests/, not benches.
 #
 #   ./scripts/bench.sh            # full sweep: all eight bench targets
-#   ./scripts/bench.sh --quick    # just the seven baseline-compared guards
+#   ./scripts/bench.sh --quick    # just the seven regression guards
 #   git diff --stat BENCH_hotpath.json BENCH_smr_throughput.json \
 #                   BENCH_log_pipeline.json BENCH_kv.json BENCH_recovery.json \
 #                   BENCH_reconfig.json BENCH_txn.json

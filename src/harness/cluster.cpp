@@ -80,10 +80,6 @@ std::string RunReport::summary() const {
        << " p999=" << commit_p999 << " qwait50=" << queue_wait_p50
        << " qwait99=" << queue_wait_p99 << " occ=" << window_occupancy
        << " events/slot=" << events_per_slot;
-    if (!tuner_trajectory.empty()) {
-      os << " tuner_epochs=" << tuner_epochs << " tuner_w=" << tuner_window
-         << " tuner_b=" << tuner_batch << " tune=" << tuner_trajectory;
-    }
   }
   if (snapshots_taken > 0 || snapshots_installed > 0) {
     os << " snaps=" << snapshots_taken << "+" << snapshots_installed
@@ -186,7 +182,7 @@ struct Member {
 /// keeps what a rejoin needs to rebuild a process's member in place.
 struct Group {
   /// "" in SMR mode, "g<i>" for data shard i, "cfg" for the config group:
-  /// prefixes the tuner trajectories and KV rows.
+  /// prefixes the KV rows.
   std::string label;
   bool config = false;  // the KV config group (TableMachine replicas)
   smr::ReplicaConfig rc;
@@ -653,9 +649,6 @@ smr::ReplicaConfig replica_config(const ModeConfig& mode, bool all_propose) {
   rc.log.window = mode.window;
   rc.log.all_propose = all_propose;
   rc.log.snapshot_interval = mode.snapshot_interval;
-  rc.tune.enabled = mode.auto_tune;  // Replica forces it off if all_propose
-  rc.tune.max_window = mode.max_window;
-  rc.tune.max_batch = mode.max_batch;
   return rc;
 }
 
@@ -941,7 +934,6 @@ void build_kv(World& w, smr::ReplicaConfig rc, std::size_t shards,
     g.config = true;
     g.rc = rc;
     g.rc.batch = 1;
-    g.rc.tune.enabled = false;
     // The view drops replayed old epochs, so a rejoiner into a post-split
     // world installs the table without re-announcing flips.
     g.make_machine = [&w, initial] {
@@ -1006,7 +998,9 @@ void build_kv(World& w, smr::ReplicaConfig rc, std::size_t shards,
 
 /// Whether group `g` has converged: every correct replica at one log
 /// length, with the proposers idle — the leader in leader mode, every
-/// replica under all-propose.
+/// replica under all-propose. A leader must also have applied every slot
+/// its engine knows of: a new leader that never proposed is idle, yet it
+/// still owes a re-drive of the slots its dead predecessor opened.
 bool settled(const World& w, const Group& g) {
   const bool all_propose = g.rc.log.all_propose;
   std::optional<Slot> len;
@@ -1022,12 +1016,14 @@ bool settled(const World& w, const Group& g) {
   if (all_propose) return true;
   const ProcessId leader = w.omega->leader();
   if (leader < 1 || leader > w.cfg.n || !w.correct(leader)) return false;
-  return g.members[leader - 1].replica->idle();
+  const Member& lead = g.members[leader - 1];
+  return lead.replica->idle() &&
+         lead.engine->slot_horizon() <= lead.replica->log().applied_len();
 }
 
 /// Roll the correct replicas of every data group (SMR mode's one group, KV
 /// mode's shards — not the config group) into `report`: commit and
-/// queue-wait percentiles, occupancy, recovery and tuner counters, the
+/// queue-wait percentiles, occupancy, recovery counters, the
 /// per-slot state their engines still hold, the first decision time, and
 /// slot accounting from one reference replica per group. The fast path is
 /// proposer-local (learners decide via DECIDE), so each group counts its
@@ -1040,7 +1036,6 @@ bool settled(const World& w, const Group& g) {
 void roll_up_replicas(const World& w, RunReport& report) {
   std::vector<sim::Time> latencies;
   std::vector<sim::Time> queue_waits;
-  std::uint64_t tuner_best_obs = 0;  // the busiest tuner = a leader's
   // A log's slot-accounting rank: applied length, then commands.
   const auto rank = [](const smr::Log* log) {
     return log == nullptr ? std::pair<Slot, std::uint64_t>{0, 0}
@@ -1055,8 +1050,7 @@ void roll_up_replicas(const World& w, RunReport& report) {
     sim::Time sampler_p50 = 0;
     for (ProcessId p = 1; p <= static_cast<ProcessId>(w.cfg.n); ++p) {
       if (!w.correct(p)) continue;
-      const smr::Replica& replica = *g.members[p - 1].replica;
-      const smr::Log& log = replica.log();
+      const smr::Log& log = g.members[p - 1].replica->log();
       const smr::SlotStats& s = log.stats();
       // A rejoiner's fold excludes the slots its snapshot install covered,
       // while a survivor's is exact: KV mode prefers a replica that never
@@ -1090,18 +1084,6 @@ void roll_up_replicas(const World& w, RunReport& report) {
       report.slot_state_held =
           std::max({report.slot_state_held, engine.instances_held(),
                     engine.subs_held()});
-      const smr::Tuner& tuner = replica.tuner();
-      if (tuner.enabled() && tuner.observations() > 0) {
-        report.tuner_epochs += tuner.trajectory().size();
-        if (tuner.observations() > tuner_best_obs) {
-          tuner_best_obs = tuner.observations();
-          report.tuner_window = tuner.window();
-          report.tuner_batch = tuner.batch();
-        }
-        if (!report.tuner_trajectory.empty()) report.tuner_trajectory += '|';
-        report.tuner_trajectory += g.label + "p" + std::to_string(p) + ":" +
-                                   tuner.trajectory_fingerprint();
-      }
       report.first_decision_delay =
           std::min(report.first_decision_delay, s.first_decided_at);
     }

@@ -101,12 +101,6 @@ struct SmrConfig {
   std::size_t commands = 32;  // workload submitted per correct replica
   std::size_t batch = 4;      // commands packed per slot payload
   std::size_t window = 8;     // max in-flight slots
-  /// Online self-tuning (smr::Tuner): window/batch above become the
-  /// controller's starting point, adapted per epoch within the bounds below.
-  /// Leader-driven algorithms only (forced off under all-propose engines).
-  bool auto_tune = false;
-  std::size_t max_window = 16;
-  std::size_t max_batch = 8;
   /// Snapshot + log compaction cadence (smr::LogConfig::snapshot_interval):
   /// every replica snapshots its state machine and truncates applied slots
   /// every this-many applies, and serves snapshot + suffix catch-up to
@@ -151,10 +145,6 @@ struct KvConfig {
   /// exponential backoff (kv::RouterConfig::adaptive_retry) instead of
   /// re-submitting on the fixed timeout above.
   bool adaptive_retry = true;
-  /// Online self-tuning of each shard's window/batch (see SmrConfig).
-  bool auto_tune = false;
-  std::size_t max_window = 16;
-  std::size_t max_batch = 8;
   /// Per-shard snapshot + log compaction cadence (see SmrConfig).
   Slot snapshot_interval = 0;
   /// Client-signed commands: every client (and the Migrator's admin
@@ -295,21 +285,14 @@ struct RunReport {
   sim::Time commit_p999 = 0;
   /// Queue wait (enqueue → propose) percentiles over every slot some correct
   /// replica proposed — how long commands sat behind the window before a
-  /// consensus round even started (the tuner's saturation signal).
+  /// consensus round even started.
   sim::Time queue_wait_p50 = 0;
   sim::Time queue_wait_p99 = 0;
-  /// Window occupancy: launch-time open slots / live window limit, as the
+  /// Window occupancy: launch-time open slots / window, as the
   /// fingerprint-exact integer sums and their ratio.
   std::uint64_t occupancy_slots = 0;
   std::uint64_t occupancy_limit = 0;
   double window_occupancy = 0.0;
-  /// Auto-tuning only (zeros / empty otherwise): per-replica controller
-  /// outcome. The trajectory joins each tuning replica's fingerprint
-  /// ("p<id>:w4b4>8:w8b4|...") — the string determinism tests pin.
-  std::uint64_t tuner_epochs = 0;
-  std::size_t tuner_window = 0;
-  std::size_t tuner_batch = 0;
-  std::string tuner_trajectory;
   /// Executor events per applied slot — the pipelining-efficiency metric
   /// bench_log_pipeline tracks.
   double events_per_slot = 0.0;

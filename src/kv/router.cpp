@@ -180,25 +180,6 @@ sim::Task<void> Router::flush_soon(Router* self, std::size_t shard) {
   // One yield lets every same-instant submit for this shard join the open
   // batch before it becomes a slot payload.
   co_await self->exec_->yield();
-  // Pack-more vs flush-now (auto-tuned leaders only): while the leader's
-  // partial batch would just queue behind a saturated window, hold it —
-  // every apply frees capacity and bumps applied_signal, so the wait always
-  // wakes; a leader change re-evaluates against the new leader. The armed
-  // flag stays set, so submits landing during the hold join this flush
-  // instead of spawning another.
-  while (true) {
-    smr::Replica* lead =
-        self->shards_[shard].fan_out ? nullptr : self->leader_replica(shard);
-    if (lead == nullptr) break;
-    // Snapshot before checking (no lost wakeup).
-    const std::uint64_t v_applied = lead->log().applied_signal().version();
-    const std::uint64_t v_omega = self->omega_->changed().version();
-    if (!lead->flush_hold()) break;
-    sim::Select sel(*self->exec_);
-    sel.on(lead->log().applied_signal(), v_applied)
-        .on(self->omega_->changed(), v_omega);
-    (void)co_await sel;
-  }
   self->flush_armed_[shard] = 0;
   for (smr::Replica* r : self->shards_[shard].replicas) {
     if (r != nullptr) r->flush();

@@ -53,14 +53,6 @@
 // A Router without a TableView builds no signal (no bucket ever moves).
 // The Migrator's own admin sessions (register_admin_client) are exempt:
 // for them kWrongEpoch is a real, resolved outcome (a stale seal/install).
-//
-// When a shard's leader replica is auto-tuning (smr::Tuner), the flush task
-// also consults Replica::flush_hold(): while the open batch is short of the
-// live batch size and the leader's pipeline is saturated, flushing is
-// deferred until an apply frees window capacity (or the leader changes) —
-// pack-more beats flush-now exactly when the slot would queue anyway. With
-// tuning off the hold is constantly false and the flush keeps the original
-// one-yield behavior.
 
 #pragma once
 
@@ -176,11 +168,6 @@ class Router {
   /// kWrongEpoch replies that re-routed a client op (each is one sealed or
   /// moved bucket hit; the op still applies exactly once).
   std::uint64_t bounces() const { return bounces_; }
-  /// Decaying max of observed op latencies for a shard (0 until the first
-  /// reply) — what the adaptive deadline is derived from.
-  sim::Time observed_latency(std::size_t shard) const {
-    return shard_latency_[shard];
-  }
 
  private:
   struct ClientSession {

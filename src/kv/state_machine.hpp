@@ -104,7 +104,6 @@ class StateMachine : public smr::StateMachine {
     keystore_ = ks;
     signing_group_ = group;
   }
-  bool signing_enabled() const { return keystore_ != nullptr; }
 
   /// Allow `signer` to issue admin (SEAL/INSTALL/PURGE) operations. Admin
   /// commands signed by any other identity — including a perfectly valid

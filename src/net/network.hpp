@@ -66,8 +66,6 @@ class Inbox {
     return *slot;
   }
 
-  bool has_channel(MsgType type) const { return channels_.contains(type); }
-
   void set_sink(MsgType type, Sink sink) { sinks_[type] = std::move(sink); }
 
   void deliver(Message msg) {

@@ -82,8 +82,7 @@ void Log::halt() {
 
 void Log::enqueue_commands(std::vector<Bytes> commands) {
   if (commands.empty()) return;
-  pending_cmds_ += commands.size();
-  pending_.push_back(Pending{Bytes{}, std::move(commands), exec_->now()});
+  pending_.push_back(Pending{encode_batch(commands), exec_->now()});
   pending_signal_.bump();
 }
 
@@ -102,33 +101,13 @@ Log::Launch Log::retire_launch() {
 }
 
 Log::Pending Log::take_pending_or_noop() {
-  if (pending_.empty()) return Pending{Bytes{}, {}, exec_->now()};
+  if (pending_.empty()) return Pending{Bytes{}, exec_->now()};
   Pending p = std::move(pending_.front());
   pending_.pop_front();
-  pending_cmds_ -= p.cmds.size();
-  // Continuous batching: merge whole groups queued behind the head into one
-  // slot payload, up to the tuner's live batch. Only not-yet-encoded groups
-  // merge (a re-queued group, whose wire bytes must stay identical on
-  // retry, stays one group = one slot), so fixed-config behavior is
-  // untouched.
-  if (tuner_ != nullptr && tuner_->enabled() && p.payload.empty()) {
-    const std::size_t live_batch = tuner_->batch();
-    while (!pending_.empty() && pending_.front().payload.empty() &&
-           p.cmds.size() < live_batch &&
-           p.cmds.size() + pending_.front().cmds.size() <= live_batch) {
-      Pending next = std::move(pending_.front());
-      pending_.pop_front();
-      pending_cmds_ -= next.cmds.size();
-      for (Bytes& c : next.cmds) p.cmds.push_back(std::move(c));
-      // enqueued_at stays the head group's (the oldest): merged commands'
-      // commit latency is measured from the command that waited longest.
-    }
-  }
   return p;
 }
 
 void Log::requeue_front(Pending group) {
-  pending_cmds_ += group.cmds.size();
   pending_.push_front(std::move(group));
   pending_signal_.bump();
 }
@@ -142,19 +121,14 @@ void Log::launch(Slot slot, Pending p, bool retry) {
     l.enqueued_at = p.enqueued_at;
     l.proposed_at = exec_->now();
     l.in_flight = ++open_slots_;
-    l.window_limit = live_window();
     own_above_truncation_ = true;
   }
   exec_->spawn(drive(slot, std::move(p), retry));
 }
 
 sim::Task<void> Log::drive(Slot slot, Pending group, bool retry) {
-  // Groups encode here, at launch; a re-queued group's payload passes
-  // through. The group survives the move into propose(): it detects a lost
-  // slot, and is what the loss path re-queues.
-  if (group.payload.empty() && !group.cmds.empty()) {
-    group.payload = encode_batch(group.cmds);
-  }
+  // The group survives the move into propose(): it detects a lost slot, and
+  // is what the loss path re-queues, with the same payload bytes.
   const Bytes proposed = group.payload;
   const core::Decision d = co_await engine_->propose(slot, proposed);
   if (d.value == proposed) {
@@ -162,7 +136,7 @@ sim::Task<void> Log::drive(Slot slot, Pending group, bool retry) {
     // if it already applied (the decision stream can beat propose).
     if (slot >= applied_len_) {
       launch_record(slot).won = true;
-    } else if (!decode_batch(proposed).empty()) {
+    } else if (!proposed.empty()) {  // a no-op filler has no sample
       stats_.won_latencies.push_back(d.decided_at - group.enqueued_at);
     }
   } else if (retry && !proposed.empty()) {
@@ -184,21 +158,11 @@ void Log::apply_slot(Slot slot, const core::Decision& d) {
   const Launch l = retire_launch();
   if (l.launched) {
     stats_.occupancy_slots += l.in_flight;
-    stats_.occupancy_limit += l.window_limit;
-    const sim::Time wait =
-        l.proposed_at >= l.enqueued_at ? l.proposed_at - l.enqueued_at : 0;
+    stats_.occupancy_limit += config_.window;
     if (!noop) {
-      stats_.queue_waits.push_back(wait);
+      stats_.queue_waits.push_back(
+          l.proposed_at >= l.enqueued_at ? l.proposed_at - l.enqueued_at : 0);
       if (l.won) stats_.won_latencies.push_back(d.decided_at - l.enqueued_at);
-    }
-    if (tuner_ != nullptr && tuner_->enabled()) {
-      // The controller's inputs, all executor-time/count derived: queue
-      // wait (enqueue→propose), consensus service (propose→decide), the
-      // queue still backed up behind the window, and launch-time occupancy.
-      const sim::Time service =
-          d.decided_at >= l.proposed_at ? d.decided_at - l.proposed_at : 0;
-      tuner_->observe(wait, service, pending_cmds_, l.in_flight,
-                      commands.size());
     }
   }
   for (const Bytes& c : commands) sm_->apply(slot, c);
@@ -286,10 +250,8 @@ sim::Task<void> Log::pump_leader() {
         launch(s, take_pending_or_noop(), /*retry=*/true);
       }
       next_slot_ = std::max(next_slot_, horizon);
-      // Fill the window with fresh assignments. The limit is read per slot:
-      // with a tuner attached it is the live, clamped setting — the window
-      // widens (or narrows) mid-run as the controller adapts.
-      while (next_slot_ < applied_len_ + live_window() && !pending_.empty()) {
+      // Fill the window with fresh assignments.
+      while (next_slot_ < applied_len_ + config_.window && !pending_.empty()) {
         launch(next_slot_, take_pending_or_noop(), /*retry=*/true);
         ++next_slot_;
       }

@@ -48,7 +48,6 @@
 #include "src/sim/sync.hpp"
 #include "src/sim/task.hpp"
 #include "src/smr/catchup.hpp"
-#include "src/smr/tuner.hpp"
 
 namespace mnm::smr {
 
@@ -98,8 +97,6 @@ inline constexpr sim::Time kCatchupTimeout = 8;
 
 struct LogConfig {
   /// Max slots between the first unapplied slot and the newest assignment.
-  /// With auto-tuning (ReplicaConfig::tune.enabled) this is the *initial*
-  /// setting; the pump reads the tuner's live, clamped value per slot.
   std::size_t window = 8;
   /// Every replica proposes every slot (required by Byzantine engines).
   bool all_propose = false;
@@ -132,9 +129,8 @@ struct SlotStats {
   /// from a decision).
   sim::Time first_decided_at = sim::kTimeInfinity;
   /// Window occupancy over the slots this replica launched: open slots right
-  /// after each launch / the live window limit it launched under, summed —
-  /// ratio-of-sums is the mean occupancy, and the integers fingerprint
-  /// exactly.
+  /// after each launch / the window, summed — ratio-of-sums is the mean
+  /// occupancy, and the integers fingerprint exactly.
   std::uint64_t occupancy_slots = 0;
   std::uint64_t occupancy_limit = 0;
   /// Latency samples, unsorted (percentiles cannot be folded into scalars):
@@ -155,23 +151,10 @@ class Log {
   /// engine.start().
   void start();
 
-  /// Queue a group of raw commands for one slot. The group is encoded at
-  /// *launch* time, so with a tuner attached the pump may merge consecutive
-  /// groups into one slot payload up to its live batch size (continuous
-  /// batching).
+  /// Queue a group of raw commands for one slot; it is encoded here, once,
+  /// into the slot payload every proposal of it carries.
   void enqueue_commands(std::vector<Bytes> commands);
 
-  /// Attach the live window/batch controller (owned by the Replica; may be
-  /// disabled, in which case the static config governs). Call before
-  /// start().
-  void set_tuner(Tuner* tuner) { tuner_ = tuner; }
-  /// The in-flight limit the pump is currently honoring.
-  std::size_t live_window() const {
-    return tuner_ != nullptr && tuner_->enabled() ? tuner_->window()
-                                                  : config_.window;
-  }
-
-  std::size_t pending() const { return pending_.size(); }
   /// Slots applied to the state machine (the contiguous prefix).
   Slot applied_len() const { return applied_len_; }
   /// Nothing queued, nothing decided-but-unapplied, every slot this replica
@@ -179,7 +162,6 @@ class Log {
   bool quiescent() const {
     return pending_.empty() && stash_.empty() && applied_len_ >= next_slot_;
   }
-  sim::VersionSignal& applied_signal() { return applied_signal_; }
   /// The fold of every slot applied so far; compaction does not touch it.
   const SlotStats& stats() const { return stats_; }
   /// Proposer records held: one per slot from [applied_len(), newest
@@ -213,8 +195,7 @@ class Log {
 
  private:
   struct Pending {
-    Bytes payload;               // encoded at launch; set on a re-queue
-    std::vector<Bytes> cmds;     // the group's raw commands
+    Bytes payload;  // the encoded batch; empty for a no-op filler
     sim::Time enqueued_at = 0;
   };
   /// Proposer-side record of one slot, held from launch to apply.
@@ -223,10 +204,8 @@ class Log {
     bool won = false;            // our payload was decided (drive saw it)
     sim::Time enqueued_at = 0;
     sim::Time proposed_at = 0;
-    /// Open slots right after this launch, and the live window limit it
-    /// launched under — the occupancy signal the tuner and SlotStats read.
+    /// Open slots right after this launch — the occupancy SlotStats reads.
     std::size_t in_flight = 0;
-    std::size_t window_limit = 0;
   };
 
   sim::Task<void> apply_loop();
@@ -274,7 +253,6 @@ class Log {
   LogConfig config_;
 
   std::deque<Pending> pending_;
-  std::uint64_t pending_cmds_ = 0;
   sim::VersionSignal pending_signal_;
   std::map<Slot, core::Decision> stash_;  // decided, awaiting in-order apply
   sim::VersionSignal stash_signal_;       // bumps on stash insert (gap watch)
@@ -284,7 +262,6 @@ class Log {
   Slot next_slot_ = 0;
   std::size_t open_slots_ = 0;  // launched here, not yet applied
   sim::VersionSignal applied_signal_;
-  Tuner* tuner_ = nullptr;
   bool started_ = false;
 
   // Recovery / compaction state. retained_ holds applied decision payloads

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "src/harness/cluster.hpp"
 
@@ -167,6 +168,37 @@ TEST(KvCluster, RetryStormAcrossLeaderCrashStillExactlyOnce) {
 // ---------------------------------------------------------------------------
 // Crash-and-rejoin: snapshots, compaction, peer catch-up.
 // ---------------------------------------------------------------------------
+
+TEST(KvCluster, NewLeaderReDrivesItsPredecessorsLastSlots) {
+  // p1 crashes one delay after answering the last client, so its DECIDEs
+  // for the final slots die with it. The run may end only once the new
+  // leader has re-driven them: every answered op must apply.
+  struct Shape {
+    Algorithm algo;
+    std::size_t shards;
+    sim::Time crash;
+  };
+  const Shape shapes[] = {{Algorithm::kPaxos, 1, 65},
+                          {Algorithm::kPaxos, 2, 41},
+                          {Algorithm::kFastPaxos, 1, 33},
+                          {Algorithm::kFastPaxos, 2, 21}};
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(std::string(algorithm_name(shape.algo)) + " shards=" +
+                 std::to_string(shape.shards));
+    ClusterConfig c = kv_config(shape.algo, 3, 0, shape.shards,
+                                /*clients=*/32, /*ops=*/8);
+    c.seed = 1;
+    c.kv.keys = 128;
+    c.kv.window = 4;
+    c.kv.batch = 4;
+    c.kv.retry_timeout = 24;
+    c.faults.process_crashes[1] = shape.crash;
+    const RunReport r = run_cluster(c);
+    EXPECT_TRUE(r.all_ok()) << r.summary();
+    EXPECT_EQ(r.kv_ops, 256u) << r.summary();
+    EXPECT_EQ(total_shard_ops(r), r.kv_ops) << r.summary();
+  }
+}
 
 TEST(KvCluster, CrashAndRejoinConvergesExactlyOnce) {
   // The acceptance run for recovery: p1 crashes mid-workload, the shards

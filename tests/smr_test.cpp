@@ -85,6 +85,32 @@ struct InstantEngine : core::ConsensusEngine {
   bool late_return_;
 };
 
+/// Test double for the loss path in leader mode: records every proposal,
+/// and the first proposal of slot 0 decides `foreign` — standing in for an
+/// older leader's value the protocol adopted — instead of its own value.
+/// Every other proposal decides its own value two time units later.
+struct AdoptingEngine : core::ConsensusEngine {
+  explicit AdoptingEngine(sim::Executor& exec) : ConsensusEngine(exec) {}
+
+  ProcessId self() const override { return 1; }
+  std::size_t process_count() const override { return 1; }
+  void start() override {}
+  void open_slot(Slot s) override { note_slot(s); }
+  sim::Task<core::Decision> propose(Slot s, Bytes value) override {
+    note_slot(s);
+    const bool adopt = s == 0 && proposals.empty();
+    proposals.emplace_back(s, value);
+    co_await exec_->sleep(2);
+    const core::Decision d{adopt ? foreign : std::move(value), false,
+                           exec_->now()};
+    push_decision(s, d);
+    co_return d;
+  }
+
+  Bytes foreign = smr::encode_batch({to_bytes("old")});
+  std::vector<std::pair<Slot, Bytes>> proposals;
+};
+
 struct RecordingSm : smr::StateMachine {
   std::vector<std::pair<Slot, std::string>> applied;
   void apply(Slot slot, util::ByteView command) override {
@@ -219,6 +245,34 @@ TEST(SmrLog, WonSampleFoldsOnceWhicheverOfApplyAndWinComesFirst) {
   EXPECT_EQ(early.won_latencies.size(), 16u);
   EXPECT_EQ(late.won_latencies.size(), 16u);
   EXPECT_EQ(early, late);
+}
+
+TEST(SmrLog, LostGroupRequeuesAtTheFrontWithIdenticalBytes) {
+  // A leader's group loses slot 0 to an adopted foreign batch. It goes back
+  // to the front of the queue, ahead of the group queued after it, and its
+  // next proposal carries the same bytes.
+  sim::Executor exec;
+  core::Omega omega = core::Omega::fixed(exec, 1);
+  AdoptingEngine engine(exec);
+  RecordingSm sm;
+  smr::LogConfig lc;
+  lc.window = 1;
+  smr::Log log(exec, engine, omega, sm, lc);
+  log.start();
+  log.enqueue_commands({to_bytes("a1"), to_bytes("a2")});
+  log.enqueue_commands({to_bytes("b")});
+  exec.run_until([&] { return log.quiescent(); }, 1000);
+
+  const Bytes group = smr::encode_batch({to_bytes("a1"), to_bytes("a2")});
+  const Bytes later = smr::encode_batch({to_bytes("b")});
+  ASSERT_EQ(engine.proposals.size(), 3u);
+  EXPECT_EQ(engine.proposals[0], (std::pair<Slot, Bytes>{0, group}));
+  EXPECT_EQ(engine.proposals[1], (std::pair<Slot, Bytes>{1, group}));
+  EXPECT_EQ(engine.proposals[2], (std::pair<Slot, Bytes>{2, later}));
+  const std::vector<std::pair<Slot, std::string>> order = {
+      {0, "old"}, {1, "a1"}, {1, "a2"}, {2, "b"}};
+  EXPECT_EQ(sm.applied, order);
+  EXPECT_EQ(log.applied_len(), 3u);
 }
 
 TEST(SmrBatchCodec, RoundTrip) {
@@ -371,46 +425,6 @@ TEST(SmrCluster, WindowWiderThanSlotTargetIsHarmless) {
   // each won by one replica's candidate batch.
   EXPECT_EQ(r.slots_applied, 2u) << r.summary();
   EXPECT_EQ(r.commands_applied, 4u) << r.summary();
-}
-
-// ---------------------------------------------------------------------------
-// Auto-tuning (smr::Tuner through the harness).
-// ---------------------------------------------------------------------------
-
-TEST(SmrCluster, AutoTuneGrowsCapacityUnderBacklogWithinBounds) {
-  // Start from the worst fixed config (serial, single-command slots) with a
-  // large backlog: the controller must detect saturation and grow, and the
-  // run must finish markedly faster than the fixed w1/b1 run.
-  ClusterConfig fixed = smr_config(Algorithm::kFastPaxos, 3, 0, 128, 1, 1);
-  ClusterConfig tuned = fixed;
-  tuned.smr.auto_tune = true;
-  tuned.smr.max_window = 16;
-  tuned.smr.max_batch = 8;
-  const RunReport rf = harness::run_cluster(fixed);
-  const RunReport rt = harness::run_cluster(tuned);
-  ASSERT_TRUE(rf.all_ok()) << rf.summary();
-  ASSERT_TRUE(rt.all_ok()) << rt.summary();
-  EXPECT_EQ(rt.commands_applied, 128u) << rt.summary();
-  EXPECT_GT(rt.tuner_epochs, 0u) << rt.summary();
-  EXPECT_FALSE(rt.tuner_trajectory.empty());
-  EXPECT_GT(rt.tuner_window * rt.tuner_batch, 1u)
-      << "backlog must have grown capacity: " << rt.summary();
-  EXPECT_LE(rt.tuner_window, tuned.smr.max_window);
-  EXPECT_LE(rt.tuner_batch, tuned.smr.max_batch);
-  ASSERT_GT(rt.slots_applied, 0u);
-  EXPECT_LT(rt.slots_applied, rf.slots_applied)
-      << "merged batches must commit the workload in fewer slots";
-}
-
-TEST(SmrCluster, AutoTuneIsForcedOffUnderAllPropose) {
-  // Byzantine engines need lockstep queues; the tuner must not engage even
-  // when asked for, and the run must stay correct.
-  ClusterConfig c = smr_config(Algorithm::kFastRobust, 3, 3, 4, 2, 2);
-  c.smr.auto_tune = true;
-  const RunReport r = harness::run_cluster(c);
-  EXPECT_TRUE(r.all_ok()) << r.summary();
-  EXPECT_EQ(r.tuner_epochs, 0u);
-  EXPECT_TRUE(r.tuner_trajectory.empty()) << r.tuner_trajectory;
 }
 
 // ---------------------------------------------------------------------------
