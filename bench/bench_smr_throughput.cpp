@@ -1,67 +1,20 @@
-// Experiment F8 — end-to-end throughput framing (§1/§7, the DARE/APUS-style
-// systems motivation): consensus as the core of a replicated log.
+// Wall-clock simulator throughput of whole single-shot consensus instances
+// (google-benchmark) at five of the seven algorithms' default shapes.
 //
-// Two measurements:
-//  * virtual cost per decided instance (delay units + message/memory-op
-//    budget) for every algorithm — the protocol-level throughput shape the
-//    paper's comparisons imply: fewer delays per decision ⇒ higher
-//    attainable decision rate at a given network latency;
-//  * wall-clock simulator throughput of whole instances (google-benchmark),
-//    which doubles as a performance regression guard for this repository.
-//
-// A real multi-decree log built on these primitives is examples/
-// replicated_log.cpp; here we quantify the per-instance costs.
+// The virtual cost of those instances (delays, messages, memory ops and
+// signatures per decision) is a tier-1 assertion, not bench output:
+// Determinism.SingleShotCostsPinned pins it at seed 1.
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <string>
+#include <cstdint>
 
 #include "src/harness/cluster.hpp"
-#include "src/harness/table.hpp"
 
 using namespace mnm;
 using namespace mnm::harness;
 
 namespace {
-
-void per_instance_costs() {
-  std::printf("\n== F8: per-instance cost by algorithm (common case) ==\n");
-  Table t({"algorithm", "n", "m", "delays/decision",
-           "max decisions/sec @ 5us delay", "msgs", "mem ops", "sigs"});
-  struct Row {
-    Algorithm algo;
-    std::size_t n, m;
-  };
-  for (const Row& row : {Row{Algorithm::kFastRobust, 3, 3},
-                         Row{Algorithm::kProtectedMemoryPaxos, 2, 3},
-                         Row{Algorithm::kFastPaxos, 3, 0},
-                         Row{Algorithm::kPaxos, 3, 0},
-                         Row{Algorithm::kDiskPaxos, 2, 3},
-                         Row{Algorithm::kAlignedPaxos, 3, 3},
-                         Row{Algorithm::kRobustBackup, 3, 3}}) {
-    ClusterConfig c;
-    c.algo = row.algo;
-    c.n = row.n;
-    c.m = row.m;
-    const RunReport r = run_cluster(c);
-    const double delays = static_cast<double>(r.first_decision_delay);
-    // One delay ≈ one network traversal; at 5 us per traversal (typical
-    // RDMA fabric), a pipelined leader issues 1/(delays * 5us) decisions/s.
-    const double rate = 1.0 / (delays * 5e-6);
-    char rate_str[32];
-    std::snprintf(rate_str, sizeof(rate_str), "%.0fk", rate / 1000.0);
-    t.row({algorithm_name(row.algo), std::to_string(row.n),
-           std::to_string(row.m), std::to_string(r.first_decision_delay),
-           rate_str, std::to_string(r.messages_sent),
-           std::to_string(r.mem_reads + r.mem_writes),
-           std::to_string(r.signatures)});
-  }
-  t.print();
-  std::printf("(the 2-deciding algorithms sustain twice Disk Paxos's rate at\n"
-              " equal fabric latency — the paper's performance claim recast\n"
-              " as throughput)\n");
-}
 
 void bm_instance(benchmark::State& state, Algorithm algo, std::size_t n,
                  std::size_t m) {
@@ -82,9 +35,6 @@ void bm_instance(benchmark::State& state, Algorithm algo, std::size_t n,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf("bench_smr_throughput: consensus-instance costs and rates\n");
-  per_instance_costs();
-
   benchmark::RegisterBenchmark("instance/FastRobust_n3_m3", bm_instance,
                                Algorithm::kFastRobust, 3, 3)
       ->Unit(benchmark::kMillisecond);

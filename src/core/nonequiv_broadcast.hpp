@@ -163,8 +163,6 @@ class NonEquivBroadcast {
   /// Stream of deliveries, in (broadcaster, k) order per broadcaster.
   sim::Channel<NebDelivery>& deliveries() { return deliveries_; }
 
-  std::uint64_t broadcasts_made() const { return next_k_ - 1; }
-
   /// Suffix-digest verification accounting over delivered head slots:
   /// bytes hashed (the suffix past each verified prefix claim) vs bytes the
   /// prefix identity let verification skip.

@@ -266,8 +266,13 @@ struct RunReport {
   std::uint64_t history_entries_skipped = 0;
   double decoded_per_delivery = 0.0;
 
-  // SMR mode only (config.smr.enabled).
-  Slot slots_applied = 0;             // longest correct replica's applied log
+  // The replicated logs, SMR and KV modes alike: KV mode adds up its data
+  // groups (the config group is not counted) and pools their latency
+  // samples; each field's doc says how one group counts.
+  /// Applied slots, commands and no-op slots of one correct replica per
+  /// group: the longest log in SMR mode, the first replica that never
+  /// rejoined in KV mode.
+  Slot slots_applied = 0;
   std::uint64_t commands_applied = 0;
   std::uint64_t noop_slots = 0;
   /// Slots decided on the fast path. The fast path is proposer-local
@@ -293,8 +298,7 @@ struct RunReport {
   std::uint64_t occupancy_slots = 0;
   std::uint64_t occupancy_limit = 0;
   double window_occupancy = 0.0;
-  /// Executor events per applied slot — the pipelining-efficiency metric
-  /// bench_log_pipeline tracks.
+  /// Executor events per applied slot — the pipelining-efficiency metric.
   double events_per_slot = 0.0;
   /// Recovery accounting (SMR/KV modes, zeros with snapshotting off),
   /// summed over every replica incarnation of every correct process:

@@ -30,9 +30,9 @@
 // every account starts absent ⇒ balance 0 — committed transfers conserve
 // Σ balances == 0, the harness's atomicity invariant. Account popularity has
 // its own zipfian knob: contention (conflicting prepares → aborts) rises
-// with txn_zipf_theta, which is what bench_txn sweeps. A scripted
-// coordinator crash (txn_crash_*) stops one chosen transaction dead after N
-// completed records, pauses, then recovers through the presumed-abort
+// with txn_zipf_theta, as perf_guards_test's transaction rows pin. A
+// scripted coordinator crash (txn_crash_*) stops one chosen transaction dead
+// after N completed records, pauses, then recovers through the presumed-abort
 // replay — all on the deterministic clock, so crash runs fingerprint too.
 
 #pragma once

@@ -144,7 +144,6 @@ sim::Task<void> Migrator::migrate(std::uint64_t epoch) {
       if (!snap_bytes.empty()) break;
       // Empty ⇒ the picked replica halted mid-fetch (crash plan): let Ω
       // move, then re-pick.
-      ++drains_retried_;
     }
     co_await exec_->sleep(kDrainRetry);
   }

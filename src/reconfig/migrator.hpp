@@ -90,8 +90,6 @@ class Migrator {
   std::uint64_t keys_moved() const { return keys_moved_; }
   /// ConfigChange submissions (> migrations ⇒ propose retries happened).
   std::uint64_t proposals() const { return proposals_; }
-  /// Drain rounds abandoned because the picked source replica halted.
-  std::uint64_t drains_retried() const { return drains_retried_; }
   /// No change currently in flight.
   bool idle() const { return active_ == 0; }
 
@@ -111,7 +109,6 @@ class Migrator {
   std::uint64_t migrations_ = 0;
   std::uint64_t keys_moved_ = 0;
   std::uint64_t proposals_ = 0;
-  std::uint64_t drains_retried_ = 0;
   std::size_t active_ = 0;
 };
 

@@ -54,20 +54,6 @@ class Fanout {
     co_return out;
   }
 
-  /// Like collect(), but gives up at the absolute deadline; returns what
-  /// arrived in time.
-  Task<std::vector<std::pair<std::size_t, R>>> collect_until(std::size_t k,
-                                                             Time deadline) {
-    std::vector<std::pair<std::size_t, R>> out;
-    out.reserve(k);
-    while (out.size() < k) {
-      auto v = co_await results_->recv_until(deadline);
-      if (!v.has_value()) break;
-      out.push_back(std::move(*v));
-    }
-    co_return out;
-  }
-
  private:
   // Parameters (not captures!) so the detached coroutine owns everything it
   // touches — lambda captures do not survive in detached coroutines.

@@ -9,7 +9,7 @@
 //    reuses a handful of warm blocks instead of hitting the heap each time.
 //
 //  * Rc<T> — non-atomic refcounted pointer whose nodes come from a per-type
-//    free list. Channel/Gate/Latch/OneShot waiter nodes are Rc so that the
+//    free list. Channel/Gate/OneShot waiter nodes are Rc so that the
 //    "shared node" teardown-safety pattern (frames may die in any order)
 //    costs a pointer bump, not a shared_ptr control-block allocation plus
 //    atomic traffic.

@@ -1,10 +1,9 @@
 // One-shot synchronization primitives.
 //
-// `Latch` counts completions (used by quorum waits: continue after k of m
-// memory sub-operations finish; stragglers keep running or hang). `Gate` is a
-// one-shot broadcast event (used for "wait until this process decides").
-// Both use the same pooled shared-node pattern as Channel so frames may be
-// torn down in any order; nodes are allocated only when a wait suspends.
+// `Gate` is a one-shot broadcast event (used for "wait until this process
+// decides"). It uses the same pooled shared-node pattern as Channel so frames
+// may be torn down in any order; nodes are allocated only when a wait
+// suspends.
 
 #pragma once
 
@@ -102,67 +101,6 @@ class VersionSignal {
   Executor* exec_;
   std::uint64_t version_ = 0;
   std::vector<std::pair<Rc<SelectNode>, std::uint32_t>> select_waiters_;
-};
-
-/// Completion counter: waiters block until the count reaches a threshold.
-/// Thresholds are per-wait, so one Latch can serve "first ack", "majority"
-/// and "all" simultaneously.
-class Latch {
- public:
-  explicit Latch(Executor& exec) : exec_(&exec) {}
-  Latch(const Latch&) = delete;
-  Latch& operator=(const Latch&) = delete;
-
-  std::size_t count() const { return count_; }
-
-  void arrive() {
-    ++count_;
-    for (auto it = waiters_.begin(); it != waiters_.end();) {
-      Rc<Waiter>& w = *it;
-      if (w->dead) {
-        it = waiters_.erase(it);
-        continue;
-      }
-      if (count_ >= w->threshold) {
-        exec_->schedule_at(exec_->now(), [w = std::move(w)] {
-          if (!w->dead) w->handle.resume();
-        });
-        it = waiters_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  auto wait_for(std::size_t threshold) {
-    struct Awaiter {
-      Latch* l;
-      std::size_t threshold;
-      Rc<Waiter> w{};
-      bool await_ready() const { return l->count_ >= threshold; }
-      void await_suspend(std::coroutine_handle<> h) {
-        w = Rc<Waiter>::make();
-        w->handle = h;
-        w->threshold = threshold;
-        l->waiters_.push_back(w);
-      }
-      void await_resume() const {}
-      ~Awaiter() {
-        if (w) w->dead = true;
-      }
-    };
-    return Awaiter{this, threshold};
-  }
-
- private:
-  struct Waiter {
-    std::coroutine_handle<> handle;
-    std::size_t threshold = 0;
-    bool dead = false;
-  };
-  Executor* exec_;
-  std::size_t count_ = 0;
-  std::vector<Rc<Waiter>> waiters_;
 };
 
 }  // namespace mnm::sim

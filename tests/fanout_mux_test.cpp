@@ -68,22 +68,6 @@ TEST(Fanout, QuorumProceedsDespiteHangingMember) {
   EXPECT_EQ(got, 2u);
 }
 
-TEST(Fanout, CollectUntilGivesUpAtDeadline) {
-  Executor exec;
-  auto fanout = std::make_shared<Fanout<int>>(exec);
-  fanout->add(0, delayed_value(&exec, 5, 0));
-  fanout->add(1, never(&exec));
-
-  std::size_t got = 99;
-  exec.spawn([](std::shared_ptr<Fanout<int>> f, std::size_t* n) -> Task<void> {
-    auto v = co_await f->collect_until(2, /*deadline=*/50);
-    *n = v.size();
-  }(fanout, &got));
-  exec.run(1000);
-  EXPECT_EQ(got, 1u);  // only the live one arrived
-  EXPECT_GE(exec.now(), 50u);
-}
-
 TEST(Fanout, RepeatedCollectDrainsStragglers) {
   Executor exec;
   auto fanout = std::make_shared<Fanout<int>>(exec);

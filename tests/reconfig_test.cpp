@@ -542,10 +542,10 @@ TEST(ReconfigCluster, RejoinedSourceDrainsFromItsOwnMachine) {
   EXPECT_EQ(r.commit_p999, 4u) << r.summary();
 }
 
-/// bench_reconfig's plan config: Fast Paxos, n = 3, 64 clients × 8 ops,
+/// The resharding plans' config: Fast Paxos, n = 3, 64 clients × 8 ops,
 /// mix A, zipfian over 256 keys, window = batch = 4, at the default seed.
-ClusterConfig bench_reconfig_plan(std::size_t shards,
-                                  std::vector<ReconfigAction> actions) {
+ClusterConfig plan_config(std::size_t shards,
+                          std::vector<ReconfigAction> actions) {
   ClusterConfig c;
   c.algo = Algorithm::kFastPaxos;
   c.n = 3;
@@ -570,10 +570,10 @@ TEST(ReconfigCluster, SplitKeepsNinetyPercentOfStaticThroughput) {
   // and its group's ownership signal and re-submits when the bucket opens,
   // instead of sleeping on a backed-off retry deadline (1636 ops/kdelay and
   // op p999 263 when it did). Bounces must not rise: 86 at this seed with
-  // and without parking (BENCH_reconfig's 71.5 is a mean over seeds 1-16).
-  const RunReport stat = run_cluster(bench_reconfig_plan(1, {}));
+  // and without parking. perf_guards_test pins both runs exactly.
+  const RunReport stat = run_cluster(plan_config(1, {}));
   const RunReport split = run_cluster(
-      bench_reconfig_plan(1, {{40, reconfig::ChangeKind::kSplit, 0, 1}}));
+      plan_config(1, {{40, reconfig::ChangeKind::kSplit, 0, 1}}));
   ASSERT_TRUE(stat.all_ok()) << stat.summary();
   ASSERT_TRUE(split.all_ok()) << split.summary();
   ASSERT_EQ(split.reconfig_migrations, 1u);

@@ -355,28 +355,6 @@ TEST(Gate, WaitAfterOpenReturnsImmediately) {
   EXPECT_EQ(when, 0u);
 }
 
-TEST(Latch, WaitForThreshold) {
-  Executor exec;
-  Latch latch(exec);
-  Time majority_at = 0;
-  Time all_at = 0;
-  exec.spawn([](Executor& e, Latch& l, Time& t) -> Task<void> {
-    co_await l.wait_for(2);
-    t = e.now();
-  }(exec, latch, majority_at));
-  exec.spawn([](Executor& e, Latch& l, Time& t) -> Task<void> {
-    co_await l.wait_for(3);
-    t = e.now();
-  }(exec, latch, all_at));
-
-  exec.call_at(1, [&] { latch.arrive(); });
-  exec.call_at(4, [&] { latch.arrive(); });
-  exec.call_at(9, [&] { latch.arrive(); });
-  exec.run();
-  EXPECT_EQ(majority_at, 4u);
-  EXPECT_EQ(all_at, 9u);
-}
-
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());

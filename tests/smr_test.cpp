@@ -830,10 +830,10 @@ TEST(SmrCluster, TwoReplicasRejoinFromDifferentSnapshotSlots) {
 }
 
 TEST(SmrCluster, FollowerRejoinUnderLoadFetchesOneSnapshot) {
-  // bench_recovery's i4 row: p3 crashes at 6 and rejoins at 60 while p1
-  // keeps deciding. The rejoiner installs one snapshot and connects to the
-  // live decision stream, so its hold lifts after the answered round. A
-  // rejoiner that waited for a round in which nothing applied would never
+  // perf_guards_test's i4 rejoin row: p3 crashes at 6 and rejoins at 60
+  // while p1 keeps deciding. The rejoiner installs one snapshot and connects
+  // to the live decision stream, so its hold lifts after the answered round.
+  // A rejoiner that waited for a round in which nothing applied would never
   // see one while decisions stream in, and would re-fetch a fresh snapshot
   // every round.
   ClusterConfig c = smr_config(Algorithm::kFastPaxos, 3, 0, 512, 2, 4);
