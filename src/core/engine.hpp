@@ -29,11 +29,14 @@
 //    memories) require every correct replica to propose each slot —
 //    smr::Log's all_propose mode does exactly that.
 //  * retire_below(floor) frees the consensus state of every slot below
-//    `floor` (smr::Log calls it once a snapshot covers those slots) and
-//    raises the floor; a retired slot never reopens, whatever arrives for
-//    it. Hub-routed engines free each instance once no propose on it is in
-//    flight, with its reader coroutine and hub sub. Retirement schedules no
-//    executor event. The Byzantine engines keep every slot (a no-op).
+//    `floor` (smr::Log retires a window behind its applied prefix, and
+//    below an installed snapshot) and raises the floor; a retired slot
+//    never reopens. Hub-routed engines free each instance once no propose
+//    on it is in flight, with its reader coroutine and hub sub, and schedule
+//    no event. Their deciders send each decision to every peer in one event,
+//    over links that lose nothing between live processes, so an applied slot
+//    still reaches every live replica; a retired acceptor's silence can
+//    cost liveness, never agreement. The Byzantine engines keep every slot.
 //  * decisions() streams every locally decided slot exactly once, in local
 //    decision order (slot order NOT guaranteed — that is the pipelining).
 //    Single consumer.
@@ -273,7 +276,7 @@ class HubEngine : public ConsensusEngine {
 
   sim::Task<Decision> propose(Slot slot, Bytes value) override {
     if (slot < floor_) {
-      // Retired: the decision is gone, and a snapshot covers the slot.
+      // Retired: the decision is gone, and the log applied the slot.
       co_await std::suspend_always{};
     }
     open_slot(slot);

@@ -215,7 +215,7 @@ class Paxos;
 ///    this process.
 ///  * p1 holds term 0 from the start, with nothing reported: the acceptors'
 ///    implicit promise of ballot 0. A rejoined p1 holds it too, until a
-///    refused ACCEPT or a peer's snapshot shows the group went on.
+///    refused ACCEPT or a catch-up from a peer shows the group went on.
 ///  * Ballots: a term's ballot exceeds every ballot this process has used in
 ///    any slot, and a slot's own ballot exceeds every term ballot it has
 ///    held, so no ballot ever carries two values in one slot.
@@ -250,12 +250,12 @@ class PaxosTerm {
   PaxosTerm(sim::Executor& exec, ProcessId self, Transport* channel,
             Omega& omega, const PaxosConfig& config, Members members = {});
 
-  /// Slots below `floor` have retired (their decisions live in a
-  /// snapshot). A floor above a slot this replica never decided means it
-  /// installed a peer's snapshot: the group went on without it, under some
-  /// other leader for all it knows, so an implicit term 0 ends — and if Ω
-  /// names this replica it establishes a term at once, before its first
-  /// ACCEPT would be refused.
+  /// Slots below `floor` have retired (this replica applied them, or
+  /// installed a peer's snapshot covering them). A floor above a slot this
+  /// replica never decided means it caught up from a peer: the group went
+  /// on without it, under some other leader for all it knows, so an
+  /// implicit term 0 ends — and if Ω names this replica it establishes a
+  /// term at once, before its first ACCEPT would be refused.
   void retire_below(Slot floor);
 
   /// Handle one inbound term frame from `src`.

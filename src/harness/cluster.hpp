@@ -310,9 +310,9 @@ struct RunReport {
   std::uint64_t catchup_bytes = 0;
   /// Per-slot consensus state left at the end of the run: the most
   /// protocol instances or slot-hub subs any correct replica's engine holds
-  /// in a data group. The crash engines retire slots a snapshot behind, so
-  /// with a snapshot interval it stays within window + 2 × interval;
-  /// without one, and on the Byzantine engines, it is the slot count.
+  /// in a data group. At most the window on the crash engines, which retire
+  /// slots a window behind the applied prefix; the slot count on the
+  /// Byzantine engines.
   std::size_t slot_state_held = 0;
 
   // KV mode only (config.kv.enabled). Shard/commit metrics above aggregate

@@ -176,9 +176,7 @@ void Log::drain_stash() {
        it = stash_.find(applied_len_)) {
     apply_slot(applied_len_, it->second);
     stash_.erase(it);
-    ++applied_len_;
-    applied_signal_.bump();
-    maybe_snapshot();
+    advance();
   }
 }
 
@@ -192,19 +190,21 @@ sim::Task<void> Log::apply_loop() {
   }
 }
 
-void Log::maybe_snapshot() {
+void Log::advance() {
+  ++applied_len_;
+  applied_signal_.bump();
+  // Retire a window behind, so each slot's last frames drain first.
+  if (applied_len_ > config_.window) {
+    engine_->retire_below(applied_len_ - config_.window);
+  }
   if (config_.snapshot_interval == 0) return;
   if (applied_len_ - snapshot_slot_ < config_.snapshot_interval) return;
   Bytes snap = sm_->snapshot();
   if (snap.empty()) return;  // machine doesn't support snapshots
-  const Slot previous = snapshot_slot_;
   snapshot_ = std::move(snap);
   snapshot_slot_ = applied_len_;
   ++snapshots_taken_;
   compact_below(snapshot_slot_);
-  // Every slot below the previous snapshot applied a full interval ago:
-  // late traffic for it has long drained, so its consensus state can go.
-  engine_->retire_below(previous);
 }
 
 void Log::compact_below(Slot s) {
@@ -343,9 +343,7 @@ void Log::install_slot(Slot s, const Bytes& payload) {
   const std::vector<Bytes> commands = decode_batch(payload);
   for (const Bytes& c : commands) sm_->apply(s, c);
   if (config_.snapshot_interval > 0) retained_[s] = payload;
-  ++applied_len_;
-  applied_signal_.bump();
-  maybe_snapshot();
+  advance();
 }
 
 void Log::install_catchup(const CatchupResponse& resp,

@@ -97,6 +97,7 @@ inline constexpr sim::Time kCatchupTimeout = 8;
 
 struct LogConfig {
   /// Max slots between the first unapplied slot and the newest assignment.
+  /// The engine's slots retire a window behind the applied prefix.
   std::size_t window = 8;
   /// Every replica proposes every slot (required by Byzantine engines).
   bool all_propose = false;
@@ -105,10 +106,8 @@ struct LogConfig {
   /// pre-snapshot behavior, byte-for-byte). With an interval set the Log
   /// also retains applied decision payloads above the snapshot slot and
   /// serves them (plus the snapshot) to catching-up peers over the engine's
-  /// control transport, and it retires the engine's slots a snapshot behind
-  /// (ConsensusEngine::retire_below): after each compaction, below the
-  /// previous snapshot slot; after a catch-up install, below the installed
-  /// one.
+  /// control transport. Installing a peer's snapshot retires the engine's
+  /// slots below it.
   Slot snapshot_interval = 0;
   /// Start in recovery: hold fresh proposals and catch up from a peer's
   /// snapshot + log suffix first (requires an engine with a control
@@ -236,8 +235,9 @@ class Log {
   void requeue_front(Pending group);
   void launch(Slot slot, Pending p, bool retry);
   void apply_slot(Slot slot, const core::Decision& d);
-  /// Snapshot + compact when the interval says so (no-op otherwise).
-  void maybe_snapshot();
+  /// Count one more applied slot: retire the engine's slots a window
+  /// behind it, then snapshot + compact when the interval says so.
+  void advance();
   /// Drop retained payloads and stash entries below `s`.
   void compact_below(Slot s);
   void serve_catchup(ProcessId dst, Slot from);

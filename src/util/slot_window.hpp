@@ -2,11 +2,10 @@
 //
 // A slot hub's subs and a hub engine's protocol instances live from a
 // slot's first touch until the slot retires below a floor that only rises
-// (core::ConsensusEngine::retire_below), so the live ids form a short range
-// above the floor: the log's window plus a snapshot interval or two.
-// SlotWindow keeps them in a deque indexed by id − floor. A lookup is a
-// bounds check and an index, raising the floor frees every entry below it,
-// and nothing walks an rb-tree.
+// (core::ConsensusEngine::retire_below), so the live ids span about the
+// log's window above the floor. SlotWindow keeps them in a deque indexed by
+// id − floor. A lookup is a bounds check and an index, raising the floor
+// frees every entry below it, and nothing walks an rb-tree.
 
 #pragma once
 

@@ -200,6 +200,33 @@ TEST(KvCluster, NewLeaderReDrivesItsPredecessorsLastSlots) {
   }
 }
 
+TEST(KvCluster, SlotsRetireWithoutASnapshotCadence) {
+  // No snapshot cadence, as in the perfbench KV workloads: each crash
+  // engine still retires every slot a window behind its applied prefix.
+  // Pre-GST delays keep frames in flight around retiring slots, and p1
+  // dies just after GST, so a new leader re-drives the open window while
+  // its peers retire.
+  constexpr std::size_t kWindow = 4;
+  for (const Algorithm algo :
+       {Algorithm::kPaxos, Algorithm::kFastPaxos, Algorithm::kDiskPaxos,
+        Algorithm::kProtectedMemoryPaxos, Algorithm::kAlignedPaxos}) {
+    SCOPED_TRACE(algorithm_name(algo));
+    const bool memory =
+        algo != Algorithm::kPaxos && algo != Algorithm::kFastPaxos;
+    ClusterConfig c = kv_config(algo, 3, memory ? 3 : 0, 2, 8, 64);
+    c.gst = 40;
+    c.pre_gst_delay = 7;
+    c.kv.window = kWindow;
+    c.kv.batch = 4;
+    c.faults.process_crashes[1] = 41;
+    const RunReport r = run_cluster(c);
+    EXPECT_TRUE(r.all_ok()) << r.summary();
+    EXPECT_EQ(r.kv_ops, 8u * 64u) << r.summary();
+    EXPECT_EQ(total_shard_ops(r), r.kv_ops) << r.summary();
+    EXPECT_LE(r.slot_state_held, kWindow) << r.summary();
+  }
+}
+
 TEST(KvCluster, CrashAndRejoinConvergesExactlyOnce) {
   // The acceptance run for recovery: p1 crashes mid-workload, the shards
   // move on (snapshotting + truncating as they go), and p1 rejoins with

@@ -287,10 +287,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // Sweep 5: replicated logs under crashes with compaction. A snapshot every
-// 4 applies retires slots every few applies, so the seed's crashes land
-// around retiring instances, hub subs and fan-out stragglers parked on
-// crashed memories; each correct replica must still agree, stay valid,
-// terminate, and end holding at most window + 2 × interval instances.
+// 4 applies compacts the log and every apply retires the slot a window
+// behind it, so the seed's crashes land around retiring instances, hub subs
+// and fan-out stragglers parked on crashed memories; each correct replica
+// must still agree, stay valid, terminate, and end holding at most a window
+// of instances.
 // ---------------------------------------------------------------------------
 
 using RetireParam = std::tuple<Algorithm, int /*seed*/>;
@@ -355,7 +356,7 @@ TEST_P(SmrRetireSweep, SafeLiveAndBoundedUnderCrashes) {
   EXPECT_TRUE(r.validity) << where << " " << r.summary();
   EXPECT_TRUE(r.termination) << where << " " << r.summary();
   EXPECT_GT(r.snapshots_taken, 0u) << where << " " << r.summary();
-  EXPECT_LE(r.slot_state_held, kWindow + 2 * kInterval) << where;
+  EXPECT_LE(r.slot_state_held, kWindow) << where;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -873,33 +873,28 @@ TEST(SmrCluster, RejoinedLeaderServesWithinEightDelays) {
   EXPECT_EQ(r.catchup_bytes, 8962u) << r.summary();
 }
 
-// Retirement (ConsensusEngine::retire_below): with a snapshot cadence the
-// crash engines free each slot a snapshot behind, so every correct replica
-// ends holding at most window + 2 × interval instances and hub subs, however
-// long the run. Without a cadence nothing retires: one per slot, as ever.
+// Retirement (ConsensusEngine::retire_below): the crash engines free each
+// slot a window behind the applied prefix, with or without a snapshot
+// cadence, so every correct replica ends holding exactly a window of
+// instances and hub subs, however long the run.
 class SmrRetire : public ::testing::TestWithParam<Algorithm> {};
 
-TEST_P(SmrRetire, LongRunHoldsWindowPlusTwoIntervals) {
+TEST_P(SmrRetire, LongRunHoldsOneWindow) {
   constexpr std::size_t kSlots = 4096;
   constexpr std::size_t kWindow = 4;
-  constexpr Slot kInterval = 64;
   const Algorithm algo = GetParam();
   const bool memory = algo != Algorithm::kPaxos && algo != Algorithm::kFastPaxos;
   const std::size_t n = algo == Algorithm::kDiskPaxos ||
                                 algo == Algorithm::kProtectedMemoryPaxos
                             ? 2
                             : 3;
-  for (const Slot interval : {kInterval, Slot{0}}) {
+  for (const Slot interval : {Slot{64}, Slot{0}}) {
     ClusterConfig c = smr_config(algo, n, memory ? 3 : 0, kSlots, 1, kWindow);
     c.smr.snapshot_interval = interval;
     const RunReport r = harness::run_cluster(c);
     ASSERT_TRUE(r.all_ok()) << r.summary();
     ASSERT_EQ(r.slots_applied, kSlots) << r.summary();
-    if (interval > 0) {
-      EXPECT_LE(r.slot_state_held, kWindow + 2 * kInterval);
-    } else {
-      EXPECT_EQ(r.slot_state_held, kSlots);
-    }
+    EXPECT_EQ(r.slot_state_held, kWindow) << "interval " << interval;
   }
 }
 
@@ -921,7 +916,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SmrCluster, RejoinerRetiresWhatItsSnapshotCovers) {
   // p1 crashes early and rejoins while p2 still drives: the rejoiner hears
   // the live slots, installs a peer snapshot, and retires everything below
-  // it, so it ends as bounded as the survivors.
+  // it, so it ends holding one window, as the survivors do.
   constexpr std::size_t kWindow = 4;
   constexpr Slot kInterval = 64;
   ClusterConfig c =
@@ -934,7 +929,7 @@ TEST(SmrCluster, RejoinerRetiresWhatItsSnapshotCovers) {
   EXPECT_GE(r.snapshots_installed, 1u) << r.summary();
   EXPECT_EQ(r.processes[0].log, r.processes[1].log);
   EXPECT_GT(r.slots_applied, 2 * kInterval) << r.summary();
-  EXPECT_LE(r.slot_state_held, kWindow + 2 * kInterval);
+  EXPECT_LE(r.slot_state_held, kWindow);
 }
 
 TEST(SmrCluster, RejoinConfigIsValidated) {
