@@ -30,7 +30,7 @@ struct NebWorld {
       signers.push_back(keystore.register_process(p));
       slots.push_back(std::make_unique<NebSlots>(exec, ifc, regions));
       nebs.push_back(std::make_unique<NonEquivBroadcast>(
-          exec, *slots.back(), keystore, signers.back(), NebConfig{n}));
+          exec, *slots.back(), keystore, signers.back()));
       nebs.back()->start();
     }
   }
@@ -40,7 +40,7 @@ struct NebWorld {
   crypto::KeyStore keystore;
   std::vector<std::unique_ptr<mem::Memory>> memories;
   std::vector<mem::MemoryIface*> ifc;
-  std::map<ProcessId, RegionId> regions;
+  NebRegions regions;
   std::vector<crypto::Signer> signers;
   std::vector<std::unique_ptr<NebSlots>> slots;
   std::vector<std::unique_ptr<NonEquivBroadcast>> nebs;

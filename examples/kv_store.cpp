@@ -59,7 +59,6 @@ int main() {
   net::Network net(exec, kReplicas);
   core::Omega omega = core::Omega::fixed(exec, kLeaderP1);
   core::PaxosConfig pc;
-  pc.n = kReplicas;
   pc.leader_terms = true;
 
   // --- The quickstart: per process one transport + mux; per (shard,

@@ -36,7 +36,7 @@ int main() {
   net::Network network(exec, /*n_processes=*/2);
   std::vector<std::unique_ptr<mem::Memory>> memories;
   std::vector<mem::MemoryIface*> ifc;
-  RegionId region = 0;
+  core::DiskRegion region;
   for (MemoryId id = 1; id <= 3; ++id) {
     memories.push_back(std::make_unique<mem::Memory>(exec, id));
     region = core::make_pmp_region(*memories.back(), /*n=*/2);
@@ -47,13 +47,12 @@ int main() {
   core::Omega omega = core::Omega::fixed(exec, kLeaderP1);
 
   // 4. One Protected Memory Paxos instance per process, each over its own
-  //    transport endpoint (the DECIDE conversation).
-  core::PmpConfig config;
-  config.n = 2;
+  //    transport endpoint (the DECIDE conversation), which also tells it
+  //    how many processes there are.
   core::NetTransport t1(exec, network, 1, /*tag=*/900);
   core::NetTransport t2(exec, network, 2, /*tag=*/900);
-  core::ProtectedMemoryPaxos p1(exec, ifc, region, t1, omega, config);
-  core::ProtectedMemoryPaxos p2(exec, ifc, region, t2, omega, config);
+  core::ProtectedMemoryPaxos p1(exec, ifc, region, t1, omega);
+  core::ProtectedMemoryPaxos p2(exec, ifc, region, t2, omega);
   p1.start();
   p2.start();
 

@@ -71,7 +71,6 @@ int main() {
   // One engine + replica per process; each replica owns exactly ONE
   // transport endpoint (tag 100) — the engine multiplexes every slot over it.
   core::PaxosConfig pc;
-  pc.n = kReplicas;
   pc.leader_terms = true;  // one phase 1 per leader: 2 delays a slot
   smr::ReplicaConfig rc;
   rc.batch = kBatch;

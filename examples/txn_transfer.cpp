@@ -89,7 +89,6 @@ int main() {
   net::Network net(exec, kReplicas);
   core::Omega omega = core::Omega::fixed(exec, kLeaderP1);
   core::PaxosConfig pc;
-  pc.n = kReplicas;
   pc.leader_terms = true;
 
   // Same stack as examples/kv_store.cpp: per process one transport + mux,

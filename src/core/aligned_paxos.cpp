@@ -14,16 +14,16 @@ constexpr sim::Time kRetryBackoff = 8;
 
 AlignedPaxos::AlignedPaxos(sim::Executor& exec,
                            std::vector<mem::MemoryIface*> memories,
-                           RegionId region, Transport& transport, Omega& omega,
-                           AlignedPaxosConfig config)
+                           const DiskRegion& region, Transport& transport,
+                           Omega& omega)
     : DecisionLatch(exec),
       exec_(&exec),
       transport_(&transport),
       omega_(&omega),
       self_(transport.self()),
-      n_(config.n),
-      memories_(exec, std::move(memories), region, self_, config.n,
-                config.prefix + "/slot", /*dynamic=*/true),
+      n_(transport.process_count()),
+      memories_(exec, std::move(memories), region.id, self_, n_,
+                region.ns + "pmp/slot", /*dynamic=*/true),
       replies_(exec) {}
 
 void AlignedPaxos::start() { exec_->spawn(dispatch_loop(), reader_); }

@@ -19,7 +19,7 @@
 //
 // Memory agents run PMP's steps (disk_paxos.*: the phase step with its
 // permission seize, the phase-2 write, the scan fold) over the PMP region
-// and slot format ("<prefix>/slot/<p>"); process agents run Paxos's
+// and slot format ("<ns>pmp/slot/<p>"); process agents run Paxos's
 // acceptor (paxos.*) over the Paxos wire format. All conversations run over
 // ONE base Transport — a standalone setup passes a NetTransport, a
 // multi-slot engine a slot sub-transport. A single dispatch loop (the Paxos
@@ -44,20 +44,13 @@
 
 namespace mnm::core {
 
-struct AlignedPaxosConfig {
-  std::size_t n = 3;
-  /// Register-name namespace; must match the region's make_pmp_region prefix.
-  std::string prefix = "pmp";
-};
-
 class AlignedPaxos : public DecisionLatch {
  public:
   /// `region` is a PMP-style region (make_pmp_region), identical across
-  /// memories. `transport` carries all three conversations;
-  /// `transport.self()` is this process's identity.
+  /// memories. `transport` carries all three conversations among the
+  /// process agents; `transport.self()` is this process's identity.
   AlignedPaxos(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
-               RegionId region, Transport& transport, Omega& omega,
-               AlignedPaxosConfig config);
+               const DiskRegion& region, Transport& transport, Omega& omega);
 
   /// Spawn the acceptor + decide listener, which lives as long as this
   /// instance.

@@ -140,7 +140,7 @@ CheapQuorum::CheapQuorum(sim::Executor& exec,
       config_(config) {}
 
 swmr::ReplicatedRegister& CheapQuorum::leader_value_reg() {
-  const std::string name = config_.prefix + "/leader/value";
+  const std::string name = regions_.ns + "cq/leader/value";
   auto it = regs_.find(name);
   if (it == regs_.end()) {
     it = regs_
@@ -152,7 +152,7 @@ swmr::ReplicatedRegister& CheapQuorum::leader_value_reg() {
 }
 
 swmr::ReplicatedRegister& CheapQuorum::value_reg(ProcessId p) {
-  const std::string name = config_.prefix + "/p/" + std::to_string(p) + "/value";
+  const std::string name = regions_.ns + "cq/p/" + std::to_string(p) + "/value";
   auto it = regs_.find(name);
   if (it == regs_.end()) {
     it = regs_
@@ -164,7 +164,7 @@ swmr::ReplicatedRegister& CheapQuorum::value_reg(ProcessId p) {
 }
 
 swmr::ReplicatedRegister& CheapQuorum::panic_reg(ProcessId p) {
-  const std::string name = config_.prefix + "/p/" + std::to_string(p) + "/panic";
+  const std::string name = regions_.ns + "cq/p/" + std::to_string(p) + "/panic";
   auto it = regs_.find(name);
   if (it == regs_.end()) {
     it = regs_
@@ -176,7 +176,7 @@ swmr::ReplicatedRegister& CheapQuorum::panic_reg(ProcessId p) {
 }
 
 swmr::ReplicatedRegister& CheapQuorum::proof_reg(ProcessId p) {
-  const std::string name = config_.prefix + "/p/" + std::to_string(p) + "/proof";
+  const std::string name = regions_.ns + "cq/p/" + std::to_string(p) + "/proof";
   auto it = regs_.find(name);
   if (it == regs_.end()) {
     it = regs_
@@ -189,7 +189,7 @@ swmr::ReplicatedRegister& CheapQuorum::proof_reg(ProcessId p) {
 
 sim::Task<bool> CheapQuorum::anyone_panicked() {
   sim::Fanout<mem::ReadResult> fanout(*exec_);
-  const auto all = all_processes(config_.n);
+  const auto all = all_processes(n());
   for (std::size_t i = 0; i < all.size(); ++i) {
     fanout.add(i, panic_reg(all[i]).read(signer_.id()));
   }
@@ -213,7 +213,7 @@ sim::Task<void> CheapQuorum::wait_panic() {
 
 sim::Task<CqOutcome> CheapQuorum::propose(Bytes v) {
   const ProcessId self = signer_.id();
-  if (self != config_.leader) {
+  if (self != leader()) {
     co_return co_await follower_body(std::move(v), /*decide_allowed=*/true);
   }
 
@@ -266,7 +266,7 @@ sim::Task<CqOutcome> CheapQuorum::follower_body(Bytes input, bool decide_allowed
     if (rr.ok() && !util::is_bottom(rr.value)) {
       lb = decode_leader_blob(rr.value);
       if (lb.has_value() &&
-          keystore_->valid_from(config_.leader, cq_value_signing_bytes(lb->value),
+          keystore_->valid_from(leader(), cq_value_signing_bytes(lb->value),
                                 lb->sig)) {
         leader_blob = rr.value;
         break;
@@ -286,7 +286,7 @@ sim::Task<CqOutcome> CheapQuorum::follower_body(Bytes input, bool decide_allowed
   (void)co_await value_reg(self).write(self, copy_blob);
 
   // Wait for unanimity, then for n proofs (lines 16–22).
-  const auto all = all_processes(config_.n);
+  const auto all = all_processes(n());
   bool proof_written = false;
   while (true) {
     watch.snapshot();
@@ -309,7 +309,7 @@ sim::Task<CqOutcome> CheapQuorum::follower_body(Bytes input, bool decide_allowed
       if (signers.insert(all[idx]).second) copy_blobs.push_back(rr.value);
     }
 
-    if (signers.size() >= config_.n) {
+    if (signers.size() >= n()) {
       if (!proof_written) {
         const crypto::Signature proof_sig = signer_.sign(proof_signing_bytes(copy_blobs));
         ++signatures_on_path_;
@@ -328,14 +328,14 @@ sim::Task<CqOutcome> CheapQuorum::follower_body(Bytes input, bool decide_allowed
       for (auto& [idx, rr] : proofs) {
         if (!rr.ok() || util::is_bottom(rr.value)) continue;
         LeaderBlob proof_lb;
-        if (verify_unanimity_proof(*keystore_, config_.n, config_.leader, rr.value,
+        if (verify_unanimity_proof(*keystore_, n(), leader(), rr.value,
                                    &proof_lb) &&
             encode_leader_blob(proof_lb.value, proof_lb.sig) == leader_blob) {
           ++valid;
           if (all[idx] == self) my_proof = rr.value;
         }
       }
-      if (valid >= config_.n) {
+      if (valid >= n()) {
         CqOutcome out;
         out.decided = decide_allowed;
         out.value = lb->value;
@@ -367,7 +367,7 @@ sim::Task<CqOutcome> CheapQuorum::panic_mode(Bytes input) {
   // majority so the revocation is effective against future leader writes
   // (line 3).
   sim::Fanout<mem::Status> revoke(*exec_);
-  const mem::Permission ro = mem::Permission::read_only(all_processes(config_.n));
+  const mem::Permission ro = mem::Permission::read_only(all_processes(n()));
   for (std::size_t i = 0; i < memories_.size(); ++i) {
     revoke.add(i, memories_[i]->change_permission(self, regions_.leader, ro));
   }
@@ -400,7 +400,7 @@ sim::Task<CqOutcome> CheapQuorum::panic_mode(Bytes input) {
   if (lval.ok() && !util::is_bottom(lval.value)) {
     const auto lb = decode_leader_blob(lval.value);
     if (lb.has_value() &&
-        keystore_->valid_from(config_.leader, cq_value_signing_bytes(lb->value),
+        keystore_->valid_from(leader(), cq_value_signing_bytes(lb->value),
                               lb->sig)) {
       out.value = lb->value;
       util::Writer w;

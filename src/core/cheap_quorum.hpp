@@ -8,11 +8,12 @@
 // safe (Lemma 4.8).
 //
 // Memory layout (regions created identically on every memory by
-// make_cq_regions, all in one write scope — the one the follower loops
-// watch):
-//   Region[ℓ]  prefix "cq/leader/"  — RW {p1}; legalChange permits exactly
-//              one change: revoking all write access (panic, Alg. 5 line 3).
-//   Region[p]  prefix "cq/p/<p>/"   — SWMR(p), static; holds Value[p],
+// make_cq_regions in one namespace <ns>, all in one write scope — the one
+// the follower loops watch):
+//   Region[ℓ]  prefix "<ns>cq/leader/" — RW {leader}; legalChange permits
+//              exactly one change: revoking all write access (panic, Alg. 5
+//              line 3).
+//   Region[p]  prefix "<ns>cq/p/<p>/"  — SWMR(p), static; holds Value[p],
 //              Panic[p], Proof[p].
 //
 // Value encodings:
@@ -34,6 +35,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/common.hpp"
@@ -45,23 +47,29 @@
 
 namespace mnm::core {
 
+/// Cheap Quorum's regions as make_cq_regions created them, the same on
+/// every memory: the instance's namespace and leader, the leader's region,
+/// one region per process (n = per_process.size()) and their write scope.
 struct CheapQuorumRegions {
+  std::string ns;
+  ProcessId leader_process = kLeaderP1;
   RegionId leader = 0;
   std::map<ProcessId, RegionId> per_process;
   mem::ScopeId scope = mem::kDefaultScope;  // write scope of all of the above
+  bool operator==(const CheapQuorumRegions&) const = default;
 };
 
 /// Create Cheap Quorum's regions on one memory (identical order on every
 /// memory keeps region ids aligned), all in write scope `scope`. Works for
-/// mem::Memory / VerbsMemory. Multi-slot engines namespace the prefix per
-/// slot ("s<slot>/cq") and give each slot a fresh scope.
+/// mem::Memory / VerbsMemory. Multi-slot engines give each slot its own
+/// namespace ("s<slot>/") and a fresh scope.
 template <typename MemoryT>
 CheapQuorumRegions make_cq_regions(MemoryT& memory, std::size_t n,
                                    ProcessId leader = kLeaderP1,
-                                   const std::string& prefix = "cq",
+                                   std::string ns = "",
                                    mem::ScopeId scope = mem::kDefaultScope) {
-  CheapQuorumRegions out;
-  out.scope = scope;
+  CheapQuorumRegions out{std::move(ns), leader, 0, {}, scope};
+  const std::string prefix = out.ns + "cq";
   const auto all = all_processes(n);
   // legalChange: only total write revocation is permitted (§4.2).
   const auto revoke_only = [](ProcessId, RegionId, const mem::Permission&,
@@ -109,10 +117,6 @@ bool verify_unanimity_proof(const crypto::KeyStore& ks, std::size_t n,
                             LeaderBlob* out = nullptr);
 
 struct CheapQuorumConfig {
-  std::size_t n = 3;
-  ProcessId leader = kLeaderP1;
-  /// Register-name namespace; must match the make_cq_regions prefix.
-  std::string prefix = "cq";
   /// Follower patience before panicking (virtual time units). "An upper
   /// bound on the communication, processing and computation delays in the
   /// common case" (§4.2 footnote 3).
@@ -130,6 +134,8 @@ struct CqOutcome {
 
 class CheapQuorum {
  public:
+  /// Runs among the processes `regions` has one region for, led by
+  /// regions.leader_process.
   CheapQuorum(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
               CheapQuorumRegions regions, const crypto::KeyStore& keystore,
               crypto::Signer signer, CheapQuorumConfig config);
@@ -144,6 +150,10 @@ class CheapQuorum {
   sim::Task<void> wait_panic();
 
   std::uint64_t signatures_on_path() const { return signatures_on_path_; }
+
+  /// The processes and the leader, as the regions name them.
+  std::size_t n() const { return regions_.per_process.size(); }
+  ProcessId leader() const { return regions_.leader_process; }
 
  private:
   swmr::ReplicatedRegister& value_reg(ProcessId p);

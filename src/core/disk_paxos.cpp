@@ -112,23 +112,24 @@ sim::Task<bool> DiskMemories::write_quorum(DiskBlock own) {
 }
 
 DiskPaxos::DiskPaxos(sim::Executor& exec,
-                     std::vector<mem::MemoryIface*> memories, RegionId region,
-                     Transport& transport, Omega& omega, DiskPaxosConfig config)
-    : DiskPaxos(exec, std::move(memories), region, transport, omega, config.n,
-                config.prefix + "/block", /*dynamic=*/false) {}
+                     std::vector<mem::MemoryIface*> memories,
+                     const DiskRegion& region, Transport& transport,
+                     Omega& omega)
+    : DiskPaxos(exec, std::move(memories), region, transport, omega,
+                "dp/block", /*dynamic=*/false) {}
 
 DiskPaxos::DiskPaxos(sim::Executor& exec,
-                     std::vector<mem::MemoryIface*> memories, RegionId region,
-                     Transport& transport, Omega& omega, std::size_t n,
-                     const std::string& registers, bool dynamic)
+                     std::vector<mem::MemoryIface*> memories,
+                     const DiskRegion& region, Transport& transport,
+                     Omega& omega, const char* registers, bool dynamic)
     : DecisionLatch(exec),
       exec_(&exec),
       transport_(&transport),
       omega_(&omega),
       self_(transport.self()),
-      n_(n),
-      memories_(exec, std::move(memories), region, self_, n, registers,
-                dynamic) {}
+      n_(transport.process_count()),
+      memories_(exec, std::move(memories), region.id, self_, n_,
+                region.ns + registers, dynamic) {}
 
 void DiskPaxos::start() { exec_->spawn(decide_listener(), listener_); }
 

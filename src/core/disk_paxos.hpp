@@ -18,10 +18,11 @@
 // TheoremSixOne.AckOnlyWriterBreaksAgreementPmpDoesNot replays the proof's
 // schedule.
 //
-// Registers: "<prefix>/block/<p>" holds p's block (mbal, bal, value) — Disk
+// Registers: "<ns>dp/block/<p>" holds p's block (mbal, bal, value) — Disk
 // Paxos's dblock — replicated across the m memories by direct per-memory
-// writes. The prefix defaults to "dp"; multi-slot engines namespace it per
-// slot ("s<slot>/dp") so one memory serves a whole log.
+// writes. The namespace <ns> is the region's, empty by default; multi-slot
+// engines give each slot its own ("s<slot>/") so one memory serves a whole
+// log.
 //
 // The memory side has one copy, here: the block record and its codec, the
 // per-memory phase step and phase-2 write, and the scan fold
@@ -51,13 +52,24 @@
 
 namespace mnm::core {
 
-/// Create the single open, static region of the disk model on one memory.
+/// The one region a disk-model protocol runs in, as make_disk_region or
+/// make_pmp_region created it: its id, the same on every memory, and the
+/// namespace its registers are named in.
+struct DiskRegion {
+  RegionId id = 0;
+  std::string ns;
+  bool operator==(const DiskRegion&) const = default;
+};
+
+/// Create the single open, static region of the disk model ("<ns>dp/") on
+/// one memory.
 template <typename MemoryT>
-RegionId make_disk_region(MemoryT& memory, std::size_t n,
-                          const std::string& prefix = "dp") {
-  return memory.create_region({prefix + "/"},
-                              mem::Permission::open(all_processes(n)),
-                              mem::static_permissions());
+DiskRegion make_disk_region(MemoryT& memory, std::size_t n,
+                            std::string ns = "") {
+  const RegionId id = memory.create_region(
+      {ns + "dp/"}, mem::Permission::open(all_processes(n)),
+      mem::static_permissions());
+  return {id, std::move(ns)};
 }
 
 /// A process's block: Disk Paxos's dblock, PMP's slot (minProposal,
@@ -140,19 +152,12 @@ class DiskMemories {
   std::shared_ptr<const Access> at_;
 };
 
-struct DiskPaxosConfig {
-  std::size_t n = 2;
-  /// Register-name namespace; must match the region's make_disk_region prefix.
-  std::string prefix = "dp";
-};
-
 class DiskPaxos : public DecisionLatch {
  public:
-  /// `transport` carries the DECIDE dissemination; `transport.self()` is this
-  /// process's identity.
+  /// `transport` carries the DECIDE dissemination among the processes;
+  /// `transport.self()` is this process's identity.
   DiskPaxos(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
-            RegionId region, Transport& transport, Omega& omega,
-            DiskPaxosConfig config);
+            const DiskRegion& region, Transport& transport, Omega& omega);
 
   /// Spawn the DECIDE listener, which lives as long as this instance.
   void start();
@@ -160,10 +165,11 @@ class DiskPaxos : public DecisionLatch {
   sim::Task<Bytes> propose(Bytes v);
 
  protected:
-  /// Blocks under "<registers>/<p>"; `dynamic` is Protected Memory Paxos.
+  /// Blocks under "<region.ns><registers>/<p>"; `dynamic` is Protected
+  /// Memory Paxos.
   DiskPaxos(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
-            RegionId region, Transport& transport, Omega& omega, std::size_t n,
-            const std::string& registers, bool dynamic);
+            const DiskRegion& region, Transport& transport, Omega& omega,
+            const char* registers, bool dynamic);
 
  private:
   sim::Task<void> decide_listener();

@@ -9,10 +9,10 @@
 //
 // for an open-ended space of slots, multiplexed over ONE base transport per
 // replica (SlotTransportHub's slot-tag namespace) and ONE set of memories
-// whose per-slot regions live under "s<slot>/..." name prefixes
-// (SlotRegions). Adapters exist for seven protocols: Paxos, Fast Paxos,
-// Disk Paxos, Protected Memory Paxos, Aligned Paxos, Robust Backup(Paxos)
-// and Fast & Robust. Cheap Quorum has none: it may abort, so alone it is not
+// whose per-slot regions live in "s<slot>/..." namespaces (SlotRegions).
+// Adapters exist for seven protocols: Paxos, Fast Paxos, Disk Paxos,
+// Protected Memory Paxos, Aligned Paxos, Robust Backup(Paxos) and Fast &
+// Robust. Cheap Quorum has none: it may abort, so alone it is not
 // a consensus; it runs as Fast & Robust's fast path. smr::Log builds
 // pipelined replication on top.
 //
@@ -25,9 +25,9 @@
 //    learner roles) without proposing; below the floor it is a no-op.
 //    Message-routed engines discover and open slots automatically from
 //    inbound traffic (each slot the hub hears a frame for); all-propose
-//    engines (Robust Backup, Fast & Robust, whose traffic runs through
-//    memories) require every correct replica to propose each slot —
-//    smr::Log's all_propose mode does exactly that.
+//    engines (all_propose(): Robust Backup, Fast & Robust, whose traffic
+//    runs through memories) require every correct replica to propose each
+//    slot — smr::Log proposes that way under them.
 //  * retire_below(floor) frees the consensus state of every slot below
 //    `floor` (smr::Log retires a window behind its applied prefix, and
 //    below an installed snapshot) and raises the floor; a retired slot
@@ -94,12 +94,10 @@ struct SlotDecision {
   Decision decision;
 };
 
-/// Per-slot memory-region namespace: "s<slot>/<base>". All per-slot
-/// register names and region prefixes live under it. Memory-backed engines
-/// take `base` as their config's prefix (default "dp"/"pmp") or as a
-/// constructor parameter (default "cq"/"neb") so several engine instances —
-/// e.g. one per KV shard, base kv::shard_ns(g, ...) — can share one set of
-/// memories with disjoint region namespaces.
+/// Per-slot memory-region namespace: "s<slot>/<base>". All of a slot's
+/// region prefixes and register names live in it. Several engine instances
+/// — e.g. one per KV shard, base kv::shard_ns(g) — share one set of memories
+/// with disjoint namespaces by giving their pools different bases.
 inline std::string slot_ns(Slot s, const std::string& base) {
   std::string out;
   out.reserve(base.size() + 22);
@@ -110,25 +108,31 @@ inline std::string slot_ns(Slot s, const std::string& base) {
   return out;
 }
 
-/// Shared, lazily-populated slot → regions table. `make(slot)` must create
-/// the slot's regions identically (same order) on EVERY backing memory so
-/// region ids agree; it runs exactly once per slot, on first touch by any
-/// replica's engine. One SlotRegions instance is shared by all replicas of
-/// a cluster.
+/// Shared, lazily-populated slot → regions table. Slot s's regions live in
+/// namespace ns(s) = slot_ns(s, base); `make(ns)` must create them there
+/// identically (same order) on EVERY backing memory so region ids agree. It
+/// runs exactly once per slot, on first touch by any replica's engine. One
+/// SlotRegions instance is shared by all replicas of a group. The cache
+/// keeps every slot's entry, so an entry holds ids only: engines name a
+/// slot's registers from ns(s).
 template <typename Regions>
 class SlotRegions {
  public:
-  explicit SlotRegions(std::function<Regions(Slot)> make)
-      : make_(std::move(make)) {}
+  SlotRegions(std::string base,
+              std::function<Regions(const std::string& ns)> make)
+      : base_(std::move(base)), make_(std::move(make)) {}
 
   const Regions& get(Slot s) {
     auto it = cache_.find(s);
-    if (it == cache_.end()) it = cache_.emplace(s, make_(s)).first;
+    if (it == cache_.end()) it = cache_.emplace(s, make_(ns(s))).first;
     return it->second;
   }
 
+  std::string ns(Slot s) const { return slot_ns(s, base_); }
+
  private:
-  std::function<Regions(Slot)> make_;
+  std::string base_;
+  std::function<Regions(const std::string&)> make_;
   std::map<Slot, Regions> cache_;
 };
 
@@ -141,7 +145,10 @@ class ConsensusEngine {
   virtual ~ConsensusEngine() = default;
 
   virtual ProcessId self() const = 0;
-  virtual std::size_t process_count() const = 0;
+
+  /// True iff every correct replica must propose every slot (see the
+  /// contract above): the NEB-stack engines.
+  virtual bool all_propose() const { return false; }
 
   /// Spawn the engine's background loops (demux, discovery). Call exactly
   /// once before the first propose/open_slot.
@@ -213,8 +220,8 @@ class HubEngine : public ConsensusEngine {
   /// config.leader_terms — slot s's instance runs under the group's
   /// PaxosTerm, whose frames ride the hub's term channel, so every stable
   /// leader decides in 2 delays.
-  template <typename Config>
-  HubEngine(sim::Executor& exec, Transport& base, Omega& omega, Config config)
+  HubEngine(sim::Executor& exec, Transport& base, Omega& omega,
+            PaxosConfig config)
       : HubEngine(exec, base,
                   [this, &exec, &omega, config](Slot s, Transport& t) {
                     return std::make_unique<Inst>(exec, t, omega, config,
@@ -236,26 +243,22 @@ class HubEngine : public ConsensusEngine {
   }
 
   /// Memory-backed instances (Disk Paxos, PMP, Aligned Paxos): slot s runs
-  /// in `regions->get(s)` under register prefix slot_ns(s, config.prefix).
-  /// `regions->get(s)` must create that prefix's region (make_disk_region,
-  /// or make_pmp_region for PMP and Aligned) on every backing memory.
-  template <typename Config>
+  /// in region `regions->get(s)` of namespace regions->ns(s), which the pool
+  /// creates with make_disk_region (Disk Paxos) or make_pmp_region (PMP and
+  /// Aligned) on every backing memory.
   HubEngine(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
             Transport& base, Omega& omega,
-            std::shared_ptr<SlotRegions<RegionId>> regions, Config config)
+            std::shared_ptr<SlotRegions<RegionId>> regions)
       : HubEngine(exec, base,
                   [&exec, &omega, memories = std::move(memories),
-                   regions = std::move(regions),
-                   config = std::move(config)](Slot s, Transport& t) {
-                    Config c = config;
-                    c.prefix = slot_ns(s, config.prefix);
-                    return std::make_unique<Inst>(exec, memories,
-                                                  regions->get(s), t, omega,
-                                                  std::move(c));
+                   regions = std::move(regions)](Slot s, Transport& t) {
+                    return std::make_unique<Inst>(
+                        exec, memories, DiskRegion{regions->get(s),
+                                                   regions->ns(s)},
+                        t, omega);
                   }) {}
 
   ProcessId self() const override { return hub_.self(); }
-  std::size_t process_count() const override { return hub_.process_count(); }
 
   void start() override {
     hub_.start();
@@ -378,39 +381,55 @@ using AlignedEngine = HubEngine<AlignedPaxos>;
 // through the memories; every correct replica must propose each slot.
 // ---------------------------------------------------------------------------
 
-/// One slot's NEB regions, in a write scope of their own.
+/// One slot's NEB regions, in a write scope of their own: ids only, as a
+/// slot pool caches them.
 struct NebSlotRegions {
   std::map<ProcessId, RegionId> neb;
   mem::ScopeId neb_scope = mem::kDefaultScope;
+  bool operator==(const NebSlotRegions&) const = default;
+
+  /// The regions, named in the slot's namespace `ns`.
+  NebRegions neb_regions(std::string ns) const {
+    return {std::move(ns), neb, neb_scope};
+  }
 };
 
-/// Create slot `s`'s NEB regions on one memory, in a fresh write scope.
-/// Call it on every backing memory in the same order, so region and scope
-/// ids agree across them.
+/// Create a slot's NEB regions in namespace `ns` on one memory, in a fresh
+/// write scope. Call it on every backing memory in the same order, so region
+/// and scope ids agree across them.
 template <typename MemoryT>
-NebSlotRegions make_neb_slot_regions(MemoryT& memory, std::size_t n, Slot s,
-                                     const std::string& neb_ns = "neb") {
-  NebSlotRegions out;
-  out.neb_scope = memory.new_scope();
-  out.neb = make_neb_regions(memory, n, slot_ns(s, neb_ns), out.neb_scope);
-  return out;
+NebSlotRegions make_neb_slot_regions(MemoryT& memory, std::size_t n,
+                                     const std::string& ns) {
+  NebRegions r = make_neb_regions(memory, n, ns, memory.new_scope());
+  return {std::move(r.per_process), r.scope};
 }
 
-/// Per-slot regions of a Fast & Robust slot: Cheap Quorum's plus NEB's,
-/// each set in a write scope of its own.
+/// Per-slot regions of a Fast & Robust slot, ids only: Cheap Quorum's plus
+/// NEB's, each set in a write scope of its own.
 struct FastRobustSlotRegions : NebSlotRegions {
-  CheapQuorumRegions cq;
+  ProcessId cq_leader = kLeaderP1;
+  RegionId cq_leader_region = 0;
+  std::map<ProcessId, RegionId> cq;
+  mem::ScopeId cq_scope = mem::kDefaultScope;
+  bool operator==(const FastRobustSlotRegions&) const = default;
+
+  /// Cheap Quorum's regions, named in the slot's namespace `ns`.
+  CheapQuorumRegions cq_regions(std::string ns) const {
+    return {std::move(ns), cq_leader, cq_leader_region, cq, cq_scope};
+  }
 };
 
-/// Create slot `s`'s Fast & Robust regions on one memory: Cheap Quorum's in
-/// one fresh write scope, then NEB's in another (see make_neb_slot_regions).
+/// Create a Fast & Robust slot's regions in namespace `ns` on one memory:
+/// Cheap Quorum's, led by p1, in one fresh write scope, then NEB's in
+/// another (see make_neb_slot_regions).
 template <typename MemoryT>
-FastRobustSlotRegions make_fast_robust_slot_regions(
-    MemoryT& memory, std::size_t n, Slot s, const std::string& cq_ns = "cq",
-    const std::string& neb_ns = "neb") {
-  CheapQuorumRegions cq = make_cq_regions(memory, n, kLeaderP1,
-                                          slot_ns(s, cq_ns), memory.new_scope());
-  return {make_neb_slot_regions(memory, n, s, neb_ns), std::move(cq)};
+FastRobustSlotRegions make_fast_robust_slot_regions(MemoryT& memory,
+                                                    std::size_t n,
+                                                    const std::string& ns) {
+  CheapQuorumRegions cq =
+      make_cq_regions(memory, n, kLeaderP1, ns, memory.new_scope());
+  return {make_neb_slot_regions(memory, n, ns), cq.leader_process, cq.leader,
+          std::move(cq.per_process), cq.scope};
 }
 
 /// A slot stack's propose result as the engine's Decision: Fast & Robust
@@ -424,40 +443,39 @@ inline Decision decision_of(Bytes value, RobustBackup& rb) {
 }
 
 /// NEB-backed engines (Robust Backup / Fast & Robust): one stack per slot —
-/// NEB slots over the slot's regions, under slot_ns(s, neb_ns), and the
-/// protocol process over them — differing only in how the process is made.
-/// Every process type exposes start(), propose(Bytes) and tsend_stats(), and
-/// has a decision_of overload.
+/// NEB slots over the slot's regions, in the pool's namespace for the slot,
+/// and the protocol process over them — differing only in how the process
+/// is made. Every process type exposes start(), propose(Bytes) and
+/// tsend_stats(), and has a decision_of overload.
 template <typename Process, typename Regions>
 class NebStackEngine : public ConsensusEngine {
  public:
-  /// Builds the slot's protocol process over its regions and NEB slots.
-  using MakeProcessFn =
-      std::function<std::unique_ptr<Process>(Slot, const Regions&, NebSlots&)>;
+  /// Builds the slot's protocol process over its regions, named in `ns`,
+  /// and its NEB slots.
+  using MakeProcessFn = std::function<std::unique_ptr<Process>(
+      const std::string& ns, const Regions&, NebSlots&)>;
 
   NebStackEngine(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
                  std::shared_ptr<SlotRegions<Regions>> regions,
-                 ProcessId self, std::size_t n, std::string neb_ns,
-                 MakeProcessFn make)
+                 ProcessId self, MakeProcessFn make)
       : ConsensusEngine(exec),
         memories_(std::move(memories)),
         regions_(std::move(regions)),
         self_(self),
-        n_(n),
-        neb_ns_(std::move(neb_ns)),
         make_(std::move(make)) {}
 
   ProcessId self() const override { return self_; }
-  std::size_t process_count() const override { return n_; }
+  bool all_propose() const override { return true; }
   void start() override {}
 
   void open_slot(Slot slot) override {
     if (slots_.contains(slot)) return;
     const Regions& r = regions_->get(slot);
+    const std::string ns = regions_->ns(slot);
     Stack stack;
-    stack.neb_slots = std::make_unique<NebSlots>(
-        *exec_, memories_, r.neb, slot_ns(slot, neb_ns_), r.neb_scope);
-    stack.process = make_(slot, r, *stack.neb_slots);
+    stack.neb_slots =
+        std::make_unique<NebSlots>(*exec_, memories_, r.neb_regions(ns));
+    stack.process = make_(ns, r, *stack.neb_slots);
     stack.process->start();
     slots_.emplace(slot, std::move(stack));
     note_slot(slot);
@@ -488,8 +506,6 @@ class NebStackEngine : public ConsensusEngine {
   std::vector<mem::MemoryIface*> memories_;
   std::shared_ptr<SlotRegions<Regions>> regions_;
   ProcessId self_;
-  std::size_t n_;
-  std::string neb_ns_;
   MakeProcessFn make_;
   std::map<Slot, Stack> slots_;
 };
@@ -498,19 +514,17 @@ class NebStackEngine : public ConsensusEngine {
 /// consensus, Paxos over T-send.
 class RobustBackupEngine : public NebStackEngine<RobustBackup, NebSlotRegions> {
  public:
-  /// `regions->get(s)` must create make_neb_slot_regions(m, n, s, neb_ns) on
-  /// every backing memory.
+  /// `regions` must create make_neb_slot_regions(m, n, ns) on every backing
+  /// memory.
   RobustBackupEngine(sim::Executor& exec,
                      std::vector<mem::MemoryIface*> memories,
                      std::shared_ptr<SlotRegions<NebSlotRegions>> regions,
                      const crypto::KeyStore& keystore, crypto::Signer signer,
-                     Omega& omega, RobustBackupConfig config,
-                     std::string neb_ns = "neb")
+                     Omega& omega, RobustBackupConfig config)
       : NebStackEngine(
             exec, std::move(memories), std::move(regions), signer.id(),
-            config.n, std::move(neb_ns),
             [&exec, &keystore, signer, &omega, config](
-                Slot, const NebSlotRegions&, NebSlots& neb) {
+                const std::string&, const NebSlotRegions&, NebSlots& neb) {
               return std::make_unique<RobustBackup>(exec, neb, keystore,
                                                     signer, omega, config);
             }) {}
@@ -522,25 +536,21 @@ class RobustBackupEngine : public NebStackEngine<RobustBackup, NebSlotRegions> {
 class FastRobustEngine
     : public NebStackEngine<FastRobustProcess, FastRobustSlotRegions> {
  public:
-  /// `regions->get(s)` must create make_fast_robust_slot_regions(m, n, s,
-  /// cq_ns, neb_ns) on every backing memory.
+  /// `regions` must create make_fast_robust_slot_regions(m, n, ns) on every
+  /// backing memory.
   FastRobustEngine(sim::Executor& exec,
                    std::vector<mem::MemoryIface*> memories,
                    std::shared_ptr<SlotRegions<FastRobustSlotRegions>> regions,
                    const crypto::KeyStore& keystore, crypto::Signer signer,
-                   Omega& omega, FastRobustConfig config,
-                   std::string cq_ns = "cq", std::string neb_ns = "neb")
+                   Omega& omega, FastRobustConfig config)
       : NebStackEngine(
             exec, std::move(memories), std::move(regions), signer.id(),
-            config.n, std::move(neb_ns),
-            [&exec, &keystore, signer, &omega, config,
-             cq_ns = std::move(cq_ns)](Slot s, const FastRobustSlotRegions& r,
-                                       NebSlots& neb) {
-              FastRobustConfig c = config;
-              c.cheap.prefix = slot_ns(s, cq_ns);
+            [&exec, &keystore, signer, &omega, config](
+                const std::string& ns, const FastRobustSlotRegions& r,
+                NebSlots& neb) {
               return std::make_unique<FastRobustProcess>(
-                  exec, neb.memories(), r.cq, neb, keystore, signer, omega,
-                  std::move(c));
+                  exec, neb.memories(), r.cq_regions(ns), neb, keystore,
+                  signer, omega, config);
             }) {}
 };
 

@@ -35,16 +35,15 @@ PriorityFn fast_robust_priority(const crypto::KeyStore& keystore, std::size_t n,
 struct FastRobustProcess::Backup {
   Backup(sim::Executor& exec, NebSlots& neb_slots,
          const crypto::KeyStore& keystore, crypto::Signer signer, Omega& omega,
-         const FastRobustConfig& config)
-      : neb(exec, neb_slots, keystore, signer, config.neb),
-        trusted(exec, neb, keystore, signer, trusted::TrustedConfig{config.n},
-                paxos_validator(keystore, config.n)),
+         const PaxosConfig& config, ProcessId leader)
+      : neb(exec, neb_slots, keystore, signer),
+        trusted(exec, neb, keystore, signer,
+                paxos_validator(keystore, neb_slots.process_count())),
         mux(exec, trusted),
-        paxos(exec, mux.sub(kMuxPaxos), omega, config.paxos),
+        paxos(exec, mux.sub(kMuxPaxos), omega, config),
         preferential(exec, mux.sub(kMuxSetup), paxos,
-                     PreferentialPaxosConfig{config.n, config.f},
-                     fast_robust_priority(keystore, config.n,
-                                          config.cheap.leader)) {
+                     fast_robust_priority(keystore, neb_slots.process_count(),
+                                          leader)) {
     neb.start();
     trusted.start();
     mux.start();
@@ -79,7 +78,8 @@ FastRobustProcess::~FastRobustProcess() = default;
 FastRobustProcess::Backup& FastRobustProcess::backup() {
   if (backup_ == nullptr) {
     backup_ = std::make_unique<Backup>(*exec_, *neb_slots_, *keystore_,
-                                       signer_, *omega_, config_);
+                                       signer_, *omega_, config_.paxos,
+                                       cheap_.leader());
   }
   return *backup_;
 }

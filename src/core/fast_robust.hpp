@@ -46,10 +46,7 @@ PriorityFn fast_robust_priority(const crypto::KeyStore& keystore, std::size_t n,
                                 ProcessId leader = kLeaderP1);
 
 struct FastRobustConfig {
-  std::size_t n = 3;
-  std::size_t f = 1;  // fP; requires n >= 2f+1
   CheapQuorumConfig cheap{};
-  NebConfig neb{};
   PaxosConfig paxos{};
 };
 
@@ -61,7 +58,8 @@ struct FastRobustOutcome {
 
 /// One process's full Fast & Robust stack: Cheap Quorum up front, the
 /// backup (NEB, T-send, mux, backup Paxos, Preferential Paxos) built and
-/// started on first need.
+/// started on first need. Its processes are the regions' owners, and
+/// Preferential Paxos may miss fP = (n − 1) / 2 of them (n ≥ 2fP + 1).
 class FastRobustProcess {
  public:
   FastRobustProcess(sim::Executor& exec,

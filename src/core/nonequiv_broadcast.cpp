@@ -11,23 +11,21 @@
 namespace mnm::core {
 
 NebSlots::NebSlots(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
-                   std::map<ProcessId, RegionId> owner_regions,
-                   std::string prefix, mem::ScopeId scope)
+                   NebRegions regions)
     : exec_(&exec),
       memories_(std::move(memories)),
-      owner_regions_(std::move(owner_regions)),
-      prefix_(std::move(prefix)),
-      scope_(scope) {}
+      regions_(std::move(regions)) {}
 
 swmr::ReplicatedRegister& NebSlots::slot(ProcessId owner, std::uint64_t k,
                                          ProcessId broadcaster) {
   std::unique_ptr<swmr::ReplicatedRegister>& entry =
       cache_[slot_key(owner, k, broadcaster)];
   if (entry == nullptr) {
-    const std::string name = prefix_ + "/" + std::to_string(owner) + "/" +
-                             std::to_string(k) + "/" + std::to_string(broadcaster);
+    const std::string name = regions_.ns + "neb/" + std::to_string(owner) +
+                             "/" + std::to_string(k) + "/" +
+                             std::to_string(broadcaster);
     entry = std::make_unique<swmr::ReplicatedRegister>(
-        *exec_, memories_, owner_regions_.at(owner), name);
+        *exec_, memories_, regions_.per_process.at(owner), name);
   }
   return *entry;
 }
@@ -65,15 +63,14 @@ std::optional<NebSlotContent> decode_neb_slot(const Bytes& raw) {
 
 NonEquivBroadcast::NonEquivBroadcast(sim::Executor& exec, NebSlots& slots,
                                      const crypto::KeyStore& keystore,
-                                     crypto::Signer signer, NebConfig config)
+                                     crypto::Signer signer)
     : exec_(&exec),
       slots_(&slots),
       keystore_(&keystore),
       signer_(signer),
-      config_(config),
       deliveries_(exec) {
-  last_.assign(config_.n, 1);
-  prev_delivered_.assign(config_.n, Bytes{});
+  last_.assign(process_count(), 1);
+  prev_delivered_.assign(process_count(), Bytes{});
 }
 
 void NonEquivBroadcast::start() {
@@ -137,10 +134,11 @@ sim::Task<bool> NonEquivBroadcast::try_deliver(ProcessId q) {
   // (3) Read everyone's copy; a different validly-signed value for the same
   // key proves q equivocated — refuse delivery (forever: last_ stays put).
   sim::Fanout<mem::ReadResult> fanout(*exec_);
-  for (std::size_t i = 0; i < config_.n; ++i) {
+  const std::size_t n = process_count();
+  for (std::size_t i = 0; i < n; ++i) {
     fanout.add(i, slots_->slot(static_cast<ProcessId>(i + 1), k, q).read(self));
   }
-  auto copies = co_await fanout.collect(config_.n);
+  auto copies = co_await fanout.collect(n);
   for (auto& [idx, rr] : copies) {
     if (!rr.ok() || util::is_bottom(rr.value)) continue;
     if (rr.value == head.value) continue;
@@ -171,7 +169,7 @@ sim::Task<void> NonEquivBroadcast::scan_loop() {
   while (true) {
     watch.snapshot();
     bool progress = false;
-    for (ProcessId q = 1; q <= static_cast<ProcessId>(config_.n); ++q) {
+    for (ProcessId q = 1; q <= static_cast<ProcessId>(process_count()); ++q) {
       // Drain q's backlog before moving on; stop at the first gap.
       while (co_await try_deliver(q)) progress = true;
     }

@@ -20,9 +20,10 @@
 //
 // Registers live in the replicated SWMR layer (src/swmr), so the primitive
 // tolerates fM < m/2 memory crashes exactly as §4.1 prescribes. Slot
-// register names: "neb/<owner>/<k>/<broadcaster>"; each owner's slots form
-// one SWMR region per memory, created by make_neb_regions(). All n regions
-// share one write scope, the one the delivery scan watches.
+// register names: "<ns>neb/<owner>/<k>/<broadcaster>" in the namespace the
+// regions were created in; each owner's slots form one SWMR region per
+// memory, created by make_neb_regions(). All n regions share one write
+// scope, the one the delivery scan watches.
 
 #pragma once
 
@@ -43,20 +44,29 @@
 
 namespace mnm::core {
 
-/// Create the n SWMR regions ("neb/<p>/" owned by p) on one memory, in
+/// NEB's regions as make_neb_regions created them, the same on every
+/// memory: one SWMR region per process (n = per_process.size()), their
+/// write scope, and the namespace their registers are named in.
+struct NebRegions {
+  std::string ns;
+  std::map<ProcessId, RegionId> per_process;
+  mem::ScopeId scope = mem::kDefaultScope;
+  bool operator==(const NebRegions&) const = default;
+};
+
+/// Create the n SWMR regions ("<ns>neb/<p>/" owned by p) on one memory, in
 /// process-id order so region ids agree across memories, all in write scope
-/// `scope`. Returns the map owner → region id. Works for both mem::Memory
-/// and verbs::VerbsMemory.
+/// `scope`. Works for both mem::Memory and verbs::VerbsMemory.
 template <typename MemoryT>
-std::map<ProcessId, RegionId> make_neb_regions(
-    MemoryT& memory, std::size_t n, const std::string& prefix = "neb",
-    mem::ScopeId scope = mem::kDefaultScope) {
-  std::map<ProcessId, RegionId> out;
+NebRegions make_neb_regions(MemoryT& memory, std::size_t n,
+                            std::string ns = "",
+                            mem::ScopeId scope = mem::kDefaultScope) {
+  NebRegions out{std::move(ns), {}, scope};
   const auto all = all_processes(n);
   for (ProcessId p : all) {
-    out[p] = memory.create_region({prefix + "/" + std::to_string(p) + "/"},
-                                  mem::Permission::swmr(p, all),
-                                  mem::static_permissions(), {}, scope);
+    out.per_process[p] = memory.create_region(
+        {out.ns + "neb/" + std::to_string(p) + "/"},
+        mem::Permission::swmr(p, all), mem::static_permissions(), {}, scope);
   }
   return out;
 }
@@ -67,11 +77,8 @@ std::map<ProcessId, RegionId> make_neb_regions(
 /// register name is only built when a slot is first created.
 class NebSlots {
  public:
-  /// `scope` is the write scope make_neb_regions put `owner_regions` in.
   NebSlots(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
-           std::map<ProcessId, RegionId> owner_regions,
-           std::string prefix = "neb",
-           mem::ScopeId scope = mem::kDefaultScope);
+           NebRegions regions);
 
   /// slot[owner, k, broadcaster].
   swmr::ReplicatedRegister& slot(ProcessId owner, std::uint64_t k,
@@ -80,7 +87,9 @@ class NebSlots {
   /// The backing memories and the slots' write scope, for the delivery
   /// loop's wakeups (NonEquivBroadcast::scan_loop).
   const std::vector<mem::MemoryIface*>& memories() const { return memories_; }
-  mem::ScopeId scope() const { return scope_; }
+  mem::ScopeId scope() const { return regions_.scope; }
+  /// The processes that own slots: one region each.
+  std::size_t process_count() const { return regions_.per_process.size(); }
 
  private:
   static std::uint64_t slot_key(ProcessId owner, std::uint64_t k,
@@ -92,9 +101,7 @@ class NebSlots {
 
   sim::Executor* exec_;
   std::vector<mem::MemoryIface*> memories_;
-  std::map<ProcessId, RegionId> owner_regions_;
-  std::string prefix_;
-  mem::ScopeId scope_;
+  NebRegions regions_;
   util::FlatMap<std::uint64_t, std::unique_ptr<swmr::ReplicatedRegister>> cache_;
 };
 
@@ -142,15 +149,13 @@ struct NebSlotContent {
 };
 std::optional<NebSlotContent> decode_neb_slot(const Bytes& raw);
 
-struct NebConfig {
-  std::size_t n = 3;
-};
-
 class NonEquivBroadcast {
  public:
   NonEquivBroadcast(sim::Executor& exec, NebSlots& slots,
-                    const crypto::KeyStore& keystore, crypto::Signer signer,
-                    NebConfig config);
+                    const crypto::KeyStore& keystore, crypto::Signer signer);
+
+  /// The broadcasters: every process that owns slots.
+  std::size_t process_count() const { return slots_->process_count(); }
 
   /// Spawn the delivery scanner (try_deliver over all broadcasters forever).
   void start();
@@ -184,7 +189,6 @@ class NonEquivBroadcast {
   NebSlots* slots_;
   const crypto::KeyStore* keystore_;
   crypto::Signer signer_;
-  NebConfig config_;
   std::uint64_t next_k_ = 1;
   std::vector<std::uint64_t> last_;  // next seq to deliver, index q - 1
   /// Per-broadcaster previous delivered message — the anchor for suffix-

@@ -37,8 +37,10 @@ class Omega {
   static constexpr sim::Time kBackoffCap = 64;
 
   /// Leader oracle from an arbitrary time-indexed function. Pass
-  /// `poke_complete = true` (or call set_poke_complete) when every output
-  /// change will be announced with poke().
+  /// `poke_complete = true` when every output change will be announced
+  /// with poke() (the harness pokes at its fault-injection events): waits
+  /// then suspend with no fallback timer, zero events while nothing
+  /// changes.
   Omega(sim::Executor& exec, LeaderFn fn, bool poke_complete = false)
       : exec_(&exec),
         fn_(std::move(fn)),
@@ -50,11 +52,6 @@ class Omega {
   static Omega fixed(sim::Executor& exec, ProcessId leader) {
     return Omega(exec, [leader](sim::Time) { return leader; }, true);
   }
-
-  /// Declare that every change of the leader function's output is announced
-  /// with poke() (the harness pokes at its fault-injection events). Waits
-  /// then suspend with no fallback timer: zero events while nothing changes.
-  void set_poke_complete(bool v) { poke_complete_ = v; }
 
   ProcessId leader() const { return fn_(exec_->now()); }
   bool trusts(ProcessId p) const { return leader() == p; }

@@ -222,7 +222,8 @@ void PaxosTerm::receive(ProcessId src, util::ByteView payload) {
 
 void PaxosTerm::on_promise(ProcessId src, PaxosTermMsg msg) {
   if (!establishing_.has_value() || establishing_->term.ballot != msg.ballot ||
-      src < 1 || src > config_.n || establishing_->promised[src - 1]) {
+      src < 1 || src > channel_->process_count() ||
+      establishing_->promised[src - 1]) {
     return;  // stale, foreign or repeated
   }
   Establishing& e = *establishing_;
@@ -238,7 +239,7 @@ void PaxosTerm::on_promise(ProcessId src, PaxosTermMsg msg) {
       it->second = Reported{a.ballot, std::move(a.value)};
     }
   }
-  if (++e.promises < majority(config_.n)) return;
+  if (++e.promises < majority(channel_->process_count())) return;
   Held term = std::move(e.term);
   term.reports.erase(term.reports.begin(), term.reports.lower_bound(term.base));
   settle(std::move(term));
@@ -252,12 +253,12 @@ void PaxosTerm::settle(std::optional<Held> term) {
 
 void PaxosTerm::establish() {
   Establishing e;
-  e.term.ballot =
-      next_ballot(std::max(max_seen(), used_), config_.n, self_);
+  const std::size_t n = channel_->process_count();
+  e.term.ballot = next_ballot(std::max(max_seen(), used_), n, self_);
   e.from = first_undecided();
   e.term.base = e.from;
   e.deadline = exec_->now() + config_.round_timeout;
-  e.promised.assign(config_.n, false);
+  e.promised.assign(n, false);
   seen_ = std::max(seen_, e.term.ballot);
   const Bytes prepare =
       PaxosTermMsg{PaxosTermKind::kPrepare, e.term.ballot, e.from, {}}.encode();
@@ -349,7 +350,8 @@ void Paxos::handle(ProcessId src, const PaxosMsg& msg) {
 sim::Task<Paxos::Heard> Paxos::hear_back(std::uint64_t ballot, PaxosKind kind,
                                          ValueChoice* choice) {
   const sim::Time deadline = exec_->now() + config_.round_timeout;
-  for (std::size_t replies = 0; replies < majority(config_.n);) {
+  const std::size_t quorum = majority(transport_->process_count());
+  for (std::size_t replies = 0; replies < quorum;) {
     auto reply = co_await replies_.recv_until(deadline);
     if (!reply.has_value()) co_return Heard{};  // timeout
     const PaxosMsg& m = reply->second;
@@ -374,7 +376,7 @@ sim::Task<bool> Paxos::run_round(const Bytes& input) {
     // Phase 1: prepare / promise, at a fresh ballot above everything seen.
     ballot = next_ballot(
         std::max(max_ballot_seen_, term_ != nullptr ? term_->max_seen() : 0),
-        config_.n, transport_->self());
+        transport_->process_count(), transport_->self());
     max_ballot_seen_ = ballot;
     if (term_ != nullptr) term_->saw(ballot, /*own=*/true);
     transport_->send_all(PaxosMsg{PaxosKind::kPrepare, ballot, 0, false, {}}

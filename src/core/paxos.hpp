@@ -141,8 +141,8 @@ class DecisionLatch {
   sim::Gate gate_;
 };
 
+/// Paxos's timing and mode; the process count is its transport's.
 struct PaxosConfig {
-  std::size_t n = 3;
   /// How long a proposer waits for a quorum of replies before retrying.
   sim::Time round_timeout = 40;
   /// Backoff between failed rounds.

@@ -27,13 +27,10 @@ std::optional<PrioInput> PrioInput::decode(util::ByteView raw) {
 }
 
 PreferentialPaxos::PreferentialPaxos(sim::Executor& exec, Transport& setup,
-                                     Paxos& paxos,
-                                     PreferentialPaxosConfig config,
-                                     PriorityFn priority)
+                                     Paxos& paxos, PriorityFn priority)
     : exec_(&exec),
       setup_(&setup),
       paxos_(&paxos),
-      config_(config),
       priority_(std::move(priority)) {}
 
 sim::Task<PrioInput> PreferentialPaxos::propose(PrioInput input) {
@@ -45,7 +42,8 @@ sim::Task<PrioInput> PreferentialPaxos::propose(PrioInput input) {
   PrioInput best = input;
   int best_priority = priority_(input);
   std::set<ProcessId> senders;
-  const std::size_t needed = config_.n - config_.f;
+  const std::size_t n = setup_->process_count();
+  const std::size_t needed = n - (n - 1) / 2;
   while (senders.size() < needed) {
     TMsg m = co_await setup_->incoming().recv();
     const auto candidate = PrioInput::decode(m.payload);

@@ -42,18 +42,14 @@ struct PrioInput {
 /// choose their own inputs.
 using PriorityFn = std::function<int(const PrioInput&)>;
 
-struct PreferentialPaxosConfig {
-  std::size_t n = 3;
-  std::size_t f = 1;  // fP: inputs that may be missed in set-up
-};
-
 class PreferentialPaxos {
  public:
   /// `setup` carries the set-up exchange (a kMuxSetup sub-transport when run
-  /// inside Fast & Robust); `paxos` is the embedded (Robust Backup) Paxos,
-  /// already started.
+  /// inside Fast & Robust) among its n processes, fP = (n − 1) / 2 of which
+  /// may be missed (n ≥ 2fP + 1); `paxos` is the embedded (Robust Backup)
+  /// Paxos, already started.
   PreferentialPaxos(sim::Executor& exec, Transport& setup, Paxos& paxos,
-                    PreferentialPaxosConfig config, PriorityFn priority);
+                    PriorityFn priority);
 
   /// Run set-up then the embedded Paxos. Returns the decided PrioInput.
   sim::Task<PrioInput> propose(PrioInput input);
@@ -62,7 +58,6 @@ class PreferentialPaxos {
   sim::Executor* exec_;
   Transport* setup_;
   Paxos* paxos_;
-  PreferentialPaxosConfig config_;
   PriorityFn priority_;
 };
 

@@ -14,9 +14,9 @@
 // (disk_paxos.*) with dynamic permissions — the same block record, phase
 // step and scan fold, plus the permission seize and the write-only phase 2.
 //
-// Memory layout: one region per memory covering "pmp/"; registers
-// "pmp/slot/<p>" hold (minProposal, accProposal, value) triples. legalChange
-// permits exactly one kind of change: a process taking exclusive
+// Memory layout: one region per memory covering "<ns>pmp/"; registers
+// "<ns>pmp/slot/<p>" hold (minProposal, accProposal, value) triples.
+// legalChange permits exactly one kind of change: a process taking exclusive
 // write-ownership for itself (pmp_legal_change) — this is a crash-failure
 // algorithm, so the rule only needs to encode the protocol, not defend
 // against Byzantine behaviour.
@@ -42,38 +42,35 @@ namespace mnm::core {
 /// exclusive writership (R: Π−{requester}, RW: {requester}).
 mem::LegalChangeFn pmp_legal_change(std::vector<ProcessId> all);
 
-/// Create the single PMP region on one memory. Initial exclusive writer is
-/// the fixed first leader p1. Multi-slot engines namespace the prefix per
-/// slot ("s<slot>/pmp") so one memory serves a whole log.
+/// Create the single PMP region ("<ns>pmp/") on one memory. Initial
+/// exclusive writer is the fixed first leader p1. Multi-slot engines give
+/// each slot its own namespace ("s<slot>/") so one memory serves a whole
+/// log.
 template <typename MemoryT>
-RegionId make_pmp_region(MemoryT& memory, std::size_t n,
-                         ProcessId first_leader = kLeaderP1,
-                         const std::string& prefix = "pmp") {
+DiskRegion make_pmp_region(MemoryT& memory, std::size_t n,
+                           ProcessId first_leader = kLeaderP1,
+                           std::string ns = "") {
   const auto all = all_processes(n);
-  return memory.create_region({prefix + "/"},
-                              mem::Permission::exclusive_writer(first_leader, all),
-                              pmp_legal_change(all));
+  const RegionId id = memory.create_region(
+      {ns + "pmp/"}, mem::Permission::exclusive_writer(first_leader, all),
+      pmp_legal_change(all));
+  return {id, std::move(ns)};
 }
 
-struct PmpConfig {
-  std::size_t n = 2;
-  /// Register-name namespace; must match the region's make_pmp_region prefix.
-  std::string prefix = "pmp";
-};
-
-/// Disk Paxos with dynamic permissions: blocks live under "<prefix>/slot/<p>",
+/// Disk Paxos with dynamic permissions: blocks live under "<ns>pmp/slot/<p>",
 /// each phase-1 step first seizes exclusive write permission, and a majority
 /// of phase-2 write acks decides.
 class ProtectedMemoryPaxos : public DiskPaxos {
  public:
-  /// `region` must be the PMP region id, identical across `memories`.
-  /// `transport` carries the DECIDE dissemination; `transport.self()` is this
-  /// process's identity.
+  /// `region` must be the PMP region, identical across `memories`.
+  /// `transport` carries the DECIDE dissemination among the processes;
+  /// `transport.self()` is this process's identity.
   ProtectedMemoryPaxos(sim::Executor& exec,
-                       std::vector<mem::MemoryIface*> memories, RegionId region,
-                       Transport& transport, Omega& omega, PmpConfig config)
+                       std::vector<mem::MemoryIface*> memories,
+                       const DiskRegion& region, Transport& transport,
+                       Omega& omega)
       : DiskPaxos(exec, std::move(memories), region, transport, omega,
-                  config.n, config.prefix + "/slot", /*dynamic=*/true) {}
+                  "pmp/slot", /*dynamic=*/true) {}
 };
 
 }  // namespace mnm::core

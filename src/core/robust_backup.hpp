@@ -29,20 +29,19 @@
 namespace mnm::core {
 
 struct RobustBackupConfig {
-  std::size_t n = 3;
-  NebConfig neb{};
   PaxosConfig paxos{};
 };
 
-/// One process's stack: NEB → TrustedTransport(paxos_validator) → Paxos.
+/// One process's stack: NEB → TrustedTransport(paxos_validator) → Paxos, over
+/// the processes that own `slots`.
 class RobustBackup {
  public:
   RobustBackup(sim::Executor& exec, NebSlots& slots,
                const crypto::KeyStore& keystore, crypto::Signer signer,
                Omega& omega, RobustBackupConfig config)
-      : neb_(exec, slots, keystore, signer, config.neb),
-        transport_(exec, neb_, keystore, signer, trusted::TrustedConfig{config.n},
-                   paxos_validator(keystore, config.n)),
+      : neb_(exec, slots, keystore, signer),
+        transport_(exec, neb_, keystore, signer,
+                   paxos_validator(keystore, slots.process_count())),
         paxos_(exec, transport_, omega, config.paxos) {}
 
   void start() {

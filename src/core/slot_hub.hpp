@@ -73,7 +73,6 @@ class SlotTransportHub {
       : exec_(&exec), base_(&base), guard_(guard), heard_(exec) {}
 
   ProcessId self() const { return base_->self(); }
-  std::size_t process_count() const { return base_->process_count(); }
 
   /// The sub-transport for `slot` at or above the retirement floor
   /// (created on first use; a local open lists nothing for discovery).

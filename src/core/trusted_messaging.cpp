@@ -218,13 +218,12 @@ bool verify_receipt(const crypto::KeyStore& ks, ProcessId origin,
 
 TrustedTransport::TrustedTransport(sim::Executor& exec, NonEquivBroadcast& neb,
                                    const crypto::KeyStore& keystore,
-                                   crypto::Signer signer, TrustedConfig config,
+                                   crypto::Signer signer,
                                    HistoryValidator validator)
     : exec_(&exec),
       neb_(&neb),
       keystore_(&keystore),
       signer_(signer),
-      config_(config),
       validator_(std::move(validator)),
       incoming_(exec) {}
 

@@ -152,10 +152,6 @@ struct TsendStats {
   }
 };
 
-struct TrustedConfig {
-  std::size_t n = 3;
-};
-
 /// Transport implementing T-send / T-receive. All sends are broadcast via
 /// the NEB instance (receivers filter on the destination field), matching
 /// Algorithm 3 where every message is a broadcast so that everyone can audit
@@ -164,14 +160,13 @@ class TrustedTransport : public Transport {
  public:
   TrustedTransport(sim::Executor& exec, NonEquivBroadcast& neb,
                    const crypto::KeyStore& keystore, crypto::Signer signer,
-                   TrustedConfig config,
                    HistoryValidator validator = accept_all_validator());
 
   /// Spawn the delivery/verification loop.
   void start();
 
   ProcessId self() const override { return signer_.id(); }
-  std::size_t process_count() const override { return config_.n; }
+  std::size_t process_count() const override { return neb_->process_count(); }
 
   /// T-send(dst, m): append a signed `sent` link, broadcast (dst, m, H).
   void send(ProcessId dst, util::Buffer payload) override;
@@ -206,7 +201,6 @@ class TrustedTransport : public Transport {
   NonEquivBroadcast* neb_;
   const crypto::KeyStore* keystore_;
   crypto::Signer signer_;
-  TrustedConfig config_;
   HistoryValidator validator_;
 
   std::uint64_t next_k_ = 1;

@@ -404,13 +404,10 @@ struct World {
   };
   std::vector<Incarnation> retired;
 
-  // Region ids + name prefixes used by Byzantine strategies: slot 0's
-  // regions of the first group (the only group in single-shot and SMR
-  // modes, shard 0 in KV mode).
-  std::map<ProcessId, RegionId> neb_region_ids;
-  RegionId cq_region_leader_ = 0;
-  std::string neb_prefix = "neb";
-  std::string cq_prefix = "cq";
+  // The regions Byzantine strategies attack: slot 0's of the first group
+  // (the only group in single-shot and SMR modes, shard 0 in KV mode).
+  core::NebRegions neb0;
+  core::CheapQuorumRegions cq0;
 };
 
 /// Single-shot mode: await one proposal (coroutine state in parameters, not
@@ -429,15 +426,13 @@ sim::Task<void> drive_decision(ProcessReport* row,
 sim::Task<void> byz_neb_equivocate(World* w, ProcessId p) {
   // Write a *different* validly-signed first message to each memory's copy
   // of our own NEB slot — the equivocation Algorithm 2 must suppress.
-  const std::string slot =
-      w->neb_prefix + "/" + std::to_string(p) + "/1/" + std::to_string(p);
+  const std::string slot = w->neb0.ns + "neb/" + std::to_string(p) + "/1/" +
+                           std::to_string(p);
   for (std::size_t i = 0; i < w->memories.size(); ++i) {
     const Bytes msg = util::to_bytes("equivocation-" + std::to_string(i));
     const crypto::Signature sig =
         w->signers[p - 1].sign(core::neb_signing_bytes(1, msg));
-    // Region id for p's NEB region: created in process order after any
-    // algorithm-specific regions; the harness stores it in neb_region_ids.
-    (void)co_await w->memories[i]->write(p, w->neb_region_ids.at(p), slot,
+    (void)co_await w->memories[i]->write(p, w->neb0.per_process.at(p), slot,
                                          core::encode_neb_slot(1, msg, sig));
   }
   co_return;
@@ -451,8 +446,8 @@ sim::Task<void> byz_cq_leader_equivocate(World* w, ProcessId p) {
     const Bytes v = util::to_bytes("evil-" + std::to_string(i % 2));
     const crypto::Signature sig =
         w->signers[p - 1].sign(core::cq_value_signing_bytes(v));
-    (void)co_await w->memories[i]->write(p, w->cq_region_leader_,
-                                         w->cq_prefix + "/leader/value",
+    (void)co_await w->memories[i]->write(p, w->cq0.leader,
+                                         w->cq0.ns + "cq/leader/value",
                                          core::encode_leader_blob(v, sig));
   }
   co_return;
@@ -513,7 +508,7 @@ sim::Task<void> byz_forge_client_commands(World* w, ProcessId p,
       w->signers[p - 1].sign(core::cq_value_signing_bytes(payload));
   for (std::size_t i = 0; i < w->memories.size(); ++i) {
     (void)co_await w->memories[i]->write(
-        p, w->cq_region_leader_, w->cq_prefix + "/leader/value",
+        p, w->cq0.leader, w->cq0.ns + "cq/leader/value",
         core::encode_leader_blob(payload, blob_sig));
   }
   co_return;
@@ -521,10 +516,10 @@ sim::Task<void> byz_forge_client_commands(World* w, ProcessId p,
 
 sim::Task<void> byz_garbage(World* w, ProcessId p) {
   // Malformed NEB slot + junk on every message tag others listen on.
-  const std::string slot =
-      w->neb_prefix + "/" + std::to_string(p) + "/1/" + std::to_string(p);
+  const std::string slot = w->neb0.ns + "neb/" + std::to_string(p) + "/1/" +
+                           std::to_string(p);
   for (std::size_t i = 0; i < w->memories.size(); ++i) {
-    (void)co_await w->memories[i]->write(p, w->neb_region_ids.at(p), slot,
+    (void)co_await w->memories[i]->write(p, w->neb0.per_process.at(p), slot,
                                          util::to_bytes("\xde\xad\xbe\xef"));
   }
   w->network.broadcast(p, 900, util::to_bytes("junk"));
@@ -643,11 +638,10 @@ void check_rejoin_support(const ClusterConfig& config, Slot snapshot_interval,
 
 /// The replica settings SmrConfig and KvConfig share.
 template <typename ModeConfig>
-smr::ReplicaConfig replica_config(const ModeConfig& mode, bool all_propose) {
+smr::ReplicaConfig replica_config(const ModeConfig& mode) {
   smr::ReplicaConfig rc;
   rc.batch = mode.batch;
   rc.log.window = mode.window;
-  rc.log.all_propose = all_propose;
   rc.log.snapshot_interval = mode.snapshot_interval;
   return rc;
 }
@@ -669,24 +663,25 @@ core::Transport& group_transport(World& w, ProcessId p, std::uint8_t tag) {
   return *w.transports[p - 1];
 }
 
-/// A SlotRegions pool whose slot-s entry `make(memory, s)` creates on every
-/// backing memory in order (ids agree across memories, so the last call's
-/// result names them all).
+/// A SlotRegions pool over namespace `base` whose slot entry `make(memory,
+/// ns)` creates on every backing memory in order (ids agree across
+/// memories, so the last call's result names them all).
 template <typename Regions, typename Make>
-std::shared_ptr<core::SlotRegions<Regions>> slot_regions(World& w, Make make) {
-  return std::make_shared<core::SlotRegions<Regions>>([&w, make](Slot s) {
-    Regions out{};
-    w.for_each_backing([&](auto& m) { out = make(m, s); });
-    return out;
-  });
+std::shared_ptr<core::SlotRegions<Regions>> slot_regions(
+    World& w, const std::string& base, Make make) {
+  return std::make_shared<core::SlotRegions<Regions>>(
+      base, [&w, make](const std::string& ns) {
+        Regions out{};
+        w.for_each_backing([&](auto& m) { out = make(m, ns); });
+        return out;
+      });
 }
 
 /// One group's engine factory under the configured algorithm. Message
 /// engines run over group_transport(p, tag); memory engines share one
-/// region pool whose names live under `ns(base)`. `byz_target` points the
+/// region pool over the group's namespace `ns`. `byz_target` points the
 /// Byzantine region attacks at this group's slot 0.
-EngineFactory engine_factory(World& w, std::uint8_t tag,
-                             const std::function<std::string(const char*)>& ns,
+EngineFactory engine_factory(World& w, std::uint8_t tag, const std::string& ns,
                              bool byz_target) {
   const ClusterConfig& config = w.cfg;
   const std::size_t n = config.n;
@@ -694,7 +689,6 @@ EngineFactory engine_factory(World& w, std::uint8_t tag,
     case Algorithm::kPaxos:
     case Algorithm::kFastPaxos: {
       core::PaxosConfig pc;
-      pc.n = n;
       pc.leader_terms = (config.algo == Algorithm::kFastPaxos);
       return [&w, tag, pc](ProcessId p) {
         return std::make_unique<core::PaxosEngine>(
@@ -703,44 +697,34 @@ EngineFactory engine_factory(World& w, std::uint8_t tag,
     }
 
     case Algorithm::kDiskPaxos: {
-      const std::string prefix = ns("dp");
-      auto pool = slot_regions<RegionId>(w, [n, prefix](auto& m, Slot s) {
-        return core::make_disk_region(m, n, core::slot_ns(s, prefix));
-      });
-      core::DiskPaxosConfig dc;
-      dc.n = n;
-      dc.prefix = prefix;
-      return [&w, tag, pool, dc](ProcessId p) {
+      auto pool = slot_regions<RegionId>(
+          w, ns, [n](auto& m, const std::string& slot) {
+            return core::make_disk_region(m, n, slot).id;
+          });
+      return [&w, tag, pool](ProcessId p) {
         return std::make_unique<core::DiskPaxosEngine>(
             w.exec, w.view_ptrs[p - 1], group_transport(w, p, tag), *w.omega,
-            pool, dc);
+            pool);
       };
     }
 
     case Algorithm::kProtectedMemoryPaxos:
     case Algorithm::kAlignedPaxos: {
-      const std::string prefix = ns("pmp");
-      auto pool = slot_regions<RegionId>(w, [n, prefix](auto& m, Slot s) {
-        return core::make_pmp_region(m, n, kLeaderP1,
-                                     core::slot_ns(s, prefix));
-      });
+      auto pool = slot_regions<RegionId>(
+          w, ns, [n](auto& m, const std::string& slot) {
+            return core::make_pmp_region(m, n, kLeaderP1, slot).id;
+          });
       if (config.algo == Algorithm::kAlignedPaxos) {
-        core::AlignedPaxosConfig ac;
-        ac.n = n;
-        ac.prefix = prefix;
-        return [&w, tag, pool, ac](ProcessId p) {
+        return [&w, tag, pool](ProcessId p) {
           return std::make_unique<core::AlignedEngine>(
               w.exec, w.view_ptrs[p - 1], group_transport(w, p, tag),
-              *w.omega, pool, ac);
+              *w.omega, pool);
         };
       }
-      core::PmpConfig pc;
-      pc.n = n;
-      pc.prefix = prefix;
-      return [&w, tag, pool, pc](ProcessId p) {
+      return [&w, tag, pool](ProcessId p) {
         return std::make_unique<core::PmpEngine>(
             w.exec, w.view_ptrs[p - 1], group_transport(w, p, tag), *w.omega,
-            pool, pc);
+            pool);
       };
     }
 
@@ -750,65 +734,50 @@ EngineFactory engine_factory(World& w, std::uint8_t tag,
   }
 
   // The NEB-backed Byzantine engines: per-slot stacks over the memories.
-  const std::string cq_prefix = ns("cq");
-  const std::string neb_prefix = ns("neb");
-  if (byz_target) {
-    w.neb_prefix = core::slot_ns(0, neb_prefix);
-    w.cq_prefix = core::slot_ns(0, cq_prefix);
-  }
   const bool byz_regions = byz_target && !config.faults.byzantine.empty();
   // Backup rounds run over non-equivocating broadcast (≥6 delays per
   // hop, plus scan latency growing with n); give proposers generous
   // patience so they don't abort rounds that are still in flight.
   core::PaxosConfig backup;
-  backup.n = n;
   backup.round_timeout = 150 * n;
   backup.retry_backoff = 40;
   if (config.algo == Algorithm::kRobustBackup) {
     auto pool = slot_regions<core::NebSlotRegions>(
-        w, [n, neb_prefix](auto& m, Slot s) {
-          return core::make_neb_slot_regions(m, n, s, neb_prefix);
+        w, ns, [n](auto& m, const std::string& slot) {
+          return core::make_neb_slot_regions(m, n, slot);
         });
-    if (byz_regions) w.neb_region_ids = pool->get(0).neb;
+    if (byz_regions) w.neb0 = pool->get(0).neb_regions(pool->ns(0));
     core::RobustBackupConfig rc;
-    rc.n = n;
-    rc.neb.n = n;
     rc.paxos = backup;
-    return [&w, pool, rc, neb_prefix](ProcessId p) {
+    return [&w, pool, rc](ProcessId p) {
       return std::make_unique<core::RobustBackupEngine>(
           w.exec, w.view_ptrs[p - 1], pool, w.keystore, w.signers[p - 1],
-          *w.omega, rc, neb_prefix);
+          *w.omega, rc);
     };
   }
   auto pool = slot_regions<core::FastRobustSlotRegions>(
-      w, [n, cq_prefix, neb_prefix](auto& m, Slot s) {
-        return core::make_fast_robust_slot_regions(m, n, s, cq_prefix,
-                                                   neb_prefix);
+      w, ns, [n](auto& m, const std::string& slot) {
+        return core::make_fast_robust_slot_regions(m, n, slot);
       });
   if (byz_regions) {
     const core::FastRobustSlotRegions& r0 = pool->get(0);
-    w.neb_region_ids = r0.neb;
-    w.cq_region_leader_ = r0.cq.leader;
+    w.neb0 = r0.neb_regions(pool->ns(0));
+    w.cq0 = r0.cq_regions(pool->ns(0));
   }
   core::FastRobustConfig fc;
-  fc.n = n;
-  fc.f = n > 0 ? (n - 1) / 2 : 0;
-  fc.cheap.n = n;
   fc.cheap.timeout = config.cq_timeout;
-  fc.neb.n = n;
   fc.paxos = backup;
-  return [&w, pool, fc, cq_prefix, neb_prefix](ProcessId p) {
+  return [&w, pool, fc](ProcessId p) {
     return std::make_unique<core::FastRobustEngine>(
         w.exec, w.view_ptrs[p - 1], pool, w.keystore, w.signers[p - 1],
-        *w.omega, fc, cq_prefix, neb_prefix);
+        *w.omega, fc);
   };
 }
 
 /// Append a group on mux tag `tag` and build its engines, one per process
 /// in process order (see engine_factory).
 Group& add_group(World& w, std::string label, std::uint8_t tag,
-                 const std::function<std::string(const char*)>& ns,
-                 bool byz_target) {
+                 const std::string& ns, bool byz_target) {
   Group g;
   g.label = std::move(label);
   g.make_engine = engine_factory(w, tag, ns, byz_target);
@@ -892,20 +861,18 @@ sim::Task<void> run_reconfig_plan(World* w, std::vector<ReconfigAction> plan) {
   w->reconfig_plan_done = true;
 }
 
-/// KV mode's groups: data shard i on mux tag i under "g<i>/" region names,
-/// then (under reconfiguration) the config group on the next tag under
+/// KV mode's groups: data shard i on mux tag i in region namespace "g<i>/",
+/// then (under reconfiguration) the config group on the next tag in
 /// "cfg/", and the router, migrator and workload over them.
 void build_kv(World& w, smr::ReplicaConfig rc, std::size_t shards,
               std::size_t data_groups) {
   const KvConfig& kvc = w.cfg.kv;
   const bool reconfig = !kvc.reconfig.empty();
-  const bool fan_out = rc.log.all_propose;
   const kv::ShardTable initial = kv::ShardTable::initial(shards);
   for (std::size_t i = 0; i < data_groups; ++i) {
-    Group& g = add_group(
-        w, "g" + std::to_string(i), static_cast<std::uint8_t>(i),
-        [i](const char* base) { return kv::shard_ns(i, base); },
-        /*byz_target=*/i == 0);
+    Group& g = add_group(w, "g" + std::to_string(i),
+                         static_cast<std::uint8_t>(i), kv::shard_ns(i),
+                         /*byz_target=*/i == 0);
     g.rc = rc;
     // A fresh machine starts partitioned at the *initial* table: a peer's
     // snapshot (or the replayed admin ops, when no snapshot was cut yet)
@@ -927,10 +894,8 @@ void build_kv(World& w, smr::ReplicaConfig rc, std::size_t shards,
     w.table_view = std::make_unique<reconfig::TableView>(w.exec, initial);
     // Config changes are rare and tiny — batch of 1, but the same snapshot
     // cadence so rejoiners can catch up the table history.
-    Group& g = add_group(
-        w, "cfg", static_cast<std::uint8_t>(data_groups),
-        [](const char* base) { return kv::config_ns(base); },
-        /*byz_target=*/false);
+    Group& g = add_group(w, "cfg", static_cast<std::uint8_t>(data_groups),
+                         kv::config_ns(), /*byz_target=*/false);
     g.config = true;
     g.rc = rc;
     g.rc.batch = 1;
@@ -950,7 +915,6 @@ void build_kv(World& w, smr::ReplicaConfig rc, std::size_t shards,
 
   std::vector<kv::ShardBackend> backends(data_groups);
   for (std::size_t i = 0; i < data_groups; ++i) {
-    backends[i].fan_out = fan_out;
     for (const Member& m : w.groups[i].members) {
       backends[i].replicas.push_back(m.replica.get());
       auto* machine = static_cast<kv::StateMachine*>(m.machine.get());
@@ -969,13 +933,12 @@ void build_kv(World& w, smr::ReplicaConfig rc, std::size_t shards,
       w.exec, *w.omega, kv::ShardMap(shards), std::move(backends), router_cfg,
       w.table_view.get());
   if (reconfig) {
-    std::vector<smr::Replica*> cfg_backend;
+    kv::ShardBackend cfg_backend;
     for (const Member& m : w.groups.back().members) {
-      cfg_backend.push_back(m.replica.get());
+      cfg_backend.replicas.push_back(m.replica.get());
     }
     w.migrator = std::make_unique<reconfig::Migrator>(
-        w.exec, *w.omega, *w.table_view, std::move(cfg_backend), fan_out,
-        *w.kv_router);
+        w.exec, *w.omega, *w.table_view, std::move(cfg_backend), *w.kv_router);
   }
   kv::WorkloadConfig wc;
   wc.clients = kvc.clients;
@@ -996,13 +959,19 @@ void build_kv(World& w, smr::ReplicaConfig rc, std::size_t shards,
   w.kv_workload = std::make_unique<kv::Workload>(w.exec, *w.kv_router, wc);
 }
 
+/// Whether group `g`'s engines need every correct replica to propose every
+/// slot.
+bool every_replica_proposes(const Group& g) {
+  return !g.members.empty() && g.members.front().engine->all_propose();
+}
+
 /// Whether group `g` has converged: every correct replica at one log
 /// length, with the proposers idle — the leader in leader mode, every
 /// replica under all-propose. A leader must also have applied every slot
 /// its engine knows of: a new leader that never proposed is idle, yet it
 /// still owes a re-drive of the slots its dead predecessor opened.
 bool settled(const World& w, const Group& g) {
-  const bool all_propose = g.rc.log.all_propose;
+  const bool all_propose = every_replica_proposes(g);
   std::optional<Slot> len;
   for (ProcessId p = 1; p <= static_cast<ProcessId>(w.cfg.n); ++p) {
     if (!w.correct(p)) continue;
@@ -1063,7 +1032,7 @@ void roll_up_replicas(const World& w, RunReport& report) {
         ref_rejoined = rejoined;
       }
       fast_slots = std::max(fast_slots, s.fast_slots);
-      if (!g.rc.log.all_propose) {
+      if (!every_replica_proposes(g)) {
         latencies.insert(latencies.end(), s.won_latencies.begin(),
                          s.won_latencies.end());
       } else if (!s.won_latencies.empty()) {
@@ -1311,10 +1280,6 @@ void fill_rows(World& w, RunReport& report) {
 RunReport run_replicated(World& w) {
   const ClusterConfig& config = w.cfg;
   const bool kv = config.kv.enabled;
-  // Byzantine engines route everything through memories, where passive
-  // replicas could never be heard — every correct replica proposes each slot.
-  const bool all_propose = config.algo == Algorithm::kRobustBackup ||
-                           config.algo == Algorithm::kFastRobust;
   const std::size_t shards = std::max<std::size_t>(1, config.kv.shards);
   // Under reconfiguration, build every group any scheduled change can
   // activate: split targets exist (idle) from the start, plus one extra
@@ -1336,12 +1301,10 @@ RunReport run_replicated(World& w) {
       kv ? "kv.snapshot_interval" : "smr.snapshot_interval");
 
   if (kv) {
-    build_kv(w, replica_config(config.kv, all_propose), shards, data_groups);
+    build_kv(w, replica_config(config.kv), shards, data_groups);
   } else {
-    Group& g = add_group(
-        w, "", 0, [](const char* base) { return std::string(base); },
-        /*byz_target=*/true);
-    g.rc = replica_config(config.smr, all_propose);
+    Group& g = add_group(w, "", 0, "", /*byz_target=*/true);
+    g.rc = replica_config(config.smr);
     g.make_machine = [] { return std::make_unique<RecordingSm>(); };
     add_replicas(w, g);
   }
@@ -1413,9 +1376,7 @@ RunReport run_single_shot(World& w) {
         "crash-and-rejoin requires SMR or KV mode (single-shot consensus has "
         "no log to catch up on)");
   }
-  Group& g = add_group(
-      w, "", 0, [](const char* base) { return std::string(base); },
-      /*byz_target=*/true);
+  Group& g = add_group(w, "", 0, "", /*byz_target=*/true);
   for (ProcessId p : all_processes(config.n)) {
     if (config.faults.is_byzantine(p)) continue;
     core::ConsensusEngine& engine = *g.members[p - 1].engine;

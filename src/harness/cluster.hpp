@@ -151,8 +151,8 @@ struct KvConfig {
   /// session) signs each command under its own keystore identity, and
   /// every state machine verifies before the session lookup — forged
   /// commands (a Byzantine slot winner writing under a victim's session)
-  /// no-op into RunReport::kv_forged. Off (the default) keeps the legacy
-  /// unsigned wire and byte-identical fingerprints.
+  /// no-op into RunReport::kv_forged. Off (the default) sends commands
+  /// unsigned.
   bool sign_commands = false;
   /// Live reconfiguration plan (src/reconfig/). Non-empty ⇒ routing runs
   /// off a consensus-decided kv::ShardTable (epoch 0 = `shards` groups of
@@ -161,7 +161,7 @@ struct KvConfig {
   /// scheduled changes, and a reconfig::Migrator live-migrates the moved
   /// buckets while the workload keeps running. Backends are built for
   /// every group any action activates, so split targets exist (idle) from
-  /// the start. Empty ⇒ static sharding, byte-for-byte as before.
+  /// the start. Empty ⇒ static sharding.
   std::vector<ReconfigAction> reconfig;
 
   /// Transactional mix (src/txn/, kv::WorkloadConfig txn knobs): > 0 runs

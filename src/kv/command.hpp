@@ -199,7 +199,7 @@ Bytes encode_signed_command(util::ByteView canonical_command,
 /// re-encode.
 struct SignedCommand {
   Command cmd;
-  bool has_sig = false;   // false: legacy unsigned wire
+  bool has_sig = false;   // false: unsigned wire
   crypto::Signature sig;  // valid only when has_sig
   Bytes body;             // canonical command bytes (signed form only)
 };

@@ -58,7 +58,7 @@ void Router::arm_machine(StateMachine* sm, std::size_t shard) {
 Bytes Router::encode_wire(const ClientSession& s, const Command& cmd,
                           std::size_t shard) const {
   Bytes body = encode_command(cmd);
-  if (config_.keystore == nullptr) return body;  // legacy unsigned wire
+  if (config_.keystore == nullptr) return body;  // unsigned mode
   // The signature binds the target shard's log: a Byzantine member of
   // every group must not be able to replay this wire into another group.
   // Re-routes (bounce, post-timeout table flip) re-sign for the new shard.
@@ -137,17 +137,12 @@ void Router::deliver(ClientId client, std::uint64_t seq, const Reply& reply) {
   s.signal.bump();
 }
 
-smr::Replica* Router::leader_replica(std::size_t shard) {
-  ShardBackend& b = shards_[shard];
-  // Ω never outputs a Byzantine process, so the leader has a replica; the
-  // first-correct fallback only covers scripted oracles pointing at a
-  // process this cluster never built.
-  const ProcessId lead = omega_->leader();
-  smr::Replica* r = (lead >= 1 && lead <= b.replicas.size())
-                        ? b.replicas[lead - 1]
-                        : nullptr;
+smr::Replica* ShardBackend::leader(const core::Omega& omega) const {
+  const ProcessId lead = omega.leader();
+  smr::Replica* r =
+      (lead >= 1 && lead <= replicas.size()) ? replicas[lead - 1] : nullptr;
   if (r == nullptr) {
-    for (smr::Replica* cand : b.replicas) {
+    for (smr::Replica* cand : replicas) {
       if (cand != nullptr) {
         r = cand;
         break;
@@ -157,19 +152,22 @@ smr::Replica* Router::leader_replica(std::size_t shard) {
   return r;
 }
 
-void Router::submit(std::size_t shard, const Bytes& wire) {
-  ShardBackend& b = shards_[shard];
-  if (b.fan_out) {
-    // Every correct replica proposes the same candidate in the same tick —
-    // the all-propose engines' requirement.
-    for (smr::Replica* r : b.replicas) {
-      if (r != nullptr) r->submit(wire);
-    }
-  } else {
-    smr::Replica* r = leader_replica(shard);
-    if (r == nullptr) return;  // wholly faulty shard: the retry loop re-asks Ω
-    r->submit(wire);
+bool ShardBackend::submit(const core::Omega& omega, const Bytes& wire) const {
+  smr::Replica* lead = leader(omega);
+  if (lead == nullptr) return false;
+  if (!lead->log().all_propose()) {
+    lead->submit(wire);
+    return true;
   }
+  for (smr::Replica* r : replicas) {
+    if (r != nullptr) r->submit(wire);
+  }
+  return true;
+}
+
+void Router::submit(std::size_t shard, const Bytes& wire) {
+  // A wholly faulty shard takes nothing: the retry loop re-asks Ω.
+  if (!shards_[shard].submit(*omega_, wire)) return;
   if (!flush_armed_[shard]) {
     flush_armed_[shard] = 1;
     exec_->spawn(flush_soon(this, shard));

@@ -10,7 +10,7 @@
 //    command's slot is lost), the reply never arrives; the client's retry —
 //    same client id, same seq — re-routes to Ω's new output, and the
 //    session dedup in kv::StateMachine makes the duplicate harmless.
-//  * Fan-out (`all_propose` engines — Fast & Robust): every correct replica
+//  * Fan-out (all-propose engines — Fast & Robust): every correct replica
 //    of the shard enqueues the same payload in the same tick, so all of
 //    them propose each slot with identical candidates, which is what the
 //    memory-routed Byzantine engines require to decide at all.
@@ -74,13 +74,21 @@
 
 namespace mnm::kv {
 
-/// One shard's replica group, indexed by process (index p - 1; nullptr for
+/// One replica group — a shard, or the Migrator's config group, which has
+/// no machines here — indexed by process (index p - 1; nullptr for
 /// Byzantine processes, which run no correct replica).
 struct ShardBackend {
   std::vector<smr::Replica*> replicas;
   std::vector<StateMachine*> machines;
-  /// All-propose engines: submit to every correct replica (see above).
-  bool fan_out = false;
+
+  /// Ω's output, else the first correct replica (Ω never outputs a
+  /// Byzantine process; the fallback covers scripted oracles naming a
+  /// process without a replica); nullptr for a wholly faulty group.
+  smr::Replica* leader(const core::Omega& omega) const;
+  /// Hand `wire` to the group the way its engine needs: every correct
+  /// replica in the same tick under an all-propose engine (see above), else
+  /// the leader. False when no replica took it.
+  bool submit(const core::Omega& omega, const Bytes& wire) const;
 };
 
 struct RouterConfig {
@@ -97,8 +105,7 @@ struct RouterConfig {
   /// (client_signer_id) and signs each canonical command; the Router
   /// enables verification on every backend machine (including rebound
   /// ones) and allow-lists admin sessions' identities for SEAL/INSTALL/
-  /// PURGE. nullptr (the default) keeps the legacy unsigned wire,
-  /// byte-identical to the pre-signing build.
+  /// PURGE. nullptr (the default) sends commands unsigned.
   crypto::KeyStore* keystore = nullptr;
 };
 
@@ -107,7 +114,7 @@ class Router {
   /// Wires itself as the reply sink of every machine in `shards`. With a
   /// TableView the live table routes (and backends beyond the initial
   /// shard count are legal — they are split targets); without one, the
-  /// static map routes, exactly as before reconfiguration existed.
+  /// static map routes.
   Router(sim::Executor& exec, core::Omega& omega, ShardMap map,
          std::vector<ShardBackend> shards, RouterConfig config,
          reconfig::TableView* view = nullptr);
@@ -148,11 +155,10 @@ class Router {
     return sessions_[client - 1].next_seq;
   }
 
-  /// The Ω-trusted replica of a shard group (first-correct fallback,
-  /// nullptr for a wholly faulty shard) — the Migrator drains range
-  /// snapshots from here.
+  /// The leader replica of a shard group (ShardBackend::leader) — the
+  /// Migrator drains range snapshots from here.
   smr::Replica* leader_of(std::size_t shard) {
-    return shard < shards_.size() ? leader_replica(shard) : nullptr;
+    return shard < shards_.size() ? shards_[shard].leader(*omega_) : nullptr;
   }
 
   /// Crash-and-rejoin: point shard `shard`'s backend slot for process `p`
@@ -196,9 +202,6 @@ class Router {
   sim::Task<Reply> run_op(ClientId client, Command cmd,
                           std::optional<std::size_t> pinned,
                           std::optional<std::uint64_t> forced_seq);
-  /// The Ω-trusted replica of a shard (first-correct fallback, nullptr for
-  /// a wholly faulty shard).
-  smr::Replica* leader_replica(std::size_t shard);
   /// Per-attempt reply deadline (adaptive base, exponential backoff,
   /// saturating at retry_timeout_cap even for attempt counts that would
   /// overflow the doubling).
@@ -206,7 +209,7 @@ class Router {
   void observe_latency(std::size_t shard, sim::Time sample);
   /// Wire bytes for `cmd` headed to `shard`: signed form (canonical bytes
   /// + this session's signature bound to the shard's log) in signed mode,
-  /// the legacy encoding otherwise.
+  /// the plain encoding otherwise.
   Bytes encode_wire(const ClientSession& s, const Command& cmd,
                     std::size_t shard) const;
   /// Wire `sm` as shard `shard`'s machine: point it at the shard's

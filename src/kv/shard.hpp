@@ -111,28 +111,16 @@ Bytes encode_shard_table(const ShardTable& t);
 /// the bytes actually present. Never throws.
 std::optional<ShardTable> decode_shard_table(util::ByteView raw);
 
-/// Per-shard memory-region namespace: "g<group>/<base>". Composed with
-/// core::slot_ns by each shard's SlotRegions pool, a shard's slot-s regions
-/// live under "s<slot>/g<group>/<base>" — disjoint across groups on the
-/// same memories, exactly like the per-slot prefixes within a group.
-inline std::string shard_ns(std::size_t group, const char* base) {
-  std::string out;
-  out.reserve(24);
-  out += 'g';
-  out += std::to_string(group);
-  out += '/';
-  out += base;
-  return out;
+/// Per-shard memory-region namespace "g<group>/", the base of the shard's
+/// SlotRegions pool: the shard's slot-s regions live in "s<slot>/g<group>/"
+/// — disjoint across groups on the same memories, exactly like the
+/// per-slot namespaces within a group.
+inline std::string shard_ns(std::size_t group) {
+  return "g" + std::to_string(group) + "/";
 }
 
-/// The config group's region namespace: "cfg/<base>" — disjoint from every
-/// "g<i>/" shard namespace on the same memories.
-inline std::string config_ns(const char* base) {
-  std::string out;
-  out.reserve(16);
-  out += "cfg/";
-  out += base;
-  return out;
-}
+/// The config group's region namespace, the base of its SlotRegions pool —
+/// disjoint from every "g<i>/" shard namespace on the same memories.
+inline std::string config_ns() { return "cfg/"; }
 
 }  // namespace mnm::kv

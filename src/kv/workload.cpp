@@ -4,6 +4,7 @@
 #include <cassert>
 #include <charconv>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 
 namespace mnm::kv {
@@ -82,12 +83,25 @@ Workload::Workload(sim::Executor& exec, Router& router, WorkloadConfig config)
       router_(&router),
       config_(config),
       zipf_(config.keys, kKeyZipfTheta) {
-  assert(config_.keys >= 1 && "kv::Workload: key space must be non-empty");
+  // Checked in every build: with asserts compiled out, an empty key space
+  // divides by zero and a transfer wanting more distinct accounts than
+  // exist spins forever without yielding to the executor.
+  if (config_.keys < 1) {
+    throw std::invalid_argument("kv::Workload: key space must be non-empty");
+  }
   if (config_.txn_fraction > 0.0) {
-    assert(config_.txn_accounts >= 2 &&
-           "kv::Workload: a transfer needs at least two accounts");
-    assert(config_.accounts >= config_.txn_accounts &&
-           "kv::Workload: account space smaller than one transfer");
+    if (config_.txn_accounts < 2) {
+      throw std::invalid_argument(
+          "kv::Workload: a transfer needs at least two accounts");
+    }
+    if (config_.accounts < config_.txn_accounts) {
+      throw std::invalid_argument(
+          "kv::Workload: account space smaller than one transfer");
+    }
+    if (!(config_.txn_zipf_theta >= 0.0 && config_.txn_zipf_theta < 1.0)) {
+      throw std::invalid_argument(
+          "kv::Workload: txn_zipf_theta must be in [0, 1)");
+    }
     coordinator_.emplace(router);
     if (config_.txn_zipf_theta > 0.0) {
       txn_zipf_.emplace(config_.accounts, config_.txn_zipf_theta);

@@ -133,7 +133,10 @@ struct WorkloadStats {
 
 class Workload {
  public:
-  /// Registers `config.clients` sessions with the router.
+  /// Registers `config.clients` sessions with the router. Throws
+  /// std::invalid_argument for an empty key space or, with transfers on,
+  /// for txn_accounts outside [2, accounts] or txn_zipf_theta outside
+  /// [0, 1).
   Workload(sim::Executor& exec, Router& router, WorkloadConfig config);
 
   /// Spawn every client loop. Call once, after the shard replicas started.

@@ -9,51 +9,25 @@
 namespace mnm::reconfig {
 
 Migrator::Migrator(sim::Executor& exec, core::Omega& omega, TableView& view,
-                   std::vector<smr::Replica*> config_replicas,
-                   bool config_fan_out, kv::Router& router)
+                   kv::ShardBackend config_group, kv::Router& router)
     : exec_(&exec),
       omega_(&omega),
       view_(&view),
-      config_replicas_(std::move(config_replicas)),
-      config_fan_out_(config_fan_out),
+      config_group_(std::move(config_group)),
       router_(&router) {
   admin_client_ = router_->register_admin_client();
 }
 
 void Migrator::rebind_config(ProcessId p, smr::Replica* replica) {
-  if (p < 1 || p > config_replicas_.size()) return;
-  config_replicas_[p - 1] = replica;
-}
-
-smr::Replica* Migrator::config_leader() {
-  // Same leader rule as kv::Router: Ω's output, first-correct fallback.
-  const ProcessId lead = omega_->leader();
-  smr::Replica* r = (lead >= 1 && lead <= config_replicas_.size())
-                        ? config_replicas_[lead - 1]
-                        : nullptr;
-  if (r == nullptr) {
-    for (smr::Replica* cand : config_replicas_) {
-      if (cand != nullptr) {
-        r = cand;
-        break;
-      }
-    }
-  }
-  return r;
+  if (p < 1 || p > config_group_.replicas.size()) return;
+  config_group_.replicas[p - 1] = replica;
 }
 
 void Migrator::submit_config(const Bytes& wire) {
-  if (config_fan_out_) {
-    for (smr::Replica* r : config_replicas_) {
-      if (r != nullptr) r->submit(wire);
-    }
-  } else {
-    smr::Replica* r = config_leader();
-    if (r != nullptr) r->submit(wire);
-  }
+  config_group_.submit(*omega_, wire);
   // Config changes are rare: flush immediately, no batching to wait for
   // (flushing an empty open batch is a no-op).
-  for (smr::Replica* r : config_replicas_) {
+  for (smr::Replica* r : config_group_.replicas) {
     if (r != nullptr) r->flush();
   }
 }

@@ -63,13 +63,11 @@ inline constexpr sim::Time kDrainRetry = 64;
 
 class Migrator {
  public:
-  /// `config_replicas` is the config group's backend, indexed by process
-  /// (nullptr for processes without a correct replica); `config_fan_out`
-  /// mirrors ShardBackend::fan_out for all-propose engines. Registers its
-  /// own admin session with the router.
+  /// `config_group` is the config group's backend: its replicas, indexed
+  /// by process (nullptr for processes without a correct replica), and no
+  /// machines. Registers its own admin session with the router.
   Migrator(sim::Executor& exec, core::Omega& omega, TableView& view,
-           std::vector<smr::Replica*> config_replicas, bool config_fan_out,
-           kv::Router& router);
+           kv::ShardBackend config_group, kv::Router& router);
 
   /// Drive one change end to end: propose against the current epoch, wait
   /// for the decided flip, seal/drain/install/purge the moved buckets.
@@ -94,7 +92,6 @@ class Migrator {
   bool idle() const { return active_ == 0; }
 
  private:
-  smr::Replica* config_leader();
   void submit_config(const Bytes& wire);
   sim::Task<bool> propose(ConfigChange c);
   sim::Task<void> migrate(std::uint64_t epoch);
@@ -102,8 +99,7 @@ class Migrator {
   sim::Executor* exec_;
   core::Omega* omega_;
   TableView* view_;
-  std::vector<smr::Replica*> config_replicas_;
-  bool config_fan_out_;
+  kv::ShardBackend config_group_;
   kv::Router* router_;
   kv::ClientId admin_client_ = 0;
   std::uint64_t migrations_ = 0;

@@ -56,7 +56,7 @@ void Log::start() {
   assert(!started_ && "smr::Log::start called twice");
   started_ = true;
   exec_->spawn(apply_loop());
-  exec_->spawn(config_.all_propose ? pump_all() : pump_leader());
+  exec_->spawn(engine_->all_propose() ? pump_all() : pump_leader());
   // Recovery machinery only where the engine has a control channel: serving
   // needs retained state (snapshot_interval > 0), recovering needs a peer
   // to ask. Memory-routed Byzantine engines have neither.

@@ -21,13 +21,14 @@
 //    slot to an older leader's value is re-queued at the front, so enqueued
 //    batches commit unless their replica dies.
 //
-//  * All-propose (`all_propose`, Byzantine-model engines): every correct
-//    replica proposes each queued payload for the next slot, window-paced;
-//    callers feed every correct replica the same payloads in the same order
-//    (the harness submits one workload per replica, kv::Router fans each
-//    payload out in one tick), so every replica proposes every slot. This
-//    is the mode Fast & Robust / Cheap Quorum require, since their traffic
-//    runs through memories and passive replicas could never be heard.
+//  * All-propose (engines whose all_propose() is true, the Byzantine-model
+//    ones): every correct replica proposes each queued payload for the next
+//    slot, window-paced; callers feed every correct replica the same
+//    payloads in the same order (the harness submits one workload per
+//    replica, kv::Router fans each payload out in one tick), so every
+//    replica proposes every slot. This is the mode Fast & Robust / Cheap
+//    Quorum require, since their traffic runs through memories and passive
+//    replicas could never be heard.
 //
 // All waits are event-driven (sim::Select over the pending/applied/Ω/
 // horizon signals, snapshot-before-check); an idle log costs zero events.
@@ -99,15 +100,12 @@ struct LogConfig {
   /// Max slots between the first unapplied slot and the newest assignment.
   /// The engine's slots retire a window behind the applied prefix.
   std::size_t window = 8;
-  /// Every replica proposes every slot (required by Byzantine engines).
-  bool all_propose = false;
   /// Snapshot the state machine every `snapshot_interval` applied slots and
-  /// compact the log below the snapshot slot (0 = never, the default — the
-  /// pre-snapshot behavior, byte-for-byte). With an interval set the Log
-  /// also retains applied decision payloads above the snapshot slot and
-  /// serves them (plus the snapshot) to catching-up peers over the engine's
-  /// control transport. Installing a peer's snapshot retires the engine's
-  /// slots below it.
+  /// compact the log below the snapshot slot (0 = never, the default). With
+  /// an interval set the Log also retains applied decision payloads above
+  /// the snapshot slot and serves them (plus the snapshot) to catching-up
+  /// peers over the engine's control transport. Installing a peer's
+  /// snapshot retires the engine's slots below it.
   Slot snapshot_interval = 0;
   /// Start in recovery: hold fresh proposals and catch up from a peer's
   /// snapshot + log suffix first (requires an engine with a control
@@ -154,6 +152,8 @@ class Log {
   /// into the slot payload every proposal of it carries.
   void enqueue_commands(std::vector<Bytes> commands);
 
+  /// Every correct replica proposes every slot: the engine's all_propose().
+  bool all_propose() const { return engine_->all_propose(); }
   /// Slots applied to the state machine (the contiguous prefix).
   Slot applied_len() const { return applied_len_; }
   /// Nothing queued, nothing decided-but-unapplied, every slot this replica

@@ -51,14 +51,6 @@ class FlatMap {
     return slots_[i].value;
   }
 
-  /// Visit every (key, value) pair (iteration order is unspecified).
-  template <typename Fn>
-  void for_each(Fn&& fn) {
-    for (auto& s : slots_) {
-      if (s.used) fn(s.key, s.value);
-    }
-  }
-
  private:
   struct Slot {
     bool used = false;

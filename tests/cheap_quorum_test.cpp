@@ -29,7 +29,6 @@ struct CqFixture {
       iface.push_back(memories.back().get());
     }
     CheapQuorumConfig cfg;
-    cfg.n = n;
     cfg.timeout = timeout;
     for (ProcessId p : all_processes(n)) {
       signers.push_back(keystore.register_process(p));

@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/engine.hpp"
@@ -21,6 +22,7 @@
 #include "src/mem/memory.hpp"
 #include "src/net/network.hpp"
 #include "src/sim/executor.hpp"
+#include "src/verbs/verbs.hpp"
 
 namespace mnm::core {
 namespace {
@@ -64,7 +66,6 @@ struct EngineWorld {
       case Kind::kPaxos:
       case Kind::kFastPaxos: {
         PaxosConfig pc;
-        pc.n = n;
         pc.leader_terms = (kind == Kind::kFastPaxos);
         for (ProcessId p : all_processes(n)) {
           transports.push_back(
@@ -75,62 +76,55 @@ struct EngineWorld {
         break;
       }
       case Kind::kDiskPaxos: {
-        auto pool = std::make_shared<SlotRegions<RegionId>>([this](Slot s) {
-          RegionId region = 0;
-          for (auto& mp : memories) {
-            region = make_disk_region(*mp, this->n, slot_ns(s, "dp"));
-          }
-          return region;
-        });
-        DiskPaxosConfig dc;
-        dc.n = n;
+        auto pool = std::make_shared<SlotRegions<RegionId>>(
+            "", [this](const std::string& ns) {
+              RegionId region = 0;
+              for (auto& mp : memories) {
+                region = make_disk_region(*mp, this->n, ns).id;
+              }
+              return region;
+            });
         for (ProcessId p : all_processes(n)) {
           transports.push_back(
               std::make_unique<NetTransport>(exec, network, p, /*tag=*/910));
           engines.push_back(std::make_unique<DiskPaxosEngine>(
-              exec, ifc, *transports.back(), omega, pool, dc));
+              exec, ifc, *transports.back(), omega, pool));
         }
         break;
       }
       case Kind::kPmp:
       case Kind::kAligned: {
-        auto pool = std::make_shared<SlotRegions<RegionId>>([this](Slot s) {
-          RegionId region = 0;
-          for (auto& mp : memories) {
-            region = make_pmp_region(*mp, this->n, kLeaderP1, slot_ns(s, "pmp"));
-          }
-          return region;
-        });
+        auto pool = std::make_shared<SlotRegions<RegionId>>(
+            "", [this](const std::string& ns) {
+              RegionId region = 0;
+              for (auto& mp : memories) {
+                region = make_pmp_region(*mp, this->n, kLeaderP1, ns).id;
+              }
+              return region;
+            });
         for (ProcessId p : all_processes(n)) {
           transports.push_back(
               std::make_unique<NetTransport>(exec, network, p, /*tag=*/920));
           if (kind == Kind::kAligned) {
-            AlignedPaxosConfig ac;
-            ac.n = n;
             engines.push_back(std::make_unique<AlignedEngine>(
-                exec, ifc, *transports.back(), omega, pool, ac));
+                exec, ifc, *transports.back(), omega, pool));
           } else {
-            PmpConfig pc;
-            pc.n = n;
             engines.push_back(std::make_unique<PmpEngine>(
-                exec, ifc, *transports.back(), omega, pool, pc));
+                exec, ifc, *transports.back(), omega, pool));
           }
         }
         break;
       }
       case Kind::kRobustBackup: {
-        auto pool =
-            std::make_shared<SlotRegions<NebSlotRegions>>([this](Slot s) {
+        auto pool = std::make_shared<SlotRegions<NebSlotRegions>>(
+            "", [this](const std::string& ns) {
               NebSlotRegions out;
               for (auto& mp : memories) {
-                out = make_neb_slot_regions(*mp, this->n, s);
+                out = make_neb_slot_regions(*mp, this->n, ns);
               }
               return out;
             });
         RobustBackupConfig rc;
-        rc.n = n;
-        rc.neb.n = n;
-        rc.paxos.n = n;
         rc.paxos.round_timeout = 150 * n;
         rc.paxos.retry_backoff = 40;
         for (ProcessId p : all_processes(n)) {
@@ -141,19 +135,14 @@ struct EngineWorld {
       }
       case Kind::kFastRobust: {
         auto pool = std::make_shared<SlotRegions<FastRobustSlotRegions>>(
-            [this](Slot s) {
+            "", [this](const std::string& ns) {
               FastRobustSlotRegions out;
               for (auto& mp : memories) {
-                out = make_fast_robust_slot_regions(*mp, this->n, s);
+                out = make_fast_robust_slot_regions(*mp, this->n, ns);
               }
               return out;
             });
         FastRobustConfig fc;
-        fc.n = n;
-        fc.f = (n - 1) / 2;
-        fc.cheap.n = n;
-        fc.neb.n = n;
-        fc.paxos.n = n;
         fc.paxos.round_timeout = 150 * n;
         fc.paxos.retry_backoff = 40;
         for (ProcessId p : all_processes(n)) {
@@ -220,6 +209,7 @@ void leader_driven_roundtrip(Kind kind, std::size_t n, std::size_t m) {
   w.exec.run_until([&] { return w.all_decided(3); }, 100000);
   ASSERT_TRUE(w.all_decided(3));
   for (ProcessId p : all_processes(n)) {
+    EXPECT_FALSE(w.engines[p - 1]->all_propose()) << "p" << p;
     EXPECT_EQ(w.decided[p - 1].at(0), "v0") << "p" << p;
     EXPECT_EQ(w.decided[p - 1].at(1), "v1") << "p" << p;
     EXPECT_EQ(w.decided[p - 1].at(2), "v2") << "p" << p;
@@ -238,6 +228,9 @@ void all_propose_roundtrip(Kind kind, std::size_t n, std::size_t m) {
   }
   w.exec.run_until([&] { return w.all_decided(2); }, 200000);
   ASSERT_TRUE(w.all_decided(2));
+  for (ProcessId p : all_processes(n)) {
+    EXPECT_TRUE(w.engines[p - 1]->all_propose()) << "p" << p;
+  }
   for (Slot s = 0; s < 2; ++s) {
     const std::string& winner = w.decided[0].at(s);
     EXPECT_TRUE(winner.rfind("s" + std::to_string(s) + "-from-p", 0) == 0)
@@ -246,6 +239,73 @@ void all_propose_roundtrip(Kind kind, std::size_t n, std::size_t m) {
       EXPECT_EQ(w.decided[p - 1].at(s), winner) << "p" << p << " slot " << s;
     }
   }
+}
+
+// --- Region factories: an instance reads n, its leader, its write scope and
+// its register names from a factory's result, so the result must be the
+// same on every memory, on either backend. ---
+
+/// `make(memory)` twice on each of three memories per backend (the first
+/// call stands for an earlier slot, so ids move past 1); every second
+/// result must equal the first one.
+template <typename Make>
+auto made_on_every_memory(Make make) {
+  Executor exec;
+  std::vector<decltype(make(std::declval<mem::Memory&>()))> made;
+  for (MemoryId id = 1; id <= 3; ++id) {
+    mem::Memory m(exec, id);
+    (void)make(m);
+    made.push_back(make(m));
+  }
+  for (MemoryId id = 1; id <= 3; ++id) {
+    verbs::VerbsMemory m(exec, std::make_unique<verbs::RdmaDevice>(exec, id, id),
+                         all_processes(3));
+    (void)make(m);
+    made.push_back(make(m));
+  }
+  for (const auto& r : made) EXPECT_TRUE(r == made.front());
+  return made.front();
+}
+
+TEST(RegionFactories, EveryMemoryAgrees) {
+  const DiskRegion disk = made_on_every_memory(
+      [](auto& m) { return make_disk_region(m, 3, "s1/"); });
+  EXPECT_EQ(disk.id, 2u);
+  EXPECT_EQ(disk.ns, "s1/");
+  const DiskRegion pmp = made_on_every_memory(
+      [](auto& m) { return make_pmp_region(m, 3, 2, "s1/"); });
+  EXPECT_EQ(pmp.id, 2u);
+  EXPECT_EQ(pmp.ns, "s1/");
+
+  const NebRegions neb = made_on_every_memory(
+      [](auto& m) { return make_neb_regions(m, 3, "s1/", m.new_scope()); });
+  EXPECT_EQ(neb.ns, "s1/");
+  EXPECT_EQ(neb.per_process.size(), 3u);
+  EXPECT_EQ(neb.per_process.at(1), 4u);
+  EXPECT_EQ(neb.scope, 2u);
+  const CheapQuorumRegions cq = made_on_every_memory([](auto& m) {
+    return make_cq_regions(m, 3, /*leader=*/2, "s1/", m.new_scope());
+  });
+  EXPECT_EQ(cq.ns, "s1/");
+  EXPECT_EQ(cq.leader_process, 2u);
+  EXPECT_EQ(cq.leader, 5u);
+  EXPECT_EQ(cq.per_process.size(), 3u);
+  EXPECT_EQ(cq.scope, 2u);
+
+  // The slot pools' entries: ids only, named by the pool's namespace.
+  const NebSlotRegions nebs = made_on_every_memory(
+      [](auto& m) { return make_neb_slot_regions(m, 3, "s1/"); });
+  EXPECT_EQ(nebs.neb_regions("s1/"), neb);
+  const FastRobustSlotRegions fr = made_on_every_memory(
+      [](auto& m) { return make_fast_robust_slot_regions(m, 3, "s1/"); });
+  const CheapQuorumRegions fr_cq = fr.cq_regions("s1/");
+  EXPECT_EQ(fr_cq.leader_process, kLeaderP1);
+  EXPECT_EQ(fr_cq.per_process.size(), 3u);
+  EXPECT_EQ(fr_cq.scope, 3u);
+  EXPECT_EQ(fr.neb_regions("s1/").per_process.size(), 3u);
+  EXPECT_EQ(fr.neb_scope, 4u);
+  SlotRegions<RegionId> pool("g2/", [](const std::string&) { return 0; });
+  EXPECT_EQ(pool.ns(7), "s7/g2/");
 }
 
 TEST(ConsensusEngine, PaxosThreeSlots) {
@@ -461,7 +521,6 @@ TEST(ConsensusEngine, RetiredSlotNeverReopens) {
 /// leader and pokes, as the harness does at a fault.
 struct TermWorld {
   TermWorld() : network(exec, 3), omega(exec, [this](sim::Time) { return leader; }, true) {
-    pc.n = 3;
     pc.leader_terms = true;
     for (ProcessId p : all_processes(3)) {
       transports.push_back(nullptr);

@@ -6,6 +6,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "src/core/omega.hpp"
@@ -185,9 +186,9 @@ TEST(KvShardMap, StableAndReasonablySpread) {
 }
 
 TEST(KvShardNs, DistinctPerGroup) {
-  EXPECT_EQ(shard_ns(0, "dp"), "g0/dp");
-  EXPECT_EQ(shard_ns(3, "neb"), "g3/neb");
-  EXPECT_NE(shard_ns(1, "cq"), shard_ns(2, "cq"));
+  EXPECT_EQ(shard_ns(0), "g0/");
+  EXPECT_EQ(shard_ns(3), "g3/");
+  EXPECT_NE(shard_ns(1), shard_ns(2));
 }
 
 TEST(KvZipf, SkewedAndDeterministic) {
@@ -607,6 +608,50 @@ TEST(KvRouter, RetryDeadlineSaturatesInsteadOfOverflowing) {
   EXPECT_FALSE(done);  // the shard is dead; the op can never complete
   EXPECT_GE(router.retries(), 30u);
   EXPECT_LE(router.retries(), 80u);
+}
+
+// --- Workload config checks: Release builds compile asserts out. ---
+
+/// Construct a Workload over a one-shard router with no replicas.
+void make_workload(const WorkloadConfig& wc) {
+  sim::Executor exec;
+  core::Omega omega = core::Omega::fixed(exec, 1);
+  std::vector<ShardBackend> backends(1);
+  Router router(exec, omega, ShardMap(1), std::move(backends), RouterConfig{});
+  Workload workload(exec, router, wc);
+}
+
+WorkloadConfig transfers() {
+  WorkloadConfig wc;
+  wc.txn_fraction = 0.5;
+  return wc;
+}
+
+TEST(KvWorkload, EmptyKeySpaceThrows) {
+  WorkloadConfig wc;
+  wc.keys = 0;  // uniform keys draw Rng::below(0): a modulo by zero
+  EXPECT_THROW(make_workload(wc), std::invalid_argument);
+}
+
+TEST(KvWorkload, OneAccountTransferThrows) {
+  WorkloadConfig wc = transfers();
+  wc.txn_accounts = 1;
+  EXPECT_THROW(make_workload(wc), std::invalid_argument);
+}
+
+TEST(KvWorkload, TransferWiderThanAccountSpaceThrows) {
+  WorkloadConfig wc = transfers();
+  wc.accounts = 2;  // run_txn's distinct-account draw would never finish
+  wc.txn_accounts = 3;
+  EXPECT_THROW(make_workload(wc), std::invalid_argument);
+}
+
+TEST(KvWorkload, TxnZipfThetaOutsideUnitIntervalThrows) {
+  WorkloadConfig wc = transfers();
+  wc.txn_zipf_theta = 1.0;
+  EXPECT_THROW(make_workload(wc), std::invalid_argument);
+  wc.txn_zipf_theta = -0.5;
+  EXPECT_THROW(make_workload(wc), std::invalid_argument);
 }
 
 }  // namespace

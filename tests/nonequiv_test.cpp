@@ -35,7 +35,7 @@ struct NebFixture {
       signers.push_back(keystore.register_process(p));
       slots.push_back(std::make_unique<NebSlots>(exec, iface, regions));
       nebs.push_back(std::make_unique<NonEquivBroadcast>(
-          exec, *slots.back(), keystore, signers.back(), NebConfig{n}));
+          exec, *slots.back(), keystore, signers.back()));
     }
   }
 
@@ -68,7 +68,7 @@ struct NebFixture {
   crypto::KeyStore keystore;
   std::vector<std::unique_ptr<Memory>> memories;
   std::vector<mem::MemoryIface*> iface;
-  std::map<ProcessId, RegionId> regions;
+  NebRegions regions;
   std::vector<crypto::Signer> signers;
   std::vector<std::unique_ptr<NebSlots>> slots;
   std::vector<std::unique_ptr<NonEquivBroadcast>> nebs;
@@ -150,7 +150,7 @@ TEST(NonEquivBroadcast, ForgedPrefixClaimsNeverDeliver) {
     // any prefix_len > 0 is unverifiable.
     const Bytes m1 = to_bytes("first");
     const crypto::Signature s1 = f->signers[1].sign(neb_signing_bytes(1, m1, 3));
-    (void)co_await f->iface[0]->write(2, f->regions.at(2), "neb/2/1/2",
+    (void)co_await f->iface[0]->write(2, f->regions.per_process.at(2), "neb/2/1/2",
                                       encode_neb_slot(1, m1, s1, 3));
   }(&f));
   std::map<ProcessId, std::vector<NebDelivery>> got;
@@ -176,14 +176,14 @@ TEST(NonEquivBroadcast, PrefixMismatchAgainstDeliveredHistoryRejected) {
     const Bytes m1 = to_bytes("honest-first");
     const crypto::Signature s1 = f->signers[1].sign(neb_signing_bytes(1, m1, 0));
     for (std::size_t i = 0; i < f->iface.size(); ++i) {
-      (void)co_await f->iface[i]->write(2, f->regions.at(2), "neb/2/1/2",
+      (void)co_await f->iface[i]->write(2, f->regions.per_process.at(2), "neb/2/1/2",
                                         encode_neb_slot(1, m1, s1, 0));
     }
     // k = 2: claims 7 shared bytes with "honest-first" but starts "HONEST-".
     const Bytes m2 = to_bytes("HONEST-second");
     const crypto::Signature s2 = f->signers[1].sign(neb_signing_bytes(2, m2, 7));
     for (std::size_t i = 0; i < f->iface.size(); ++i) {
-      (void)co_await f->iface[i]->write(2, f->regions.at(2), "neb/2/2/2",
+      (void)co_await f->iface[i]->write(2, f->regions.per_process.at(2), "neb/2/2/2",
                                         encode_neb_slot(2, m2, s2, 7));
     }
   }(&f));
@@ -290,7 +290,7 @@ TEST(NonEquivBroadcast, Property2EquivocatorNeverSplitsCorrectProcesses) {
     for (std::size_t i = 0; i < f->iface.size(); ++i) {
       const Bytes msg = to_bytes("equiv-" + std::to_string(i));
       const crypto::Signature sig = f->signers[1].sign(neb_signing_bytes(1, msg));
-      (void)co_await f->iface[i]->write(2, f->regions.at(2), slot,
+      (void)co_await f->iface[i]->write(2, f->regions.per_process.at(2), slot,
                                         encode_neb_slot(1, msg, sig));
     }
   }(&f, slot));
@@ -324,7 +324,7 @@ TEST(NonEquivBroadcast, Property2EquivocatorNeverSplitsCorrectProcesses) {
           const Bytes msg = to_bytes("equiv-" + std::to_string(rng.below(2)));
           const crypto::Signature sig =
               w->signers[1].sign(neb_signing_bytes(1, msg));
-          (void)co_await w->iface[i]->write(2, w->regions.at(2), "neb/2/1/2",
+          (void)co_await w->iface[i]->write(2, w->regions.per_process.at(2), "neb/2/1/2",
                                             encode_neb_slot(1, msg, sig));
         }
       }(&w, rng.fork(), partial));
@@ -355,7 +355,7 @@ TEST(NonEquivBroadcast, InvalidSignatureNeverDelivers) {
   f.exec.spawn([](NebFixture* f) -> Task<void> {
     const Bytes msg = to_bytes("forged");
     const crypto::Signature sig = f->signers[1].sign(to_bytes("not the msg"));
-    (void)co_await f->iface[0]->write(2, f->regions.at(2), "neb/2/1/2",
+    (void)co_await f->iface[0]->write(2, f->regions.per_process.at(2), "neb/2/1/2",
                                       encode_neb_slot(1, msg, sig));
   }(&f));
   std::map<ProcessId, std::vector<NebDelivery>> got;

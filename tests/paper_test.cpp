@@ -54,7 +54,7 @@ TEST(TheoremSixOne, AckOnlyWriterBreaksAgreementPmpDoesNot) {
   RegionId region = 0;
   for (MemoryId i = 1; i <= 3; ++i) {
     memories.push_back(std::make_unique<mem::Memory>(exec, i, /*op_delay=*/40));
-    region = core::make_disk_region(*memories.back(), 2);
+    region = core::make_disk_region(*memories.back(), 2).id;
     ifc.push_back(memories.back().get());
   }
   std::string p_decided, q_decided;

@@ -106,7 +106,6 @@ struct PaxosCluster {
                         ProcessId fixed_leader = kLeaderP1)
       : n(n), network(exec, n), omega(Omega::fixed(exec, fixed_leader)) {
     PaxosConfig pc;
-    pc.n = n;
     pc.leader_terms = fast;
     for (ProcessId p : all_processes(n)) {
       transports.push_back(std::make_unique<NetTransport>(exec, network, p, 100));
@@ -215,7 +214,6 @@ TEST(Paxos, CompetingProposersConverge) {
   net::Network network(exec, 3);
   Omega omega(exec, [](Time t) { return Flapping::leader(t); });
   PaxosConfig pc;
-  pc.n = 3;
   std::vector<std::unique_ptr<NetTransport>> transports;
   std::vector<std::unique_ptr<Paxos>> paxoses;
   for (ProcessId p : all_processes(3)) {

@@ -68,13 +68,11 @@ struct PmpWorld {
       region = make_pmp_region(*memories.back(), n);
       ifc.push_back(memories.back().get());
     }
-    PmpConfig pc;
-    pc.n = n;
     for (ProcessId p : all_processes(n)) {
       transports.push_back(
           std::make_unique<NetTransport>(exec, network, p, /*tag=*/900));
       pmps.push_back(std::make_unique<ProtectedMemoryPaxos>(
-          exec, ifc, region, *transports.back(), omega, pc));
+          exec, ifc, region, *transports.back(), omega));
       pmps.back()->start();
     }
   }
@@ -91,7 +89,7 @@ struct PmpWorld {
   Omega omega;
   std::vector<std::unique_ptr<mem::Memory>> memories;
   std::vector<mem::MemoryIface*> ifc;
-  RegionId region = 0;
+  DiskRegion region;
   std::vector<std::unique_ptr<NetTransport>> transports;
   std::vector<std::unique_ptr<ProtectedMemoryPaxos>> pmps;
 };
@@ -136,10 +134,8 @@ TEST(ProtectedMemoryPaxos, LateLeaderAdoptsDecidedValue) {
   // a second PMP instance bound to the same memories (decide broadcast off:
   // fresh network tag).
   Omega omega2 = Omega::fixed(w.exec, 2);
-  PmpConfig pc;
-  pc.n = 2;
   NetTransport late_transport(w.exec, w.network, 2, /*tag=*/990);
-  ProtectedMemoryPaxos late(w.exec, w.ifc, w.region, late_transport, omega2, pc);
+  ProtectedMemoryPaxos late(w.exec, w.ifc, w.region, late_transport, omega2);
   late.start();
   w.exec.spawn([](ProtectedMemoryPaxos* pmp) -> Task<void> {
     (void)co_await pmp->propose(to_bytes("second"));
@@ -157,10 +153,10 @@ TEST(ProtectedMemoryPaxos, StolenPermissionNaksOldLeaderWrite) {
   w.exec.spawn([](PmpWorld* w, mem::Status* out) -> Task<void> {
     // p2 seizes the permission.
     (void)co_await w->ifc[0]->change_permission(
-        2, w->region, mem::Permission::exclusive_writer(2, all_processes(2)));
+        2, w->region.id, mem::Permission::exclusive_writer(2, all_processes(2)));
     // p1's write now fails.
     DiskBlock s{0, 0, true, to_bytes("stale")};
-    *out = co_await w->ifc[0]->write(1, w->region, "pmp/slot/1", s.encode());
+    *out = co_await w->ifc[0]->write(1, w->region.id, "pmp/slot/1", s.encode());
   }(&w, &p1_write));
   w.exec.run(100);
   EXPECT_EQ(p1_write, mem::Status::kNak);
@@ -174,13 +170,11 @@ struct DiskWorld {
       region = make_disk_region(*memories.back(), n);
       ifc.push_back(memories.back().get());
     }
-    DiskPaxosConfig dc;
-    dc.n = n;
     for (ProcessId p : all_processes(n)) {
       transports.push_back(
           std::make_unique<NetTransport>(exec, network, p, /*tag=*/910));
       dps.push_back(std::make_unique<DiskPaxos>(exec, ifc, region,
-                                                *transports.back(), omega, dc));
+                                                *transports.back(), omega));
       dps.back()->start();
     }
   }
@@ -191,7 +185,7 @@ struct DiskWorld {
   Omega omega;
   std::vector<std::unique_ptr<mem::Memory>> memories;
   std::vector<mem::MemoryIface*> ifc;
-  RegionId region = 0;
+  DiskRegion region;
   std::vector<std::unique_ptr<NetTransport>> transports;
   std::vector<std::unique_ptr<DiskPaxos>> dps;
 };
@@ -213,7 +207,7 @@ TEST(DiskPaxos, StaticPermissionsNeverChange) {
   mem::Status st = mem::Status::kAck;
   w.exec.spawn([](DiskWorld* w, mem::Status* out) -> Task<void> {
     *out = co_await w->ifc[0]->change_permission(
-        1, w->region, mem::Permission::exclusive_writer(1, all_processes(2)));
+        1, w->region.id, mem::Permission::exclusive_writer(1, all_processes(2)));
   }(&w, &st));
   w.exec.run(100);
   EXPECT_EQ(st, mem::Status::kNak);  // the disk model has no changePermission

@@ -42,7 +42,6 @@ struct ScriptedEngine : core::ConsensusEngine {
   explicit ScriptedEngine(sim::Executor& exec) : ConsensusEngine(exec) {}
 
   ProcessId self() const override { return 1; }
-  std::size_t process_count() const override { return 1; }
   void start() override {}
   void open_slot(Slot s) override { note_slot(s); }
   sim::Task<core::Decision> propose(Slot, Bytes) override {
@@ -68,7 +67,6 @@ struct InstantEngine : core::ConsensusEngine {
       : ConsensusEngine(exec), delay_(delay), late_return_(late_return) {}
 
   ProcessId self() const override { return 1; }
-  std::size_t process_count() const override { return 1; }
   void start() override {}
   void open_slot(Slot s) override { note_slot(s); }
   sim::Task<core::Decision> propose(Slot s, Bytes value) override {
@@ -93,7 +91,6 @@ struct AdoptingEngine : core::ConsensusEngine {
   explicit AdoptingEngine(sim::Executor& exec) : ConsensusEngine(exec) {}
 
   ProcessId self() const override { return 1; }
-  std::size_t process_count() const override { return 1; }
   void start() override {}
   void open_slot(Slot s) override { note_slot(s); }
   sim::Task<core::Decision> propose(Slot s, Bytes value) override {
@@ -989,7 +986,6 @@ struct ChurnCluster {
         network(exec, kN),
         omega(exec, [this](sim::Time t) { return leader(t); }, true) {
     core::PaxosConfig pc;
-    pc.n = kN;
     pc.leader_terms = fast;
     smr::ReplicaConfig rc;
     rc.batch = 2;

@@ -38,10 +38,9 @@ struct TrustedFixture {
       signers.push_back(keystore.register_process(p));
       slots.push_back(std::make_unique<NebSlots>(exec, iface, regions));
       nebs.push_back(std::make_unique<NonEquivBroadcast>(
-          exec, *slots.back(), keystore, signers.back(), NebConfig{n}));
+          exec, *slots.back(), keystore, signers.back()));
       transports.push_back(std::make_unique<TrustedTransport>(
-          exec, *nebs.back(), keystore, signers.back(),
-          TrustedConfig{n}, validator));
+          exec, *nebs.back(), keystore, signers.back(), validator));
     }
   }
 
@@ -57,7 +56,7 @@ struct TrustedFixture {
   crypto::KeyStore keystore;
   std::vector<std::unique_ptr<mem::Memory>> memories;
   std::vector<mem::MemoryIface*> iface;
-  std::map<ProcessId, RegionId> regions;
+  NebRegions regions;
   std::vector<crypto::Signer> signers;
   std::vector<std::unique_ptr<NebSlots>> slots;
   std::vector<std::unique_ptr<NonEquivBroadcast>> nebs;
@@ -299,7 +298,7 @@ TEST(TrustedTransport, PrefixClaimLongerThanReceiverStoredRejected) {
   const Bytes slot_bytes = encode_neb_slot(3, wire3, slot_sig, bogus_claim);
   f.exec.spawn([](TrustedFixture* f, Bytes slot_bytes) -> sim::Task<void> {
     for (auto* m : f->iface) {
-      (void)co_await m->write(2, f->regions.at(2), "neb/2/3/2", slot_bytes);
+      (void)co_await m->write(2, f->regions.per_process.at(2), "neb/2/3/2", slot_bytes);
     }
   }(&f, slot_bytes));
   f.exec.run(500);
@@ -353,7 +352,7 @@ TEST(TrustedTransport, ByteFlipInsideClaimedSharedPrefixRejected) {
   const Bytes slot_bytes = encode_neb_slot(3, wire3, slot_sig, covering_claim);
   f.exec.spawn([](TrustedFixture* f, Bytes slot_bytes) -> sim::Task<void> {
     for (auto* m : f->iface) {
-      (void)co_await m->write(2, f->regions.at(2), "neb/2/3/2", slot_bytes);
+      (void)co_await m->write(2, f->regions.per_process.at(2), "neb/2/3/2", slot_bytes);
     }
   }(&f, slot_bytes));
   f.exec.run(500);
