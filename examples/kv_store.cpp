@@ -4,7 +4,7 @@
 //
 // The harness KV mode (ClusterConfig::kv) assembles exactly this stack and
 // adds fault plans; here it is by hand so the seams show: one World of
-// processes, one TransportMux per process, one engine + replica per
+// processes, one TransportMux per process, one engine + log per
 // (shard, process), one Router over the shard map, clients as coroutines.
 
 #include <cstdio>
@@ -20,7 +20,7 @@
 #include "src/kv/state_machine.hpp"
 #include "src/net/network.hpp"
 #include "src/sim/executor.hpp"
-#include "src/smr/replica.hpp"
+#include "src/smr/log.hpp"
 
 using namespace mnm;
 
@@ -62,13 +62,13 @@ int main() {
   pc.leader_terms = true;
 
   // --- The quickstart: per process one transport + mux; per (shard,
-  // process) one engine over the mux sub + one replica over a KV state
+  // process) one engine over the mux sub + one log over a KV state
   // machine; one Router over all of it. ---
   std::vector<std::unique_ptr<core::NetTransport>> transports;
   std::vector<std::unique_ptr<core::TransportMux>> muxes;
   std::vector<std::unique_ptr<core::PaxosEngine>> engines;
   std::vector<std::unique_ptr<kv::StateMachine>> machines;
-  std::vector<std::unique_ptr<smr::Replica>> replicas;
+  std::vector<std::unique_ptr<smr::Log>> logs;
   std::vector<kv::ShardBackend> backends(kShards);
   for (ProcessId p : all_processes(kReplicas)) {
     transports.push_back(
@@ -80,9 +80,9 @@ int main() {
       engines.push_back(std::make_unique<core::PaxosEngine>(
           exec, muxes[p - 1]->sub(static_cast<std::uint8_t>(g)), omega, pc));
       machines.push_back(std::make_unique<kv::StateMachine>());
-      replicas.push_back(std::make_unique<smr::Replica>(
-          exec, *engines.back(), omega, *machines.back(), smr::ReplicaConfig{}));
-      backends[g].replicas.push_back(replicas.back().get());
+      logs.push_back(std::make_unique<smr::Log>(
+          exec, *engines.back(), omega, *machines.back(), smr::LogConfig{}));
+      backends[g].logs.push_back(logs.back().get());
       backends[g].machines.push_back(machines.back().get());
     }
   }
@@ -90,7 +90,7 @@ int main() {
                     kv::RouterConfig{});
   for (auto& m : muxes) m->start();
   for (auto& e : engines) e->start();
-  for (auto& r : replicas) r->start();
+  for (auto& l : logs) l->start();
 
   // --- Clients: PUT then GET, routed by key hash, exactly-once. ---
   constexpr std::size_t kClients = 4;
@@ -112,9 +112,9 @@ int main() {
   exec.run_until(
       [&] {
         for (std::size_t g = 0; g < kShards; ++g) {
-          const Slot len = replicas[g * kReplicas]->log().applied_len();
+          const Slot len = logs[g * kReplicas]->applied_len();
           for (std::size_t p = 1; p < kReplicas; ++p) {
-            if (replicas[g * kReplicas + p]->log().applied_len() != len) {
+            if (logs[g * kReplicas + p]->applied_len() != len) {
               return false;
             }
           }

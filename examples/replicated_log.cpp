@@ -5,7 +5,7 @@
 // consensus instance per slot. This example runs the new smr stack directly:
 // one core::PaxosEngine (Fast Paxos: 2-delay steady state) per replica over
 // a SINGLE shared transport — the engine's slot-tag namespace replaces the
-// old per-slot tag hand-allocation — and one smr::Replica per process that
+// old per-slot tag hand-allocation — and one smr::Log per process that
 // batches commands into slots and pipelines them through a 4-slot window.
 // Halfway through, the leader is killed: Ω's poke hands leadership to p2,
 // which re-proposes the open window and continues with its own queued
@@ -23,7 +23,7 @@
 #include "src/core/transport.hpp"
 #include "src/net/network.hpp"
 #include "src/sim/executor.hpp"
-#include "src/smr/replica.hpp"
+#include "src/smr/log.hpp"
 
 using namespace mnm;
 
@@ -68,39 +68,39 @@ int main() {
       exec, [&p1_alive](sim::Time) -> ProcessId { return p1_alive ? 1 : 2; },
       /*poke_complete=*/true);
 
-  // One engine + replica per process; each replica owns exactly ONE
-  // transport endpoint (tag 100) — the engine multiplexes every slot over it.
+  // One engine + log per process; each replica owns exactly ONE transport
+  // endpoint (tag 100) — the engine multiplexes every slot over it.
   core::PaxosConfig pc;
   pc.leader_terms = true;  // one phase 1 per leader: 2 delays a slot
-  smr::ReplicaConfig rc;
-  rc.batch = kBatch;
-  rc.log.window = kWindow;
+  smr::LogConfig lc;
+  lc.batch = kBatch;
+  lc.window = kWindow;
 
   std::vector<std::unique_ptr<core::NetTransport>> transports;
   std::vector<std::unique_ptr<core::PaxosEngine>> engines;
   std::vector<std::unique_ptr<KvStateMachine>> machines;
-  std::vector<std::unique_ptr<smr::Replica>> replicas;
+  std::vector<std::unique_ptr<smr::Log>> logs;
   for (ProcessId p : all_processes(kReplicas)) {
     transports.push_back(
         std::make_unique<core::NetTransport>(exec, network, p, /*tag=*/100));
     engines.push_back(std::make_unique<core::PaxosEngine>(
         exec, *transports.back(), omega, pc));
     machines.push_back(std::make_unique<KvStateMachine>());
-    replicas.push_back(std::make_unique<smr::Replica>(
-        exec, *engines.back(), omega, *machines.back(), rc));
+    logs.push_back(std::make_unique<smr::Log>(exec, *engines.back(), omega,
+                                              *machines.back(), lc));
     engines.back()->start();
-    replicas.back()->start();
+    logs.back()->start();
   }
 
   // Every replica submits its own workload; only the leader's commands
   // commit while it leads (followers' queues drain if they take over).
   for (ProcessId p : all_processes(kReplicas)) {
     for (std::size_t i = 0; i < kCommandsPerReplica; ++i) {
-      replicas[p - 1]->submit(
+      logs[p - 1]->submit(
           util::to_bytes("set key" + std::to_string(i) + " from-p" +
                          std::to_string(p)));
     }
-    replicas[p - 1]->flush();
+    logs[p - 1]->flush();
   }
 
   // Kill p1 once it has pipelined a few slots: undecided slots in its window
@@ -114,9 +114,8 @@ int main() {
 
   exec.run_until(
       [&] {
-        if (!replicas[1]->idle()) return false;  // p2: the post-crash leader
-        const Slot len = replicas[1]->log().applied_len();
-        return replicas[2]->log().applied_len() == len;
+        if (!logs[1]->idle()) return false;  // p2: the post-crash leader
+        return logs[2]->applied_len() == logs[1]->applied_len();
       },
       1000000);
 
@@ -129,21 +128,20 @@ int main() {
       continue;
     }
     std::printf("  p%u: %zu commands over %llu slots\n", p, log.size(),
-                static_cast<unsigned long long>(
-                    replicas[p - 1]->log().applied_len()));
+                static_cast<unsigned long long>(logs[p - 1]->applied_len()));
   }
   const bool logs_match = machines[1]->log == machines[2]->log;
 
   // p2's fold of every slot it applied: counts plus the latency samples of
   // the slots it proposed and won after taking over.
-  const smr::SlotStats& s2 = replicas[1]->log().stats();
+  const smr::SlotStats& s2 = logs[1]->stats();
   std::vector<sim::Time> commit = s2.won_latencies;
   std::sort(commit.begin(), commit.end());
   std::printf(
       "\np2 slot stats: cmds=%llu slots=%llu noop=%llu fast=%llu "
       "won=%zu commit p50=%llu p99=%llu last apply t=%llu\n",
       static_cast<unsigned long long>(s2.commands),
-      static_cast<unsigned long long>(replicas[1]->log().applied_len()),
+      static_cast<unsigned long long>(logs[1]->applied_len()),
       static_cast<unsigned long long>(s2.noop_slots),
       static_cast<unsigned long long>(s2.fast_slots), commit.size(),
       static_cast<unsigned long long>(smr::latency_percentile(commit, 50)),

@@ -139,52 +139,30 @@ CheapQuorum::CheapQuorum(sim::Executor& exec,
       signer_(signer),
       config_(config) {}
 
-swmr::ReplicatedRegister& CheapQuorum::leader_value_reg() {
-  const std::string name = regions_.ns + "cq/leader/value";
-  auto it = regs_.find(name);
-  if (it == regs_.end()) {
-    it = regs_
-             .emplace(name, std::make_unique<swmr::ReplicatedRegister>(
-                                *exec_, memories_, regions_.leader, name))
-             .first;
+swmr::ReplicatedRegister& CheapQuorum::reg(RegionId region,
+                                           const std::string& name) {
+  std::unique_ptr<swmr::ReplicatedRegister>& r = regs_[name];
+  if (r == nullptr) {
+    r = std::make_unique<swmr::ReplicatedRegister>(*exec_, memories_, region,
+                                                   name);
   }
-  return *it->second;
+  return *r;
+}
+
+swmr::ReplicatedRegister& CheapQuorum::leader_value_reg() {
+  return reg(regions_.leader, regions_.leader_value_name());
 }
 
 swmr::ReplicatedRegister& CheapQuorum::value_reg(ProcessId p) {
-  const std::string name = regions_.ns + "cq/p/" + std::to_string(p) + "/value";
-  auto it = regs_.find(name);
-  if (it == regs_.end()) {
-    it = regs_
-             .emplace(name, std::make_unique<swmr::ReplicatedRegister>(
-                                *exec_, memories_, regions_.per_process.at(p), name))
-             .first;
-  }
-  return *it->second;
+  return reg(regions_.per_process.at(p), regions_.process_prefix(p) + "value");
 }
 
 swmr::ReplicatedRegister& CheapQuorum::panic_reg(ProcessId p) {
-  const std::string name = regions_.ns + "cq/p/" + std::to_string(p) + "/panic";
-  auto it = regs_.find(name);
-  if (it == regs_.end()) {
-    it = regs_
-             .emplace(name, std::make_unique<swmr::ReplicatedRegister>(
-                                *exec_, memories_, regions_.per_process.at(p), name))
-             .first;
-  }
-  return *it->second;
+  return reg(regions_.per_process.at(p), regions_.process_prefix(p) + "panic");
 }
 
 swmr::ReplicatedRegister& CheapQuorum::proof_reg(ProcessId p) {
-  const std::string name = regions_.ns + "cq/p/" + std::to_string(p) + "/proof";
-  auto it = regs_.find(name);
-  if (it == regs_.end()) {
-    it = regs_
-             .emplace(name, std::make_unique<swmr::ReplicatedRegister>(
-                                *exec_, memories_, regions_.per_process.at(p), name))
-             .first;
-  }
-  return *it->second;
+  return reg(regions_.per_process.at(p), regions_.process_prefix(p) + "proof");
 }
 
 sim::Task<bool> CheapQuorum::anyone_panicked() {

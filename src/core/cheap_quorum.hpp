@@ -57,6 +57,15 @@ struct CheapQuorumRegions {
   std::map<ProcessId, RegionId> per_process;
   mem::ScopeId scope = mem::kDefaultScope;  // write scope of all of the above
   bool operator==(const CheapQuorumRegions&) const = default;
+
+  /// The names of the leader's region and of process p's region: every
+  /// register name starts with its region's.
+  std::string leader_prefix() const { return ns + "cq/leader/"; }
+  std::string process_prefix(ProcessId p) const {
+    return ns + "cq/p/" + std::to_string(p) + "/";
+  }
+  /// The register the leader writes its signed value to.
+  std::string leader_value_name() const { return leader_prefix() + "value"; }
 };
 
 /// Create Cheap Quorum's regions on one memory (identical order on every
@@ -69,19 +78,18 @@ CheapQuorumRegions make_cq_regions(MemoryT& memory, std::size_t n,
                                    std::string ns = "",
                                    mem::ScopeId scope = mem::kDefaultScope) {
   CheapQuorumRegions out{std::move(ns), leader, 0, {}, scope};
-  const std::string prefix = out.ns + "cq";
   const auto all = all_processes(n);
   // legalChange: only total write revocation is permitted (§4.2).
   const auto revoke_only = [](ProcessId, RegionId, const mem::Permission&,
                               const mem::Permission& proposed) {
     return proposed.write.empty() && proposed.read_write.empty();
   };
-  out.leader = memory.create_region({prefix + "/leader/"},
+  out.leader = memory.create_region({out.leader_prefix()},
                                     mem::Permission::swmr(leader, all),
                                     revoke_only, {}, scope);
   for (ProcessId p : all) {
     out.per_process[p] =
-        memory.create_region({prefix + "/p/" + std::to_string(p) + "/"},
+        memory.create_region({out.process_prefix(p)},
                              mem::Permission::swmr(p, all),
                              mem::static_permissions(), {}, scope);
   }
@@ -160,6 +168,8 @@ class CheapQuorum {
   swmr::ReplicatedRegister& panic_reg(ProcessId p);
   swmr::ReplicatedRegister& proof_reg(ProcessId p);
   swmr::ReplicatedRegister& leader_value_reg();
+  /// The register `name` in `region`, created on first use.
+  swmr::ReplicatedRegister& reg(RegionId region, const std::string& name);
 
   sim::Task<CqOutcome> follower_body(Bytes input, bool decide_allowed);
   sim::Task<CqOutcome> panic_mode(Bytes input);

@@ -21,11 +21,9 @@ swmr::ReplicatedRegister& NebSlots::slot(ProcessId owner, std::uint64_t k,
   std::unique_ptr<swmr::ReplicatedRegister>& entry =
       cache_[slot_key(owner, k, broadcaster)];
   if (entry == nullptr) {
-    const std::string name = regions_.ns + "neb/" + std::to_string(owner) +
-                             "/" + std::to_string(k) + "/" +
-                             std::to_string(broadcaster);
     entry = std::make_unique<swmr::ReplicatedRegister>(
-        *exec_, memories_, regions_.per_process.at(owner), name);
+        *exec_, memories_, regions_.per_process.at(owner),
+        regions_.slot_name(owner, k, broadcaster));
   }
   return *entry;
 }

@@ -52,6 +52,17 @@ struct NebRegions {
   std::map<ProcessId, RegionId> per_process;
   mem::ScopeId scope = mem::kDefaultScope;
   bool operator==(const NebRegions&) const = default;
+
+  /// The name of `owner`'s region, and of its register slot[owner, k,
+  /// broadcaster] inside it.
+  std::string owner_prefix(ProcessId owner) const {
+    return ns + "neb/" + std::to_string(owner) + "/";
+  }
+  std::string slot_name(ProcessId owner, std::uint64_t k,
+                        ProcessId broadcaster) const {
+    return owner_prefix(owner) + std::to_string(k) + "/" +
+           std::to_string(broadcaster);
+  }
 };
 
 /// Create the n SWMR regions ("<ns>neb/<p>/" owned by p) on one memory, in
@@ -65,7 +76,7 @@ NebRegions make_neb_regions(MemoryT& memory, std::size_t n,
   const auto all = all_processes(n);
   for (ProcessId p : all) {
     out.per_process[p] = memory.create_region(
-        {out.ns + "neb/" + std::to_string(p) + "/"},
+        {out.owner_prefix(p)},
         mem::Permission::swmr(p, all), mem::static_permissions(), {}, scope);
   }
   return out;

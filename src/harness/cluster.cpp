@@ -36,7 +36,7 @@
 #include "src/reconfig/table_view.hpp"
 #include "src/sim/executor.hpp"
 #include "src/sim/rng.hpp"
-#include "src/smr/replica.hpp"
+#include "src/smr/log.hpp"
 #include "src/util/serde.hpp"
 #include "src/verbs/verbs.hpp"
 
@@ -170,11 +170,11 @@ using EngineFactory =
     std::function<std::unique_ptr<core::ConsensusEngine>(ProcessId)>;
 
 /// One process's part of a consensus group. Declared engine → machine →
-/// replica, so it destroys the replica (which references both) first.
+/// log, so it destroys the log (which references both) first.
 struct Member {
   std::unique_ptr<core::ConsensusEngine> engine;
   std::unique_ptr<smr::StateMachine> machine;
-  std::unique_ptr<smr::Replica> replica;  // null on Byzantine processes
+  std::unique_ptr<smr::Log> log;  // null on Byzantine processes
 };
 
 /// One replicated consensus group. SMR mode runs one; KV mode runs its data
@@ -185,7 +185,7 @@ struct Group {
   /// prefixes the KV rows.
   std::string label;
   bool config = false;  // the KV config group (TableMachine replicas)
-  smr::ReplicaConfig rc;
+  smr::LogConfig log_config;
   EngineFactory make_engine;
   std::function<std::unique_ptr<smr::StateMachine>()> make_machine;
   /// Hands the router or migrator process p's current member (KV mode).
@@ -426,8 +426,7 @@ sim::Task<void> drive_decision(ProcessReport* row,
 sim::Task<void> byz_neb_equivocate(World* w, ProcessId p) {
   // Write a *different* validly-signed first message to each memory's copy
   // of our own NEB slot — the equivocation Algorithm 2 must suppress.
-  const std::string slot = w->neb0.ns + "neb/" + std::to_string(p) + "/1/" +
-                           std::to_string(p);
+  const std::string slot = w->neb0.slot_name(p, 1, p);
   for (std::size_t i = 0; i < w->memories.size(); ++i) {
     const Bytes msg = util::to_bytes("equivocation-" + std::to_string(i));
     const crypto::Signature sig =
@@ -447,7 +446,7 @@ sim::Task<void> byz_cq_leader_equivocate(World* w, ProcessId p) {
     const crypto::Signature sig =
         w->signers[p - 1].sign(core::cq_value_signing_bytes(v));
     (void)co_await w->memories[i]->write(p, w->cq0.leader,
-                                         w->cq0.ns + "cq/leader/value",
+                                         w->cq0.leader_value_name(),
                                          core::encode_leader_blob(v, sig));
   }
   co_return;
@@ -508,7 +507,7 @@ sim::Task<void> byz_forge_client_commands(World* w, ProcessId p,
       w->signers[p - 1].sign(core::cq_value_signing_bytes(payload));
   for (std::size_t i = 0; i < w->memories.size(); ++i) {
     (void)co_await w->memories[i]->write(
-        p, w->cq0.leader, w->cq0.ns + "cq/leader/value",
+        p, w->cq0.leader, w->cq0.leader_value_name(),
         core::encode_leader_blob(payload, blob_sig));
   }
   co_return;
@@ -516,8 +515,7 @@ sim::Task<void> byz_forge_client_commands(World* w, ProcessId p,
 
 sim::Task<void> byz_garbage(World* w, ProcessId p) {
   // Malformed NEB slot + junk on every message tag others listen on.
-  const std::string slot = w->neb0.ns + "neb/" + std::to_string(p) + "/1/" +
-                           std::to_string(p);
+  const std::string slot = w->neb0.slot_name(p, 1, p);
   for (std::size_t i = 0; i < w->memories.size(); ++i) {
     (void)co_await w->memories[i]->write(p, w->neb0.per_process.at(p), slot,
                                          util::to_bytes("\xde\xad\xbe\xef"));
@@ -603,7 +601,7 @@ void add_recovery_counters(RunReport& report, const smr::Log& log) {
 }
 
 // ---------------------------------------------------------------------------
-// Replicated modes: consensus groups of smr::Replica over the algorithm's
+// Replicated modes: consensus groups of smr::Log over the algorithm's
 // ConsensusEngine adapter. SMR mode runs one group of RecordingSm replicas.
 // KV mode runs `shards` data groups of kv::StateMachine replicas — message
 // traffic on a TransportMux sub per group (each with its own
@@ -634,16 +632,6 @@ void check_rejoin_support(const ClusterConfig& config, Slot snapshot_interval,
     throw std::invalid_argument(std::string("crash-and-rejoin needs ") + knob +
                                 " > 0 (peers must have a snapshot to serve)");
   }
-}
-
-/// The replica settings SmrConfig and KvConfig share.
-template <typename ModeConfig>
-smr::ReplicaConfig replica_config(const ModeConfig& mode) {
-  smr::ReplicaConfig rc;
-  rc.batch = mode.batch;
-  rc.log.window = mode.window;
-  rc.log.snapshot_interval = mode.snapshot_interval;
-  return rc;
 }
 
 /// Give process p a fresh base transport on message tag 100; KV mode puts
@@ -787,15 +775,15 @@ Group& add_group(World& w, std::string label, std::uint8_t tag,
   return w.groups.emplace_back(std::move(g));
 }
 
-/// Give every member a state machine and, on correct processes, a replica
+/// Give every member a state machine and, on correct processes, a log
 /// over it.
-void add_replicas(World& w, Group& g) {
+void add_logs(World& w, Group& g) {
   for (ProcessId p : all_processes(w.cfg.n)) {
     Member& m = g.members[p - 1];
     m.machine = g.make_machine();
     if (w.cfg.faults.is_byzantine(p)) continue;
-    m.replica = std::make_unique<smr::Replica>(w.exec, *m.engine, *w.omega,
-                                               *m.machine, g.rc);
+    m.log = std::make_unique<smr::Log>(w.exec, *m.engine, *w.omega,
+                                       *m.machine, g.log_config);
   }
 }
 
@@ -805,9 +793,9 @@ void add_replicas(World& w, Group& g) {
 /// brand-new transport. Volatile state is wiped by construction —
 /// everything the new incarnation knows arrives through snapshot + log
 /// catch-up from its peers — and each group's rebind hook hands the router
-/// or migrator the new replica, so client replies flow from it.
+/// or migrator the new log, so client replies flow from it.
 void rejoin_process(World& w, ProcessId p) {
-  for (Group& g : w.groups) g.members[p - 1].replica->log().halt();
+  for (Group& g : w.groups) g.members[p - 1].log->halt();
   w.transports[p - 1]->sever();
   World::Incarnation& dead = w.retired.emplace_back();
   dead.transport = std::move(w.transports[p - 1]);
@@ -823,15 +811,13 @@ void rejoin_process(World& w, ProcessId p) {
     Member& m = g.members[p - 1];
     m.engine = g.make_engine(p);
     m.machine = g.make_machine();
-    smr::ReplicaConfig rc = g.rc;
-    rc.log.recover = true;
-    m.replica = std::make_unique<smr::Replica>(w.exec, *m.engine, *w.omega,
-                                               *m.machine, rc);
+    m.log = std::make_unique<smr::Log>(w.exec, *m.engine, *w.omega,
+                                       *m.machine, g.log_config);
   }
   if (!w.muxes.empty()) w.muxes[p - 1]->start();
   for (Group& g : w.groups) {
     g.members[p - 1].engine->start();
-    g.members[p - 1].replica->start();
+    g.members[p - 1].log->start(/*recover=*/true);
     if (g.rebind) g.rebind(p);
   }
   // Leadership may now revert to this (lower-id) process; wake the waiters.
@@ -864,8 +850,7 @@ sim::Task<void> run_reconfig_plan(World* w, std::vector<ReconfigAction> plan) {
 /// KV mode's groups: data shard i on mux tag i in region namespace "g<i>/",
 /// then (under reconfiguration) the config group on the next tag in
 /// "cfg/", and the router, migrator and workload over them.
-void build_kv(World& w, smr::ReplicaConfig rc, std::size_t shards,
-              std::size_t data_groups) {
+void build_kv(World& w, std::size_t shards, std::size_t data_groups) {
   const KvConfig& kvc = w.cfg.kv;
   const bool reconfig = !kvc.reconfig.empty();
   const kv::ShardTable initial = kv::ShardTable::initial(shards);
@@ -873,7 +858,7 @@ void build_kv(World& w, smr::ReplicaConfig rc, std::size_t shards,
     Group& g = add_group(w, "g" + std::to_string(i),
                          static_cast<std::uint8_t>(i), kv::shard_ns(i),
                          /*byz_target=*/i == 0);
-    g.rc = rc;
+    g.log_config = kvc;
     // A fresh machine starts partitioned at the *initial* table: a peer's
     // snapshot (or the replayed admin ops, when no snapshot was cut yet)
     // carries a rejoiner to the current epoch's ownership.
@@ -886,7 +871,7 @@ void build_kv(World& w, smr::ReplicaConfig rc, std::size_t shards,
     };
     g.rebind = [&w, i](ProcessId p) {
       const Member& m = w.groups[i].members[p - 1];
-      w.kv_router->rebind(i, p, m.replica.get(),
+      w.kv_router->rebind(i, p, m.log.get(),
                           static_cast<kv::StateMachine*>(m.machine.get()));
     };
   }
@@ -897,8 +882,8 @@ void build_kv(World& w, smr::ReplicaConfig rc, std::size_t shards,
     Group& g = add_group(w, "cfg", static_cast<std::uint8_t>(data_groups),
                          kv::config_ns(), /*byz_target=*/false);
     g.config = true;
-    g.rc = rc;
-    g.rc.batch = 1;
+    g.log_config = kvc;
+    g.log_config.batch = 1;
     // The view drops replayed old epochs, so a rejoiner into a post-split
     // world installs the table without re-announcing flips.
     g.make_machine = [&w, initial] {
@@ -908,17 +893,17 @@ void build_kv(World& w, smr::ReplicaConfig rc, std::size_t shards,
     };
     g.rebind = [&w](ProcessId p) {
       const Member& m = w.groups.back().members[p - 1];
-      w.migrator->rebind_config(p, m.replica.get());
+      w.migrator->rebind_config(p, m.log.get());
     };
   }
-  for (Group& g : w.groups) add_replicas(w, g);
+  for (Group& g : w.groups) add_logs(w, g);
 
   std::vector<kv::ShardBackend> backends(data_groups);
   for (std::size_t i = 0; i < data_groups; ++i) {
     for (const Member& m : w.groups[i].members) {
-      backends[i].replicas.push_back(m.replica.get());
+      backends[i].logs.push_back(m.log.get());
       auto* machine = static_cast<kv::StateMachine*>(m.machine.get());
-      backends[i].machines.push_back(m.replica == nullptr ? nullptr : machine);
+      backends[i].machines.push_back(m.log == nullptr ? nullptr : machine);
     }
   }
   kv::RouterConfig router_cfg;
@@ -935,28 +920,13 @@ void build_kv(World& w, smr::ReplicaConfig rc, std::size_t shards,
   if (reconfig) {
     kv::ShardBackend cfg_backend;
     for (const Member& m : w.groups.back().members) {
-      cfg_backend.replicas.push_back(m.replica.get());
+      cfg_backend.logs.push_back(m.log.get());
     }
     w.migrator = std::make_unique<reconfig::Migrator>(
         w.exec, *w.omega, *w.table_view, std::move(cfg_backend), *w.kv_router);
   }
-  kv::WorkloadConfig wc;
-  wc.clients = kvc.clients;
-  wc.ops_per_client = kvc.ops_per_client;
-  wc.mix = kvc.mix;
-  wc.dist = kvc.dist;
-  wc.keys = kvc.keys;
-  wc.seed = w.cfg.seed;
-  wc.txn_fraction = kvc.txn_fraction;
-  wc.txn_accounts = kvc.txn_accounts;
-  wc.accounts = kvc.accounts;
-  wc.txn_zipf_theta = kvc.txn_zipf_theta;
-  wc.txn_crash_client = kvc.txn_crash_client;
-  wc.txn_crash_txn = kvc.txn_crash_txn;
-  wc.txn_crash_records = kvc.txn_crash_records;
-  wc.txn_crash_pause = kvc.txn_crash_pause;
-  wc.txn_crash_conflict = kvc.txn_crash_conflict;
-  w.kv_workload = std::make_unique<kv::Workload>(w.exec, *w.kv_router, wc);
+  w.kv_workload =
+      std::make_unique<kv::Workload>(w.exec, *w.kv_router, kvc, w.cfg.seed);
 }
 
 /// Whether group `g`'s engines need every correct replica to propose every
@@ -975,9 +945,9 @@ bool settled(const World& w, const Group& g) {
   std::optional<Slot> len;
   for (ProcessId p = 1; p <= static_cast<ProcessId>(w.cfg.n); ++p) {
     if (!w.correct(p)) continue;
-    const smr::Replica& r = *g.members[p - 1].replica;
-    const Slot applied = r.log().applied_len();
-    if ((all_propose && !r.idle()) || (len.has_value() && applied != *len)) {
+    const smr::Log& log = *g.members[p - 1].log;
+    const Slot applied = log.applied_len();
+    if ((all_propose && !log.idle()) || (len.has_value() && applied != *len)) {
       return false;
     }
     len = applied;
@@ -986,8 +956,8 @@ bool settled(const World& w, const Group& g) {
   const ProcessId leader = w.omega->leader();
   if (leader < 1 || leader > w.cfg.n || !w.correct(leader)) return false;
   const Member& lead = g.members[leader - 1];
-  return lead.replica->idle() &&
-         lead.engine->slot_horizon() <= lead.replica->log().applied_len();
+  return lead.log->idle() &&
+         lead.engine->slot_horizon() <= lead.log->applied_len();
 }
 
 /// Roll the correct replicas of every data group (SMR mode's one group, KV
@@ -1019,7 +989,7 @@ void roll_up_replicas(const World& w, RunReport& report) {
     sim::Time sampler_p50 = 0;
     for (ProcessId p = 1; p <= static_cast<ProcessId>(w.cfg.n); ++p) {
       if (!w.correct(p)) continue;
-      const smr::Log& log = g.members[p - 1].replica->log();
+      const smr::Log& log = *g.members[p - 1].log;
       const smr::SlotStats& s = log.stats();
       // A rejoiner's fold excludes the slots its snapshot install covered,
       // while a survivor's is exact: KV mode prefers a replica that never
@@ -1068,7 +1038,7 @@ void roll_up_replicas(const World& w, RunReport& report) {
   }
   for (const World::Incarnation& dead : w.retired) {
     for (const Member& m : dead.members) {
-      if (m.replica != nullptr) add_recovery_counters(report, m.replica->log());
+      if (m.log != nullptr) add_recovery_counters(report, *m.log);
     }
   }
 
@@ -1247,8 +1217,8 @@ void fill_rows(World& w, RunReport& report) {
       std::ostringstream os;
       for (const Group& g : w.groups) {
         const Member& m = g.members[row.id - 1];
-        const Slot slots = m.replica->log().applied_len();
-        const smr::SlotStats& stats = m.replica->log().stats();
+        const Slot slots = m.log->applied_len();
+        const smr::SlotStats& stats = m.log->stats();
         row.decided_at = std::max(row.decided_at, stats.last_apply_at);
         if (!g.config) row.decided = row.decided || slots > 0;
         if (w.cfg.kv.enabled) {
@@ -1301,26 +1271,26 @@ RunReport run_replicated(World& w) {
       kv ? "kv.snapshot_interval" : "smr.snapshot_interval");
 
   if (kv) {
-    build_kv(w, replica_config(config.kv), shards, data_groups);
+    build_kv(w, shards, data_groups);
   } else {
     Group& g = add_group(w, "", 0, "", /*byz_target=*/true);
-    g.rc = replica_config(config.smr);
+    g.log_config = config.smr;
     g.make_machine = [] { return std::make_unique<RecordingSm>(); };
-    add_replicas(w, g);
+    add_logs(w, g);
   }
 
   for (const auto& mux : w.muxes) mux->start();
   for (Group& g : w.groups) {
     for (ProcessId p : all_processes(config.n)) {
       Member& m = g.members[p - 1];
-      if (m.replica == nullptr) continue;
+      if (m.log == nullptr) continue;
       m.engine->start();
-      m.replica->start();
+      m.log->start();
       if (kv) continue;
       for (std::size_t i = 0; i < config.smr.commands; ++i) {
-        m.replica->submit(util::to_bytes(smr_command(p, i)));
+        m.log->submit(util::to_bytes(smr_command(p, i)));
       }
-      m.replica->flush();
+      m.log->flush();
     }
   }
   if (kv) {

@@ -30,6 +30,7 @@
 #include "src/kv/workload.hpp"
 #include "src/reconfig/change.hpp"
 #include "src/sim/time.hpp"
+#include "src/smr/log.hpp"
 
 namespace mnm::harness {
 
@@ -90,22 +91,16 @@ struct FaultPlan {
 };
 
 /// Multi-slot (state-machine replication) mode: instead of one consensus
-/// instance, every correct replica runs an smr::Replica over the chosen
-/// algorithm's core::ConsensusEngine adapter, submits `commands` commands
-/// (batched `batch` per slot, `window` slots in flight), and the run checks
-/// SMR invariants: identical applied logs, in-order apply, termination.
-/// Fault plans (crashes, Byzantine strategies) apply exactly as in
-/// single-shot mode; Byzantine region attacks target slot 0's regions.
-struct SmrConfig {
+/// instance, every correct replica runs an smr::Log with these settings
+/// over the chosen algorithm's core::ConsensusEngine adapter, submits
+/// `commands` commands, and the run checks SMR invariants: identical
+/// applied logs, in-order apply, termination. Crash-and-rejoin needs
+/// snapshot_interval > 0. Fault plans (crashes, Byzantine strategies) apply
+/// exactly as in single-shot mode; Byzantine region attacks target slot 0's
+/// regions.
+struct SmrConfig : smr::LogConfig {
   bool enabled = false;
   std::size_t commands = 32;  // workload submitted per correct replica
-  std::size_t batch = 4;      // commands packed per slot payload
-  std::size_t window = 8;     // max in-flight slots
-  /// Snapshot + log compaction cadence (smr::LogConfig::snapshot_interval):
-  /// every replica snapshots its state machine and truncates applied slots
-  /// every this-many applies, and serves snapshot + suffix catch-up to
-  /// rejoining peers. 0 = off (required > 0 for process_rejoins).
-  Slot snapshot_interval = 0;
 };
 
 /// One scheduled reconfiguration step (KV mode): at time `at`, propose
@@ -120,24 +115,19 @@ struct ReconfigAction {
 };
 
 /// Sharded-KV mode: the key space is hash-partitioned across `shards`
-/// independent consensus groups, each an smr::Replica group over the chosen
-/// algorithm's engine — per-shard TransportMux sub + slot-hub namespace for
-/// message traffic, per-shard "g<i>/"-prefixed slot regions on the shared
-/// memories — with a kv::Router providing client-visible exactly-once
-/// sessions and a kv::Workload driving `clients` closed-loop YCSB-style
-/// clients through it. Fault plans apply exactly as in the other modes
-/// (Byzantine region attacks target shard 0 / slot 0); the run checks
-/// per-shard store/session agreement, session validity, and termination.
-struct KvConfig {
+/// independent consensus groups, each a group of smr::Logs with the
+/// smr::LogConfig settings over the chosen algorithm's engine — per-shard
+/// TransportMux sub + slot-hub namespace for message traffic, per-shard
+/// "g<i>/"-prefixed slot regions on the shared memories — with a kv::Router
+/// providing client-visible exactly-once sessions and a kv::Workload with
+/// the kv::WorkloadConfig settings, seeded by ClusterConfig::seed, driving
+/// `clients` closed-loop YCSB-style clients through it. Fault plans apply
+/// exactly as in the other modes (Byzantine region attacks target shard 0 /
+/// slot 0); the run checks per-shard store/session agreement, session
+/// validity, and termination.
+struct KvConfig : smr::LogConfig, kv::WorkloadConfig {
   bool enabled = false;
   std::size_t shards = 2;
-  std::size_t clients = 8;
-  std::size_t ops_per_client = 16;
-  kv::Mix mix = kv::Mix::kA;
-  kv::KeyDist dist = kv::KeyDist::kUniform;
-  std::size_t keys = 64;      // key-space size
-  std::size_t batch = 4;      // commands packed per slot payload
-  std::size_t window = 8;     // max in-flight slots per shard
   /// Client reply deadline before a (dedup-covered) re-submission: the
   /// cold-start value with adaptive retry on, the fixed deadline otherwise.
   sim::Time retry_timeout = 64;
@@ -145,8 +135,6 @@ struct KvConfig {
   /// exponential backoff (kv::RouterConfig::adaptive_retry) instead of
   /// re-submitting on the fixed timeout above.
   bool adaptive_retry = true;
-  /// Per-shard snapshot + log compaction cadence (see SmrConfig).
-  Slot snapshot_interval = 0;
   /// Client-signed commands: every client (and the Migrator's admin
   /// session) signs each command under its own keystore identity, and
   /// every state machine verifies before the session lookup — forged
@@ -163,23 +151,6 @@ struct KvConfig {
   /// every group any action activates, so split targets exist (idle) from
   /// the start. Empty ⇒ static sharding.
   std::vector<ReconfigAction> reconfig;
-
-  /// Transactional mix (src/txn/, kv::WorkloadConfig txn knobs): > 0 runs
-  /// bank transfers over 2PC for that share of op slots; 0 keeps the plain
-  /// workload byte-identical. The crash knobs script one coordinator crash
-  /// + presumed-abort recovery mid-run.
-  double txn_fraction = 0.0;
-  std::size_t txn_accounts = 2;
-  std::size_t accounts = 64;
-  double txn_zipf_theta = 0.0;
-  kv::ClientId txn_crash_client = 0;  // 0 = no scripted crash
-  std::size_t txn_crash_txn = 1;
-  std::size_t txn_crash_records = 0;
-  sim::Time txn_crash_pause = 64;
-  /// Refuse the crash transaction's last prepare via a planted foreign
-  /// lock (kv::WorkloadConfig::txn_crash_conflict) — pins the abort-side
-  /// crash recovery.
-  bool txn_crash_conflict = false;
 };
 
 struct ClusterConfig {
@@ -224,6 +195,8 @@ struct ProcessReport {
 
   /// SMR mode: the commands this replica applied, in apply order.
   std::vector<std::string> log;
+
+  bool operator==(const ProcessReport&) const = default;
 };
 
 struct RunReport {
@@ -366,6 +339,8 @@ struct RunReport {
   std::vector<sim::Time> reconfig_flip_times;
 
   std::string summary() const;
+  /// Every field equal: what a same-seed rerun must reproduce.
+  bool operator==(const RunReport&) const = default;
 };
 
 /// Build and run `config`. Single-shot mode (neither smr nor kv enabled)

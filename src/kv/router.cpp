@@ -67,12 +67,12 @@ Bytes Router::encode_wire(const ClientSession& s, const Command& cmd,
   return encode_signed_command(body, sig);
 }
 
-void Router::rebind(std::size_t shard, ProcessId p, smr::Replica* replica,
+void Router::rebind(std::size_t shard, ProcessId p, smr::Log* log,
                     StateMachine* machine) {
   if (shard >= shards_.size()) return;
   ShardBackend& b = shards_[shard];
-  if (p < 1 || p > b.replicas.size()) return;
-  b.replicas[p - 1] = replica;
+  if (p < 1 || p > b.logs.size()) return;
+  b.logs[p - 1] = log;
   b.machines[p - 1] = machine;
   if (machine != nullptr) {
     machine->set_reply_sink(
@@ -137,30 +137,29 @@ void Router::deliver(ClientId client, std::uint64_t seq, const Reply& reply) {
   s.signal.bump();
 }
 
-smr::Replica* ShardBackend::leader(const core::Omega& omega) const {
+smr::Log* ShardBackend::leader(const core::Omega& omega) const {
   const ProcessId lead = omega.leader();
-  smr::Replica* r =
-      (lead >= 1 && lead <= replicas.size()) ? replicas[lead - 1] : nullptr;
-  if (r == nullptr) {
-    for (smr::Replica* cand : replicas) {
+  smr::Log* l = (lead >= 1 && lead <= logs.size()) ? logs[lead - 1] : nullptr;
+  if (l == nullptr) {
+    for (smr::Log* cand : logs) {
       if (cand != nullptr) {
-        r = cand;
+        l = cand;
         break;
       }
     }
   }
-  return r;
+  return l;
 }
 
 bool ShardBackend::submit(const core::Omega& omega, const Bytes& wire) const {
-  smr::Replica* lead = leader(omega);
+  smr::Log* lead = leader(omega);
   if (lead == nullptr) return false;
-  if (!lead->log().all_propose()) {
+  if (!lead->all_propose()) {
     lead->submit(wire);
     return true;
   }
-  for (smr::Replica* r : replicas) {
-    if (r != nullptr) r->submit(wire);
+  for (smr::Log* l : logs) {
+    if (l != nullptr) l->submit(wire);
   }
   return true;
 }
@@ -179,8 +178,8 @@ sim::Task<void> Router::flush_soon(Router* self, std::size_t shard) {
   // batch before it becomes a slot payload.
   co_await self->exec_->yield();
   self->flush_armed_[shard] = 0;
-  for (smr::Replica* r : self->shards_[shard].replicas) {
-    if (r != nullptr) r->flush();
+  for (smr::Log* l : self->shards_[shard].logs) {
+    if (l != nullptr) l->flush();
   }
 }
 

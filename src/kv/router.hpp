@@ -2,7 +2,7 @@
 //
 // One Router per cluster (clients are simulated actors, not processes): it
 // owns the client sessions, routes every operation to its key's shard, and
-// replicates it through that shard's smr::Replica group. Two submission
+// replicates it through that shard's group of smr::Logs. Two submission
 // modes per shard, matching the engine model:
 //
 //  * Leader-driven (crash-model engines): enqueue at the Ω-trusted
@@ -17,7 +17,7 @@
 //
 // Submissions batch per shard per tick: the first submit in an instant arms
 // a one-yield flush task, so every same-tick operation for a shard packs
-// into the same slot payload (up to the replica's batch size) — the closed-
+// into the same slot payload (up to the log's batch size) — the closed-
 // loop workload's natural batching.
 //
 // execute() is the exactly-once retry loop: submit, wait on the session's
@@ -70,7 +70,7 @@
 #include "src/sim/executor.hpp"
 #include "src/sim/sync.hpp"
 #include "src/sim/task.hpp"
-#include "src/smr/replica.hpp"
+#include "src/smr/log.hpp"
 
 namespace mnm::kv {
 
@@ -78,13 +78,13 @@ namespace mnm::kv {
 /// no machines here — indexed by process (index p - 1; nullptr for
 /// Byzantine processes, which run no correct replica).
 struct ShardBackend {
-  std::vector<smr::Replica*> replicas;
+  std::vector<smr::Log*> logs;
   std::vector<StateMachine*> machines;
 
-  /// Ω's output, else the first correct replica (Ω never outputs a
+  /// Ω's output, else the first correct replica's log (Ω never outputs a
   /// Byzantine process; the fallback covers scripted oracles naming a
   /// process without a replica); nullptr for a wholly faulty group.
-  smr::Replica* leader(const core::Omega& omega) const;
+  smr::Log* leader(const core::Omega& omega) const;
   /// Hand `wire` to the group the way its engine needs: every correct
   /// replica in the same tick under an all-propose engine (see above), else
   /// the leader. False when no replica took it.
@@ -155,18 +155,18 @@ class Router {
     return sessions_[client - 1].next_seq;
   }
 
-  /// The leader replica of a shard group (ShardBackend::leader) — the
-  /// Migrator drains range snapshots from here.
-  smr::Replica* leader_of(std::size_t shard) {
+  /// The leader log of a shard group (ShardBackend::leader) — the Migrator
+  /// drains range snapshots from here.
+  smr::Log* leader_of(std::size_t shard) {
     return shard < shards_.size() ? shards_[shard].leader(*omega_) : nullptr;
   }
 
   /// Crash-and-rejoin: point shard `shard`'s backend slot for process `p`
-  /// at a fresh replica incarnation (and wire its state machine's reply
-  /// sink). The old incarnation stops delivering replies the moment its
-  /// machine is unhooked from the backend — the caller keeps it alive but
-  /// quarantined. Either pointer may be nullptr (process gone for good).
-  void rebind(std::size_t shard, ProcessId p, smr::Replica* replica,
+  /// at a fresh replica incarnation's log (and wire its state machine's
+  /// reply sink). The old incarnation stops delivering replies the moment
+  /// its machine is unhooked from the backend — the caller keeps it alive
+  /// but quarantined. Either pointer may be nullptr (process gone for good).
+  void rebind(std::size_t shard, ProcessId p, smr::Log* log,
               StateMachine* machine);
 
   /// Client re-submissions issued after a reply deadline expired.

@@ -32,15 +32,6 @@ std::int64_t parse_balance(const Bytes& raw) {
 
 }  // namespace
 
-const char* mix_name(Mix mix) {
-  switch (mix) {
-    case Mix::kA: return "A (50/50)";
-    case Mix::kB: return "B (95/5)";
-    case Mix::kC: return "C (read-only)";
-  }
-  return "?";
-}
-
 double read_fraction(Mix mix) {
   switch (mix) {
     case Mix::kA: return 0.5;
@@ -78,7 +69,8 @@ std::size_t ZipfGenerator::next(sim::Rng& rng) {
   return idx >= n_ ? n_ - 1 : idx;
 }
 
-Workload::Workload(sim::Executor& exec, Router& router, WorkloadConfig config)
+Workload::Workload(sim::Executor& exec, Router& router, WorkloadConfig config,
+                   std::uint64_t seed)
     : exec_(&exec),
       router_(&router),
       config_(config),
@@ -107,7 +99,7 @@ Workload::Workload(sim::Executor& exec, Router& router, WorkloadConfig config)
       txn_zipf_.emplace(config_.accounts, config_.txn_zipf_theta);
     }
   }
-  sim::Rng root(config_.seed ^ 0x79C5B454ULL);
+  sim::Rng root(seed ^ 0x79C5B454ULL);
   clients_.resize(config_.clients);
   for (Client& c : clients_) {
     c.id = router_->register_client();

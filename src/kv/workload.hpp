@@ -52,7 +52,6 @@ namespace mnm::kv {
 enum class Mix : std::uint8_t { kA, kB, kC };
 enum class KeyDist : std::uint8_t { kUniform, kZipfian };
 
-const char* mix_name(Mix mix);
 /// Read share of the mix: 0.5 / 0.95 / 1.0.
 double read_fraction(Mix mix);
 
@@ -72,11 +71,10 @@ inline constexpr double kKeyZipfTheta = 0.99;
 
 struct WorkloadConfig {
   std::size_t clients = 8;
-  std::size_t ops_per_client = 32;
+  std::size_t ops_per_client = 16;
   Mix mix = Mix::kA;
   KeyDist dist = KeyDist::kUniform;
-  std::size_t keys = 128;  // key-space size
-  std::uint64_t seed = 1;
+  std::size_t keys = 64;  // key-space size
 
   // Transactional mix (see file comment). 0 keeps the plain workload
   // byte-identical — no extra rng draws, no txn state anywhere.
@@ -133,11 +131,12 @@ struct WorkloadStats {
 
 class Workload {
  public:
-  /// Registers `config.clients` sessions with the router. Throws
-  /// std::invalid_argument for an empty key space or, with transfers on,
-  /// for txn_accounts outside [2, accounts] or txn_zipf_theta outside
-  /// [0, 1).
-  Workload(sim::Executor& exec, Router& router, WorkloadConfig config);
+  /// Registers `config.clients` sessions with the router; every client's
+  /// operation stream derives from `seed`. Throws std::invalid_argument for
+  /// an empty key space or, with transfers on, for txn_accounts outside
+  /// [2, accounts] or txn_zipf_theta outside [0, 1).
+  Workload(sim::Executor& exec, Router& router, WorkloadConfig config,
+           std::uint64_t seed);
 
   /// Spawn every client loop. Call once, after the shard replicas started.
   void start();

@@ -18,17 +18,17 @@ Migrator::Migrator(sim::Executor& exec, core::Omega& omega, TableView& view,
   admin_client_ = router_->register_admin_client();
 }
 
-void Migrator::rebind_config(ProcessId p, smr::Replica* replica) {
-  if (p < 1 || p > config_group_.replicas.size()) return;
-  config_group_.replicas[p - 1] = replica;
+void Migrator::rebind_config(ProcessId p, smr::Log* log) {
+  if (p < 1 || p > config_group_.logs.size()) return;
+  config_group_.logs[p - 1] = log;
 }
 
 void Migrator::submit_config(const Bytes& wire) {
   config_group_.submit(*omega_, wire);
   // Config changes are rare: flush immediately, no batching to wait for
   // (flushing an empty open batch is a no-op).
-  for (smr::Replica* r : config_group_.replicas) {
-    if (r != nullptr) r->flush();
+  for (smr::Log* l : config_group_.logs) {
+    if (l != nullptr) l->flush();
   }
 }
 
@@ -112,9 +112,9 @@ sim::Task<void> Migrator::migrate(std::uint64_t epoch) {
   };
   Bytes snap_bytes;
   while (true) {
-    smr::Replica* source = router_->leader_of(c.src);
+    smr::Log* source = router_->leader_of(c.src);
     if (source != nullptr) {
-      snap_bytes = co_await source->log().fetch_range(spec_bytes, valid);
+      snap_bytes = co_await source->fetch_range(spec_bytes, valid);
       if (!snap_bytes.empty()) break;
       // Empty ⇒ the picked replica halted mid-fetch (crash plan): let Ω
       // move, then re-pick.

@@ -50,7 +50,7 @@
 #include "src/reconfig/table_view.hpp"
 #include "src/sim/executor.hpp"
 #include "src/sim/task.hpp"
-#include "src/smr/replica.hpp"
+#include "src/smr/log.hpp"
 
 namespace mnm::reconfig {
 
@@ -63,8 +63,8 @@ inline constexpr sim::Time kDrainRetry = 64;
 
 class Migrator {
  public:
-  /// `config_group` is the config group's backend: its replicas, indexed
-  /// by process (nullptr for processes without a correct replica), and no
+  /// `config_group` is the config group's backend: its logs, indexed by
+  /// process (nullptr for processes without a correct replica), and no
   /// machines. Registers its own admin session with the router.
   Migrator(sim::Executor& exec, core::Omega& omega, TableView& view,
            kv::ShardBackend config_group, kv::Router& router);
@@ -79,8 +79,8 @@ class Migrator {
                              std::uint32_t dst);
 
   /// Crash-and-rejoin support: point the config backend's slot for process
-  /// `p` at a fresh replica incarnation (mirrors kv::Router::rebind).
-  void rebind_config(ProcessId p, smr::Replica* replica);
+  /// `p` at a fresh replica incarnation's log (mirrors kv::Router::rebind).
+  void rebind_config(ProcessId p, smr::Log* log);
 
   /// Fully migrated changes.
   std::uint64_t migrations() const { return migrations_; }

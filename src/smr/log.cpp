@@ -35,6 +35,13 @@ std::vector<Bytes> decode_batch(util::ByteView raw) {
   }
 }
 
+sim::Time latency_percentile(const std::vector<sim::Time>& sorted, double p) {
+  if (sorted.empty()) return 0;
+  const std::size_t idx = static_cast<std::size_t>(
+      static_cast<double>(sorted.size() - 1) * p / 100.0);
+  return sorted[idx];
+}
+
 Log::Log(sim::Executor& exec, core::ConsensusEngine& engine, core::Omega& omega,
          StateMachine& sm, LogConfig config)
     : exec_(&exec),
@@ -47,12 +54,13 @@ Log::Log(sim::Executor& exec, core::ConsensusEngine& engine, core::Omega& omega,
       applied_signal_(exec),
       recovering_signal_(exec),
       response_signal_(exec) {
-  // Validation rule (see LogConfig): a window of 0 silently stalled the
-  // pump; clamp rather than assert so Release builds behave identically.
+  // Validation rule (see kMaxWindow): clamp rather than assert so Release
+  // builds behave identically.
   config_.window = std::clamp<std::size_t>(config_.window, 1, kMaxWindow);
+  config_.batch = std::clamp<std::size_t>(config_.batch, 1, kMaxWindow);
 }
 
-void Log::start() {
+void Log::start(bool recover) {
   assert(!started_ && "smr::Log::start called twice");
   started_ = true;
   exec_->spawn(apply_loop());
@@ -62,7 +70,7 @@ void Log::start() {
   // to ask. Memory-routed Byzantine engines have neither.
   core::Transport* ctl = engine_->control_transport();
   const bool serve = config_.snapshot_interval > 0 && ctl != nullptr;
-  recovering_ = config_.recover && ctl != nullptr;
+  recovering_ = recover && ctl != nullptr;
   if (serve || recovering_) exec_->spawn(control_loop());
   if (recovering_) exec_->spawn(catchup_driver());
 }
@@ -80,9 +88,15 @@ void Log::halt() {
   response_signal_.bump();
 }
 
-void Log::enqueue_commands(std::vector<Bytes> commands) {
-  if (commands.empty()) return;
-  pending_.push_back(Pending{encode_batch(commands), exec_->now()});
+void Log::submit(Bytes command) {
+  open_batch_.push_back(std::move(command));
+  if (open_batch_.size() >= config_.batch) flush();
+}
+
+void Log::flush() {
+  if (open_batch_.empty()) return;
+  pending_.push_back(Pending{encode_batch(open_batch_), exec_->now()});
+  open_batch_.clear();
   pending_signal_.bump();
 }
 

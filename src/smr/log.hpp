@@ -7,6 +7,11 @@
 // they commit in. One Log per replica; all replicas of a cluster share one
 // engine *kind* over one transport/memory set.
 //
+// submit(cmd) batches commands into groups of up to `batch` per slot (the
+// amortization every log replication system leans on: one consensus round
+// commits many commands); each flush queues the open group as one slot
+// payload.
+//
 // Two proposal modes:
 //
 //  * Leader-driven (default, crash-model engines): only the Ω-trusted
@@ -86,9 +91,9 @@ Bytes encode_batch(const std::vector<Bytes>& commands);
 std::vector<Bytes> decode_batch(util::ByteView raw);
 
 /// Validation rule (applied at Log construction, documented once here):
-/// `window` is clamped into [1, kMaxWindow] — a window of 0 can make no
-/// progress and silently stalled before this rule existed. A window wider
-/// than the queued work is simply never filled.
+/// `window` and `batch` are clamped into [1, kMaxWindow] — a window of 0
+/// can make no progress, and a batch of 0 never flushes on its own. A
+/// window wider than the queued work is simply never filled.
 inline constexpr std::size_t kMaxWindow = 1 << 16;
 
 /// The cap on a silent catch-up round, in executor time: a round ends at
@@ -97,6 +102,8 @@ inline constexpr std::size_t kMaxWindow = 1 << 16;
 inline constexpr sim::Time kCatchupTimeout = 8;
 
 struct LogConfig {
+  /// Max commands packed into one slot payload.
+  std::size_t batch = 4;
   /// Max slots between the first unapplied slot and the newest assignment.
   /// The engine's slots retire a window behind the applied prefix.
   std::size_t window = 8;
@@ -107,13 +114,12 @@ struct LogConfig {
   /// peers over the engine's control transport. Installing a peer's
   /// snapshot retires the engine's slots below it.
   Slot snapshot_interval = 0;
-  /// Start in recovery: hold fresh proposals and catch up from a peer's
-  /// snapshot + log suffix first (requires an engine with a control
-  /// transport). The hold lifts at the first answered round whose answers
-  /// were complete and left no decision stashed, or after four silent
-  /// rounds. The rejoin path of a restarted replica.
-  bool recover = false;
 };
+
+/// Index-based percentile over a latency list sorted ascending (p in
+/// 0..100, fractional percentiles like 99.9 included; zero when empty).
+/// The single definition every harness percentile uses.
+sim::Time latency_percentile(const std::vector<sim::Time>& sorted, double p);
 
 /// Every slot this replica applied from a decision, folded once at apply.
 /// Slots installed by catch-up carry no decision metadata and fold nothing.
@@ -145,21 +151,28 @@ class Log {
       StateMachine& sm, LogConfig config);
 
   /// Spawn the apply loop and the proposal pump. Call exactly once, after
-  /// engine.start().
-  void start();
+  /// engine.start(). With `recover`, hold fresh proposals and catch up from
+  /// a peer's snapshot + log suffix first (requires an engine with a
+  /// control transport). The hold lifts at the first answered round whose
+  /// answers were complete and left no decision stashed, or after four
+  /// silent rounds. The rejoin path of a restarted replica.
+  void start(bool recover = false);
 
-  /// Queue a group of raw commands for one slot; it is encoded here, once,
-  /// into the slot payload every proposal of it carries.
-  void enqueue_commands(std::vector<Bytes> commands);
+  /// Add a command to the open batch; a full batch flushes itself.
+  void submit(Bytes command);
+  /// Queue the open batch, if any, as one slot's group. It is encoded here,
+  /// once, into the slot payload every proposal of it carries.
+  void flush();
 
   /// Every correct replica proposes every slot: the engine's all_propose().
   bool all_propose() const { return engine_->all_propose(); }
   /// Slots applied to the state machine (the contiguous prefix).
   Slot applied_len() const { return applied_len_; }
-  /// Nothing queued, nothing decided-but-unapplied, every slot this replica
-  /// proposed is applied.
-  bool quiescent() const {
-    return pending_.empty() && stash_.empty() && applied_len_ >= next_slot_;
+  /// No open batch, nothing queued, nothing decided-but-unapplied, every
+  /// slot this replica proposed is applied.
+  bool idle() const {
+    return open_batch_.empty() && pending_.empty() && stash_.empty() &&
+           applied_len_ >= next_slot_;
   }
   /// The fold of every slot applied so far; compaction does not touch it.
   const SlotStats& stats() const { return stats_; }
@@ -252,6 +265,7 @@ class Log {
   StateMachine* sm_;
   LogConfig config_;
 
+  std::vector<Bytes> open_batch_;
   std::deque<Pending> pending_;
   sim::VersionSignal pending_signal_;
   std::map<Slot, core::Decision> stash_;  // decided, awaiting in-order apply

@@ -16,138 +16,16 @@
 namespace mnm::harness {
 namespace {
 
-/// Everything observable a run produces, flattened for equality checks.
-struct Fingerprint {
-  std::vector<ProcessId> ids;
-  std::vector<bool> decided;
-  std::vector<std::string> decisions;
-  std::vector<sim::Time> decided_at;
-  std::optional<std::string> value;
-  sim::Time first_delay = 0;
-  std::uint64_t msgs = 0, reads = 0, writes = 0, perms = 0, sigs = 0, verifs = 0;
-  // Executor events: the whole schedule's length, so a run that replays the
-  // same outcomes through a different event sequence cannot fingerprint
-  // equal.
-  std::uint64_t events = 0;
-  // SMR mode: applied logs (in `decisions`, joined) plus the multi-slot
-  // metrics, so a reordered pipeline cannot hide behind equal counts.
-  Slot slots = 0;
-  std::uint64_t cmds = 0;
-  sim::Time p50 = 0, p99 = 0, p999 = 0;
-  // Queue-wait percentiles and the integer occupancy sums: a pipeline whose
-  // proposal scheduling drifted cannot hide behind equal commit times.
-  sim::Time qw50 = 0, qw99 = 0;
-  std::uint64_t occ_slots = 0, occ_limit = 0;
-  // KV mode: per-shard effective op counts, the combined store/session
-  // hash, client-visible latency percentiles, and the retry/dedup counters
-  // — a sharded run whose partitioning, dedup decisions or reply timing
-  // drifted cannot fingerprint equal.
-  std::uint64_t kv_ops = 0, kv_retries = 0, kv_dups = 0, kv_forged = 0,
-                kv_hash = 0;
-  std::vector<std::uint64_t> kv_shard_ops;
-  sim::Time kv_p50 = 0, kv_p99 = 0, kv_p999 = 0;
-  // Reconfiguration: the decided epoch history and the migration traffic it
-  // carried — the exact simulated times the routing table flipped, the
-  // pairs each INSTALL moved, every WrongEpoch bounce a client absorbed. A
-  // resharding run whose seal/drain/install interleaving drifted cannot
-  // fingerprint equal. All zero/empty for static (no-plan) runs.
-  std::uint64_t rc_epoch = 0, rc_migrations = 0, rc_keys_moved = 0,
-                rc_proposals = 0, rc_bounces = 0;
-  std::vector<sim::Time> rc_flips;
-  // Recovery: snapshot cadence, compaction and catch-up accounting, plus the
-  // rejoin timestamps — a crash-and-rejoin run whose recovery trajectory
-  // (when snapshots were cut, how many slots were truncated, how many bytes
-  // the rejoiner fetched) drifted cannot fingerprint equal.
-  std::uint64_t snaps_taken = 0, snaps_installed = 0, truncated = 0,
-                catchup_bytes = 0;
-  std::vector<sim::Time> rejoined_at;
-  // Transactions: commit/abort/conflict/recovery counts, the conserved
-  // balance sum, residual locks (the lock-table *contents* fold into
-  // kv_hash), and committed-transfer latency percentiles — a transactional
-  // run whose 2PC interleaving, no-wait conflict outcomes or crash-recovery
-  // replay drifted cannot fingerprint equal. All zero for plain runs.
-  std::uint64_t txns = 0, txn_commits = 0, txn_aborts = 0, txn_conflicts = 0,
-                txn_recoveries = 0, txn_locks = 0;
-  std::int64_t txn_balance = 0;
-  sim::Time txn_p50 = 0, txn_p999 = 0;
-  // Byzantine wire path: t-send suffix-decode accounting. Pinning these says
-  // the decode-cost optimization is itself deterministic — the same seed
-  // skips the same prefixes — without perturbing the (time, seq) schedule
-  // the fields above capture.
-  std::uint64_t tsend_deliveries = 0, entries_decoded = 0, entries_skipped = 0;
-
-  bool operator==(const Fingerprint&) const = default;
-};
-
-Fingerprint fingerprint(const RunReport& r) {
-  Fingerprint f;
-  for (const auto& p : r.processes) {
-    f.ids.push_back(p.id);
-    f.decided.push_back(p.decided);
-    f.decisions.push_back(p.decision);
-    f.decided_at.push_back(p.decided_at);
-    f.rejoined_at.push_back(p.rejoined_at);
-  }
-  f.value = r.decided_value;
-  f.first_delay = r.first_decision_delay;
-  f.msgs = r.messages_sent;
-  f.reads = r.mem_reads;
-  f.writes = r.mem_writes;
-  f.perms = r.permission_changes;
-  f.sigs = r.signatures;
-  f.verifs = r.verifications;
-  f.events = r.events;
-  f.slots = r.slots_applied;
-  f.cmds = r.commands_applied;
-  f.p50 = r.commit_p50;
-  f.p99 = r.commit_p99;
-  f.p999 = r.commit_p999;
-  f.qw50 = r.queue_wait_p50;
-  f.qw99 = r.queue_wait_p99;
-  f.occ_slots = r.occupancy_slots;
-  f.occ_limit = r.occupancy_limit;
-  f.kv_ops = r.kv_ops;
-  f.kv_retries = r.kv_retries;
-  f.kv_dups = r.kv_duplicates;
-  f.kv_forged = r.kv_forged;
-  f.kv_hash = r.kv_store_hash;
-  f.kv_shard_ops = r.kv_shard_ops;
-  f.kv_p50 = r.kv_op_p50;
-  f.kv_p99 = r.kv_op_p99;
-  f.kv_p999 = r.kv_op_p999;
-  f.rc_epoch = r.reconfig_epoch;
-  f.rc_migrations = r.reconfig_migrations;
-  f.rc_keys_moved = r.reconfig_keys_moved;
-  f.rc_proposals = r.reconfig_proposals;
-  f.rc_bounces = r.reconfig_bounces;
-  f.rc_flips = r.reconfig_flip_times;
-  f.snaps_taken = r.snapshots_taken;
-  f.snaps_installed = r.snapshots_installed;
-  f.truncated = r.slots_truncated;
-  f.catchup_bytes = r.catchup_bytes;
-  f.txns = r.kv_txns;
-  f.txn_commits = r.kv_txn_commits;
-  f.txn_aborts = r.kv_txn_aborts;
-  f.txn_conflicts = r.kv_txn_conflicts;
-  f.txn_recoveries = r.kv_txn_recoveries;
-  f.txn_locks = r.kv_locks_held;
-  f.txn_balance = r.kv_txn_balance;
-  f.txn_p50 = r.kv_txn_commit_p50;
-  f.txn_p999 = r.kv_txn_commit_p999;
-  f.tsend_deliveries = r.tsend_deliveries;
-  f.entries_decoded = r.history_entries_decoded;
-  f.entries_skipped = r.history_entries_skipped;
-  return f;
-}
-
+/// Run `cfg` twice: the reports must be equal field for field, every
+/// per-process row included.
 void expect_deterministic(ClusterConfig cfg, bool check_ok = true) {
   const RunReport a = run_cluster(cfg);
   const RunReport b = run_cluster(cfg);
   if (check_ok) {
     EXPECT_TRUE(a.all_ok()) << a.summary();
   }
-  EXPECT_EQ(fingerprint(a), fingerprint(b))
-      << "run 1: " << a.summary() << "\nrun 2: " << b.summary();
+  EXPECT_TRUE(a == b) << "run 1: " << a.summary()
+                     << "\nrun 2: " << b.summary();
 }
 
 TEST(Determinism, FastPaxosSameSeedSameRun) {
@@ -836,7 +714,7 @@ TEST(Determinism, SeedSweepIsReproducible) {
     c.seed = seed;
     const RunReport a = run_cluster(c);
     const RunReport b = run_cluster(c);
-    EXPECT_EQ(fingerprint(a), fingerprint(b)) << "seed " << seed;
+    EXPECT_TRUE(a == b) << "seed " << seed;
   }
 }
 

@@ -594,7 +594,7 @@ TEST(KvRouter, RetryDeadlineSaturatesInsteadOfOverflowing) {
   sim::Executor exec;
   core::Omega omega = core::Omega::fixed(exec, 1);
   std::vector<ShardBackend> backends(1);
-  backends[0].replicas = {nullptr};
+  backends[0].logs = {nullptr};
   backends[0].machines = {nullptr};
   RouterConfig rc;
   rc.retry_timeout = 1;
@@ -618,7 +618,7 @@ void make_workload(const WorkloadConfig& wc) {
   core::Omega omega = core::Omega::fixed(exec, 1);
   std::vector<ShardBackend> backends(1);
   Router router(exec, omega, ShardMap(1), std::move(backends), RouterConfig{});
-  Workload workload(exec, router, wc);
+  Workload workload(exec, router, wc, /*seed=*/1);
 }
 
 WorkloadConfig transfers() {

@@ -510,36 +510,45 @@ TEST(ReconfigCluster, RejoinedSourceDrainsFromItsOwnMachine) {
   // rejoins at 55. Ω trusts p1 again once it is back, so the second drain
   // runs on a replica that is still catching up: the fetch waits for its
   // own machine to apply the seal, and no drain traffic crosses the wire.
-  ClusterConfig c;
-  c.algo = Algorithm::kFastPaxos;
-  c.n = 3;
-  c.m = 0;
-  c.seed = 3;
-  c.kv.enabled = true;
-  c.kv.shards = 1;
-  c.kv.clients = 32;
-  c.kv.ops_per_client = 8;
-  c.kv.keys = 128;
-  c.kv.window = 4;
-  c.kv.batch = 4;
-  c.kv.retry_timeout = 24;
-  c.kv.snapshot_interval = 8;
-  c.kv.reconfig = {{40, ChangeKind::kSplit, 0, 1},
-                   {40, ChangeKind::kSplit, 0, 2}};
-  c.faults.process_crashes[1] = 30;
-  c.faults.process_rejoins[1] = 55;
-  const RunReport r = run_cluster(c);
-  ASSERT_TRUE(r.all_ok()) << r.summary();
-  EXPECT_EQ(r.reconfig_migrations, 2u) << r.summary();
-  EXPECT_EQ(r.kv_ops, 256u) << r.summary();
-  EXPECT_DOUBLE_EQ(r.kv_ops_per_kdelay, 6400.0) << r.summary();
-  EXPECT_EQ(r.kv_op_p50, 4u) << r.summary();
-  EXPECT_EQ(r.kv_op_p999, 12u) << r.summary();
-  EXPECT_EQ(r.reconfig_flip_times, (std::vector<sim::Time>{44, 54}));
-  EXPECT_EQ(r.reconfig_keys_moved, 57u) << r.summary();
-  EXPECT_EQ(r.kv_store_hash, 14913968946520843105ull) << r.summary();
-  EXPECT_EQ(r.messages_sent, 630u) << r.summary();
-  EXPECT_EQ(r.commit_p999, 4u) << r.summary();
+  // Signed, the rejoined machines must also accept the Migrator's admin
+  // session: the Router replays its allow-list onto every rebound machine,
+  // and without that replay the seal or install on p1 counts as forged and
+  // p1's store forks from its peers'.
+  for (const bool signed_commands : {false, true}) {
+    SCOPED_TRACE(signed_commands ? "signed" : "unsigned");
+    ClusterConfig c;
+    c.algo = Algorithm::kFastPaxos;
+    c.n = 3;
+    c.m = 0;
+    c.seed = 3;
+    c.kv.enabled = true;
+    c.kv.shards = 1;
+    c.kv.clients = 32;
+    c.kv.ops_per_client = 8;
+    c.kv.keys = 128;
+    c.kv.window = 4;
+    c.kv.batch = 4;
+    c.kv.retry_timeout = 24;
+    c.kv.snapshot_interval = 8;
+    c.kv.sign_commands = signed_commands;
+    c.kv.reconfig = {{40, ChangeKind::kSplit, 0, 1},
+                     {40, ChangeKind::kSplit, 0, 2}};
+    c.faults.process_crashes[1] = 30;
+    c.faults.process_rejoins[1] = 55;
+    const RunReport r = run_cluster(c);
+    ASSERT_TRUE(r.all_ok()) << r.summary();
+    EXPECT_EQ(r.kv_forged, 0u) << r.summary();
+    EXPECT_EQ(r.reconfig_migrations, 2u) << r.summary();
+    EXPECT_EQ(r.kv_ops, 256u) << r.summary();
+    EXPECT_DOUBLE_EQ(r.kv_ops_per_kdelay, 6400.0) << r.summary();
+    EXPECT_EQ(r.kv_op_p50, 4u) << r.summary();
+    EXPECT_EQ(r.kv_op_p999, 12u) << r.summary();
+    EXPECT_EQ(r.reconfig_flip_times, (std::vector<sim::Time>{44, 54}));
+    EXPECT_EQ(r.reconfig_keys_moved, 57u) << r.summary();
+    EXPECT_EQ(r.kv_store_hash, 14913968946520843105ull) << r.summary();
+    EXPECT_EQ(r.messages_sent, 630u) << r.summary();
+    EXPECT_EQ(r.commit_p999, 4u) << r.summary();
+  }
 }
 
 /// The resharding plans' config: Fast Paxos, n = 3, 64 clients × 8 ops,

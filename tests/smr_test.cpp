@@ -1,4 +1,4 @@
-// smr::Log / smr::Replica: pipelined replication invariants.
+// smr::Log: pipelined replication invariants.
 //
 // Unit level: the Log's in-order apply over a scripted engine that decides
 // slots out of order (the engine API makes the Log testable without any
@@ -24,7 +24,7 @@
 #include "src/kv/workload.hpp"
 #include "src/net/network.hpp"
 #include "src/sim/executor.hpp"
-#include "src/smr/replica.hpp"
+#include "src/smr/log.hpp"
 #include "src/util/serde.hpp"
 
 namespace mnm {
@@ -178,7 +178,8 @@ TEST(SmrLog, ProposerRecordsStayWithinTheWindow) {
   smr::Log leader(exec, engine, omega, sm, lc);
   leader.start();
   for (Slot s = 0; s < kSlots; ++s) {
-    leader.enqueue_commands({to_bytes("c" + std::to_string(s))});
+    leader.submit(to_bytes("c" + std::to_string(s)));
+    leader.flush();
   }
 
   core::Omega elsewhere = core::Omega::fixed(exec, 2);
@@ -196,7 +197,7 @@ TEST(SmrLog, ProposerRecordsStayWithinTheWindow) {
       [&] {
         most_held = std::max(most_held, leader.launches_held());
         follower_held = std::max(follower_held, follower.launches_held());
-        return leader.quiescent() && follower.applied_len() == kSlots;
+        return leader.idle() && follower.applied_len() == kSlots;
       },
       1'000'000);
   ASSERT_EQ(leader.applied_len(), kSlots);
@@ -230,9 +231,10 @@ TEST(SmrLog, WonSampleFoldsOnceWhicheverOfApplyAndWinComesFirst) {
     smr::Log log(exec, engine, omega, sm, lc);
     log.start();
     for (int i = 0; i < 16; ++i) {
-      log.enqueue_commands({to_bytes("c" + std::to_string(i))});
+      log.submit(to_bytes("c" + std::to_string(i)));
+      log.flush();
     }
-    exec.run_until([&] { return log.quiescent(); }, 1'000'000);
+    exec.run_until([&] { return log.idle(); }, 1'000'000);
     exec.run();  // let late proposals return
     EXPECT_EQ(log.applied_len(), 16u);
     return log.stats();
@@ -256,9 +258,12 @@ TEST(SmrLog, LostGroupRequeuesAtTheFrontWithIdenticalBytes) {
   lc.window = 1;
   smr::Log log(exec, engine, omega, sm, lc);
   log.start();
-  log.enqueue_commands({to_bytes("a1"), to_bytes("a2")});
-  log.enqueue_commands({to_bytes("b")});
-  exec.run_until([&] { return log.quiescent(); }, 1000);
+  log.submit(to_bytes("a1"));
+  log.submit(to_bytes("a2"));
+  log.flush();
+  log.submit(to_bytes("b"));
+  log.flush();
+  exec.run_until([&] { return log.idle(); }, 1000);
 
   const Bytes group = smr::encode_batch({to_bytes("a1"), to_bytes("a2")});
   const Bytes later = smr::encode_batch({to_bytes("b")});
@@ -499,10 +504,11 @@ TEST(SmrLogRecovery, CompactionIsInvisibleToReplicaStats) {
     smr::Log log(exec, engine, omega, sm, lc);
     log.start();
     for (int i = 0; i < 13; ++i) {
-      log.enqueue_commands({to_bytes("x" + std::to_string(i)),
-                            to_bytes("y" + std::to_string(i))});
+      log.submit(to_bytes("x" + std::to_string(i)));
+      log.submit(to_bytes("y" + std::to_string(i)));
+      log.flush();
     }
-    exec.run_until([&] { return log.quiescent(); }, 1000);
+    exec.run_until([&] { return log.idle(); }, 1000);
     EXPECT_EQ(log.applied_len(), 13u);
     EXPECT_EQ(log.slots_truncated(), interval == 0 ? 0u : 10u);
     return log.stats();
@@ -560,12 +566,11 @@ struct RecoveringLog {
         peers(exec),
         log(exec, engine, omega, sm, config()) {
     engine.control = &peers;
-    log.start();
+    log.start(/*recover=*/true);
   }
   static smr::LogConfig config() {
     smr::LogConfig lc;
     lc.snapshot_interval = 4;
-    lc.recover = true;
     return lc;
   }
 
@@ -987,9 +992,9 @@ struct ChurnCluster {
         omega(exec, [this](sim::Time t) { return leader(t); }, true) {
     core::PaxosConfig pc;
     pc.leader_terms = fast;
-    smr::ReplicaConfig rc;
-    rc.batch = 2;
-    rc.log.window = 4;
+    smr::LogConfig lc;
+    lc.batch = 2;
+    lc.window = 4;
     for (ProcessId p : all_processes(kN)) {
       transports.push_back(
           std::make_unique<core::NetTransport>(exec, network, p, /*tag=*/100));
@@ -1010,8 +1015,8 @@ struct ChurnCluster {
         } else {
           machines.push_back(std::make_unique<RecordingSm>());
         }
-        replicas.push_back(std::make_unique<smr::Replica>(
-            exec, *engines.back(), omega, *machines.back(), rc));
+        logs.push_back(std::make_unique<smr::Log>(
+            exec, *engines.back(), omega, *machines.back(), lc));
       }
     }
     // Every change of Ω's output is poked, as the harness does at faults.
@@ -1022,8 +1027,8 @@ struct ChurnCluster {
     }
     if (kv) {
       std::vector<kv::ShardBackend> backends(groups);
-      for (std::size_t i = 0; i < replicas.size(); ++i) {
-        backends[i / kN].replicas.push_back(replicas[i].get());
+      for (std::size_t i = 0; i < logs.size(); ++i) {
+        backends[i / kN].logs.push_back(logs[i].get());
         backends[i / kN].machines.push_back(
             static_cast<kv::StateMachine*>(machines[i].get()));
       }
@@ -1034,12 +1039,11 @@ struct ChurnCluster {
       wc.clients = 6;
       wc.ops_per_client = 12;
       wc.keys = 32;
-      wc.seed = seed;
-      workload = std::make_unique<kv::Workload>(exec, *router, wc);
+      workload = std::make_unique<kv::Workload>(exec, *router, wc, seed);
     }
     for (auto& m : muxes) m->start();
     for (auto& e : engines) e->start();
-    for (auto& r : replicas) r->start();
+    for (auto& l : logs) l->start();
   }
 
   ProcessId leader(sim::Time t) const {
@@ -1050,9 +1054,8 @@ struct ChurnCluster {
 
   /// Every replica of every group applied the same number of slots.
   bool drained() const {
-    for (std::size_t i = 0; i < replicas.size(); ++i) {
-      if (replicas[i]->log().applied_len() !=
-          replicas[i - i % kN]->log().applied_len()) {
+    for (std::size_t i = 0; i < logs.size(); ++i) {
+      if (logs[i]->applied_len() != logs[i - i % kN]->applied_len()) {
         return false;
       }
     }
@@ -1068,7 +1071,7 @@ struct ChurnCluster {
   std::vector<std::unique_ptr<core::TransportMux>> muxes;
   std::vector<std::unique_ptr<core::PaxosEngine>> engines;  // [group × p]
   std::vector<std::unique_ptr<smr::StateMachine>> machines;
-  std::vector<std::unique_ptr<smr::Replica>> replicas;
+  std::vector<std::unique_ptr<smr::Log>> logs;
   std::unique_ptr<kv::Router> router;
   std::unique_ptr<kv::Workload> workload;
 };
@@ -1115,9 +1118,9 @@ TEST_P(LeaderChurn, AgreesAndAppliesEveryOpOnce) {
     for (ProcessId p : all_processes(ChurnCluster::kN)) {
       for (std::size_t i = 0; i < ChurnCluster::kCommands; ++i) {
         submitted.push_back("p" + std::to_string(p) + "-" + std::to_string(i));
-        c.replicas[p - 1]->submit(to_bytes(submitted.back()));
+        c.logs[p - 1]->submit(to_bytes(submitted.back()));
       }
-      c.replicas[p - 1]->flush();
+      c.logs[p - 1]->flush();
     }
     const auto log_of = [&](ProcessId p) {
       std::vector<std::string> out;
