@@ -36,7 +36,10 @@
 //    no event. Their deciders send each decision to every peer in one event,
 //    over links that lose nothing between live processes, so an applied slot
 //    still reaches every live replica; a retired acceptor's silence can
-//    cost liveness, never agreement. The Byzantine engines keep every slot.
+//    cost liveness, never agreement. The memory-backed ones also release
+//    the freed slots to their SlotRegions pool, which destroys a slot's
+//    regions on every memory once every live replica has released it. The
+//    Byzantine engines keep every slot, and their regions.
 //  * decisions() streams every locally decided slot exactly once, in local
 //    decision order (slot order NOT guaranteed — that is the pipelining).
 //    Single consumer.
@@ -57,6 +60,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -112,28 +116,77 @@ inline std::string slot_ns(Slot s, const std::string& base) {
 /// namespace ns(s) = slot_ns(s, base); `make(ns)` must create them there
 /// identically (same order) on EVERY backing memory so region ids agree. It
 /// runs exactly once per slot, on first touch by any replica's engine. One
-/// SlotRegions instance is shared by all replicas of a group. The cache
-/// keeps every slot's entry, so an entry holds ids only: engines name a
-/// slot's registers from ns(s).
+/// SlotRegions instance is shared by all replicas of a group, its
+/// `members`. An entry holds ids only: engines name a slot's registers from
+/// ns(s).
+///
+/// Retirement: each member reports release(p, floor) once it has destroyed
+/// its instances of every slot below `floor`, and a crashed member leaves
+/// (it never steps again). Once a slot is below every remaining member's
+/// floor, the pool hands its entry to `destroy`, which must destroy the
+/// regions on every backing memory, and forgets it. get() below that floor
+/// throws: a fresh, empty region for a decided slot could decide a
+/// different value. Counting open instances instead would be unsafe, since
+/// a lagging member may not have opened the slot yet. A pool without
+/// `destroy` keeps every slot (the Byzantine engines' pools, whose members
+/// never release).
 template <typename Regions>
 class SlotRegions {
  public:
-  SlotRegions(std::string base,
-              std::function<Regions(const std::string& ns)> make)
-      : base_(std::move(base)), make_(std::move(make)) {}
+  using MakeFn = std::function<Regions(const std::string& ns)>;
+  using DestroyFn = std::function<void(const Regions&)>;
+
+  SlotRegions(std::string base, MakeFn make, std::size_t members = 0,
+              DestroyFn destroy = {})
+      : base_(std::move(base)),
+        make_(std::move(make)),
+        destroy_(std::move(destroy)),
+        floors_(members, 0) {}
 
   const Regions& get(Slot s) {
-    auto it = cache_.find(s);
-    if (it == cache_.end()) it = cache_.emplace(s, make_(ns(s))).first;
-    return it->second;
+    if (s < cache_.floor()) {
+      throw std::out_of_range("SlotRegions::get: slot " + std::to_string(s) +
+                              " is retired");
+    }
+    return cache_.get_or_make(
+        s, [&] { return std::make_unique<Regions>(make_(ns(s))); });
   }
 
   std::string ns(Slot s) const { return slot_ns(s, base_); }
 
+  /// Member p has destroyed its instances of every slot below `floor`.
+  void release(ProcessId p, Slot floor) {
+    if (!destroy_) return;
+    Slot& held = floors_.at(p - 1);
+    held = std::max(held, floor);
+    retire();
+  }
+
+  /// Member p crashed: it stops holding the floor. The last member to
+  /// leave keeps it where it is.
+  void leave(ProcessId p) { release(p, kLeft); }
+
+  /// Slots below floor() are destroyed; held() entries remain above it.
+  Slot floor() const { return cache_.floor(); }
+  std::size_t held() const { return cache_.size(); }
+
  private:
+  static constexpr Slot kLeft = ~Slot{0};
+
+  void retire() {
+    const Slot below = *std::min_element(floors_.begin(), floors_.end());
+    if (below == kLeft) return;
+    for (Slot s = cache_.floor(); s < std::min(below, cache_.end()); ++s) {
+      if (const Regions* r = cache_.find(s)) destroy_(*r);
+    }
+    cache_.raise_floor(below);
+  }
+
   std::string base_;
-  std::function<Regions(const std::string&)> make_;
-  std::map<Slot, Regions> cache_;
+  MakeFn make_;
+  DestroyFn destroy_;
+  std::vector<Slot> floors_;  // index p - 1: what member p released
+  util::SlotWindow<Regions> cache_;
 };
 
 class ConsensusEngine {
@@ -245,18 +298,21 @@ class HubEngine : public ConsensusEngine {
   /// Memory-backed instances (Disk Paxos, PMP, Aligned Paxos): slot s runs
   /// in region `regions->get(s)` of namespace regions->ns(s), which the pool
   /// creates with make_disk_region (Disk Paxos) or make_pmp_region (PMP and
-  /// Aligned) on every backing memory.
+  /// Aligned) on every backing memory. The engine releases each slot it
+  /// retires to the pool.
   HubEngine(sim::Executor& exec, std::vector<mem::MemoryIface*> memories,
             Transport& base, Omega& omega,
             std::shared_ptr<SlotRegions<RegionId>> regions)
       : HubEngine(exec, base,
                   [&exec, &omega, memories = std::move(memories),
-                   regions = std::move(regions)](Slot s, Transport& t) {
+                   regions](Slot s, Transport& t) {
                     return std::make_unique<Inst>(
                         exec, memories, DiskRegion{regions->get(s),
                                                    regions->ns(s)},
                         t, omega);
-                  }) {}
+                  }) {
+    regions_ = std::move(regions);
+  }
 
   ProcessId self() const override { return hub_.self(); }
 
@@ -362,10 +418,12 @@ class HubEngine : public ConsensusEngine {
     }
     slots_.raise_floor(held);
     hub_.retire_below(held);
+    if (regions_ != nullptr) regions_->release(self(), held);
   }
 
   SlotTransportHub hub_;
   MakeInstanceFn make_;
+  std::shared_ptr<SlotRegions<RegionId>> regions_;  // memory-backed only
   std::unique_ptr<PaxosTerm> term_;  // the instances point at it
   util::SlotWindow<Open> slots_;
   Slot floor_ = 0;  // retire_below's floor; slots_ may lag it (see Open)

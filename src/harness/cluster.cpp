@@ -191,6 +191,8 @@ struct Group {
   /// Hands the router or migrator process p's current member (KV mode).
   std::function<void(ProcessId)> rebind;
   std::vector<Member> members;  // index p - 1
+  /// The crash memory engines' slot-region pool; null for the others.
+  std::shared_ptr<core::SlotRegions<RegionId>> regions;
 };
 
 /// Everything one run owns. The executor is declared first (constructed
@@ -301,6 +303,11 @@ struct World {
       exec.call_at(t, [this, p = p] {
         *alive[p - 1] = false;
         network.crash(p);
+        // Memory engines do not rejoin, and a crashed process's memory
+        // steps hang in its views: it stops holding its groups' regions.
+        for (Group& g : groups) {
+          if (g.regions != nullptr) g.regions->leave(p);
+        }
         // The leader oracle keys off crash times: wake suspended
         // wait_leadership calls so succession is notification-driven.
         omega->poke();
@@ -665,12 +672,32 @@ std::shared_ptr<core::SlotRegions<Regions>> slot_regions(
       });
 }
 
-/// One group's engine factory under the configured algorithm. Message
+/// A crash memory engine's pool over namespace `base`: one region per slot,
+/// `make(memory, ns)`'s, on every backing memory, destroyed on all of them
+/// once every member has released the slot.
+template <typename Make>
+std::shared_ptr<core::SlotRegions<RegionId>> region_pool(
+    World& w, const std::string& base, Make make) {
+  return std::make_shared<core::SlotRegions<RegionId>>(
+      base,
+      [&w, make](const std::string& ns) {
+        RegionId id = 0;
+        w.for_each_backing([&](auto& m) { id = make(m, ns); });
+        return id;
+      },
+      w.cfg.n,
+      [&w](RegionId id) {
+        w.for_each_backing([id](auto& m) { m.destroy_region(id); });
+      });
+}
+
+/// Group `g`'s engine factory under the configured algorithm. Message
 /// engines run over group_transport(p, tag); memory engines share one
-/// region pool over the group's namespace `ns`. `byz_target` points the
-/// Byzantine region attacks at this group's slot 0.
-EngineFactory engine_factory(World& w, std::uint8_t tag, const std::string& ns,
-                             bool byz_target) {
+/// region pool over the group's namespace `ns`, which the crash engines
+/// keep in g.regions. `byz_target` points the Byzantine region attacks at
+/// this group's slot 0.
+EngineFactory engine_factory(World& w, Group& g, std::uint8_t tag,
+                             const std::string& ns, bool byz_target) {
   const ClusterConfig& config = w.cfg;
   const std::size_t n = config.n;
   switch (config.algo) {
@@ -685,8 +712,8 @@ EngineFactory engine_factory(World& w, std::uint8_t tag, const std::string& ns,
     }
 
     case Algorithm::kDiskPaxos: {
-      auto pool = slot_regions<RegionId>(
-          w, ns, [n](auto& m, const std::string& slot) {
+      auto pool = g.regions =
+          region_pool(w, ns, [n](auto& m, const std::string& slot) {
             return core::make_disk_region(m, n, slot).id;
           });
       return [&w, tag, pool](ProcessId p) {
@@ -698,8 +725,8 @@ EngineFactory engine_factory(World& w, std::uint8_t tag, const std::string& ns,
 
     case Algorithm::kProtectedMemoryPaxos:
     case Algorithm::kAlignedPaxos: {
-      auto pool = slot_regions<RegionId>(
-          w, ns, [n](auto& m, const std::string& slot) {
+      auto pool = g.regions =
+          region_pool(w, ns, [n](auto& m, const std::string& slot) {
             return core::make_pmp_region(m, n, kLeaderP1, slot).id;
           });
       if (config.algo == Algorithm::kAlignedPaxos) {
@@ -768,7 +795,7 @@ Group& add_group(World& w, std::string label, std::uint8_t tag,
                  const std::string& ns, bool byz_target) {
   Group g;
   g.label = std::move(label);
-  g.make_engine = engine_factory(w, tag, ns, byz_target);
+  g.make_engine = engine_factory(w, g, tag, ns, byz_target);
   for (ProcessId p : all_processes(w.cfg.n)) {
     g.members.push_back(Member{g.make_engine(p), nullptr, nullptr});
   }
@@ -960,14 +987,28 @@ bool settled(const World& w, const Group& g) {
          lead.engine->slot_horizon() <= lead.log->applied_len();
 }
 
+/// The report counts a process the fault plan crashes for good, or makes
+/// Byzantine, as faulty, also when the run settles before its crash time.
+/// Such a process stops holding its groups' slot regions before the roll-up,
+/// so the pools' counts cover the correct replicas, as the engines' do.
+void leave_pools_if_faulty(World& w) {
+  for (ProcessId p : all_processes(w.cfg.n)) {
+    if (w.correct(p)) continue;
+    for (Group& g : w.groups) {
+      if (g.regions != nullptr) g.regions->leave(p);
+    }
+  }
+}
+
 /// Roll the correct replicas of every data group (SMR mode's one group, KV
 /// mode's shards — not the config group) into `report`: commit and
-/// queue-wait percentiles, occupancy, recovery counters, the
-/// per-slot state their engines still hold, the first decision time, and
-/// slot accounting from one reference replica per group. The fast path is
-/// proposer-local (learners decide via DECIDE), so each group counts its
-/// busiest replica's fast slots and the groups add up. Commit samples: a leader-mode group's proposers each win their own
-/// slots, so their samples pool; every replica of an all-propose group can
+/// queue-wait percentiles, occupancy, recovery counters, the per-slot
+/// state their engines and region pools still hold, the first decision
+/// time, and slot accounting from one reference replica per group. The fast
+/// path is proposer-local (learners decide via DECIDE), so each group
+/// counts its busiest replica's fast slots and the groups add up. Commit
+/// samples: a leader-mode group's proposers each win their own slots, so
+/// their samples pool; every replica of an all-propose group can
 /// win the same slot, so that group counts one replica's samples — the
 /// correct replica with the lowest commit p50 (ties: lowest id), whose
 /// decisions answer clients first. Retired incarnations' recovery work
@@ -1025,6 +1066,10 @@ void roll_up_replicas(const World& w, RunReport& report) {
                     engine.subs_held()});
       report.first_decision_delay =
           std::min(report.first_decision_delay, s.first_decided_at);
+    }
+    if (g.regions != nullptr) {
+      report.slot_state_held =
+          std::max(report.slot_state_held, g.regions->held());
     }
     report.fast_slots += fast_slots;
     if (sampler != nullptr) {
@@ -1324,6 +1369,7 @@ RunReport run_replicated(World& w) {
   // ---- Report. ----
   RunReport report;
   report.termination = done();
+  leave_pools_if_faulty(w);
   roll_up_replicas(w, report);
   if (kv) {
     check_stores(w, report);

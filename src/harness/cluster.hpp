@@ -283,9 +283,11 @@ struct RunReport {
   std::uint64_t catchup_bytes = 0;
   /// Per-slot consensus state left at the end of the run: the most
   /// protocol instances or slot-hub subs any correct replica's engine holds
-  /// in a data group. At most the window on the crash engines, which retire
-  /// slots a window behind the applied prefix; the slot count on the
-  /// Byzantine engines.
+  /// in a data group, or slot region sets a data group's pool holds for its
+  /// correct replicas (Disk Paxos, PMP and Aligned Paxos keep one region
+  /// per slot on every memory). At most the window on the crash engines,
+  /// which retire slots a window behind the applied prefix; the slot count
+  /// on the Byzantine engines.
   std::size_t slot_state_held = 0;
 
   // KV mode only (config.kv.enabled). Shard/commit metrics above aggregate

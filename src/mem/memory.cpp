@@ -7,14 +7,24 @@ namespace mnm::mem {
 Memory::Memory(sim::Executor& exec, MemoryId id, sim::Time op_delay)
     : exec_(&exec), id_(id), op_delay_(op_delay), scopes_(exec) {}
 
-bool Memory::Region::contains(const std::string& reg) const {
+bool RegisterCover::covers(const std::string& reg) const {
   for (const auto& p : prefixes) {
-    if (reg.size() >= p.size() && reg.compare(0, p.size(), p) == 0) return true;
+    if (reg.starts_with(p)) return true;
   }
   for (const auto& e : exact) {
     if (reg == e) return true;
   }
   return false;
+}
+
+void RegisterCover::erase_from(std::map<std::string, Bytes>& registers) const {
+  for (const auto& p : prefixes) {
+    auto it = registers.lower_bound(p);
+    while (it != registers.end() && it->first.starts_with(p)) {
+      it = registers.erase(it);
+    }
+  }
+  for (const auto& e : exact) registers.erase(e);
 }
 
 RegionId Memory::create_region(std::vector<std::string> prefixes,
@@ -27,14 +37,18 @@ RegionId Memory::create_region(std::vector<std::string> prefixes,
   if (!scopes_.contains(scope)) {
     throw std::invalid_argument("Memory::create_region: unknown scope");
   }
-  regions_.push_back(Region{std::move(prefixes), std::move(exact),
-                            std::move(perm), std::move(legal), scope});
-  return static_cast<RegionId>(regions_.size());
+  const RegionId id = next_region_++;
+  regions_[id] = std::make_unique<Region>(
+      Region{{std::move(prefixes), std::move(exact)}, std::move(perm),
+             std::move(legal), scope});
+  return id;
 }
 
-const Memory::Region* Memory::find_region(RegionId id) const {
-  if (id < 1 || id > regions_.size()) return nullptr;
-  return &regions_[id - 1];
+void Memory::destroy_region(RegionId region) {
+  const Region* r = find_region(region);
+  if (r == nullptr) return;
+  r->cover.erase_from(registers_);
+  regions_.erase(region);
 }
 
 sim::Task<Status> Memory::write(ProcessId caller, RegionId region,
@@ -57,7 +71,8 @@ sim::Task<Status> Memory::write(ProcessId caller, RegionId region,
   exec_->schedule_after(effect_at, [this, op] {
     if (crashed_) return;  // request lost inside the dead memory
     const Region* r = find_region(op->region);
-    if (r == nullptr || !r->contains(op->reg) || !r->perm.can_write(op->caller)) {
+    if (r == nullptr || !r->cover.covers(op->reg) ||
+        !r->perm.can_write(op->caller)) {
       ++naks_;
       op->outcome = Status::kNak;
       return;
@@ -90,7 +105,8 @@ sim::Task<ReadResult> Memory::read(ProcessId caller, RegionId region,
   exec_->schedule_after(effect_at, [this, op] {
     if (crashed_) return;
     const Region* r = find_region(op->region);
-    if (r == nullptr || !r->contains(op->reg) || !r->perm.can_read(op->caller)) {
+    if (r == nullptr || !r->cover.covers(op->reg) ||
+        !r->perm.can_read(op->caller)) {
       ++naks_;
       op->outcome = ReadResult{Status::kNak, {}};
       return;
@@ -131,7 +147,7 @@ sim::Task<std::vector<ReadResult>> Memory::read_many(
     out.reserve(op->regs.size());
     const bool readable = r != nullptr && r->perm.can_read(op->caller);
     for (const auto& reg : op->regs) {
-      if (!readable || !r->contains(reg)) {
+      if (!readable || !r->cover.covers(reg)) {
         ++naks_;
         out.push_back(ReadResult{Status::kNak, {}});
         continue;
@@ -165,22 +181,18 @@ sim::Task<Status> Memory::change_permission(ProcessId caller, RegionId region,
 
   exec_->schedule_after(effect_at, [this, op] {
     if (crashed_) return;
-    if (op->region < 1 || op->region > regions_.size() || !op->proposed.disjoint()) {
-      ++naks_;
-      op->outcome = Status::kNak;
-      return;
-    }
-    Region& r = regions_[op->region - 1];
+    Region* r = find_region(op->region);
     // §3: the system evaluates legalChange to decide whether the change
     // takes effect or becomes a no-op. A refused change still *returns* (it
     // is a no-op, not a hang) — we report it as nak so callers can tell.
-    if (!r.legal(op->caller, op->region, r.perm, op->proposed)) {
+    if (r == nullptr || !op->proposed.disjoint() ||
+        !r->legal(op->caller, op->region, r->perm, op->proposed)) {
       ++naks_;
       op->outcome = Status::kNak;
       return;
     }
     ++perm_changes_;
-    r.perm = std::move(op->proposed);
+    r->perm = std::move(op->proposed);
     op->outcome = Status::kAck;
   });
   exec_->schedule_after(op_delay_, [this, done, op]() mutable {
@@ -200,9 +212,9 @@ std::optional<Bytes> Memory::peek(const std::string& reg) const {
 void Memory::poke(const std::string& reg, Bytes value) {
   registers_[reg] = std::move(value);
   std::vector<ScopeId> holders;
-  for (const Region& r : regions_) {
-    if (r.contains(reg)) holders.push_back(r.scope);
-  }
+  regions_.for_each([&](RegionId, const std::unique_ptr<Region>& r) {
+    if (r->cover.covers(reg)) holders.push_back(r->scope);
+  });
   scopes_.bump_each(std::move(holders));
 }
 
@@ -214,7 +226,7 @@ const Permission& Memory::region_permission(RegionId region) const {
 
 bool Memory::region_contains(RegionId region, const std::string& reg) const {
   const Region* r = find_region(region);
-  return r != nullptr && r->contains(reg);
+  return r != nullptr && r->cover.covers(reg);
 }
 
 }  // namespace mnm::mem

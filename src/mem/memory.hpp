@@ -19,6 +19,16 @@
 // A crash between the effect point and the response leaves the write applied
 // but unacknowledged, exactly the ambiguity real systems face.
 //
+// Region lifetime: a region lives from create_region until destroy_region.
+// Destroying one drops it and every register its prefixes and exact names
+// cover, schedules no event and moves no counter; an operation that names
+// it afterwards — one already in flight included, at its effect point —
+// naks as for an id the memory never issued. Ids are never reused, so
+// creating and destroying regions in the same order on every memory keeps
+// their ids aligned. The multi-slot engines give each log slot its own
+// regions and destroy them once every replica has retired the slot
+// (core::SlotRegions).
+//
 // Write signals: every region belongs to one *scope*, and each scope has a
 // sim::VersionSignal bumped at the effect point of every applied write into
 // one of its regions. Register pollers (mem::WriteWatch) wait on the scope of
@@ -44,6 +54,7 @@
 #include "src/sim/oneshot.hpp"
 #include "src/sim/sync.hpp"
 #include "src/sim/task.hpp"
+#include "src/util/flat_map.hpp"
 
 namespace mnm::mem {
 
@@ -78,6 +89,17 @@ class ScopeSignals {
  private:
   sim::Executor* exec_;
   std::deque<sim::VersionSignal> signals_;  // indexed by ScopeId
+};
+
+/// The registers a region (or an RDMA registration) covers: every name
+/// that starts with one of `prefixes`, and the `exact` names.
+struct RegisterCover {
+  std::vector<std::string> prefixes;
+  std::vector<std::string> exact;
+
+  bool covers(const std::string& reg) const;
+  /// Erase every register in `registers` this covers.
+  void erase_from(std::map<std::string, Bytes>& registers) const;
 };
 
 struct ReadResult {
@@ -138,6 +160,10 @@ class Memory : public MemoryIface {
                          std::vector<std::string> exact = {},
                          ScopeId scope = kDefaultScope);
 
+  /// Drop the region and every register it covers (see the header
+  /// comment). An unknown or already destroyed id is a no-op.
+  void destroy_region(RegionId region);
+
   sim::Task<Status> write(ProcessId caller, RegionId region,
                           std::string reg, Bytes value) override;
   sim::Task<ReadResult> read(ProcessId caller, RegionId region,
@@ -164,6 +190,8 @@ class Memory : public MemoryIface {
   void poke(const std::string& reg, Bytes value);
   const Permission& region_permission(RegionId region) const;
   bool region_contains(RegionId region, const std::string& reg) const;
+  std::size_t regions_held() const { return regions_.size(); }
+  std::size_t registers_held() const { return registers_.size(); }
 
   // Metrics. `reads` counts per-slot detail (a read_many of n slots adds n);
   // `read_batches` counts one per read_many call.
@@ -175,22 +203,26 @@ class Memory : public MemoryIface {
 
  private:
   struct Region {
-    std::vector<std::string> prefixes;
-    std::vector<std::string> exact;
+    RegisterCover cover;
     Permission perm;
     LegalChangeFn legal;
-    ScopeId scope;
-
-    bool contains(const std::string& reg) const;
+    ScopeId scope = kDefaultScope;
   };
 
-  const Region* find_region(RegionId id) const;
+  /// The live region `id`, or nullptr.
+  Region* find_region(RegionId id) const {
+    const auto* r = regions_.find(id);
+    return r == nullptr ? nullptr : r->get();
+  }
 
   sim::Executor* exec_;
   MemoryId id_;
   sim::Time op_delay_;
   bool crashed_ = false;
-  std::vector<Region> regions_;  // region id r lives at index r - 1
+  RegionId next_region_ = 1;
+  // The live regions, boxed so the table stays small on memories that
+  // keep thousands.
+  util::FlatMap<RegionId, std::unique_ptr<Region>> regions_;
   std::map<std::string, Bytes> registers_;
   ScopeSignals scopes_;
 

@@ -1,10 +1,12 @@
 // Open-addressed hash table for hot-path demultiplexing.
 //
 // Inbox (net) and NebSlots (core) sit on every message/memory-op path and
-// used to pay an rb-tree walk (std::map) per lookup. FlatMap is a minimal
-// linear-probing table for integral keys: power-of-two capacity, no erase
-// (demux tables only grow), values stored inline in the slot array. Lookup
-// is one hash plus a short probe over contiguous memory.
+// used to pay an rb-tree walk (std::map) per lookup; the memories look their
+// regions up by id on every operation. FlatMap is a minimal linear-probing
+// table for integral keys: power-of-two capacity, values stored inline in
+// the slot array. Lookup is one hash plus a short probe over contiguous
+// memory. Erase shifts the rest of its probe run back, so no tombstones
+// accumulate; the capacity never shrinks.
 
 #pragma once
 
@@ -49,6 +51,37 @@ class FlatMap {
     slots_[i].key = key;
     ++size_;
     return slots_[i].value;
+  }
+
+  /// Remove `key`'s entry, if any.
+  void erase(Key key) {
+    if (slots_.empty()) return;
+    std::size_t hole = probe_start(key);
+    while (slots_[hole].used && slots_[hole].key != key) {
+      hole = (hole + 1) & mask_;
+    }
+    if (!slots_[hole].used) return;
+    // Backward-shift deletion: move each later entry of the run whose home
+    // lies at or before the hole into it, so every entry stays reachable
+    // from its home without crossing an empty slot.
+    for (std::size_t j = (hole + 1) & mask_; slots_[j].used;
+         j = (j + 1) & mask_) {
+      const std::size_t home = probe_start(slots_[j].key);
+      if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+        slots_[hole] = std::move(slots_[j]);
+        hole = j;
+      }
+    }
+    slots_[hole] = Slot{};
+    --size_;
+  }
+
+  /// Visit every entry as fn(key, value), in slot order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const Slot& s : slots_) {
+      if (s.used) fn(s.key, s.value);
+    }
   }
 
  private:

@@ -12,16 +12,6 @@ RdmaDevice::RdmaDevice(sim::Executor& exec, MemoryId id, std::uint64_t rkey_seed
       rkey_rng_(rkey_seed),
       scopes_(exec) {}
 
-bool RdmaDevice::Mr::covers(const std::string& reg) const {
-  for (const auto& p : prefixes) {
-    if (reg.size() >= p.size() && reg.compare(0, p.size(), p) == 0) return true;
-  }
-  for (const auto& e : exact) {
-    if (reg == e) return true;
-  }
-  return false;
-}
-
 PdId RdmaDevice::alloc_pd() {
   const PdId pd = next_pd_++;
   pds_.insert(pd);
@@ -39,8 +29,8 @@ RKey RdmaDevice::register_mr(PdId pd, std::vector<std::string> prefixes,
   do {
     rkey = rkey_rng_.next();
   } while (rkey == 0 || mrs_.contains(rkey));
-  mrs_.emplace(rkey,
-               Mr{pd, std::move(prefixes), std::move(exact), access, scope});
+  mrs_.emplace(rkey, Mr{pd, {std::move(prefixes), std::move(exact)}, access,
+                        scope});
   return rkey;
 }
 
@@ -62,7 +52,7 @@ const RdmaDevice::Mr* RdmaDevice::allowed(QpId qp, ProcessId caller,
   if (mit == mrs_.end()) return nullptr;  // deregistered ⇒ stale rkey
   const Mr& mr = mit->second;
   if (mr.pd != qit->second.pd) return nullptr;  // PD mismatch
-  if (!mr.covers(reg)) return nullptr;
+  if (!mr.cover.covers(reg)) return nullptr;
   const bool ok = is_write ? mr.access.remote_write : mr.access.remote_read;
   return ok ? &mr : nullptr;
 }
@@ -186,7 +176,7 @@ void RdmaDevice::poke(const std::string& reg, Bytes value) {
   registers_[reg] = std::move(value);
   std::vector<mem::ScopeId> holders;
   for (const auto& [rkey, mr] : mrs_) {
-    if (mr.covers(reg)) holders.push_back(mr.scope);
+    if (mr.cover.covers(reg)) holders.push_back(mr.scope);
   }
   scopes_.bump_each(std::move(holders));
 }
@@ -214,8 +204,9 @@ void VerbsMemory::install_registrations(RegionState& rs) {
     const bool r = rs.perm.can_read(p);
     const bool w = rs.perm.can_write(p);
     if (!r && !w) continue;
-    rs.rkeys.emplace(p, device_->register_mr(pds_.at(p), rs.prefixes,
-                                             Access{r, w}, rs.exact, rs.scope));
+    rs.rkeys.emplace(p, device_->register_mr(pds_.at(p), rs.cover.prefixes,
+                                             Access{r, w}, rs.cover.exact,
+                                             rs.scope));
   }
 }
 
@@ -228,32 +219,39 @@ RegionId VerbsMemory::create_region(std::vector<std::string> prefixes,
     throw std::invalid_argument("VerbsMemory::create_region: non-disjoint");
   }
   const RegionId rid = next_region_++;
-  auto [it, ok] = regions_.emplace(
-      rid, RegionState{std::move(prefixes), std::move(exact), std::move(perm),
-                       std::move(legal), scope, {}});
-  (void)ok;
-  install_registrations(it->second);
+  auto& rs = regions_[rid] = std::make_unique<RegionState>(
+      RegionState{{std::move(prefixes), std::move(exact)}, std::move(perm),
+                  std::move(legal), scope, {}});
+  install_registrations(*rs);
   return rid;
+}
+
+void VerbsMemory::destroy_region(RegionId region) {
+  const RegionState* rs = find_region(region);
+  if (rs == nullptr) return;
+  for (const auto& [p, rkey] : rs->rkeys) device_->deregister_mr(rkey);
+  device_->free_registers(rs->cover);
+  regions_.erase(region);
 }
 
 sim::Task<mem::Status> VerbsMemory::write(ProcessId caller, RegionId region,
                                           std::string reg, Bytes value) {
-  const auto it = regions_.find(region);
-  if (it == regions_.end()) co_return mem::Status::kNak;
-  const auto kit = it->second.rkeys.find(caller);
+  const RegionState* rs = find_region(region);
+  if (rs == nullptr) co_return mem::Status::kNak;
+  const auto kit = rs->rkeys.find(caller);
   // No registration for this process: post with a null rkey so the nak still
   // costs a round trip at the NIC, like a stale-rkey write would.
-  const RKey rkey = kit == it->second.rkeys.end() ? 0 : kit->second;
+  const RKey rkey = kit == rs->rkeys.end() ? 0 : kit->second;
   co_return co_await device_->post_write(qps_.at(caller), caller, rkey,
                                          std::move(reg), std::move(value));
 }
 
 sim::Task<mem::ReadResult> VerbsMemory::read(ProcessId caller, RegionId region,
                                              std::string reg) {
-  const auto it = regions_.find(region);
-  if (it == regions_.end()) co_return mem::ReadResult{mem::Status::kNak, {}};
-  const auto kit = it->second.rkeys.find(caller);
-  const RKey rkey = kit == it->second.rkeys.end() ? 0 : kit->second;
+  const RegionState* rs = find_region(region);
+  if (rs == nullptr) co_return mem::ReadResult{mem::Status::kNak, {}};
+  const auto kit = rs->rkeys.find(caller);
+  const RKey rkey = kit == rs->rkeys.end() ? 0 : kit->second;
   co_return co_await device_->post_read(qps_.at(caller), caller, rkey,
                                         std::move(reg));
 }
@@ -264,13 +262,13 @@ sim::Task<std::vector<mem::ReadResult>> VerbsMemory::read_many(
   // touching the device; a known region with no registration for this
   // process posts with a null rkey so the NIC-side naks still cost the
   // round trip, like a stale-rkey read would.
-  const auto it = regions_.find(region);
-  if (it == regions_.end()) {
+  const RegionState* rs = find_region(region);
+  if (rs == nullptr) {
     co_return std::vector<mem::ReadResult>(regs.size(),
                                            mem::ReadResult{mem::Status::kNak, {}});
   }
-  const auto kit = it->second.rkeys.find(caller);
-  const RKey rkey = kit == it->second.rkeys.end() ? 0 : kit->second;
+  const auto kit = rs->rkeys.find(caller);
+  const RKey rkey = kit == rs->rkeys.end() ? 0 : kit->second;
   co_return co_await device_->post_read_many(qps_.at(caller), caller, rkey,
                                              std::move(regs));
 }
@@ -291,15 +289,15 @@ sim::Task<mem::Status> VerbsMemory::change_permission(ProcessId caller,
   // evaluates legalChange and re-registers; the ack travels back.
   exec_->schedule_after(sim::kMemoryOpDelay / 2, [this, op] {
     if (device_->crashed()) return;
-    const auto it = regions_.find(op->region);
-    if (it == regions_.end() || !op->proposed.disjoint() ||
-        !it->second.legal(op->caller, op->region, it->second.perm, op->proposed)) {
+    RegionState* rs = find_region(op->region);
+    if (rs == nullptr || !op->proposed.disjoint() ||
+        !rs->legal(op->caller, op->region, rs->perm, op->proposed)) {
       op->outcome = mem::Status::kNak;
       return;
     }
     ++perm_changes_;
-    it->second.perm = std::move(op->proposed);
-    install_registrations(it->second);
+    rs->perm = std::move(op->proposed);
+    install_registrations(*rs);
     op->outcome = mem::Status::kAck;
   });
   exec_->schedule_after(sim::kMemoryOpDelay, [this, done, op]() mutable {

@@ -6,6 +6,9 @@
 //    deregistering an MR immediately invalidates its rkey — this is how
 //    permissions are revoked dynamically ("p can revoke permissions
 //    dynamically by simply deregistering the memory region").
+//  * Destroying a region deregisters its MRs and frees its registers in the
+//    device's DRAM; an op in flight at the destroy naks at the NIC, like
+//    any stale-rkey access.
 //  * Protection domains tie queue pairs to registrations: a QP may only use
 //    rkeys whose MR lives in the same PD.
 //  * Queue pairs belong to one remote process; one-sided reads/writes posted
@@ -35,6 +38,7 @@
 #include "src/sim/rng.hpp"
 #include "src/sim/sync.hpp"
 #include "src/sim/task.hpp"
+#include "src/util/flat_map.hpp"
 
 namespace mnm::verbs {
 
@@ -72,6 +76,11 @@ class RdmaDevice {
   /// Invalidate an rkey. Idempotent; returns false if unknown.
   bool deregister_mr(RKey rkey);
 
+  /// Free every register `cover` covers (host-side, instantaneous).
+  void free_registers(const mem::RegisterCover& cover) {
+    cover.erase_from(registers_);
+  }
+
   /// Create an RC queue pair in `pd`, owned by remote process `owner`.
   QpId create_qp(PdId pd, ProcessId owner);
 
@@ -99,6 +108,8 @@ class RdmaDevice {
   std::optional<Bytes> peek(const std::string& reg) const;
   void poke(const std::string& reg, Bytes value);
   bool rkey_valid(RKey rkey) const { return mrs_.contains(rkey); }
+  std::size_t mrs_held() const { return mrs_.size(); }
+  std::size_t registers_held() const { return registers_.size(); }
 
   std::uint64_t posted_writes() const { return writes_; }
   std::uint64_t posted_reads() const { return reads_; }
@@ -108,11 +119,9 @@ class RdmaDevice {
  private:
   struct Mr {
     PdId pd;
-    std::vector<std::string> prefixes;
-    std::vector<std::string> exact;
+    mem::RegisterCover cover;
     Access access;
     mem::ScopeId scope;
-    bool covers(const std::string& reg) const;
   };
   struct Qp {
     PdId pd;
@@ -165,6 +174,11 @@ class VerbsMemory : public mem::MemoryIface {
                          std::vector<std::string> exact = {},
                          mem::ScopeId scope = mem::kDefaultScope);
 
+  /// Mirror mem::Memory::destroy_region: deregister the region's MRs, free
+  /// its registers on the device and forget it. Its id is never reused.
+  void destroy_region(RegionId region);
+  std::size_t regions_held() const { return regions_.size(); }
+
   sim::Task<mem::Status> write(ProcessId caller, RegionId region,
                                std::string reg, Bytes value) override;
   sim::Task<mem::ReadResult> read(ProcessId caller, RegionId region,
@@ -189,22 +203,28 @@ class VerbsMemory : public mem::MemoryIface {
 
  private:
   struct RegionState {
-    std::vector<std::string> prefixes;
-    std::vector<std::string> exact;
+    mem::RegisterCover cover;
     mem::Permission perm;
     mem::LegalChangeFn legal;
-    mem::ScopeId scope;
+    mem::ScopeId scope = mem::kDefaultScope;
     std::map<ProcessId, RKey> rkeys;  // per-process registration
   };
 
   void install_registrations(RegionState& rs);
+
+  /// The live region `id`, or nullptr.
+  RegionState* find_region(RegionId id) const {
+    const auto* r = regions_.find(id);
+    return r == nullptr ? nullptr : r->get();
+  }
 
   sim::Executor* exec_;
   std::unique_ptr<RdmaDevice> device_;
   std::vector<ProcessId> processes_;
   std::map<ProcessId, PdId> pds_;
   std::map<ProcessId, QpId> qps_;
-  std::map<RegionId, RegionState> regions_;
+  // The live regions, boxed as in mem::Memory.
+  util::FlatMap<RegionId, std::unique_ptr<RegionState>> regions_;
   RegionId next_region_ = 1;
   std::uint64_t perm_changes_ = 0;
 };

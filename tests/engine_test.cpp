@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,18 +45,27 @@ enum class Kind {
 
 /// Minimal cluster: n processes, m memories, one engine per process over one
 /// NetTransport (message engines) or the shared memories (Byzantine engines).
-/// The last memory answers after `last_memory_delay`.
+/// The last memory answers after `last_memory_delay`; with `verbs` the
+/// memories are VerbsMemory instead, all at the default delay.
 struct EngineWorld {
   EngineWorld(Kind kind, std::size_t n, std::size_t m,
-              sim::Time last_memory_delay = sim::kMemoryOpDelay)
+              sim::Time last_memory_delay = sim::kMemoryOpDelay,
+              bool verbs = false)
       : n(n),
         network(exec, n),
         omega(Omega::fixed(exec, kLeaderP1)),
         keystore(99) {
     for (std::size_t i = 0; i < m; ++i) {
+      const auto id = static_cast<MemoryId>(i + 1);
+      if (verbs) {
+        verbs_memories.push_back(std::make_unique<verbs::VerbsMemory>(
+            exec, std::make_unique<verbs::RdmaDevice>(exec, id, id),
+            all_processes(n)));
+        ifc.push_back(verbs_memories.back().get());
+        continue;
+      }
       memories.push_back(std::make_unique<mem::Memory>(
-          exec, static_cast<MemoryId>(i + 1),
-          i + 1 == m ? last_memory_delay : sim::kMemoryOpDelay));
+          exec, id, i + 1 == m ? last_memory_delay : sim::kMemoryOpDelay));
       ifc.push_back(memories.back().get());
     }
     for (ProcessId p : all_processes(n)) {
@@ -76,14 +86,9 @@ struct EngineWorld {
         break;
       }
       case Kind::kDiskPaxos: {
-        auto pool = std::make_shared<SlotRegions<RegionId>>(
-            "", [this](const std::string& ns) {
-              RegionId region = 0;
-              for (auto& mp : memories) {
-                region = make_disk_region(*mp, this->n, ns).id;
-              }
-              return region;
-            });
+        auto pool = region_pool([this](auto& m, const std::string& ns) {
+          return make_disk_region(m, this->n, ns).id;
+        });
         for (ProcessId p : all_processes(n)) {
           transports.push_back(
               std::make_unique<NetTransport>(exec, network, p, /*tag=*/910));
@@ -94,14 +99,9 @@ struct EngineWorld {
       }
       case Kind::kPmp:
       case Kind::kAligned: {
-        auto pool = std::make_shared<SlotRegions<RegionId>>(
-            "", [this](const std::string& ns) {
-              RegionId region = 0;
-              for (auto& mp : memories) {
-                region = make_pmp_region(*mp, this->n, kLeaderP1, ns).id;
-              }
-              return region;
-            });
+        auto pool = region_pool([this](auto& m, const std::string& ns) {
+          return make_pmp_region(m, this->n, kLeaderP1, ns).id;
+        });
         for (ProcessId p : all_processes(n)) {
           transports.push_back(
               std::make_unique<NetTransport>(exec, network, p, /*tag=*/920));
@@ -156,6 +156,32 @@ struct EngineWorld {
     decided.resize(n);
   }
 
+  /// Apply `fn` to every memory, of whichever backend.
+  template <typename Fn>
+  void for_each_memory(Fn fn) {
+    for (auto& m : memories) fn(*m);
+    for (auto& m : verbs_memories) fn(*m);
+  }
+
+  /// The crash engines' pool, as the harness builds it: slot s's region is
+  /// make(memory, ns(s)) on every memory, destroyed on all of them once
+  /// every engine has released the slot.
+  template <typename Make>
+  std::shared_ptr<SlotRegions<RegionId>> region_pool(Make make) {
+    regions = std::make_shared<SlotRegions<RegionId>>(
+        "",
+        [this, make](const std::string& ns) {
+          RegionId id = 0;
+          for_each_memory([&](auto& m) { id = make(m, ns); });
+          return id;
+        },
+        n,
+        [this](RegionId id) {
+          for_each_memory([id](auto& m) { m.destroy_region(id); });
+        });
+    return regions;
+  }
+
   /// Collect every decision each replica's stream emits.
   void start_collectors() {
     for (ProcessId p : all_processes(n)) {
@@ -191,7 +217,9 @@ struct EngineWorld {
   crypto::KeyStore keystore;
   std::vector<crypto::Signer> signers;
   std::vector<std::unique_ptr<mem::Memory>> memories;
+  std::vector<std::unique_ptr<verbs::VerbsMemory>> verbs_memories;
   std::vector<mem::MemoryIface*> ifc;
+  std::shared_ptr<SlotRegions<RegionId>> regions;  // crash engines only
   std::vector<std::unique_ptr<NetTransport>> transports;
   std::vector<std::unique_ptr<ConsensusEngine>> engines;
   std::vector<std::map<Slot, std::string>> decided;  // index p - 1
@@ -306,6 +334,135 @@ TEST(RegionFactories, EveryMemoryAgrees) {
   EXPECT_EQ(fr.neb_scope, 4u);
   SlotRegions<RegionId> pool("g2/", [](const std::string&) { return 0; });
   EXPECT_EQ(pool.ns(7), "s7/g2/");
+}
+
+// --- Slot-region pools: a slot's regions live until every member that
+// has not crashed has released the slot. ---
+
+/// A PMP slot pool of `members` members over three mem::Memory and three
+/// VerbsMemory, which must agree on every slot's region id.
+struct PoolWorld {
+  explicit PoolWorld(std::size_t members) {
+    for (MemoryId id = 1; id <= 3; ++id) {
+      mems.push_back(std::make_unique<mem::Memory>(exec, id));
+      verbs.push_back(std::make_unique<verbs::VerbsMemory>(
+          exec, std::make_unique<verbs::RdmaDevice>(exec, id, id),
+          all_processes(3)));
+    }
+    pool = std::make_shared<SlotRegions<RegionId>>(
+        "g0/",
+        [this](const std::string& ns) {
+          std::optional<RegionId> id;
+          for_each([&](auto& m) {
+            const RegionId got = make_pmp_region(m, 3, kLeaderP1, ns).id;
+            if (id.has_value()) EXPECT_EQ(got, *id) << ns;
+            id = got;
+          });
+          return *id;
+        },
+        members,
+        [this](RegionId id) {
+          for_each([id](auto& m) { m.destroy_region(id); });
+        });
+  }
+
+  template <typename Fn>
+  void for_each(Fn fn) {
+    for (auto& m : mems) fn(*m);
+    for (auto& m : verbs) fn(*m);
+  }
+
+  /// The regions each memory holds, which must be the pool's count.
+  void expect_held(std::size_t regions) {
+    EXPECT_EQ(pool->held(), regions);
+    for_each([&](auto& m) { EXPECT_EQ(m.regions_held(), regions); });
+  }
+
+  Executor exec;
+  std::vector<std::unique_ptr<mem::Memory>> mems;
+  std::vector<std::unique_ptr<verbs::VerbsMemory>> verbs;
+  std::shared_ptr<SlotRegions<RegionId>> pool;
+};
+
+TEST(SlotRegionPool, LaggingMemberPinsTheFloor) {
+  PoolWorld w(3);
+  for (Slot s = 0; s < 4; ++s) EXPECT_EQ(w.pool->get(s), s + 1);
+  w.pool->release(1, 3);
+  w.pool->release(2, 3);
+  EXPECT_EQ(w.pool->floor(), 0u);  // p3 has not released slot 0
+  w.expect_held(4);
+  w.pool->release(3, 1);
+  EXPECT_EQ(w.pool->floor(), 1u);
+  w.expect_held(3);
+  EXPECT_FALSE(w.mems[0]->region_contains(1, "s0/g0/pmp/slot/1"));
+  EXPECT_TRUE(w.mems[0]->region_contains(2, "s1/g0/pmp/slot/1"));
+  // A floor at or below the one a member released changes nothing.
+  w.pool->release(3, 0);
+  EXPECT_EQ(w.pool->floor(), 1u);
+}
+
+TEST(SlotRegionPool, CrashedMemberReleasesIt) {
+  PoolWorld w(3);
+  for (Slot s = 0; s < 4; ++s) (void)w.pool->get(s);
+  w.pool->release(1, 3);
+  w.pool->release(2, 2);
+  EXPECT_EQ(w.pool->floor(), 0u);
+  w.pool->leave(3);  // p3 crashed before releasing anything
+  EXPECT_EQ(w.pool->floor(), 2u);
+  w.expect_held(2);
+  w.pool->release(3, 4);  // a crashed member's late report changes nothing
+  EXPECT_EQ(w.pool->floor(), 2u);
+  w.pool->leave(2);
+  EXPECT_EQ(w.pool->floor(), 3u);
+  // The last member to leave keeps the floor where it is.
+  w.pool->leave(1);
+  EXPECT_EQ(w.pool->floor(), 3u);
+  w.expect_held(1);
+}
+
+TEST(SlotRegionPool, GetBelowTheFloorThrows) {
+  // A fresh, empty region for a decided slot could decide a different
+  // value, so a retired slot is never re-created.
+  PoolWorld w(2);
+  for (Slot s = 0; s < 3; ++s) (void)w.pool->get(s);
+  w.pool->release(1, 2);
+  w.pool->release(2, 2);
+  EXPECT_THROW((void)w.pool->get(1), std::out_of_range);
+  EXPECT_THROW((void)w.pool->get(0), std::out_of_range);
+  EXPECT_EQ(w.pool->get(2), 3u);  // a live slot keeps its region
+  w.expect_held(1);
+  EXPECT_EQ(w.pool->get(3), 4u);  // the next slot's region gets a fresh id
+  w.expect_held(2);
+}
+
+TEST(SlotRegionPool, RegionIdsStayAlignedAcrossDestroys) {
+  // Ids are never reused, so every memory issues the same id for each slot
+  // however many regions the pool has destroyed (PoolWorld checks the six
+  // memories agree), and a slot whose members retired past it before it
+  // was ever made is never made.
+  PoolWorld w(2);
+  for (Slot s = 0; s < 8; ++s) (void)w.pool->get(s);
+  w.pool->release(1, 5);
+  w.pool->release(2, 6);
+  w.expect_held(3);
+  for (Slot s = 8; s < 12; ++s) EXPECT_EQ(w.pool->get(s), s + 1);
+  w.pool->release(1, 14);
+  w.pool->release(2, 14);
+  w.expect_held(0);
+  EXPECT_THROW((void)w.pool->get(13), std::out_of_range);
+  EXPECT_EQ(w.pool->get(14), 13u);
+  w.for_each([](auto& m) { EXPECT_EQ(m.regions_held(), 1u); });
+}
+
+TEST(SlotRegionPool, WithoutDestroyKeepsEverySlot) {
+  // The Byzantine engines' pools: nothing is ever released.
+  SlotRegions<RegionId> pool("", [](const std::string&) { return 7; }, 2);
+  for (Slot s = 0; s < 4; ++s) (void)pool.get(s);
+  pool.release(1, 4);
+  pool.release(2, 4);
+  EXPECT_EQ(pool.floor(), 0u);
+  EXPECT_EQ(pool.held(), 4u);
+  EXPECT_EQ(pool.get(0), 7u);
 }
 
 TEST(ConsensusEngine, PaxosThreeSlots) {
@@ -677,8 +834,10 @@ TEST(LeaderTerm, RejoinedP1IsRefusedAtBallotZeroThenEstablishesItsOwnTerm) {
 TEST(ConsensusEngine, SlowMemoryStragglerOutlivesItsRetiredInstance) {
   // Disk Paxos decides on two memories' verifying scans while the third,
   // slow memory's scan straggles on past the slot's retirement. Resuming
-  // between its write and its read, the straggler must not read the
-  // destroyed instance (the sanitizer build catches it if it does).
+  // after its write, the straggler must not touch the destroyed instance
+  // (the sanitizer build catches it if it does). Both engines retire the
+  // slot, so the pool destroys its region first: the slow write lands on a
+  // destroyed region and naks, and the scan ends there.
   constexpr sim::Time kSlow = 100;
   EngineWorld w(Kind::kDiskPaxos, 2, 3, kSlow);
   w.start_collectors();
@@ -688,9 +847,58 @@ TEST(ConsensusEngine, SlowMemoryStragglerOutlivesItsRetiredInstance) {
   ASSERT_LT(w.exec.now(), kSlow / 2);  // the slow write has not landed yet
   for (auto& e : w.engines) e->retire_below(1);
   EXPECT_EQ(w.engines[0]->instances_held(), 0u);
+  EXPECT_EQ(w.regions->held(), 0u);
   w.exec.run();
-  EXPECT_EQ(w.memories[2]->writes(), 1u);
-  EXPECT_EQ(w.memories[2]->read_batches(), 1u);  // read after the retirement
+  EXPECT_EQ(w.memories[2]->writes(), 0u);
+  EXPECT_EQ(w.memories[2]->naks(), 1u);
+  EXPECT_EQ(w.memories[2]->read_batches(), 0u);
+}
+
+/// The registers a memory of either backend holds.
+std::size_t held_registers(mem::Memory& m) { return m.registers_held(); }
+std::size_t held_registers(verbs::VerbsMemory& m) {
+  return m.device().registers_held();
+}
+
+/// `kind` over three memories of either backend: p1 decides kSlots slots
+/// one at a time, and every replica retires a window behind each, as
+/// smr::Log does. Every memory must end holding the last window's regions
+/// and registers alone.
+void long_run_holds_one_window(Kind kind, std::size_t n, bool verbs) {
+  constexpr Slot kSlots = 4096;
+  constexpr Slot kWindow = 4;
+  EngineWorld w(kind, n, 3, sim::kMemoryOpDelay, verbs);
+  w.start_collectors();
+  std::size_t per_slot = 0;  // registers one slot leaves on a memory
+  for (Slot s = 0; s < kSlots; ++s) {
+    w.propose(1, s, "v" + std::to_string(s));
+    w.exec.run();
+    if (s == 0) w.for_each_memory([&](auto& m) { per_slot = held_registers(m); });
+    if (s + 1 >= kWindow) {
+      for (auto& e : w.engines) e->retire_below(s + 1 - kWindow);
+    }
+  }
+  ASSERT_TRUE(w.all_decided(kSlots));
+  ASSERT_GT(per_slot, 0u);
+  EXPECT_EQ(w.regions->held(), kWindow);
+  EXPECT_EQ(w.regions->floor(), kSlots - kWindow);
+  w.for_each_memory([&](auto& m) {
+    EXPECT_EQ(m.regions_held(), kWindow);
+    EXPECT_EQ(held_registers(m), kWindow * per_slot);
+  });
+  for (auto& m : w.verbs_memories) {
+    // One registration per process the region's permission names.
+    EXPECT_EQ(m->device().mrs_held(), kWindow * n);
+  }
+}
+
+TEST(ConsensusEngine, LongRunHoldsOneWindowOnEveryMemory) {
+  for (const bool verbs : {false, true}) {
+    SCOPED_TRACE(verbs ? "verbs" : "mem");
+    long_run_holds_one_window(Kind::kDiskPaxos, 2, verbs);
+    long_run_holds_one_window(Kind::kPmp, 2, verbs);
+    long_run_holds_one_window(Kind::kAligned, 3, verbs);
+  }
 }
 
 }  // namespace

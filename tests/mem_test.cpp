@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "src/mem/memory.hpp"
 #include "src/sim/executor.hpp"
@@ -313,6 +316,119 @@ TEST(Memory, CountersTrackOperations) {
   exec.run();
   EXPECT_EQ(memory.writes(), 1u);
   EXPECT_EQ(memory.reads(), 2u);
+}
+
+// --- destroy_region: the region and its registers are gone, its id is
+// never reused, and nothing is scheduled or counted. ---
+
+TEST(Memory, DestroyedRegionNaksEveryOperation) {
+  Executor exec;
+  Memory memory(exec, 1);
+  const RegionId r = memory.create_region({"d/"}, Permission::open(procs(2)),
+                                          dynamic_permissions());
+  memory.poke("d/a", to_bytes("old"));
+  memory.destroy_region(r);
+  EXPECT_EQ(exec.events_processed(), 0u);  // destroying schedules nothing
+  Status wst = Status::kAck;
+  Status cst = Status::kAck;
+  ReadResult rr{Status::kAck, {}};
+  std::vector<ReadResult> many;
+  exec.spawn([](Memory& m, RegionId r, Status& wst, ReadResult& rr,
+                std::vector<ReadResult>& many, Status& cst) -> Task<void> {
+    wst = co_await m.write(1, r, "d/a", to_bytes("x"));
+    rr = co_await m.read(1, r, "d/a");
+    std::vector<std::string> regs = {"d/a", "d/b"};
+    many = co_await m.read_many(1, r, std::move(regs));
+    cst = co_await m.change_permission(1, r, Permission::read_only(procs(2)));
+  }(memory, r, wst, rr, many, cst));
+  exec.run();
+  EXPECT_EQ(wst, Status::kNak);
+  EXPECT_FALSE(rr.ok());
+  ASSERT_EQ(many.size(), 2u);
+  EXPECT_FALSE(many[0].ok());
+  EXPECT_FALSE(many[1].ok());
+  EXPECT_EQ(cst, Status::kNak);
+  EXPECT_EQ(memory.naks(), 5u);  // the write, the read, two slots, the change
+  EXPECT_EQ(memory.writes() + memory.reads() + memory.permission_changes(),
+            0u);
+  EXPECT_EQ(memory.peek("d/a"), std::nullopt);
+  EXPECT_THROW((void)memory.region_permission(r), std::out_of_range);
+}
+
+TEST(Memory, DestroyDropsOnlyTheRegionsRegisters) {
+  Executor exec;
+  Memory memory(exec, 1);
+  const auto all = procs(2);
+  const RegionId gone = memory.create_region(
+      {"s1/pmp/"}, Permission::open(all), static_permissions(), {"s1/extra"});
+  const RegionId kept = memory.create_region({"s10/pmp/"}, Permission::open(all));
+  for (const char* reg :
+       {"s1/pmp/slot/1", "s1/pmp/slot/2", "s1/extra", "s10/pmp/slot/1",
+        "s1/outside"}) {
+    memory.poke(reg, to_bytes("v"));
+  }
+  memory.destroy_region(gone);
+  EXPECT_EQ(memory.peek("s1/pmp/slot/1"), std::nullopt);
+  EXPECT_EQ(memory.peek("s1/pmp/slot/2"), std::nullopt);
+  EXPECT_EQ(memory.peek("s1/extra"), std::nullopt);
+  EXPECT_TRUE(memory.peek("s10/pmp/slot/1").has_value());
+  EXPECT_TRUE(memory.peek("s1/outside").has_value());  // in no region
+  EXPECT_TRUE(memory.region_contains(kept, "s10/pmp/slot/1"));
+  EXPECT_FALSE(memory.region_contains(gone, "s1/pmp/slot/1"));
+  EXPECT_EQ(memory.regions_held(), 1u);
+  EXPECT_EQ(memory.registers_held(), 2u);
+}
+
+TEST(Memory, RegionIdsAreNeverReused) {
+  Executor exec;
+  Memory memory(exec, 1);
+  const auto make = [&] {
+    return memory.create_region({"r/"}, Permission::open(procs(1)));
+  };
+  for (RegionId want = 1; want <= 4; ++want) EXPECT_EQ(make(), want);
+  memory.destroy_region(3);
+  memory.destroy_region(1);  // out of creation order
+  EXPECT_EQ(make(), 5u);
+  memory.destroy_region(5);
+  memory.destroy_region(2);
+  EXPECT_EQ(make(), 6u);
+  EXPECT_EQ(memory.regions_held(), 2u);  // 4 and 6
+  EXPECT_TRUE(memory.region_contains(4, "r/x"));
+  EXPECT_TRUE(memory.region_contains(6, "r/x"));
+}
+
+TEST(Memory, DestroyingAnUnknownRegionIsANoOp) {
+  Executor exec;
+  Memory memory(exec, 1);
+  const RegionId r = memory.create_region({"r/"}, Permission::open(procs(1)));
+  memory.poke("r/a", to_bytes("v"));
+  memory.destroy_region(77);
+  EXPECT_EQ(memory.regions_held(), 1u);
+  EXPECT_TRUE(memory.peek("r/a").has_value());
+  memory.destroy_region(r);
+  memory.destroy_region(r);  // already destroyed
+  EXPECT_EQ(memory.regions_held(), 0u);
+  EXPECT_EQ(memory.naks(), 0u);
+  EXPECT_EQ(memory.create_region({"r/"}, Permission::open(procs(1))), 2u);
+}
+
+TEST(Memory, WriteInFlightAtTheDestroyNaks) {
+  // The write is posted at t=0 and takes effect at t=1; the region dies at
+  // t=0 in between.
+  Executor exec;
+  Memory memory(exec, 1);
+  const RegionId r = memory.create_region({"d/"}, Permission::open(procs(1)));
+  Status st = Status::kAck;
+  exec.spawn([](Memory& m, RegionId r, Status& st) -> Task<void> {
+    st = co_await m.write(1, r, "d/x", to_bytes("racer"));
+  }(memory, r, st));
+  exec.run(/*until=*/0);  // posted
+  memory.destroy_region(r);
+  exec.run();
+  EXPECT_EQ(st, Status::kNak);
+  EXPECT_EQ(memory.peek("d/x"), std::nullopt);
+  EXPECT_EQ(memory.writes(), 0u);
+  EXPECT_EQ(memory.naks(), 1u);
 }
 
 }  // namespace

@@ -878,13 +878,11 @@ TEST(SmrCluster, RejoinedLeaderServesWithinEightDelays) {
 // Retirement (ConsensusEngine::retire_below): the crash engines free each
 // slot a window behind the applied prefix, with or without a snapshot
 // cadence, so every correct replica ends holding exactly a window of
-// instances and hub subs, however long the run.
-class SmrRetire : public ::testing::TestWithParam<Algorithm> {};
-
-TEST_P(SmrRetire, LongRunHoldsOneWindow) {
+// instances and hub subs, and each memory engine's region pool exactly a
+// window of slots' regions, however long the run.
+void long_run_holds_one_window(Algorithm algo, bool verbs) {
   constexpr std::size_t kSlots = 4096;
   constexpr std::size_t kWindow = 4;
-  const Algorithm algo = GetParam();
   const bool memory = algo != Algorithm::kPaxos && algo != Algorithm::kFastPaxos;
   const std::size_t n = algo == Algorithm::kDiskPaxos ||
                                 algo == Algorithm::kProtectedMemoryPaxos
@@ -893,11 +891,22 @@ TEST_P(SmrRetire, LongRunHoldsOneWindow) {
   for (const Slot interval : {Slot{64}, Slot{0}}) {
     ClusterConfig c = smr_config(algo, n, memory ? 3 : 0, kSlots, 1, kWindow);
     c.smr.snapshot_interval = interval;
+    c.verbs_backend = verbs;
     const RunReport r = harness::run_cluster(c);
     ASSERT_TRUE(r.all_ok()) << r.summary();
     ASSERT_EQ(r.slots_applied, kSlots) << r.summary();
     EXPECT_EQ(r.slot_state_held, kWindow) << "interval " << interval;
   }
+}
+
+class SmrRetire : public ::testing::TestWithParam<Algorithm> {};
+
+TEST_P(SmrRetire, LongRunHoldsOneWindow) {
+  long_run_holds_one_window(GetParam(), /*verbs=*/false);
+}
+
+TEST(SmrRetireVerbs, PmpLongRunHoldsOneWindow) {
+  long_run_holds_one_window(Algorithm::kProtectedMemoryPaxos, /*verbs=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/mem/memory.hpp"
 #include "src/sim/executor.hpp"
@@ -259,6 +261,115 @@ TEST(VerbsMemory, UnknownRegionNaks) {
   }(f.vm, st));
   f.exec.run();
   EXPECT_EQ(st, Status::kNak);
+}
+
+// --- destroy_region: mirrors mem::Memory's, and also deregisters the
+// region's MRs and frees its registers in the device's DRAM. ---
+
+TEST(VerbsMemory, DestroyedRegionNaksEveryOperation) {
+  AdapterFixture f;
+  const RegionId r = f.vm.create_region({"d/"}, Permission::open(procs(3)),
+                                        mem::dynamic_permissions());
+  f.vm.device().poke("d/a", to_bytes("old"));
+  f.vm.destroy_region(r);
+  Status wst = Status::kAck;
+  Status cst = Status::kAck;
+  ReadResult rr{Status::kAck, {}};
+  std::vector<ReadResult> many;
+  f.exec.spawn([](VerbsMemory& vm, RegionId r, Status& wst, ReadResult& rr,
+                  std::vector<ReadResult>& many, Status& cst) -> Task<void> {
+    wst = co_await vm.write(1, r, "d/a", to_bytes("x"));
+    rr = co_await vm.read(1, r, "d/a");
+    std::vector<std::string> regs = {"d/a", "d/b"};
+    many = co_await vm.read_many(1, r, std::move(regs));
+    cst = co_await vm.change_permission(1, r, Permission::read_only(procs(3)));
+  }(f.vm, r, wst, rr, many, cst));
+  f.exec.run();
+  EXPECT_EQ(wst, Status::kNak);
+  EXPECT_FALSE(rr.ok());
+  ASSERT_EQ(many.size(), 2u);
+  EXPECT_FALSE(many[0].ok());
+  EXPECT_FALSE(many[1].ok());
+  EXPECT_EQ(cst, Status::kNak);
+  EXPECT_EQ(f.vm.permission_changes(), 0u);
+  EXPECT_EQ(f.vm.device().peek("d/a"), std::nullopt);
+}
+
+TEST(VerbsMemory, DestroyDeregistersAndFreesOnlyTheRegion) {
+  AdapterFixture f;
+  const RegionId gone = f.vm.create_region(
+      {"s1/pmp/"}, Permission::swmr(1, procs(3)), mem::static_permissions(),
+      {"s1/extra"});
+  const RegionId kept =
+      f.vm.create_region({"s10/pmp/"}, Permission::swmr(2, procs(3)));
+  EXPECT_EQ(f.vm.device().mrs_held(), 6u);  // one per process and region
+  for (const char* reg :
+       {"s1/pmp/slot/1", "s1/extra", "s10/pmp/slot/1", "s1/outside"}) {
+    f.vm.device().poke(reg, to_bytes("v"));
+  }
+  f.vm.destroy_region(gone);
+  EXPECT_EQ(f.vm.device().mrs_held(), 3u);  // the rkeys of `gone` are dead
+  EXPECT_EQ(f.vm.regions_held(), 1u);
+  EXPECT_EQ(f.vm.device().peek("s1/pmp/slot/1"), std::nullopt);
+  EXPECT_EQ(f.vm.device().peek("s1/extra"), std::nullopt);
+  EXPECT_TRUE(f.vm.device().peek("s1/outside").has_value());  // in no region
+  EXPECT_EQ(f.vm.device().registers_held(), 2u);
+
+  ReadResult rr;
+  f.exec.spawn([](VerbsMemory& vm, RegionId kept, ReadResult& rr) -> Task<void> {
+    rr = co_await vm.read(1, kept, "s10/pmp/slot/1");
+  }(f.vm, kept, rr));
+  f.exec.run();
+  ASSERT_TRUE(rr.ok());  // the neighbour's registration still works
+  EXPECT_EQ(to_string(rr.value), "v");
+}
+
+TEST(VerbsMemory, RegionIdsAreNeverReused) {
+  AdapterFixture f;
+  const auto make = [&] {
+    return f.vm.create_region({"r/"}, Permission::open(procs(3)));
+  };
+  for (RegionId want = 1; want <= 4; ++want) EXPECT_EQ(make(), want);
+  f.vm.destroy_region(3);
+  f.vm.destroy_region(1);  // out of creation order
+  EXPECT_EQ(make(), 5u);
+  f.vm.destroy_region(5);
+  f.vm.destroy_region(2);
+  EXPECT_EQ(make(), 6u);
+  EXPECT_EQ(f.vm.regions_held(), 2u);
+  EXPECT_EQ(f.vm.device().mrs_held(), 6u);
+}
+
+TEST(VerbsMemory, DestroyingAnUnknownRegionIsANoOp) {
+  AdapterFixture f;
+  const RegionId r = f.vm.create_region({"r/"}, Permission::open(procs(3)));
+  f.vm.destroy_region(42);
+  EXPECT_EQ(f.vm.regions_held(), 1u);
+  EXPECT_EQ(f.vm.device().mrs_held(), 3u);
+  f.vm.destroy_region(r);
+  f.vm.destroy_region(r);  // already destroyed
+  EXPECT_EQ(f.vm.regions_held(), 0u);
+  EXPECT_EQ(f.vm.device().mrs_held(), 0u);
+  EXPECT_EQ(f.vm.create_region({"r/"}, Permission::open(procs(3))), 2u);
+}
+
+TEST(VerbsMemory, WriteInFlightAtTheDestroyNaks) {
+  // As in RdmaDevice.DeregistrationRacesInFlightWrite: the write is posted
+  // at t=0 with the region's rkey, the destroy deregisters it at t=0, and
+  // the NIC refuses the write when it arrives at t=1.
+  AdapterFixture f;
+  const RegionId r = f.vm.create_region({"d/"}, Permission::open(procs(3)));
+  Status st = Status::kAck;
+  f.exec.spawn([](VerbsMemory& vm, RegionId r, Status& st) -> Task<void> {
+    st = co_await vm.write(1, r, "d/x", to_bytes("racer"));
+  }(f.vm, r, st));
+  f.exec.run(/*until=*/0);  // posted
+  f.vm.destroy_region(r);
+  f.exec.run();
+  EXPECT_EQ(st, Status::kNak);
+  EXPECT_EQ(f.vm.device().nic_naks(), 1u);
+  EXPECT_EQ(f.vm.device().posted_writes(), 0u);
+  EXPECT_EQ(f.vm.device().peek("d/x"), std::nullopt);
 }
 
 }  // namespace
